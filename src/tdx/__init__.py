@@ -66,31 +66,26 @@ from .homomorphism import (
     hom_equivalent,
     instantiate_atom,
 )
-from .chase_concrete import (
+from .chase import (
     ChaseOutcome,
     EqClosure,
     Failure,
     NullCounter,
     Success,
-    chase_concrete,
-    st_round_concrete,
-    st_step_concrete,
-    tkc_round_concrete,
-    tkc_step_concrete,
-)
-from .chase_abstract import (
-    chase_abstract,
+    chase,
     st_round_abstract,
+    st_round_concrete,
+    st_step,
     tkc_round_abstract,
-    tkc_step_abstract,
+    tkc_round_concrete,
+    tkc_step,
 )
 from .query import (
     AnswerSet,
     NoSolution,
     answers_sem,
     answers_to_instance,
-    certain_abstract,
-    certain_concrete,
+    certain,
     naive_eval,
 )
 from .cli import run_cli

@@ -1,6 +1,13 @@
-"""Concrete chase: a dependency round producing fresh interval-annotated nulls,
-then a key round that collects equalities, closes them, and either applies the
-replacements or fails on a constant conflict.
+"""The chase over either view of time: a dependency round producing fresh
+annotated nulls, then a key round that collects equalities, closes them, and
+either applies the replacements or fails on a constant conflict.
+
+The two views run one algorithm.  The time domain comes from the instance
+kind: fresh nulls are ``model.NULL_OF[kind]`` (interval nulls over a concrete
+instance, point nulls over an abstract one), and only a concrete source is
+normalized first.  Infinite abstract views are never materialized here; they
+are reached through ``sem_instance`` with an explicit horizon, and the chase
+runs on the resulting finite instance.
 
 Both rounds are parallel: the dependency round is the union of one step per
 rule and left-hand-side binding, and the key round derives a single equality
@@ -17,11 +24,12 @@ from .errors import KeyNullViolation, PreconditionError, SchemaError
 from .homomorphism import Binding, enumerate_formula_homs, instantiate_atom
 from .mapping_lang import Mapping, SttTgd, Tkc
 from .model import (
+    ABSTRACT,
     CONCRETE,
+    NULL_OF,
     Constant,
     Fact,
     Instance,
-    IntervalNull,
     RelationSchema,
     Value,
     conform_instance,
@@ -53,13 +61,12 @@ ChaseOutcome = Union[Success, Failure]
 class NullCounter:
     """Deterministic source of fresh null labels: N1, N2, ..."""
 
-    def __init__(self, prefix: str = "N"):
-        self._prefix = prefix
+    def __init__(self) -> None:
         self._n = 0
 
     def next_label(self) -> str:
         self._n += 1
-        return f"{self._prefix}{self._n}"
+        return f"N{self._n}"
 
 
 class EqClosure:
@@ -149,23 +156,41 @@ class EqClosure:
         return tuple(reversed(path))
 
 
-def _ordered_pair(x: Value, y: Value) -> tuple[Value, Value]:
-    return (x, y) if value_sort_key(x) <= value_sort_key(y) else (y, x)
+def _fire(rule: SttTgd, binding: Binding, nulls: NullCounter, null_type) -> frozenset[Fact]:
+    extended = dict(binding)
+    context = binding[rule.time_var]
+    for var in rule.existential_order():
+        extended[var] = null_type(nulls.next_label(), context)
+    return frozenset(instantiate_atom(atom, extended) for atom in rule.rhs)
 
 
-def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]) -> ChaseOutcome:
-    closure = EqClosure()
-    for x, y in sorted(set(equalities), key=lambda p: (value_sort_key(p[0]), value_sort_key(p[1]))):
-        conflict = closure.merge(x, y)
-        if conflict is not None:
-            c1, c2 = conflict
-            return Failure((c1.symbol, c2.symbol), closure.trace(c1, c2))
-    reps = closure.representatives()
-    facts = {
-        Fact(f.relation, tuple(reps.get(v, v) for v in f.values), f.time)
-        for f in inst.facts
-    }
-    return Success(inst.replace_facts(facts))
+def st_step(inst: Instance, rule: SttTgd, binding: Binding,
+            nulls: NullCounter) -> frozenset[Fact]:
+    """One chase step: extend the binding with fresh nulls and fire the rule.
+
+    Each existential variable gets one fresh null annotated with the bound
+    interval or time point, reused at every occurrence across the
+    right-hand-side atoms.
+    """
+    overlap = set(binding) & rule.existentials
+    if overlap:
+        raise ValueError(f"binding must not cover existential variables {sorted(overlap)}")
+    for atom in rule.lhs:
+        if instantiate_atom(atom, binding) not in inst.facts:
+            raise ValueError(f"binding is not a formula homomorphism for atom {atom.relation!r}")
+    return _fire(rule, binding, nulls, NULL_OF[inst.kind])
+
+
+def _st_round(inst: Instance, rules: Sequence[SttTgd],
+              target: Iterable[RelationSchema]) -> Instance:
+    # enumerate_formula_homs yields only homomorphisms, so no binding is re-checked
+    null_type = NULL_OF[inst.kind]
+    nulls = NullCounter()
+    facts: set[Fact] = set()
+    for rule in rules:
+        for binding in enumerate_formula_homs(rule.lhs, inst):
+            facts |= _fire(rule, binding, nulls, null_type)
+    return Instance(inst.kind, tuple(target), frozenset(facts))
 
 
 def tkc_positions(tkc: Tkc, schema: RelationSchema) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -180,8 +205,13 @@ def tkc_positions(tkc: Tkc, schema: RelationSchema) -> tuple[tuple[int, ...], tu
     return key_pos, dep_pos
 
 
-def _step_equalities(u1: Fact, u2: Fact, tkc: Tkc, schema: RelationSchema) -> frozenset[tuple[Value, Value]]:
-    key_pos, dep_pos = tkc_positions(tkc, schema)
+def _ordered_pair(x: Value, y: Value) -> tuple[Value, Value]:
+    return (x, y) if value_sort_key(x) <= value_sort_key(y) else (y, x)
+
+
+def _pair_equalities(u1: Fact, u2: Fact, tkc: Tkc, schema: RelationSchema,
+                     key_pos: tuple[int, ...],
+                     dep_pos: tuple[int, ...]) -> frozenset[tuple[Value, Value]]:
     if u1.relation != tkc.relation or u2.relation != tkc.relation:
         raise ValueError(f"facts must belong to relation {tkc.relation!r}")
     for f in (u1, u2):
@@ -198,48 +228,55 @@ def _step_equalities(u1: Fact, u2: Fact, tkc: Tkc, schema: RelationSchema) -> fr
         for i in dep_pos if u1.values[i] != u2.values[i])
 
 
-def tkc_step_concrete(u1: Fact, u2: Fact, tkc: Tkc,
-                      schema: RelationSchema) -> frozenset[tuple[Value, Value]]:
-    """Equalities between the dependent values of two conflicting concrete facts."""
-    return _step_equalities(u1, u2, tkc, schema)
+def tkc_step(u1: Fact, u2: Fact, tkc: Tkc,
+             schema: RelationSchema) -> frozenset[tuple[Value, Value]]:
+    """Equalities between the dependent values of two conflicting facts."""
+    return _pair_equalities(u1, u2, tkc, schema, *tkc_positions(tkc, schema))
 
 
-def _round_equalities(inst: Instance, tkcs: Sequence[Tkc],
-                      step) -> list[tuple[Value, Value]]:
+def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, Value]]:
     equalities: list[tuple[Value, Value]] = []
     for tkc in tkcs:
         schema = inst.schema_by_name.get(tkc.relation)
         if schema is None:
             raise SchemaError(f"key constraint on unknown relation {tkc.relation!r}")
-        key_pos, _ = tkc_positions(tkc, schema)
+        key_pos, dep_pos = tkc_positions(tkc, schema)
         groups: dict[tuple, list[Fact]] = {}
         for f in inst.relation_facts(tkc.relation):
             groups.setdefault((f.time, tuple(f.values[i] for i in key_pos)), []).append(f)
         for group in groups.values():
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
-                    equalities.extend(step(group[i], group[j], tkc, schema))
+                    equalities.extend(
+                        _pair_equalities(group[i], group[j], tkc, schema, key_pos, dep_pos))
     return equalities
 
 
-def st_step_concrete(inst: Instance, rule: SttTgd, binding: Binding,
-                     nulls: NullCounter) -> frozenset[Fact]:
-    """One chase step: extend the binding with fresh interval nulls and fire the rule.
+def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]) -> ChaseOutcome:
+    """All replacements are applied simultaneously from the closure's final
+    representatives; a merge of two distinct constants aborts with a witness."""
+    closure = EqClosure()
+    for x, y in sorted(set(equalities), key=lambda p: (value_sort_key(p[0]), value_sort_key(p[1]))):
+        conflict = closure.merge(x, y)
+        if conflict is not None:
+            c1, c2 = conflict
+            return Failure((c1.symbol, c2.symbol), closure.trace(c1, c2))
+    reps = closure.representatives()
+    facts = {
+        Fact(f.relation, tuple(reps.get(v, v) for v in f.values), f.time)
+        for f in inst.facts
+    }
+    return Success(inst.replace_facts(facts))
 
-    Each existential variable gets one fresh null annotated with the bound
-    interval, reused at every occurrence across the right-hand-side atoms.
-    """
-    overlap = set(binding) & rule.existentials
-    if overlap:
-        raise ValueError(f"binding must not cover existential variables {sorted(overlap)}")
-    for atom in rule.lhs:
-        if instantiate_atom(atom, binding) not in inst.facts:
-            raise ValueError(f"binding is not a formula homomorphism for atom {atom.relation!r}")
-    extended = dict(binding)
-    context = binding[rule.time_var]
-    for var in rule.existential_order():
-        extended[var] = IntervalNull(nulls.next_label(), context)
-    return frozenset(instantiate_atom(atom, extended) for atom in rule.rhs)
+
+def _require(inst: Instance, kind: str, what: str, *, complete: bool) -> None:
+    """One view's precondition: its kind, normalization if concrete, completeness if asked."""
+    if inst.kind != kind:
+        raise PreconditionError(f"the {kind} {what} expects a {kind} instance, got {inst.kind}")
+    if kind == CONCRETE and not is_normalized(inst):
+        raise PreconditionError(f"the {kind} {what} requires a normalized instance")
+    if complete and not is_complete(inst):
+        raise PreconditionError(f"the {kind} {what} requires a complete instance")
 
 
 def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],
@@ -250,44 +287,50 @@ def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],
     issued in enumeration order (rules in order, bindings in canonical order,
     existential variables in textual order), so the output is deterministic.
     """
-    if inst.kind != CONCRETE:
-        raise PreconditionError("the concrete dependency round expects a concrete instance")
-    if not is_normalized(inst):
-        raise PreconditionError("the concrete dependency round requires a normalized instance")
-    if not is_complete(inst):
-        raise PreconditionError("the concrete dependency round requires a complete instance")
-    nulls = NullCounter()
-    facts: set[Fact] = set()
-    for rule in rules:
-        for binding in enumerate_formula_homs(rule.lhs, inst):
-            facts |= st_step_concrete(inst, rule, binding, nulls)
-    return Instance(CONCRETE, tuple(target), frozenset(facts))
+    _require(inst, CONCRETE, "dependency round", complete=True)
+    return _st_round(inst, rules, target)
+
+
+def st_round_abstract(inst: Instance, rules: Sequence[SttTgd],
+                      target: Iterable[RelationSchema]) -> Instance:
+    """The dependency round over a complete abstract instance: fresh nulls are
+    point nulls whose context is the bound time point."""
+    _require(inst, ABSTRACT, "dependency round", complete=True)
+    return _st_round(inst, rules, target)
 
 
 def tkc_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     """Close the equalities of every conflicting pair, then replace or fail.
 
-    All replacements are applied simultaneously from the closure's final
-    representatives; a merge of two distinct constants aborts the round with
-    a witness.  A null in a key position raises KeyNullViolation instead.
+    Requires a normalized concrete instance.  A null in a key position of a
+    conflicting pair raises KeyNullViolation.
     """
-    if inst.kind != CONCRETE:
-        raise PreconditionError("the concrete key round expects a concrete instance")
-    if not is_normalized(inst):
-        raise PreconditionError("the concrete key round requires a normalized instance")
-    return _close_and_replace(inst, _round_equalities(inst, tkcs, tkc_step_concrete))
+    _require(inst, CONCRETE, "key round", complete=False)
+    return _close_and_replace(inst, _round_equalities(inst, tkcs))
 
 
-def chase_concrete(src: Instance, m: Mapping) -> ChaseOutcome:
-    """Normalize, run the dependency round, then the key round.
+def tkc_round_abstract(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
+    """The key round over an abstract instance.
 
-    On success the result together with the source satisfies every dependency,
-    and the result satisfies every key constraint.
+    The three derivable cases: two distinct constants equated is a failure; a
+    null equated with a constant is replaced by it everywhere; two nulls of
+    one time point equated collapse onto a designated one.
     """
-    if src.kind != CONCRETE:
-        raise PreconditionError("the concrete chase expects a concrete source instance")
+    _require(inst, ABSTRACT, "key round", complete=False)
+    return _close_and_replace(inst, _round_equalities(inst, tkcs))
+
+
+def chase(src: Instance, m: Mapping) -> ChaseOutcome:
+    """Dependency round, then key round, in the view of the source's kind.
+
+    A concrete source is normalized first.  On success the result together
+    with the source satisfies every dependency, and the result satisfies
+    every key constraint.
+    """
     src = conform_instance(src, m.source)
     if not is_complete(src):
         raise PreconditionError("the source instance must be complete")
-    staged = st_round_concrete(normalize_instance(src), m.sttgds, m.target)
-    return tkc_round_concrete(staged, m.tkcs)
+    if src.kind == CONCRETE:
+        src = normalize_instance(src)
+    staged = _st_round(src, m.sttgds, m.target)
+    return _close_and_replace(staged, _round_equalities(staged, m.tkcs))

@@ -1,5 +1,8 @@
 """Command-line front end: file I/O, subcommand dispatch, deterministic output.
 
+Commands that read a source instance (``chase``, ``certain``) run in the view
+of its kind, concrete or abstract; ``achase`` is an alias of ``chase``.
+
 Exit codes: 0 success; 1 usage, parse, or validation error; 2 chase failure or
 no solution; 3 the equivalence check returned false.  A path of ``-`` reads
 stdin or writes stdout.  Setting TDX_COLOR=0 disables ANSI diagnostics.
@@ -12,13 +15,11 @@ import os
 import sys
 from pathlib import Path
 
-from .chase_abstract import chase_abstract
-from .chase_concrete import Failure, chase_concrete
+from .chase import Failure, chase
 from .errors import InvalidHorizonError, TdxError
 from .homomorphism import hom_equivalent
 from .mapping_lang import Mapping, parse_mapping
 from .model import (
-    ABSTRACT,
     CONCRETE,
     Constant,
     Instance,
@@ -31,7 +32,7 @@ from .model import (
     normalize_instance,
     sem_instance,
 )
-from .query import NoSolution, answers_to_instance, certain_abstract, certain_concrete, naive_eval
+from .query import NoSolution, answers_to_instance, certain, naive_eval
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -112,24 +113,15 @@ def _cmd_sem(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_chase(args: argparse.Namespace, kind: str) -> int:
+def _cmd_chase(args: argparse.Namespace) -> int:
     mapping = _load_mapping(args.mapping)
-    src = _load_instance(args.input, kind)
-    outcome = chase_concrete(src, mapping) if kind == CONCRETE else chase_abstract(src, mapping)
+    outcome = chase(_load_instance(args.input), mapping)
     if isinstance(outcome, Failure):
         _write_text(args.output, _failure_text(outcome))
         _diag(f"chase failed: {outcome.constants[0]} != {outcome.constants[1]}", error=False)
         return EXIT_NO_SOLUTION
     _write_text(args.output, dumps_instance(outcome.instance))
     return EXIT_OK
-
-
-def _cmd_chase(args: argparse.Namespace) -> int:
-    return _run_chase(args, CONCRETE)
-
-
-def _cmd_achase(args: argparse.Namespace) -> int:
-    return _run_chase(args, ABSTRACT)
 
 
 def _find_query(mapping: Mapping, name: str):
@@ -151,9 +143,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_certain(args: argparse.Namespace) -> int:
     mapping = _load_mapping(args.mapping)
     src = _load_instance(args.input)
-    q = _find_query(mapping, args.query)
-    certain = certain_concrete if src.kind == CONCRETE else certain_abstract
-    result = certain(q, src, mapping)
+    result = certain(_find_query(mapping, args.query), src, mapping)
     if isinstance(result, NoSolution):
         _write_text(args.output, _failure_text(result.failure))
         _diag(f"no solution: {result.failure.constants[0]} != {result.failure.constants[1]}",
@@ -202,13 +192,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, help="materialization bound (default: max endpoint + 1)")
     p.set_defaults(func=_cmd_sem)
 
-    p = sub.add_parser("chase", help="chase a complete concrete source instance")
+    p = sub.add_parser("chase", aliases=["achase"],
+                       help="chase a complete source instance in its own view (concrete or abstract)")
     io(p, mapping=True)
     p.set_defaults(func=_cmd_chase)
-
-    p = sub.add_parser("achase", help="chase a complete abstract source instance")
-    io(p, mapping=True)
-    p.set_defaults(func=_cmd_achase)
 
     p = sub.add_parser("query", help="evaluate a named query naively on an instance")
     io(p, mapping=True, query=True)

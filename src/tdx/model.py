@@ -63,6 +63,9 @@ class PointNull:
 Value = Union[Constant, IntervalNull, PointNull]
 TimeValue = Union[ClopenInterval, int]
 
+# The null type of each view: a null takes its context from the fact's time.
+NULL_OF = {CONCRETE: IntervalNull, ABSTRACT: PointNull}
+
 
 def is_null(v: Value) -> bool:
     return isinstance(v, (IntervalNull, PointNull))
@@ -386,9 +389,7 @@ def _value_from_json(v: object, time: TimeValue, kind: str, where: str) -> Value
     if isinstance(v, str):
         return Constant(v)
     if isinstance(v, dict) and set(v) == {"null"} and isinstance(v["null"], str):
-        if kind == CONCRETE:
-            return IntervalNull(v["null"], time)
-        return PointNull(v["null"], time)
+        return NULL_OF[kind](v["null"], time)
     raise SchemaError(f"{where}: a value must be a string or {{\"null\": \"<label>\"}}, got {v!r}")
 
 

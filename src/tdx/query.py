@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .chase_abstract import chase_abstract
-from .chase_concrete import Failure, chase_concrete
+from .chase import Failure, chase
 from .errors import InvalidHorizonError, PreconditionError
 from .homomorphism import enumerate_formula_homs
 from .mapping_lang import Mapping, Ucq
@@ -90,17 +89,9 @@ def answers_sem(ans: AnswerSet, horizon: int) -> AnswerSet:
     return AnswerSet(ans.name, ABSTRACT, ans.columns, frozenset(rows))
 
 
-def certain_concrete(q: Ucq, src: Instance, m: Mapping) -> Union[AnswerSet, NoSolution]:
-    """Certain answers over the concrete view: chase, then evaluate naively."""
-    outcome = chase_concrete(src, m)
-    if isinstance(outcome, Failure):
-        return NoSolution(outcome)
-    return naive_eval(q, outcome.instance)
-
-
-def certain_abstract(q: Ucq, src: Instance, m: Mapping) -> Union[AnswerSet, NoSolution]:
-    """Certain answers over the abstract view: chase, then evaluate naively."""
-    outcome = chase_abstract(src, m)
+def certain(q: Ucq, src: Instance, m: Mapping) -> Union[AnswerSet, NoSolution]:
+    """Certain answers in the view of the source's kind: chase, then evaluate naively."""
+    outcome = chase(src, m)
     if isinstance(outcome, Failure):
         return NoSolution(outcome)
     return naive_eval(q, outcome.instance)

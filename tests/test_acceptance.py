@@ -23,9 +23,8 @@ from tdx import (
     Success,
     answers_sem,
     apply_abstract_hom,
-    certain_abstract,
-    certain_concrete,
-    chase_abstract,
+    certain,
+    chase,
     find_abstract_hom,
     hom_equivalent,
     naive_eval,
@@ -99,7 +98,7 @@ class Artifacts:
     @cached_property
     def abstract_chase(self):
         try:
-            return chase_abstract(self.abstract_source, self.case.mapping)
+            return chase(self.abstract_source, self.case.mapping)
         except KeyNullViolation as exc:
             return exc
 
@@ -198,8 +197,8 @@ def test_criterion_4_failure_fixture(fig6, example3):
 def test_criterion_5_query_commutation(fig1, example1, suite):
     with report("5 query commutation"):
         for q in example1.queries:
-            concrete = certain_concrete(q, fig1, example1)
-            abstract = certain_abstract(q, sem_instance(fig1, HORIZON), example1)
+            concrete = certain(q, fig1, example1)
+            abstract = certain(q, sem_instance(fig1, HORIZON), example1)
             assert answers_sem(concrete, HORIZON) == abstract
         for art in suite[:CASE_COUNT]:
             if isinstance(art.concrete_tkc, KeyNullViolation):
@@ -212,8 +211,8 @@ def test_criterion_5_query_commutation(fig1, example1, suite):
                         naive_eval(q, sem_instance(solution, horizon)), art.case
                     assert answers_sem(naive_eval(q, art.j_c), horizon) == \
                         naive_eval(q, art.sem_j_c), art.case
-                concrete = certain_concrete(q, art.case.source, art.case.mapping)
-                abstract = certain_abstract(q, art.abstract_source, art.case.mapping)
+                concrete = certain(q, art.case.source, art.case.mapping)
+                abstract = certain(q, art.abstract_source, art.case.mapping)
                 if isinstance(concrete, NoSolution) or isinstance(abstract, NoSolution):
                     assert isinstance(concrete, NoSolution) and isinstance(abstract, NoSolution)
                 else:
@@ -252,7 +251,7 @@ def test_criterion_6_universality(fig2, example1, suite):
             for perturbed in _perturbations(result):
                 assert find_abstract_hom(result, perturbed) is not None, art.case
         # a deliberately over-specialized instance admits no hom back into the result
-        golden = chase_abstract(fig2, example1).instance
+        golden = chase(fig2, example1).instance
         overspecialized = apply_abstract_hom(
             {n: Constant(f"ground_{n.label}") for n in _nulls_of(golden)}, golden)
         assert find_abstract_hom(golden, overspecialized) is not None

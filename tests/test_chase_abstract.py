@@ -1,5 +1,6 @@
 import pytest
 
+import tdx
 from tdx import (
     Failure,
     Instance,
@@ -7,14 +8,13 @@ from tdx import (
     PreconditionError,
     Success,
     Tkc,
-    chase_abstract,
+    chase,
     hom_equivalent,
     sem_instance,
     st_round_abstract,
     st_round_concrete,
     tkc_round_abstract,
-    tkc_step_abstract,
-    tkc_step_concrete,
+    tkc_step,
     validate_instance,
 )
 
@@ -55,10 +55,10 @@ def test_tkc_step_on_the_failure_relation(fig6, example3):
     ada_dba = fact("Emp", "Ada", "DBA", "IBM", time=2008)
     david_null = fact("Emp", "David", pnull("N", 2008), "Intel", time=2008)
     david_mgr = fact("Emp", "David", "Manager", "Intel", time=2008)
-    assert tkc_step_abstract(ada_null, ada_dba, key, schema) == {(c("DBA"), pnull("N", 2008))}
-    assert tkc_step_abstract(david_null, david_mgr, key, schema) == {(c("Manager"), pnull("N", 2008))}
+    assert tkc_step(ada_null, ada_dba, key, schema) == {(c("DBA"), pnull("N", 2008))}
+    assert tkc_step(david_null, david_mgr, key, schema) == {(c("Manager"), pnull("N", 2008))}
     with pytest.raises(ValueError):
-        tkc_step_abstract(ada_dba, ada_dba, key, schema)
+        tkc_step(ada_dba, ada_dba, key, schema)
 
 
 def test_tkc_round_fails_on_the_shared_null(fig6, example3):
@@ -107,44 +107,49 @@ def test_tkc_round_key_null_violation():
 
 
 def test_chase_reaches_the_golden_abstract_solution(fig2, fig5, example1):
-    out = chase_abstract(fig2, example1)
+    out = chase(fig2, example1)
     assert isinstance(out, Success)
     assert hom_equivalent(out.instance, fig5)
     assert len(out.instance.facts) == len(fig5.facts)
 
 
 def test_chase_on_expanded_source_matches_expanded_solution(fig1, fig3, example1):
-    out = chase_abstract(sem_instance(fig1, HORIZON), example1)
+    out = chase(sem_instance(fig1, HORIZON), example1)
     assert isinstance(out, Success)
     assert hom_equivalent(out.instance, sem_instance(fig3, HORIZON))
 
 
 def test_chase_empty(example1):
-    out = chase_abstract(Instance.abstract(example1.source, []), example1)
+    out = chase(Instance.abstract(example1.source, []), example1)
     assert out == Success(Instance.abstract(example1.target, []))
 
 
 def test_chase_failure_scenario(example3, example3_source):
-    out = chase_abstract(example3_source, example3)
+    out = chase(example3_source, example3)
     assert isinstance(out, Failure)
     assert out.constants == ("DBA", "Manager")
 
 
-def test_chase_rejects_concrete_sources(fig1, example1):
+@pytest.mark.parametrize("name", ["st_round_concrete", "tkc_round_concrete",
+                                  "st_round_abstract", "tkc_round_abstract"])
+def test_rounds_reject_the_other_view(name, fig1, fig2, example1):
+    # each view's round is its precondition plus the shared round; the chase
+    # itself runs in the view of its source
+    other_view = fig2 if name.endswith("concrete") else fig1
+    args = (example1.sttgds, example1.target) if name.startswith("st") else (example1.tkcs,)
     with pytest.raises(PreconditionError):
-        chase_abstract(fig1, example1)
+        getattr(tdx, name)(other_view, *args)
 
 
 def _equality_sets_align(j_c, tkcs, horizon, may_fail=False):
     # expanding each concrete equality per time point yields exactly the
     # equalities derived on the expanded instance: compare raw sets and the
     # nontrivial closure classes
-    from tdx.chase_concrete import _round_equalities, tkc_step_concrete, EqClosure
-    from tdx.chase_abstract import tkc_step_abstract
+    from tdx.chase import _round_equalities, EqClosure
 
     j_a = sem_instance(j_c, horizon)
-    concrete_eqs = _round_equalities(j_c, tkcs, tkc_step_concrete)
-    abstract_eqs = _round_equalities(j_a, tkcs, tkc_step_abstract)
+    concrete_eqs = _round_equalities(j_c, tkcs)
+    abstract_eqs = _round_equalities(j_a, tkcs)
 
     def expand(value, t):
         return pnull(value.label, t) if hasattr(value, "label") else value

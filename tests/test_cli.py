@@ -49,6 +49,21 @@ def test_achase_failure_exits_2_with_witness(workdir, capsys):
     assert "DBA != Manager" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mapping, source, code", [
+    ("example1.tdx", "fig1.json", 0),             # concrete source
+    ("example1.tdx", "fig2.json", 0),             # abstract source
+    ("example3.tdx", "example3_source.json", 2),  # no solution: the same witness
+])
+def test_chase_and_achase_read_either_view(workdir, mapping, source, code):
+    outputs = []
+    for command in ("chase", "achase"):
+        out = workdir / f"{command}.json"
+        assert run_cli([command, "-m", path(workdir, mapping), "-i", path(workdir, source),
+                        "-o", str(out)]) == code
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_sem_defaults_and_records_horizon(workdir):
     out = path(workdir, "sem.json")
     assert run_cli(["sem", "-i", path(workdir, "fig1.json"), "-o", out]) == 0

@@ -11,8 +11,7 @@ from tdx import (
     Var,
     answers_sem,
     answers_to_instance,
-    certain_abstract,
-    certain_concrete,
+    certain,
     dumps_instance,
     find_abstract_hom,
     loads_instance,
@@ -94,7 +93,7 @@ def test_answers_sem_validates_horizon():
 
 
 def test_certain_concrete_running_example(fig1, example1):
-    ans = certain_concrete(positions_query(example1), fig1, example1)
+    ans = certain(positions_query(example1), fig1, example1)
     assert ans.rows == {
         ("Ada", "Developer", iv(8, 10)),
         ("Ada", "DBA", iv(10, 11)),
@@ -104,19 +103,18 @@ def test_certain_concrete_running_example(fig1, example1):
 def test_certain_concrete_failure_is_no_solution(fig1, example1):
     src = Instance.concrete(fig1.schema,
                             fig1.facts | {fact("Employee1", "Ada", "HP", time=iv(8, 9))})
-    out = certain_concrete(positions_query(example1), src, example1)
+    out = certain(positions_query(example1), src, example1)
     assert isinstance(out, NoSolution)
     assert out.failure.constants == ("HP", "IBM")
 
 
 def test_certain_concrete_empty_source(example1):
-    out = certain_concrete(positions_query(example1),
-                           Instance.concrete(example1.source, []), example1)
+    out = certain(positions_query(example1), Instance.concrete(example1.source, []), example1)
     assert out.rows == frozenset()
 
 
 def test_certain_abstract_running_example(fig2, example1):
-    ans = certain_abstract(positions_query(example1), fig2, example1)
+    ans = certain(positions_query(example1), fig2, example1)
     assert ans.rows == {
         ("Ada", "Developer", 8),
         ("Ada", "Developer", 9),
@@ -125,15 +123,15 @@ def test_certain_abstract_running_example(fig2, example1):
 
 
 def test_certain_abstract_no_solution(example3, example3_source):
-    out = certain_abstract(example3.query("pos"), example3_source, example3)
+    out = certain(example3.query("pos"), example3_source, example3)
     assert isinstance(out, NoSolution)
     assert out.failure.constants == ("DBA", "Manager")
 
 
 def test_certain_answers_commute_with_expansion(fig1, example1):
     for q in example1.queries:
-        concrete = certain_concrete(q, fig1, example1)
-        abstract = certain_abstract(q, sem_instance(fig1, HORIZON), example1)
+        concrete = certain(q, fig1, example1)
+        abstract = certain(q, sem_instance(fig1, HORIZON), example1)
         assert answers_sem(concrete, HORIZON) == abstract
 
 
