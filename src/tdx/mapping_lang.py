@@ -9,17 +9,28 @@ The concrete syntax is line oriented; one ``.``-terminated statement per line,
     key Emp(name, @time).
     query q1(n, p, t) :- Emp(n, p, c, t), Sal(n, p, s, t).
 
-``@`` marks the temporal attribute (always last).  In rules, ``?x`` marks an
-existentially quantified variable; quantifiers are implicit.  ``key`` lists
-the attributes of the temporal key; every remaining attribute is a dependent.
-Query lines with the same name are disjuncts of one union; body variables not
-listed in the head are existential.  Constants are single-quoted strings.
+``@`` marks the temporal attribute (always last, in declarations and keys).
+In rules, ``?x`` marks an existentially quantified variable; quantifiers are
+implicit.  ``key`` lists the attributes of the temporal key; every remaining
+attribute is a dependent.  Query lines with the same name are disjuncts of one
+union; body variables not listed in the head are existential.  Constants are
+single-quoted strings.
+
+Checking is split between syntax and structure.  The parser rejects only what
+the syntax tree cannot hold: bad tokens, ``?`` and ``@`` marking, a literal in
+the temporal slot, duplicate names and a query head redeclared differently.
+Each structural rule (relations on their side and of the right arity, one
+temporal variable kept out of value positions, bound or existential variables,
+key attributes and dependents, head variables in the body) is written once, in
+the per-statement checks at the end of this module.  The parser raises the
+first problem they find at its token; ``validate_mapping`` reports them all
+for mappings built in code.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import ParseError
 from .model import RelationSchema, Violation
@@ -217,249 +228,145 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 
-def _parse_declaration(cur: _Cursor) -> RelationSchema:
-    name = cur.expect_name("a relation name")
+def _read_names(cur: _Cursor) -> tuple[list[_Token], _Token | None]:
+    """``(a, b, @t)``: every name token, and the ``@``-marked one, which must be last."""
     cur.expect_punct("(")
-    attrs: list[str] = []
-    temporal: str | None = None
+    toks: list[_Token] = []
+    temporal: _Token | None = None
     while True:
         marked = cur.at_punct("@")
         if marked:
             cur.expect_punct("@")
         tok = cur.expect_name("an attribute name")
-        if tok.text in attrs or tok.text == temporal:
+        if any(t.text == tok.text for t in toks):
             raise cur.error(f"duplicate attribute {tok.text!r}", tok)
+        if temporal is not None:
+            raise cur.error("a relation has exactly one temporal attribute" if marked
+                            else "the temporal attribute must be last", tok)
+        toks.append(tok)
         if marked:
-            if temporal is not None:
-                raise cur.error("a relation has exactly one temporal attribute", tok)
-            temporal = tok.text
-        else:
-            if temporal is not None:
-                raise cur.error("the temporal attribute must be last", tok)
-            attrs.append(tok.text)
-        if cur.at_punct(","):
-            cur.expect_punct(",")
-            continue
-        break
+            temporal = tok
+        if not cur.at_punct(","):
+            break
+        cur.expect_punct(",")
     cur.expect_punct(")")
+    return toks, temporal
+
+
+def _read_atoms(cur: _Cursor, toks: dict, first: int, marker_error: str | None) -> list[Atom]:
+    """``R(term, ..., time), ...``: atoms numbered from ``first``.
+
+    Records the tokens in ``toks`` under the locations the structural checks
+    use: ``(i, None)`` for the relation name, ``(i, j)`` for term ``j`` (the
+    ``?`` token of a marked variable).  ``marker_error`` rejects ``?`` here.
+    """
+    atoms: list[Atom] = []
+    while True:
+        i = first + len(atoms)
+        rel = toks[i, None] = cur.expect_name("a relation name")
+        cur.expect_punct("(")
+        terms: list[Term] = []
+        while True:
+            tok = toks[i, len(terms)] = cur.take("a term")
+            if tok.kind == "punct" and tok.text == "?":
+                if marker_error is not None:
+                    raise cur.error(marker_error, tok)
+                terms.append(Var(cur.expect_name("a variable name").text))
+            elif tok.kind == "name":
+                terms.append(Var(tok.text))
+            elif tok.kind == "string":
+                terms.append(Lit(tok.text))
+            else:
+                raise cur.error(f"expected a term, got {tok.text!r}", tok)
+            if not cur.at_punct(","):
+                break
+            cur.expect_punct(",")
+        cur.expect_punct(")")
+        if tok.kind != "name":
+            raise cur.error("the temporal argument must be a plain variable", tok)
+        atoms.append(Atom(rel.text, tuple(terms[:-1]), tok.text))
+        if not cur.at_punct(","):
+            return atoms
+        cur.expect_punct(",")
+
+
+def _raise_first(cur: _Cursor, problems: Iterator[_Problem], toks: dict) -> None:
+    """Raise the first structural problem at the token its location names."""
+    for _code, message, at in problems:
+        raise cur.error(message, toks.get(at))
+
+
+def _parse_declaration(cur: _Cursor) -> RelationSchema:
+    name = cur.expect_name("a relation name")
+    toks, temporal = _read_names(cur)
     if temporal is None:
         raise cur.error(f"relation {name.text!r} must declare a temporal attribute ('@name', last)")
     cur.expect_end()
-    return RelationSchema(name.text, tuple(attrs), temporal)
-
-
-@dataclass(frozen=True)
-class _RawTerm:
-    kind: str  # "var" | "evar" | "lit"
-    value: str
-    tok: _Token
-
-
-@dataclass(frozen=True)
-class _RawAtom:
-    relation: _Token
-    terms: tuple[_RawTerm, ...]
-
-
-def _parse_atom(cur: _Cursor, exist_error: str | None) -> _RawAtom:
-    rel = cur.expect_name("a relation name")
-    cur.expect_punct("(")
-    terms: list[_RawTerm] = []
-    while True:
-        tok = cur.take("a term")
-        if tok.kind == "punct" and tok.text == "?":
-            if exist_error is not None:
-                raise cur.error(exist_error, tok)
-            name = cur.expect_name("a variable name")
-            terms.append(_RawTerm("evar", name.text, tok))
-        elif tok.kind == "name":
-            terms.append(_RawTerm("var", tok.text, tok))
-        elif tok.kind == "string":
-            terms.append(_RawTerm("lit", tok.text, tok))
-        else:
-            raise cur.error(f"expected a term, got {tok.text!r}", tok)
-        if cur.at_punct(","):
-            cur.expect_punct(",")
-            continue
-        break
-    cur.expect_punct(")")
-    return _RawAtom(rel, tuple(terms))
-
-
-def _parse_atom_list(cur: _Cursor, exist_error: str | None) -> list[_RawAtom]:
-    atoms = [_parse_atom(cur, exist_error)]
-    while cur.at_punct(","):
-        cur.expect_punct(",")
-        atoms.append(_parse_atom(cur, exist_error))
-    return atoms
-
-
-def _resolve_relation(cur: _Cursor, raw: _RawAtom, here: dict[str, RelationSchema],
-                      there: dict[str, RelationSchema], side: str) -> RelationSchema:
-    schema = here.get(raw.relation.text)
-    if schema is None:
-        if raw.relation.text in there:
-            other = "target" if side == "source" else "source"
-            raise cur.error(f"{other} relation {raw.relation.text!r} cannot be used here "
-                            f"(a {side} relation is required)", raw.relation)
-        raise cur.error(f"unknown {side} relation {raw.relation.text!r}", raw.relation)
-    if len(raw.terms) != schema.arity + 1:
-        raise cur.error(f"relation {schema.name!r} expects {schema.arity + 1} arguments, "
-                        f"got {len(raw.terms)}", raw.relation)
-    return schema
-
-
-def _temporal_term(cur: _Cursor, raw: _RawAtom, time_var: str | None) -> str:
-    last = raw.terms[-1]
-    if last.kind != "var":
-        raise cur.error("the temporal argument must be a plain variable", last.tok)
-    if time_var is not None and last.value != time_var:
-        raise cur.error(f"all atoms must share one temporal variable "
-                        f"(expected {time_var!r}, got {last.value!r})", last.tok)
-    return last.value
-
-
-def _check_value_terms(cur: _Cursor, raw: _RawAtom, time_var: str) -> None:
-    for term in raw.terms[:-1]:
-        if term.kind in ("var", "evar") and term.value == time_var:
-            raise cur.error(f"temporal variable {time_var!r} cannot be used in a value position", term.tok)
-
-
-def _build_atom(raw: _RawAtom, schema: RelationSchema) -> Atom:
-    args = tuple(Lit(t.value) if t.kind == "lit" else Var(t.value) for t in raw.terms[:-1])
-    return Atom(schema.name, args, raw.terms[-1].value)
+    return RelationSchema(name.text, tuple(t.text for t in toks[:-1]), temporal.text)
 
 
 def _parse_rule(cur: _Cursor, source: dict[str, RelationSchema],
                 target: dict[str, RelationSchema]) -> SttTgd:
-    raw_lhs = []
-    while True:
-        raw_lhs.append(_parse_atom(cur, "'?' marks existential variables and is only allowed "
-                                        "on the right-hand side of a rule"))
-        if cur.at_punct(","):
-            cur.expect_punct(",")
-            continue
-        break
+    toks: dict = {}
+    lhs = _read_atoms(cur, toks, 0, "'?' marks existential variables and is only allowed "
+                                    "on the right-hand side of a rule")
     cur.expect_punct("->")
-    raw_rhs = _parse_atom_list(cur, None)
+    rhs = _read_atoms(cur, toks, len(lhs), None)
     cur.expect_end()
-
-    time_var: str | None = None
-    lhs: list[Atom] = []
-    for raw in raw_lhs:
-        schema = _resolve_relation(cur, raw, source, target, "source")
-        time_var = _temporal_term(cur, raw, time_var)
-        lhs.append(_build_atom(raw, schema))
-    lhs_vars = {t.name for atom in lhs for t in atom.args if isinstance(t, Var)}
-
-    existentials: set[str] = set()
-    for raw in raw_rhs:
-        for term in raw.terms[:-1]:
-            if term.kind == "evar":
-                existentials.add(term.value)
-
-    rhs: list[Atom] = []
-    for raw in raw_rhs:
-        schema = _resolve_relation(cur, raw, target, source, "target")
-        time_var = _temporal_term(cur, raw, time_var)
-        _check_value_terms(cur, raw, time_var)
-        for term in raw.terms[:-1]:
-            if term.kind == "evar" and term.value in lhs_vars:
-                raise cur.error(f"existential variable ?{term.value} also occurs on the "
-                                f"left-hand side", term.tok)
-            if term.kind == "var" and term.value not in lhs_vars:
-                hint = f" (write it as ?{term.value} at every occurrence)" \
-                    if term.value in existentials else ""
-                raise cur.error(f"variable {term.value!r} on the right-hand side is not bound "
-                                f"on the left{hint}", term.tok)
-        rhs.append(_build_atom(raw, schema))
-
-    assert time_var is not None
-    for raw in (*raw_lhs, *raw_rhs):
-        _check_value_terms(cur, raw, time_var)
-    return SttTgd(tuple(lhs), tuple(rhs), frozenset(existentials))
+    rhs_terms = [(term, toks[i, j]) for i, atom in enumerate(rhs, len(lhs))
+                 for j, term in enumerate(atom.args)]
+    existentials = frozenset(term.name for term, tok in rhs_terms if tok.kind == "punct")
+    dep = SttTgd(tuple(lhs), tuple(rhs), existentials)
+    _raise_first(cur, _rule_problems(dep, source, target), toks)
+    for term, tok in rhs_terms:
+        if tok.kind == "name" and term.name in existentials:
+            raise cur.error(f"variable {term.name!r} on the right-hand side is not bound on the "
+                            f"left (write it as ?{term.name} at every occurrence)", tok)
+    return dep
 
 
 def _parse_key(cur: _Cursor, source: dict[str, RelationSchema],
                target: dict[str, RelationSchema]) -> Tkc:
     rel = cur.expect_name("a relation name")
+    toks, temporal = _read_names(cur)
     schema = target.get(rel.text)
-    if schema is None:
-        if rel.text in source:
-            raise cur.error(f"keys apply to target relations; {rel.text!r} is a source relation", rel)
-        raise cur.error(f"unknown target relation {rel.text!r}", rel)
-    cur.expect_punct("(")
-    key: list[str] = []
-    saw_temporal = False
-    while True:
-        marked = cur.at_punct("@")
-        if marked:
-            cur.expect_punct("@")
-        tok = cur.expect_name("an attribute name")
-        if marked:
-            if tok.text != schema.temporal:
+    if schema is not None:
+        for tok in toks:
+            if tok is temporal and tok.text != schema.temporal:
                 raise cur.error(f"the temporal attribute of {schema.name!r} is "
                                 f"{schema.temporal!r}", tok)
-            if saw_temporal:
-                raise cur.error("duplicate temporal attribute in key", tok)
-            saw_temporal = True
-        else:
-            if tok.text not in schema.attributes:
-                if tok.text == schema.temporal:
-                    raise cur.error(f"write the temporal attribute as @{tok.text}", tok)
-                raise cur.error(f"unknown attribute {tok.text!r} of relation {schema.name!r}", tok)
-            if tok.text in key:
-                raise cur.error(f"duplicate attribute {tok.text!r} in key", tok)
-            key.append(tok.text)
-        if cur.at_punct(","):
-            cur.expect_punct(",")
-            continue
-        break
-    cur.expect_punct(")")
-    if not saw_temporal:
-        raise cur.error(f"a temporal key must include @{schema.temporal}")
-    dependents = tuple(a for a in schema.attributes if a not in key)
-    if not dependents:
-        raise cur.error("the key covers every attribute; at least one dependent attribute is required")
+            if tok is not temporal and tok.text == schema.temporal:
+                raise cur.error(f"write the temporal attribute as @{tok.text}", tok)
+    key = frozenset(t.text for t in toks)
+    dependents = tuple(a for a in schema.attributes if a not in key) if schema is not None else ()
+    tkc = Tkc(rel.text, key, dependents)
+    _raise_first(cur, _key_problems(tkc, source, target), {(0, None): rel, **{t.text: t for t in toks}})
     cur.expect_end()
-    return Tkc(schema.name, frozenset(key) | {schema.temporal}, dependents)
+    return tkc
 
 
 def _parse_query(cur: _Cursor, source: dict[str, RelationSchema],
-                 target: dict[str, RelationSchema]) -> tuple[str, tuple[str, ...], str, tuple[Atom, ...]]:
+                 target: dict[str, RelationSchema]) -> Ucq:
     name = cur.expect_name("a query name")
     cur.expect_punct("(")
-    head: list[str] = []
-    head_toks: list[_Token] = []
+    head: list[_Token] = []
     while True:
         tok = cur.expect_name("a head variable")
-        if tok.text in head:
+        if any(t.text == tok.text for t in head):
             raise cur.error(f"duplicate head variable {tok.text!r}", tok)
-        head.append(tok.text)
-        head_toks.append(tok)
-        if cur.at_punct(","):
-            cur.expect_punct(",")
-            continue
-        break
+        head.append(tok)
+        if not cur.at_punct(","):
+            break
+        cur.expect_punct(",")
     cur.expect_punct(")")
     cur.expect_punct(":-")
-    raw_atoms = _parse_atom_list(cur, "in a query body, variables absent from the head are "
-                                      "existential; '?' markers are not allowed")
+    toks: dict = {t.text: t for t in head}
+    body = _read_atoms(cur, toks, 0, "in a query body, variables absent from the head are "
+                                     "existential; '?' markers are not allowed")
     cur.expect_end()
-
-    time_var = head[-1]
-    atoms: list[Atom] = []
-    body_vars: set[str] = set()
-    for raw in raw_atoms:
-        schema = _resolve_relation(cur, raw, target, source, "target")
-        _temporal_term(cur, raw, time_var)
-        _check_value_terms(cur, raw, time_var)
-        atoms.append(_build_atom(raw, schema))
-        body_vars |= {t.value for t in raw.terms[:-1] if t.kind == "var"}
-    for var, tok in zip(head[:-1], head_toks[:-1]):
-        if var not in body_vars:
-            raise cur.error(f"head variable {var!r} does not occur in the body", tok)
-    return name.text, tuple(head[:-1]), time_var, tuple(atoms)
+    q = Ucq(name.text, tuple(t.text for t in head[:-1]), head[-1].text, (tuple(body),))
+    _raise_first(cur, _query_problems(q, source, target), toks)
+    return q
 
 
 def parse_mapping(text: str) -> Mapping:
@@ -500,22 +407,17 @@ def parse_mapping(text: str) -> Mapping:
         elif keyword == "key":
             tkcs.append(_parse_key(cur, source_by_name, target_by_name))
         elif keyword == "query":
-            name, head, time_var, atoms = _parse_query(cur, source_by_name, target_by_name)
-            prev = queries.get(name)
-            if prev is None:
-                queries[name] = Ucq(name, head, time_var, (atoms,))
-            else:
-                if prev.head != head or prev.time_var != time_var:
+            q = _parse_query(cur, source_by_name, target_by_name)
+            prev = queries.get(q.name)
+            if prev is not None:
+                if prev.columns != q.columns:
                     raise ParseError(cur.line, 1,
-                                     f"query {name!r} is redeclared with a different head")
-                queries[name] = Ucq(name, head, time_var, (*prev.disjuncts, atoms))
+                                     f"query {q.name!r} is redeclared with a different head")
+                q = Ucq(q.name, q.head, q.time_var, (*prev.disjuncts, *q.disjuncts))
+            queries[q.name] = q
 
-    mapping = Mapping(tuple(source), tuple(target), tuple(sttgds), tuple(tkcs),
-                      tuple(queries.values()))
-    bad = validate_mapping(mapping)
-    if bad:
-        raise ParseError(1, 1, f"invalid mapping: {bad[0].message}")
-    return mapping
+    return Mapping(tuple(source), tuple(target), tuple(sttgds), tuple(tkcs),
+                   tuple(queries.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -562,99 +464,112 @@ def render_mapping(m: Mapping) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Structural validation of already-built mappings
+# Structural rules, written once for parsed and code-built mappings
 # ---------------------------------------------------------------------------
 
+# (code, message, at): ``at`` is where in its statement the problem lies, as
+# ``(i, j)`` for term ``j`` of atom ``i`` (``j`` None for the relation name; the
+# temporal term is ``j == len(args)``), a key attribute or head variable name,
+# or None for the statement as a whole.
+_Problem = tuple[str, str, tuple[int, int | None] | str | None]
 
-def _atom_violations(atom: Atom, schemas: dict[str, RelationSchema], side: str,
-                     other: dict[str, RelationSchema], where: str) -> list[Violation]:
-    out = []
-    schema = schemas.get(atom.relation)
+
+def _atom_problems(i: int, atom: Atom, time_var: str, here: dict[str, RelationSchema],
+                   there: dict[str, RelationSchema], side: str) -> Iterator[_Problem]:
+    schema = here.get(atom.relation)
     if schema is None:
-        code = "wrong-schema-side" if atom.relation in other else "unknown-relation"
-        out.append(Violation(code, f"{where}: {atom.relation!r} is not a {side} relation"))
-        return out
-    if len(atom.args) != schema.arity:
-        out.append(Violation("arity-mismatch",
-                             f"{where}: {atom.relation!r} expects {schema.arity} value arguments, "
-                             f"got {len(atom.args)}"))
-    return out
+        if atom.relation in there:
+            other = "target" if side == "source" else "source"
+            yield ("wrong-schema-side", f"{other} relation {atom.relation!r} cannot be used here "
+                   f"(a {side} relation is required)", (i, None))
+        else:
+            yield "unknown-relation", f"unknown {side} relation {atom.relation!r}", (i, None)
+    elif len(atom.args) != schema.arity:
+        yield ("arity-mismatch", f"relation {schema.name!r} expects {schema.arity + 1} arguments, "
+               f"got {len(atom.args) + 1}", (i, None))
+    if atom.time_var != time_var:
+        yield ("temporal-variable", f"all atoms must share one temporal variable "
+               f"(expected {time_var!r}, got {atom.time_var!r})", (i, len(atom.args)))
+    for j, term in enumerate(atom.args):
+        if term == Var(time_var):
+            yield ("temporal-variable",
+                   f"temporal variable {time_var!r} cannot be used in a value position", (i, j))
 
 
-def _shared_time_var(atoms: tuple[Atom, ...], where: str) -> list[Violation]:
-    out = []
-    time_vars = {a.time_var for a in atoms}
-    if len(time_vars) > 1:
-        out.append(Violation("temporal-variable", f"{where}: more than one temporal variable"))
-    for atom in atoms:
-        for term in atom.args:
-            if isinstance(term, Var) and term.name in time_vars:
-                out.append(Violation("temporal-variable",
-                                     f"{where}: temporal variable {term.name!r} in a value position"))
-    return out
+def _rule_problems(dep: SttTgd, source: dict[str, RelationSchema],
+                   target: dict[str, RelationSchema]) -> Iterator[_Problem]:
+    """Sides, arity and one temporal variable per atom; every rhs variable bound or existential."""
+    atoms = (*dep.lhs, *dep.rhs)
+    lhs_vars = {t.name for a in dep.lhs for t in a.args if isinstance(t, Var)}
+    for i, atom in enumerate(atoms):
+        if i < len(dep.lhs):
+            yield from _atom_problems(i, atom, atoms[0].time_var, source, target, "source")
+            continue
+        yield from _atom_problems(i, atom, atoms[0].time_var, target, source, "target")
+        for j, term in enumerate(atom.args):
+            if not isinstance(term, Var):
+                continue
+            if term.name in dep.existentials and term.name in lhs_vars:
+                yield ("existential-variable",
+                       f"existential variable ?{term.name} also occurs on the left-hand side", (i, j))
+            elif term.name not in dep.existentials and term.name not in lhs_vars:
+                yield ("unsafe-variable",
+                       f"variable {term.name!r} on the right-hand side is not bound on the left", (i, j))
+    rhs_vars = {t.name for a in dep.rhs for t in a.args if isinstance(t, Var)}
+    for v in sorted(dep.existentials - rhs_vars):
+        yield "existential-variable", f"existential variable ?{v} does not occur on the right-hand side", None
+
+
+def _key_problems(tkc: Tkc, source: dict[str, RelationSchema],
+                  target: dict[str, RelationSchema]) -> Iterator[_Problem]:
+    """A target relation whose attributes split into the key (temporal included) and dependents."""
+    schema = target.get(tkc.relation)
+    if schema is None:
+        if tkc.relation in source:
+            yield ("wrong-schema-side",
+                   f"keys apply to target relations; {tkc.relation!r} is a source relation", (0, None))
+        else:
+            yield "unknown-relation", f"unknown target relation {tkc.relation!r}", (0, None)
+        return
+    for a in sorted(tkc.key - set(schema.all_attributes)):
+        yield "key-violation", f"unknown attribute {a!r} of relation {schema.name!r}", a
+    if schema.temporal not in tkc.key:
+        yield "key-violation", f"a temporal key must include @{schema.temporal}", None
+    if not tkc.dependents:
+        yield ("key-violation",
+               "the key covers every attribute; at least one dependent attribute is required", None)
+    expected = tuple(a for a in schema.attributes if a not in tkc.key)
+    if tkc.dependents != expected:
+        yield ("key-violation", f"key and dependents must partition the attributes "
+               f"(expected dependents {expected})", None)
+
+
+def _query_problems(q: Ucq, source: dict[str, RelationSchema],
+                    target: dict[str, RelationSchema]) -> Iterator[_Problem]:
+    """Per disjunct: target atoms over the head's temporal variable, holding every head variable."""
+    for body in q.disjuncts:
+        for i, atom in enumerate(body):
+            yield from _atom_problems(i, atom, q.time_var, target, source, "target")
+        body_vars = {t.name for a in body for t in a.args if isinstance(t, Var)}
+        for v in q.head:
+            if v not in body_vars:
+                yield "head-variable", f"head variable {v!r} does not occur in the body", v
 
 
 def validate_mapping(m: Mapping) -> list[Violation]:
+    """Every structural problem of a mapping, each distinct one once, prefixed with its statement."""
     out: list[Violation] = []
     names = [r.name for r in (*m.source, *m.target)]
     for name in sorted({n for n in names if names.count(n) > 1}):
         out.append(Violation("duplicate-relation", f"relation {name!r} declared more than once"))
     src, tgt = m.source_by_name, m.target_by_name
-
-    for i, dep in enumerate(m.sttgds):
-        where = f"rule #{i}"
-        for atom in dep.lhs:
-            out += _atom_violations(atom, src, "source", tgt, where)
-        for atom in dep.rhs:
-            out += _atom_violations(atom, tgt, "target", src, where)
-        out += _shared_time_var((*dep.lhs, *dep.rhs), where)
-        lhs_vars = {t.name for a in dep.lhs for t in a.args if isinstance(t, Var)}
-        rhs_vars = {t.name for a in dep.rhs for t in a.args if isinstance(t, Var)}
-        for v in sorted(dep.existentials & lhs_vars):
-            out.append(Violation("existential-variable",
-                                 f"{where}: existential {v!r} also occurs on the left-hand side"))
-        for v in sorted(dep.existentials - rhs_vars):
-            out.append(Violation("existential-variable",
-                                 f"{where}: existential {v!r} does not occur on the right-hand side"))
-        for v in sorted(rhs_vars - lhs_vars - dep.existentials):
-            out.append(Violation("unsafe-variable",
-                                 f"{where}: right-hand-side variable {v!r} is not bound on the left"))
-
-    for i, tkc in enumerate(m.tkcs):
-        where = f"key #{i} on {tkc.relation!r}"
-        schema = tgt.get(tkc.relation)
-        if schema is None:
-            code = "wrong-schema-side" if tkc.relation in src else "unknown-relation"
-            out.append(Violation(code, f"{where}: not a target relation"))
-            continue
-        if schema.temporal not in tkc.key:
-            out.append(Violation("key-violation", f"{where}: the temporal attribute must be in the key"))
-        if not tkc.dependents:
-            out.append(Violation("key-violation", f"{where}: at least one dependent attribute is required"))
-        expected = tuple(a for a in schema.attributes if a not in tkc.key)
-        if set(tkc.key) - set(schema.all_attributes):
-            out.append(Violation("key-violation", f"{where}: key names an unknown attribute"))
-        elif tkc.dependents != expected:
-            out.append(Violation("key-violation",
-                                 f"{where}: key and dependents must partition the attributes "
-                                 f"(expected dependents {expected})"))
-
-    seen_queries: set[str] = set()
-    for q in m.queries:
-        where = f"query {q.name!r}"
-        if q.name in seen_queries:
-            out.append(Violation("duplicate-query", f"{where}: name used by more than one query"))
-        seen_queries.add(q.name)
-        for disjunct in q.disjuncts:
-            for atom in disjunct:
-                out += _atom_violations(atom, tgt, "target", src, where)
-            out += _shared_time_var(disjunct, where)
-            if {a.time_var for a in disjunct} != {q.time_var}:
-                out.append(Violation("temporal-variable",
-                                     f"{where}: disjunct does not use the head's temporal variable"))
-            disjunct_vars = {t.name for a in disjunct for t in a.args if isinstance(t, Var)}
-            for v in q.head:
-                if v not in disjunct_vars:
-                    out.append(Violation("head-variable",
-                                         f"{where}: head variable {v!r} does not occur in every disjunct"))
-    return out
+    checks = [(f"rule #{i}", _rule_problems(dep, src, tgt)) for i, dep in enumerate(m.sttgds)]
+    checks += [(f"key #{i} on {tkc.relation!r}", _key_problems(tkc, src, tgt))
+               for i, tkc in enumerate(m.tkcs)]
+    checks += [(f"query {q.name!r}", _query_problems(q, src, tgt)) for q in m.queries]
+    for where, problems in checks:
+        out += [Violation(code, f"{where}: {message}") for code, message, _at in problems]
+    queries = [q.name for q in m.queries]
+    for name in sorted({n for n in queries if queries.count(n) > 1}):
+        out.append(Violation("duplicate-query", f"query {name!r}: name used by more than one query"))
+    return list(dict.fromkeys(out))

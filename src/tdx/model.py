@@ -233,14 +233,14 @@ def max_finite_endpoint(inst: Instance) -> int | None:
     return best
 
 
-def _check_horizon(horizon: int, fact: Fact) -> None:
+def _check_horizon(horizon: int, *intervals: ClopenInterval) -> None:
+    """A horizon is a finite time point at or above every finite endpoint of ``intervals``."""
     if not isinstance(horizon, int) or isinstance(horizon, bool):
         raise InvalidHorizonError(f"horizon must be a finite time point, got {horizon!r}")
-    iv = fact.time
-    endpoints = [iv.start] + ([iv.end] if isinstance(iv.end, int) else [])
-    for e in endpoints:
-        if horizon < e:
-            raise InvalidHorizonError(f"horizon {horizon} is below endpoint {e} of fact {fact}")
+    for iv in intervals:
+        for e in [iv.start] + ([iv.end] if isinstance(iv.end, int) else []):
+            if horizon < e:
+                raise InvalidHorizonError(f"horizon {horizon} is below endpoint {e} of {iv}")
 
 
 def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
@@ -252,7 +252,7 @@ def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
     """
     if not isinstance(f.time, ClopenInterval):
         raise SchemaError(f"{f}: not a concrete fact")
-    _check_horizon(horizon, f)
+    _check_horizon(horizon, f.time)
     out = set()
     for t0 in interval_points(f.time, horizon):
         values = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .chase import Failure, chase
-from .errors import InvalidHorizonError, PreconditionError
+from .errors import PreconditionError
 from .homomorphism import enumerate_formula_homs
 from .mapping_lang import Mapping, Ucq
 from .model import (
@@ -22,10 +22,10 @@ from .model import (
     Fact,
     Instance,
     RelationSchema,
+    _check_horizon,
     is_normalized,
-    value_sort_key,
 )
-from .temporal import ClopenInterval, interval_points
+from .temporal import interval_points
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,6 @@ class AnswerSet:
     kind: str
     columns: tuple[str, ...]
     rows: frozenset[tuple]
-
-    @property
-    def sorted_rows(self) -> tuple[tuple, ...]:
-        return tuple(sorted(self.rows, key=lambda row: tuple(
-            value_sort_key(v) if not isinstance(v, str) else (2, v, 0, 0, 0) for v in row)))
 
 
 @dataclass(frozen=True)
@@ -74,13 +69,7 @@ def answers_sem(ans: AnswerSet, horizon: int) -> AnswerSet:
     """Expand concrete answers to one abstract answer per contained time point."""
     if ans.kind != CONCRETE:
         raise PreconditionError("answers_sem expects concrete answers")
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
-        raise InvalidHorizonError(f"horizon must be a finite time point, got {horizon!r}")
-    for row in ans.rows:
-        iv: ClopenInterval = row[-1]
-        for endpoint in (iv.start, *([iv.end] if isinstance(iv.end, int) else ())):
-            if horizon < endpoint:
-                raise InvalidHorizonError(f"horizon {horizon} is below endpoint {endpoint}")
+    _check_horizon(horizon, *(row[-1] for row in ans.rows))
     rows = {
         (*row[:-1], t0)
         for row in ans.rows

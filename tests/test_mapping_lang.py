@@ -54,12 +54,11 @@ query q(e, t) :- Out(e, 'warn', t).
     assert q.columns == ("e", "t")
 
 
-def expect_error(text, needle, line=None):
+def expect_error(text, needle, line, column):
     with pytest.raises(ParseError) as err:
         parse_mapping(text)
     assert needle in str(err.value), str(err.value)
-    if line is not None:
-        assert err.value.line == line
+    assert (err.value.line, err.value.column) == (line, column), str(err.value)
 
 
 DECLS = "source A(x, @t).\ntarget B(x, y, @t).\n"
@@ -67,34 +66,35 @@ DECLS = "source A(x, @t).\ntarget B(x, y, @t).\n"
 
 def test_parse_errors_carry_locations():
     expect_error(DECLS + "rule A(n, t) -> B(n, ?p, u).",
-                 "share one temporal variable", line=3)
-    expect_error(DECLS + "key B(x, y, @t).", "at least one dependent")
-    expect_error(DECLS + "rule A(n, t) -> B(n, q, t).", "not bound on the left")
-    expect_error(DECLS + "rule A(?e, t) -> B(e, e, t).", "only allowed")
-    expect_error(DECLS + "rule B(x, y, t) -> B(x, y, t).", "cannot be used here")
-    expect_error(DECLS + "rule A(n, t) -> B(n, t, t).", "value position")
-    expect_error(DECLS + "rule A(n, t) -> B(n, 'x', 't').", "plain variable")
-    expect_error(DECLS + "source A(z, @t).", "already declared")
-    expect_error(DECLS + "rule A(n, t) -> C(n, n, t).", "unknown target relation")
-    expect_error(DECLS + "key B(z, @t).", "unknown attribute")
-    expect_error(DECLS + "key B(x, t).", "write the temporal attribute as @t")
-    expect_error(DECLS + "key A(@t).", "source relation")
-    expect_error(DECLS + "query q(x, t) :- A(x, t).", "target relation is required")
-    expect_error(DECLS + "query q(h, t) :- B(x, y, t).", "does not occur in the body")
-    expect_error(DECLS + "query q(x, t) :- B(x, ?y, t).", "'?' markers are not allowed")
+                 "share one temporal variable", 3, 26)
+    expect_error(DECLS + "key B(x, y, @t).", "at least one dependent", 3, 16)
+    expect_error(DECLS + "rule A(n, t) -> B(n, q, t).", "not bound on the left", 3, 22)
+    expect_error(DECLS + "rule A(?e, t) -> B(e, e, t).", "only allowed", 3, 8)
+    expect_error(DECLS + "rule B(x, y, t) -> B(x, y, t).", "cannot be used here", 3, 6)
+    expect_error(DECLS + "rule A(n, t) -> B(n, t, t).", "value position", 3, 22)
+    expect_error(DECLS + "rule A(n, t) -> B(n, 'x', 't').", "plain variable", 3, 27)
+    expect_error(DECLS + "source A(z, @t).", "already declared", 3, 1)
+    expect_error(DECLS + "rule A(n, t) -> C(n, n, t).", "unknown target relation", 3, 17)
+    expect_error(DECLS + "key B(z, @t).", "unknown attribute", 3, 7)
+    expect_error(DECLS + "key B(x, t).", "write the temporal attribute as @t", 3, 10)
+    expect_error(DECLS + "key A(@t).", "source relation", 3, 5)
+    expect_error(DECLS + "query q(x, t) :- A(x, t).", "target relation is required", 3, 18)
+    expect_error(DECLS + "query q(h, t) :- B(x, y, t).", "does not occur in the body", 3, 9)
+    expect_error(DECLS + "query q(x, t) :- B(x, ?y, t).", "'?' markers are not allowed", 3, 23)
     expect_error(DECLS + "query q(x, t) :- B(x, y, t).\nquery q(y, t) :- B(y, x, t).",
-                 "different head")
-    expect_error(DECLS + "rule A(n, t) -> B(n, 'x, t).", "unterminated constant")
-    expect_error(DECLS + "rule A(n, t) -> B(n, y, t)", "expected '.'")
-    expect_error(DECLS + "bogus A(x, @t).", "expected one of")
-    expect_error("source A(x).\n", "must declare a temporal attribute")
-    expect_error("source A(@t, x).\n", "must be last")
-    expect_error("source A(x, x, @t).\n", "duplicate attribute")
+                 "different head", 4, 1)
+    expect_error(DECLS + "rule A(n, t) -> B(n, 'x, t).", "unterminated constant", 3, 22)
+    expect_error(DECLS + "rule A(n, t) -> B(n, y, t)", "expected '.'", 3, 27)
+    expect_error(DECLS + "bogus A(x, @t).", "expected one of", 3, 1)
+    expect_error("source A(x).\n", "must declare a temporal attribute", 1, 12)
+    expect_error("source A(@t, x).\n", "must be last", 1, 14)
+    expect_error("source A(x, x, @t).\n", "duplicate attribute", 1, 13)
+    expect_error(DECLS + "key B(@t, x).", "the temporal attribute must be last", 3, 11)
 
 
 def test_existential_marker_hint():
     expect_error(DECLS + "rule A(n, t) -> B(n, ?p, t), B(n, p, t).",
-                 "write it as ?p at every occurrence")
+                 "write it as ?p at every occurrence", 3, 35)
 
 
 def test_temporal_only_key_is_permitted():
@@ -109,6 +109,11 @@ def test_validate_mapping_detects_structural_defects():
         (Atom("B", (Var("n"), Var("m")), "t"),),
         frozenset()),), (), ())
     assert [v.code for v in validate_mapping(unsafe)] == ["unsafe-variable"]
+    unsafe_twice = Mapping((a,), (b,), (SttTgd(
+        (Atom("A", (Var("n"),), "t"),),
+        (Atom("B", (Var("m"), Var("m")), "t"),),
+        frozenset()),), (), ())
+    assert [v.code for v in validate_mapping(unsafe_twice)] == ["unsafe-variable"]
 
     query_on_source = Mapping((a,), (b,), (), (), (
         Ucq("q", ("x",), "t", ((Atom("A", (Var("x"),), "t"),),)),))
@@ -122,6 +127,36 @@ def test_validate_mapping_detects_structural_defects():
         (Atom("B", (Var("n"), Var("n")), "t"),),
         frozenset({"ghost"})),), (), ())
     assert [v.code for v in validate_mapping(dangling)] == ["existential-variable"]
+
+
+def _rule(lhs, rhs, existentials=()):
+    return SttTgd(lhs, rhs, frozenset(existentials))
+
+
+_A = (Atom("A", (Var("n"),), "t"),)
+CODE_BUILT_DEFECTS = {
+    "unknown target relation": ((_rule(_A, (Atom("C", (Var("n"), Var("n")), "t"),)),), ()),
+    "wrong side": ((_rule(_A, (Atom("A", (Var("n"),), "t"),)),), ()),
+    "arity": ((_rule(_A, (Atom("B", (Var("n"),), "t"),)),), ()),
+    "second temporal variable": ((_rule(_A, (Atom("B", (Var("n"), Var("n")), "u"),)),), ()),
+    "temporal variable as a value": ((_rule(_A, (Atom("B", (Var("n"), Var("t")), "t"),)),), ()),
+    "existential on the left": ((_rule(_A, (Atom("B", (Var("n"), Var("n")), "t"),), {"n"}),), ()),
+    "unbound variable": ((_rule(_A, (Atom("B", (Var("n"), Var("m")), "t"),)),), ()),
+    "head variable missing from the body":
+        ((), (Ucq("q", ("h",), "t", ((Atom("B", (Var("x"), Var("y")), "t"),),)),)),
+    "query on a source relation": ((), (Ucq("q", ("x",), "t", ((Atom("A", (Var("x"),), "t"),),)),)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CODE_BUILT_DEFECTS))
+def test_parser_and_validate_mapping_agree(defect):
+    sttgds, queries = CODE_BUILT_DEFECTS[defect]
+    m = Mapping((rel("A", "x", temporal="t"),), (rel("B", "x", "y", temporal="t"),),
+                sttgds, (), queries)
+    first = validate_mapping(m)[0].message
+    with pytest.raises(ParseError) as err:
+        parse_mapping(render_mapping(m))
+    assert err.value.message == first.split(": ", 1)[1]
 
 
 def test_render_round_trip_running_example(example1, example3):

@@ -87,6 +87,8 @@ def test_answers_sem_validates_horizon():
     ans = AnswerSet("q", "concrete", ("n", "t"), frozenset({("Ada", iv(8, 10))}))
     with pytest.raises(InvalidHorizonError):
         answers_sem(ans, 9)
+    with pytest.raises(InvalidHorizonError):
+        answers_sem(AnswerSet("q", "concrete", ("n", "t"), frozenset()), 9.5)
     abstract = AnswerSet("q", "abstract", ("n", "t"), frozenset({("Ada", 8)}))
     with pytest.raises(PreconditionError):
         answers_sem(abstract, 13)
