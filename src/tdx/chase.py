@@ -187,7 +187,9 @@ def _st_round(inst: Instance, rules: Sequence[SttTgd],
     null_type = NULL_OF[inst.kind]
     nulls = NullCounter()
     facts: set[Fact] = set()
-    for rule in rules:
+    for i, rule in enumerate(rules):
+        if not rule.lhs:
+            raise PreconditionError(f"rule #{i} has an empty left-hand side")
         for binding in enumerate_formula_homs(rule.lhs, inst):
             facts |= _fire(rule, binding, nulls, null_type)
     return Instance(inst.kind, tuple(target), frozenset(facts))

@@ -12,7 +12,7 @@ equivalence used to compare chase results across the two views.
 """
 from __future__ import annotations
 
-from typing import Mapping as TMapping, Optional, Sequence
+from typing import Mapping as TMapping, NamedTuple, Optional, Sequence
 
 from .errors import SchemaError
 from .mapping_lang import Atom, Lit
@@ -62,12 +62,78 @@ def _match_atom(atom: Atom, fact: Fact, binding: Binding) -> Optional[Binding]:
     return ext
 
 
+class _Step(NamedTuple):
+    """One atom of a join plan and how its candidate facts are found."""
+
+    atom: Atom
+    probe: tuple[object, ...]  # per indexed position: its constant or its variable name
+    index: Optional[dict[tuple, list[Fact]]]  # None: scan the whole relation
+
+
+def _join_plan(atoms: Sequence[Atom], inst: Instance, bound: set[str]) -> list[_Step]:
+    """Order the atoms greedily, most bound positions first; ties keep body order.
+
+    A position is bound when it holds a literal or a variable bound by
+    ``bound`` or by an earlier atom (the temporal slot, index ``arity``,
+    counts like any other).  An atom with a bound position gets an index of
+    its relation keyed by the values there, shared by atoms with the same
+    relation and bound positions; an atom with none scans its relation.
+    """
+    # the variable at each position, the temporal slot last; None for a literal
+    names = [[None if isinstance(t, Lit) else t.name for t in a.args] + [a.time_var] for a in atoms]
+    score = [slots.count(None) for slots in names]
+    users: dict[str, list[int]] = {}
+    for i, slots in enumerate(names):
+        for name in slots:
+            if name is not None:
+                users.setdefault(name, []).append(i)
+                score[i] += name in bound
+    bound = set(bound)
+    indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Fact]]] = {}
+    remaining = list(range(len(atoms)))
+    plan = []
+    while remaining:
+        i = max(remaining, key=score.__getitem__)
+        remaining.remove(i)
+        atom, slots = atoms[i], names[i]
+        keyed = tuple(p for p, name in enumerate(slots) if name is None or name in bound)
+        index = None
+        if keyed:
+            index = indexes.get((atom.relation, keyed))
+            if index is None:
+                index = indexes[atom.relation, keyed] = {}
+                for fact in inst.relation_facts(atom.relation):
+                    row = (*fact.values, fact.time)
+                    index.setdefault(tuple(row[p] for p in keyed), []).append(fact)
+        probe = tuple(Constant(atom.args[p].value) if slots[p] is None else slots[p] for p in keyed)
+        plan.append(_Step(atom, probe, index))
+        for name in slots:
+            if name is not None and name not in bound:
+                bound.add(name)
+                for j in users[name]:
+                    score[j] += 1
+    return plan
+
+
+def _candidates(step: _Step, inst: Instance, binding: Binding) -> Sequence[Fact]:
+    if step.index is None:
+        return inst.relation_facts(step.atom.relation)
+    return step.index.get(tuple(binding[t] if isinstance(t, str) else t for t in step.probe), ())
+
+
 def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
                            initial: TMapping[str, object] | None = None) -> list[Binding]:
     """All bindings under which every atom instantiates to a fact of ``inst``.
 
-    The result is sorted by the bound values (variables in name order), so the
-    enumeration order is deterministic.  ``initial`` seeds a partial binding.
+    The body is evaluated as one indexed join.  Atoms are planned most bound
+    positions first; each later atom looks its facts up by the time value
+    and the values it shares with the binding so far, which is an exact
+    equi-join because the atoms share the temporal variable (time values are
+    compared by equality, as an unnormalized concrete instance needs).  The
+    plan is walked with an explicit stack, so body length is not bounded by
+    the recursion limit.  The result is sorted by the bound values (variables
+    in name order), so the enumeration order is deterministic.  ``initial``
+    seeds a partial binding.
     """
     for atom in atoms:
         schema = inst.schema_by_name.get(atom.relation)
@@ -76,19 +142,27 @@ def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
         if len(atom.args) != schema.arity:
             raise SchemaError(f"relation {atom.relation!r} expects {schema.arity} value "
                               f"arguments, got {len(atom.args)}")
+    start: Binding = dict(initial or {})
+    plan = _join_plan(atoms, inst, {v for v, value in start.items() if value is not None})
+    if not plan:
+        return [start]
     results: list[Binding] = []
-
-    def extend(i: int, binding: Binding) -> None:
-        if i == len(atoms):
-            results.append(binding)
-            return
-        atom = atoms[i]
-        for fact in inst.relation_facts(atom.relation):
+    last = len(plan) - 1
+    stack = [(0, start, iter(_candidates(plan[0], inst, start)))]
+    while stack:
+        depth, binding, facts = stack[-1]
+        atom = plan[depth].atom
+        for fact in facts:
             ext = _match_atom(atom, fact, binding)
-            if ext is not None:
-                extend(i + 1, ext)
-
-    extend(0, dict(initial or {}))
+            if ext is None:
+                continue
+            if depth == last:
+                results.append(ext)
+            else:
+                stack.append((depth + 1, ext, iter(_candidates(plan[depth + 1], inst, ext))))
+                break
+        else:
+            stack.pop()
     results.sort(key=lambda b: tuple(value_sort_key(b[v]) for v in sorted(b)))
     return results
 

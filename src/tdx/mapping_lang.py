@@ -498,8 +498,11 @@ def _atom_problems(i: int, atom: Atom, time_var: str, here: dict[str, RelationSc
 
 def _rule_problems(dep: SttTgd, source: dict[str, RelationSchema],
                    target: dict[str, RelationSchema]) -> Iterator[_Problem]:
-    """Sides, arity and one temporal variable per atom; every rhs variable bound or existential."""
+    """A left-hand side; sides, arity and one temporal variable per atom; every rhs
+    variable bound or existential."""
     atoms = (*dep.lhs, *dep.rhs)
+    if not dep.lhs:
+        yield "empty-side", "the left-hand side has no atoms", None
     lhs_vars = {t.name for a in dep.lhs for t in a.args if isinstance(t, Var)}
     for i, atom in enumerate(atoms):
         if i < len(dep.lhs):

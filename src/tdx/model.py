@@ -271,6 +271,7 @@ def sem_instance(inst: Instance, horizon: int) -> Instance:
     """Abstract view of a concrete instance, materialized up to ``horizon``."""
     if inst.kind != CONCRETE:
         raise SchemaError("sem_instance expects a concrete instance")
+    _check_horizon(horizon)
     facts: set[Fact] = set()
     for f in inst.sorted_facts:
         facts |= sem_fact(f, horizon)

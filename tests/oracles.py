@@ -1,14 +1,15 @@
 """Independent oracles the main code paths are checked against.
 
 These deliberately avoid the package's search and expansion routines: interval
-semantics is recomputed by explicit point enumeration, and homomorphism
-existence by exhaustive enumeration of null assignments.
+semantics is recomputed by explicit point enumeration, homomorphism
+existence by exhaustive enumeration of null assignments, and formula
+homomorphisms by a recursive nested loop over whole relations.
 """
 from __future__ import annotations
 
 import itertools
 
-from tdx import ClopenInterval, Constant, Fact, Instance, PointNull, value_sort_key
+from tdx import ClopenInterval, Constant, Fact, Instance, Lit, PointNull, value_sort_key
 
 
 def interval_point_set(interval: ClopenInterval, horizon: int) -> set[int]:
@@ -85,3 +86,43 @@ def brute_force_hom_exists(a: Instance, b: Instance) -> bool:
         if ok:
             return True
     return False
+
+
+def _match_atom(atom, fact: Fact, binding: dict) -> dict | None:
+    ext = dict(binding)
+    for term, value in zip(atom.args, fact.values):
+        if isinstance(term, Lit):
+            if value != Constant(term.value):
+                return None
+        else:
+            bound = ext.get(term.name)
+            if bound is None:
+                ext[term.name] = value
+            elif bound != value:
+                return None
+    bound = ext.get(atom.time_var)
+    if bound is None:
+        ext[atom.time_var] = fact.time
+    elif bound != fact.time:
+        return None
+    return ext
+
+
+def nested_loop_homs(atoms, inst: Instance, initial: dict | None = None) -> list[dict]:
+    """Formula homomorphisms by trying every fact for every atom, in body order,
+    sorted like ``enumerate_formula_homs`` (bound values, variables in name order)."""
+    results: list[dict] = []
+
+    def extend(i: int, binding: dict) -> None:
+        if i == len(atoms):
+            results.append(binding)
+            return
+        atom = atoms[i]
+        for fact in inst.relation_facts(atom.relation):
+            ext = _match_atom(atom, fact, binding)
+            if ext is not None:
+                extend(i + 1, ext)
+
+    extend(0, dict(initial or {}))
+    results.sort(key=lambda b: tuple(value_sort_key(b[v]) for v in sorted(b)))
+    return results

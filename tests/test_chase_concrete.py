@@ -1,14 +1,19 @@
+from dataclasses import replace
+
 import pytest
 
 from tdx import (
+    Atom,
     EqClosure,
     Failure,
     Instance,
     KeyNullViolation,
+    Lit,
     NullCounter,
     PreconditionError,
     SchemaError,
     Success,
+    SttTgd,
     Tkc,
     chase,
     dumps_instance,
@@ -216,6 +221,14 @@ def test_chase_rejects_incomplete_or_mistyped_sources(fig1, example1):
     stranger = Instance.concrete([rel("Alien", "a")], [fact("Alien", "x", time=iv(0, 1))])
     with pytest.raises(SchemaError):
         chase(stranger, example1)
+
+
+def test_chase_rejects_a_rule_with_an_empty_left_hand_side(fig1, fig2, example1):
+    headless = SttTgd((), (Atom("Emp", (Lit("a"), Lit("b"), Lit("c")), "t"),), frozenset())
+    m = replace(example1, sttgds=(*example1.sttgds, headless))
+    for src in (fig1, fig2):
+        with pytest.raises(PreconditionError, match="rule #2 has an empty left-hand side"):
+            chase(src, m)
 
 
 def test_chase_result_satisfies_the_dependencies(fig1, example1):

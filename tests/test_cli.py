@@ -192,3 +192,16 @@ def test_outputs_are_byte_deterministic(workdir):
         run_cli([a if a != "OUT" else str(first) for a in argv])
         run_cli([a if a != "OUT" else str(second) for a in argv])
         assert first.read_bytes() == second.read_bytes(), argv
+
+
+def test_certain_evaluates_a_1200_atom_query_body(workdir, capsys):
+    body = ", ".join(["Emp(n, p, c, t), Sal(n, p, s, t)"] * 600)
+    text = (workdir / "example1.tdx").read_text() + f"query deep(n, p, t) :- {body}.\n"
+    (workdir / "deep.tdx").write_text(text)
+    for query in ("deep", "paid_positions"):
+        assert run(workdir, "certain", "-m", "@deep.tdx", "-i", "@fig1.json", "-q", query,
+                   "-o", f"@{query}.json") == 0
+    assert capsys.readouterr().err == ""
+    deep = json.loads((workdir / "deep.json").read_text())["relations"]["deep"]
+    paid = json.loads((workdir / "paid_positions.json").read_text())["relations"]["paid_positions"]
+    assert deep["facts"] == paid["facts"] and deep["facts"]

@@ -4,22 +4,30 @@ import pytest
 
 from tdx import (
     Atom,
+    ClopenInterval,
+    Fact,
     Instance,
+    KeyNullViolation,
     Lit,
     PointNull,
     SchemaError,
+    Success,
     Var,
     apply_abstract_hom,
+    chase,
     enumerate_formula_homs,
     find_abstract_hom,
     hom_equivalent,
     instantiate_atom,
+    is_normalized,
+    naive_eval,
     sem_instance,
 )
+import tdx.homomorphism
 
-from generators import random_case
+from generators import CONSTANTS, random_case
 from helpers import c, fact, iv, pnull, rel
-from oracles import brute_force_hom_exists
+from oracles import brute_force_hom_exists, nested_loop_homs
 
 JOIN_LHS = [
     Atom("Employee1", (Var("n"), Var("c")), "t"),
@@ -183,3 +191,108 @@ def test_agrees_with_brute_force_on_random_instances(example1, fig1):
              for f in out.facts for v in f.values if isinstance(v, PointNull)}, out)
         for a, b in [(out, renamed), (renamed, out)]:
             assert (find_abstract_hom(a, b) is not None) == brute_force_hom_exists(a, b)
+
+
+def _random_body(rng, inst):
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        schema = rng.choice(inst.schema)
+        args = tuple(Lit(rng.choice(CONSTANTS)) if rng.random() < 0.15 else Var(rng.choice("xyz"))
+                     for _ in schema.attributes)
+        atoms.append(Atom(schema.name, args, "t"))
+    return atoms
+
+
+def _random_initial(rng, atoms, inst):
+    """Usually nothing; else the time and one variable of a random fact, which
+    may not be the fact those variables can match."""
+    if rng.random() < 0.5 or not inst.facts:
+        return None
+    f = rng.choice(inst.sorted_facts)
+    initial = {"t": f.time} if rng.random() < 0.5 else {}
+    names = sorted({t.name for a in atoms for t in a.args if isinstance(t, Var)})
+    if names and f.values:
+        initial[rng.choice(names)] = rng.choice(f.values)
+    return initial
+
+
+def _unnormalized(src):
+    """The source plus, for each fact with a finite end, a copy one point longer."""
+    longer = {Fact(f.relation, f.values, ClopenInterval(f.time.start, f.time.end + 1))
+              for f in src.facts if isinstance(f.time.end, int)}
+    return src.replace_facts(src.facts | longer)
+
+
+def test_indexed_join_agrees_with_the_nested_loop():
+    rng = random.Random(2016)
+    seen = {"normalized": 0, "unnormalized": 0, "abstract": 0}
+    nonempty = 0
+    for _ in range(300):
+        case = random_case(rng, with_queries=False)
+        abstract_src = sem_instance(case.source, case.horizon)
+        instances = [("normalized", case.source), ("unnormalized", _unnormalized(case.source)),
+                     ("abstract", abstract_src)]
+        for name, src in (("normalized", case.source), ("abstract", abstract_src)):
+            try:
+                out = chase(src, case.mapping)
+            except KeyNullViolation:
+                continue
+            if isinstance(out, Success):
+                instances.append((name, out.instance))
+        for name, inst in instances:
+            if name != "unnormalized" or not is_normalized(inst):
+                seen[name] += 1
+            for _ in range(3):
+                atoms = _random_body(rng, inst)
+                initial = _random_initial(rng, atoms, inst)
+                expected = nested_loop_homs(atoms, inst, initial)
+                assert enumerate_formula_homs(atoms, inst, initial) == expected, (atoms, initial)
+                nonempty += bool(expected)
+    assert min(seen.values()) >= 250
+    assert nonempty >= 1000
+
+
+def _careers_like(n, example1):
+    """Ten disjoint jobs per person, five in each source relation, with job
+    lengths, gaps and relations shuffled per person."""
+    rng = random.Random(n)
+    facts = []
+    for i in range(n):
+        name = c(f"p{i:03d}")
+        lengths, gaps, kinds = [1, 2, 3, 4, 1, 2, 3, 4, 2, 3], [0, 1, 0, 1, 2, 0, 1, 0, 1, 0], [1, 2] * 5
+        for items in (lengths, gaps, kinds):
+            rng.shuffle(items)
+        t = rng.randint(0, 3)
+        for length, gap, kind in zip(lengths, gaps, kinds):
+            if kind == 1:
+                values = (name, c(rng.choice(["hp", "ibm", "sun"])))
+            else:
+                values = (name, c(rng.choice(["dev", "dba", "ops"])), c(rng.choice(["eng", "it"])))
+            facts.append(Fact(f"Employee{kind}", values, iv(t, t + length)))
+            t += length + gap
+    return Instance.concrete(example1.source, facts)
+
+
+def _match_calls(inst, query, monkeypatch):
+    calls = 0
+    match = tdx.homomorphism._match_atom
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return match(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(tdx.homomorphism, "_match_atom", counting)
+        naive_eval(query, inst)
+    return calls
+
+
+def test_two_atom_query_work_grows_linearly(example1, monkeypatch):
+    query = example1.query("paid_positions")
+    counts = []
+    for n in (6, 24):
+        out = chase(_careers_like(n, example1), example1)
+        assert isinstance(out, Success)
+        counts.append(_match_calls(out.instance, query, monkeypatch))
+    assert counts[1] <= 5 * counts[0], counts

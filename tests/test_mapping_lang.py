@@ -129,6 +129,15 @@ def test_validate_mapping_detects_structural_defects():
     assert [v.code for v in validate_mapping(dangling)] == ["existential-variable"]
 
 
+def test_rule_with_an_empty_left_hand_side_is_a_violation():
+    a, b = rel("A", "x", temporal="t"), rel("B", "x", temporal="t")
+    headless = Mapping((a,), (b,), (SttTgd((), (Atom("B", (Lit("c"),), "t"),), frozenset()),), (), ())
+    assert [(v.code, v.message) for v in validate_mapping(headless)] == [
+        ("empty-side", "rule #0: the left-hand side has no atoms")]
+    bare = Mapping((a,), (b,), (SttTgd((), (), frozenset()),), (), ())
+    assert [v.code for v in validate_mapping(bare)] == ["empty-side"]
+
+
 def _rule(lhs, rhs, existentials=()):
     return SttTgd(lhs, rhs, frozenset(existentials))
 

@@ -95,6 +95,13 @@ def test_sem_fact_rejects_low_horizon():
         sem_fact(fact("R", "a", time=iv(3, INF)), 2)
 
 
+def test_sem_instance_checks_the_horizon_on_an_empty_instance():
+    empty = Instance.concrete([rel("R", "a")])
+    with pytest.raises(InvalidHorizonError):
+        sem_instance(empty, 9.5)
+    assert sem_instance(empty, 9) == Instance.abstract([rel("R", "a")])
+
+
 def test_sem_instance_matches_figures(fig1, fig2, fig3, fig4):
     assert sem_instance(fig1, 13) == fig2
     assert sem_instance(fig3, 13) == fig4
