@@ -47,10 +47,20 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, replacing what the file held before.
+
+    An existing file is overwritten in place and then cut to the new length
+    instead of being truncated to zero on open: on ext4, truncating a file
+    to zero queues its pages for writeback (``auto_da_alloc``), and the next
+    truncate waits for that disk write, which added tens of milliseconds of
+    variable disk latency to each command that rewrites its output.
+    """
     if path == "-":
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        return
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.truncate()
 
 
 def _diag(message: str, *, error: bool = True) -> None:

@@ -194,6 +194,16 @@ def test_outputs_are_byte_deterministic(workdir):
         assert first.read_bytes() == second.read_bytes(), argv
 
 
+def test_output_replaces_a_longer_existing_file(workdir):
+    out = workdir / "out.json"
+    argv = ["normalize", "-i", path(workdir, "fig1.json"), "-o", str(out)]
+    assert run_cli(argv) == 0
+    expected = out.read_bytes()
+    out.write_bytes(b"x" * (3 * len(expected)))
+    assert run_cli(argv) == 0
+    assert out.read_bytes() == expected
+
+
 def test_certain_evaluates_a_1200_atom_query_body(workdir, capsys):
     body = ", ".join(["Emp(n, p, c, t), Sal(n, p, s, t)"] * 600)
     text = (workdir / "example1.tdx").read_text() + f"query deep(n, p, t) :- {body}.\n"
