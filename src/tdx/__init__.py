@@ -11,7 +11,6 @@ from .errors import (
 from .temporal import (
     INF,
     ClopenInterval,
-    Infinity,
     TimePoint,
     build_grid,
     interval_contains,
@@ -24,8 +23,7 @@ from .model import (
     Constant,
     Fact,
     Instance,
-    IntervalNull,
-    PointNull,
+    Null,
     RelationSchema,
     Value,
     Violation,

@@ -2,12 +2,12 @@
 annotated nulls, then a key round that collects equalities, closes them, and
 either applies the replacements or fails on a constant conflict.
 
-The two views run one algorithm.  The time domain comes from the instance
-kind: fresh nulls are ``model.NULL_OF[kind]`` (interval nulls over a concrete
-instance, point nulls over an abstract one), and only a concrete source is
-normalized first.  Infinite abstract views are never materialized here; they
-are reached through ``sem_instance`` with an explicit horizon, and the chase
-runs on the resulting finite instance.
+The two views run one algorithm.  A fresh ``Null`` is annotated with the
+time its rule fired at, an interval over a concrete instance and a time point
+over an abstract one, so the view shows only in the instance kind; only a
+concrete source is normalized first.  Infinite abstract views are never
+materialized here; they are reached through ``sem_instance`` with an explicit
+horizon, and the chase runs on the resulting finite instance.
 
 Both rounds are parallel: the dependency round is the union of one step per
 rule and left-hand-side binding, and the key round derives a single equality
@@ -26,10 +26,10 @@ from .mapping_lang import Mapping, SttTgd, Tkc
 from .model import (
     ABSTRACT,
     CONCRETE,
-    NULL_OF,
     Constant,
     Fact,
     Instance,
+    Null,
     RelationSchema,
     Value,
     conform_instance,
@@ -156,11 +156,11 @@ class EqClosure:
         return tuple(reversed(path))
 
 
-def _fire(rule: SttTgd, binding: Binding, nulls: NullCounter, null_type) -> frozenset[Fact]:
+def _fire(rule: SttTgd, binding: Binding, nulls: NullCounter) -> frozenset[Fact]:
     extended = dict(binding)
     context = binding[rule.time_var]
     for var in rule.existential_order():
-        extended[var] = null_type(nulls.next_label(), context)
+        extended[var] = Null(nulls.next_label(), context)
     return frozenset(instantiate_atom(atom, extended) for atom in rule.rhs)
 
 
@@ -178,20 +178,19 @@ def st_step(inst: Instance, rule: SttTgd, binding: Binding,
     for atom in rule.lhs:
         if instantiate_atom(atom, binding) not in inst.facts:
             raise ValueError(f"binding is not a formula homomorphism for atom {atom.relation!r}")
-    return _fire(rule, binding, nulls, NULL_OF[inst.kind])
+    return _fire(rule, binding, nulls)
 
 
 def _st_round(inst: Instance, rules: Sequence[SttTgd],
               target: Iterable[RelationSchema]) -> Instance:
     # enumerate_formula_homs yields only homomorphisms, so no binding is re-checked
-    null_type = NULL_OF[inst.kind]
     nulls = NullCounter()
     facts: set[Fact] = set()
     for i, rule in enumerate(rules):
         if not rule.lhs:
             raise PreconditionError(f"rule #{i} has an empty left-hand side")
         for binding in enumerate_formula_homs(rule.lhs, inst):
-            facts |= _fire(rule, binding, nulls, null_type)
+            facts |= _fire(rule, binding, nulls)
     return Instance(inst.kind, tuple(target), frozenset(facts))
 
 
@@ -296,7 +295,7 @@ def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],
 def st_round_abstract(inst: Instance, rules: Sequence[SttTgd],
                       target: Iterable[RelationSchema]) -> Instance:
     """The dependency round over a complete abstract instance: fresh nulls are
-    point nulls whose context is the bound time point."""
+    annotated with the bound time point."""
     _require(inst, ABSTRACT, "dependency round", complete=True)
     return _st_round(inst, rules, target)
 

@@ -23,8 +23,8 @@ from .model import (
     CONCRETE,
     Constant,
     Instance,
-    IntervalNull,
     Value,
+    _time_json,
     dumps_instance,
     instance_to_json,
     loads_instance,
@@ -82,12 +82,7 @@ def _load_mapping(path: str) -> Mapping:
 
 
 def _value_doc(v: Value) -> object:
-    if isinstance(v, Constant):
-        return v.symbol
-    if isinstance(v, IntervalNull):
-        end = v.context.end if isinstance(v.context.end, int) else "inf"
-        return {"null": v.label, "interval": {"start": v.context.start, "end": end}}
-    return {"null": v.label, "time": v.context}
+    return v.symbol if isinstance(v, Constant) else {"null": v.label, **_time_json(v.context)}
 
 
 def _failure_text(failure: Failure) -> str:

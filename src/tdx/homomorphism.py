@@ -6,8 +6,8 @@ variable binds to an interval (concrete instance) or a time point (abstract).
 Chase steps and query evaluation are both driven by this enumeration.
 
 An *abstract homomorphism* maps one abstract instance into another: constants
-and time points are fixed, and each point null may go to a constant or to a
-point null with the same context.  Existence in both directions is the
+and time points are fixed, and each null may go to a constant or to a null
+annotated with the same time point.  Existence in both directions is the
 equivalence used to compare chase results across the two views.
 """
 from __future__ import annotations
@@ -21,14 +21,14 @@ from .model import (
     Constant,
     Fact,
     Instance,
-    PointNull,
+    Null,
     Value,
     fact_sort_key,
     value_sort_key,
 )
 
 Binding = dict[str, object]  # variable -> Value, plus temporal variable -> interval/point
-AbstractHom = dict[PointNull, Value]
+AbstractHom = dict[Null, Value]
 
 
 def instantiate_atom(atom: Atom, binding: TMapping[str, object]) -> Fact:
@@ -174,11 +174,11 @@ def _check_same_abstract(a: Instance, b: Instance) -> None:
         raise SchemaError("instances must share a schema")
 
 
-def _try_image(f: Fact, g: Fact, assignment: AbstractHom) -> Optional[list[PointNull]]:
+def _try_image(f: Fact, g: Fact, assignment: AbstractHom) -> Optional[list[Null]]:
     """Try mapping fact ``f`` onto ``g``; mutates ``assignment`` on success."""
     if len(f.values) != len(g.values):
         return None
-    newly: list[PointNull] = []
+    newly: list[Null] = []
     for v, w in zip(f.values, g.values):
         if isinstance(v, Constant):
             if v == w:
@@ -186,7 +186,7 @@ def _try_image(f: Fact, g: Fact, assignment: AbstractHom) -> Optional[list[Point
         else:
             bound = assignment.get(v)
             if bound is None:
-                if isinstance(w, Constant) or (isinstance(w, PointNull) and w.context == v.context):
+                if isinstance(w, Constant) or (isinstance(w, Null) and w.context == v.context):
                     assignment[v] = w
                     newly.append(v)
                     continue
@@ -200,7 +200,7 @@ def _try_image(f: Fact, g: Fact, assignment: AbstractHom) -> Optional[list[Point
 
 def _search_component(facts: Sequence[Fact], index: dict, assignment: AbstractHom) -> bool:
     """Backtracking over one group of facts; extends ``assignment`` in place."""
-    trail: list[tuple[int, list[PointNull]]] = []
+    trail: list[tuple[int, list[Null]]] = []
     depth, start = 0, 0
     while depth < len(facts):
         f = facts[depth]
@@ -243,18 +243,18 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     for g in b.sorted_facts:
         index.setdefault((g.relation, g.time), []).append(g)
 
-    parent: dict[PointNull, PointNull] = {}
+    parent: dict[Null, Null] = {}
 
-    def find(n: PointNull) -> PointNull:
+    def find(n: Null) -> Null:
         while parent[n] != n:
             parent[n] = parent[parent[n]]
             n = parent[n]
         return n
 
-    components: dict[PointNull, list[Fact]] = {}
+    components: dict[Null, list[Fact]] = {}
     assignment: AbstractHom = {}
     for f in a.sorted_facts:
-        nulls = [v for v in f.values if isinstance(v, PointNull)]
+        nulls = [v for v in f.values if isinstance(v, Null)]
         if not nulls:
             if f not in b_facts:  # constants are fixed, so the image is f itself
                 return None
@@ -266,7 +266,7 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
             parent[find(n)] = first
         components.setdefault(first, []).append(f)
 
-    merged: dict[PointNull, list[Fact]] = {}
+    merged: dict[Null, list[Fact]] = {}
     for root, facts in components.items():
         merged.setdefault(find(root), []).extend(facts)
     for facts in merged.values():
@@ -276,10 +276,10 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     return dict(assignment)
 
 
-def apply_abstract_hom(hom: TMapping[PointNull, Value], inst: Instance) -> Instance:
+def apply_abstract_hom(hom: TMapping[Null, Value], inst: Instance) -> Instance:
     """Image of an abstract instance under a null assignment."""
     facts = {
-        Fact(f.relation, tuple(hom.get(v, v) if isinstance(v, PointNull) else v
+        Fact(f.relation, tuple(hom.get(v, v) if isinstance(v, Null) else v
                                for v in f.values), f.time)
         for f in inst.facts
     }

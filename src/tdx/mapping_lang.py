@@ -549,8 +549,11 @@ def _key_problems(tkc: Tkc, source: dict[str, RelationSchema],
 
 def _query_problems(q: Ucq, source: dict[str, RelationSchema],
                     target: dict[str, RelationSchema]) -> Iterator[_Problem]:
-    """Per disjunct: target atoms over the head's temporal variable, holding every head variable."""
-    for body in q.disjuncts:
+    """Per disjunct: at least one target atom, all over the head's temporal variable,
+    holding every head variable."""
+    for k, body in enumerate(q.disjuncts):
+        if not body:
+            yield "empty-side", f"disjunct #{k} has no atoms", None
         for i, atom in enumerate(body):
             yield from _atom_problems(i, atom, q.time_var, target, source, "target")
         body_vars = {t.name for a in body for t in a.args if isinstance(t, Var)}

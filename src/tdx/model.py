@@ -2,9 +2,10 @@
 
 A *concrete* instance stores each fact with a clopen interval; an *abstract*
 instance stores one fact per time point.  Unknown values are labeled nulls
-annotated with the temporal context of the fact they occur in: an interval
-null ``N^[s,e)`` in a concrete fact, a point null ``N^t`` in an abstract one.
-Two annotated nulls are equal exactly when label and context are both equal.
+annotated with the temporal context of the fact they occur in: one ``Null``
+type serves both views, as ``N^[s,e)`` in a concrete fact and ``N^t`` in an
+abstract one, so a null's view is the type of its context.  Two annotated
+nulls are equal exactly when label and context are both equal.
 
 ``sem_fact`` / ``sem_instance`` expand the concrete view into the abstract one
 up to an explicit finite horizon (abstract views of unbounded intervals are
@@ -20,15 +21,7 @@ from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import InvalidHorizonError, SchemaError
-from .temporal import (
-    INF,
-    ClopenInterval,
-    Infinity,
-    build_grid,
-    interval_points,
-    interval_sort_key,
-    split_interval,
-)
+from .temporal import INF, ClopenInterval, build_grid, interval_points, split_interval
 
 CONCRETE = "concrete"
 ABSTRACT = "abstract"
@@ -42,49 +35,44 @@ class Constant:
         return self.symbol
 
 
-@dataclass(frozen=True)
-class IntervalNull:
-    label: str
-    context: ClopenInterval
-
-    def __str__(self) -> str:
-        return f"{self.label}^{self.context}"
-
-
-@dataclass(frozen=True)
-class PointNull:
-    label: str
-    context: int
-
-    def __str__(self) -> str:
-        return f"{self.label}^{self.context}"
-
-
-Value = Union[Constant, IntervalNull, PointNull]
 TimeValue = Union[ClopenInterval, int]
 
-# The null type of each view: a null takes its context from the fact's time.
-NULL_OF = {CONCRETE: IntervalNull, ABSTRACT: PointNull}
+
+@dataclass(frozen=True)
+class Null:
+    """A labeled null annotated with the time of its fact: an interval in a
+    concrete fact, a time point in an abstract one."""
+
+    label: str
+    context: TimeValue
+
+    def __str__(self) -> str:
+        return f"{self.label}^{self.context}"
+
+
+Value = Union[Constant, Null]
 
 
 def is_null(v: Value) -> bool:
-    return isinstance(v, (IntervalNull, PointNull))
+    return isinstance(v, Null)
 
 
 def value_sort_key(v: object) -> tuple:
-    """Total order over constants, nulls, time points, and intervals."""
+    """Total order over time points, intervals, constants, and nulls, in that order.
+
+    Within one kind the order is the natural one (intervals by start, then
+    end, finite ends first); nulls order by label, then context.
+    """
     if isinstance(v, bool):
         raise TypeError(f"not a value: {v!r}")
     if isinstance(v, int):
-        return (0, "", v, 0, 0)
+        return (0, v)
     if isinstance(v, ClopenInterval):
-        return (1, "", *interval_sort_key(v))
+        return (1, v.start, v.end)
     if isinstance(v, Constant):
-        return (2, v.symbol, 0, 0, 0)
-    if isinstance(v, IntervalNull):
-        return (3, v.label, *interval_sort_key(v.context))
-    if isinstance(v, PointNull):
-        return (4, v.label, v.context, 0, 0)
+        return (2, v.symbol)
+    if isinstance(v, Null):
+        return (3, v.label, value_sort_key(v.context))
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -97,9 +85,7 @@ class Fact:
     time: TimeValue
 
     def __str__(self) -> str:
-        time = f"[{self.time.start},{'inf' if isinstance(self.time.end, Infinity) else self.time.end})" \
-            if isinstance(self.time, ClopenInterval) else str(self.time)
-        inner = ", ".join([*(str(v) for v in self.values), time])
+        inner = ", ".join(str(v) for v in (*self.values, self.time))
         return f"{self.relation}({inner})"
 
 
@@ -181,8 +167,21 @@ class Instance:
         return Instance(self.kind, self.schema, frozenset(facts))
 
 
+# Per view: what a fact's time must be, and its name in messages.
+_TIME_OF = {
+    CONCRETE: (lambda t: isinstance(t, ClopenInterval), "clopen interval"),
+    ABSTRACT: (lambda t: isinstance(t, int) and not isinstance(t, bool) and t >= 0, "finite time point"),
+}
+
+
 def validate_instance(inst: Instance) -> list[Violation]:
-    """Check arity, kind-homogeneity, and null-context coherence; violations are data."""
+    """Check arity, kind-homogeneity, and null-context coherence; violations are data.
+
+    A null annotated with the other view's kind of time is a kind violation;
+    one annotated with a time of the right kind other than its fact's is a
+    context mismatch.
+    """
+    is_time, time_name = _TIME_OF[inst.kind]
     out: list[Violation] = []
     for f in inst.sorted_facts:
         schema = inst.schema_by_name.get(f.relation)
@@ -193,24 +192,16 @@ def validate_instance(inst: Instance) -> list[Violation]:
             out.append(Violation(
                 "arity-mismatch",
                 f"{f}: relation {f.relation!r} expects {schema.arity} non-temporal values, got {len(f.values)}"))
-        if inst.kind == CONCRETE:
-            if not isinstance(f.time, ClopenInterval):
-                out.append(Violation("kind-violation", f"{f}: concrete fact must carry a clopen interval"))
+        if not is_time(f.time):
+            out.append(Violation("kind-violation", f"{f}: {inst.kind} fact must carry a {time_name}"))
+            continue
+        for v in f.values:
+            if not isinstance(v, Null) or v.context == f.time:
                 continue
-            for v in f.values:
-                if isinstance(v, PointNull):
-                    out.append(Violation("kind-violation", f"{f}: point-annotated null {v} in a concrete fact"))
-                elif isinstance(v, IntervalNull) and v.context != f.time:
-                    out.append(Violation("context-mismatch", f"{f}: null {v} is not annotated with the fact's interval"))
-        else:
-            if not isinstance(f.time, int) or isinstance(f.time, bool) or f.time < 0:
-                out.append(Violation("kind-violation", f"{f}: abstract fact must carry a finite time point"))
-                continue
-            for v in f.values:
-                if isinstance(v, IntervalNull):
-                    out.append(Violation("kind-violation", f"{f}: interval-annotated null {v} in an abstract fact"))
-                elif isinstance(v, PointNull) and v.context != f.time:
-                    out.append(Violation("context-mismatch", f"{f}: null {v} is not annotated with the fact's time point"))
+            if isinstance(v.context, ClopenInterval) != isinstance(f.time, ClopenInterval):
+                out.append(Violation("kind-violation", f"{f}: null {v} is not annotated with a {time_name}"))
+            else:
+                out.append(Violation("context-mismatch", f"{f}: null {v} is not annotated with the fact's {time_name}"))
     return out
 
 
@@ -221,16 +212,10 @@ def is_complete(inst: Instance) -> bool:
 
 def max_finite_endpoint(inst: Instance) -> int | None:
     """Largest finite interval endpoint or time point in the instance, if any."""
-    best: int | None = None
-    for f in inst.facts:
-        if isinstance(f.time, ClopenInterval):
-            candidates = [f.time.start] + ([f.time.end] if isinstance(f.time.end, int) else [])
-        else:
-            candidates = [f.time]
-        for c in candidates:
-            if best is None or c > best:
-                best = c
-    return best
+    points = {p for f in inst.facts
+              for p in ((f.time.start, f.time.end) if isinstance(f.time, ClopenInterval) else (f.time,))}
+    points.discard(INF)
+    return max(points, default=None)
 
 
 def _check_horizon(horizon: int, *intervals: ClopenInterval) -> None:
@@ -246,25 +231,19 @@ def _check_horizon(horizon: int, *intervals: ClopenInterval) -> None:
 def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
     """Abstract expansion of one concrete fact: one fact per contained time point.
 
-    Constants are copied; an interval null keeps its label and is re-annotated
-    with each time point.  ``horizon`` must be at least every finite endpoint
-    of the fact; unbounded intervals are truncated at the horizon.
+    Constants are copied; a null keeps its label and is re-annotated with each
+    time point.  ``horizon`` must be at least every finite endpoint of the
+    fact; unbounded intervals are truncated at the horizon.
     """
     if not isinstance(f.time, ClopenInterval):
         raise SchemaError(f"{f}: not a concrete fact")
     _check_horizon(horizon, f.time)
-    out = set()
-    for t0 in interval_points(f.time, horizon):
-        values = []
-        for v in f.values:
-            if isinstance(v, Constant):
-                values.append(v)
-            elif isinstance(v, IntervalNull):
-                values.append(PointNull(v.label, t0))
-            else:
-                raise SchemaError(f"{f}: point-annotated null {v} in a concrete fact")
-        out.add(Fact(f.relation, tuple(values), t0))
-    return frozenset(out)
+    for v in f.values:
+        if isinstance(v, Null) and v.context != f.time:
+            raise SchemaError(f"{f}: null {v} is not annotated with the fact's interval")
+    return frozenset(
+        Fact(f.relation, tuple(Null(v.label, t0) if isinstance(v, Null) else v for v in f.values), t0)
+        for t0 in interval_points(f.time, horizon))
 
 
 def sem_instance(inst: Instance, horizon: int) -> Instance:
@@ -282,7 +261,7 @@ def is_normalized(inst: Instance) -> bool:
     """True iff any two fact intervals across all relations are equal or disjoint."""
     if inst.kind != CONCRETE:
         raise SchemaError("normalization is defined for concrete instances")
-    intervals = sorted({f.time for f in inst.facts}, key=interval_sort_key)
+    intervals = sorted({f.time for f in inst.facts})
     for prev, cur in zip(intervals, intervals[1:]):
         if prev.end > cur.start:
             return False
@@ -293,8 +272,8 @@ def normalize_instance(inst: Instance) -> Instance:
     """Split every fact over the endpoint grid of the whole instance.
 
     The output satisfies the normalization predicate and has the same abstract
-    view at every valid horizon: an interval null in a split fact keeps its
-    label and is re-annotated with each subinterval.
+    view at every valid horizon: a null in a split fact keeps its label and
+    is re-annotated with each subinterval.
     """
     if inst.kind != CONCRETE:
         raise SchemaError("normalize_instance expects a concrete instance")
@@ -302,9 +281,7 @@ def normalize_instance(inst: Instance) -> Instance:
     facts: set[Fact] = set()
     for f in inst.facts:
         for piece in split_interval(f.time, grid):
-            values = tuple(
-                IntervalNull(v.label, piece) if isinstance(v, IntervalNull) else v
-                for v in f.values)
+            values = tuple(Null(v.label, piece) if isinstance(v, Null) else v for v in f.values)
             facts.add(Fact(f.relation, values, piece))
     return Instance(CONCRETE, inst.schema, frozenset(facts))
 
@@ -342,17 +319,20 @@ def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Inst
 # ---------------------------------------------------------------------------
 
 
+def _time_json(t: TimeValue) -> dict:
+    """A fact's time, or a null's context, as the members of its JSON object."""
+    if isinstance(t, ClopenInterval):
+        return {"interval": {"start": t.start, "end": t.end if isinstance(t.end, int) else "inf"}}
+    return {"time": t}
+
+
 def instance_to_json(inst: Instance) -> dict:
     relations = {}
     for schema in inst.schema:
-        facts = []
-        for f in inst.relation_facts(schema.name):
-            values = [v.symbol if isinstance(v, Constant) else {"null": v.label} for v in f.values]
-            if isinstance(f.time, ClopenInterval):
-                end = "inf" if isinstance(f.time.end, Infinity) else f.time.end
-                facts.append({"values": values, "interval": {"start": f.time.start, "end": end}})
-            else:
-                facts.append({"values": values, "time": f.time})
+        facts = [
+            {"values": [v.symbol if isinstance(v, Constant) else {"null": v.label} for v in f.values],
+             **_time_json(f.time)}
+            for f in inst.relation_facts(schema.name)]
         relations[schema.name] = {"attributes": list(schema.all_attributes), "facts": facts}
     return {"kind": inst.kind, "relations": relations}
 
@@ -386,11 +366,11 @@ def _time_from_json(doc: dict, kind: str, where: str) -> TimeValue:
     return t
 
 
-def _value_from_json(v: object, time: TimeValue, kind: str, where: str) -> Value:
+def _value_from_json(v: object, time: TimeValue, where: str) -> Value:
     if isinstance(v, str):
         return Constant(v)
     if isinstance(v, dict) and set(v) == {"null"} and isinstance(v["null"], str):
-        return NULL_OF[kind](v["null"], time)
+        return Null(v["null"], time)
     raise SchemaError(f"{where}: a value must be a string or {{\"null\": \"<label>\"}}, got {v!r}")
 
 
@@ -422,7 +402,7 @@ def instance_from_json(doc: object) -> Instance:
             _require(isinstance(values, list), fwhere, "\"values\" must be a list")
             _require(len(values) == schema.arity, fwhere,
                      f"expected {schema.arity} values, got {len(values)}")
-            facts.add(Fact(name, tuple(_value_from_json(v, time, kind, fwhere) for v in values), time))
+            facts.add(Fact(name, tuple(_value_from_json(v, time, fwhere) for v in values), time))
     return Instance(kind, tuple(schemas), frozenset(facts))
 
 
@@ -432,4 +412,8 @@ def dumps_instance(inst: Instance) -> str:
 
 
 def loads_instance(text: str) -> Instance:
-    return instance_from_json(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise SchemaError("instance: JSON is nested too deeply") from None
+    return instance_from_json(doc)

@@ -51,12 +51,14 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
     Per disjunct, every formula homomorphism of the body is projected onto the
     head variables and the temporal variable; the disjunct results are
     unioned, and tuples containing any null are dropped.  A concrete instance
-    must be normalized.
+    must be normalized, and every disjunct needs an atom.
     """
     if inst.kind == CONCRETE and not is_normalized(inst):
         raise PreconditionError("naive evaluation on a concrete instance requires it normalized")
     rows: set[tuple] = set()
-    for disjunct in q.disjuncts:
+    for k, disjunct in enumerate(q.disjuncts):
+        if not disjunct:
+            raise PreconditionError(f"query {q.name!r}: disjunct #{k} has no atoms")
         for binding in enumerate_formula_homs(disjunct, inst):
             values = [binding[v] for v in q.head]
             if any(not isinstance(v, Constant) for v in values):

@@ -1,6 +1,7 @@
 """Discrete time points, clopen intervals, and endpoint-grid splitting.
 
-Time points are natural numbers plus a single unbounded value ``INF``.
+Time points are natural numbers plus a single unbounded value ``INF``
+(``math.inf``, so it compares above every natural number natively).
 A clopen interval ``[s, e)`` stands for the set of consecutive time points
 ``{s, s+1, ..., e-1}``; ``e`` may be ``INF``, in which case the set is
 unbounded.  ``INF`` is only ever a right endpoint: it is rejected as an
@@ -8,50 +9,21 @@ interval start and as a standalone time value everywhere else.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+INF = math.inf
 
-class Infinity:
-    """The unbounded right endpoint; compares greater than every natural number."""
-
-    _instance = None
-
-    def __new__(cls) -> "Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Infinity)
-
-    def __hash__(self) -> int:
-        return hash("tdx.Infinity")
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return isinstance(other, Infinity)
-
-    def __gt__(self, other: object) -> bool:
-        return not isinstance(other, Infinity)
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "INF"
+TimePoint = Union[int, float]  # a natural number, or INF as a right endpoint
 
 
-INF = Infinity()
-
-TimePoint = Union[int, Infinity]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ClopenInterval:
-    """Half-open span ``[start, end)`` of consecutive time points."""
+    """Half-open span ``[start, end)`` of consecutive time points.
+
+    Intervals order by ``(start, end)``; finite ends come before ``INF``.
+    """
 
     start: int
     end: TimePoint
@@ -64,12 +36,11 @@ class ClopenInterval:
         if isinstance(self.end, int) and not isinstance(self.end, bool):
             if self.end <= self.start:
                 raise ValueError(f"interval [{self.start},{self.end}) is empty")
-        elif not isinstance(self.end, Infinity):
+        elif self.end != INF:
             raise ValueError(f"interval end must be a natural number or INF, got {self.end!r}")
 
     def __str__(self) -> str:
-        end = "inf" if isinstance(self.end, Infinity) else self.end
-        return f"[{self.start},{end})"
+        return f"[{self.start},{self.end})"
 
 
 def interval_contains(iv: ClopenInterval, t: int) -> bool:
@@ -81,17 +52,13 @@ def interval_contains(iv: ClopenInterval, t: int) -> bool:
 
 def interval_points(iv: ClopenInterval, horizon: int) -> range:
     """Time points of ``iv`` strictly below ``horizon`` (truncates unbounded ends)."""
-    end = iv.end if isinstance(iv.end, int) else horizon
-    return range(iv.start, min(end, horizon))
+    return range(iv.start, min(iv.end, horizon))
 
 
 def build_grid(intervals: Iterable[ClopenInterval]) -> list[int]:
     """Sorted, duplicate-free list of every finite endpoint occurring in the input."""
-    points: set[int] = set()
-    for iv in intervals:
-        points.add(iv.start)
-        if isinstance(iv.end, int):
-            points.add(iv.end)
+    points = {p for iv in intervals for p in (iv.start, iv.end)}
+    points.discard(INF)
     return sorted(points)
 
 
@@ -109,10 +76,3 @@ def split_interval(iv: ClopenInterval, grid: Iterable[int]) -> list[ClopenInterv
     cuts = [g for g in grid if iv.start < g < iv.end]
     bounds = [iv.start, *cuts, iv.end]
     return [ClopenInterval(s, e) for s, e in zip(bounds, bounds[1:])]
-
-
-def interval_sort_key(iv: ClopenInterval) -> tuple[int, int, int]:
-    """Total order over intervals: by start, finite ends before INF."""
-    if isinstance(iv.end, int):
-        return (iv.start, 0, iv.end)
-    return (iv.start, 1, 0)

@@ -9,8 +9,7 @@ from tdx import (
     Constant,
     Fact,
     Instance,
-    IntervalNull,
-    PointNull,
+    Null,
     RelationSchema,
     loads_instance,
     parse_mapping,
@@ -39,12 +38,12 @@ def iv(start, end) -> ClopenInterval:
     return ClopenInterval(start, end)
 
 
-def inull(label: str, start, end) -> IntervalNull:
-    return IntervalNull(label, ClopenInterval(start, end))
+def inull(label: str, start, end) -> Null:
+    return Null(label, ClopenInterval(start, end))
 
 
-def pnull(label: str, t: int) -> PointNull:
-    return PointNull(label, t)
+def pnull(label: str, t: int) -> Null:
+    return Null(label, t)
 
 
 def fact(relation: str, *values, time) -> Fact:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from tdx import ClopenInterval, Constant, Fact, Instance, Lit, PointNull, value_sort_key
+from tdx import ClopenInterval, Constant, Fact, Instance, Lit, Null, value_sort_key
 
 
 def interval_point_set(interval: ClopenInterval, horizon: int) -> set[int]:
@@ -26,7 +26,7 @@ def expand_fact_by_points(f: Fact, horizon: int) -> set[Fact]:
     out = set()
     for t in interval_point_set(f.time, horizon):
         values = tuple(
-            PointNull(v.label, t) if not isinstance(v, Constant) else v
+            Null(v.label, t) if not isinstance(v, Constant) else v
             for v in f.values)
         out.add(Fact(f.relation, values, t))
     return out
@@ -47,7 +47,7 @@ def brute_force_hom_exists(a: Instance, b: Instance) -> bool:
     time); any assignment outside those sets maps some fact of ``a`` onto a
     tuple absent from ``b``, so the narrowing cannot lose a homomorphism.
     """
-    nulls = sorted({v for f in a.facts for v in f.values if isinstance(v, PointNull)},
+    nulls = sorted({v for f in a.facts for v in f.values if isinstance(v, Null)},
                    key=value_sort_key)
     candidates = []
     for n in nulls:
@@ -65,7 +65,7 @@ def brute_force_hom_exists(a: Instance, b: Instance) -> bool:
         assert pool is not None
         pool = {
             v for v in pool
-            if isinstance(v, Constant) or (isinstance(v, PointNull) and v.context == n.context)
+            if isinstance(v, Constant) or (isinstance(v, Null) and v.context == n.context)
         }
         if not pool:
             return False
@@ -78,7 +78,7 @@ def brute_force_hom_exists(a: Instance, b: Instance) -> bool:
         for f in a.facts:
             image = Fact(
                 f.relation,
-                tuple(assignment.get(v, v) if isinstance(v, PointNull) else v for v in f.values),
+                tuple(assignment.get(v, v) if isinstance(v, Null) else v for v in f.values),
                 f.time)
             if image not in b_facts:
                 ok = False

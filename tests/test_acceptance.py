@@ -19,7 +19,7 @@ from tdx import (
     Instance,
     KeyNullViolation,
     NoSolution,
-    PointNull,
+    Null,
     Success,
     answers_sem,
     apply_abstract_hom,
@@ -220,7 +220,7 @@ def test_criterion_5_query_commutation(fig1, example1, suite):
 
 
 def _nulls_of(inst):
-    return sorted({v for f in inst.facts for v in f.values if isinstance(v, PointNull)},
+    return sorted({v for f in inst.facts for v in f.values if isinstance(v, Null)},
                   key=lambda n: (n.label, n.context))
 
 
@@ -228,7 +228,7 @@ def _perturbations(result):
     """Three alternative solutions the chase result must map into."""
     nulls = _nulls_of(result)
     renamed = apply_abstract_hom(
-        {n: PointNull(n.label + "r", n.context) for n in nulls}, result)
+        {n: Null(n.label + "r", n.context) for n in nulls}, result)
     chosen = [n for i, n in enumerate(nulls) if i % 2 == 0] or nulls
     grounded = apply_abstract_hom(
         {n: Constant(f"fc_{n.label}_{n.context}") for n in chosen}, result)

@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tdx import loads_instance, run_cli
+import tdx
+from tdx import SchemaError, loads_instance, run_cli
 
 from helpers import FIXTURES, load_fixture_instance
 
@@ -159,6 +164,23 @@ def test_wrong_kind_input(workdir, capsys):
     assert "expected a concrete instance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("normalize", "-i", "@deep.json", "-o", "@out.json"),
+    ("chase", "-m", "@example1.tdx", "-i", "@deep.json", "-o", "@out.json"),
+    ("equiv", "-a", "@fig1.json", "-b", "@deep.json"),
+])
+def test_deeply_nested_json_is_one_error_line(workdir, capsys, argv):
+    value = "[" * 5000 + "]" * 5000
+    (workdir / "deep.json").write_text(
+        '{"kind": "concrete", "relations": {"R": {"attributes": ["a", "t"], "facts": '
+        f'[{{"values": [{value}], "interval": {{"start": 0, "end": 1}}}}]}}}}}}')
+    assert run(workdir, *argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: instance: JSON is nested too deeply\n"
+    with pytest.raises(SchemaError):
+        loads_instance((workdir / "deep.json").read_text())
+
+
 def test_stdio_paths(workdir, capsys, monkeypatch):
     import io, sys
     monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / "fig1.json").read_text()))
@@ -192,6 +214,28 @@ def test_outputs_are_byte_deterministic(workdir):
         run_cli([a if a != "OUT" else str(first) for a in argv])
         run_cli([a if a != "OUT" else str(second) for a in argv])
         assert first.read_bytes() == second.read_bytes(), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("chase", "-m", "example1.tdx", "-i", "fig1.json"),
+    ("chase", "-m", "example3.tdx", "-i", "example3_source.json"),
+    ("certain", "-m", "example1.tdx", "-i", "fig1.json", "-q", "paid_positions"),
+    ("sem", "-i", "fig1.json"),
+])
+def test_outputs_do_not_depend_on_the_string_hash_seed(argv):
+    """Each command, run in fresh processes under two hash seeds, writes the same bytes."""
+    runs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "TDX_COLOR": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(tdx.__file__).parent.parent),
+                                                           os.environ.get("PYTHONPATH")]))}
+        runs.append(subprocess.run(
+            [sys.executable, "-c", "from tdx.cli import main; main()", *argv, "-o", "-"],
+            cwd=FIXTURES, env=env, capture_output=True))
+    first, second = runs
+    assert first.returncode in (0, 2) and first.stdout
+    assert (first.returncode, first.stdout, first.stderr) == \
+        (second.returncode, second.stdout, second.stderr)
 
 
 def test_output_replaces_a_longer_existing_file(workdir):

@@ -9,7 +9,7 @@ from tdx import (
     Instance,
     KeyNullViolation,
     Lit,
-    PointNull,
+    Null,
     SchemaError,
     Success,
     Var,
@@ -133,7 +133,7 @@ def test_context_preservation():
     hom = find_abstract_hom(a, b)
     assert hom is not None
     for src, dst in hom.items():
-        if isinstance(dst, PointNull):
+        if isinstance(dst, Null):
             assert dst.context == src.context
 
 
@@ -187,8 +187,8 @@ def test_agrees_with_brute_force_on_random_instances(example1, fig1):
         if len(out.facts) > 12:
             continue
         renamed = apply_abstract_hom(
-            {v: PointNull(v.label + "_r", v.context)
-             for f in out.facts for v in f.values if isinstance(v, PointNull)}, out)
+            {v: Null(v.label + "_r", v.context)
+             for f in out.facts for v in f.values if isinstance(v, Null)}, out)
         for a, b in [(out, renamed), (renamed, out)]:
             assert (find_abstract_hom(a, b) is not None) == brute_force_hom_exists(a, b)
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -136,6 +137,16 @@ def test_rule_with_an_empty_left_hand_side_is_a_violation():
         ("empty-side", "rule #0: the left-hand side has no atoms")]
     bare = Mapping((a,), (b,), (SttTgd((), (), frozenset()),), (), ())
     assert [v.code for v in validate_mapping(bare)] == ["empty-side"]
+
+
+def test_query_with_an_empty_disjunct_is_a_violation(example1):
+    empty = Ucq("e", (), "t", ((),))
+    m = Mapping(example1.source, example1.target, (), (), (empty,))
+    assert [(v.code, v.message) for v in validate_mapping(m)] == [
+        ("empty-side", "query 'e': disjunct #0 has no atoms")]
+    either = Ucq("e", (), "t", ((Atom("Emp", (Var("n"), Var("p"), Var("c")), "t"),), ()))
+    assert [v.message for v in validate_mapping(replace(m, queries=(either,)))] == [
+        "query 'e': disjunct #1 has no atoms"]
 
 
 def _rule(lhs, rhs, existentials=()):

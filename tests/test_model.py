@@ -8,25 +8,40 @@ from tdx import (
     Fact,
     Instance,
     InvalidHorizonError,
+    Null,
     SchemaError,
     dumps_instance,
     is_complete,
     is_normalized,
+    is_null,
     loads_instance,
     max_finite_endpoint,
     normalize_instance,
     sem_fact,
     sem_instance,
     validate_instance,
+    value_sort_key,
 )
 
-from helpers import c, fact, inull, iv, pnull, rel
+from helpers import FIXTURES, c, fact, inull, iv, load_fixture_instance, pnull, rel
 from oracles import expand_instance_by_points
 
 
 def test_running_example_instance_is_valid(fig1):
     assert validate_instance(fig1) == []
     assert is_complete(fig1)
+
+
+def test_loaded_nulls_are_annotated_with_their_fact_time():
+    seen = set()
+    for path in sorted(FIXTURES.glob("*.json")):
+        inst = load_fixture_instance(path.name)
+        for f in inst.facts:
+            for v in f.values:
+                if is_null(v):
+                    assert type(v) is Null and v.context == f.time, (path.name, str(f))
+                    seen.add(inst.kind)
+    assert seen == {"concrete", "abstract"}
 
 
 def test_context_mismatch_is_reported():
@@ -45,6 +60,14 @@ def test_kind_violations_are_reported():
     concrete_with_point_null = Instance.concrete(
         [emp], [fact("Emp", "Ada", pnull("N", 8), "IBM", time=iv(8, 10))])
     assert [v.code for v in validate_instance(concrete_with_point_null)] == ["kind-violation"]
+
+
+def test_value_sort_key_is_total_over_mixed_kinds():
+    values = [Null("N", iv(0, 2)), Null("N", 3), c("N"), iv(0, INF), iv(0, 2), 3, 0, Null("M", 9)]
+    assert sorted(values, key=value_sort_key) == [
+        0, 3, iv(0, 2), iv(0, INF), c("N"), Null("M", 9), Null("N", 3), Null("N", iv(0, 2))]
+    with pytest.raises(TypeError):
+        value_sort_key(True)
 
 
 def test_arity_and_unknown_relation_violations():
@@ -80,6 +103,13 @@ def test_sem_fact_expansion():
         fact("Employee1", "Ada", "Intel", time=2014),
         fact("Employee1", "Ada", "Intel", time=2015),
     }
+
+
+def test_sem_fact_rejects_a_mis_annotated_null():
+    for null in (inull("N", 10, 12), pnull("N", 8)):
+        f = fact("Emp", "Ada", null, "IBM", time=iv(8, 10))
+        with pytest.raises(SchemaError, match="is not annotated with the fact's interval"):
+            sem_fact(f, 13)
 
 
 def test_sem_fact_cardinality():
@@ -191,6 +221,7 @@ def test_loader_rejects_malformed_documents():
         with_fact({"values": [3], "interval": {"start": 0, "end": 2}}),  # bad value
         with_fact({"values": ["x"], "interval": {"start": 2, "end": 2}}),  # empty interval
         with_fact({"values": ["x"], "interval": {"start": "inf", "end": 3}}),  # inf start
+        with_fact({"values": ["x"], "interval": {"start": 0, "end": 1e999}}),  # a float end equal to INF
         with_fact({"values": [{"null": "N", "extra": 1}], "interval": {"start": 0, "end": 2}}),
     ]
     for doc in bad_documents:

@@ -61,6 +61,15 @@ def test_naive_eval_requires_normalized_concrete_input(example1):
         naive_eval(positions_query(example1), inst)
 
 
+def test_an_empty_disjunct_is_a_precondition_error(fig1, fig2, example1):
+    empty = Ucq("e", (), "t", ((),))
+    with pytest.raises(PreconditionError, match="query 'e': disjunct #0 has no atoms"):
+        naive_eval(empty, Instance.concrete(example1.target, []))
+    for src in (fig1, fig2):
+        with pytest.raises(PreconditionError, match="disjunct #0 has no atoms"):
+            certain(empty, src, example1)
+
+
 def test_naive_eval_union_of_disjuncts(example1):
     q = Ucq("either", ("n",), "t", (
         (Atom("Emp", (Var("n"), Var("p"), Var("c")), "t"),),

@@ -1,18 +1,20 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from tdx import INF, ClopenInterval, Infinity, build_grid, interval_contains, split_interval
+from tdx import INF, ClopenInterval, build_grid, interval_contains, split_interval
 
 from helpers import iv
 from oracles import interval_point_set
 
 
-def test_infinity_is_a_singleton_and_orders_above_every_natural():
-    assert Infinity() is INF
+def test_infinity_is_math_inf_and_orders_above_every_natural():
+    assert INF == math.inf
     assert 0 < INF and 10**9 < INF
     assert INF > 5 and not INF < 5
     assert not INF < INF and INF <= INF and INF >= 5
-    assert INF != 5 and INF == Infinity()
+    assert INF != 5
 
 
 def test_interval_validation():
@@ -97,3 +99,8 @@ def test_splitting_already_split_intervals_is_the_identity(ivs):
     pieces = [p for interval in ivs for p in split_interval(interval, grid)]
     for piece in pieces:
         assert split_interval(piece, grid) == [piece]
+
+
+@given(st.lists(intervals, max_size=12))
+def test_intervals_sort_by_start_then_end_with_inf_last(ivs):
+    assert sorted(ivs) == sorted(ivs, key=lambda i: (i.start, i.end == INF, i.end))
