@@ -41,9 +41,9 @@ EXIT_NOT_EQUIVALENT = 3
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """The text of a file or stdin, without a leading byte-order mark."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    return text.removeprefix("\ufeff")
 
 
 def _write_text(path: str, text: str) -> None:

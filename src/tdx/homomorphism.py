@@ -1,4 +1,4 @@
-"""Formula-homomorphism enumeration and abstract-homomorphism search.
+"""Formula homomorphisms and abstract homomorphisms, found by one join.
 
 A *formula homomorphism* binds the variables of a conjunction of atoms so
 that every atom instantiates to a fact of the instance; the shared temporal
@@ -9,10 +9,15 @@ An *abstract homomorphism* maps one abstract instance into another: constants
 and time points are fixed, and each null may go to a constant or to a null
 annotated with the same time point.  Existence in both directions is the
 equivalence used to compare chase results across the two views.
+
+Both are found by one search (Chandra and Merlin: a homomorphism from an
+instance is an answer to that instance read as a conjunctive query).  Atoms
+and facts compile to patterns, a planner orders them most bound first with
+an index per pattern, and one stack walker yields the matching bindings.
 """
 from __future__ import annotations
 
-from typing import Mapping as TMapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
 
 from .errors import SchemaError
 from .mapping_lang import Atom, Lit
@@ -23,7 +28,6 @@ from .model import (
     Instance,
     Null,
     Value,
-    fact_sort_key,
     value_sort_key,
 )
 
@@ -33,92 +37,132 @@ AbstractHom = dict[Null, Value]
 
 def instantiate_atom(atom: Atom, binding: TMapping[str, object]) -> Fact:
     """Apply a total binding to one atom, producing a fact."""
-    values = []
-    for term in atom.args:
-        if isinstance(term, Lit):
-            values.append(Constant(term.value))
-        else:
-            values.append(binding[term.name])
-    return Fact(atom.relation, tuple(values), binding[atom.time_var])
+    values = tuple(Constant(t.value) if isinstance(t, Lit) else binding[t.name] for t in atom.args)
+    return Fact(atom.relation, values, binding[atom.time_var])
 
 
-def _match_atom(atom: Atom, fact: Fact, binding: Binding) -> Optional[Binding]:
-    ext = dict(binding)
-    for term, value in zip(atom.args, fact.values):
-        if isinstance(term, Lit):
-            if value != Constant(term.value):
-                return None
-        else:
-            bound = ext.get(term.name)
-            if bound is None:
-                ext[term.name] = value
-            elif bound != value:
-                return None
-    bound = ext.get(atom.time_var)
-    if bound is None:
-        ext[atom.time_var] = fact.time
-    elif bound != fact.time:
-        return None
-    return ext
+# An atom or a fact compiled for matching: its relation, then one slot per
+# value position and one for time.  A ``str`` slot names a variable; any other
+# slot is the value a fact must hold there.
+_Pattern = tuple[str, tuple[object, ...]]
+
+
+def _compile(atom: Atom) -> _Pattern:
+    return atom.relation, (*(Constant(t.value) if isinstance(t, Lit) else t.name
+                             for t in atom.args), atom.time_var)
 
 
 class _Step(NamedTuple):
-    """One atom of a join plan and how its candidate facts are found."""
+    """One pattern of a join plan: the index its candidate facts come from,
+    looked up by the probe, and the variables a candidate then binds."""
 
-    atom: Atom
-    probe: tuple[object, ...]  # per indexed position: its constant or its variable name
-    index: Optional[dict[tuple, list[Fact]]]  # None: scan the whole relation
+    index: dict[tuple, Sequence[Fact]]
+    probe: tuple[object, ...]  # the slot at each indexed position
+    free: tuple[tuple[int, str], ...]  # (position, variable) at every other position
 
 
-def _join_plan(atoms: Sequence[Atom], inst: Instance, bound: set[str]) -> list[_Step]:
-    """Order the atoms greedily, most bound positions first; ties keep body order.
+def _match_atom(step: _Step, fact: Fact, binding: Binding) -> Optional[Binding]:
+    """Extend ``binding`` by the step's free variables as ``fact`` holds them.  The
+    index already matched every bound position, so only a repeated variable can fail."""
+    ext = dict(binding)
+    row = (*fact.values, fact.time)
+    for p, name in step.free:
+        bound = ext.get(name)
+        if bound is None:
+            ext[name] = row[p]
+        elif bound != row[p]:
+            return None
+    return ext
 
-    A position is bound when it holds a literal or a variable bound by
-    ``bound`` or by an earlier atom (the temporal slot, index ``arity``,
-    counts like any other).  An atom with a bound position gets an index of
-    its relation keyed by the values there, shared by atoms with the same
-    relation and bound positions; an atom with none scans its relation.
+
+def _most_bound_first(patterns: Sequence[_Pattern], bound: set[str]) -> list[int]:
+    """Order the patterns greedily, most bound positions first; ties keep body order.
+
+    A position is bound when its slot is a fixed value or a variable bound
+    by ``bound`` or by an earlier pattern.
     """
-    # the variable at each position, the temporal slot last; None for a literal
-    names = [[None if isinstance(t, Lit) else t.name for t in a.args] + [a.time_var] for a in atoms]
-    score = [slots.count(None) for slots in names]
+    if len(patterns) < 2:
+        return list(range(len(patterns)))
+    names = [[s for s in slots if s.__class__ is str] for _, slots in patterns]
+    score = [len(slots) - len(vs) + sum(v in bound for v in vs)
+             for (_, slots), vs in zip(patterns, names)]
     users: dict[str, list[int]] = {}
-    for i, slots in enumerate(names):
-        for name in slots:
-            if name is not None:
-                users.setdefault(name, []).append(i)
-                score[i] += name in bound
+    for i, vs in enumerate(names):
+        for v in vs:
+            users.setdefault(v, []).append(i)
     bound = set(bound)
-    indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Fact]]] = {}
-    remaining = list(range(len(atoms)))
-    plan = []
+    remaining = list(range(len(patterns)))
+    order = []
     while remaining:
         i = max(remaining, key=score.__getitem__)
         remaining.remove(i)
-        atom, slots = atoms[i], names[i]
-        keyed = tuple(p for p, name in enumerate(slots) if name is None or name in bound)
-        index = None
-        if keyed:
-            index = indexes.get((atom.relation, keyed))
-            if index is None:
-                index = indexes[atom.relation, keyed] = {}
-                for fact in inst.relation_facts(atom.relation):
-                    row = (*fact.values, fact.time)
-                    index.setdefault(tuple(row[p] for p in keyed), []).append(fact)
-        probe = tuple(Constant(atom.args[p].value) if slots[p] is None else slots[p] for p in keyed)
-        plan.append(_Step(atom, probe, index))
-        for name in slots:
-            if name is not None and name not in bound:
-                bound.add(name)
-                for j in users[name]:
+        order.append(i)
+        for v in names[i]:
+            if v not in bound:
+                bound.add(v)
+                for j in users[v]:
                     score[j] += 1
+    return order
+
+
+def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
+               indexes: dict[tuple[str, tuple[int, ...]], dict]) -> list[_Step]:
+    """Plan the patterns most bound first, each with an index of its relation.
+
+    The index is keyed by the values at the pattern's bound positions (with
+    none, it holds the whole relation under the empty key).  ``indexes``
+    keeps them by relation and positions, so one search shares them.
+    """
+    plan = []
+    bound = set(bound)
+    for i in _most_bound_first(patterns, bound):
+        relation, slots = patterns[i]
+        keyed, free = [], []
+        for p, s in enumerate(slots):
+            if s.__class__ is str and s not in bound:
+                free.append((p, s))
+            else:
+                keyed.append(p)
+        keyed, free = tuple(keyed), tuple(free)
+        index = indexes.get((relation, keyed))
+        if index is None and not keyed:
+            index = indexes[relation, keyed] = {(): inst.relation_facts(relation)}
+        elif index is None:
+            index = indexes[relation, keyed] = {}
+            for fact in inst.relation_facts(relation):
+                row = (*fact.values, fact.time)
+                index.setdefault(tuple([row[p] for p in keyed]), []).append(fact)
+        plan.append(_Step(index, tuple([slots[p] for p in keyed]), free))
+        bound.update([name for _, name in free])
     return plan
 
 
-def _candidates(step: _Step, inst: Instance, binding: Binding) -> Sequence[Fact]:
-    if step.index is None:
-        return inst.relation_facts(step.atom.relation)
-    return step.index.get(tuple(binding[t] if isinstance(t, str) else t for t in step.probe), ())
+def _candidates(step: _Step, binding: Binding) -> Sequence[Fact]:
+    return step.index.get(tuple([binding[s] if s.__class__ is str else s for s in step.probe]), ())
+
+
+def _walk(plan: Sequence[_Step], start: Binding) -> Iterator[Binding]:
+    """Every extension of ``start`` that matches the whole plan, depth first
+    with an explicit stack, candidates in index order."""
+    if not plan:
+        yield start
+        return
+    last = len(plan) - 1
+    stack = [(0, start, iter(_candidates(plan[0], start)))]
+    while stack:
+        depth, binding, facts = stack[-1]
+        step = plan[depth]
+        for fact in facts:
+            ext = _match_atom(step, fact, binding)
+            if ext is None:
+                continue
+            if depth == last:
+                yield ext
+            else:
+                stack.append((depth + 1, ext, iter(_candidates(plan[depth + 1], ext))))
+                break
+        else:
+            stack.pop()
 
 
 def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
@@ -143,88 +187,10 @@ def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
             raise SchemaError(f"relation {atom.relation!r} expects {schema.arity} value "
                               f"arguments, got {len(atom.args)}")
     start: Binding = dict(initial or {})
-    plan = _join_plan(atoms, inst, {v for v, value in start.items() if value is not None})
-    if not plan:
-        return [start]
-    results: list[Binding] = []
-    last = len(plan) - 1
-    stack = [(0, start, iter(_candidates(plan[0], inst, start)))]
-    while stack:
-        depth, binding, facts = stack[-1]
-        atom = plan[depth].atom
-        for fact in facts:
-            ext = _match_atom(atom, fact, binding)
-            if ext is None:
-                continue
-            if depth == last:
-                results.append(ext)
-            else:
-                stack.append((depth + 1, ext, iter(_candidates(plan[depth + 1], inst, ext))))
-                break
-        else:
-            stack.pop()
+    bound = {v for v, value in start.items() if value is not None}
+    results = list(_walk(_join_plan([_compile(a) for a in atoms], inst, bound, {}), start))
     results.sort(key=lambda b: tuple(value_sort_key(b[v]) for v in sorted(b)))
     return results
-
-
-def _check_same_abstract(a: Instance, b: Instance) -> None:
-    if a.kind != ABSTRACT or b.kind != ABSTRACT:
-        raise ValueError("abstract instances are required")
-    if a.schema != b.schema:
-        raise SchemaError("instances must share a schema")
-
-
-def _try_image(f: Fact, g: Fact, assignment: AbstractHom) -> Optional[list[Null]]:
-    """Try mapping fact ``f`` onto ``g``; mutates ``assignment`` on success."""
-    if len(f.values) != len(g.values):
-        return None
-    newly: list[Null] = []
-    for v, w in zip(f.values, g.values):
-        if isinstance(v, Constant):
-            if v == w:
-                continue
-        else:
-            bound = assignment.get(v)
-            if bound is None:
-                if isinstance(w, Constant) or (isinstance(w, Null) and w.context == v.context):
-                    assignment[v] = w
-                    newly.append(v)
-                    continue
-            elif bound == w:
-                continue
-        for n in newly:
-            del assignment[n]
-        return None
-    return newly
-
-
-def _search_component(facts: Sequence[Fact], index: dict, assignment: AbstractHom) -> bool:
-    """Backtracking over one group of facts; extends ``assignment`` in place."""
-    trail: list[tuple[int, list[Null]]] = []
-    depth, start = 0, 0
-    while depth < len(facts):
-        f = facts[depth]
-        candidates = index.get((f.relation, f.time), [])
-        pos = start
-        newly = None
-        while pos < len(candidates):
-            newly = _try_image(f, candidates[pos], assignment)
-            if newly is not None:
-                break
-            pos += 1
-        if newly is None:
-            if not trail:
-                return False
-            pos_prev, newly_prev = trail.pop()
-            for n in newly_prev:
-                del assignment[n]
-            depth -= 1
-            start = pos_prev + 1
-        else:
-            trail.append((pos, newly))
-            depth += 1
-            start = 0
-    return True
 
 
 def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
@@ -232,17 +198,20 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
 
     Facts interact only through shared nulls, so the search runs per connected
     component of the shared-null graph; a fact without nulls must itself occur
-    in ``b``.  Within a component it backtracks over the facts in canonical
-    order, trying candidate images in canonical order, which makes the result
-    the canonically first assignment (component choices are independent).
-    Returns None when no homomorphism exists.
-    """
-    _check_same_abstract(a, b)
-    b_facts = b.facts
-    index: dict[tuple[str, object], list[Fact]] = {}
-    for g in b.sorted_facts:
-        index.setdefault((g.relation, g.time), []).append(g)
+    in ``b``.  A component lies at one time point, so it is a conjunctive
+    query over ``b``: each fact is a pattern with its constants and time
+    fixed and each null's label as a variable.  It runs on the same join as
+    ``enumerate_formula_homs``, with one index cache for the whole search,
+    and the component's assignment is the first binding in the join's
+    deterministic plan.  Returns None when no homomorphism exists.
 
+    Raises SchemaError if a null of ``a`` is not annotated with its fact's
+    time point, or a null it maps to in ``b`` is annotated with another.
+    """
+    if a.kind != ABSTRACT or b.kind != ABSTRACT:
+        raise ValueError("abstract instances are required")
+    if a.schema != b.schema:
+        raise SchemaError("instances must share a schema")
     parent: dict[Null, Null] = {}
 
     def find(n: Null) -> Null:
@@ -251,29 +220,41 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
             n = parent[n]
         return n
 
-    components: dict[Null, list[Fact]] = {}
-    assignment: AbstractHom = {}
+    firsts: list[tuple[Fact, Null]] = []
     for f in a.sorted_facts:
         nulls = [v for v in f.values if isinstance(v, Null)]
         if not nulls:
-            if f not in b_facts:  # constants are fixed, so the image is f itself
+            if f not in b.facts:  # constants are fixed, so the image is f itself
                 return None
             continue
         for n in nulls:
+            if n.context != f.time:
+                raise SchemaError(f"{f}: null {n} is not annotated with the fact's time point")
             parent.setdefault(n, n)
         first = find(nulls[0])
         for n in nulls[1:]:
             parent[find(n)] = first
-        components.setdefault(first, []).append(f)
+        firsts.append((f, first))
 
-    merged: dict[Null, list[Fact]] = {}
-    for root, facts in components.items():
-        merged.setdefault(find(root), []).extend(facts)
-    for facts in merged.values():
-        facts.sort(key=fact_sort_key)
-        if not _search_component(facts, index, assignment):
+    components: dict[Null, list[Fact]] = {}  # each in canonical fact order
+    for f, n in firsts:
+        components.setdefault(find(n), []).append(f)
+    indexes: dict = {}
+    hom: AbstractHom = {}
+    for facts in components.values():
+        patterns = [(f.relation, (*(v.label if isinstance(v, Null) else v for v in f.values), f.time))
+                    for f in facts]
+        binding = next(_walk(_join_plan(patterns, b, set(), indexes), {}), None)
+        if binding is None:
             return None
-    return dict(assignment)
+        for f in facts:
+            for n in f.values:
+                if isinstance(n, Null):
+                    image = hom[n] = binding[n.label]
+                    if isinstance(image, Null) and image.context != n.context:
+                        raise SchemaError(f"null {image} in a fact at time {n.context} is not "
+                                          f"annotated with the fact's time point")
+    return hom
 
 
 def apply_abstract_hom(hom: TMapping[Null, Value], inst: Instance) -> Instance:

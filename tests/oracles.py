@@ -2,14 +2,16 @@
 
 These deliberately avoid the package's search and expansion routines: interval
 semantics is recomputed by explicit point enumeration, homomorphism
-existence by exhaustive enumeration of null assignments, and formula
-homomorphisms by a recursive nested loop over whole relations.
+existence by exhaustive enumeration of null assignments and by a
+backtracking scan over every fact at the same relation and time point, and
+formula homomorphisms by a recursive nested loop over whole relations.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Optional, Sequence
 
-from tdx import ClopenInterval, Constant, Fact, Instance, Lit, Null, value_sort_key
+from tdx import ClopenInterval, Constant, Fact, Instance, Lit, Null, fact_sort_key, value_sort_key
 
 
 def interval_point_set(interval: ClopenInterval, horizon: int) -> set[int]:
@@ -126,3 +128,99 @@ def nested_loop_homs(atoms, inst: Instance, initial: dict | None = None) -> list
     extend(0, dict(initial or {}))
     results.sort(key=lambda b: tuple(value_sort_key(b[v]) for v in sorted(b)))
     return results
+
+
+def _try_image(f: Fact, g: Fact, assignment: dict) -> Optional[list[Null]]:
+    """Try mapping fact ``f`` onto ``g``; mutates ``assignment`` on success."""
+    if len(f.values) != len(g.values):
+        return None
+    newly: list[Null] = []
+    for v, w in zip(f.values, g.values):
+        if isinstance(v, Constant):
+            if v == w:
+                continue
+        else:
+            bound = assignment.get(v)
+            if bound is None:
+                if isinstance(w, Constant) or (isinstance(w, Null) and w.context == v.context):
+                    assignment[v] = w
+                    newly.append(v)
+                    continue
+            elif bound == w:
+                continue
+        for n in newly:
+            del assignment[n]
+        return None
+    return newly
+
+
+def _search_component(facts: Sequence[Fact], index: dict, assignment: dict) -> bool:
+    """Backtracking over one group of facts; extends ``assignment`` in place."""
+    trail: list[tuple[int, list[Null]]] = []
+    depth, start = 0, 0
+    while depth < len(facts):
+        f = facts[depth]
+        candidates = index.get((f.relation, f.time), [])
+        pos = start
+        newly = None
+        while pos < len(candidates):
+            newly = _try_image(f, candidates[pos], assignment)
+            if newly is not None:
+                break
+            pos += 1
+        if newly is None:
+            if not trail:
+                return False
+            pos_prev, newly_prev = trail.pop()
+            for n in newly_prev:
+                del assignment[n]
+            depth -= 1
+            start = pos_prev + 1
+        else:
+            trail.append((pos, newly))
+            depth += 1
+            start = 0
+    return True
+
+
+def scan_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
+    """Abstract homomorphism from ``a`` into ``b`` by backtracking per
+    shared-null component, facts and their candidate images (every fact of
+    ``b`` with the same relation and time point) in canonical order, so the
+    result is the canonically first assignment.  None when there is none."""
+    b_facts = b.facts
+    index: dict[tuple[str, object], list[Fact]] = {}
+    for g in b.sorted_facts:
+        index.setdefault((g.relation, g.time), []).append(g)
+
+    parent: dict[Null, Null] = {}
+
+    def find(n: Null) -> Null:
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
+
+    components: dict[Null, list[Fact]] = {}
+    assignment: dict = {}
+    for f in a.sorted_facts:
+        nulls = [v for v in f.values if isinstance(v, Null)]
+        if not nulls:
+            if f not in b_facts:  # constants are fixed, so the image is f itself
+                return None
+            continue
+        for n in nulls:
+            parent.setdefault(n, n)
+        first = find(nulls[0])
+        for n in nulls[1:]:
+            parent[find(n)] = first
+        components.setdefault(first, []).append(f)
+
+    merged: dict[Null, list[Fact]] = {}
+    for root, facts in components.items():
+        merged.setdefault(find(root), []).extend(facts)
+    for facts in merged.values():
+        facts.sort(key=fact_sort_key)
+        if not _search_component(facts, index, assignment):
+            return None
+    return dict(assignment)

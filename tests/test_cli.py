@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -259,3 +260,31 @@ def test_certain_evaluates_a_1200_atom_query_body(workdir, capsys):
     deep = json.loads((workdir / "deep.json").read_text())["relations"]["deep"]
     paid = json.loads((workdir / "paid_positions.json").read_text())["relations"]["paid_positions"]
     assert deep["facts"] == paid["facts"] and deep["facts"]
+
+
+def test_a_leading_byte_order_mark_is_ignored(workdir, capsys, monkeypatch):
+    for name in ("example1.tdx", "fig1.json"):
+        (workdir / f"bom-{name}").write_text("\ufeff" + (workdir / name).read_text(), encoding="utf-8")
+    outputs = []
+    for mapping, source in (("example1.tdx", "fig1.json"), ("bom-example1.tdx", "bom-fig1.json")):
+        out = workdir / f"{source}.out"
+        assert run(workdir, "chase", "-m", f"@{mapping}", "-i", f"@{source}", "-o", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    monkeypatch.setattr(sys, "stdin", io.StringIO((workdir / "bom-fig1.json").read_text(encoding="utf-8")))
+    assert run_cli(["normalize", "-i", "-", "-o", "-"]) == 0
+    assert loads_instance(capsys.readouterr().out) == load_fixture_instance("fig8.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sem", "-i", "@long.json", "-o", "@out.json"),
+    ("equiv", "-a", "@long.json", "-b", "@long.json"),
+])
+def test_sem_beyond_the_fact_limit_is_one_error_line(workdir, capsys, argv):
+    (workdir / "long.json").write_text(
+        '{"kind": "concrete", "relations": {"R": {"attributes": ["a", "t"], "facts": '
+        '[{"values": ["x"], "interval": {"start": 0, "end": 100000000}}]}}}')
+    assert run(workdir, *argv) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: the abstract view up to horizon 100000001 has 100000000 facts, "
+                   f"more than the limit of {tdx.MAX_SEM_FACTS}\n")

@@ -20,14 +20,16 @@ from tdx import (
     hom_equivalent,
     instantiate_atom,
     is_normalized,
+    max_finite_endpoint,
     naive_eval,
     sem_instance,
+    value_sort_key,
 )
 import tdx.homomorphism
 
 from generators import CONSTANTS, random_case
 from helpers import c, fact, iv, pnull, rel
-from oracles import brute_force_hom_exists, nested_loop_homs
+from oracles import brute_force_hom_exists, nested_loop_homs, scan_abstract_hom
 
 JOIN_LHS = [
     Atom("Employee1", (Var("n"), Var("c")), "t"),
@@ -144,6 +146,22 @@ def test_shared_null_forces_consistent_images():
     b_bad = Instance.abstract(schema, [fact("R", "c", "d", time=1)])
     assert find_abstract_hom(a, b_ok) == {pnull("N", 1): c("c")}
     assert find_abstract_hom(a, b_bad) is None
+
+
+def test_a_null_not_annotated_with_its_fact_time_is_a_schema_error():
+    schema = [rel("R", "a")]
+    a = Instance.abstract(schema, [fact("R", pnull("N", 4), time=5)])
+    b = Instance.abstract(schema, [fact("R", "c", time=5)])
+    with pytest.raises(SchemaError, match="not annotated with the fact's time point"):
+        find_abstract_hom(a, b)
+
+
+def test_an_image_null_annotated_with_another_time_is_a_schema_error():
+    schema = [rel("R", "a", "b")]
+    a = Instance.abstract(schema, [fact("R", "c", pnull("N", 5), time=5)])
+    b = Instance.abstract(schema, [fact("R", "c", pnull("M", 4), time=5)])
+    with pytest.raises(SchemaError, match="M\\^4"):
+        find_abstract_hom(a, b)
 
 
 def test_kind_and_schema_preconditions(fig1, fig2, fig4):
@@ -273,7 +291,7 @@ def _careers_like(n, example1):
     return Instance.concrete(example1.source, facts)
 
 
-def _match_calls(inst, query, monkeypatch):
+def _count_matches(run, monkeypatch):
     calls = 0
     match = tdx.homomorphism._match_atom
 
@@ -284,8 +302,12 @@ def _match_calls(inst, query, monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(tdx.homomorphism, "_match_atom", counting)
-        naive_eval(query, inst)
+        run()
     return calls
+
+
+def _match_calls(inst, query, monkeypatch):
+    return _count_matches(lambda: naive_eval(query, inst), monkeypatch)
 
 
 def test_two_atom_query_work_grows_linearly(example1, monkeypatch):
@@ -296,3 +318,60 @@ def test_two_atom_query_work_grows_linearly(example1, monkeypatch):
         assert isinstance(out, Success)
         counts.append(_match_calls(out.instance, query, monkeypatch))
     assert counts[1] <= 5 * counts[0], counts
+
+
+def _chase_pair(n, example1):
+    """The concrete chase result under ``sem`` and the abstract chase result
+    of the same careers-like source."""
+    src = _careers_like(n, example1)
+    horizon = max_finite_endpoint(src) + 1
+    concrete, abstract = chase(src, example1), chase(sem_instance(src, horizon), example1)
+    assert isinstance(concrete, Success) and isinstance(abstract, Success)
+    return sem_instance(concrete.instance, horizon), abstract.instance
+
+
+def _perturbed(rng, inst):
+    """``inst`` with one null grounded to a fresh constant, or one fact dropped."""
+    facts = inst.sorted_facts
+    nulls = sorted({v for f in facts for v in f.values if isinstance(v, Null)}, key=value_sort_key)
+    if rng.random() < 0.5:
+        return apply_abstract_hom({rng.choice(nulls): c("fresh")}, inst)
+    return inst.replace_facts(set(facts) - {rng.choice(facts)})
+
+
+def _with_decoys(rng, inst):
+    """``inst`` plus a copy with each null grounded to its own fresh constant
+    and about half the facts dropped.  Constants sort before nulls, so the
+    search tries the copy's facts first and must back out of those whose
+    partners were dropped."""
+    grounded = apply_abstract_hom({v: c(f"fresh-{v}") for f in inst.facts for v in f.values
+                                   if isinstance(v, Null)}, inst)
+    return inst.replace_facts(inst.facts | {f for f in grounded.sorted_facts if rng.random() < 0.5})
+
+
+def test_hom_search_agrees_with_the_scan(example1):
+    rng = random.Random(6)
+    found = missing = 0
+    for n in (12, 24, 36):
+        jc, ja = _chase_pair(n, example1)
+        pairs = [(jc, ja), (jc, _with_decoys(rng, ja)), (_with_decoys(rng, jc), ja)]
+        for _ in range(4):
+            pairs += [(_perturbed(rng, jc), ja), (jc, _perturbed(rng, ja))]
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                hom = find_abstract_hom(a, b)
+                assert (hom is None) == (scan_abstract_hom(a, b) is None), (n, a, b)
+                if hom is None:
+                    missing += 1
+                else:
+                    found += 1
+                    assert apply_abstract_hom(hom, a).facts <= b.facts
+    assert found >= 15 and missing >= 15, (found, missing)
+
+
+def test_hom_search_work_grows_linearly(example1, monkeypatch):
+    counts = []
+    for n in (6, 24):
+        jc, ja = _chase_pair(n, example1)
+        counts.append(_count_matches(lambda: hom_equivalent(jc, ja), monkeypatch))
+    assert 0 < counts[0] and counts[1] <= 5 * counts[0], counts

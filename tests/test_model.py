@@ -9,6 +9,7 @@ from tdx import (
     Instance,
     InvalidHorizonError,
     Null,
+    PreconditionError,
     SchemaError,
     dumps_instance,
     is_complete,
@@ -22,6 +23,8 @@ from tdx import (
     validate_instance,
     value_sort_key,
 )
+
+import tdx.model
 
 from helpers import FIXTURES, c, fact, inull, iv, load_fixture_instance, pnull, rel
 from oracles import expand_instance_by_points
@@ -130,6 +133,19 @@ def test_sem_instance_checks_the_horizon_on_an_empty_instance():
     with pytest.raises(InvalidHorizonError):
         sem_instance(empty, 9.5)
     assert sem_instance(empty, 9) == Instance.abstract([rel("R", "a")])
+
+
+def test_sem_instance_stops_above_its_fact_limit(monkeypatch):
+    monkeypatch.setattr(tdx.model, "MAX_SEM_FACTS", 5)
+    at_limit = Instance.concrete([rel("R", "a")], [fact("R", "a", time=iv(0, 3)),
+                                                   fact("R", "b", time=iv(1, INF))])
+    assert len(sem_instance(at_limit, 3).facts) == 5
+    with pytest.raises(PreconditionError, match="has 6 facts, more than the limit of 5"):
+        sem_instance(at_limit, 4)
+    too_long = Instance.concrete([rel("R", "a")], [fact("R", "a", time=iv(0, 10**8))])
+    monkeypatch.undo()
+    with pytest.raises(PreconditionError, match="has 100000000 facts"):
+        sem_instance(too_long, 10**8)
 
 
 def test_sem_instance_matches_figures(fig1, fig2, fig3, fig4):
