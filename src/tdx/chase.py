@@ -12,7 +12,8 @@ horizon, and the chase runs on the resulting finite instance.
 Both rounds are parallel: the dependency round is the union of one step per
 rule and left-hand-side binding, and the key round derives a single equality
 closure from every conflicting fact pair before any replacement happens, so
-the outcome does not depend on step order.
+the outcome does not depend on step order.  A key group of k facts reaches
+that closure through k-1 pairs, each member paired with one hub.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .model import (
     RelationSchema,
     Value,
     conform_instance,
+    fact_sort_key,
     is_complete,
     is_normalized,
     is_null,
@@ -210,16 +212,19 @@ def _ordered_pair(x: Value, y: Value) -> tuple[Value, Value]:
     return (x, y) if value_sort_key(x) <= value_sort_key(y) else (y, x)
 
 
+def _check_key(f: Fact, schema: RelationSchema, key_pos: tuple[int, ...]) -> None:
+    for i in key_pos:
+        if is_null(f.values[i]):
+            raise KeyNullViolation(f"{f}: null {f.values[i]} in key position {schema.attributes[i]!r}")
+
+
 def _pair_equalities(u1: Fact, u2: Fact, tkc: Tkc, schema: RelationSchema,
                      key_pos: tuple[int, ...],
                      dep_pos: tuple[int, ...]) -> frozenset[tuple[Value, Value]]:
     if u1.relation != tkc.relation or u2.relation != tkc.relation:
         raise ValueError(f"facts must belong to relation {tkc.relation!r}")
-    for f in (u1, u2):
-        for i in key_pos:
-            if is_null(f.values[i]):
-                raise KeyNullViolation(
-                    f"{f}: null {f.values[i]} in key position {schema.attributes[i]!r}")
+    _check_key(u1, schema, key_pos)
+    _check_key(u2, schema, key_pos)
     if u1.time != u2.time or any(u1.values[i] != u2.values[i] for i in key_pos):
         raise ValueError(f"facts {u1} and {u2} do not agree on the temporal key")
     if u1 == u2:
@@ -236,6 +241,18 @@ def tkc_step(u1: Fact, u2: Fact, tkc: Tkc,
 
 
 def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, Value]]:
+    """The equalities of every key group: the facts of one relation that agree
+    on the time and the key values.
+
+    Each member of a group is paired with one hub, the group's least member
+    by ``fact_sort_key``: that star has the same closure as all k(k-1)/2
+    pairs of the group, in k-1 pairs.  Members of one group share their key
+    values, so a null in a key position is in all of them; the violation
+    reported is the one in the least such hub, whatever the set order.
+    """
+    by_relation: dict[str, list[Fact]] = {}
+    for f in inst.facts:
+        by_relation.setdefault(f.relation, []).append(f)
     equalities: list[tuple[Value, Value]] = []
     for tkc in tkcs:
         schema = inst.schema_by_name.get(tkc.relation)
@@ -243,31 +260,45 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
             raise SchemaError(f"key constraint on unknown relation {tkc.relation!r}")
         key_pos, dep_pos = tkc_positions(tkc, schema)
         groups: dict[tuple, list[Fact]] = {}
-        for f in inst.relation_facts(tkc.relation):
+        for f in by_relation.get(tkc.relation, ()):
             groups.setdefault((f.time, tuple(f.values[i] for i in key_pos)), []).append(f)
+        null_keys = []
         for group in groups.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    equalities.extend(
-                        _pair_equalities(group[i], group[j], tkc, schema, key_pos, dep_pos))
+            if len(group) < 2:
+                continue
+            hub = min(group, key=fact_sort_key)
+            if any(is_null(hub.values[i]) for i in key_pos):
+                null_keys.append(hub)
+                continue
+            for f in group:
+                if f is not hub:
+                    equalities.extend(_pair_equalities(hub, f, tkc, schema, key_pos, dep_pos))
+        if null_keys:
+            _check_key(min(null_keys, key=fact_sort_key), schema, key_pos)
     return equalities
 
 
 def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]) -> ChaseOutcome:
     """All replacements are applied simultaneously from the closure's final
-    representatives; a merge of two distinct constants aborts with a witness."""
+    representatives; a merge of two distinct constants aborts with a witness.
+    Only facts holding a replaced value are rebuilt, and with none the
+    instance itself is the result."""
     closure = EqClosure()
     for x, y in sorted(set(equalities), key=lambda p: (value_sort_key(p[0]), value_sort_key(p[1]))):
         conflict = closure.merge(x, y)
         if conflict is not None:
             c1, c2 = conflict
             return Failure((c1.symbol, c2.symbol), closure.trace(c1, c2))
-    reps = closure.representatives()
-    facts = {
-        Fact(f.relation, tuple(reps.get(v, v) for v in f.values), f.time)
-        for f in inst.facts
-    }
-    return Success(inst.replace_facts(facts))
+    reps = {v: rep for v, rep in closure.representatives().items() if v != rep}
+    if not reps:
+        return Success(inst)
+    # A class's constant represents it, so only nulls are replaced; their
+    # labels, which hash in C, pick out the facts that may hold one.
+    labels = {v.label for v in reps}
+    replaced = [f for f in inst.facts
+                if any(isinstance(v, Null) and v.label in labels for v in f.values)]
+    rebuilt = {Fact(f.relation, tuple(reps.get(v, v) for v in f.values), f.time) for f in replaced}
+    return Success(inst.replace_facts(inst.facts.difference(replaced) | rebuilt))
 
 
 def _require(inst: Instance, kind: str, what: str, *, complete: bool) -> None:

@@ -26,7 +26,6 @@ from .model import (
     Value,
     _time_json,
     dumps_instance,
-    instance_to_json,
     loads_instance,
     max_finite_endpoint,
     normalize_instance,
@@ -112,9 +111,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 def _cmd_sem(args: argparse.Namespace) -> int:
     inst = _load_instance(args.input, CONCRETE)
     horizon = _pick_horizon(args.horizon, inst)
-    doc = instance_to_json(sem_instance(inst, horizon))
-    doc["horizon"] = horizon
-    _write_text(args.output, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_text(args.output, dumps_instance(sem_instance(inst, horizon), horizon))
     return EXIT_OK
 
 

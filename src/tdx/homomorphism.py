@@ -17,7 +17,7 @@ an index per pattern, and one stack walker yields the matching bindings.
 """
 from __future__ import annotations
 
-from typing import Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
 
 from .errors import SchemaError
 from .mapping_lang import Atom, Lit
@@ -105,6 +105,18 @@ def _most_bound_first(patterns: Sequence[_Pattern], bound: set[str]) -> list[int
     return order
 
 
+def _check_arity(facts: Iterable[Fact], inst: Instance) -> None:
+    """Raise SchemaError for a fact whose relation ``inst`` does not declare or
+    whose values do not fill it: patterns and facts are matched by position."""
+    arity = {r.name: r.arity for r in inst.schema}
+    for fact in facts:
+        if arity.get(fact.relation) != len(fact.values):
+            if fact.relation not in arity:
+                raise SchemaError(f"{fact}: relation {fact.relation!r} is not in the schema")
+            raise SchemaError(f"{fact}: relation {fact.relation!r} expects {arity[fact.relation]} "
+                              f"values, got {len(fact.values)}")
+
+
 def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
                indexes: dict[tuple[str, tuple[int, ...]], dict]) -> list[_Step]:
     """Plan the patterns most bound first, each with an index of its relation.
@@ -125,13 +137,17 @@ def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
                 keyed.append(p)
         keyed, free = tuple(keyed), tuple(free)
         index = indexes.get((relation, keyed))
-        if index is None and not keyed:
-            index = indexes[relation, keyed] = {(): inst.relation_facts(relation)}
-        elif index is None:
-            index = indexes[relation, keyed] = {}
-            for fact in inst.relation_facts(relation):
-                row = (*fact.values, fact.time)
-                index.setdefault(tuple([row[p] for p in keyed]), []).append(fact)
+        if index is None:
+            facts = inst.relation_facts(relation)
+            _check_arity(facts, inst)
+            if keyed:
+                index = {}
+                for fact in facts:
+                    row = (*fact.values, fact.time)
+                    index.setdefault(tuple([row[p] for p in keyed]), []).append(fact)
+            else:
+                index = {(): facts}
+            indexes[relation, keyed] = index
         plan.append(_Step(index, tuple([slots[p] for p in keyed]), free))
         bound.update([name for _, name in free])
     return plan
@@ -177,7 +193,9 @@ def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
     plan is walked with an explicit stack, so body length is not bounded by
     the recursion limit.  The result is sorted by the bound values (variables
     in name order), so the enumeration order is deterministic.  ``initial``
-    seeds a partial binding.
+    seeds a partial binding.  Raises SchemaError for an atom that does not
+    fill a relation of the schema, and for such a fact of a relation the
+    body reads.
     """
     for atom in atoms:
         schema = inst.schema_by_name.get(atom.relation)
@@ -205,8 +223,10 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     and the component's assignment is the first binding in the join's
     deterministic plan.  Returns None when no homomorphism exists.
 
-    Raises SchemaError if a null of ``a`` is not annotated with its fact's
-    time point, or a null it maps to in ``b`` is annotated with another.
+    Raises SchemaError if a fact of ``a``, or of a relation of ``b`` that the
+    search reads, does not fill a relation of the schema, if a null of ``a``
+    is not annotated with its fact's time point, or if a null it maps to in
+    ``b`` is annotated with another.
     """
     if a.kind != ABSTRACT or b.kind != ABSTRACT:
         raise ValueError("abstract instances are required")
@@ -220,6 +240,7 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
             n = parent[n]
         return n
 
+    _check_arity(a.facts, a)
     firsts: list[tuple[Fact, Null]] = []
     for f in a.sorted_facts:
         nulls = [v for v in f.values if isinstance(v, Null)]

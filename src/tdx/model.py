@@ -12,11 +12,17 @@ up to an explicit finite horizon (abstract views of unbounded intervals are
 infinite, so materialization must be bounded).  ``normalize_instance``
 rewrites a concrete instance so that any two intervals across all relations
 are either equal or disjoint.
+
+An instance is a set of facts; canonical order (``fact_sort_key``) is a cost
+paid where order shows.  ``dumps_instance``, the one writer of instance text,
+sorts each relation's facts as it writes them, and ``sorted_facts`` /
+``relation_facts`` sort once per instance for readers that need an order.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _encode
 from functools import cached_property
 from typing import Iterable, Union
 
@@ -248,8 +254,8 @@ def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
 
 # The most abstract facts one ``sem_instance`` materializes.  Measured with
 # tracemalloc (Python 3.11, facts of three values, one a null), an abstract
-# fact takes about 0.36 KB, and about 1.7 KB at the peak of ``tdx sem``, which
-# also builds the JSON text: 250,000 x 1.7 KB is about 0.43 GB.
+# fact takes about 0.36 KB, and about 1.4 KB at the peak of ``tdx sem``, which
+# also builds the JSON text: 250,000 x 1.4 KB is about 0.35 GB.
 MAX_SEM_FACTS = 250_000
 
 
@@ -267,7 +273,7 @@ def sem_instance(inst: Instance, horizon: int) -> Instance:
         raise PreconditionError(f"the abstract view up to horizon {horizon} has {count} facts, "
                                 f"more than the limit of {MAX_SEM_FACTS}")
     facts: set[Fact] = set()
-    for f in inst.sorted_facts:
+    for f in inst.facts:
         facts |= sem_fact(f, horizon)
     return Instance(ABSTRACT, inst.schema, frozenset(facts))
 
@@ -421,9 +427,73 @@ def instance_from_json(doc: object) -> Instance:
     return Instance(kind, tuple(schemas), frozenset(facts))
 
 
-def dumps_instance(inst: Instance) -> str:
-    """Canonical, newline-terminated JSON text; byte-deterministic."""
-    return json.dumps(instance_to_json(inst), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+def _list_text(items: list[str], indent: str) -> str:
+    """A JSON array of rendered items, laid out as ``json.dumps(indent=2)`` does."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
+    """Canonical, newline-terminated JSON text; byte-deterministic.
+
+    The text is ``json.dumps(doc, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\\n"`` of ``doc = instance_to_json(inst)``, with a
+    top-level ``"horizon"`` member when ``horizon`` is given.  It is written
+    directly from the instance: each relation's facts are sorted here, in
+    ``fact_sort_key`` order, strings are escaped by the json module's C
+    encoder, and each distinct time and null label is rendered once per call.
+    """
+    times: dict[object, tuple[tuple, str]] = {}  # by endpoints, which hash in C
+
+    def time_entry(t: TimeValue) -> tuple[tuple, str]:
+        """The time's sort key and the text of its members in a fact object."""
+        key = (t.start, t.end) if isinstance(t, ClopenInterval) else t
+        entry = times.get(key)
+        if entry is None:
+            if isinstance(t, ClopenInterval):
+                end = int.__repr__(t.end) if isinstance(t.end, int) else '"inf"'
+                text = (f'"interval": {{\n            "end": {end},\n'
+                        f'            "start": {int.__repr__(t.start)}\n          }}')
+            else:
+                text = f'"time": {int.__repr__(t)}'
+            entry = times[key] = (value_sort_key(t), text)
+        return entry
+
+    nulls: dict[str, str] = {}
+    rows: dict[str, list[tuple[tuple, str]]] = {r.name: [] for r in inst.schema}
+    for f in inst.facts:
+        out = rows.get(f.relation)
+        if out is None:
+            continue
+        # One flat sort key: each part starts with its kind, which fixes the
+        # part's length, so it orders like fact_sort_key within a relation.
+        key: list = []
+        texts = []
+        for v in f.values:
+            if isinstance(v, Constant):
+                key += (2, v.symbol)
+                texts.append(_encode(v.symbol))
+            else:
+                key += (3, v.label, time_entry(v.context)[0])
+                text = nulls.get(v.label)
+                if text is None:
+                    text = nulls[v.label] = '{\n              "null": ' + _encode(v.label) + "\n            }"
+                texts.append(text)
+        time_key, time_text = time_entry(f.time)
+        key += time_key
+        out.append((tuple(key), "{\n          " + time_text + ',\n          "values": '
+                    + _list_text(texts, "          ") + "\n        }"))
+    relations = []
+    for schema in inst.schema:
+        facts = _list_text([text for _, text in sorted(rows[schema.name])], "      ")
+        attributes = _list_text([_encode(a) for a in schema.all_attributes], "      ")
+        relations.append(f'    {_encode(schema.name)}: {{\n      "attributes": {attributes},\n'
+                         f'      "facts": {facts}\n    }}')
+    head = "{\n" if horizon is None else f'{{\n  "horizon": {int.__repr__(horizon)},\n'
+    body = "{\n" + ",\n".join(relations) + "\n  }" if relations else "{}"
+    return f'{head}  "kind": {_encode(inst.kind)},\n  "relations": {body}\n}}\n'
 
 
 def loads_instance(text: str) -> Instance:

@@ -3,15 +3,56 @@
 These deliberately avoid the package's search and expansion routines: interval
 semantics is recomputed by explicit point enumeration, homomorphism
 existence by exhaustive enumeration of null assignments and by a
-backtracking scan over every fact at the same relation and time point, and
-formula homomorphisms by a recursive nested loop over whole relations.
+backtracking scan over every fact at the same relation and time point,
+formula homomorphisms by a recursive nested loop over whole relations, the
+key round's equalities from every pair of every key group, and the
+canonical instance text by the json module's own encoder.
 """
 from __future__ import annotations
 
 import itertools
+import json
 from typing import Optional, Sequence
 
-from tdx import ClopenInterval, Constant, Fact, Instance, Lit, Null, fact_sort_key, value_sort_key
+from tdx import (
+    ClopenInterval,
+    Constant,
+    Fact,
+    Instance,
+    Lit,
+    Null,
+    fact_sort_key,
+    instance_to_json,
+    value_sort_key,
+)
+from tdx.chase import _pair_equalities, tkc_positions
+
+
+def json_dumps_instance(inst: Instance, horizon: int | None = None) -> str:
+    """The canonical text of ``inst`` (plus a ``"horizon"`` member, if given)
+    as the json module writes it: what ``dumps_instance`` must return."""
+    doc = instance_to_json(inst)
+    if horizon is not None:
+        doc["horizon"] = horizon
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def pairwise_round_equalities(inst: Instance, tkcs) -> list:
+    """The key round's equalities from all k(k-1)/2 pairs of each key group,
+    groups and pairs in canonical fact order."""
+    equalities = []
+    for tkc in tkcs:
+        schema = inst.schema_by_name[tkc.relation]
+        key_pos, dep_pos = tkc_positions(tkc, schema)
+        groups: dict[tuple, list[Fact]] = {}
+        for f in inst.relation_facts(tkc.relation):
+            groups.setdefault((f.time, tuple(f.values[i] for i in key_pos)), []).append(f)
+        for group in groups.values():
+            for i in range(len(group)):
+                for j in range(i + 1, len(group)):
+                    equalities.extend(
+                        _pair_equalities(group[i], group[j], tkc, schema, key_pos, dep_pos))
+    return equalities
 
 
 def interval_point_set(interval: ClopenInterval, horizon: int) -> set[int]:

@@ -1,14 +1,21 @@
+import importlib
+import random
+import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from tdx import (
+    INF,
     Atom,
     EqClosure,
+    Fact,
     Failure,
     Instance,
     KeyNullViolation,
     Lit,
+    Null,
     NullCounter,
     PreconditionError,
     SchemaError,
@@ -27,10 +34,13 @@ from tdx import (
     tkc_step,
     validate_instance,
 )
+from tdx.chase import _close_and_replace, _round_equalities
 
 from helpers import c, fact, inull, iv, rel
+from oracles import pairwise_round_equalities
 
 HORIZON = 13
+chase_module = importlib.import_module("tdx.chase")  # the package's ``chase`` is the function
 
 
 def test_st_step_shares_the_fresh_null_across_atoms(fig8, example1):
@@ -281,3 +291,76 @@ def test_eqclosure_mixed_contexts_join_only_through_constants():
     assert reps[early] == reps[late] == c("k")
     # without a constant, classes never mix contexts: equalities only arise
     # between values of facts sharing one interval
+
+
+def _random_key_groups(rng, kind):
+    """Key groups of R(k, d1, d2) keyed on k and the time: one to six members
+    each, dependents drawn from three constants and six null labels (shared
+    across groups of one time), and now and then a null key."""
+    times = [iv(0, 3), iv(3, INF)] if kind == "concrete" else [0, 1]
+    facts = set()
+    for _ in range(rng.randint(1, 4)):
+        time = rng.choice(times)
+        key = Null("K", time) if rng.random() < 0.05 else c(rng.choice("ab"))
+
+        def dependent():
+            return c(rng.choice("xyz")) if rng.random() < 0.3 else Null(f"N{rng.randint(1, 6)}", time)
+
+        for _ in range(rng.randint(1, 6)):
+            facts.add(Fact("R", (key, dependent(), dependent()), time))
+    return Instance(kind, (rel("R", "k", "d1", "d2"),), frozenset(facts))
+
+
+def _assert_witness(failure, equalities):
+    """Two distinct constants joined by a chain of the given equalities."""
+    first, last = failure.constants
+    assert first != last
+    chain = failure.trace
+    assert chain and chain[0][0] == c(first) and chain[-1][1] == c(last)
+    assert all(y == u for (_, y), (u, _) in zip(chain, chain[1:]))
+    links = {frozenset(pair) for pair in equalities}
+    assert all(frozenset(link) in links for link in chain)
+
+
+def test_hub_key_round_agrees_with_all_pairs():
+    rng = random.Random(11)
+    tkcs = [Tkc("R", frozenset({"k", "time"}), ("d1", "d2"))]
+    outcomes = Counter()
+    for kind in ("concrete", "abstract"):
+        for _ in range(300):
+            inst = _random_key_groups(rng, kind)
+            try:
+                pairs = pairwise_round_equalities(inst, tkcs)
+            except KeyNullViolation as exc:
+                with pytest.raises(KeyNullViolation, match=re.escape(str(exc))):
+                    _round_equalities(inst, tkcs)
+                outcomes["null key"] += 1
+                continue
+            hub = _round_equalities(inst, tkcs)
+            got, want = _close_and_replace(inst, hub), _close_and_replace(inst, pairs)
+            assert type(got) is type(want), inst
+            if isinstance(want, Success):
+                assert dumps_instance(got.instance) == dumps_instance(want.instance), inst
+                outcomes["success"] += 1
+            else:
+                _assert_witness(got, pairs)
+                outcomes["failure"] += 1
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 20, outcomes
+
+
+def test_key_round_pairs_each_member_with_one_hub(monkeypatch):
+    k = 2000
+    inst = Instance.concrete([rel("Emp", "name", "position", "company")], [
+        fact("Emp", "Ada", inull(f"N{i}", 0, 5), "IBM", time=iv(0, 5)) for i in range(k)])
+    calls = 0
+    pair_equalities = chase_module._pair_equalities
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return pair_equalities(*args)
+
+    monkeypatch.setattr(chase_module, "_pair_equalities", counting)
+    out = tkc_round_concrete(inst, [Tkc("Emp", frozenset({"name", "time"}), ("position", "company"))])
+    assert calls == k - 1
+    assert out == Success(inst.replace_facts([fact("Emp", "Ada", inull("N0", 0, 5), "IBM", time=iv(0, 5))]))

@@ -164,6 +164,24 @@ def test_an_image_null_annotated_with_another_time_is_a_schema_error():
         find_abstract_hom(a, b)
 
 
+def test_a_fact_of_the_wrong_arity_is_a_schema_error_in_the_join():
+    inst = Instance.abstract([rel("R", "a", "b")], [fact("R", "c", time=5)])
+    for atom in (Atom("R", (Var("x"), Var("y")), "t"), Atom("R", (Lit("c"), Var("y")), "t")):
+        with pytest.raises(SchemaError, match=r"R\(c, 5\): relation 'R' expects 2 values, got 1"):
+            enumerate_formula_homs([atom], inst)
+
+
+def test_a_fact_of_the_wrong_arity_is_a_schema_error_in_the_hom_search():
+    schema = [rel("R", "a", "b")]
+    short = Instance.abstract(schema, [fact("R", "c", time=5)])
+    full = Instance.abstract(schema, [fact("R", "c", "d", time=5)])
+    with pytest.raises(SchemaError, match=r"R\(c, 5\): relation 'R' expects 2 values, got 1"):
+        find_abstract_hom(Instance.abstract(schema, [fact("R", pnull("N", 5), "d", time=5)]), short)
+    for values, count in (((pnull("N", 5),), 1), ((pnull("N", 5), "d", "e"), 3)):
+        with pytest.raises(SchemaError, match=f"expects 2 values, got {count}"):
+            find_abstract_hom(Instance.abstract(schema, [fact("R", *values, time=5)]), full)
+
+
 def test_kind_and_schema_preconditions(fig1, fig2, fig4):
     with pytest.raises(ValueError):
         find_abstract_hom(fig1, fig2)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,9 +9,12 @@ from tdx import (
     Fact,
     Instance,
     InvalidHorizonError,
+    KeyNullViolation,
     Null,
     PreconditionError,
     SchemaError,
+    Success,
+    chase,
     dumps_instance,
     is_complete,
     is_normalized,
@@ -26,8 +30,9 @@ from tdx import (
 
 import tdx.model
 
+from generators import random_case
 from helpers import FIXTURES, c, fact, inull, iv, load_fixture_instance, pnull, rel
-from oracles import expand_instance_by_points
+from oracles import expand_instance_by_points, json_dumps_instance
 
 
 def test_running_example_instance_is_valid(fig1):
@@ -277,3 +282,78 @@ def test_normalization_properties(inst):
     assert expand_instance_by_points(out, horizon) == expand_instance_by_points(inst, horizon)
     assert sem_instance(out, horizon) == sem_instance(inst, horizon)
     assert normalize_instance(out) == out
+
+
+def _generated_instances(seed: int, count: int):
+    """Seeded sources of ``tests/generators.py`` and what the engine makes of
+    them, in both views: the source, its normalization and ``sem``, and the
+    chase result of each view when the chase succeeds."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        case = random_case(rng, with_queries=False)
+        abstract = sem_instance(case.source, case.horizon)
+        yield from (case.source, normalize_instance(case.source), abstract)
+        for src in (case.source, abstract):
+            try:
+                out = chase(src, case.mapping)
+            except KeyNullViolation:
+                continue
+            if isinstance(out, Success):
+                yield out.instance
+
+
+def test_writer_matches_json_dumps_on_fixtures_and_generated_instances():
+    views = set()
+    for path in sorted(FIXTURES.glob("*.json")):
+        inst = load_fixture_instance(path.name)
+        assert dumps_instance(inst) == json_dumps_instance(inst), path.name
+        views.add(inst.kind)
+    for inst in _generated_instances(seed=7, count=60):
+        assert dumps_instance(inst) == json_dumps_instance(inst), inst
+        views.add(inst.kind)
+        if inst.kind == "concrete":
+            horizon = (max_finite_endpoint(inst) or 0) + 1
+            expanded = sem_instance(inst, horizon)
+            assert dumps_instance(expanded, horizon) == json_dumps_instance(expanded, horizon)
+    assert views == {"concrete", "abstract"}
+
+
+def test_writer_matches_json_dumps_on_edge_cases():
+    awkward = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "Zoë, Ωmega, 日本",
+               "line\u2028para\u2029", "emoji \U0001f600", ""]
+    names = awkward[:4]
+    schema = [rel(name, "a", "b") for name in names] + [rel("Empty", "x"), rel("Nullary")]
+    facts = [fact(name, awkward[i + 1], Null(awkward[i + 2], iv(0, INF)), time=iv(0, INF))
+             for i, name in enumerate(names)]
+    facts += [fact("Nullary", time=iv(3, 4)), fact("Nullary", time=iv(1, INF))]
+    cases = [
+        Instance.concrete([], []),
+        Instance.abstract([], []),
+        Instance.concrete([rel("Empty", "x")], []),
+        Instance.concrete(schema, facts),
+        Instance.abstract([rel("Nullary")], [fact("Nullary", time=0), fact("Nullary", time=10)]),
+        Instance.concrete([rel("R", *awkward[:3], temporal=awkward[3])],
+                          [fact("R", *awkward[4:7], time=iv(2, 9))]),
+    ]
+    for inst in cases:
+        assert dumps_instance(inst) == json_dumps_instance(inst), inst
+        assert dumps_instance(inst, 12) == json_dumps_instance(inst, 12), inst
+    assert '"values": []' in dumps_instance(cases[3])
+    assert '"end": "inf"' in dumps_instance(cases[3])
+
+
+times = st.one_of(st.integers(0, 5), st.builds(
+    lambda s, length: iv(s, INF if length is None else s + length),
+    st.integers(0, 5), st.one_of(st.none(), st.integers(1, 3))))
+values = st.one_of(st.builds(c, st.text(max_size=3)),
+                   st.builds(Null, st.sampled_from(["N1", "N2", "M"]), times))
+
+
+@given(st.lists(st.builds(Fact, st.sampled_from(["R", "S", "T"]),
+                          st.lists(values, max_size=3).map(tuple), times), max_size=12),
+       st.sampled_from(["concrete", "abstract"]), st.one_of(st.none(), st.integers(0, 99)))
+def test_writer_orders_any_facts_like_fact_sort_key(facts, kind, horizon):
+    """Facts of mixed arity and time kinds, nulls with any context, and a
+    relation outside the schema: still the oracle's text."""
+    inst = Instance(kind, (rel("R", "a"), rel("S", "a", "b")), frozenset(facts))
+    assert dumps_instance(inst, horizon) == json_dumps_instance(inst, horizon)
