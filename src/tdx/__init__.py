@@ -20,6 +20,7 @@ from .temporal import (
 from .model import (
     ABSTRACT,
     CONCRETE,
+    MAX_NORMALIZE_FRAGMENTS,
     MAX_SEM_FACTS,
     Constant,
     Fact,

@@ -14,6 +14,16 @@ Both are found by one search (Chandra and Merlin: a homomorphism from an
 instance is an answer to that instance read as a conjunctive query).  Atoms
 and facts compile to patterns, a planner orders them most bound first with
 an index per pattern, and one stack walker yields the matching bindings.
+
+Indexes are built from each relation's facts in no particular order, and
+canonical order is paid for only where a result's order shows.
+``enumerate_formula_homs`` sorts its bindings, because the chase's null
+labels follow them; ``naive_eval`` takes the same walk unsorted into a set.
+The abstract search sorts each index list of the target and each
+shared-null component of the source into canonical order, because the hom
+it returns is the first binding in that order.  Its plan depends only on a
+component's shape (relations, and which position holds which null), so it
+plans once per shape, not once per component.
 """
 from __future__ import annotations
 
@@ -28,6 +38,7 @@ from .model import (
     Instance,
     Null,
     Value,
+    fact_sort_key,
     value_sort_key,
 )
 
@@ -105,25 +116,40 @@ def _most_bound_first(patterns: Sequence[_Pattern], bound: set[str]) -> list[int
     return order
 
 
+def _least(facts: Iterable[Fact]) -> Optional[Fact]:
+    """The least fact in canonical order, or None: an error names the same
+    offender whatever the iteration order of a set of facts."""
+    return min(facts, key=fact_sort_key, default=None)
+
+
 def _check_arity(facts: Iterable[Fact], inst: Instance) -> None:
     """Raise SchemaError for a fact whose relation ``inst`` does not declare or
     whose values do not fill it: patterns and facts are matched by position."""
     arity = {r.name: r.arity for r in inst.schema}
-    for fact in facts:
-        if arity.get(fact.relation) != len(fact.values):
-            if fact.relation not in arity:
-                raise SchemaError(f"{fact}: relation {fact.relation!r} is not in the schema")
-            raise SchemaError(f"{fact}: relation {fact.relation!r} expects {arity[fact.relation]} "
-                              f"values, got {len(fact.values)}")
+    fact = _least([f for f in facts if arity.get(f.relation) != len(f.values)])
+    if fact is None:
+        return
+    if fact.relation not in arity:
+        raise SchemaError(f"{fact}: relation {fact.relation!r} is not in the schema")
+    raise SchemaError(f"{fact}: relation {fact.relation!r} expects {arity[fact.relation]} "
+                      f"values, got {len(fact.values)}")
+
+
+# A join plan, which depends only on which slots of the patterns are variables
+# and which variables they share: per pattern, most bound first, its position
+# in the body, its indexed positions, its other positions, and the index.
+_Plan = list[tuple[int, tuple[int, ...], tuple[int, ...], dict]]
 
 
 def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
-               indexes: dict[tuple[str, tuple[int, ...]], dict]) -> list[_Step]:
+               indexes: dict[tuple[str, tuple[int, ...]], dict], ordered: bool = False) -> _Plan:
     """Plan the patterns most bound first, each with an index of its relation.
 
     The index is keyed by the values at the pattern's bound positions (with
     none, it holds the whole relation under the empty key).  ``indexes``
-    keeps them by relation and positions, so one search shares them.
+    keeps them by relation and positions, so one search shares them.  The
+    index is built from the relation's facts in no particular order; if
+    ``ordered``, each of its lists is then sorted into canonical order.
     """
     plan = []
     bound = set(bound)
@@ -132,25 +158,38 @@ def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
         keyed, free = [], []
         for p, s in enumerate(slots):
             if s.__class__ is str and s not in bound:
-                free.append((p, s))
+                free.append(p)
             else:
                 keyed.append(p)
         keyed, free = tuple(keyed), tuple(free)
         index = indexes.get((relation, keyed))
         if index is None:
-            facts = inst.relation_facts(relation)
+            facts = inst.facts_by_relation.get(relation, ())
             _check_arity(facts, inst)
             if keyed:
                 index = {}
                 for fact in facts:
                     row = (*fact.values, fact.time)
                     index.setdefault(tuple([row[p] for p in keyed]), []).append(fact)
+                if ordered:
+                    for bucket in index.values():
+                        if len(bucket) > 1:
+                            bucket.sort(key=fact_sort_key)
             else:
-                index = {(): facts}
+                index = {(): sorted(facts, key=fact_sort_key) if ordered else facts}
             indexes[relation, keyed] = index
-        plan.append(_Step(index, tuple([slots[p] for p in keyed]), free))
-        bound.update([name for _, name in free])
+        plan.append((i, keyed, free, index))
+        bound.update([slots[p] for p in free])
     return plan
+
+
+def _steps(plan: _Plan, patterns: Sequence[_Pattern]) -> list[_Step]:
+    """The plan's steps for these patterns: their probes and free variables."""
+    steps = []
+    for i, keyed, free, index in plan:
+        slots = patterns[i][1]
+        steps.append(_Step(index, tuple([slots[p] for p in keyed]), tuple([(p, slots[p]) for p in free])))
+    return steps
 
 
 def _candidates(step: _Step, binding: Binding) -> Sequence[Fact]:
@@ -181,6 +220,23 @@ def _walk(plan: Sequence[_Step], start: Binding) -> Iterator[Binding]:
             stack.pop()
 
 
+def _formula_homs(atoms: Sequence[Atom], inst: Instance,
+                  initial: TMapping[str, object] | None) -> Iterator[Binding]:
+    """The bindings of ``enumerate_formula_homs``, unsorted, as the walk yields
+    them.  The checks run, and the relations read are indexed, at the call."""
+    for atom in atoms:
+        schema = inst.schema_by_name.get(atom.relation)
+        if schema is None:
+            raise SchemaError(f"unknown relation {atom.relation!r}")
+        if len(atom.args) != schema.arity:
+            raise SchemaError(f"relation {atom.relation!r} expects {schema.arity} value "
+                              f"arguments, got {len(atom.args)}")
+    start: Binding = dict(initial or {})
+    bound = {v for v, value in start.items() if value is not None}
+    patterns = [_compile(a) for a in atoms]
+    return _walk(_steps(_join_plan(patterns, inst, bound, {}), patterns), start)
+
+
 def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
                            initial: TMapping[str, object] | None = None) -> list[Binding]:
     """All bindings under which every atom instantiates to a fact of ``inst``.
@@ -197,18 +253,81 @@ def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
     fill a relation of the schema, and for such a fact of a relation the
     body reads.
     """
-    for atom in atoms:
-        schema = inst.schema_by_name.get(atom.relation)
-        if schema is None:
-            raise SchemaError(f"unknown relation {atom.relation!r}")
-        if len(atom.args) != schema.arity:
-            raise SchemaError(f"relation {atom.relation!r} expects {schema.arity} value "
-                              f"arguments, got {len(atom.args)}")
-    start: Binding = dict(initial or {})
-    bound = {v for v, value in start.items() if value is not None}
-    results = list(_walk(_join_plan([_compile(a) for a in atoms], inst, bound, {}), start))
+    results = list(_formula_homs(atoms, inst, initial))
     results.sort(key=lambda b: tuple(value_sort_key(b[v]) for v in sorted(b)))
     return results
+
+
+def _check_hom_inputs(a: Instance, b: Instance) -> None:
+    """The preconditions of an abstract homomorphism search, checked over
+    both instances before any search so that whether it raises, and what,
+    does not depend on the order in which it meets the facts."""
+    if a.kind != ABSTRACT or b.kind != ABSTRACT:
+        raise ValueError("abstract instances are required")
+    if a.schema != b.schema:
+        raise SchemaError("instances must share a schema")
+    for inst in (a, b):
+        _check_arity(inst.facts, inst)
+        fact = _least([f for f in inst.facts for v in f.values
+                       if v.__class__ is Null and v.context != f.time])
+        if fact is not None:
+            null = next(v for v in fact.values if v.__class__ is Null and v.context != fact.time)
+            raise SchemaError(f"{fact}: null {null} is not annotated with the fact's time point")
+
+
+def _search_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
+    """``find_abstract_hom`` on instances that passed ``_check_hom_inputs``."""
+    # A null is keyed by its label and its fact's time point (its context,
+    # as checked), which hash in C.
+    parent: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def find(k: tuple[str, int]) -> tuple[str, int]:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    firsts: list[tuple[Fact, tuple[str, int]]] = []
+    for f in a.facts:
+        keys = [(v.label, f.time) for v in f.values if v.__class__ is Null]
+        if not keys:
+            if f not in b.facts:  # constants are fixed, so the image is f itself
+                return None
+            continue
+        for k in keys:
+            parent.setdefault(k, k)
+        first = find(keys[0])
+        for k in keys[1:]:
+            parent[find(k)] = first
+        firsts.append((f, first))
+
+    components: dict[tuple[str, int], list[Fact]] = {}
+    for f, k in firsts:
+        components.setdefault(find(k), []).append(f)
+    indexes: dict = {}
+    plans: dict[tuple, _Plan] = {}  # by component shape
+    hom: AbstractHom = {}
+    for facts in components.values():
+        if len(facts) > 1:
+            facts.sort(key=fact_sort_key)
+        # A null's label names its variable: a component lies at one time point.
+        patterns = [(f.relation, (*(v.label if v.__class__ is Null else v for v in f.values), f.time))
+                    for f in facts]
+        ids: dict[str, int] = {}
+        shape = tuple([(relation, tuple([ids.setdefault(s, len(ids)) if s.__class__ is str else -1
+                                         for s in slots]))
+                       for relation, slots in patterns])
+        plan = plans.get(shape)
+        if plan is None:
+            plan = plans[shape] = _join_plan(patterns, b, set(), indexes, ordered=True)
+        binding = next(_walk(_steps(plan, patterns), {}), None)
+        if binding is None:
+            return None
+        for f in facts:
+            for n in f.values:
+                if n.__class__ is Null:
+                    hom[n] = binding[n.label]
+    return hom
 
 
 def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
@@ -220,62 +339,22 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     query over ``b``: each fact is a pattern with its constants and time
     fixed and each null's label as a variable.  It runs on the same join as
     ``enumerate_formula_homs``, with one index cache for the whole search,
-    and the component's assignment is the first binding in the join's
-    deterministic plan.  Returns None when no homomorphism exists.
+    and the component's assignment is the first binding in the join's plan.
 
-    Raises SchemaError if a fact of ``a``, or of a relation of ``b`` that the
-    search reads, does not fill a relation of the schema, if a null of ``a``
-    is not annotated with its fact's time point, or if a null it maps to in
-    ``b`` is annotated with another.
+    Components are found in set order, but the hom does not depend on it.
+    A component's facts are taken in canonical order and each index list of
+    ``b`` is sorted into canonical order, so candidates are tried in that
+    order.  The plan depends only on the component's *shape* (its relations,
+    and which position holds which null, nulls renamed by first occurrence),
+    so it is made once per shape and reused with each component's values.
+    Returns None when no homomorphism exists.
+
+    Raises SchemaError if a fact of ``a`` or ``b`` does not fill a relation
+    of the schema, or holds a null not annotated with its time point; the
+    error names the least such fact in canonical order.
     """
-    if a.kind != ABSTRACT or b.kind != ABSTRACT:
-        raise ValueError("abstract instances are required")
-    if a.schema != b.schema:
-        raise SchemaError("instances must share a schema")
-    parent: dict[Null, Null] = {}
-
-    def find(n: Null) -> Null:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    _check_arity(a.facts, a)
-    firsts: list[tuple[Fact, Null]] = []
-    for f in a.sorted_facts:
-        nulls = [v for v in f.values if isinstance(v, Null)]
-        if not nulls:
-            if f not in b.facts:  # constants are fixed, so the image is f itself
-                return None
-            continue
-        for n in nulls:
-            if n.context != f.time:
-                raise SchemaError(f"{f}: null {n} is not annotated with the fact's time point")
-            parent.setdefault(n, n)
-        first = find(nulls[0])
-        for n in nulls[1:]:
-            parent[find(n)] = first
-        firsts.append((f, first))
-
-    components: dict[Null, list[Fact]] = {}  # each in canonical fact order
-    for f, n in firsts:
-        components.setdefault(find(n), []).append(f)
-    indexes: dict = {}
-    hom: AbstractHom = {}
-    for facts in components.values():
-        patterns = [(f.relation, (*(v.label if isinstance(v, Null) else v for v in f.values), f.time))
-                    for f in facts]
-        binding = next(_walk(_join_plan(patterns, b, set(), indexes), {}), None)
-        if binding is None:
-            return None
-        for f in facts:
-            for n in f.values:
-                if isinstance(n, Null):
-                    image = hom[n] = binding[n.label]
-                    if isinstance(image, Null) and image.context != n.context:
-                        raise SchemaError(f"null {image} in a fact at time {n.context} is not "
-                                          f"annotated with the fact's time point")
-    return hom
+    _check_hom_inputs(a, b)
+    return _search_abstract_hom(a, b)
 
 
 def apply_abstract_hom(hom: TMapping[Null, Value], inst: Instance) -> Instance:
@@ -289,5 +368,7 @@ def apply_abstract_hom(hom: TMapping[Null, Value], inst: Instance) -> Instance:
 
 
 def hom_equivalent(a: Instance, b: Instance) -> bool:
-    """True iff abstract homomorphisms exist in both directions."""
-    return find_abstract_hom(a, b) is not None and find_abstract_hom(b, a) is not None
+    """True iff abstract homomorphisms exist in both directions (the inputs
+    are checked once, as ``find_abstract_hom`` checks them)."""
+    _check_hom_inputs(a, b)
+    return _search_abstract_hom(a, b) is not None and _search_abstract_hom(b, a) is not None

@@ -13,7 +13,7 @@ from typing import Union
 
 from .chase import Failure, chase
 from .errors import PreconditionError
-from .homomorphism import enumerate_formula_homs
+from .homomorphism import _formula_homs
 from .mapping_lang import Mapping, Ucq
 from .model import (
     ABSTRACT,
@@ -50,8 +50,10 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
 
     Per disjunct, every formula homomorphism of the body is projected onto the
     head variables and the temporal variable; the disjunct results are
-    unioned, and tuples containing any null are dropped.  A concrete instance
-    must be normalized, and every disjunct needs an atom.
+    unioned, and tuples containing any null are dropped.  An answer set is a
+    set, so the bindings go straight into it as the join yields them, in no
+    order.  A concrete instance must be normalized, and every disjunct needs
+    an atom.
     """
     if inst.kind == CONCRETE and not is_normalized(inst):
         raise PreconditionError("naive evaluation on a concrete instance requires it normalized")
@@ -59,7 +61,7 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
     for k, disjunct in enumerate(q.disjuncts):
         if not disjunct:
             raise PreconditionError(f"query {q.name!r}: disjunct #{k} has no atoms")
-        for binding in enumerate_formula_homs(disjunct, inst):
+        for binding in _formula_homs(disjunct, inst, None):
             values = [binding[v] for v in q.head]
             if any(not isinstance(v, Constant) for v in values):
                 continue  # a null never reaches an answer

@@ -1,4 +1,5 @@
-"""Seeded random mappings, sources, and queries for the property suites.
+"""Seeded random mappings, sources, and queries for the property suites, and
+careers-like sources and chase results for the scale tests.
 
 All draws go through one ``random.Random`` so suites are reproducible.  The
 generated sources are complete and already normalized: fact intervals are
@@ -21,9 +22,13 @@ from tdx import (
     Mapping,
     RelationSchema,
     SttTgd,
+    Success,
     Tkc,
     Ucq,
     Var,
+    chase,
+    max_finite_endpoint,
+    sem_instance,
     validate_mapping,
 )
 
@@ -140,3 +145,34 @@ def random_case(rng: random.Random, with_queries: bool = True) -> Case:
 
 def random_mapping(rng: random.Random) -> Mapping:
     return random_case(rng).mapping
+
+
+def careers_like(n: int, mapping: Mapping) -> Instance:
+    """A concrete example1 source: ten disjoint jobs per person, five in each
+    source relation, with job lengths, gaps and relations shuffled per person."""
+    rng = random.Random(n)
+    facts = []
+    for i in range(n):
+        name = Constant(f"p{i:03d}")
+        lengths, gaps, kinds = [1, 2, 3, 4, 1, 2, 3, 4, 2, 3], [0, 1, 0, 1, 2, 0, 1, 0, 1, 0], [1, 2] * 5
+        for items in (lengths, gaps, kinds):
+            rng.shuffle(items)
+        t = rng.randint(0, 3)
+        for length, gap, kind in zip(lengths, gaps, kinds):
+            if kind == 1:
+                values = (name, Constant(rng.choice(["hp", "ibm", "sun"])))
+            else:
+                values = (name, Constant(rng.choice(["dev", "dba", "ops"])), Constant(rng.choice(["eng", "it"])))
+            facts.append(Fact(f"Employee{kind}", values, ClopenInterval(t, t + length)))
+            t += length + gap
+    return Instance.concrete(mapping.source, facts)
+
+
+def careers_chase_pair(n: int, mapping: Mapping) -> tuple[Instance, Instance]:
+    """The concrete chase result under ``sem`` and the abstract chase result
+    of the same ``careers_like`` source."""
+    src = careers_like(n, mapping)
+    horizon = max_finite_endpoint(src) + 1
+    concrete, abstract = chase(src, mapping), chase(sem_instance(src, horizon), mapping)
+    assert isinstance(concrete, Success) and isinstance(abstract, Success)
+    return sem_instance(concrete.instance, horizon), abstract.instance

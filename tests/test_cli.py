@@ -302,3 +302,20 @@ def test_sem_beyond_the_fact_limit_is_one_error_line(workdir, capsys, argv):
     err = capsys.readouterr().err
     assert err == ("error: the abstract view up to horizon 100000001 has 100000000 facts, "
                    f"more than the limit of {tdx.MAX_SEM_FACTS}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "-i", "@nested.json", "-o", "@out.json"),
+    ("chase", "-m", "@example1.tdx", "-i", "@nested.json", "-o", "@out.json"),
+    ("certain", "-m", "@example1.tdx", "-i", "@nested.json", "-q", "positions", "-o", "@out.json"),
+])
+def test_normalize_beyond_the_fragment_limit_is_one_error_line(workdir, capsys, argv):
+    # n nested facts [i, inf) make n(n+1)/2 fragments: 450 make 101,475, 101,025 more than the facts
+    facts = [{"values": [f"p{i}", "acme"], "interval": {"start": i, "end": "inf"}} for i in range(450)]
+    (workdir / "nested.json").write_text(json.dumps({"kind": "concrete", "relations": {
+        "Employee1": {"attributes": ["name", "company", "time"], "facts": facts},
+        "Employee2": {"attributes": ["name", "position", "dept", "time"], "facts": []}}}))
+    assert run(workdir, *argv) == 1
+    assert not (workdir / "out.json").exists()
+    assert capsys.readouterr().err == ("error: normalization would split 450 facts into 101475 fragments, "
+                                       f"101025 more than the facts, above the limit of {tdx.MAX_NORMALIZE_FRAGMENTS}\n")

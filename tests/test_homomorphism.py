@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,18 +20,18 @@ from tdx import (
     apply_abstract_hom,
     chase,
     enumerate_formula_homs,
+    fact_sort_key,
     find_abstract_hom,
     hom_equivalent,
     instantiate_atom,
     is_normalized,
-    max_finite_endpoint,
     naive_eval,
     sem_instance,
     value_sort_key,
 )
 import tdx.homomorphism
 
-from generators import CONSTANTS, random_case
+from generators import CONSTANTS, careers_chase_pair, careers_like, random_case
 from helpers import c, fact, iv, pnull, rel
 from oracles import brute_force_hom_exists, nested_loop_homs, scan_abstract_hom
 
@@ -288,27 +292,6 @@ def test_indexed_join_agrees_with_the_nested_loop():
     assert nonempty >= 1000
 
 
-def _careers_like(n, example1):
-    """Ten disjoint jobs per person, five in each source relation, with job
-    lengths, gaps and relations shuffled per person."""
-    rng = random.Random(n)
-    facts = []
-    for i in range(n):
-        name = c(f"p{i:03d}")
-        lengths, gaps, kinds = [1, 2, 3, 4, 1, 2, 3, 4, 2, 3], [0, 1, 0, 1, 2, 0, 1, 0, 1, 0], [1, 2] * 5
-        for items in (lengths, gaps, kinds):
-            rng.shuffle(items)
-        t = rng.randint(0, 3)
-        for length, gap, kind in zip(lengths, gaps, kinds):
-            if kind == 1:
-                values = (name, c(rng.choice(["hp", "ibm", "sun"])))
-            else:
-                values = (name, c(rng.choice(["dev", "dba", "ops"])), c(rng.choice(["eng", "it"])))
-            facts.append(Fact(f"Employee{kind}", values, iv(t, t + length)))
-            t += length + gap
-    return Instance.concrete(example1.source, facts)
-
-
 def _count_matches(run, monkeypatch):
     calls = 0
     match = tdx.homomorphism._match_atom
@@ -332,20 +315,10 @@ def test_two_atom_query_work_grows_linearly(example1, monkeypatch):
     query = example1.query("paid_positions")
     counts = []
     for n in (6, 24):
-        out = chase(_careers_like(n, example1), example1)
+        out = chase(careers_like(n, example1), example1)
         assert isinstance(out, Success)
         counts.append(_match_calls(out.instance, query, monkeypatch))
     assert counts[1] <= 5 * counts[0], counts
-
-
-def _chase_pair(n, example1):
-    """The concrete chase result under ``sem`` and the abstract chase result
-    of the same careers-like source."""
-    src = _careers_like(n, example1)
-    horizon = max_finite_endpoint(src) + 1
-    concrete, abstract = chase(src, example1), chase(sem_instance(src, horizon), example1)
-    assert isinstance(concrete, Success) and isinstance(abstract, Success)
-    return sem_instance(concrete.instance, horizon), abstract.instance
 
 
 def _perturbed(rng, inst):
@@ -371,7 +344,7 @@ def test_hom_search_agrees_with_the_scan(example1):
     rng = random.Random(6)
     found = missing = 0
     for n in (12, 24, 36):
-        jc, ja = _chase_pair(n, example1)
+        jc, ja = careers_chase_pair(n, example1)
         pairs = [(jc, ja), (jc, _with_decoys(rng, ja)), (_with_decoys(rng, jc), ja)]
         for _ in range(4):
             pairs += [(_perturbed(rng, jc), ja), (jc, _perturbed(rng, ja))]
@@ -390,6 +363,98 @@ def test_hom_search_agrees_with_the_scan(example1):
 def test_hom_search_work_grows_linearly(example1, monkeypatch):
     counts = []
     for n in (6, 24):
-        jc, ja = _chase_pair(n, example1)
+        jc, ja = careers_chase_pair(n, example1)
         counts.append(_count_matches(lambda: hom_equivalent(jc, ja), monkeypatch))
     assert 0 < counts[0] and counts[1] <= 5 * counts[0], counts
+
+
+def _component_shapes(inst):
+    """The shape of each shared-null component of ``inst``: its facts in
+    canonical order, each as its relation and, per value, the number of its
+    null in order of first occurrence (-1 for a constant)."""
+    by_null = {}
+    for f in inst.facts:
+        for v in f.values:
+            if isinstance(v, Null):
+                by_null.setdefault(v, []).append(f)
+    seen, shapes = set(), set()
+    for f in inst.facts:
+        if f in seen or not any(isinstance(v, Null) for v in f.values):
+            continue
+        component, todo = [], [f]
+        seen.add(f)
+        while todo:
+            g = todo.pop()
+            component.append(g)
+            for h in (h for v in g.values if isinstance(v, Null) for h in by_null[v]):
+                if h not in seen:
+                    seen.add(h)
+                    todo.append(h)
+        ids = {}
+        shapes.add(tuple((g.relation, tuple(ids.setdefault(v, len(ids)) if isinstance(v, Null) else -1
+                                            for v in g.values))
+                         for g in sorted(component, key=fact_sort_key)))
+    return shapes
+
+
+def test_hom_equivalence_plans_once_per_component_shape(example1, monkeypatch):
+    jc, ja = careers_chase_pair(24, example1)
+    shapes = _component_shapes(jc) | _component_shapes(ja)
+    calls = 0
+    plan = tdx.homomorphism._most_bound_first
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return plan(*args)
+
+    monkeypatch.setattr(tdx.homomorphism, "_most_bound_first", counting)
+    assert hom_equivalent(jc, ja)
+    assert 0 < calls <= 2 * len(shapes), (calls, len(shapes))
+
+
+_HASH_SEED_PROBE = """
+import hashlib
+from tdx import Constant, Instance, Null, SchemaError, apply_abstract_hom, find_abstract_hom
+from generators import careers_chase_pair
+from helpers import fact, load_fixture_mapping, pnull, rel
+
+def search(a, b):
+    try:
+        hom = find_abstract_hom(a, b)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+    return "None" if hom is None else \\
+        hashlib.sha256(repr(sorted(map(repr, hom.items()))).encode()).hexdigest()
+
+schema = [rel("R", "a", "b")]
+short = Instance.abstract(schema, [fact("R", x, time=5) for x in "cdefgh"])
+print(search(short, short))
+misannotated = Instance.abstract(schema, [fact("R", "d", pnull("M", 6), time=5), fact("R", "e", "f", time=5),
+                                          fact("R", "c", pnull("N", 4), time=5)])
+other = Instance.abstract(schema, [fact("R", "c", "g", time=5)])
+print(search(misannotated, other))
+print(search(other, misannotated))
+jc, ja = careers_chase_pair(12, load_fixture_mapping("example1.tdx"))
+print(search(jc, ja))
+print(search(ja, jc))
+# each null's image now has a second candidate, the same fact with a constant
+grounded = apply_abstract_hom({v: Constant(f"{v}") for f in ja.facts for v in f.values
+                               if isinstance(v, Null)}, ja)
+print(search(jc, ja.replace_facts(ja.facts | grounded.facts)))
+"""
+
+
+def test_hom_search_does_not_depend_on_the_string_hash_seed():
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(tdx.__file__).parent.parent), str(tests), os.environ.get("PYTHONPATH")]))}
+    runs = [subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE], cwd=tests, capture_output=True,
+                           text=True, env={**env, "PYTHONHASHSEED": seed}, check=True).stdout.splitlines()
+            for seed in ("1", "2")]
+    assert runs[0] == runs[1]
+    lines = runs[0]
+    assert lines[0] == "SchemaError: R(c, 5): relation 'R' expects 2 values, got 1"
+    assert lines[1] == lines[2] == \
+        "SchemaError: R(c, N^4, 5): null N^4 is not annotated with the fact's time point"
+    assert len(lines) == 6 and "None" not in lines[3:] and not any(x.startswith("Schema") for x in lines[3:])

@@ -14,6 +14,7 @@ from tdx import (
     PreconditionError,
     SchemaError,
     Success,
+    build_grid,
     chase,
     dumps_instance,
     is_complete,
@@ -24,13 +25,14 @@ from tdx import (
     normalize_instance,
     sem_fact,
     sem_instance,
+    split_interval,
     validate_instance,
     value_sort_key,
 )
 
 import tdx.model
 
-from generators import random_case
+from generators import careers_like, random_case
 from helpers import FIXTURES, c, fact, inull, iv, load_fixture_instance, pnull, rel
 from oracles import expand_instance_by_points, json_dumps_instance
 
@@ -263,12 +265,19 @@ def test_loader_accepts_inf_and_ignores_metadata():
     assert inst.facts == {fact("R", "x", time=iv(1, INF))}
 
 
+def _concrete_instance(rows) -> Instance:
+    """Facts of one value each: an upper-case value is a null annotated with
+    its fact's interval, a lower-case one a constant."""
+    facts = []
+    for name, value, start, length in rows:
+        time = iv(start, INF if length is None else start + length)
+        facts.append(Fact(name, (Null(value, time) if value.isupper() else c(value),), time))
+    return Instance.concrete([rel("R", "a"), rel("S", "b")], facts)
+
+
 concrete_instances = st.builds(
-    lambda rows: Instance.concrete(
-        [rel("R", "a"), rel("S", "b")],
-        [fact(name, value, time=iv(s, INF if length is None else s + length))
-         for name, value, s, length in rows]),
-    st.lists(st.tuples(st.sampled_from(["R", "S"]), st.sampled_from(["x", "y"]),
+    _concrete_instance,
+    st.lists(st.tuples(st.sampled_from(["R", "S"]), st.sampled_from(["x", "y", "N", "M"]),
                        st.integers(0, 12), st.one_of(st.none(), st.integers(1, 6))),
              max_size=6),
 )
@@ -282,6 +291,44 @@ def test_normalization_properties(inst):
     assert expand_instance_by_points(out, horizon) == expand_instance_by_points(inst, horizon)
     assert sem_instance(out, horizon) == sem_instance(inst, horizon)
     assert normalize_instance(out) == out
+
+
+@given(concrete_instances)
+def test_normalize_splits_like_split_interval(inst):
+    grid = build_grid(f.time for f in inst.facts)
+    assert normalize_instance(inst).facts == {
+        Fact(f.relation, tuple(Null(v.label, piece) if isinstance(v, Null) else v for v in f.values), piece)
+        for f in inst.facts for piece in split_interval(f.time, grid)}
+
+
+def test_normalize_instance_stops_when_splitting_adds_more_than_its_limit(monkeypatch):
+    monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 2)
+    # 3 facts make 5 fragments, 2 more than the facts
+    at_limit = Instance.concrete([rel("R", "a")], [fact("R", "a", time=iv(0, 2)),
+                                                   Fact("R", (inull("N", 1, INF),), iv(1, INF)),
+                                                   fact("R", "b", time=iv(2, INF))])
+    assert len(normalize_instance(at_limit).facts) == 5
+    with pytest.raises(PreconditionError, match="would split 4 facts into 10 fragments, 6 more than the facts, "
+                                                "above the limit of 2"):
+        normalize_instance(at_limit.replace_facts(at_limit.facts | {fact("R", "c", time=iv(0, 4))}))
+
+
+def test_a_normalized_instance_of_any_size_passes_the_fragment_limit(monkeypatch, example1):
+    src = careers_like(6, example1)
+    normalized = normalize_instance(src)
+    expected = chase(src, example1)
+    assert isinstance(expected, Success)
+    assert len(normalized.facts) > len(src.facts) > 0
+    monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 0)
+    assert normalize_instance(normalized) is normalized
+    assert chase(normalized, example1) == expected
+    with pytest.raises(PreconditionError, match="above the limit of 0"):
+        chase(src, example1)
+
+
+def test_normalize_reannotates_a_mis_annotated_null_of_an_unsplit_fact():
+    inst = Instance.concrete([rel("R", "a")], [Fact("R", (inull("N", 0, 5),), iv(0, 2))])
+    assert normalize_instance(inst).facts == {Fact("R", (inull("N", 0, 2),), iv(0, 2))}
 
 
 def _generated_instances(seed: int, count: int):

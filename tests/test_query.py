@@ -1,25 +1,37 @@
+import random
+from collections import Counter
+
 import pytest
 
 from tdx import (
     AnswerSet,
     Atom,
+    Constant,
     Instance,
     InvalidHorizonError,
     NoSolution,
+    Lit,
     PreconditionError,
+    Success,
     Ucq,
     Var,
     answers_sem,
     answers_to_instance,
     certain,
+    chase,
     dumps_instance,
     find_abstract_hom,
     loads_instance,
+    max_finite_endpoint,
     naive_eval,
     sem_instance,
 )
+import tdx.homomorphism
+import tdx.model
 
+from generators import careers_like
 from helpers import fact, iv, rel
+from oracles import nested_loop_homs
 
 HORIZON = 13
 
@@ -171,3 +183,62 @@ def test_answers_serialize_as_an_instance(fig3, example1):
     assert inst.kind == "concrete"
     assert loads_instance(dumps_instance(inst)) == inst
     assert {f.relation for f in inst.facts} == {"positions"}
+
+
+def _chase_results(n, example1):
+    """The concrete and the abstract chase result of one careers-like source."""
+    src = careers_like(n, example1)
+    outs = chase(src, example1), chase(sem_instance(src, max_finite_endpoint(src) + 1), example1)
+    assert all(isinstance(out, Success) for out in outs)
+    return [out.instance for out in outs]
+
+
+def test_naive_eval_sorts_nothing(example1, monkeypatch):
+    calls = Counter()
+    for module in (tdx.model, tdx.homomorphism):
+        for name in ("value_sort_key", "fact_sort_key"):
+            def counting(*args, _name=f"{module.__name__}.{name}", _key=getattr(module, name)):
+                calls[_name] += 1
+                return _key(*args)
+            monkeypatch.setattr(module, name, counting)
+    concrete, _ = _chase_results(24, example1)
+    calls.clear()
+    for q in example1.queries:
+        assert naive_eval(q, concrete).rows
+    assert calls == Counter()
+
+
+def _random_ucq(rng, schema, name):
+    """One or two disjuncts of one or two atoms over ``schema``; variables from
+    a pool of three, now and then a constant; head variables from every disjunct."""
+    disjuncts = []
+    for _ in range(rng.randint(1, 2)):
+        atoms = []
+        for _ in range(rng.randint(1, 2)):
+            r = rng.choice(schema)
+            atoms.append(Atom(r.name, tuple(Lit(rng.choice(["p001", "dev", "hp"])) if rng.random() < 0.1
+                                            else Var(rng.choice("xyz")) for _ in r.attributes), "t"))
+        disjuncts.append(tuple(atoms))
+    shared = set.intersection(*({t.name for a in d for t in a.args if isinstance(t, Var)} for d in disjuncts))
+    head = tuple(rng.sample(sorted(shared), rng.randint(0, min(2, len(shared)))))
+    return Ucq(name, head, "t", tuple(disjuncts))
+
+
+def test_naive_eval_agrees_with_the_nested_loop(example1):
+    rng = random.Random(8)
+    kept = dropped = 0
+    for inst in _chase_results(6, example1):
+        assert len(inst.facts) >= 200
+        for k in range(25):
+            q = _random_ucq(rng, example1.target, f"q{k}")
+            expected = set()
+            for disjunct in q.disjuncts:
+                for b in nested_loop_homs(disjunct, inst):
+                    values = [b[v] for v in q.head]
+                    if all(isinstance(v, Constant) for v in values):
+                        expected.add((*(v.symbol for v in values), b[q.time_var]))
+                    else:
+                        dropped += 1
+            assert naive_eval(q, inst).rows == expected, q
+            kept += len(expected)
+    assert kept >= 100 and dropped >= 100, (kept, dropped)
