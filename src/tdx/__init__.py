@@ -22,7 +22,6 @@ from .model import (
     CONCRETE,
     MAX_NORMALIZE_FRAGMENTS,
     MAX_SEM_FACTS,
-    Constant,
     Fact,
     Instance,
     Null,
@@ -47,7 +46,6 @@ from .model import (
 )
 from .mapping_lang import (
     Atom,
-    Lit,
     Mapping,
     SttTgd,
     Tkc,

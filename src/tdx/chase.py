@@ -27,12 +27,12 @@ from .mapping_lang import Mapping, SttTgd, Tkc
 from .model import (
     ABSTRACT,
     CONCRETE,
-    Constant,
     Fact,
     Instance,
     Null,
     RelationSchema,
     Value,
+    _check_times,
     conform_instance,
     fact_sort_key,
     is_complete,
@@ -83,14 +83,14 @@ class EqClosure:
     def __init__(self) -> None:
         self._parent: dict[Value, Value] = {}
         self._size: dict[Value, int] = {}
-        self._const: dict[Value, Constant] = {}
+        self._const: dict[Value, str] = {}
         self._adj: dict[Value, list[Value]] = {}
 
     def find(self, v: Value) -> Value:
         if v not in self._parent:
             self._parent[v] = v
             self._size[v] = 1
-            if isinstance(v, Constant):
+            if isinstance(v, str):
                 self._const[v] = v
             return v
         root = v
@@ -100,7 +100,7 @@ class EqClosure:
             self._parent[v], v = root, self._parent[v]
         return root
 
-    def merge(self, x: Value, y: Value) -> tuple[Constant, Constant] | None:
+    def merge(self, x: Value, y: Value) -> tuple[str, str] | None:
         """Union the classes of x and y; returns the conflicting constants, if any."""
         self._adj.setdefault(x, []).append(y)
         self._adj.setdefault(y, []).append(x)
@@ -158,10 +158,11 @@ class EqClosure:
         return tuple(reversed(path))
 
 
-def _fire(rule: SttTgd, binding: Binding, nulls: NullCounter) -> frozenset[Fact]:
+def _fire(rule: SttTgd, existentials: Sequence[str], binding: Binding,
+          nulls: NullCounter) -> frozenset[Fact]:
     extended = dict(binding)
     context = binding[rule.time_var]
-    for var in rule.existential_order():
+    for var in existentials:
         extended[var] = Null(nulls.next_label(), context)
     return frozenset(instantiate_atom(atom, extended) for atom in rule.rhs)
 
@@ -180,7 +181,7 @@ def st_step(inst: Instance, rule: SttTgd, binding: Binding,
     for atom in rule.lhs:
         if instantiate_atom(atom, binding) not in inst.facts:
             raise ValueError(f"binding is not a formula homomorphism for atom {atom.relation!r}")
-    return _fire(rule, binding, nulls)
+    return _fire(rule, rule.existential_order(), binding, nulls)
 
 
 def _st_round(inst: Instance, rules: Sequence[SttTgd],
@@ -191,8 +192,9 @@ def _st_round(inst: Instance, rules: Sequence[SttTgd],
     for i, rule in enumerate(rules):
         if not rule.lhs:
             raise PreconditionError(f"rule #{i} has an empty left-hand side")
+        existentials = rule.existential_order()
         for binding in enumerate_formula_homs(rule.lhs, inst):
-            facts |= _fire(rule, binding, nulls)
+            facts |= _fire(rule, existentials, binding, nulls)
     return Instance(inst.kind, tuple(target), frozenset(facts))
 
 
@@ -288,7 +290,7 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]
         conflict = closure.merge(x, y)
         if conflict is not None:
             c1, c2 = conflict
-            return Failure((c1.symbol, c2.symbol), closure.trace(c1, c2))
+            return Failure((c1, c2), closure.trace(c1, c2))
     reps = {v: rep for v, rep in closure.representatives().items() if v != rep}
     if not reps:
         return Success(inst)
@@ -364,5 +366,7 @@ def chase(src: Instance, m: Mapping) -> ChaseOutcome:
         raise PreconditionError("the source instance must be complete")
     if src.kind == CONCRETE:
         src = normalize_instance(src)
+    else:
+        _check_times(src)
     staged = _st_round(src, m.sttgds, m.target)
     return _close_and_replace(staged, _round_equalities(staged, m.tkcs))

@@ -21,7 +21,6 @@ from .homomorphism import hom_equivalent
 from .mapping_lang import Mapping, parse_mapping
 from .model import (
     CONCRETE,
-    Constant,
     Instance,
     Value,
     _time_json,
@@ -81,7 +80,7 @@ def _load_mapping(path: str) -> Mapping:
 
 
 def _value_doc(v: Value) -> object:
-    return v.symbol if isinstance(v, Constant) else {"null": v.label, **_time_json(v.context)}
+    return v if isinstance(v, str) else {"null": v.label, **_time_json(v.context)}
 
 
 def _failure_text(failure: Failure) -> str:

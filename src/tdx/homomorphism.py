@@ -30,14 +30,14 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
 
 from .errors import SchemaError
-from .mapping_lang import Atom, Lit
+from .mapping_lang import Atom, Var
 from .model import (
     ABSTRACT,
-    Constant,
     Fact,
     Instance,
     Null,
     Value,
+    _check_times,
     fact_sort_key,
     value_sort_key,
 )
@@ -48,19 +48,25 @@ AbstractHom = dict[Null, Value]
 
 def instantiate_atom(atom: Atom, binding: TMapping[str, object]) -> Fact:
     """Apply a total binding to one atom, producing a fact."""
-    values = tuple(Constant(t.value) if isinstance(t, Lit) else binding[t.name] for t in atom.args)
+    values = tuple(binding[t.name] if isinstance(t, Var) else t for t in atom.args)
     return Fact(atom.relation, values, binding[atom.time_var])
 
 
+class _Var(str):
+    """A variable's name in a pattern slot; it hashes and compares as the name."""
+    __slots__ = ()
+
+
 # An atom or a fact compiled for matching: its relation, then one slot per
-# value position and one for time.  A ``str`` slot names a variable; any other
-# slot is the value a fact must hold there.
+# value position and one for time.  A ``_Var`` slot names a variable; any
+# other slot (a constant's ``str`` among them) is the value a fact must hold
+# there.
 _Pattern = tuple[str, tuple[object, ...]]
 
 
 def _compile(atom: Atom) -> _Pattern:
-    return atom.relation, (*(Constant(t.value) if isinstance(t, Lit) else t.name
-                             for t in atom.args), atom.time_var)
+    return atom.relation, (*(_Var(t.name) if isinstance(t, Var) else t for t in atom.args),
+                           _Var(atom.time_var))
 
 
 class _Step(NamedTuple):
@@ -94,7 +100,7 @@ def _most_bound_first(patterns: Sequence[_Pattern], bound: set[str]) -> list[int
     """
     if len(patterns) < 2:
         return list(range(len(patterns)))
-    names = [[s for s in slots if s.__class__ is str] for _, slots in patterns]
+    names = [[s for s in slots if s.__class__ is _Var] for _, slots in patterns]
     score = [len(slots) - len(vs) + sum(v in bound for v in vs)
              for (_, slots), vs in zip(patterns, names)]
     users: dict[str, list[int]] = {}
@@ -157,7 +163,7 @@ def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
         relation, slots = patterns[i]
         keyed, free = [], []
         for p, s in enumerate(slots):
-            if s.__class__ is str and s not in bound:
+            if s.__class__ is _Var and s not in bound:
                 free.append(p)
             else:
                 keyed.append(p)
@@ -188,12 +194,12 @@ def _steps(plan: _Plan, patterns: Sequence[_Pattern]) -> list[_Step]:
     steps = []
     for i, keyed, free, index in plan:
         slots = patterns[i][1]
-        steps.append(_Step(index, tuple([slots[p] for p in keyed]), tuple([(p, slots[p]) for p in free])))
+        steps.append(_Step(index, tuple([slots[p] for p in keyed]), tuple([(p, str(slots[p])) for p in free])))
     return steps
 
 
 def _candidates(step: _Step, binding: Binding) -> Sequence[Fact]:
-    return step.index.get(tuple([binding[s] if s.__class__ is str else s for s in step.probe]), ())
+    return step.index.get(tuple([binding[s] if s.__class__ is _Var else s for s in step.probe]), ())
 
 
 def _walk(plan: Sequence[_Step], start: Binding) -> Iterator[Binding]:
@@ -254,7 +260,8 @@ def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
     body reads.
     """
     results = list(_formula_homs(atoms, inst, initial))
-    results.sort(key=lambda b: tuple(value_sort_key(b[v]) for v in sorted(b)))
+    names = sorted(results[0]) if results else ()  # every binding of one call binds the same names
+    results.sort(key=lambda b: tuple([value_sort_key(b[v]) for v in names]))
     return results
 
 
@@ -267,6 +274,7 @@ def _check_hom_inputs(a: Instance, b: Instance) -> None:
     if a.schema != b.schema:
         raise SchemaError("instances must share a schema")
     for inst in (a, b):
+        _check_times(inst)
         _check_arity(inst.facts, inst)
         fact = _least([f for f in inst.facts for v in f.values
                        if v.__class__ is Null and v.context != f.time])
@@ -311,10 +319,10 @@ def _search_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
         if len(facts) > 1:
             facts.sort(key=fact_sort_key)
         # A null's label names its variable: a component lies at one time point.
-        patterns = [(f.relation, (*(v.label if v.__class__ is Null else v for v in f.values), f.time))
+        patterns = [(f.relation, (*(_Var(v.label) if v.__class__ is Null else v for v in f.values), f.time))
                     for f in facts]
         ids: dict[str, int] = {}
-        shape = tuple([(relation, tuple([ids.setdefault(s, len(ids)) if s.__class__ is str else -1
+        shape = tuple([(relation, tuple([ids.setdefault(s, len(ids)) if s.__class__ is _Var else -1
                                          for s in slots]))
                        for relation, slots in patterns])
         plan = plans.get(shape)
@@ -349,9 +357,10 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     so it is made once per shape and reused with each component's values.
     Returns None when no homomorphism exists.
 
-    Raises SchemaError if a fact of ``a`` or ``b`` does not fill a relation
-    of the schema, or holds a null not annotated with its time point; the
-    error names the least such fact in canonical order.
+    Raises SchemaError if a fact of ``a`` or ``b`` is not at a time point,
+    does not fill a relation of the schema, or holds a null not annotated
+    with its time point; the error names the least such fact in canonical
+    order.
     """
     _check_hom_inputs(a, b)
     return _search_abstract_hom(a, b)

@@ -14,7 +14,8 @@ In rules, ``?x`` marks an existentially quantified variable; quantifiers are
 implicit.  ``key`` lists the attributes of the temporal key; every remaining
 attribute is a dependent.  Query lines with the same name are disjuncts of one
 union; body variables not listed in the head are existential.  Constants are
-single-quoted strings.
+single-quoted strings; in an atom a constant is its ``str``, a variable a
+``Var``.
 
 Checking is split between syntax and structure.  The parser rejects only what
 the syntax tree cannot hold: bad tokens, ``?`` and ``@`` marking, a literal in
@@ -41,12 +42,7 @@ class Var:
     name: str
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: str
-
-
-Term = Union[Var, Lit]
+Term = Union[Var, str]  # a variable, or a constant as its string
 
 
 @dataclass(frozen=True)
@@ -275,7 +271,7 @@ def _read_atoms(cur: _Cursor, toks: dict, first: int, marker_error: str | None) 
             elif tok.kind == "name":
                 terms.append(Var(tok.text))
             elif tok.kind == "string":
-                terms.append(Lit(tok.text))
+                terms.append(tok.text)
             else:
                 raise cur.error(f"expected a term, got {tok.text!r}", tok)
             if not cur.at_punct(","):
@@ -433,8 +429,8 @@ def _render_signature(schema: RelationSchema) -> str:
 def _render_atom(atom: Atom, existentials: frozenset[str]) -> str:
     parts = []
     for term in atom.args:
-        if isinstance(term, Lit):
-            parts.append(f"'{term.value}'")
+        if isinstance(term, str):
+            parts.append(f"'{term}'")
         elif term.name in existentials:
             parts.append(f"?{term.name}")
         else:

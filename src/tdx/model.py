@@ -1,11 +1,12 @@
 """Values, facts, schemas, instances, and the two views of temporal data.
 
 A *concrete* instance stores each fact with a clopen interval; an *abstract*
-instance stores one fact per time point.  Unknown values are labeled nulls
-annotated with the temporal context of the fact they occur in: one ``Null``
-type serves both views, as ``N^[s,e)`` in a concrete fact and ``N^t`` in an
-abstract one, so a null's view is the type of its context.  Two annotated
-nulls are equal exactly when label and context are both equal.
+instance stores one fact per time point.  A constant is its ``str``.  Unknown
+values are labeled nulls annotated with the temporal context of the fact they
+occur in: one ``Null`` type serves both views, as ``N^[s,e)`` in a concrete
+fact and ``N^t`` in an abstract one, so a null's view is the type of its
+context.  Two annotated nulls are equal exactly when label and context are
+both equal.
 
 ``sem_fact`` / ``sem_instance`` expand the concrete view into the abstract one
 up to an explicit finite horizon (abstract views of unbounded intervals are
@@ -40,14 +41,6 @@ CONCRETE = "concrete"
 ABSTRACT = "abstract"
 
 
-@dataclass(frozen=True)
-class Constant:
-    symbol: str
-
-    def __str__(self) -> str:
-        return self.symbol
-
-
 TimeValue = Union[ClopenInterval, int]
 
 
@@ -63,7 +56,7 @@ class Null:
         return f"{self.label}^{self.context}"
 
 
-Value = Union[Constant, Null]
+Value = Union[str, Null]  # a constant is its string
 
 
 def is_null(v: Value) -> bool:
@@ -82,8 +75,8 @@ def value_sort_key(v: object) -> tuple:
         return (0, v)
     if isinstance(v, ClopenInterval):
         return (1, v.start, v.end)
-    if isinstance(v, Constant):
-        return (2, v.symbol)
+    if isinstance(v, str):
+        return (2, v)
     if isinstance(v, Null):
         return (3, v.label, value_sort_key(v.context))
     raise TypeError(f"not a value: {v!r}")
@@ -196,6 +189,17 @@ _TIME_OF = {
 }
 
 
+def _check_times(inst: Instance, times: Iterable[object] | None = None) -> None:
+    """Raise SchemaError if a fact's time is not of the instance's kind, naming
+    the least such fact by ``fact_sort_key``.  ``times``, if given, are the
+    distinct times of the facts, which the caller has already collected."""
+    is_time, time_name = _TIME_OF[inst.kind]
+    if all(map(is_time, [f.time for f in inst.facts] if times is None else times)):
+        return
+    fact = min((f for f in inst.facts if not is_time(f.time)), key=fact_sort_key)
+    raise SchemaError(f"{fact}: {inst.kind} fact must carry a {time_name}")
+
+
 def validate_instance(inst: Instance) -> list[Violation]:
     """Check arity, kind-homogeneity, and null-context coherence; violations are data.
 
@@ -284,7 +288,9 @@ def sem_instance(inst: Instance, horizon: int) -> Instance:
     if inst.kind != CONCRETE:
         raise SchemaError("sem_instance expects a concrete instance")
     _check_horizon(horizon)
-    count = sum(len(interval_points(f.time, horizon)) for f in inst.facts)
+    uses = Counter(f.time for f in inst.facts)
+    _check_times(inst, uses)
+    count = sum(n * len(interval_points(iv, horizon)) for iv, n in uses.items())
     if count > MAX_SEM_FACTS:
         raise PreconditionError(f"the abstract view up to horizon {horizon} has {count} facts, "
                                 f"more than the limit of {MAX_SEM_FACTS}")
@@ -298,11 +304,9 @@ def is_normalized(inst: Instance) -> bool:
     """True iff any two fact intervals across all relations are equal or disjoint."""
     if inst.kind != CONCRETE:
         raise SchemaError("normalization is defined for concrete instances")
-    intervals = sorted({f.time for f in inst.facts})
-    for prev, cur in zip(intervals, intervals[1:]):
-        if prev.end > cur.start:
-            return False
-    return True
+    _check_times(inst)
+    spans = sorted({(f.time.start, f.time.end) for f in inst.facts})  # which hash in C
+    return all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
 # The most fragments one ``normalize_instance`` adds to the facts it splits
@@ -335,6 +339,7 @@ def normalize_instance(inst: Instance) -> Instance:
     if inst.kind != CONCRETE:
         raise SchemaError("normalize_instance expects a concrete instance")
     uses = Counter(f.time for f in inst.facts)
+    _check_times(inst, uses)
     grid = build_grid(uses)
     cuts = {iv: (bisect_right(grid, iv.start), bisect_left(grid, iv.end)) for iv in uses}  # grid points inside
     added = sum(n * (cuts[iv][1] - cuts[iv][0]) for iv, n in uses.items())
@@ -400,7 +405,7 @@ def instance_to_json(inst: Instance) -> dict:
     relations = {}
     for schema in inst.schema:
         facts = [
-            {"values": [v.symbol if isinstance(v, Constant) else {"null": v.label} for v in f.values],
+            {"values": [v if isinstance(v, str) else {"null": v.label} for v in f.values],
              **_time_json(f.time)}
             for f in inst.relation_facts(schema.name)]
         relations[schema.name] = {"attributes": list(schema.all_attributes), "facts": facts}
@@ -438,7 +443,7 @@ def _time_from_json(doc: dict, kind: str, where: str) -> TimeValue:
 
 def _value_from_json(v: object, time: TimeValue, where: str) -> Value:
     if isinstance(v, str):
-        return Constant(v)
+        return v
     if isinstance(v, dict) and set(v) == {"null"} and isinstance(v["null"], str):
         return Null(v["null"], time)
     raise SchemaError(f"{where}: a value must be a string or {{\"null\": \"<label>\"}}, got {v!r}")
@@ -521,9 +526,9 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
         key: list = []
         texts = []
         for v in f.values:
-            if isinstance(v, Constant):
-                key += (2, v.symbol)
-                texts.append(_encode(v.symbol))
+            if isinstance(v, str):
+                key += (2, v)
+                texts.append(_encode(v))
             else:
                 key += (3, v.label, time_entry(v.context)[0])
                 text = nulls.get(v.label)

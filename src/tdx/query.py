@@ -18,11 +18,11 @@ from .mapping_lang import Mapping, Ucq
 from .model import (
     ABSTRACT,
     CONCRETE,
-    Constant,
     Fact,
     Instance,
     RelationSchema,
     _check_horizon,
+    _check_times,
     is_normalized,
 )
 from .temporal import interval_points
@@ -55,17 +55,20 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
     order.  A concrete instance must be normalized, and every disjunct needs
     an atom.
     """
-    if inst.kind == CONCRETE and not is_normalized(inst):
-        raise PreconditionError("naive evaluation on a concrete instance requires it normalized")
+    if inst.kind == CONCRETE:
+        if not is_normalized(inst):
+            raise PreconditionError("naive evaluation on a concrete instance requires it normalized")
+    else:
+        _check_times(inst)
     rows: set[tuple] = set()
     for k, disjunct in enumerate(q.disjuncts):
         if not disjunct:
             raise PreconditionError(f"query {q.name!r}: disjunct #{k} has no atoms")
         for binding in _formula_homs(disjunct, inst, None):
             values = [binding[v] for v in q.head]
-            if any(not isinstance(v, Constant) for v in values):
+            if any(not isinstance(v, str) for v in values):
                 continue  # a null never reaches an answer
-            rows.add((*(v.symbol for v in values), binding[q.time_var]))
+            rows.add((*values, binding[q.time_var]))
     return AnswerSet(q.name, inst.kind, q.columns, frozenset(rows))
 
 
@@ -94,7 +97,7 @@ def answers_to_instance(ans: AnswerSet) -> Instance:
     """Answers as a one-relation instance (complete facts only), for serialization."""
     schema = RelationSchema(ans.name, ans.columns[:-1], ans.columns[-1])
     facts = {
-        Fact(ans.name, tuple(Constant(v) for v in row[:-1]), row[-1])
+        Fact(ans.name, row[:-1], row[-1])
         for row in ans.rows
     }
     return Instance(ans.kind, (schema,), frozenset(facts))

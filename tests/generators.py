@@ -15,10 +15,8 @@ from tdx import (
     INF,
     Atom,
     ClopenInterval,
-    Constant,
     Fact,
     Instance,
-    Lit,
     Mapping,
     RelationSchema,
     SttTgd,
@@ -62,7 +60,7 @@ def _random_rule(rng: random.Random, source, target) -> SttTgd:
                 used_existentials.add(name)
                 args.append(Var(name))
             elif roll < 0.45:
-                args.append(Lit(rng.choice(CONSTANTS)))
+                args.append(rng.choice(CONSTANTS))
             else:
                 args.append(Var(rng.choice(lhs_vars)))
         rhs.append(Atom(schema.name, tuple(args), "t"))
@@ -94,7 +92,7 @@ def _random_source_instance(rng: random.Random, source) -> Instance:
     facts = set()
     for _ in range(rng.randint(1, 5)):
         schema = rng.choice(source)
-        values = tuple(Constant(rng.choice(CONSTANTS)) for _ in schema.attributes)
+        values = tuple(rng.choice(CONSTANTS) for _ in schema.attributes)
         facts.add(Fact(schema.name, values, rng.choice(cells)))
     return Instance.concrete(source, facts)
 
@@ -115,7 +113,7 @@ def random_query(rng: random.Random, target, name: str) -> Ucq:
             for pos in range(schema.arity):
                 positions.append((atom_idx, pos))
                 if rng.random() < 0.15:
-                    args.append(Lit(rng.choice(CONSTANTS)))
+                    args.append(rng.choice(CONSTANTS))
                 else:
                     args.append(Var(rng.choice(body_pool)))
             atoms.append([schema, args])
@@ -153,16 +151,16 @@ def careers_like(n: int, mapping: Mapping) -> Instance:
     rng = random.Random(n)
     facts = []
     for i in range(n):
-        name = Constant(f"p{i:03d}")
+        name = f"p{i:03d}"
         lengths, gaps, kinds = [1, 2, 3, 4, 1, 2, 3, 4, 2, 3], [0, 1, 0, 1, 2, 0, 1, 0, 1, 0], [1, 2] * 5
         for items in (lengths, gaps, kinds):
             rng.shuffle(items)
         t = rng.randint(0, 3)
         for length, gap, kind in zip(lengths, gaps, kinds):
             if kind == 1:
-                values = (name, Constant(rng.choice(["hp", "ibm", "sun"])))
+                values = (name, rng.choice(["hp", "ibm", "sun"]))
             else:
-                values = (name, Constant(rng.choice(["dev", "dba", "ops"])), Constant(rng.choice(["eng", "it"])))
+                values = (name, rng.choice(["dev", "dba", "ops"]), rng.choice(["eng", "it"]))
             facts.append(Fact(f"Employee{kind}", values, ClopenInterval(t, t + length)))
             t += length + gap
     return Instance.concrete(mapping.source, facts)

@@ -6,7 +6,6 @@ from pathlib import Path
 
 from tdx import (
     ClopenInterval,
-    Constant,
     Fact,
     Instance,
     Null,
@@ -30,8 +29,8 @@ def fixture_json(name: str) -> dict:
     return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
 
 
-def c(symbol: str) -> Constant:
-    return Constant(symbol)
+def c(symbol: str) -> str:
+    return symbol
 
 
 def iv(start, end) -> ClopenInterval:
@@ -47,8 +46,7 @@ def pnull(label: str, t: int) -> Null:
 
 
 def fact(relation: str, *values, time) -> Fact:
-    vals = tuple(Constant(v) if isinstance(v, str) else v for v in values)
-    return Fact(relation, vals, time)
+    return Fact(relation, values, time)
 
 
 def rel(name: str, *attributes: str, temporal: str = "time") -> RelationSchema:

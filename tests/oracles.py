@@ -16,10 +16,8 @@ from typing import Optional, Sequence
 
 from tdx import (
     ClopenInterval,
-    Constant,
     Fact,
     Instance,
-    Lit,
     Null,
     fact_sort_key,
     instance_to_json,
@@ -69,7 +67,7 @@ def expand_fact_by_points(f: Fact, horizon: int) -> set[Fact]:
     out = set()
     for t in interval_point_set(f.time, horizon):
         values = tuple(
-            Null(v.label, t) if not isinstance(v, Constant) else v
+            Null(v.label, t) if not isinstance(v, str) else v
             for v in f.values)
         out.add(Fact(f.relation, values, t))
     return out
@@ -108,7 +106,7 @@ def brute_force_hom_exists(a: Instance, b: Instance) -> bool:
         assert pool is not None
         pool = {
             v for v in pool
-            if isinstance(v, Constant) or (isinstance(v, Null) and v.context == n.context)
+            if isinstance(v, str) or (isinstance(v, Null) and v.context == n.context)
         }
         if not pool:
             return False
@@ -134,8 +132,8 @@ def brute_force_hom_exists(a: Instance, b: Instance) -> bool:
 def _match_atom(atom, fact: Fact, binding: dict) -> dict | None:
     ext = dict(binding)
     for term, value in zip(atom.args, fact.values):
-        if isinstance(term, Lit):
-            if value != Constant(term.value):
+        if isinstance(term, str):
+            if value != term:
                 return None
         else:
             bound = ext.get(term.name)
@@ -177,13 +175,13 @@ def _try_image(f: Fact, g: Fact, assignment: dict) -> Optional[list[Null]]:
         return None
     newly: list[Null] = []
     for v, w in zip(f.values, g.values):
-        if isinstance(v, Constant):
+        if isinstance(v, str):
             if v == w:
                 continue
         else:
             bound = assignment.get(v)
             if bound is None:
-                if isinstance(w, Constant) or (isinstance(w, Null) and w.context == v.context):
+                if isinstance(w, str) or (isinstance(w, Null) and w.context == v.context):
                     assignment[v] = w
                     newly.append(v)
                     continue

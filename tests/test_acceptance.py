@@ -14,7 +14,6 @@ from functools import cached_property
 import pytest
 
 from tdx import (
-    Constant,
     Failure,
     Instance,
     KeyNullViolation,
@@ -231,7 +230,7 @@ def _perturbations(result):
         {n: Null(n.label + "r", n.context) for n in nulls}, result)
     chosen = [n for i, n in enumerate(nulls) if i % 2 == 0] or nulls
     grounded = apply_abstract_hom(
-        {n: Constant(f"fc_{n.label}_{n.context}") for n in chosen}, result)
+        {n: f"fc_{n.label}_{n.context}" for n in chosen}, result)
     top = max((f.time for f in result.facts), default=0)
     extra_facts = set(result.facts)
     for k, schema in enumerate(result.schema):
@@ -253,7 +252,7 @@ def test_criterion_6_universality(fig2, example1, suite):
         # a deliberately over-specialized instance admits no hom back into the result
         golden = chase(fig2, example1).instance
         overspecialized = apply_abstract_hom(
-            {n: Constant(f"ground_{n.label}") for n in _nulls_of(golden)}, golden)
+            {n: f"ground_{n.label}" for n in _nulls_of(golden)}, golden)
         assert find_abstract_hom(golden, overspecialized) is not None
         assert find_abstract_hom(overspecialized, golden) is None
 

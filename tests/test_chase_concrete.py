@@ -14,7 +14,6 @@ from tdx import (
     Failure,
     Instance,
     KeyNullViolation,
-    Lit,
     Null,
     NullCounter,
     PreconditionError,
@@ -234,7 +233,7 @@ def test_chase_rejects_incomplete_or_mistyped_sources(fig1, example1):
 
 
 def test_chase_rejects_a_rule_with_an_empty_left_hand_side(fig1, fig2, example1):
-    headless = SttTgd((), (Atom("Emp", (Lit("a"), Lit("b"), Lit("c")), "t"),), frozenset())
+    headless = SttTgd((), (Atom("Emp", ("a", "b", "c"), "t"),), frozenset())
     m = replace(example1, sttgds=(*example1.sttgds, headless))
     for src in (fig1, fig2):
         with pytest.raises(PreconditionError, match="rule #2 has an empty left-hand side"):

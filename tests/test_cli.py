@@ -319,3 +319,21 @@ def test_normalize_beyond_the_fragment_limit_is_one_error_line(workdir, capsys, 
     assert not (workdir / "out.json").exists()
     assert capsys.readouterr().err == ("error: normalization would split 450 facts into 101475 fragments, "
                                        f"101025 more than the facts, above the limit of {tdx.MAX_NORMALIZE_FRAGMENTS}\n")
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("rule A(x, t) -> B(x, t). extra", "3:26: unexpected input after '.'"),
+    ("rule A(x, t) -> B(x, t);", "3:24: unexpected character ';'"),
+], ids=["text-after-the-period", "stray-semicolon"])
+def test_a_mapping_syntax_error_is_one_located_error_line(workdir, capsys, rule, message):
+    (workdir / "m.tdx").write_text(f"source A(x, @t).\ntarget B(x, @t).\n{rule}\n")
+    (workdir / "a.json").write_text('{"kind": "abstract", "relations": {"A": {"attributes": ["x", "t"]}}}')
+    assert run(workdir, "chase", "-m", "@m.tdx", "-i", "@a.json", "-o", "@out.json") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_source_attributes_that_differ_from_the_mapping_are_one_error_line(workdir, capsys):
+    (workdir / "m.tdx").write_text("source A(x, @t).\ntarget B(x, @t).\nrule A(x, t) -> B(x, t).\n")
+    (workdir / "a.json").write_text('{"kind": "abstract", "relations": {"A": {"attributes": ["y", "t"]}}}')
+    assert run(workdir, "chase", "-m", "@m.tdx", "-i", "@a.json", "-o", "@out.json") == 1
+    assert capsys.readouterr().err == "error: relation 'A' declared as ('x', 't'), instance has ('y', 't')\n"

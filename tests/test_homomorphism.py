@@ -12,7 +12,6 @@ from tdx import (
     Fact,
     Instance,
     KeyNullViolation,
-    Lit,
     Null,
     SchemaError,
     Success,
@@ -66,7 +65,7 @@ def test_bindings_replay_into_the_instance(fig8):
 
 
 def test_constants_in_atoms_filter(fig2):
-    atom = Atom("Employee2", (Var("n"), Lit("DBA"), Var("d")), "t")
+    atom = Atom("Employee2", (Var("n"), "DBA", Var("d")), "t")
     homs = enumerate_formula_homs([atom], fig2)
     assert [b["t"] for b in homs] == [10]
 
@@ -170,7 +169,7 @@ def test_an_image_null_annotated_with_another_time_is_a_schema_error():
 
 def test_a_fact_of_the_wrong_arity_is_a_schema_error_in_the_join():
     inst = Instance.abstract([rel("R", "a", "b")], [fact("R", "c", time=5)])
-    for atom in (Atom("R", (Var("x"), Var("y")), "t"), Atom("R", (Lit("c"), Var("y")), "t")):
+    for atom in (Atom("R", (Var("x"), Var("y")), "t"), Atom("R", ("c", Var("y")), "t")):
         with pytest.raises(SchemaError, match=r"R\(c, 5\): relation 'R' expects 2 values, got 1"):
             enumerate_formula_homs([atom], inst)
 
@@ -237,7 +236,7 @@ def _random_body(rng, inst):
     atoms = []
     for _ in range(rng.randint(1, 4)):
         schema = rng.choice(inst.schema)
-        args = tuple(Lit(rng.choice(CONSTANTS)) if rng.random() < 0.15 else Var(rng.choice("xyz"))
+        args = tuple(rng.choice(CONSTANTS) if rng.random() < 0.15 else Var(rng.choice("xyz"))
                      for _ in schema.attributes)
         atoms.append(Atom(schema.name, args, "t"))
     return atoms
@@ -415,7 +414,7 @@ def test_hom_equivalence_plans_once_per_component_shape(example1, monkeypatch):
 
 _HASH_SEED_PROBE = """
 import hashlib
-from tdx import Constant, Instance, Null, SchemaError, apply_abstract_hom, find_abstract_hom
+from tdx import Instance, Null, SchemaError, apply_abstract_hom, find_abstract_hom
 from generators import careers_chase_pair
 from helpers import fact, load_fixture_mapping, pnull, rel
 
@@ -439,7 +438,7 @@ jc, ja = careers_chase_pair(12, load_fixture_mapping("example1.tdx"))
 print(search(jc, ja))
 print(search(ja, jc))
 # each null's image now has a second candidate, the same fact with a constant
-grounded = apply_abstract_hom({v: Constant(f"{v}") for f in ja.facts for v in f.values
+grounded = apply_abstract_hom({v: f"{v}" for f in ja.facts for v in f.values
                                if isinstance(v, Null)}, ja)
 print(search(jc, ja.replace_facts(ja.facts | grounded.facts)))
 """

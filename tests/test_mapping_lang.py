@@ -5,7 +5,6 @@ import pytest
 
 from tdx import (
     Atom,
-    Lit,
     Mapping,
     ParseError,
     SttTgd,
@@ -49,7 +48,7 @@ query q(e, t) :- Out(e, 'info', t).
 query q(e, t) :- Out(e, 'warn', t).
 """
     m = parse_mapping(text)
-    assert m.sttgds[0].rhs[0].args == (Var("e"), Lit("info"))
+    assert m.sttgds[0].rhs[0].args == (Var("e"), "info")
     (q,) = m.queries
     assert len(q.disjuncts) == 2
     assert q.columns == ("e", "t")
@@ -132,7 +131,7 @@ def test_validate_mapping_detects_structural_defects():
 
 def test_rule_with_an_empty_left_hand_side_is_a_violation():
     a, b = rel("A", "x", temporal="t"), rel("B", "x", temporal="t")
-    headless = Mapping((a,), (b,), (SttTgd((), (Atom("B", (Lit("c"),), "t"),), frozenset()),), (), ())
+    headless = Mapping((a,), (b,), (SttTgd((), (Atom("B", ("c",), "t"),), frozenset()),), (), ())
     assert [(v.code, v.message) for v in validate_mapping(headless)] == [
         ("empty-side", "rule #0: the left-hand side has no atoms")]
     bare = Mapping((a,), (b,), (SttTgd((), (), frozenset()),), (), ())

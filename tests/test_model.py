@@ -17,12 +17,16 @@ from tdx import (
     build_grid,
     chase,
     dumps_instance,
+    find_abstract_hom,
+    hom_equivalent,
     is_complete,
     is_normalized,
     is_null,
     loads_instance,
     max_finite_endpoint,
+    naive_eval,
     normalize_instance,
+    parse_mapping,
     sem_fact,
     sem_instance,
     split_interval,
@@ -33,7 +37,7 @@ from tdx import (
 import tdx.model
 
 from generators import careers_like, random_case
-from helpers import FIXTURES, c, fact, inull, iv, load_fixture_instance, pnull, rel
+from helpers import FIXTURES, c, fact, inull, iv, load_fixture_instance, load_fixture_mapping, pnull, rel
 from oracles import expand_instance_by_points, json_dumps_instance
 
 
@@ -70,6 +74,44 @@ def test_kind_violations_are_reported():
     concrete_with_point_null = Instance.concrete(
         [emp], [fact("Emp", "Ada", pnull("N", 8), "IBM", time=iv(8, 10))])
     assert [v.code for v in validate_instance(concrete_with_point_null)] == ["kind-violation"]
+
+
+def _positions(inst):
+    return naive_eval(load_fixture_mapping("example1.tdx").query("positions"), inst)
+
+
+@pytest.mark.parametrize("name, relation, run", [
+    ("fig1.json", "Employee1", lambda i: chase(i, load_fixture_mapping("example1.tdx"))),
+    ("fig1.json", "Employee1", normalize_instance),
+    ("fig1.json", "Employee1", is_normalized),
+    ("fig1.json", "Employee1", lambda i: sem_instance(i, 20)),
+    ("fig3.json", "Emp", _positions),
+    ("fig2.json", "Employee1", lambda i: chase(i, load_fixture_mapping("example1.tdx"))),
+    ("fig4.json", "Emp", _positions),
+    ("fig4.json", "Emp", lambda i: find_abstract_hom(i, i)),
+    ("fig4.json", "Emp", lambda i: hom_equivalent(i, i)),
+], ids=["chase-concrete", "normalize_instance", "is_normalized", "sem_instance", "naive_eval-concrete",
+        "chase-abstract", "naive_eval-abstract", "find_abstract_hom", "hom_equivalent"])
+def test_a_fact_timed_in_the_other_view_is_a_schema_error(name, relation, run):
+    inst = load_fixture_instance(name)
+    arity = inst.schema_by_name[relation].arity
+    times = (3, 5) if inst.kind == "concrete" else (iv(3, 4), iv(5, 6))
+    wrong = [fact(relation, *[who] * arity, time=t) for who, t in zip(("Zed", "Bob"), times)]
+    expected = "clopen interval" if inst.kind == "concrete" else "finite time point"
+    with pytest.raises(SchemaError) as err:
+        run(inst.replace_facts(inst.facts | set(wrong)))
+    assert str(err.value) == f"{wrong[1]}: {inst.kind} fact must carry a {expected}"
+
+
+def test_every_constant_is_an_exact_str(fig1, example1):
+    """Loaded, chased, answered and parsed constants are plain strings, not wrappers."""
+    chased = chase(fig1, example1).instance
+    rows = naive_eval(example1.query("paid_positions"), chased).rows
+    rule = parse_mapping("source R(x, @t).\ntarget S(x, y, @t).\nrule R(x, t) -> S(x, 'info', t).\n").sttgds[0]
+    values = [v for inst in (fig1, chased) for f in inst.facts for v in f.values if not is_null(v)]
+    values += [v for row in rows for v in row[:-1]]
+    assert rows and values and {type(v) for v in values} == {str}
+    assert type(rule.rhs[0].args[1]) is str and rule.rhs[0].args[1] == "info"
 
 
 def test_value_sort_key_is_total_over_mixed_kinds():
@@ -225,7 +267,7 @@ def test_json_shared_null_labels_are_one_null(fig3):
 
 
 def is_complete_fact(f):
-    return all(hasattr(v, "symbol") for v in f.values)
+    return all(isinstance(v, str) for v in f.values)
 
 
 def test_loader_rejects_malformed_documents():
