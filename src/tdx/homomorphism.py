@@ -21,9 +21,9 @@ canonical order is paid for only where a result's order shows.
 labels follow them; ``naive_eval`` takes the same walk unsorted into a set.
 The abstract search sorts each index list of the target and each
 shared-null component of the source into canonical order, because the hom
-it returns is the first binding in that order.  Its plan depends only on a
-component's shape (relations, and which position holds which null), so it
-plans once per shape, not once per component.
+it returns is the first binding in that order.  It compiles a join once per
+component shape (relations, and which position holds which null), with the
+component's constants and time point as parameters, not once per component.
 """
 from __future__ import annotations
 
@@ -37,7 +37,9 @@ from .model import (
     Instance,
     Null,
     Value,
+    _check_contexts,
     _check_times,
+    _least,
     fact_sort_key,
     value_sort_key,
 )
@@ -120,12 +122,6 @@ def _most_bound_first(patterns: Sequence[_Pattern], bound: set[str]) -> list[int
                 for j in users[v]:
                     score[j] += 1
     return order
-
-
-def _least(facts: Iterable[Fact]) -> Optional[Fact]:
-    """The least fact in canonical order, or None: an error names the same
-    offender whatever the iteration order of a set of facts."""
-    return min(facts, key=fact_sort_key, default=None)
 
 
 def _check_arity(facts: Iterable[Fact], inst: Instance) -> None:
@@ -276,65 +272,84 @@ def _check_hom_inputs(a: Instance, b: Instance) -> None:
     for inst in (a, b):
         _check_times(inst)
         _check_arity(inst.facts, inst)
-        fact = _least([f for f in inst.facts for v in f.values
-                       if v.__class__ is Null and v.context != f.time])
-        if fact is not None:
-            null = next(v for v in fact.values if v.__class__ is Null and v.context != fact.time)
-            raise SchemaError(f"{fact}: null {null} is not annotated with the fact's time point")
+        _check_contexts(inst, "time point")
+
+
+# A component compiled once per shape: the steps of its join, and the names of
+# its parameters, one per constant slot in order, which the start binding
+# binds with the component's constants (and "@" with its time point), and of
+# its nulls, numbered by first occurrence, which the join binds.
+_Compiled = tuple[list[_Step], list[str], list[str]]
+
+
+def _compile_shape(shape: tuple, b: Instance, indexes: dict) -> _Compiled:
+    """Compile a shape (per fact, its relation and, per value, its null's number
+    or -1 for a constant) to a join over ``b``; names cannot collide, as none
+    is a null's label."""
+    params: list[str] = []
+    patterns = []
+    for relation, ids in shape:
+        slots = []
+        for k in ids:
+            if k < 0:
+                params.append(f"${len(params)}")
+                slots.append(_Var(params[-1]))
+            else:
+                slots.append(_Var(f"#{k}"))
+        patterns.append((relation, (*slots, _Var("@"))))
+    nulls = [f"#{k}" for k in range(1 + max(k for _, ids in shape for k in ids))]
+    plan = _join_plan(patterns, b, {*params, "@"}, indexes, ordered=True)
+    return _steps(plan, patterns), params, nulls
 
 
 def _search_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     """``find_abstract_hom`` on instances that passed ``_check_hom_inputs``."""
-    # A null is keyed by its label and its fact's time point (its context,
-    # as checked), which hash in C.
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
+    parent: dict[Null, Null] = {}
 
-    def find(k: tuple[str, int]) -> tuple[str, int]:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
+    def find(n: Null) -> Null:
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
 
-    firsts: list[tuple[Fact, tuple[str, int]]] = []
+    firsts: list[tuple[Fact, Null]] = []
     for f in a.facts:
-        keys = [(v.label, f.time) for v in f.values if v.__class__ is Null]
-        if not keys:
+        nulls = [v for v in f.values if v.__class__ is Null]
+        if not nulls:
             if f not in b.facts:  # constants are fixed, so the image is f itself
                 return None
             continue
-        for k in keys:
-            parent.setdefault(k, k)
-        first = find(keys[0])
-        for k in keys[1:]:
-            parent[find(k)] = first
+        for n in nulls:
+            parent.setdefault(n, n)
+        first = find(nulls[0])
+        for n in nulls[1:]:
+            parent[find(n)] = first
         firsts.append((f, first))
 
-    components: dict[tuple[str, int], list[Fact]] = {}
-    for f, k in firsts:
-        components.setdefault(find(k), []).append(f)
+    components: dict[Null, list[Fact]] = {}
+    for f, n in firsts:
+        components.setdefault(find(n), []).append(f)
     indexes: dict = {}
-    plans: dict[tuple, _Plan] = {}  # by component shape
+    compiled: dict[tuple, _Compiled] = {}  # by component shape
     hom: AbstractHom = {}
     for facts in components.values():
         if len(facts) > 1:
             facts.sort(key=fact_sort_key)
-        # A null's label names its variable: a component lies at one time point.
-        patterns = [(f.relation, (*(_Var(v.label) if v.__class__ is Null else v for v in f.values), f.time))
-                    for f in facts]
-        ids: dict[str, int] = {}
-        shape = tuple([(relation, tuple([ids.setdefault(s, len(ids)) if s.__class__ is _Var else -1
-                                         for s in slots]))
-                       for relation, slots in patterns])
-        plan = plans.get(shape)
-        if plan is None:
-            plan = plans[shape] = _join_plan(patterns, b, set(), indexes, ordered=True)
-        binding = next(_walk(_steps(plan, patterns), {}), None)
+        ids: dict[Null, int] = {}  # a component's nulls, in order of first occurrence
+        shape = tuple([(f.relation, tuple([ids.setdefault(v, len(ids)) if v.__class__ is Null else -1
+                                           for v in f.values]))
+                       for f in facts])
+        entry = compiled.get(shape)
+        if entry is None:
+            entry = compiled[shape] = _compile_shape(shape, b, indexes)
+        steps, params, names = entry
+        start = dict(zip(params, [v for f in facts for v in f.values if v.__class__ is not Null]))
+        start["@"] = facts[0].time  # a component lies at one time point
+        binding = next(_walk(steps, start), None)
         if binding is None:
             return None
-        for f in facts:
-            for n in f.values:
-                if n.__class__ is Null:
-                    hom[n] = binding[n.label]
+        for n, name in zip(ids, names):
+            hom[n] = binding[name]
     return hom
 
 
@@ -345,16 +360,18 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     component of the shared-null graph; a fact without nulls must itself occur
     in ``b``.  A component lies at one time point, so it is a conjunctive
     query over ``b``: each fact is a pattern with its constants and time
-    fixed and each null's label as a variable.  It runs on the same join as
+    fixed and each null as a variable.  It runs on the same join as
     ``enumerate_formula_homs``, with one index cache for the whole search,
     and the component's assignment is the first binding in the join's plan.
 
     Components are found in set order, but the hom does not depend on it.
     A component's facts are taken in canonical order and each index list of
     ``b`` is sorted into canonical order, so candidates are tried in that
-    order.  The plan depends only on the component's *shape* (its relations,
-    and which position holds which null, nulls renamed by first occurrence),
-    so it is made once per shape and reused with each component's values.
+    order.  The query depends only on the component's *shape* (its
+    relations, and which position holds which null, nulls renamed by first
+    occurrence), once each constant slot and the time slot is a parameter
+    bound before the join starts: so it is planned and compiled once per
+    shape, and each component only binds its constants and time point.
     Returns None when no homomorphism exists.
 
     Raises SchemaError if a fact of ``a`` or ``b`` is not at a time point,

@@ -8,6 +8,11 @@ fact and ``N^t`` in an abstract one, so a null's view is the type of its
 context.  Two annotated nulls are equal exactly when label and context are
 both equal.
 
+``Null``, ``Fact`` and ``ClopenInterval`` are named tuples, so they hash,
+compare and are built in C; each also equals the plain tuple of its fields.
+A time is therefore told apart by its class as well as its value wherever
+times are checked (``True == 1``, and an interval equals ``(start, end)``).
+
 ``sem_fact`` / ``sem_instance`` expand the concrete view into the abstract one
 up to an explicit finite horizon (abstract views of unbounded intervals are
 infinite, so materialization must be bounded).  ``normalize_instance``
@@ -20,9 +25,10 @@ paid where order shows.  Of an instance's accessors, ``facts`` and
 ``homomorphism`` (and so the chase and ``naive_eval``) read only these.
 ``sorted_facts`` and ``relation_facts`` sort once per instance, into
 canonical order, for readers whose result shows an order:
-``validate_instance`` (the order of its violations), ``instance_to_json``,
-and the test oracles.  ``dumps_instance``, the one writer of instance text,
-sorts each relation's facts itself as it writes them.
+``instance_to_json`` and the test oracles.  ``validate_instance`` sorts its
+facts itself, as it also orders facts that hold non-values, and
+``dumps_instance``, the one writer of instance text, sorts each relation's
+facts itself as it writes them.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
 from .temporal import INF, ClopenInterval, build_grid, interval_points
@@ -44,8 +50,7 @@ ABSTRACT = "abstract"
 TimeValue = Union[ClopenInterval, int]
 
 
-@dataclass(frozen=True)
-class Null:
+class Null(NamedTuple):
     """A labeled null annotated with the time of its fact: an interval in a
     concrete fact, a time point in an abstract one."""
 
@@ -82,8 +87,7 @@ def value_sort_key(v: object) -> tuple:
     raise TypeError(f"not a value: {v!r}")
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     """One tuple of a relation: non-temporal values plus its time (interval or point)."""
 
     relation: str
@@ -96,7 +100,27 @@ class Fact:
 
 
 def fact_sort_key(f: Fact) -> tuple:
-    return (f.relation, tuple(value_sort_key(v) for v in f.values), value_sort_key(f.time))
+    return (f.relation, tuple([value_sort_key(v) for v in f.values]), value_sort_key(f.time))
+
+
+def _any_sort_key(v: object) -> tuple:
+    """``value_sort_key``, extended to any object: one that is not a value
+    sorts after every value, by its type's name and then its ``repr``."""
+    try:
+        return value_sort_key(v)
+    except TypeError:
+        return (4, type(v).__qualname__, repr(v))
+
+
+def _offender_key(f: Fact) -> tuple:
+    """``fact_sort_key``, extended to a fact that holds or is timed by a non-value."""
+    return (f.relation, tuple(map(_any_sort_key, f.values)), _any_sort_key(f.time))
+
+
+def _least(facts: Iterable[Fact]) -> Optional[Fact]:
+    """The least fact in canonical order, or None: an error names the same
+    offender whatever the iteration order of a set of facts."""
+    return min(facts, key=_offender_key, default=None)
 
 
 @dataclass(frozen=True)
@@ -189,15 +213,31 @@ _TIME_OF = {
 }
 
 
-def _check_times(inst: Instance, times: Iterable[object] | None = None) -> None:
+def _same_time(a: object, b: object) -> bool:
+    """Equal and of one class: ``True == 1``, and an interval equals the plain
+    tuple of its endpoints, but neither is the other's time."""
+    return a.__class__ is b.__class__ and a == b
+
+
+def _check_times(inst: Instance) -> None:
     """Raise SchemaError if a fact's time is not of the instance's kind, naming
-    the least such fact by ``fact_sort_key``.  ``times``, if given, are the
-    distinct times of the facts, which the caller has already collected."""
+    the least such fact.  Each distinct time, told apart by class as in
+    ``_same_time``, is checked once."""
     is_time, time_name = _TIME_OF[inst.kind]
-    if all(map(is_time, [f.time for f in inst.facts] if times is None else times)):
-        return
-    fact = min((f for f in inst.facts if not is_time(f.time)), key=fact_sort_key)
-    raise SchemaError(f"{fact}: {inst.kind} fact must carry a {time_name}")
+    bad = {k for k in {(f.time.__class__, f.time) for f in inst.facts} if not is_time(k[1])}
+    if bad:
+        fact = _least(f for f in inst.facts if (f.time.__class__, f.time) in bad)
+        raise SchemaError(f"{fact}: {inst.kind} fact must carry a {time_name}")
+
+
+def _check_contexts(inst: Instance, time_name: str) -> None:
+    """Raise SchemaError if a null is not annotated with its fact's time,
+    naming the least such fact."""
+    fact = _least([f for f in inst.facts for v in f.values
+                   if v.__class__ is Null and not _same_time(v.context, f.time)])
+    if fact is not None:
+        null = next(v for v in fact.values if v.__class__ is Null and not _same_time(v.context, fact.time))
+        raise SchemaError(f"{fact}: null {null} is not annotated with the fact's {time_name}")
 
 
 def validate_instance(inst: Instance) -> list[Violation]:
@@ -209,7 +249,7 @@ def validate_instance(inst: Instance) -> list[Violation]:
     """
     is_time, time_name = _TIME_OF[inst.kind]
     out: list[Violation] = []
-    for f in inst.sorted_facts:
+    for f in sorted(inst.facts, key=_offender_key):
         schema = inst.schema_by_name.get(f.relation)
         if schema is None:
             out.append(Violation("unknown-relation", f"{f}: relation {f.relation!r} is not in the schema"))
@@ -222,7 +262,7 @@ def validate_instance(inst: Instance) -> list[Violation]:
             out.append(Violation("kind-violation", f"{f}: {inst.kind} fact must carry a {time_name}"))
             continue
         for v in f.values:
-            if not isinstance(v, Null) or v.context == f.time:
+            if not isinstance(v, Null) or _same_time(v.context, f.time):
                 continue
             if isinstance(v.context, ClopenInterval) != isinstance(f.time, ClopenInterval):
                 out.append(Violation("kind-violation", f"{f}: null {v} is not annotated with a {time_name}"))
@@ -265,7 +305,7 @@ def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
         raise SchemaError(f"{f}: not a concrete fact")
     _check_horizon(horizon, f.time)
     for v in f.values:
-        if isinstance(v, Null) and v.context != f.time:
+        if isinstance(v, Null) and not _same_time(v.context, f.time):
             raise SchemaError(f"{f}: null {v} is not annotated with the fact's interval")
     return frozenset(
         Fact(f.relation, tuple(Null(v.label, t0) if isinstance(v, Null) else v for v in f.values), t0)
@@ -282,21 +322,33 @@ MAX_SEM_FACTS = 250_000
 def sem_instance(inst: Instance, horizon: int) -> Instance:
     """Abstract view of a concrete instance, materialized up to ``horizon``.
 
-    Raises PreconditionError, before materializing anything, if that view
-    has more than ``MAX_SEM_FACTS`` facts (one per fact and time point).
+    As ``sem_fact`` of every fact, checked once: the horizon against each
+    distinct interval, in order (so an error names the least interval it is
+    below), and the nulls' contexts over the whole instance (an error names
+    the least fact).  Raises PreconditionError, before materializing
+    anything, if that view has more than ``MAX_SEM_FACTS`` facts (one per
+    fact and time point).
     """
     if inst.kind != CONCRETE:
         raise SchemaError("sem_instance expects a concrete instance")
     _check_horizon(horizon)
+    _check_times(inst)
     uses = Counter(f.time for f in inst.facts)
-    _check_times(inst, uses)
-    count = sum(n * len(interval_points(iv, horizon)) for iv, n in uses.items())
+    _check_horizon(horizon, *sorted(uses))
+    _check_contexts(inst, "interval")
+    points = {iv: interval_points(iv, horizon) for iv in uses}
+    count = sum(n * len(points[iv]) for iv, n in uses.items())
     if count > MAX_SEM_FACTS:
         raise PreconditionError(f"the abstract view up to horizon {horizon} has {count} facts, "
                                 f"more than the limit of {MAX_SEM_FACTS}")
+    nulls: dict[tuple[str, int], Null] = {}  # one per label and point
     facts: set[Fact] = set()
     for f in inst.facts:
-        facts |= sem_fact(f, horizon)
+        for t0 in points[f.time]:
+            values = tuple([v if v.__class__ is not Null else
+                            nulls.get((v.label, t0)) or nulls.setdefault((v.label, t0), Null(v.label, t0))
+                            for v in f.values])
+            facts.add(Fact(f.relation, values, t0))
     return Instance(ABSTRACT, inst.schema, frozenset(facts))
 
 
@@ -305,7 +357,7 @@ def is_normalized(inst: Instance) -> bool:
     if inst.kind != CONCRETE:
         raise SchemaError("normalization is defined for concrete instances")
     _check_times(inst)
-    spans = sorted({(f.time.start, f.time.end) for f in inst.facts})  # which hash in C
+    spans = sorted({f.time for f in inst.facts})
     return all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
@@ -338,8 +390,8 @@ def normalize_instance(inst: Instance) -> Instance:
     """
     if inst.kind != CONCRETE:
         raise SchemaError("normalize_instance expects a concrete instance")
+    _check_times(inst)
     uses = Counter(f.time for f in inst.facts)
-    _check_times(inst, uses)
     grid = build_grid(uses)
     cuts = {iv: (bisect_right(grid, iv.start), bisect_left(grid, iv.end)) for iv in uses}  # grid points inside
     added = sum(n * (cuts[iv][1] - cuts[iv][0]) for iv, n in uses.items())
@@ -347,7 +399,7 @@ def normalize_instance(inst: Instance) -> Instance:
         raise PreconditionError(f"normalization would split {len(inst.facts)} facts into "
                                 f"{len(inst.facts) + added} fragments, {added} more than the facts, "
                                 f"above the limit of {MAX_NORMALIZE_FRAGMENTS}")
-    if not added and all(v.context == f.time for f in inst.facts for v in f.values if isinstance(v, Null)):
+    if not added and all(_same_time(v.context, f.time) for f in inst.facts for v in f.values if isinstance(v, Null)):
         return inst
     pieces = {}
     for iv, (lo, hi) in cuts.items():
@@ -417,35 +469,54 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise SchemaError(f"{where}: {message}")
 
 
-def _time_from_json(doc: dict, kind: str, where: str) -> TimeValue:
+def _time_from_json(doc: dict, kind: str, where: str, seen: dict) -> TimeValue:
+    """The fact's time.  ``seen`` holds each time that passed, by its JSON
+    value: ``(start, end)`` or ``time``, made only of exact ints and
+    ``"inf"``, since a bool or a float can equal an int but is not a time."""
     if kind == CONCRETE:
         _require("interval" in doc, where, "concrete fact must carry an \"interval\"")
         iv = doc["interval"]
         _require(isinstance(iv, dict) and set(iv) == {"start", "end"}, where,
                  "interval must be {\"start\": ..., \"end\": ...}")
-        start, end = iv["start"], iv["end"]
-        _require(isinstance(start, int) and not isinstance(start, bool), where, "interval start must be an integer")
-        if end == "inf":
-            end = INF
-        else:
-            _require(isinstance(end, int) and not isinstance(end, bool), where,
-                     "interval end must be an integer or \"inf\"")
-        try:
-            return ClopenInterval(start, end)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-    _require("time" in doc, where, "abstract fact must carry a \"time\"")
-    t = doc["time"]
-    _require(isinstance(t, int) and not isinstance(t, bool) and t >= 0, where,
-             "time must be a non-negative integer")
+        start, end = key = iv["start"], iv["end"]
+        if start.__class__ is not int or (end.__class__ is not int and end != "inf"):
+            key = None
+        t = seen.get(key)
+        if t is None:
+            _require(isinstance(start, int) and not isinstance(start, bool), where,
+                     "interval start must be an integer")
+            if end == "inf":
+                end = INF
+            else:
+                _require(isinstance(end, int) and not isinstance(end, bool), where,
+                         "interval end must be an integer or \"inf\"")
+            try:
+                t = ClopenInterval(start, end)
+            except ValueError as exc:
+                raise SchemaError(f"{where}: {exc}") from exc
+    else:
+        _require("time" in doc, where, "abstract fact must carry a \"time\"")
+        t = key = doc["time"]
+        if t.__class__ is not int:
+            key = None
+        if key not in seen:
+            _require(isinstance(t, int) and not isinstance(t, bool) and t >= 0, where,
+                     "time must be a non-negative integer")
+    if key is not None:
+        seen[key] = t
     return t
 
 
-def _value_from_json(v: object, time: TimeValue, where: str) -> Value:
+def _value_from_json(v: object, time: TimeValue, where: str, nulls: dict) -> Value:
+    """The value; ``nulls`` holds one ``Null`` per label and time."""
     if isinstance(v, str):
         return v
     if isinstance(v, dict) and set(v) == {"null"} and isinstance(v["null"], str):
-        return Null(v["null"], time)
+        key = (v["null"], time)
+        null = nulls.get(key)
+        if null is None:
+            null = nulls[key] = Null(*key)
+        return null
     raise SchemaError(f"{where}: a value must be a string or {{\"null\": \"<label>\"}}, got {v!r}")
 
 
@@ -457,6 +528,8 @@ def instance_from_json(doc: object) -> Instance:
     _require(isinstance(relations, dict), "instance", "\"relations\" must be an object")
     schemas: list[RelationSchema] = []
     facts: set[Fact] = set()
+    times: dict = {}
+    nulls: dict = {}
     for name in relations:
         where = f"relation {name!r}"
         rel = relations[name]
@@ -467,17 +540,19 @@ def instance_from_json(doc: object) -> Instance:
         _require(len(set(attrs)) == len(attrs), where, "duplicate attribute name")
         schema = RelationSchema(name, tuple(attrs[:-1]), attrs[-1])
         schemas.append(schema)
+        arity = schema.arity
         rows = rel.get("facts", [])
         _require(isinstance(rows, list), where, "\"facts\" must be a list")
         for i, row in enumerate(rows):
             fwhere = f"{where} fact #{i}"
             _require(isinstance(row, dict), fwhere, "must be an object")
-            time = _time_from_json(row, kind, fwhere)
+            time = _time_from_json(row, kind, fwhere, times)
             values = row.get("values")
             _require(isinstance(values, list), fwhere, "\"values\" must be a list")
-            _require(len(values) == schema.arity, fwhere,
-                     f"expected {schema.arity} values, got {len(values)}")
-            facts.add(Fact(name, tuple(_value_from_json(v, time, fwhere) for v in values), time))
+            if len(values) != arity:
+                raise SchemaError(f"{fwhere}: expected {arity} values, got {len(values)}")
+            facts.add(Fact(name, tuple([v if v.__class__ is str else _value_from_json(v, time, fwhere, nulls)
+                                        for v in values]), time))
     return Instance(kind, tuple(schemas), frozenset(facts))
 
 
@@ -499,12 +574,11 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     ``fact_sort_key`` order, strings are escaped by the json module's C
     encoder, and each distinct time and null label is rendered once per call.
     """
-    times: dict[object, tuple[tuple, str]] = {}  # by endpoints, which hash in C
+    times: dict[TimeValue, tuple[tuple, str]] = {}
 
     def time_entry(t: TimeValue) -> tuple[tuple, str]:
         """The time's sort key and the text of its members in a fact object."""
-        key = (t.start, t.end) if isinstance(t, ClopenInterval) else t
-        entry = times.get(key)
+        entry = times.get(t)
         if entry is None:
             if isinstance(t, ClopenInterval):
                 end = int.__repr__(t.end) if isinstance(t.end, int) else '"inf"'
@@ -512,7 +586,7 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
                         f'            "start": {int.__repr__(t.start)}\n          }}')
             else:
                 text = f'"time": {int.__repr__(t)}'
-            entry = times[key] = (value_sort_key(t), text)
+            entry = times[t] = (value_sort_key(t), text)
         return entry
 
     nulls: dict[str, str] = {}

@@ -10,34 +10,44 @@ interval start and as a standalone time value everywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 INF = math.inf
 
 TimePoint = Union[int, float]  # a natural number, or INF as a right endpoint
 
 
-@dataclass(frozen=True, order=True)
-class ClopenInterval:
-    """Half-open span ``[start, end)`` of consecutive time points.
-
-    Intervals order by ``(start, end)``; finite ends come before ``INF``.
-    """
-
+class _Span(NamedTuple):
     start: int
     end: TimePoint
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.start, int) or isinstance(self.start, bool):
-            raise ValueError(f"interval start must be a natural number, got {self.start!r}")
-        if self.start < 0:
-            raise ValueError(f"interval start must be non-negative, got {self.start}")
-        if isinstance(self.end, int) and not isinstance(self.end, bool):
-            if self.end <= self.start:
-                raise ValueError(f"interval [{self.start},{self.end}) is empty")
-        elif self.end != INF:
-            raise ValueError(f"interval end must be a natural number or INF, got {self.end!r}")
+
+class ClopenInterval(_Span):
+    """Half-open span ``[start, end)`` of consecutive time points.
+
+    An interval is a ``(start, end)`` tuple, so it hashes, compares and
+    orders in C: by ``(start, end)``, finite ends before ``INF``.  It is
+    validated wherever it is made: by ``copy``, ``pickle``, ``_make`` and
+    ``_replace`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: TimePoint) -> "ClopenInterval":
+        if not isinstance(start, int) or isinstance(start, bool):
+            raise ValueError(f"interval start must be a natural number, got {start!r}")
+        if start < 0:
+            raise ValueError(f"interval start must be non-negative, got {start}")
+        if isinstance(end, int) and not isinstance(end, bool):
+            if end <= start:
+                raise ValueError(f"interval [{start},{end}) is empty")
+        elif end != INF:
+            raise ValueError(f"interval end must be a natural number or INF, got {end!r}")
+        return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ClopenInterval":
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"[{self.start},{self.end})"

@@ -6,7 +6,9 @@ existence by exhaustive enumeration of null assignments and by a
 backtracking scan over every fact at the same relation and time point,
 formula homomorphisms by a recursive nested loop over whole relations, the
 key round's equalities from every pair of every key group, and the
-canonical instance text by the json module's own encoder.
+canonical instance text by the json module's own encoder.  The abstract
+homomorphism search that compiles each component shape once is checked
+against the search that builds patterns and steps for every component.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from tdx import (
     value_sort_key,
 )
 from tdx.chase import _pair_equalities, tkc_positions
+from tdx.homomorphism import _check_hom_inputs, _join_plan, _steps, _Var, _walk
 
 
 def json_dumps_instance(inst: Instance, horizon: int | None = None) -> str:
@@ -263,3 +266,58 @@ def scan_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
         if not _search_component(facts, index, assignment):
             return None
     return dict(assignment)
+
+
+def per_component_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
+    """``find_abstract_hom`` with patterns and steps built for each component:
+    its constants and time fixed in the patterns, each null's label its
+    variable, and one plan per component shape, on the same planner, index
+    cache and walker."""
+    _check_hom_inputs(a, b)
+    parent: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def find(k: tuple[str, int]) -> tuple[str, int]:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    firsts: list[tuple[Fact, tuple[str, int]]] = []
+    for f in a.facts:
+        keys = [(v.label, f.time) for v in f.values if isinstance(v, Null)]
+        if not keys:
+            if f not in b.facts:
+                return None
+            continue
+        for k in keys:
+            parent.setdefault(k, k)
+        first = find(keys[0])
+        for k in keys[1:]:
+            parent[find(k)] = first
+        firsts.append((f, first))
+
+    components: dict[tuple[str, int], list[Fact]] = {}
+    for f, k in firsts:
+        components.setdefault(find(k), []).append(f)
+    indexes: dict = {}
+    plans: dict[tuple, list] = {}
+    hom: dict = {}
+    for facts in components.values():
+        facts.sort(key=fact_sort_key)
+        patterns = [(f.relation, (*(_Var(v.label) if isinstance(v, Null) else v for v in f.values), f.time))
+                    for f in facts]
+        ids: dict[str, int] = {}
+        shape = tuple((relation, tuple(ids.setdefault(s, len(ids)) if isinstance(s, _Var) else -1
+                                       for s in slots))
+                      for relation, slots in patterns)
+        plan = plans.get(shape)
+        if plan is None:
+            plan = plans[shape] = _join_plan(patterns, b, set(), indexes, ordered=True)
+        binding = next(_walk(_steps(plan, patterns), {}), None)
+        if binding is None:
+            return None
+        for f in facts:
+            for n in f.values:
+                if isinstance(n, Null):
+                    hom[n] = binding[n.label]
+    return hom

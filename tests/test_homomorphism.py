@@ -32,7 +32,7 @@ import tdx.homomorphism
 
 from generators import CONSTANTS, careers_chase_pair, careers_like, random_case
 from helpers import c, fact, iv, pnull, rel
-from oracles import brute_force_hom_exists, nested_loop_homs, scan_abstract_hom
+from oracles import brute_force_hom_exists, nested_loop_homs, per_component_abstract_hom, scan_abstract_hom
 
 JOIN_LHS = [
     Atom("Employee1", (Var("n"), Var("c")), "t"),
@@ -340,6 +340,8 @@ def _with_decoys(rng, inst):
 
 
 def test_hom_search_agrees_with_the_scan(example1):
+    """Whether a hom exists agrees with the scan; the hom found is the one the
+    search that builds its patterns and steps per component finds."""
     rng = random.Random(6)
     found = missing = 0
     for n in (12, 24, 36):
@@ -351,6 +353,7 @@ def test_hom_search_agrees_with_the_scan(example1):
             for a, b in ((x, y), (y, x)):
                 hom = find_abstract_hom(a, b)
                 assert (hom is None) == (scan_abstract_hom(a, b) is None), (n, a, b)
+                assert hom == per_component_abstract_hom(a, b), (n, a, b)
                 if hom is None:
                     missing += 1
                 else:

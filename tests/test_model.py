@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tdx import (
     INF,
+    ClopenInterval,
     Fact,
     Instance,
     InvalidHorizonError,
@@ -103,6 +108,77 @@ def test_a_fact_timed_in_the_other_view_is_a_schema_error(name, relation, run):
     assert str(err.value) == f"{wrong[1]}: {inst.kind} fact must carry a {expected}"
 
 
+_TIME_CLASS_PROBE = """
+from tdx import chase, find_abstract_hom, hom_equivalent, is_normalized, naive_eval, normalize_instance, sem_instance
+from helpers import fact, load_fixture_instance, load_fixture_mapping
+
+m = load_fixture_mapping("example1.tdx")
+positions = m.query("positions")
+runs = {
+    "chase-concrete": ("fig1.json", "Employee1", lambda i: chase(i, m)),
+    "normalize_instance": ("fig1.json", "Employee1", normalize_instance),
+    "is_normalized": ("fig1.json", "Employee1", is_normalized),
+    "sem_instance": ("fig1.json", "Employee1", lambda i: sem_instance(i, 20)),
+    "naive_eval-concrete": ("fig3.json", "Emp", lambda i: naive_eval(positions, i)),
+    "chase-abstract": ("fig2.json", "Employee1", lambda i: chase(i, m)),
+    "naive_eval-abstract": ("fig4.json", "Emp", lambda i: naive_eval(positions, i)),
+    "find_abstract_hom": ("fig4.json", "Emp", lambda i: find_abstract_hom(i, i)),
+    "hom_equivalent": ("fig4.json", "Emp", lambda i: hom_equivalent(i, i)),
+}
+for name, (fixture, relation, run) in runs.items():
+    inst = load_fixture_instance(fixture)
+    arity = inst.schema_by_name[relation].arity
+    if inst.kind == "concrete":  # a fact at the plain tuple of each interval of the instance
+        times = sorted({f.time for f in inst.facts})
+        wrong = [fact(relation, f"Zed{i}", *["X"] * (arity - 1), time=(t.start, t.end)) for i, t in enumerate(times)]
+    else:  # facts at False and True, beside facts at 0 and 1
+        wrong = [fact(relation, *[who] * arity, time=t) for who, t in (("Bob", 0), ("Bob", 1), ("Zed", False), ("Zed", True))]
+    try:
+        run(inst.replace_facts(inst.facts | set(wrong)))
+        print(name, "accepted")
+    except Exception as exc:
+        print(name, f"{type(exc).__name__}: {exc}")
+"""
+
+
+def test_a_time_equal_to_a_time_of_another_class_is_a_schema_error_under_every_hash_seed():
+    """A plain tuple equals the interval of its endpoints and True equals 1, so
+    a set of times can merge them; each is still a time of the wrong class,
+    and the least such fact is named, whatever the hash order of the facts."""
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(tdx.model.__file__).parent.parent), str(tests), os.environ.get("PYTHONPATH")]))}
+    runs = [subprocess.run([sys.executable, "-c", _TIME_CLASS_PROBE], cwd=tests, capture_output=True,
+                           text=True, env={**env, "PYTHONHASHSEED": seed}, check=True).stdout.splitlines()
+            for seed in ("0", "1", "2", "3", "4", "5")]
+    assert all(run == runs[0] for run in runs)
+    concrete = "SchemaError: Employee1(Zed0, X, (8, 10)): concrete fact must carry a clopen interval"
+    abstract = "SchemaError: Emp(Zed, Zed, Zed, False): abstract fact must carry a finite time point"
+    assert runs[0] == [
+        *(f"{name} {concrete}" for name in ("chase-concrete", "normalize_instance", "is_normalized",
+                                            "sem_instance")),
+        "naive_eval-concrete SchemaError: Emp(Zed0, X, X, (8, 10)): concrete fact must carry a clopen interval",
+        "chase-abstract SchemaError: Employee1(Zed, Zed, False): abstract fact must carry a finite time point",
+        *(f"{name} {abstract}" for name in ("naive_eval-abstract", "find_abstract_hom", "hom_equivalent")),
+    ]
+
+
+def test_a_null_annotated_with_an_equal_time_of_another_class_is_not_annotated_with_it():
+    schema = [rel("R", "a")]
+    concrete = fact("R", Null("N", (0, 5)), time=iv(0, 5))
+    inst = Instance.concrete(schema, [concrete])
+    assert [v.code for v in validate_instance(inst)] == ["kind-violation"]
+    for run in (lambda: sem_fact(concrete, 9), lambda: sem_instance(inst, 9)):
+        with pytest.raises(SchemaError, match=r"^R\(N\^\(0, 5\), \[0,5\)\): null N\^\(0, 5\) is not annotated "
+                                              r"with the fact's interval$"):
+            run()
+    assert [type(v.context) for f in normalize_instance(inst).facts for v in f.values] == [ClopenInterval]
+    abstract = Instance.abstract(schema, [fact("R", Null("N", True), time=1)])
+    assert [v.code for v in validate_instance(abstract)] == ["context-mismatch"]
+    with pytest.raises(SchemaError, match=r"^R\(N\^True, 1\): null N\^True is not annotated with the fact's time point$"):
+        find_abstract_hom(abstract, abstract)
+
+
 def test_every_constant_is_an_exact_str(fig1, example1):
     """Loaded, chased, answered and parsed constants are plain strings, not wrappers."""
     chased = chase(fig1, example1).instance
@@ -112,6 +188,23 @@ def test_every_constant_is_an_exact_str(fig1, example1):
     values += [v for row in rows for v in row[:-1]]
     assert rows and values and {type(v) for v in values} == {str}
     assert type(rule.rhs[0].args[1]) is str and rule.rhs[0].args[1] == "info"
+
+
+def test_values_are_tuples_with_their_names_fields_and_text():
+    interval, null = iv(0, 5), Null("N", 3)
+    f = fact("R", "a", null, time=3)
+    assert (interval, null, f) == ((0, 5), ("N", 3), ("R", ("a", null), 3))
+    assert hash(interval) == hash((0, 5)) and hash(f) == hash(("R", ("a", ("N", 3)), 3))
+    assert (len(f), list(null), interval[1]) == (3, ["N", 3], 5)
+    assert all(null != x for x in ("N", "N^3", str(null)))
+    assert (repr(interval), repr(null), repr(f)) == (
+        "ClopenInterval(start=0, end=5)", "Null(label='N', context=3)",
+        "Fact(relation='R', values=('a', Null(label='N', context=3)), time=3)")
+    assert (str(iv(2014, INF)), str(Null("N", interval)), str(f)) == ("[2014,inf)", "N^[0,5)", "R(a, N^3, 3)")
+    assert sorted([iv(2, 3), iv(0, INF), iv(1, 2), interval]) == [interval, iv(0, INF), iv(1, 2), iv(2, 3)]
+    for value, field in ((interval, "start"), (null, "label"), (f, "time")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
 
 
 def test_value_sort_key_is_total_over_mixed_kinds():
@@ -175,6 +268,16 @@ def test_sem_fact_rejects_low_horizon():
         sem_fact(fact("R", "a", time=iv(3, 9)), 8)
     with pytest.raises(InvalidHorizonError):
         sem_fact(fact("R", "a", time=iv(3, INF)), 2)
+
+
+def test_sem_instance_rejects_low_horizon():
+    inst = Instance.concrete([rel("R", "a")], [fact("R", "a", time=iv(0, 2)), fact("R", "b", time=iv(3, 9)),
+                                               fact("R", "c", time=iv(10, INF))])
+    with pytest.raises(InvalidHorizonError, match=r"^horizon 8 is below endpoint 9 of \[3,9\)$"):
+        sem_instance(inst, 8)
+    with pytest.raises(InvalidHorizonError, match=r"^horizon 9 is below endpoint 10 of \[10,inf\)$"):
+        sem_instance(inst, 9)
+    assert len(sem_instance(inst, 10).facts) == 2 + 6
 
 
 def test_sem_instance_checks_the_horizon_on_an_empty_instance():

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +31,29 @@ def test_interval_validation():
         ClopenInterval(INF, INF)  # infinity never starts an interval
     assert str(iv(8, 11)) == "[8,11)"
     assert str(iv(2014, INF)) == "[2014,inf)"
+
+
+def test_an_interval_is_validated_however_it_is_made():
+    """Bad endpoints are rejected by the constructor, by ``_make`` and
+    ``_replace``, and when ``copy`` or ``pickle`` rebuilds an interval."""
+    good = iv(3, 5)
+    assert copy.copy(good) == copy.deepcopy(good) == pickle.loads(pickle.dumps(good)) == good
+    assert {type(x) for x in (copy.copy(good), pickle.loads(pickle.dumps(good)), good._replace(end=6))} \
+        == {ClopenInterval}
+    data = pickle.dumps(good, protocol=2)  # unframed, so endpoints of another length fit
+    assert data.count(b"K\x03K\x05") == 1  # the two endpoints, as one-byte ints
+    bad_endpoints = {
+        "bool start": (True, 5, b"\x88K\x05"),
+        "negative start": (-1, 5, b"J" + struct.pack("<i", -1) + b"K\x05"),
+        "empty": (5, 3, b"K\x05K\x03"),
+        "float end": (3, 7.5, b"K\x03G" + struct.pack(">d", 7.5)),
+    }
+    for start, end, endpoints in bad_endpoints.values():
+        for make in (lambda: ClopenInterval(start, end), lambda: ClopenInterval._make((start, end)),
+                     lambda: good._replace(start=start, end=end),
+                     lambda: pickle.loads(data.replace(b"K\x03K\x05", endpoints))):
+            with pytest.raises(ValueError):
+                make()
 
 
 def test_contains():
