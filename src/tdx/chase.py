@@ -220,9 +220,12 @@ def _check_key(f: Fact, schema: RelationSchema, key_pos: tuple[int, ...]) -> Non
             raise KeyNullViolation(f"{f}: null {f.values[i]} in key position {schema.attributes[i]!r}")
 
 
-def _pair_equalities(u1: Fact, u2: Fact, tkc: Tkc, schema: RelationSchema,
-                     key_pos: tuple[int, ...],
-                     dep_pos: tuple[int, ...]) -> frozenset[tuple[Value, Value]]:
+def tkc_step(u1: Fact, u2: Fact, tkc: Tkc,
+             schema: RelationSchema) -> frozenset[tuple[Value, Value]]:
+    """Equalities between the dependent values of two conflicting facts; checks
+    that they are distinct facts of the relation that agree on the time and on
+    a key without nulls (KeyNullViolation otherwise)."""
+    key_pos, dep_pos = tkc_positions(tkc, schema)
     if u1.relation != tkc.relation or u2.relation != tkc.relation:
         raise ValueError(f"facts must belong to relation {tkc.relation!r}")
     _check_key(u1, schema, key_pos)
@@ -236,25 +239,17 @@ def _pair_equalities(u1: Fact, u2: Fact, tkc: Tkc, schema: RelationSchema,
         for i in dep_pos if u1.values[i] != u2.values[i])
 
 
-def tkc_step(u1: Fact, u2: Fact, tkc: Tkc,
-             schema: RelationSchema) -> frozenset[tuple[Value, Value]]:
-    """Equalities between the dependent values of two conflicting facts."""
-    return _pair_equalities(u1, u2, tkc, schema, *tkc_positions(tkc, schema))
-
-
 def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, Value]]:
     """The equalities of every key group: the facts of one relation that agree
     on the time and the key values.
 
     Each member of a group is paired with one hub, the group's least member
     by ``fact_sort_key``: that star has the same closure as all k(k-1)/2
-    pairs of the group, in k-1 pairs.  Members of one group share their key
+    pairs of the group, in k-1 pairs; the grouping guarantees what
+    ``tkc_step`` checks of a pair.  Members of one group share their key
     values, so a null in a key position is in all of them; the violation
     reported is the one in the least such hub, whatever the set order.
     """
-    by_relation: dict[str, list[Fact]] = {}
-    for f in inst.facts:
-        by_relation.setdefault(f.relation, []).append(f)
     equalities: list[tuple[Value, Value]] = []
     for tkc in tkcs:
         schema = inst.schema_by_name.get(tkc.relation)
@@ -262,7 +257,7 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
             raise SchemaError(f"key constraint on unknown relation {tkc.relation!r}")
         key_pos, dep_pos = tkc_positions(tkc, schema)
         groups: dict[tuple, list[Fact]] = {}
-        for f in by_relation.get(tkc.relation, ()):
+        for f in inst.facts_by_relation[tkc.relation]:
             groups.setdefault((f.time, tuple(f.values[i] for i in key_pos)), []).append(f)
         null_keys = []
         for group in groups.values():
@@ -274,7 +269,9 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
                 continue
             for f in group:
                 if f is not hub:
-                    equalities.extend(_pair_equalities(hub, f, tkc, schema, key_pos, dep_pos))
+                    for i in dep_pos:
+                        if hub.values[i] != f.values[i]:
+                            equalities.append(_ordered_pair(hub.values[i], f.values[i]))
         if null_keys:
             _check_key(min(null_keys, key=fact_sort_key), schema, key_pos)
     return equalities

@@ -137,15 +137,10 @@ def _check_arity(facts: Iterable[Fact], inst: Instance) -> None:
                       f"values, got {len(fact.values)}")
 
 
-# A join plan, which depends only on which slots of the patterns are variables
-# and which variables they share: per pattern, most bound first, its position
-# in the body, its indexed positions, its other positions, and the index.
-_Plan = list[tuple[int, tuple[int, ...], tuple[int, ...], dict]]
-
-
 def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
-               indexes: dict[tuple[str, tuple[int, ...]], dict], ordered: bool = False) -> _Plan:
-    """Plan the patterns most bound first, each with an index of its relation.
+               indexes: dict[tuple[str, tuple[int, ...]], dict], ordered: bool = False) -> list[_Step]:
+    """The steps of a join of the patterns: most bound first, each with an
+    index of its relation, its probe and its free variables.
 
     The index is keyed by the values at the pattern's bound positions (with
     none, it holds the whole relation under the empty key).  ``indexes``
@@ -153,17 +148,12 @@ def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
     index is built from the relation's facts in no particular order; if
     ``ordered``, each of its lists is then sorted into canonical order.
     """
-    plan = []
+    steps = []
     bound = set(bound)
     for i in _most_bound_first(patterns, bound):
         relation, slots = patterns[i]
-        keyed, free = [], []
-        for p, s in enumerate(slots):
-            if s.__class__ is _Var and s not in bound:
-                free.append(p)
-            else:
-                keyed.append(p)
-        keyed, free = tuple(keyed), tuple(free)
+        free = tuple([p for p, s in enumerate(slots) if s.__class__ is _Var and s not in bound])
+        keyed = tuple([p for p in range(len(slots)) if p not in free])
         index = indexes.get((relation, keyed))
         if index is None:
             facts = inst.facts_by_relation.get(relation, ())
@@ -180,17 +170,8 @@ def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
             else:
                 index = {(): sorted(facts, key=fact_sort_key) if ordered else facts}
             indexes[relation, keyed] = index
-        plan.append((i, keyed, free, index))
-        bound.update([slots[p] for p in free])
-    return plan
-
-
-def _steps(plan: _Plan, patterns: Sequence[_Pattern]) -> list[_Step]:
-    """The plan's steps for these patterns: their probes and free variables."""
-    steps = []
-    for i, keyed, free, index in plan:
-        slots = patterns[i][1]
         steps.append(_Step(index, tuple([slots[p] for p in keyed]), tuple([(p, str(slots[p])) for p in free])))
+        bound.update([slots[p] for p in free])
     return steps
 
 
@@ -236,7 +217,7 @@ def _formula_homs(atoms: Sequence[Atom], inst: Instance,
     start: Binding = dict(initial or {})
     bound = {v for v, value in start.items() if value is not None}
     patterns = [_compile(a) for a in atoms]
-    return _walk(_steps(_join_plan(patterns, inst, bound, {}), patterns), start)
+    return _walk(_join_plan(patterns, inst, bound, {}), start)
 
 
 def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
@@ -272,7 +253,7 @@ def _check_hom_inputs(a: Instance, b: Instance) -> None:
     for inst in (a, b):
         _check_times(inst)
         _check_arity(inst.facts, inst)
-        _check_contexts(inst, "time point")
+        _check_contexts(inst.facts, "time point")
 
 
 # A component compiled once per shape: the steps of its join, and the names of
@@ -298,8 +279,7 @@ def _compile_shape(shape: tuple, b: Instance, indexes: dict) -> _Compiled:
                 slots.append(_Var(f"#{k}"))
         patterns.append((relation, (*slots, _Var("@"))))
     nulls = [f"#{k}" for k in range(1 + max(k for _, ids in shape for k in ids))]
-    plan = _join_plan(patterns, b, {*params, "@"}, indexes, ordered=True)
-    return _steps(plan, patterns), params, nulls
+    return _join_plan(patterns, b, {*params, "@"}, indexes, ordered=True), params, nulls
 
 
 def _search_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:

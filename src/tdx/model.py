@@ -20,15 +20,14 @@ rewrites a concrete instance so that any two intervals across all relations
 are either equal or disjoint.
 
 An instance is a set of facts; canonical order (``fact_sort_key``) is a cost
-paid where order shows.  Of an instance's accessors, ``facts`` and
-``facts_by_relation`` (each relation's facts) are unsorted; the joins of
-``homomorphism`` (and so the chase and ``naive_eval``) read only these.
-``sorted_facts`` and ``relation_facts`` sort once per instance, into
-canonical order, for readers whose result shows an order:
-``instance_to_json`` and the test oracles.  ``validate_instance`` sorts its
-facts itself, as it also orders facts that hold non-values, and
-``dumps_instance``, the one writer of instance text, sorts each relation's
-facts itself as it writes them.
+paid where order shows.  An instance's accessors, ``facts`` and
+``facts_by_relation`` (each relation's facts), are unsorted, and the joins
+of ``homomorphism`` (and so the chase and ``naive_eval``) and the key round
+read only these.  A reader whose result shows an order sorts what it reads
+itself: ``dumps_instance``, the one writer of instance text, and
+``instance_to_json`` sort each relation's facts as they write them, and
+``validate_instance`` sorts its facts, as it also orders facts that hold
+non-values.
 """
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
-from .temporal import INF, ClopenInterval, build_grid, interval_points
+from .temporal import INF, ClopenInterval, build_grid, interval_points, split_interval
 
 CONCRETE = "concrete"
 ABSTRACT = "abstract"
@@ -180,11 +179,6 @@ class Instance:
         return {r.name: r for r in self.schema}
 
     @cached_property
-    def sorted_facts(self) -> tuple[Fact, ...]:
-        """Every fact, in canonical order."""
-        return tuple(sorted(self.facts, key=fact_sort_key))
-
-    @cached_property
     def facts_by_relation(self) -> dict[str, tuple[Fact, ...]]:
         """Each relation's facts, in no particular order; every relation of the
         schema has an entry, and so does a relation outside it that has facts."""
@@ -192,15 +186,6 @@ class Instance:
         for f in self.facts:
             grouped.setdefault(f.relation, []).append(f)
         return {name: tuple(facts) for name, facts in grouped.items()}
-
-    @cached_property
-    def _relations_in_order(self) -> dict[str, tuple[Fact, ...]]:
-        return {name: tuple(sorted(facts, key=fact_sort_key))
-                for name, facts in self.facts_by_relation.items()}
-
-    def relation_facts(self, name: str) -> tuple[Fact, ...]:
-        """The relation's facts, in canonical order."""
-        return self._relations_in_order.get(name, ())
 
     def replace_facts(self, facts: Iterable[Fact]) -> "Instance":
         return Instance(self.kind, self.schema, frozenset(facts))
@@ -230,22 +215,46 @@ def _check_times(inst: Instance) -> None:
         raise SchemaError(f"{fact}: {inst.kind} fact must carry a {time_name}")
 
 
-def _check_contexts(inst: Instance, time_name: str) -> None:
+def _check_contexts(facts: Iterable[Fact], time_name: str) -> None:
     """Raise SchemaError if a null is not annotated with its fact's time,
     naming the least such fact."""
-    fact = _least([f for f in inst.facts for v in f.values
+    fact = _least([f for f in facts for v in f.values
                    if v.__class__ is Null and not _same_time(v.context, f.time)])
     if fact is not None:
         null = next(v for v in fact.values if v.__class__ is Null and not _same_time(v.context, fact.time))
         raise SchemaError(f"{fact}: null {null} is not annotated with the fact's {time_name}")
 
 
-def validate_instance(inst: Instance) -> list[Violation]:
-    """Check arity, kind-homogeneity, and null-context coherence; violations are data.
+def _is_value(v: object) -> bool:
+    return isinstance(v, str) or (isinstance(v, Null) and isinstance(v.label, str))
 
-    A null annotated with the other view's kind of time is a kind violation;
-    one annotated with a time of the right kind other than its fact's is a
-    context mismatch.
+
+def _non_value(f: Fact) -> Optional[str]:
+    """What in ``f`` no writer can render, or None."""
+    for v in f.values:
+        if not _is_value(v):
+            return f"{v!r} is not a constant or a null with a string label"
+    for t in (f.time, *[v.context for v in f.values if isinstance(v, Null)]):
+        if not (isinstance(t, ClopenInterval) or (isinstance(t, int) and not isinstance(t, bool))):
+            return f"{t!r} is neither a time point nor an interval"
+    return None
+
+
+def _check_values(inst: Instance) -> None:
+    """Raise SchemaError naming the least fact of the schema's relations that
+    ``_non_value`` rejects.  The writers run it only once rendering failed."""
+    fact = _least([f for f in inst.facts if f.relation in inst.schema_by_name and _non_value(f)])
+    if fact is not None:
+        raise SchemaError(f"{fact}: {_non_value(fact)}")
+
+
+def validate_instance(inst: Instance) -> list[Violation]:
+    """Check arity, kind-homogeneity, values and null-context coherence; violations are data.
+
+    A fact not timed by its view's kind of time, or a null annotated with the
+    other view's kind, is a ``kind-violation``; a null annotated with another
+    time of the right kind is a ``context-mismatch``; a value that is neither
+    a constant nor a null with a string label is ``not-a-value``.
     """
     is_time, time_name = _TIME_OF[inst.kind]
     out: list[Violation] = []
@@ -262,6 +271,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
             out.append(Violation("kind-violation", f"{f}: {inst.kind} fact must carry a {time_name}"))
             continue
         for v in f.values:
+            if not _is_value(v):
+                out.append(Violation("not-a-value", f"{f}: {v!r} is not a constant or a null with a string label"))
             if not isinstance(v, Null) or _same_time(v.context, f.time):
                 continue
             if isinstance(v.context, ClopenInterval) != isinstance(f.time, ClopenInterval):
@@ -294,6 +305,21 @@ def _check_horizon(horizon: int, *intervals: ClopenInterval) -> None:
                 raise InvalidHorizonError(f"horizon {horizon} is below endpoint {e} of {iv}")
 
 
+def _cut(facts: Iterable[Fact], pieces: dict[TimeValue, Iterable[TimeValue]]) -> frozenset[Fact]:
+    """Each fact once per piece of its time (subintervals or time points):
+    a null keeps its label and is re-annotated with the piece, one ``Null``
+    per label and piece.  ``normalize_instance`` and ``sem`` both cut so."""
+    nulls: dict[tuple[str, TimeValue], Null] = {}
+    out: set[Fact] = set()
+    for f in facts:
+        for piece in pieces[f.time]:
+            values = tuple([v if v.__class__ is not Null else
+                            nulls.get((v.label, piece)) or nulls.setdefault((v.label, piece), Null(v.label, piece))
+                            for v in f.values])
+            out.add(Fact(f.relation, values, piece))
+    return frozenset(out)
+
+
 def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
     """Abstract expansion of one concrete fact: one fact per contained time point.
 
@@ -304,12 +330,8 @@ def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
     if not isinstance(f.time, ClopenInterval):
         raise SchemaError(f"{f}: not a concrete fact")
     _check_horizon(horizon, f.time)
-    for v in f.values:
-        if isinstance(v, Null) and not _same_time(v.context, f.time):
-            raise SchemaError(f"{f}: null {v} is not annotated with the fact's interval")
-    return frozenset(
-        Fact(f.relation, tuple(Null(v.label, t0) if isinstance(v, Null) else v for v in f.values), t0)
-        for t0 in interval_points(f.time, horizon))
+    _check_contexts([f], "interval")
+    return _cut([f], {f.time: interval_points(f.time, horizon)})
 
 
 # The most abstract facts one ``sem_instance`` materializes.  Measured with
@@ -335,21 +357,13 @@ def sem_instance(inst: Instance, horizon: int) -> Instance:
     _check_times(inst)
     uses = Counter(f.time for f in inst.facts)
     _check_horizon(horizon, *sorted(uses))
-    _check_contexts(inst, "interval")
+    _check_contexts(inst.facts, "interval")
     points = {iv: interval_points(iv, horizon) for iv in uses}
     count = sum(n * len(points[iv]) for iv, n in uses.items())
     if count > MAX_SEM_FACTS:
         raise PreconditionError(f"the abstract view up to horizon {horizon} has {count} facts, "
                                 f"more than the limit of {MAX_SEM_FACTS}")
-    nulls: dict[tuple[str, int], Null] = {}  # one per label and point
-    facts: set[Fact] = set()
-    for f in inst.facts:
-        for t0 in points[f.time]:
-            values = tuple([v if v.__class__ is not Null else
-                            nulls.get((v.label, t0)) or nulls.setdefault((v.label, t0), Null(v.label, t0))
-                            for v in f.values])
-            facts.add(Fact(f.relation, values, t0))
-    return Instance(ABSTRACT, inst.schema, frozenset(facts))
+    return Instance(ABSTRACT, inst.schema, _cut(inst.facts, points))
 
 
 def is_normalized(inst: Instance) -> bool:
@@ -370,10 +384,12 @@ def normalize_instance(inst: Instance) -> Instance:
     """Split every fact over the endpoint grid of the whole instance.
 
     The output satisfies the normalization predicate and has the same abstract
-    view at every valid horizon: a null in a split fact keeps its label and
-    is re-annotated with each subinterval.  An instance whose facts need no
-    split and whose nulls are annotated with their fact's interval is returned
-    as it is.
+    view at every valid horizon: each distinct interval is cut by
+    ``split_interval`` at the grid points inside it, and a null keeps its
+    label and is re-annotated with each piece, as ``sem_instance`` does with
+    each time point.  An instance that needs no split is returned as it is.
+    Raises SchemaError, as ``sem_instance`` does, naming the least fact with
+    a null not annotated with its fact's interval.
 
     A fact becomes one fragment per grid cell it covers, so n nested facts
     ``[i, inf)`` make n(n+1)/2 fragments, n(n-1)/2 more than the facts.  The
@@ -391,6 +407,7 @@ def normalize_instance(inst: Instance) -> Instance:
     if inst.kind != CONCRETE:
         raise SchemaError("normalize_instance expects a concrete instance")
     _check_times(inst)
+    _check_contexts(inst.facts, "interval")
     uses = Counter(f.time for f in inst.facts)
     grid = build_grid(uses)
     cuts = {iv: (bisect_right(grid, iv.start), bisect_left(grid, iv.end)) for iv in uses}  # grid points inside
@@ -399,18 +416,10 @@ def normalize_instance(inst: Instance) -> Instance:
         raise PreconditionError(f"normalization would split {len(inst.facts)} facts into "
                                 f"{len(inst.facts) + added} fragments, {added} more than the facts, "
                                 f"above the limit of {MAX_NORMALIZE_FRAGMENTS}")
-    if not added and all(_same_time(v.context, f.time) for f in inst.facts for v in f.values if isinstance(v, Null)):
+    if not added:
         return inst
-    pieces = {}
-    for iv, (lo, hi) in cuts.items():
-        bounds = [iv.start, *grid[lo:hi], iv.end]
-        pieces[iv] = [ClopenInterval(s, e) for s, e in zip(bounds, bounds[1:])]
-    facts: set[Fact] = set()
-    for f in inst.facts:
-        for piece in pieces[f.time]:
-            values = tuple(Null(v.label, piece) if isinstance(v, Null) else v for v in f.values)
-            facts.add(Fact(f.relation, values, piece))
-    return Instance(CONCRETE, inst.schema, frozenset(facts))
+    pieces = {iv: split_interval(iv, grid[lo:hi]) for iv, (lo, hi) in cuts.items()}
+    return Instance(CONCRETE, inst.schema, _cut(inst.facts, pieces))
 
 
 def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Instance:
@@ -454,13 +463,19 @@ def _time_json(t: TimeValue) -> dict:
 
 
 def instance_to_json(inst: Instance) -> dict:
-    relations = {}
-    for schema in inst.schema:
-        facts = [
-            {"values": [v if isinstance(v, str) else {"null": v.label} for v in f.values],
-             **_time_json(f.time)}
-            for f in inst.relation_facts(schema.name)]
-        relations[schema.name] = {"attributes": list(schema.all_attributes), "facts": facts}
+    """The JSON document of ``inst``, each relation's facts in canonical
+    order; SchemaError names the least fact holding a non-value."""
+    try:
+        relations = {}
+        for schema in inst.schema:
+            facts = [
+                {"values": [v if isinstance(v, str) else {"null": v.label} for v in f.values],
+                 **_time_json(f.time)}
+                for f in sorted(inst.facts_by_relation[schema.name], key=fact_sort_key)]
+            relations[schema.name] = {"attributes": list(schema.all_attributes), "facts": facts}
+    except (TypeError, AttributeError):
+        _check_values(inst)
+        raise
     return {"kind": inst.kind, "relations": relations}
 
 
@@ -573,6 +588,7 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     directly from the instance: each relation's facts are sorted here, in
     ``fact_sort_key`` order, strings are escaped by the json module's C
     encoder, and each distinct time and null label is rendered once per call.
+    Raises SchemaError, as ``instance_to_json`` does, for a non-value.
     """
     times: dict[TimeValue, tuple[tuple, str]] = {}
 
@@ -591,28 +607,32 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
 
     nulls: dict[str, str] = {}
     rows: dict[str, list[tuple[tuple, str]]] = {r.name: [] for r in inst.schema}
-    for f in inst.facts:
-        out = rows.get(f.relation)
-        if out is None:
-            continue
-        # One flat sort key: each part starts with its kind, which fixes the
-        # part's length, so it orders like fact_sort_key within a relation.
-        key: list = []
-        texts = []
-        for v in f.values:
-            if isinstance(v, str):
-                key += (2, v)
-                texts.append(_encode(v))
-            else:
-                key += (3, v.label, time_entry(v.context)[0])
-                text = nulls.get(v.label)
-                if text is None:
-                    text = nulls[v.label] = '{\n              "null": ' + _encode(v.label) + "\n            }"
-                texts.append(text)
-        time_key, time_text = time_entry(f.time)
-        key += time_key
-        out.append((tuple(key), "{\n          " + time_text + ',\n          "values": '
-                    + _list_text(texts, "          ") + "\n        }"))
+    try:
+        for f in inst.facts:
+            out = rows.get(f.relation)
+            if out is None:
+                continue
+            # One flat sort key: each part starts with its kind, which fixes the
+            # part's length, so it orders like fact_sort_key within a relation.
+            key: list = []
+            texts = []
+            for v in f.values:
+                if isinstance(v, str):
+                    key += (2, v)
+                    texts.append(_encode(v))
+                else:
+                    key += (3, v.label, time_entry(v.context)[0])
+                    text = nulls.get(v.label)
+                    if text is None:
+                        text = nulls[v.label] = '{\n              "null": ' + _encode(v.label) + "\n            }"
+                    texts.append(text)
+            time_key, time_text = time_entry(f.time)
+            key += time_key
+            out.append((tuple(key), "{\n          " + time_text + ',\n          "values": '
+                        + _list_text(texts, "          ") + "\n        }"))
+    except (TypeError, AttributeError):
+        _check_values(inst)
+        raise
     relations = []
     for schema in inst.schema:
         facts = _list_text([text for _, text in sorted(rows[schema.name])], "      ")

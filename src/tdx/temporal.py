@@ -10,6 +10,8 @@ interval start and as a standalone time value everywhere else.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from operator import lt
 from typing import Iterable, NamedTuple, Union
 
 INF = math.inf
@@ -77,12 +79,12 @@ def split_interval(iv: ClopenInterval, grid: Iterable[int]) -> list[ClopenInterv
 
     Returns consecutive subintervals whose point sets partition the point set
     of ``iv``; none of them contains an interior grid point.  The grid must be
-    sorted and duplicate-free.
+    sorted and duplicate-free (checked); grid points outside ``iv`` are
+    skipped by ``bisect``.  ``normalize_instance`` passes only the points
+    inside, so the check costs no more than the cuts.
     """
     grid = list(grid)
-    for a, b in zip(grid, grid[1:]):
-        if a >= b:
-            raise ValueError("grid must be sorted and duplicate-free")
-    cuts = [g for g in grid if iv.start < g < iv.end]
-    bounds = [iv.start, *cuts, iv.end]
+    if not all(map(lt, grid, grid[1:])):
+        raise ValueError("grid must be sorted and duplicate-free")
+    bounds = [iv.start, *grid[bisect_right(grid, iv.start):bisect_left(grid, iv.end)], iv.end]
     return [ClopenInterval(s, e) for s, e in zip(bounds, bounds[1:])]

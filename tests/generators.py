@@ -2,9 +2,10 @@
 careers-like sources and chase results for the scale tests.
 
 All draws go through one ``random.Random`` so suites are reproducible.  The
-generated sources are complete and already normalized: fact intervals are
-drawn from one family of pairwise-disjoint cells over endpoints <= 8, the last
-of which may be unbounded.
+sources of ``random_case`` are complete and already normalized: fact
+intervals are drawn from one family of pairwise-disjoint cells over endpoints
+<= 8, the last of which may be unbounded.  ``random_overlapping_case`` draws
+complete sources that normalization must cut.
 """
 from __future__ import annotations
 
@@ -139,6 +140,45 @@ def random_case(rng: random.Random, with_queries: bool = True) -> Case:
     mapping = Mapping(source, target, rules, _random_tkcs(rng, target), queries)
     assert not validate_mapping(mapping)
     return Case(mapping, _random_source_instance(rng, source), MAX_ENDPOINT + 1)
+
+
+OVERLAP_MAX_ENDPOINT = 100
+
+
+def _keyed_tkcs(target) -> tuple[Tkc, ...]:
+    """One key per target relation with dependents: its first attribute and the time."""
+    return tuple(Tkc(r.name, frozenset({r.attributes[0], r.temporal}), r.attributes[1:])
+                 for r in target if r.arity >= 2)
+
+
+def random_overlapping_case(rng: random.Random) -> Case:
+    """A random mapping over a source of 50-300 facts on overlapping intervals
+    (endpoints up to ``OVERLAP_MAX_ENDPOINT``, about one in ten unbounded),
+    so normalization cuts most of them into many pieces.
+
+    Draws are tilted towards chases that succeed: each target relation is
+    keyed on its first attribute, and every value of a source fact is the
+    name of one of its entities, so a rule matches whatever its variable
+    pattern and key groups hold one entity's facts.  Conflicts still come
+    from rule constants and from rules that write different entities'
+    values into one key group.
+    """
+    source = _random_schemas(rng, "S", rng.randint(1, 2), 2)
+    target = _random_schemas(rng, "T", rng.randint(1, 2), 3)
+    rules = tuple(_random_rule(rng, source, target) for _ in range(rng.randint(1, 3)))
+    queries = tuple(random_query(rng, target, f"q{k}") for k in range(rng.randint(1, 2)))
+    mapping = Mapping(source, target, rules, _keyed_tkcs(target), queries)
+    assert not validate_mapping(mapping)
+    count = rng.randint(50, 300)
+    entities = [f"e{k}" for k in range(count // 3)]
+    facts = set()
+    while len(facts) < count:
+        schema = rng.choice(source)
+        start = rng.randrange(OVERLAP_MAX_ENDPOINT)
+        end = INF if rng.random() < 0.1 else rng.randint(start + 1, OVERLAP_MAX_ENDPOINT)
+        name = rng.choice(entities)
+        facts.add(Fact(schema.name, (name,) * schema.arity, ClopenInterval(start, end)))
+    return Case(mapping, Instance.concrete(source, facts), OVERLAP_MAX_ENDPOINT + 1)
 
 
 def random_mapping(rng: random.Random) -> Mapping:

@@ -10,6 +10,7 @@ from tdx import (
     Instance,
     Null,
     RelationSchema,
+    fact_sort_key,
     loads_instance,
     parse_mapping,
 )
@@ -51,3 +52,9 @@ def fact(relation: str, *values, time) -> Fact:
 
 def rel(name: str, *attributes: str, temporal: str = "time") -> RelationSchema:
     return RelationSchema(name, tuple(attributes), temporal)
+
+
+def in_order(inst: Instance, relation: str | None = None) -> list[Fact]:
+    """The instance's facts, or one relation's, in canonical order."""
+    facts = inst.facts if relation is None else inst.facts_by_relation.get(relation, ())
+    return sorted(facts, key=fact_sort_key)

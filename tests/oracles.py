@@ -8,7 +8,7 @@ formula homomorphisms by a recursive nested loop over whole relations, the
 key round's equalities from every pair of every key group, and the
 canonical instance text by the json module's own encoder.  The abstract
 homomorphism search that compiles each component shape once is checked
-against the search that builds patterns and steps for every component.
+against the search that plans a join for every component.
 """
 from __future__ import annotations
 
@@ -25,8 +25,10 @@ from tdx import (
     instance_to_json,
     value_sort_key,
 )
-from tdx.chase import _pair_equalities, tkc_positions
-from tdx.homomorphism import _check_hom_inputs, _join_plan, _steps, _Var, _walk
+from tdx.chase import tkc_positions, tkc_step
+from tdx.homomorphism import _check_hom_inputs, _join_plan, _Var, _walk
+
+from helpers import in_order
 
 
 def json_dumps_instance(inst: Instance, horizon: int | None = None) -> str:
@@ -40,19 +42,19 @@ def json_dumps_instance(inst: Instance, horizon: int | None = None) -> str:
 
 def pairwise_round_equalities(inst: Instance, tkcs) -> list:
     """The key round's equalities from all k(k-1)/2 pairs of each key group,
-    groups and pairs in canonical fact order."""
+    groups and pairs in canonical fact order, each pair through the checked
+    ``tkc_step``."""
     equalities = []
     for tkc in tkcs:
         schema = inst.schema_by_name[tkc.relation]
-        key_pos, dep_pos = tkc_positions(tkc, schema)
+        key_pos, _ = tkc_positions(tkc, schema)
         groups: dict[tuple, list[Fact]] = {}
-        for f in inst.relation_facts(tkc.relation):
+        for f in in_order(inst, tkc.relation):
             groups.setdefault((f.time, tuple(f.values[i] for i in key_pos)), []).append(f)
         for group in groups.values():
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
-                    equalities.extend(
-                        _pair_equalities(group[i], group[j], tkc, schema, key_pos, dep_pos))
+                    equalities.extend(tkc_step(group[i], group[j], tkc, schema))
     return equalities
 
 
@@ -162,7 +164,7 @@ def nested_loop_homs(atoms, inst: Instance, initial: dict | None = None) -> list
             results.append(binding)
             return
         atom = atoms[i]
-        for fact in inst.relation_facts(atom.relation):
+        for fact in in_order(inst, atom.relation):
             ext = _match_atom(atom, fact, binding)
             if ext is not None:
                 extend(i + 1, ext)
@@ -232,7 +234,7 @@ def scan_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
     result is the canonically first assignment.  None when there is none."""
     b_facts = b.facts
     index: dict[tuple[str, object], list[Fact]] = {}
-    for g in b.sorted_facts:
+    for g in in_order(b):
         index.setdefault((g.relation, g.time), []).append(g)
 
     parent: dict[Null, Null] = {}
@@ -245,7 +247,7 @@ def scan_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
 
     components: dict[Null, list[Fact]] = {}
     assignment: dict = {}
-    for f in a.sorted_facts:
+    for f in in_order(a):
         nulls = [v for v in f.values if isinstance(v, Null)]
         if not nulls:
             if f not in b_facts:  # constants are fixed, so the image is f itself
@@ -269,10 +271,9 @@ def scan_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
 
 
 def per_component_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
-    """``find_abstract_hom`` with patterns and steps built for each component:
-    its constants and time fixed in the patterns, each null's label its
-    variable, and one plan per component shape, on the same planner, index
-    cache and walker."""
+    """``find_abstract_hom`` with a join planned for each component: its
+    constants and time fixed in the patterns and each null's label its
+    variable, on the same planner, index cache and walker."""
     _check_hom_inputs(a, b)
     parent: dict[tuple[str, int], tuple[str, int]] = {}
 
@@ -300,20 +301,12 @@ def per_component_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
     for f, k in firsts:
         components.setdefault(find(k), []).append(f)
     indexes: dict = {}
-    plans: dict[tuple, list] = {}
     hom: dict = {}
     for facts in components.values():
         facts.sort(key=fact_sort_key)
         patterns = [(f.relation, (*(_Var(v.label) if isinstance(v, Null) else v for v in f.values), f.time))
                     for f in facts]
-        ids: dict[str, int] = {}
-        shape = tuple((relation, tuple(ids.setdefault(s, len(ids)) if isinstance(s, _Var) else -1
-                                       for s in slots))
-                      for relation, slots in patterns)
-        plan = plans.get(shape)
-        if plan is None:
-            plan = plans[shape] = _join_plan(patterns, b, set(), indexes, ordered=True)
-        binding = next(_walk(_steps(plan, patterns), {}), None)
+        binding = next(_walk(_join_plan(patterns, b, set(), indexes, ordered=True), {}), None)
         if binding is None:
             return None
         for f in facts:

@@ -1,15 +1,20 @@
 """Acceptance suite: golden running example, cross-view round equivalences at
-desk scale, universality, oracle agreement, and CLI determinism.
+desk scale, universality, oracle agreement, CLI determinism, and the
+cross-view properties again on sources that normalization must cut and on
+the benchmark's generated inputs.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line per
 criterion.
 """
+import importlib.util
 import json
 import random
 import shutil
+import sys
 import time
 from contextlib import contextmanager
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,7 @@ from tdx import (
     chase,
     find_abstract_hom,
     hom_equivalent,
+    instance_from_json,
     naive_eval,
     normalize_instance,
     run_cli,
@@ -36,8 +42,8 @@ from tdx import (
     tkc_round_concrete,
 )
 
-from generators import random_case
-from helpers import FIXTURES, fact, iv, rel
+from generators import random_case, random_overlapping_case
+from helpers import FIXTURES, fact, in_order, iv, rel
 from oracles import brute_force_hom_exists
 
 HORIZON = 13
@@ -134,9 +140,9 @@ def test_criterion_1_running_example_golden(fig1, fig3, fig7, fig8, example1):
         assert hom_equivalent(sem_instance(staged, HORIZON), sem_instance(fig7, HORIZON))
         outcome = tkc_round_concrete(staged, example1.tkcs)
         assert isinstance(outcome, Success)
-        assert len(outcome.instance.relation_facts("Emp")) == 3
-        assert len(outcome.instance.relation_facts("Sal")) == 3
-        assert len(fig3.relation_facts("Emp")) == 3 and len(fig3.relation_facts("Sal")) == 3
+        assert len(in_order(outcome.instance, "Emp")) == 3
+        assert len(in_order(outcome.instance, "Sal")) == 3
+        assert len(in_order(fig3, "Emp")) == 3 and len(in_order(fig3, "Sal")) == 3
         assert hom_equivalent(sem_instance(outcome.instance, HORIZON),
                               sem_instance(fig3, HORIZON))
         assert time.perf_counter() - started < 1.0
@@ -309,3 +315,129 @@ def test_criterion_8_cli_determinism(clidir, capsys):
         assert run_cli(["equiv", "-a", f"{clidir}/fig1.json", "-b", f"{clidir}/fig2.json",
                         "--horizon", "13"]) == 0
         assert capsys.readouterr().out == first_text
+
+
+class OverlapArtifacts(Artifacts):
+    """The stages of a case whose source is not normalized: the concrete
+    dependency round reads its normalization."""
+
+    @cached_property
+    def normalized_source(self):
+        return normalize_instance(self.case.source)
+
+    @cached_property
+    def j_c(self):
+        m = self.case.mapping
+        return st_round_concrete(self.normalized_source, m.sttgds, m.target)
+
+    @cached_property
+    def concrete_chase(self):
+        try:
+            return chase(self.case.source, self.case.mapping)
+        except KeyNullViolation as exc:
+            return exc
+
+
+OVERLAP_CASES = 5
+
+
+@pytest.fixture(scope="module")
+def overlap_suite():
+    rng = random.Random(20261018)
+    return [OverlapArtifacts(random_overlapping_case(rng)) for _ in range(OVERLAP_CASES)]
+
+
+def test_overlapping_sources_are_cut_without_changing_sem(overlap_suite):
+    with report("overlap: sem(normalize(s)) == sem(s)"):
+        for art in overlap_suite:
+            source, normalized = art.case.source, art.normalized_source
+            assert len(normalized.facts) > len(source.facts), art.case
+            assert sem_instance(normalized, art.case.horizon) == art.abstract_source, art.case
+
+
+def test_overlapping_sources_dependency_round_commutes(overlap_suite):
+    with report("overlap: 2 dependency-round equivalence"):
+        for art in overlap_suite:
+            assert hom_equivalent(art.sem_j_c, art.j_a), art.case
+
+
+def test_overlapping_sources_key_round_commutes(overlap_suite):
+    with report("overlap: 3 key-round equivalence"):
+        outcomes = set()
+        for art in overlap_suite:
+            concrete, abstract = art.concrete_tkc, art.abstract_tkc
+            assert type(concrete) is type(abstract), art.case
+            outcomes.add(type(concrete))
+            if isinstance(concrete, Success):
+                expanded = sem_instance(concrete.instance, art.case.horizon)
+                assert hom_equivalent(expanded, abstract.instance), art.case
+            elif isinstance(concrete, Failure):
+                assert set(concrete.constants) == set(abstract.constants), art.case
+        assert Success in outcomes
+
+
+def test_overlapping_sources_query_commutation(overlap_suite):
+    """Certain answers are the naive answers on each view's chase result."""
+    with report("overlap: 5 query commutation"):
+        successes = 0
+        for art in overlap_suite:
+            concrete, abstract = art.concrete_chase, art.abstract_chase
+            assert type(concrete) is type(abstract), art.case
+            if not isinstance(concrete, Success):
+                continue
+            successes += 1
+            for q in art.case.mapping.queries:
+                assert answers_sem(naive_eval(q, concrete.instance), art.case.horizon) == \
+                    naive_eval(q, abstract.instance), art.case
+        assert successes > OVERLAP_CASES // 2
+
+
+def test_overlapping_sources_universality(overlap_suite):
+    with report("overlap: 6 universality"):
+        for art in overlap_suite:
+            if isinstance(art.abstract_chase, Success):
+                result = art.abstract_chase.instance
+                for perturbed in _perturbations(result):
+                    assert find_abstract_hom(result, perturbed) is not None, art.case
+
+
+def _bench_workloads():
+    """``perfbench/workloads.py``, the benchmark's input generator, imported
+    from its file; it does not import tdx."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_criterion_9_cross_view_at_bench_scale(example1, example3):
+    """The seed-1 inputs of every workload at sizes S, 2S and 4S, made as
+    ``perfbench/run.py`` makes them: the concrete chase under ``sem`` is
+    hom-equivalent to the abstract chase of the ``sem`` source, each query
+    answers alike, and the failing variant fails in both views with the
+    benchmark's witness."""
+    with report("9 cross-view at bench scale"):
+        bench = _bench_workloads()
+        checked = 0
+        for workload in bench.WORKLOADS.values():
+            for k, n in enumerate(workload.sizes):
+                sc = workload.generate(n, random.Random(f"1:{k}"))
+                src = instance_from_json(bench.concrete_doc(bench.EXAMPLE1_SOURCE, sc.source))
+                abstract_src = sem_instance(src, sc.horizon)
+                assert abstract_src == instance_from_json(
+                    bench.abstract_doc(bench.EXAMPLE1_SOURCE, sc.source, sc.horizon))
+                concrete, abstract = chase(src, example1), chase(abstract_src, example1)
+                assert isinstance(concrete, Success) and isinstance(abstract, Success)
+                assert hom_equivalent(sem_instance(concrete.instance, sc.horizon), abstract.instance)
+                for q in example1.queries:
+                    assert answers_sem(naive_eval(q, concrete.instance), sc.horizon) == \
+                        naive_eval(q, abstract.instance), (workload.name, n, q.name)
+                m = example1 if sc.failing_schema is bench.EXAMPLE1_SOURCE else example3
+                failing = instance_from_json(bench.concrete_doc(sc.failing_schema, sc.failing))
+                for outcome in (chase(failing, m), chase(sem_instance(failing, sc.failing_horizon), m)):
+                    assert isinstance(outcome, Failure), (workload.name, n)
+                    assert tuple(sorted(outcome.constants)) == sc.witness, (workload.name, n)
+                checked += 1
+        assert checked == 9

@@ -35,7 +35,7 @@ from tdx import (
 )
 from tdx.chase import _close_and_replace, _round_equalities
 
-from helpers import c, fact, inull, iv, rel
+from helpers import c, fact, in_order, inull, iv, rel
 from oracles import pairwise_round_equalities
 
 HORIZON = 13
@@ -85,8 +85,8 @@ def test_st_step_rejects_non_homomorphisms(fig8, example1):
 def test_st_round_matches_figure_up_to_relabeling(fig7, fig8, example1):
     from tdx import is_normalized
     out = st_round_concrete(fig8, example1.sttgds, example1.target)
-    assert len(out.relation_facts("Emp")) == 5
-    assert len(out.relation_facts("Sal")) == 5
+    assert len(in_order(out, "Emp")) == 5
+    assert len(in_order(out, "Sal")) == 5
     assert hom_equivalent(sem_instance(out, HORIZON), sem_instance(fig7, HORIZON))
     assert validate_instance(out) == []
     assert is_normalized(out)  # every output interval is an input grid interval
@@ -148,8 +148,8 @@ def test_tkc_step_rejects_null_keys(example1):
 def test_tkc_round_reaches_the_golden_solution(fig3, fig7, example1):
     out = tkc_round_concrete(fig7, example1.tkcs)
     assert isinstance(out, Success)
-    assert len(out.instance.relation_facts("Emp")) == 3
-    assert len(out.instance.relation_facts("Sal")) == 3
+    assert len(in_order(out.instance, "Emp")) == 3
+    assert len(in_order(out.instance, "Sal")) == 3
     assert hom_equivalent(sem_instance(out.instance, HORIZON), sem_instance(fig3, HORIZON))
     assert validate_instance(out.instance) == []
 
@@ -208,7 +208,7 @@ def test_chase_missing_relations_are_empty(fig1, example1):
         [f for f in fig1.facts if f.relation == "Employee1"])
     out = chase(only_employee1, example1)
     assert isinstance(out, Success)
-    assert len(out.instance.relation_facts("Emp")) == 2
+    assert len(in_order(out.instance, "Emp")) == 2
 
 
 def test_chase_failure_with_conflicting_companies(fig1, example1):
@@ -352,14 +352,14 @@ def test_key_round_pairs_each_member_with_one_hub(monkeypatch):
     inst = Instance.concrete([rel("Emp", "name", "position", "company")], [
         fact("Emp", "Ada", inull(f"N{i}", 0, 5), "IBM", time=iv(0, 5)) for i in range(k)])
     calls = 0
-    pair_equalities = chase_module._pair_equalities
+    ordered_pair = chase_module._ordered_pair
 
-    def counting(*args):
+    def counting(*args):  # one call per dependent that differs from the hub's: here, the position
         nonlocal calls
         calls += 1
-        return pair_equalities(*args)
+        return ordered_pair(*args)
 
-    monkeypatch.setattr(chase_module, "_pair_equalities", counting)
+    monkeypatch.setattr(chase_module, "_ordered_pair", counting)
     out = tkc_round_concrete(inst, [Tkc("Emp", frozenset({"name", "time"}), ("position", "company"))])
     assert calls == k - 1
     assert out == Success(inst.replace_facts([fact("Emp", "Ada", inull("N0", 0, 5), "IBM", time=iv(0, 5))]))

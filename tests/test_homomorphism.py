@@ -31,7 +31,7 @@ from tdx import (
 import tdx.homomorphism
 
 from generators import CONSTANTS, careers_chase_pair, careers_like, random_case
-from helpers import c, fact, iv, pnull, rel
+from helpers import c, fact, in_order, iv, pnull, rel
 from oracles import brute_force_hom_exists, nested_loop_homs, per_component_abstract_hom, scan_abstract_hom
 
 JOIN_LHS = [
@@ -247,7 +247,7 @@ def _random_initial(rng, atoms, inst):
     may not be the fact those variables can match."""
     if rng.random() < 0.5 or not inst.facts:
         return None
-    f = rng.choice(inst.sorted_facts)
+    f = rng.choice(in_order(inst))
     initial = {"t": f.time} if rng.random() < 0.5 else {}
     names = sorted({t.name for a in atoms for t in a.args if isinstance(t, Var)})
     if names and f.values:
@@ -322,7 +322,7 @@ def test_two_atom_query_work_grows_linearly(example1, monkeypatch):
 
 def _perturbed(rng, inst):
     """``inst`` with one null grounded to a fresh constant, or one fact dropped."""
-    facts = inst.sorted_facts
+    facts = in_order(inst)
     nulls = sorted({v for f in facts for v in f.values if isinstance(v, Null)}, key=value_sort_key)
     if rng.random() < 0.5:
         return apply_abstract_hom({rng.choice(nulls): c("fresh")}, inst)
@@ -336,7 +336,7 @@ def _with_decoys(rng, inst):
     partners were dropped."""
     grounded = apply_abstract_hom({v: c(f"fresh-{v}") for f in inst.facts for v in f.values
                                    if isinstance(v, Null)}, inst)
-    return inst.replace_facts(inst.facts | {f for f in grounded.sorted_facts if rng.random() < 0.5})
+    return inst.replace_facts(inst.facts | {f for f in in_order(grounded) if rng.random() < 0.5})
 
 
 def test_hom_search_agrees_with_the_scan(example1):

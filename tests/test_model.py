@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from tdx import (
     INF,
-    ClopenInterval,
     Fact,
     Instance,
     InvalidHorizonError,
@@ -42,7 +41,7 @@ from tdx import (
 import tdx.model
 
 from generators import careers_like, random_case
-from helpers import FIXTURES, c, fact, inull, iv, load_fixture_instance, load_fixture_mapping, pnull, rel
+from helpers import FIXTURES, c, fact, in_order, inull, iv, load_fixture_instance, load_fixture_mapping, pnull, rel
 from oracles import expand_instance_by_points, json_dumps_instance
 
 
@@ -168,15 +167,40 @@ def test_a_null_annotated_with_an_equal_time_of_another_class_is_not_annotated_w
     concrete = fact("R", Null("N", (0, 5)), time=iv(0, 5))
     inst = Instance.concrete(schema, [concrete])
     assert [v.code for v in validate_instance(inst)] == ["kind-violation"]
-    for run in (lambda: sem_fact(concrete, 9), lambda: sem_instance(inst, 9)):
+    for run in (lambda: sem_fact(concrete, 9), lambda: sem_instance(inst, 9), lambda: normalize_instance(inst)):
         with pytest.raises(SchemaError, match=r"^R\(N\^\(0, 5\), \[0,5\)\): null N\^\(0, 5\) is not annotated "
                                               r"with the fact's interval$"):
             run()
-    assert [type(v.context) for f in normalize_instance(inst).facts for v in f.values] == [ClopenInterval]
     abstract = Instance.abstract(schema, [fact("R", Null("N", True), time=1)])
     assert [v.code for v in validate_instance(abstract)] == ["context-mismatch"]
     with pytest.raises(SchemaError, match=r"^R\(N\^True, 1\): null N\^True is not annotated with the fact's time point$"):
         find_abstract_hom(abstract, abstract)
+
+
+def test_writers_name_the_least_fact_whose_time_or_null_context_is_not_a_value():
+    schema = [rel("R", "a")]
+    cases = {"R(x, True)": [Fact("R", ("x",), True), Fact("R", ("y",), 1.5), fact("R", "z", time=2)],
+             "R(N^True, 1)": [Fact("R", (Null("N", True),), 1), fact("R", "z", time=2)]}
+    for least, facts in cases.items():
+        for write in (dumps_instance, tdx.model.instance_to_json):
+            with pytest.raises(SchemaError) as error:
+                write(Instance.abstract(schema, facts))
+            assert str(error.value) == f"{least}: True is neither a time point nor an interval"
+
+
+def test_writers_name_a_value_that_is_neither_a_constant_nor_a_null():
+    inst = Instance.abstract([rel("R", "a")], [Fact("R", (5,), 1), Fact("R", ((),), 1), fact("R", "z", time=1)])
+    for write in (dumps_instance, tdx.model.instance_to_json):
+        with pytest.raises(SchemaError, match=r"^R\(5, 1\): 5 is not a constant or a null with a string label$"):
+            write(inst)
+
+
+def test_validate_instance_reports_a_value_that_is_neither_a_constant_nor_a_null():
+    inst = Instance.abstract([rel("R", "a", "b")], [Fact("R", (5, Null(7, 1)), 1), fact("R", "x", "y", time=1)])
+    assert [(v.code, v.message) for v in validate_instance(inst)] == [
+        ("not-a-value", "R(5, 7^1, 1): 5 is not a constant or a null with a string label"),
+        ("not-a-value", "R(5, 7^1, 1): Null(label=7, context=1) is not a constant or a null with a string label"),
+    ]
 
 
 def test_every_constant_is_an_exact_str(fig1, example1):
@@ -364,7 +388,7 @@ def test_json_round_trip(fig1, fig3, fig4, fig6):
 
 
 def test_json_shared_null_labels_are_one_null(fig3):
-    at_tail = [f for f in fig3.sorted_facts if f.time == iv(11, 13)]
+    at_tail = [f for f in in_order(fig3) if f.time == iv(11, 13)]
     emp_fact, sal_fact = at_tail
     assert emp_fact.values[1] == sal_fact.values[1]  # same label, same interval
 
@@ -471,9 +495,18 @@ def test_a_normalized_instance_of_any_size_passes_the_fragment_limit(monkeypatch
         chase(src, example1)
 
 
-def test_normalize_reannotates_a_mis_annotated_null_of_an_unsplit_fact():
-    inst = Instance.concrete([rel("R", "a")], [Fact("R", (inull("N", 0, 5),), iv(0, 2))])
-    assert normalize_instance(inst).facts == {Fact("R", (inull("N", 0, 2),), iv(0, 2))}
+def test_normalize_rejects_a_mis_annotated_null_of_an_unsplit_fact():
+    """Split or not, a null not annotated with its fact's interval is the
+    error ``sem_instance`` raises, not a null to re-annotate."""
+    unsplit = Instance.concrete([rel("R", "a")], [Fact("R", (inull("N", 0, 5),), iv(0, 2))])
+    split = unsplit.replace_facts([Fact("R", (inull("N", 0, 3),), iv(5, 9)), fact("R", "a", time=iv(7, 9))])
+    for inst in (unsplit, split):
+        with pytest.raises(SchemaError) as sem_error:
+            sem_instance(inst, 9)
+        with pytest.raises(SchemaError) as normalize_error:
+            normalize_instance(inst)
+        assert str(normalize_error.value) == str(sem_error.value)
+    assert str(normalize_error.value) == "R(N^[0,3), [5,9)): null N^[0,3) is not annotated with the fact's interval"
 
 
 def _generated_instances(seed: int, count: int):

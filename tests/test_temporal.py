@@ -98,6 +98,19 @@ intervals = st.builds(
 )
 
 
+@given(intervals, st.sets(st.integers(0, 40), max_size=12))
+def test_split_interval_cuts_at_exactly_the_grid_points_inside(interval, points):
+    """Against point sets, on any sorted grid: grid points below, at the ends
+    of, and above the interval (which may be unbounded) are not cuts."""
+    horizon = 43
+    inside = interval_point_set(interval, horizon)
+    pieces = split_interval(interval, sorted(points))
+    piece_points = [interval_point_set(piece, horizon) for piece in pieces]
+    assert set().union(*piece_points) == inside and sum(map(len, piece_points)) == len(inside)
+    assert [piece.start for piece in pieces] == sorted({interval.start} | (inside & points))
+    assert all(a.end == b.start for a, b in zip(pieces, pieces[1:])) and pieces[-1].end == interval.end
+
+
 @given(st.sets(intervals, min_size=0, max_size=8))
 def test_grid_splitting_properties(ivs):
     grid = build_grid(ivs)
