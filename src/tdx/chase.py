@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import KeyNullViolation, PreconditionError, SchemaError
-from .homomorphism import Binding, enumerate_formula_homs, instantiate_atom
+from .homomorphism import Binding, _sorted_formula_homs, instantiate_atom
 from .mapping_lang import Mapping, SttTgd, Tkc
 from .model import (
     ABSTRACT,
@@ -32,7 +32,7 @@ from .model import (
     Null,
     RelationSchema,
     Value,
-    _check_times,
+    _check_instance,
     conform_instance,
     fact_sort_key,
     is_complete,
@@ -186,14 +186,14 @@ def st_step(inst: Instance, rule: SttTgd, binding: Binding,
 
 def _st_round(inst: Instance, rules: Sequence[SttTgd],
               target: Iterable[RelationSchema]) -> Instance:
-    # enumerate_formula_homs yields only homomorphisms, so no binding is re-checked
+    # the caller checked ``inst``; a join yields only homomorphisms, so no binding is re-checked
     nulls = NullCounter()
     facts: set[Fact] = set()
     for i, rule in enumerate(rules):
         if not rule.lhs:
             raise PreconditionError(f"rule #{i} has an empty left-hand side")
         existentials = rule.existential_order()
-        for binding in enumerate_formula_homs(rule.lhs, inst):
+        for binding in _sorted_formula_homs(rule.lhs, inst):
             facts |= _fire(rule, existentials, binding, nulls)
     return Instance(inst.kind, tuple(target), frozenset(facts))
 
@@ -301,10 +301,13 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]
 
 
 def _require(inst: Instance, kind: str, what: str, *, complete: bool) -> None:
-    """One view's precondition: its kind, normalization if concrete, completeness if asked."""
+    """One view's precondition: its kind, a well-formed instance (``is_normalized``
+    checks a concrete one), normalization if concrete, completeness if asked."""
     if inst.kind != kind:
         raise PreconditionError(f"the {kind} {what} expects a {kind} instance, got {inst.kind}")
-    if kind == CONCRETE and not is_normalized(inst):
+    if kind == ABSTRACT:
+        _check_instance(inst)
+    elif not is_normalized(inst):
         raise PreconditionError(f"the {kind} {what} requires a normalized instance")
     if complete and not is_complete(inst):
         raise PreconditionError(f"the {kind} {what} requires a complete instance")
@@ -359,11 +362,10 @@ def chase(src: Instance, m: Mapping) -> ChaseOutcome:
     every key constraint.
     """
     src = conform_instance(src, m.source)
+    _check_instance(src)
     if not is_complete(src):
         raise PreconditionError("the source instance must be complete")
     if src.kind == CONCRETE:
         src = normalize_instance(src)
-    else:
-        _check_times(src)
     staged = _st_round(src, m.sttgds, m.target)
     return _close_and_replace(staged, _round_equalities(staged, m.tkcs))

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .chase import Failure, chase
-from .errors import InvalidHorizonError, TdxError
+from .errors import TdxError
 from .homomorphism import hom_equivalent
 from .mapping_lang import Mapping, parse_mapping
 from .model import (
@@ -92,13 +92,11 @@ def _failure_text(failure: Failure) -> str:
 
 
 def _pick_horizon(given: int | None, *instances: Instance) -> int:
+    """The given horizon, which ``sem_instance`` checks, or one above every finite endpoint."""
+    if given is not None:
+        return given
     endpoints = [max_finite_endpoint(inst) for inst in instances if inst.kind == CONCRETE]
-    needed = max((e for e in endpoints if e is not None), default=0)
-    if given is None:
-        return needed + 1
-    if given < needed:
-        raise InvalidHorizonError(f"horizon {given} is below the largest finite endpoint {needed}")
-    return given
+    return max((e for e in endpoints if e is not None), default=0) + 1
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:

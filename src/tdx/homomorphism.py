@@ -27,7 +27,7 @@ component's constants and time point as parameters, not once per component.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
 
 from .errors import SchemaError
 from .mapping_lang import Atom, Var
@@ -37,9 +37,7 @@ from .model import (
     Instance,
     Null,
     Value,
-    _check_contexts,
-    _check_times,
-    _least,
+    _check_instance,
     fact_sort_key,
     value_sort_key,
 )
@@ -124,19 +122,6 @@ def _most_bound_first(patterns: Sequence[_Pattern], bound: set[str]) -> list[int
     return order
 
 
-def _check_arity(facts: Iterable[Fact], inst: Instance) -> None:
-    """Raise SchemaError for a fact whose relation ``inst`` does not declare or
-    whose values do not fill it: patterns and facts are matched by position."""
-    arity = {r.name: r.arity for r in inst.schema}
-    fact = _least([f for f in facts if arity.get(f.relation) != len(f.values)])
-    if fact is None:
-        return
-    if fact.relation not in arity:
-        raise SchemaError(f"{fact}: relation {fact.relation!r} is not in the schema")
-    raise SchemaError(f"{fact}: relation {fact.relation!r} expects {arity[fact.relation]} "
-                      f"values, got {len(fact.values)}")
-
-
 def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
                indexes: dict[tuple[str, tuple[int, ...]], dict], ordered: bool = False) -> list[_Step]:
     """The steps of a join of the patterns: most bound first, each with an
@@ -147,6 +132,8 @@ def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
     keeps them by relation and positions, so one search shares them.  The
     index is built from the relation's facts in no particular order; if
     ``ordered``, each of its lists is then sorted into canonical order.
+    Patterns and facts are matched by position, so the caller has checked
+    ``inst`` (``_check_instance``): each fact fills its relation.
     """
     steps = []
     bound = set(bound)
@@ -157,7 +144,6 @@ def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
         index = indexes.get((relation, keyed))
         if index is None:
             facts = inst.facts_by_relation.get(relation, ())
-            _check_arity(facts, inst)
             if keyed:
                 index = {}
                 for fact in facts:
@@ -206,7 +192,8 @@ def _walk(plan: Sequence[_Step], start: Binding) -> Iterator[Binding]:
 def _formula_homs(atoms: Sequence[Atom], inst: Instance,
                   initial: TMapping[str, object] | None) -> Iterator[Binding]:
     """The bindings of ``enumerate_formula_homs``, unsorted, as the walk yields
-    them.  The checks run, and the relations read are indexed, at the call."""
+    them, over an instance that passed ``_check_instance``.  The atoms are
+    checked, and the relations read are indexed, at the call."""
     for atom in atoms:
         schema = inst.schema_by_name.get(atom.relation)
         if schema is None:
@@ -218,6 +205,15 @@ def _formula_homs(atoms: Sequence[Atom], inst: Instance,
     bound = {v for v, value in start.items() if value is not None}
     patterns = [_compile(a) for a in atoms]
     return _walk(_join_plan(patterns, inst, bound, {}), start)
+
+
+def _sorted_formula_homs(atoms: Sequence[Atom], inst: Instance,
+                         initial: TMapping[str, object] | None = None) -> list[Binding]:
+    """The bindings of ``enumerate_formula_homs``, over a checked instance."""
+    results = list(_formula_homs(atoms, inst, initial))
+    names = sorted(results[0]) if results else ()  # every binding of one call binds the same names
+    results.sort(key=lambda b: tuple([value_sort_key(b[v]) for v in names]))
+    return results
 
 
 def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
@@ -232,14 +228,12 @@ def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
     plan is walked with an explicit stack, so body length is not bounded by
     the recursion limit.  The result is sorted by the bound values (variables
     in name order), so the enumeration order is deterministic.  ``initial``
-    seeds a partial binding.  Raises SchemaError for an atom that does not
-    fill a relation of the schema, and for such a fact of a relation the
-    body reads.
+    seeds a partial binding.  Raises SchemaError for an instance that
+    ``validate_instance`` faults, and for an atom that does not fill a
+    relation of the schema.
     """
-    results = list(_formula_homs(atoms, inst, initial))
-    names = sorted(results[0]) if results else ()  # every binding of one call binds the same names
-    results.sort(key=lambda b: tuple([value_sort_key(b[v]) for v in names]))
-    return results
+    _check_instance(inst)
+    return _sorted_formula_homs(atoms, inst, initial)
 
 
 def _check_hom_inputs(a: Instance, b: Instance) -> None:
@@ -250,10 +244,8 @@ def _check_hom_inputs(a: Instance, b: Instance) -> None:
         raise ValueError("abstract instances are required")
     if a.schema != b.schema:
         raise SchemaError("instances must share a schema")
-    for inst in (a, b):
-        _check_times(inst)
-        _check_arity(inst.facts, inst)
-        _check_contexts(inst.facts, "time point")
+    _check_instance(a)
+    _check_instance(b)
 
 
 # A component compiled once per shape: the steps of its join, and the names of
@@ -354,10 +346,8 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     shape, and each component only binds its constants and time point.
     Returns None when no homomorphism exists.
 
-    Raises SchemaError if a fact of ``a`` or ``b`` is not at a time point,
-    does not fill a relation of the schema, or holds a null not annotated
-    with its time point; the error names the least such fact in canonical
-    order.
+    Raises SchemaError, as ``_check_instance`` words it, if ``a`` or ``b``
+    breaks a rule of ``validate_instance``.
     """
     _check_hom_inputs(a, b)
     return _search_abstract_hom(a, b)

@@ -28,16 +28,22 @@ itself: ``dumps_instance``, the one writer of instance text, and
 ``instance_to_json`` sort each relation's facts as they write them, and
 ``validate_instance`` sorts its facts, as it also orders facts that hold
 non-values.
+
+The rules of a well-formed instance are written once, in ``_fact_problems``:
+``validate_instance`` lists every problem, and ``_check_instance``, which
+every function that reads an instance's facts calls, raises the first.
 """
 from __future__ import annotations
 
 import json
+import reprlib
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Union
+from operator import index
+from typing import Collection, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
 from .temporal import INF, ClopenInterval, build_grid, interval_points, split_interval
@@ -81,7 +87,7 @@ def value_sort_key(v: object) -> tuple:
         return (1, v.start, v.end)
     if isinstance(v, str):
         return (2, v)
-    if isinstance(v, Null):
+    if isinstance(v, Null) and isinstance(v.label, str):
         return (3, v.label, value_sort_key(v.context))
     raise TypeError(f"not a value: {v!r}")
 
@@ -112,14 +118,9 @@ def _any_sort_key(v: object) -> tuple:
 
 
 def _offender_key(f: Fact) -> tuple:
-    """``fact_sort_key``, extended to a fact that holds or is timed by a non-value."""
-    return (f.relation, tuple(map(_any_sort_key, f.values)), _any_sort_key(f.time))
-
-
-def _least(facts: Iterable[Fact]) -> Optional[Fact]:
-    """The least fact in canonical order, or None: an error names the same
-    offender whatever the iteration order of a set of facts."""
-    return min(facts, key=_offender_key, default=None)
+    """``fact_sort_key``, extended to a fact of any relation name that holds or
+    is timed by a non-value."""
+    return (_any_sort_key(f.relation), tuple(map(_any_sort_key, f.values)), _any_sort_key(f.time))
 
 
 @dataclass(frozen=True)
@@ -198,88 +199,80 @@ _TIME_OF = {
 }
 
 
-def _same_time(a: object, b: object) -> bool:
-    """Equal and of one class: ``True == 1``, and an interval equals the plain
-    tuple of its endpoints, but neither is the other's time."""
-    return a.__class__ is b.__class__ and a == b
-
-
-def _check_times(inst: Instance) -> None:
-    """Raise SchemaError if a fact's time is not of the instance's kind, naming
-    the least such fact.  Each distinct time, told apart by class as in
-    ``_same_time``, is checked once."""
-    is_time, time_name = _TIME_OF[inst.kind]
-    bad = {k for k in {(f.time.__class__, f.time) for f in inst.facts} if not is_time(k[1])}
-    if bad:
-        fact = _least(f for f in inst.facts if (f.time.__class__, f.time) in bad)
-        raise SchemaError(f"{fact}: {inst.kind} fact must carry a {time_name}")
-
-
-def _check_contexts(facts: Iterable[Fact], time_name: str) -> None:
-    """Raise SchemaError if a null is not annotated with its fact's time,
-    naming the least such fact."""
-    fact = _least([f for f in facts for v in f.values
-                   if v.__class__ is Null and not _same_time(v.context, f.time)])
-    if fact is not None:
-        null = next(v for v in fact.values if v.__class__ is Null and not _same_time(v.context, fact.time))
-        raise SchemaError(f"{fact}: null {null} is not annotated with the fact's {time_name}")
-
-
-def _is_value(v: object) -> bool:
-    return isinstance(v, str) or (isinstance(v, Null) and isinstance(v.label, str))
-
-
-def _non_value(f: Fact) -> Optional[str]:
-    """What in ``f`` no writer can render, or None."""
+def _fact_problems(f: Fact, kind: str, arity: dict[str, int]) -> Iterator[tuple[str, str]]:
+    """Each rule of a well-formed ``kind`` instance that ``f`` breaks, as
+    ``(code, message)``; ``arity`` maps each relation of the schema to its
+    number of non-temporal values.  These are the only rules of an instance."""
+    n = arity.get(f.relation)
+    if n is None:
+        yield "unknown-relation", f"{f}: relation {f.relation!r} is not in the schema"
+        return
+    if len(f.values) != n:
+        yield "arity-mismatch", f"{f}: relation {f.relation!r} expects {n} non-temporal values, got {len(f.values)}"
+    is_time, time_name = _TIME_OF[kind]
+    if not is_time(f.time):
+        yield "kind-violation", f"{f}: {kind} fact must carry a {time_name}"
+        return
     for v in f.values:
-        if not _is_value(v):
-            return f"{v!r} is not a constant or a null with a string label"
-    for t in (f.time, *[v.context for v in f.values if isinstance(v, Null)]):
-        if not (isinstance(t, ClopenInterval) or (isinstance(t, int) and not isinstance(t, bool))):
-            return f"{t!r} is neither a time point nor an interval"
-    return None
+        if not isinstance(v, str) and not (isinstance(v, Null) and isinstance(v.label, str)):
+            yield "not-a-value", f"{f}: {v!r} is not a constant or a null with a string label"
+        # annotated with the time itself: equal, and of its class (True == 1, and an interval equals a tuple)
+        if isinstance(v, Null) and not (v.context.__class__ is f.time.__class__ and v.context == f.time):
+            other = isinstance(v.context, ClopenInterval) != isinstance(f.time, ClopenInterval)
+            yield ("kind-violation" if other else "context-mismatch",
+                   f"{f}: null {v} is not annotated with the fact's {time_name}")
 
 
-def _check_values(inst: Instance) -> None:
-    """Raise SchemaError naming the least fact of the schema's relations that
-    ``_non_value`` rejects.  The writers run it only once rendering failed."""
-    fact = _least([f for f in inst.facts if f.relation in inst.schema_by_name and _non_value(f)])
+def _plainly_well_formed(facts: Iterable[Fact], kind: str, arity: dict[str, int]) -> bool:
+    """A one-pass screen, stricter than ``_fact_problems``: each fact's time
+    is of its view's exact class (``ClopenInterval``, or a non-negative
+    ``int``), its values fill its relation, and each value is an exact
+    ``str`` or a ``Null`` with a ``str`` label and a context equal to the
+    time and of its class."""
+    cls = ClopenInterval if kind == CONCRETE else int
+    for f in facts:
+        t = f.time
+        if t.__class__ is not cls or (cls is int and t < 0) or arity.get(f.relation) != len(f.values):
+            return False
+        for v in f.values:
+            if v.__class__ is not str and not (v.__class__ is Null and v.label.__class__ is str
+                                               and v.context.__class__ is cls and v.context == t):
+                return False
+    return True
+
+
+def _check_facts(facts: Collection[Fact], kind: str, arity: dict[str, int]) -> None:
+    """Raise SchemaError with the first problem of the least fact, in
+    ``_offender_key`` order (so whatever the set's order), that
+    ``_fact_problems`` finds; a well-formed instance pays only the screen."""
+    if _plainly_well_formed(facts, kind, arity):
+        return
+    fact = min([f for f in facts if next(_fact_problems(f, kind, arity), None)], key=_offender_key, default=None)
     if fact is not None:
-        raise SchemaError(f"{fact}: {_non_value(fact)}")
+        raise SchemaError(next(_fact_problems(fact, kind, arity))[1])
+
+
+def _check_instance(inst: Instance) -> None:
+    """Raise SchemaError with ``validate_instance(inst)[0].message`` if the
+    instance breaks a rule: what every function that reads an instance's
+    facts refuses."""
+    _check_facts(inst.facts, inst.kind, {r.name: r.arity for r in inst.schema})
 
 
 def validate_instance(inst: Instance) -> list[Violation]:
-    """Check arity, kind-homogeneity, values and null-context coherence; violations are data.
-
-    A fact not timed by its view's kind of time, or a null annotated with the
-    other view's kind, is a ``kind-violation``; a null annotated with another
-    time of the right kind is a ``context-mismatch``; a value that is neither
-    a constant nor a null with a string label is ``not-a-value``.
+    """Every problem of an instance, as data: facts in ``_offender_key``
+    order, each fact's problems in the order of the rules, each with its code:
+    ``unknown-relation``, a fact of a relation outside the schema (no other
+    rule is checked); ``arity-mismatch``, values that do not fill the
+    relation; ``kind-violation``, a time not of the view's kind (a clopen
+    interval, or a finite time point; then no value is checked), or a null
+    annotated with the other view's kind; ``not-a-value``, neither a ``str``
+    nor a ``Null`` with a ``str`` label; ``context-mismatch``, a null
+    annotated with another time of the right kind.
     """
-    is_time, time_name = _TIME_OF[inst.kind]
-    out: list[Violation] = []
-    for f in sorted(inst.facts, key=_offender_key):
-        schema = inst.schema_by_name.get(f.relation)
-        if schema is None:
-            out.append(Violation("unknown-relation", f"{f}: relation {f.relation!r} is not in the schema"))
-            continue
-        if len(f.values) != schema.arity:
-            out.append(Violation(
-                "arity-mismatch",
-                f"{f}: relation {f.relation!r} expects {schema.arity} non-temporal values, got {len(f.values)}"))
-        if not is_time(f.time):
-            out.append(Violation("kind-violation", f"{f}: {inst.kind} fact must carry a {time_name}"))
-            continue
-        for v in f.values:
-            if not _is_value(v):
-                out.append(Violation("not-a-value", f"{f}: {v!r} is not a constant or a null with a string label"))
-            if not isinstance(v, Null) or _same_time(v.context, f.time):
-                continue
-            if isinstance(v.context, ClopenInterval) != isinstance(f.time, ClopenInterval):
-                out.append(Violation("kind-violation", f"{f}: null {v} is not annotated with a {time_name}"))
-            else:
-                out.append(Violation("context-mismatch", f"{f}: null {v} is not annotated with the fact's {time_name}"))
-    return out
+    arity = {r.name: r.arity for r in inst.schema}
+    return [Violation(code, message) for f in sorted(inst.facts, key=_offender_key)
+            for code, message in _fact_problems(f, inst.kind, arity)]
 
 
 def is_complete(inst: Instance) -> bool:
@@ -297,7 +290,7 @@ def max_finite_endpoint(inst: Instance) -> int | None:
 
 def _check_horizon(horizon: int, *intervals: ClopenInterval) -> None:
     """A horizon is a finite time point at or above every finite endpoint of ``intervals``."""
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
+    if not _TIME_OF[ABSTRACT][0](horizon):
         raise InvalidHorizonError(f"horizon must be a finite time point, got {horizon!r}")
     for iv in intervals:
         for e in [iv.start] + ([iv.end] if isinstance(iv.end, int) else []):
@@ -327,10 +320,8 @@ def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
     time point.  ``horizon`` must be at least every finite endpoint of the
     fact; unbounded intervals are truncated at the horizon.
     """
-    if not isinstance(f.time, ClopenInterval):
-        raise SchemaError(f"{f}: not a concrete fact")
+    _check_facts([f], CONCRETE, {f.relation: len(f.values)})
     _check_horizon(horizon, f.time)
-    _check_contexts([f], "interval")
     return _cut([f], {f.time: interval_points(f.time, horizon)})
 
 
@@ -344,20 +335,17 @@ MAX_SEM_FACTS = 250_000
 def sem_instance(inst: Instance, horizon: int) -> Instance:
     """Abstract view of a concrete instance, materialized up to ``horizon``.
 
-    As ``sem_fact`` of every fact, checked once: the horizon against each
-    distinct interval, in order (so an error names the least interval it is
-    below), and the nulls' contexts over the whole instance (an error names
-    the least fact).  Raises PreconditionError, before materializing
-    anything, if that view has more than ``MAX_SEM_FACTS`` facts (one per
-    fact and time point).
+    As ``sem_fact`` of every fact, checked once: the instance, then the
+    horizon against each distinct interval, in order (so an error names the
+    least interval it is below).  Raises PreconditionError, before
+    materializing anything, if that view has more than ``MAX_SEM_FACTS``
+    facts (one per fact and time point).
     """
     if inst.kind != CONCRETE:
         raise SchemaError("sem_instance expects a concrete instance")
-    _check_horizon(horizon)
-    _check_times(inst)
+    _check_instance(inst)
     uses = Counter(f.time for f in inst.facts)
     _check_horizon(horizon, *sorted(uses))
-    _check_contexts(inst.facts, "interval")
     points = {iv: interval_points(iv, horizon) for iv in uses}
     count = sum(n * len(points[iv]) for iv, n in uses.items())
     if count > MAX_SEM_FACTS:
@@ -370,7 +358,7 @@ def is_normalized(inst: Instance) -> bool:
     """True iff any two fact intervals across all relations are equal or disjoint."""
     if inst.kind != CONCRETE:
         raise SchemaError("normalization is defined for concrete instances")
-    _check_times(inst)
+    _check_instance(inst)
     spans = sorted({f.time for f in inst.facts})
     return all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
@@ -388,8 +376,8 @@ def normalize_instance(inst: Instance) -> Instance:
     ``split_interval`` at the grid points inside it, and a null keeps its
     label and is re-annotated with each piece, as ``sem_instance`` does with
     each time point.  An instance that needs no split is returned as it is.
-    Raises SchemaError, as ``sem_instance`` does, naming the least fact with
-    a null not annotated with its fact's interval.
+    Raises SchemaError, as ``sem_instance`` does, for an instance that
+    ``validate_instance`` faults.
 
     A fact becomes one fragment per grid cell it covers, so n nested facts
     ``[i, inf)`` make n(n+1)/2 fragments, n(n-1)/2 more than the facts.  The
@@ -406,8 +394,7 @@ def normalize_instance(inst: Instance) -> Instance:
     """
     if inst.kind != CONCRETE:
         raise SchemaError("normalize_instance expects a concrete instance")
-    _check_times(inst)
-    _check_contexts(inst.facts, "interval")
+    _check_instance(inst)
     uses = Counter(f.time for f in inst.facts)
     grid = build_grid(uses)
     cuts = {iv: (bisect_right(grid, iv.start), bisect_left(grid, iv.end)) for iv in uses}  # grid points inside
@@ -456,25 +443,33 @@ def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Inst
 
 
 def _time_json(t: TimeValue) -> dict:
-    """A fact's time, or a null's context, as the members of its JSON object."""
+    """A fact's time, or a null's context, as the members of its JSON object;
+    TypeError for a time that is neither an interval nor an ``int``."""
     if isinstance(t, ClopenInterval):
         return {"interval": {"start": t.start, "end": t.end if isinstance(t.end, int) else "inf"}}
-    return {"time": t}
+    return {"time": index(t)}
+
+
+def _check_written(inst: Instance) -> None:
+    """``_check_instance`` over the facts of the schema's relations, which a
+    writer runs only once rendering failed."""
+    _check_instance(inst.replace_facts([f for f in inst.facts if f.relation in inst.schema_by_name]))
 
 
 def instance_to_json(inst: Instance) -> dict:
     """The JSON document of ``inst``, each relation's facts in canonical
-    order; SchemaError names the least fact holding a non-value."""
+    order.  What it cannot render is a SchemaError, as ``_check_instance``
+    words it, if a fact of the schema's relations breaks a rule."""
     try:
         relations = {}
         for schema in inst.schema:
-            facts = [
-                {"values": [v if isinstance(v, str) else {"null": v.label} for v in f.values],
+            facts = [  # str.__str__ raises TypeError for a label that is not a str
+                {"values": [v if isinstance(v, str) else {"null": str.__str__(v.label)} for v in f.values],
                  **_time_json(f.time)}
                 for f in sorted(inst.facts_by_relation[schema.name], key=fact_sort_key)]
             relations[schema.name] = {"attributes": list(schema.all_attributes), "facts": facts}
     except (TypeError, AttributeError):
-        _check_values(inst)
+        _check_written(inst)
         raise
     return {"kind": inst.kind, "relations": relations}
 
@@ -532,7 +527,7 @@ def _value_from_json(v: object, time: TimeValue, where: str, nulls: dict) -> Val
         if null is None:
             null = nulls[key] = Null(*key)
         return null
-    raise SchemaError(f"{where}: a value must be a string or {{\"null\": \"<label>\"}}, got {v!r}")
+    raise SchemaError(f"{where}: a value must be a string or {{\"null\": \"<label>\"}}, got {reprlib.repr(v)}")
 
 
 def instance_from_json(doc: object) -> Instance:
@@ -588,7 +583,7 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     directly from the instance: each relation's facts are sorted here, in
     ``fact_sort_key`` order, strings are escaped by the json module's C
     encoder, and each distinct time and null label is rendered once per call.
-    Raises SchemaError, as ``instance_to_json`` does, for a non-value.
+    Raises SchemaError, as ``instance_to_json`` does, for what it cannot render.
     """
     times: dict[TimeValue, tuple[tuple, str]] = {}
 
@@ -631,7 +626,7 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
             out.append((tuple(key), "{\n          " + time_text + ',\n          "values": '
                         + _list_text(texts, "          ") + "\n        }"))
     except (TypeError, AttributeError):
-        _check_values(inst)
+        _check_written(inst)
         raise
     relations = []
     for schema in inst.schema:

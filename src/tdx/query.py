@@ -22,7 +22,7 @@ from .model import (
     Instance,
     RelationSchema,
     _check_horizon,
-    _check_times,
+    _check_instance,
     is_normalized,
 )
 from .temporal import interval_points
@@ -53,13 +53,14 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
     unioned, and tuples containing any null are dropped.  An answer set is a
     set, so the bindings go straight into it as the join yields them, in no
     order.  A concrete instance must be normalized, and every disjunct needs
-    an atom.
+    an atom.  Raises SchemaError for an instance that ``validate_instance``
+    faults (``is_normalized`` checks a concrete one).
     """
     if inst.kind == CONCRETE:
         if not is_normalized(inst):
             raise PreconditionError("naive evaluation on a concrete instance requires it normalized")
     else:
-        _check_times(inst)
+        _check_instance(inst)
     rows: set[tuple] = set()
     for k, disjunct in enumerate(q.disjuncts):
         if not disjunct:

@@ -86,6 +86,18 @@ def test_sem_rejects_low_horizon(workdir, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sem", "-i", "@fig1.json", "-o", "@x.json"),
+    ("equiv", "-a", "@fig1.json", "-b", "@fig3.json"),
+    ("equiv", "-a", "@fig2.json", "-b", "@fig1.json"),
+], ids=["sem", "equiv", "equiv-abstract-first"])
+def test_a_given_horizon_is_checked_by_sem_instance(workdir, capsys, argv):
+    for horizon, message in (("5", "horizon 5 is below endpoint 8 of [8,10)"),
+                             ("-1", "horizon must be a finite time point, got -1")):
+        assert run(workdir, *argv, "--horizon", horizon) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_normalize_then_sem_equals_sem(workdir):
     norm = path(workdir, "norm.json")
     a, b = path(workdir, "a.json"), path(workdir, "b.json")
@@ -171,15 +183,30 @@ def test_wrong_kind_input(workdir, capsys):
     ("equiv", "-a", "@fig1.json", "-b", "@deep.json"),
 ])
 def test_deeply_nested_json_is_one_error_line(workdir, capsys, argv):
-    value = "[" * 5000 + "]" * 5000
-    (workdir / "deep.json").write_text(
-        '{"kind": "concrete", "relations": {"R": {"attributes": ["a", "t"], "facts": '
-        f'[{{"values": [{value}], "interval": {{"start": 0, "end": 1}}}}]}}}}}}')
+    _write_deep(workdir, 20_000)  # deeper than the json module of any supported Python reads
     assert run(workdir, *argv) == 1
     err = capsys.readouterr().err
     assert err == "error: instance: JSON is nested too deeply\n"
     with pytest.raises(SchemaError):
         loads_instance((workdir / "deep.json").read_text())
+
+
+def _write_deep(workdir, depth):
+    """``deep.json``: an instance whose one value is ``depth`` nested lists."""
+    value = "[" * depth + "]" * depth
+    (workdir / "deep.json").write_text(
+        '{"kind": "concrete", "relations": {"R": {"attributes": ["a", "t"], "facts": '
+        f'[{{"values": [{value}], "interval": {{"start": 0, "end": 1}}}}]}}}}}}')
+
+
+@pytest.mark.parametrize("depth", [500, 5000])
+def test_a_deep_value_the_json_module_reads_is_one_short_error_line(workdir, capsys, depth):
+    """Python 3.13's json module reads 5,000 levels, and every version reads
+    500: the loader's error quotes the value only in part."""
+    _write_deep(workdir, depth)
+    assert run(workdir, "chase", "-m", "@example1.tdx", "-i", "@deep.json", "-o", "@out.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 def test_stdio_paths(workdir, capsys, monkeypatch):

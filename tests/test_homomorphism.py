@@ -155,7 +155,7 @@ def test_a_null_not_annotated_with_its_fact_time_is_a_schema_error():
     schema = [rel("R", "a")]
     a = Instance.abstract(schema, [fact("R", pnull("N", 4), time=5)])
     b = Instance.abstract(schema, [fact("R", "c", time=5)])
-    with pytest.raises(SchemaError, match="not annotated with the fact's time point"):
+    with pytest.raises(SchemaError, match="not annotated with the fact's finite time point"):
         find_abstract_hom(a, b)
 
 
@@ -170,7 +170,7 @@ def test_an_image_null_annotated_with_another_time_is_a_schema_error():
 def test_a_fact_of_the_wrong_arity_is_a_schema_error_in_the_join():
     inst = Instance.abstract([rel("R", "a", "b")], [fact("R", "c", time=5)])
     for atom in (Atom("R", (Var("x"), Var("y")), "t"), Atom("R", ("c", Var("y")), "t")):
-        with pytest.raises(SchemaError, match=r"R\(c, 5\): relation 'R' expects 2 values, got 1"):
+        with pytest.raises(SchemaError, match=r"R\(c, 5\): relation 'R' expects 2 non-temporal values, got 1"):
             enumerate_formula_homs([atom], inst)
 
 
@@ -178,10 +178,10 @@ def test_a_fact_of_the_wrong_arity_is_a_schema_error_in_the_hom_search():
     schema = [rel("R", "a", "b")]
     short = Instance.abstract(schema, [fact("R", "c", time=5)])
     full = Instance.abstract(schema, [fact("R", "c", "d", time=5)])
-    with pytest.raises(SchemaError, match=r"R\(c, 5\): relation 'R' expects 2 values, got 1"):
+    with pytest.raises(SchemaError, match=r"R\(c, 5\): relation 'R' expects 2 non-temporal values, got 1"):
         find_abstract_hom(Instance.abstract(schema, [fact("R", pnull("N", 5), "d", time=5)]), short)
     for values, count in (((pnull("N", 5),), 1), ((pnull("N", 5), "d", "e"), 3)):
-        with pytest.raises(SchemaError, match=f"expects 2 values, got {count}"):
+        with pytest.raises(SchemaError, match=f"expects 2 non-temporal values, got {count}"):
             find_abstract_hom(Instance.abstract(schema, [fact("R", *values, time=5)]), full)
 
 
@@ -456,7 +456,7 @@ def test_hom_search_does_not_depend_on_the_string_hash_seed():
             for seed in ("1", "2")]
     assert runs[0] == runs[1]
     lines = runs[0]
-    assert lines[0] == "SchemaError: R(c, 5): relation 'R' expects 2 values, got 1"
+    assert lines[0] == "SchemaError: R(c, 5): relation 'R' expects 2 non-temporal values, got 1"
     assert lines[1] == lines[2] == \
-        "SchemaError: R(c, N^4, 5): null N^4 is not annotated with the fact's time point"
+        "SchemaError: R(c, N^4, 5): null N^4 is not annotated with the fact's finite time point"
     assert len(lines) == 6 and "None" not in lines[3:] and not any(x.startswith("Schema") for x in lines[3:])

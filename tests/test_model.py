@@ -6,10 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tdx import (
     INF,
+    AnswerSet,
+    Atom,
     Fact,
     Instance,
     InvalidHorizonError,
@@ -18,9 +20,13 @@ from tdx import (
     PreconditionError,
     SchemaError,
     Success,
+    Var,
+    answers_sem,
     build_grid,
+    certain,
     chase,
     dumps_instance,
+    enumerate_formula_homs,
     find_abstract_hom,
     hom_equivalent,
     is_complete,
@@ -84,18 +90,36 @@ def _positions(inst):
     return naive_eval(load_fixture_mapping("example1.tdx").query("positions"), inst)
 
 
-@pytest.mark.parametrize("name, relation, run", [
-    ("fig1.json", "Employee1", lambda i: chase(i, load_fixture_mapping("example1.tdx"))),
-    ("fig1.json", "Employee1", normalize_instance),
-    ("fig1.json", "Employee1", is_normalized),
-    ("fig1.json", "Employee1", lambda i: sem_instance(i, 20)),
-    ("fig3.json", "Emp", _positions),
-    ("fig2.json", "Employee1", lambda i: chase(i, load_fixture_mapping("example1.tdx"))),
-    ("fig4.json", "Emp", _positions),
-    ("fig4.json", "Emp", lambda i: find_abstract_hom(i, i)),
-    ("fig4.json", "Emp", lambda i: hom_equivalent(i, i)),
-], ids=["chase-concrete", "normalize_instance", "is_normalized", "sem_instance", "naive_eval-concrete",
-        "chase-abstract", "naive_eval-abstract", "find_abstract_hom", "hom_equivalent"])
+def _chase(inst):
+    return chase(inst, load_fixture_mapping("example1.tdx"))
+
+
+def _certain(inst):
+    m = load_fixture_mapping("example1.tdx")
+    return certain(m.query("positions"), inst, m)
+
+
+# Every entry point that reads an instance's facts: its name, the fixture it
+# reads and a relation of that fixture, and the call.
+_ENTRY_POINTS = [
+    ("chase-concrete", "fig1.json", "Employee1", _chase),
+    ("normalize_instance", "fig1.json", "Employee1", normalize_instance),
+    ("is_normalized", "fig1.json", "Employee1", is_normalized),
+    ("sem_instance", "fig1.json", "Employee1", lambda i: sem_instance(i, 20)),
+    ("naive_eval-concrete", "fig3.json", "Emp", _positions),
+    ("chase-abstract", "fig2.json", "Employee1", _chase),
+    ("naive_eval-abstract", "fig4.json", "Emp", _positions),
+    ("find_abstract_hom", "fig4.json", "Emp", lambda i: find_abstract_hom(i, i)),
+    ("hom_equivalent", "fig4.json", "Emp", lambda i: hom_equivalent(i, i)),
+    ("certain-concrete", "fig1.json", "Employee1", _certain),
+    ("certain-abstract", "fig2.json", "Employee1", _certain),
+    ("enumerate_formula_homs", "fig4.json", "Emp",
+     lambda i: enumerate_formula_homs([Atom("Emp", (Var("x"), Var("y"), Var("z")), "t")], i)),
+]
+
+
+@pytest.mark.parametrize("name, relation, run", [entry[1:] for entry in _ENTRY_POINTS],
+                         ids=[entry[0] for entry in _ENTRY_POINTS])
 def test_a_fact_timed_in_the_other_view_is_a_schema_error(name, relation, run):
     inst = load_fixture_instance(name)
     arity = inst.schema_by_name[relation].arity
@@ -105,6 +129,83 @@ def test_a_fact_timed_in_the_other_view_is_a_schema_error(name, relation, run):
     with pytest.raises(SchemaError) as err:
         run(inst.replace_facts(inst.facts | set(wrong)))
     assert str(err.value) == f"{wrong[1]}: {inst.kind} fact must carry a {expected}"
+
+
+def _breaking(rule, kind, relation, arity):
+    """Two facts that break ``rule`` of a ``kind`` instance, and no rule
+    before it; they differ in their last value, Zed or Bob."""
+    at, other_kind, other_time = (iv(3, 4), 3, iv(5, 6)) if kind == "concrete" else (3, iv(3, 4), 5)
+    first, time, relation, n = {
+        "unknown-relation": ("X", at, "Ghost", arity),
+        "arity": ("X", at, relation, arity + 1),
+        "time-kind": ("X", other_kind, relation, arity),
+        "non-value": (5, at, relation, arity),
+        "null-context-kind": (Null("N", other_kind), at, relation, arity),
+        "context-mismatch": (Null("N", other_time), at, relation, arity),
+    }[rule]
+    return [Fact(relation, (first, *["X"] * (n - 2), who), time) for who in ("Zed", "Bob")]
+
+
+_RULES = {"unknown-relation": "unknown-relation", "arity": "arity-mismatch", "time-kind": "kind-violation",
+          "non-value": "not-a-value", "null-context-kind": "kind-violation", "context-mismatch": "context-mismatch"}
+_FACT_RULES = ["time-kind", "non-value", "null-context-kind", "context-mismatch"]
+
+
+def _sem_each_fact(inst):
+    return [sem_fact(f, 20) for f in sorted(inst.facts, key=tdx.model._offender_key)]
+
+
+_CONTRACT = [(rule, *entry) for rule in _RULES for entry in _ENTRY_POINTS]
+_CONTRACT += [(rule, "sem_fact", "fig1.json", "Employee1", _sem_each_fact) for rule in _FACT_RULES]
+_CONTRACT += [("non-value", write.__name__, name, "Emp", write)
+              for write in (dumps_instance, tdx.model.instance_to_json) for name in ("fig3.json", "fig4.json")]
+
+
+@pytest.mark.parametrize("rule, entry, name, relation, run", _CONTRACT,
+                         ids=[f"{rule}-{entry}-{name[:4]}" for rule, entry, name, _, _ in _CONTRACT])
+def test_every_entry_point_refuses_what_validate_instance_reports_first(rule, entry, name, relation, run):
+    """One bad instance per rule of ``validate_instance``, read by every
+    entry point that checks an instance: ``sem_fact`` for the rules of one
+    fact, and the writers for a value they cannot render."""
+    inst = load_fixture_instance(name)
+    breaking = _breaking(rule, inst.kind, relation, inst.schema_by_name[relation].arity)
+    bad = inst.replace_facts(inst.facts | set(breaking))
+    first = validate_instance(bad)[0]
+    assert first.code == _RULES[rule] and first.message.startswith(f"{breaking[1]}: ")
+    with pytest.raises(SchemaError) as err:
+        run(bad)
+    assert str(err.value) == first.message
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+# Times and values of every class the rules tell apart, each beside a value
+# of another class that it equals or hashes like.
+_ODD_TIMES = [3, 5, True, _Int(3), -1, 1.5, "s", iv(3, 5), iv(5, 9), (3, 5), None]
+_ODD_VALUES = ["x", _Str("x"), 5, (), ("N", 3), *[Null(label, t) for label in ("N", _Str("N"), 7) for t in _ODD_TIMES]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["concrete", "abstract"]),
+       st.lists(st.tuples(st.sampled_from(["R", "S", "Ghost", 5]), st.lists(st.sampled_from(_ODD_VALUES), max_size=3),
+                          st.sampled_from(_ODD_TIMES)), max_size=6))
+def test_the_instance_check_raises_the_first_problem_validate_instance_reports(kind, rows):
+    """The check's screen never passes an instance that breaks a rule, and
+    what it raises is the first problem ``validate_instance`` lists."""
+    inst = Instance(kind, (rel("R", "a"), rel("S", "a", "b")), [Fact(r, tuple(values), t) for r, values, t in rows])
+    problems = validate_instance(inst)
+    if not problems:
+        tdx.model._check_instance(inst)
+        return
+    with pytest.raises(SchemaError) as err:
+        tdx.model._check_instance(inst)
+    assert str(err.value) == problems[0].message
 
 
 _TIME_CLASS_PROBE = """
@@ -169,23 +270,33 @@ def test_a_null_annotated_with_an_equal_time_of_another_class_is_not_annotated_w
     assert [v.code for v in validate_instance(inst)] == ["kind-violation"]
     for run in (lambda: sem_fact(concrete, 9), lambda: sem_instance(inst, 9), lambda: normalize_instance(inst)):
         with pytest.raises(SchemaError, match=r"^R\(N\^\(0, 5\), \[0,5\)\): null N\^\(0, 5\) is not annotated "
-                                              r"with the fact's interval$"):
+                                              r"with the fact's clopen interval$"):
             run()
     abstract = Instance.abstract(schema, [fact("R", Null("N", True), time=1)])
     assert [v.code for v in validate_instance(abstract)] == ["context-mismatch"]
-    with pytest.raises(SchemaError, match=r"^R\(N\^True, 1\): null N\^True is not annotated with the fact's time point$"):
+    with pytest.raises(SchemaError, match=r"^R\(N\^True, 1\): null N\^True is not annotated with the fact's "
+                                          r"finite time point$"):
         find_abstract_hom(abstract, abstract)
 
 
 def test_writers_name_the_least_fact_whose_time_or_null_context_is_not_a_value():
     schema = [rel("R", "a")]
-    cases = {"R(x, True)": [Fact("R", ("x",), True), Fact("R", ("y",), 1.5), fact("R", "z", time=2)],
-             "R(N^True, 1)": [Fact("R", (Null("N", True),), 1), fact("R", "z", time=2)]}
-    for least, facts in cases.items():
+    cases = {
+        "R(x, True): abstract fact must carry a finite time point":
+            [Fact("R", ("x",), True), Fact("R", ("y",), 1.5), fact("R", "z", time=2)],
+        "R(N^True, 1): null N^True is not annotated with the fact's finite time point":
+            [Fact("R", (Null("N", True),), 1), fact("R", "z", time=2)],
+        "R(x, s): abstract fact must carry a finite time point": [Fact("R", ("x",), "s")],
+        "R(7^1, 1): Null(label=7, context=1) is not a constant or a null with a string label":
+            [Fact("R", (Null(7, 1),), 1), fact("R", "z", time=2)],
+    }
+    for message, facts in cases.items():
+        inst = Instance.abstract(schema, facts)
+        assert validate_instance(inst)[0].message == message
         for write in (dumps_instance, tdx.model.instance_to_json):
             with pytest.raises(SchemaError) as error:
-                write(Instance.abstract(schema, facts))
-            assert str(error.value) == f"{least}: True is neither a time point nor an interval"
+                write(inst)
+            assert str(error.value) == message
 
 
 def test_writers_name_a_value_that_is_neither_a_constant_nor_a_null():
@@ -277,7 +388,7 @@ def test_sem_fact_expansion():
 def test_sem_fact_rejects_a_mis_annotated_null():
     for null in (inull("N", 10, 12), pnull("N", 8)):
         f = fact("Emp", "Ada", null, "IBM", time=iv(8, 10))
-        with pytest.raises(SchemaError, match="is not annotated with the fact's interval"):
+        with pytest.raises(SchemaError, match="is not annotated with the fact's clopen interval"):
             sem_fact(f, 13)
 
 
@@ -309,6 +420,16 @@ def test_sem_instance_checks_the_horizon_on_an_empty_instance():
     with pytest.raises(InvalidHorizonError):
         sem_instance(empty, 9.5)
     assert sem_instance(empty, 9) == Instance.abstract([rel("R", "a")])
+
+
+def test_a_negative_horizon_is_not_a_time_point():
+    empty = Instance.concrete([rel("R", "a")])
+    for run in (lambda h: sem_instance(empty, h), lambda h: sem_fact(fact("R", "a", time=iv(0, 2)), h),
+                lambda h: answers_sem(AnswerSet("q", "concrete", ("a", "t"), frozenset()), h)):
+        for horizon in (-1, -5):
+            with pytest.raises(InvalidHorizonError, match=rf"^horizon must be a finite time point, got {horizon}$"):
+                run(horizon)
+    assert sem_instance(empty, 0) == Instance.abstract([rel("R", "a")])
 
 
 def test_sem_instance_stops_above_its_fact_limit(monkeypatch):
@@ -506,7 +627,8 @@ def test_normalize_rejects_a_mis_annotated_null_of_an_unsplit_fact():
         with pytest.raises(SchemaError) as normalize_error:
             normalize_instance(inst)
         assert str(normalize_error.value) == str(sem_error.value)
-    assert str(normalize_error.value) == "R(N^[0,3), [5,9)): null N^[0,3) is not annotated with the fact's interval"
+    assert str(normalize_error.value) == \
+        "R(N^[0,3), [5,9)): null N^[0,3) is not annotated with the fact's clopen interval"
 
 
 def _generated_instances(seed: int, count: int):
