@@ -30,7 +30,6 @@ from .model import (
     Violation,
     conform_instance,
     dumps_instance,
-    fact_sort_key,
     instance_from_json,
     instance_to_json,
     is_complete,
@@ -42,7 +41,6 @@ from .model import (
     sem_fact,
     sem_instance,
     validate_instance,
-    value_sort_key,
 )
 from .mapping_lang import (
     Atom,

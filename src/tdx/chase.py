@@ -34,12 +34,10 @@ from .model import (
     Value,
     _check_instance,
     conform_instance,
-    fact_sort_key,
     is_complete,
     is_normalized,
     is_null,
     normalize_instance,
-    value_sort_key,
 )
 
 
@@ -109,8 +107,7 @@ class EqClosure:
             return None
         cx, cy = self._const.get(rx), self._const.get(ry)
         if cx is not None and cy is not None and cx != cy:
-            pair = sorted((cx, cy), key=value_sort_key)
-            return (pair[0], pair[1])
+            return (cx, cy) if cx < cy else (cy, cx)
         if self._size[rx] < self._size[ry]:
             rx, ry = ry, rx
         self._parent[ry] = rx
@@ -131,7 +128,7 @@ class EqClosure:
         for root, members in self.members().items():
             rep = self._const.get(root)
             if rep is None:
-                rep = min(members, key=value_sort_key)
+                rep = min(members)
             for v in members:
                 reps[v] = rep
         return reps
@@ -211,7 +208,7 @@ def tkc_positions(tkc: Tkc, schema: RelationSchema) -> tuple[tuple[int, ...], tu
 
 
 def _ordered_pair(x: Value, y: Value) -> tuple[Value, Value]:
-    return (x, y) if value_sort_key(x) <= value_sort_key(y) else (y, x)
+    return (x, y) if x <= y else (y, x)
 
 
 def _check_key(f: Fact, schema: RelationSchema, key_pos: tuple[int, ...]) -> None:
@@ -244,7 +241,7 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
     on the time and the key values.
 
     Each member of a group is paired with one hub, the group's least member
-    by ``fact_sort_key``: that star has the same closure as all k(k-1)/2
+    in canonical order: that star has the same closure as all k(k-1)/2
     pairs of the group, in k-1 pairs; the grouping guarantees what
     ``tkc_step`` checks of a pair.  Members of one group share their key
     values, so a null in a key position is in all of them; the violation
@@ -263,7 +260,7 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
         for group in groups.values():
             if len(group) < 2:
                 continue
-            hub = min(group, key=fact_sort_key)
+            hub = min(group)
             if any(is_null(hub.values[i]) for i in key_pos):
                 null_keys.append(hub)
                 continue
@@ -273,7 +270,7 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
                         if hub.values[i] != f.values[i]:
                             equalities.append(_ordered_pair(hub.values[i], f.values[i]))
         if null_keys:
-            _check_key(min(null_keys, key=fact_sort_key), schema, key_pos)
+            _check_key(min(null_keys), schema, key_pos)
     return equalities
 
 
@@ -283,7 +280,7 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]
     Only facts holding a replaced value are rebuilt, and with none the
     instance itself is the result."""
     closure = EqClosure()
-    for x, y in sorted(set(equalities), key=lambda p: (value_sort_key(p[0]), value_sort_key(p[1]))):
+    for x, y in sorted(set(equalities)):
         conflict = closure.merge(x, y)
         if conflict is not None:
             c1, c2 = conflict

@@ -21,12 +21,15 @@ canonical order is paid for only where a result's order shows.
 labels follow them; ``naive_eval`` takes the same walk unsorted into a set.
 The abstract search sorts each index list of the target and each
 shared-null component of the source into canonical order, because the hom
-it returns is the first binding in that order.  It compiles a join once per
-component shape (relations, and which position holds which null), with the
-component's constants and time point as parameters, not once per component.
+it returns is the first binding in that order.  Canonical order is the
+values' own order (see ``model``), so each of these sorts is native.  The
+search compiles a join once per component shape (relations, and which
+position holds which null), with the component's constants and time point
+as parameters, not once per component.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
 
 from .errors import SchemaError
@@ -38,8 +41,6 @@ from .model import (
     Null,
     Value,
     _check_instance,
-    fact_sort_key,
-    value_sort_key,
 )
 
 Binding = dict[str, object]  # variable -> Value, plus temporal variable -> interval/point
@@ -151,10 +152,9 @@ def _join_plan(patterns: Sequence[_Pattern], inst: Instance, bound: set[str],
                     index.setdefault(tuple([row[p] for p in keyed]), []).append(fact)
                 if ordered:
                     for bucket in index.values():
-                        if len(bucket) > 1:
-                            bucket.sort(key=fact_sort_key)
+                        bucket.sort()
             else:
-                index = {(): sorted(facts, key=fact_sort_key) if ordered else facts}
+                index = {(): sorted(facts) if ordered else facts}
             indexes[relation, keyed] = index
         steps.append(_Step(index, tuple([slots[p] for p in keyed]), tuple([(p, str(slots[p])) for p in free])))
         bound.update([slots[p] for p in free])
@@ -211,8 +211,8 @@ def _sorted_formula_homs(atoms: Sequence[Atom], inst: Instance,
                          initial: TMapping[str, object] | None = None) -> list[Binding]:
     """The bindings of ``enumerate_formula_homs``, over a checked instance."""
     results = list(_formula_homs(atoms, inst, initial))
-    names = sorted(results[0]) if results else ()  # every binding of one call binds the same names
-    results.sort(key=lambda b: tuple([value_sort_key(b[v]) for v in names]))
+    if len(results) > 1:  # every binding of one call binds the same names
+        results.sort(key=itemgetter(*sorted(results[0])))
     return results
 
 
@@ -305,8 +305,7 @@ def _search_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     compiled: dict[tuple, _Compiled] = {}  # by component shape
     hom: AbstractHom = {}
     for facts in components.values():
-        if len(facts) > 1:
-            facts.sort(key=fact_sort_key)
+        facts.sort()
         ids: dict[Null, int] = {}  # a component's nulls, in order of first occurrence
         shape = tuple([(f.relation, tuple([ids.setdefault(v, len(ids)) if v.__class__ is Null else -1
                                            for v in f.values]))

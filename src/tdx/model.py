@@ -12,6 +12,10 @@ both equal.
 compare and are built in C; each also equals the plain tuple of its fields.
 A time is therefore told apart by its class as well as its value wherever
 times are checked (``True == 1``, and an interval equals ``(start, end)``).
+Canonical order is the values' own order: ``Null`` adds the one comparison
+its tuple lacks, a constant before every null, so the values, facts and
+bindings of a well-formed instance sort natively (a fact by relation, then
+values, then time; intervals by start, then end, finite ends first).
 
 ``sem_fact`` / ``sem_instance`` expand the concrete view into the abstract one
 up to an explicit finite horizon (abstract views of unbounded intervals are
@@ -19,19 +23,19 @@ infinite, so materialization must be bounded).  ``normalize_instance``
 rewrites a concrete instance so that any two intervals across all relations
 are either equal or disjoint.
 
-An instance is a set of facts; canonical order (``fact_sort_key``) is a cost
-paid where order shows.  An instance's accessors, ``facts`` and
-``facts_by_relation`` (each relation's facts), are unsorted, and the joins
-of ``homomorphism`` (and so the chase and ``naive_eval``) and the key round
-read only these.  A reader whose result shows an order sorts what it reads
-itself: ``dumps_instance``, the one writer of instance text, and
-``instance_to_json`` sort each relation's facts as they write them, and
-``validate_instance`` sorts its facts, as it also orders facts that hold
-non-values.
+An instance is a set of facts; canonical order is a cost paid where order
+shows.  An instance's accessors, ``facts`` and ``facts_by_relation`` (each
+relation's facts), are unsorted, and the joins of ``homomorphism`` (and so
+the chase and ``naive_eval``) and the key round read only these.  A reader
+whose result shows an order sorts what it reads itself: ``dumps_instance``,
+the one writer of instance text, and ``instance_to_json`` sort each
+relation's facts as they write them, and ``validate_instance`` orders its
+facts by ``_offender_key``, as it also orders facts that hold non-values.
 
 The rules of a well-formed instance are written once, in ``_fact_problems``:
 ``validate_instance`` lists every problem, and ``_check_instance``, which
-every function that reads an instance's facts calls, raises the first.
+every function that reads an instance's facts calls, and both writers,
+raises the first.
 """
 from __future__ import annotations
 
@@ -42,7 +46,6 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
 from functools import cached_property
-from operator import index
 from typing import Collection, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
@@ -65,31 +68,26 @@ class Null(NamedTuple):
     def __str__(self) -> str:
         return f"{self.label}^{self.context}"
 
+    # Canonical order: a constant (a ``str``) sorts before every null, and two
+    # nulls compare as their ``(label, context)`` tuples.
+    def __lt__(self, other: object) -> bool:
+        return not isinstance(other, str) and tuple.__lt__(self, other)
+
+    def __le__(self, other: object) -> bool:
+        return not isinstance(other, str) and tuple.__le__(self, other)
+
+    def __gt__(self, other: object) -> bool:
+        return isinstance(other, str) or tuple.__gt__(self, other)
+
+    def __ge__(self, other: object) -> bool:
+        return isinstance(other, str) or tuple.__ge__(self, other)
+
 
 Value = Union[str, Null]  # a constant is its string
 
 
 def is_null(v: Value) -> bool:
     return isinstance(v, Null)
-
-
-def value_sort_key(v: object) -> tuple:
-    """Total order over time points, intervals, constants, and nulls, in that order.
-
-    Within one kind the order is the natural one (intervals by start, then
-    end, finite ends first); nulls order by label, then context.
-    """
-    if isinstance(v, bool):
-        raise TypeError(f"not a value: {v!r}")
-    if isinstance(v, int):
-        return (0, v)
-    if isinstance(v, ClopenInterval):
-        return (1, v.start, v.end)
-    if isinstance(v, str):
-        return (2, v)
-    if isinstance(v, Null) and isinstance(v.label, str):
-        return (3, v.label, value_sort_key(v.context))
-    raise TypeError(f"not a value: {v!r}")
 
 
 class Fact(NamedTuple):
@@ -104,23 +102,27 @@ class Fact(NamedTuple):
         return f"{self.relation}({inner})"
 
 
-def fact_sort_key(f: Fact) -> tuple:
-    return (f.relation, tuple([value_sort_key(v) for v in f.values]), value_sort_key(f.time))
-
-
 def _any_sort_key(v: object) -> tuple:
-    """``value_sort_key``, extended to any object: one that is not a value
-    sorts after every value, by its type's name and then its ``repr``."""
-    try:
-        return value_sort_key(v)
-    except TypeError:
-        return (4, type(v).__qualname__, repr(v))
+    """A total order over any objects, which orders the problems of
+    ``validate_instance``: time points, intervals, constants and nulls, in
+    that order and each kind in canonical order, then every other object by
+    its type's name and ``repr``."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return (0, v)
+    if isinstance(v, ClopenInterval):
+        return (1, v.start, v.end)
+    if isinstance(v, str):
+        return (2, v)
+    if isinstance(v, Null) and isinstance(v.label, str):
+        return (3, v.label, _any_sort_key(v.context))
+    return (4, type(v).__qualname__, repr(v))
 
 
 def _offender_key(f: Fact) -> tuple:
-    """``fact_sort_key``, extended to a fact of any relation name that holds or
-    is timed by a non-value."""
-    return (_any_sort_key(f.relation), tuple(map(_any_sort_key, f.values)), _any_sort_key(f.time))
+    """Canonical fact order, extended to a fact of any relation name that
+    holds or is timed by a non-value, or whose values are not a tuple."""
+    values = (0, tuple(map(_any_sort_key, f.values))) if isinstance(f.values, tuple) else (1, _any_sort_key(f.values))
+    return (_any_sort_key(f.relation), values, _any_sort_key(f.time))
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,12 @@ class Instance:
     def replace_facts(self, facts: Iterable[Fact]) -> "Instance":
         return Instance(self.kind, self.schema, frozenset(facts))
 
+    @cached_property
+    def _screened(self) -> bool:
+        """Whether the facts pass ``_plainly_well_formed``: an instance is
+        immutable, so ``_check_instance`` screens it once."""
+        return _plainly_well_formed(self.facts, self.kind, {r.name: r.arity for r in self.schema})
+
 
 # Per view: what a fact's time must be, and its name in messages.
 _TIME_OF = {
@@ -203,6 +211,9 @@ def _fact_problems(f: Fact, kind: str, arity: dict[str, int]) -> Iterator[tuple[
     """Each rule of a well-formed ``kind`` instance that ``f`` breaks, as
     ``(code, message)``; ``arity`` maps each relation of the schema to its
     number of non-temporal values.  These are the only rules of an instance."""
+    if not isinstance(f.values, tuple):
+        yield "not-a-value", f"{f!r}: a fact's values must be a tuple"
+        return
     n = arity.get(f.relation)
     if n is None:
         yield "unknown-relation", f"{f}: relation {f.relation!r} is not in the schema"
@@ -226,15 +237,16 @@ def _fact_problems(f: Fact, kind: str, arity: dict[str, int]) -> Iterator[tuple[
 def _plainly_well_formed(facts: Iterable[Fact], kind: str, arity: dict[str, int]) -> bool:
     """A one-pass screen, stricter than ``_fact_problems``: each fact's time
     is of its view's exact class (``ClopenInterval``, or a non-negative
-    ``int``), its values fill its relation, and each value is an exact
-    ``str`` or a ``Null`` with a ``str`` label and a context equal to the
-    time and of its class."""
+    ``int``), its values are a ``tuple`` that fills its relation, and each
+    value is an exact ``str`` or a ``Null`` with a ``str`` label and a
+    context equal to the time and of its class."""
     cls = ClopenInterval if kind == CONCRETE else int
     for f in facts:
-        t = f.time
-        if t.__class__ is not cls or (cls is int and t < 0) or arity.get(f.relation) != len(f.values):
+        t, values = f.time, f.values
+        if (t.__class__ is not cls or (cls is int and t < 0) or values.__class__ is not tuple
+                or arity.get(f.relation) != len(values)):
             return False
-        for v in f.values:
+        for v in values:
             if v.__class__ is not str and not (v.__class__ is Null and v.label.__class__ is str
                                                and v.context.__class__ is cls and v.context == t):
                 return False
@@ -244,9 +256,7 @@ def _plainly_well_formed(facts: Iterable[Fact], kind: str, arity: dict[str, int]
 def _check_facts(facts: Collection[Fact], kind: str, arity: dict[str, int]) -> None:
     """Raise SchemaError with the first problem of the least fact, in
     ``_offender_key`` order (so whatever the set's order), that
-    ``_fact_problems`` finds; a well-formed instance pays only the screen."""
-    if _plainly_well_formed(facts, kind, arity):
-        return
+    ``_fact_problems`` finds."""
     fact = min([f for f in facts if next(_fact_problems(f, kind, arity), None)], key=_offender_key, default=None)
     if fact is not None:
         raise SchemaError(next(_fact_problems(fact, kind, arity))[1])
@@ -255,13 +265,16 @@ def _check_facts(facts: Collection[Fact], kind: str, arity: dict[str, int]) -> N
 def _check_instance(inst: Instance) -> None:
     """Raise SchemaError with ``validate_instance(inst)[0].message`` if the
     instance breaks a rule: what every function that reads an instance's
-    facts refuses."""
-    _check_facts(inst.facts, inst.kind, {r.name: r.arity for r in inst.schema})
+    facts, and both writers, refuse.  A well-formed instance pays only the
+    screen, once per instance."""
+    if not inst._screened:
+        _check_facts(inst.facts, inst.kind, {r.name: r.arity for r in inst.schema})
 
 
 def validate_instance(inst: Instance) -> list[Violation]:
     """Every problem of an instance, as data: facts in ``_offender_key``
     order, each fact's problems in the order of the rules, each with its code:
+    ``not-a-value``, values that are not a tuple (no other rule is checked);
     ``unknown-relation``, a fact of a relation outside the schema (no other
     rule is checked); ``arity-mismatch``, values that do not fill the
     relation; ``kind-violation``, a time not of the view's kind (a clopen
@@ -320,7 +333,7 @@ def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
     time point.  ``horizon`` must be at least every finite endpoint of the
     fact; unbounded intervals are truncated at the horizon.
     """
-    _check_facts([f], CONCRETE, {f.relation: len(f.values)})
+    _check_facts([f], CONCRETE, {f.relation: len(f.values) if isinstance(f.values, tuple) else 0})
     _check_horizon(horizon, f.time)
     return _cut([f], {f.time: interval_points(f.time, horizon)})
 
@@ -443,34 +456,22 @@ def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Inst
 
 
 def _time_json(t: TimeValue) -> dict:
-    """A fact's time, or a null's context, as the members of its JSON object;
-    TypeError for a time that is neither an interval nor an ``int``."""
+    """A fact's time, or a null's context, as the members of its JSON object."""
     if isinstance(t, ClopenInterval):
         return {"interval": {"start": t.start, "end": t.end if isinstance(t.end, int) else "inf"}}
-    return {"time": index(t)}
-
-
-def _check_written(inst: Instance) -> None:
-    """``_check_instance`` over the facts of the schema's relations, which a
-    writer runs only once rendering failed."""
-    _check_instance(inst.replace_facts([f for f in inst.facts if f.relation in inst.schema_by_name]))
+    return {"time": t}
 
 
 def instance_to_json(inst: Instance) -> dict:
     """The JSON document of ``inst``, each relation's facts in canonical
-    order.  What it cannot render is a SchemaError, as ``_check_instance``
-    words it, if a fact of the schema's relations breaks a rule."""
-    try:
-        relations = {}
-        for schema in inst.schema:
-            facts = [  # str.__str__ raises TypeError for a label that is not a str
-                {"values": [v if isinstance(v, str) else {"null": str.__str__(v.label)} for v in f.values],
-                 **_time_json(f.time)}
-                for f in sorted(inst.facts_by_relation[schema.name], key=fact_sort_key)]
-            relations[schema.name] = {"attributes": list(schema.all_attributes), "facts": facts}
-    except (TypeError, AttributeError):
-        _check_written(inst)
-        raise
+    order.  Raises SchemaError, as ``_check_instance`` does, for an instance
+    that ``validate_instance`` faults."""
+    _check_instance(inst)
+    relations = {}
+    for schema in inst.schema:
+        facts = [{"values": [v if isinstance(v, str) else {"null": v.label} for v in f.values], **_time_json(f.time)}
+                 for f in sorted(inst.facts_by_relation[schema.name])]
+        relations[schema.name] = {"attributes": list(schema.all_attributes), "facts": facts}
     return {"kind": inst.kind, "relations": relations}
 
 
@@ -581,56 +582,40 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     ensure_ascii=False) + "\\n"`` of ``doc = instance_to_json(inst)``, with a
     top-level ``"horizon"`` member when ``horizon`` is given.  It is written
     directly from the instance: each relation's facts are sorted here, in
-    ``fact_sort_key`` order, strings are escaped by the json module's C
-    encoder, and each distinct time and null label is rendered once per call.
-    Raises SchemaError, as ``instance_to_json`` does, for what it cannot render.
+    canonical order, strings are escaped by the json module's C encoder, and
+    each distinct time and null label is rendered once per call.  Raises
+    SchemaError, as ``instance_to_json`` does, for an instance that
+    ``validate_instance`` faults.
     """
-    times: dict[TimeValue, tuple[tuple, str]] = {}
-
-    def time_entry(t: TimeValue) -> tuple[tuple, str]:
-        """The time's sort key and the text of its members in a fact object."""
-        entry = times.get(t)
-        if entry is None:
-            if isinstance(t, ClopenInterval):
-                end = int.__repr__(t.end) if isinstance(t.end, int) else '"inf"'
-                text = (f'"interval": {{\n            "end": {end},\n'
-                        f'            "start": {int.__repr__(t.start)}\n          }}')
-            else:
-                text = f'"time": {int.__repr__(t)}'
-            entry = times[t] = (value_sort_key(t), text)
-        return entry
-
+    _check_instance(inst)
+    times: dict[TimeValue, str] = {}
     nulls: dict[str, str] = {}
-    rows: dict[str, list[tuple[tuple, str]]] = {r.name: [] for r in inst.schema}
-    try:
-        for f in inst.facts:
-            out = rows.get(f.relation)
-            if out is None:
-                continue
-            # One flat sort key: each part starts with its kind, which fixes the
-            # part's length, so it orders like fact_sort_key within a relation.
-            key: list = []
+    relations = []
+    for schema in inst.schema:
+        rows = []
+        for f in sorted(inst.facts_by_relation[schema.name]):
             texts = []
             for v in f.values:
                 if isinstance(v, str):
-                    key += (2, v)
                     texts.append(_encode(v))
                 else:
-                    key += (3, v.label, time_entry(v.context)[0])
                     text = nulls.get(v.label)
                     if text is None:
                         text = nulls[v.label] = '{\n              "null": ' + _encode(v.label) + "\n            }"
                     texts.append(text)
-            time_key, time_text = time_entry(f.time)
-            key += time_key
-            out.append((tuple(key), "{\n          " + time_text + ',\n          "values": '
-                        + _list_text(texts, "          ") + "\n        }"))
-    except (TypeError, AttributeError):
-        _check_written(inst)
-        raise
-    relations = []
-    for schema in inst.schema:
-        facts = _list_text([text for _, text in sorted(rows[schema.name])], "      ")
+            t = f.time
+            time_text = times.get(t)
+            if time_text is None:
+                if isinstance(t, ClopenInterval):
+                    end = int.__repr__(t.end) if isinstance(t.end, int) else '"inf"'
+                    time_text = (f'"interval": {{\n            "end": {end},\n'
+                                 f'            "start": {int.__repr__(t.start)}\n          }}')
+                else:
+                    time_text = f'"time": {int.__repr__(t)}'
+                times[t] = time_text
+            rows.append("{\n          " + time_text + ',\n          "values": '
+                        + _list_text(texts, "          ") + "\n        }")
+        facts = _list_text(rows, "      ")
         attributes = _list_text([_encode(a) for a in schema.all_attributes], "      ")
         relations.append(f'    {_encode(schema.name)}: {{\n      "attributes": {attributes},\n'
                          f'      "facts": {facts}\n    }}')

@@ -10,10 +10,11 @@ from tdx import (
     Instance,
     Null,
     RelationSchema,
-    fact_sort_key,
     loads_instance,
     parse_mapping,
 )
+
+from oracles import in_order  # noqa: F401  (canonical order, by the reference keys)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -52,9 +53,3 @@ def fact(relation: str, *values, time) -> Fact:
 
 def rel(name: str, *attributes: str, temporal: str = "time") -> RelationSchema:
     return RelationSchema(name, tuple(attributes), temporal)
-
-
-def in_order(inst: Instance, relation: str | None = None) -> list[Fact]:
-    """The instance's facts, or one relation's, in canonical order."""
-    facts = inst.facts if relation is None else inst.facts_by_relation.get(relation, ())
-    return sorted(facts, key=fact_sort_key)

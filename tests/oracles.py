@@ -8,7 +8,9 @@ formula homomorphisms by a recursive nested loop over whole relations, the
 key round's equalities from every pair of every key group, and the
 canonical instance text by the json module's own encoder.  The abstract
 homomorphism search that compiles each component shape once is checked
-against the search that plans a join for every component.
+against the search that plans a join for every component.  Canonical order
+is stated here by explicit sort keys, ``value_sort_key`` and
+``fact_sort_key``, against which the package's native order is checked.
 """
 from __future__ import annotations
 
@@ -21,20 +23,59 @@ from tdx import (
     Fact,
     Instance,
     Null,
-    fact_sort_key,
-    instance_to_json,
-    value_sort_key,
 )
 from tdx.chase import tkc_positions, tkc_step
 from tdx.homomorphism import _check_hom_inputs, _join_plan, _Var, _walk
 
-from helpers import in_order
+
+def value_sort_key(v: object) -> tuple:
+    """Canonical order over time points, intervals, constants, and nulls, in
+    that order.  Within one kind the order is the natural one (intervals by
+    start, then end, finite ends first); nulls order by label, then context."""
+    if isinstance(v, bool):
+        raise TypeError(f"not a value: {v!r}")
+    if isinstance(v, int):
+        return (0, v)
+    if isinstance(v, ClopenInterval):
+        return (1, v.start, v.end)
+    if isinstance(v, str):
+        return (2, v)
+    if isinstance(v, Null) and isinstance(v.label, str):
+        return (3, v.label, value_sort_key(v.context))
+    raise TypeError(f"not a value: {v!r}")
+
+
+def fact_sort_key(f: Fact) -> tuple:
+    """Canonical fact order: relation, then values, then time."""
+    return (f.relation, tuple([value_sort_key(v) for v in f.values]), value_sort_key(f.time))
+
+
+def in_order(inst: Instance, relation: str | None = None) -> list[Fact]:
+    """The instance's facts, or one relation's, in canonical order."""
+    facts = inst.facts if relation is None else inst.facts_by_relation.get(relation, ())
+    return sorted(facts, key=fact_sort_key)
+
+
+def instance_doc(inst: Instance) -> dict:
+    """The JSON document of a well-formed instance, each relation's facts in
+    ``fact_sort_key`` order: what ``instance_to_json`` must return."""
+    relations = {}
+    for r in inst.schema:
+        facts = []
+        for f in in_order(inst, r.name):
+            t = f.time
+            time = ({"time": t} if isinstance(t, int) else
+                    {"interval": {"start": t.start, "end": "inf" if t.end == float("inf") else t.end}})
+            facts.append({"values": [v if isinstance(v, str) else {"null": v.label} for v in f.values], **time})
+        relations[r.name] = {"attributes": [*r.attributes, r.temporal], "facts": facts}
+    return {"kind": inst.kind, "relations": relations}
 
 
 def json_dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     """The canonical text of ``inst`` (plus a ``"horizon"`` member, if given)
-    as the json module writes it: what ``dumps_instance`` must return."""
-    doc = instance_to_json(inst)
+    as the json module writes ``instance_doc``: what ``dumps_instance`` must
+    return."""
+    doc = instance_doc(inst)
     if horizon is not None:
         doc["horizon"] = horizon
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

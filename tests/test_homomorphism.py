@@ -19,20 +19,19 @@ from tdx import (
     apply_abstract_hom,
     chase,
     enumerate_formula_homs,
-    fact_sort_key,
     find_abstract_hom,
     hom_equivalent,
     instantiate_atom,
     is_normalized,
     naive_eval,
     sem_instance,
-    value_sort_key,
 )
 import tdx.homomorphism
 
 from generators import CONSTANTS, careers_chase_pair, careers_like, random_case
 from helpers import c, fact, in_order, iv, pnull, rel
-from oracles import brute_force_hom_exists, nested_loop_homs, per_component_abstract_hom, scan_abstract_hom
+from oracles import (brute_force_hom_exists, fact_sort_key, nested_loop_homs, per_component_abstract_hom,
+                     scan_abstract_hom, value_sort_key)
 
 JOIN_LHS = [
     Atom("Employee1", (Var("n"), Var("c")), "t"),
@@ -83,12 +82,12 @@ def test_unknown_relation_is_a_schema_error(fig2):
 
 
 def test_enumeration_order_is_deterministic(fig2):
-    from tdx import value_sort_key
     first = enumerate_formula_homs(JOIN_LHS, fig2)
     second = enumerate_formula_homs(JOIN_LHS, fig2)
     assert first == second
-    keys = [tuple(value_sort_key(b[v]) for v in sorted(b)) for b in first]
-    assert keys == sorted(keys)
+    rows = [tuple(b[v] for v in sorted(b)) for b in first]
+    assert len(set(rows)) == len(rows) > 1 and rows == sorted(rows)
+    assert rows == sorted(rows, key=lambda row: tuple(map(value_sort_key, row)))
 
 
 def test_hom_between_figures_is_the_documented_renaming(fig4, fig5):

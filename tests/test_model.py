@@ -41,14 +41,13 @@ from tdx import (
     sem_instance,
     split_interval,
     validate_instance,
-    value_sort_key,
 )
 
 import tdx.model
 
 from generators import careers_like, random_case
 from helpers import FIXTURES, c, fact, in_order, inull, iv, load_fixture_instance, load_fixture_mapping, pnull, rel
-from oracles import expand_instance_by_points, json_dumps_instance
+from oracles import expand_instance_by_points, fact_sort_key, instance_doc, json_dumps_instance, value_sort_key
 
 
 def test_running_example_instance_is_valid(fig1):
@@ -133,8 +132,13 @@ def test_a_fact_timed_in_the_other_view_is_a_schema_error(name, relation, run):
 
 def _breaking(rule, kind, relation, arity):
     """Two facts that break ``rule`` of a ``kind`` instance, and no rule
-    before it; they differ in their last value, Zed or Bob."""
+    before it; they differ in their last value, Zed or Bob, or in the ``str``
+    or ``int`` that stands for their values."""
     at, other_kind, other_time = (iv(3, 4), 3, iv(5, 6)) if kind == "concrete" else (3, iv(3, 4), 5)
+    if rule == "values-str":
+        return [Fact(relation, who, at) for who in ("Zed", "Bob")]
+    if rule == "values-int":
+        return [Fact(relation, k, at) for k in (7, 5)]
     first, time, relation, n = {
         "unknown-relation": ("X", at, "Ghost", arity),
         "arity": ("X", at, relation, arity + 1),
@@ -146,9 +150,10 @@ def _breaking(rule, kind, relation, arity):
     return [Fact(relation, (first, *["X"] * (n - 2), who), time) for who in ("Zed", "Bob")]
 
 
-_RULES = {"unknown-relation": "unknown-relation", "arity": "arity-mismatch", "time-kind": "kind-violation",
-          "non-value": "not-a-value", "null-context-kind": "kind-violation", "context-mismatch": "context-mismatch"}
-_FACT_RULES = ["time-kind", "non-value", "null-context-kind", "context-mismatch"]
+_RULES = {"values-str": "not-a-value", "values-int": "not-a-value", "unknown-relation": "unknown-relation",
+          "arity": "arity-mismatch", "time-kind": "kind-violation", "non-value": "not-a-value",
+          "null-context-kind": "kind-violation", "context-mismatch": "context-mismatch"}
+_FACT_RULES = ["values-str", "values-int", "time-kind", "non-value", "null-context-kind", "context-mismatch"]
 
 
 def _sem_each_fact(inst):
@@ -157,7 +162,7 @@ def _sem_each_fact(inst):
 
 _CONTRACT = [(rule, *entry) for rule in _RULES for entry in _ENTRY_POINTS]
 _CONTRACT += [(rule, "sem_fact", "fig1.json", "Employee1", _sem_each_fact) for rule in _FACT_RULES]
-_CONTRACT += [("non-value", write.__name__, name, "Emp", write)
+_CONTRACT += [(rule, write.__name__, name, "Emp", write) for rule in _RULES
               for write in (dumps_instance, tdx.model.instance_to_json) for name in ("fig3.json", "fig4.json")]
 
 
@@ -165,13 +170,14 @@ _CONTRACT += [("non-value", write.__name__, name, "Emp", write)
                          ids=[f"{rule}-{entry}-{name[:4]}" for rule, entry, name, _, _ in _CONTRACT])
 def test_every_entry_point_refuses_what_validate_instance_reports_first(rule, entry, name, relation, run):
     """One bad instance per rule of ``validate_instance``, read by every
-    entry point that checks an instance: ``sem_fact`` for the rules of one
-    fact, and the writers for a value they cannot render."""
+    entry point that checks an instance, the writers among them, and by
+    ``sem_fact`` for the rules of one fact."""
     inst = load_fixture_instance(name)
     breaking = _breaking(rule, inst.kind, relation, inst.schema_by_name[relation].arity)
     bad = inst.replace_facts(inst.facts | set(breaking))
     first = validate_instance(bad)[0]
-    assert first.code == _RULES[rule] and first.message.startswith(f"{breaking[1]}: ")
+    shown = str(breaking[1]) if isinstance(breaking[1].values, tuple) else repr(breaking[1])
+    assert first.code == _RULES[rule] and first.message.startswith(f"{shown}: ")
     with pytest.raises(SchemaError) as err:
         run(bad)
     assert str(err.value) == first.message
@@ -193,12 +199,14 @@ _ODD_VALUES = ["x", _Str("x"), 5, (), ("N", 3), *[Null(label, t) for label in ("
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["concrete", "abstract"]),
-       st.lists(st.tuples(st.sampled_from(["R", "S", "Ghost", 5]), st.lists(st.sampled_from(_ODD_VALUES), max_size=3),
+       st.lists(st.tuples(st.sampled_from(["R", "S", "Ghost", 5]),
+                          st.one_of(st.lists(st.sampled_from(_ODD_VALUES), max_size=3).map(tuple),
+                                    st.sampled_from([5, "xy", None])),
                           st.sampled_from(_ODD_TIMES)), max_size=6))
 def test_the_instance_check_raises_the_first_problem_validate_instance_reports(kind, rows):
     """The check's screen never passes an instance that breaks a rule, and
     what it raises is the first problem ``validate_instance`` lists."""
-    inst = Instance(kind, (rel("R", "a"), rel("S", "a", "b")), [Fact(r, tuple(values), t) for r, values, t in rows])
+    inst = Instance(kind, (rel("R", "a"), rel("S", "a", "b")), [Fact(r, values, t) for r, values, t in rows])
     problems = validate_instance(inst)
     if not problems:
         tdx.model._check_instance(inst)
@@ -206,6 +214,22 @@ def test_the_instance_check_raises_the_first_problem_validate_instance_reports(k
     with pytest.raises(SchemaError) as err:
         tdx.model._check_instance(inst)
     assert str(err.value) == problems[0].message
+
+
+def test_each_instance_is_screened_once(example1, monkeypatch):
+    """``chase`` screens its source once (``normalize_instance`` reads the
+    same instance), and ``certain`` screens the chase result once more."""
+    screens = []
+    screen = tdx.model._plainly_well_formed
+    monkeypatch.setattr(tdx.model, "_plainly_well_formed", lambda *args: screens.append(args) or screen(*args))
+    for name in ("fig1.json", "fig2.json"):
+        src = load_fixture_instance(name)
+        screens.clear()
+        assert isinstance(chase(src, example1), Success)
+        assert len(screens) == 1
+        screens.clear()
+        assert certain(example1.query("positions"), src, example1).rows
+        assert len(screens) == 2
 
 
 _TIME_CLASS_PROBE = """
@@ -342,10 +366,21 @@ def test_values_are_tuples_with_their_names_fields_and_text():
             setattr(value, field, 1)
 
 
-def test_value_sort_key_is_total_over_mixed_kinds():
-    values = [Null("N", iv(0, 2)), Null("N", 3), c("N"), iv(0, INF), iv(0, 2), 3, 0, Null("M", 9)]
-    assert sorted(values, key=value_sort_key) == [
-        0, 3, iv(0, 2), iv(0, INF), c("N"), Null("M", 9), Null("N", 3), Null("N", iv(0, 2))]
+def test_values_sort_natively_within_a_kind_and_problems_sort_over_any_objects():
+    """Within one kind, values sort natively in canonical order: constants
+    before nulls, nulls by label, then context.  ``_any_sort_key`` orders
+    mixed kinds (time points, intervals, constants, nulls) and then every
+    non-value, ``True`` among them, by its type's name and ``repr``."""
+    assert sorted([Null("N", 3), c("N"), Null("M", 9), c(""), Null("N", 1)]) == [
+        c(""), c("N"), Null("M", 9), Null("N", 1), Null("N", 3)]
+    assert sorted([Null("N", iv(1, 2)), c("Z"), Null("N", iv(0, INF)), Null("N", iv(0, 2))]) == [
+        c("Z"), Null("N", iv(0, 2)), Null("N", iv(0, INF)), Null("N", iv(1, 2))]
+    null, const = Null("A", 0), c("Z")
+    assert (const < null, const <= null, null > const, null >= const) == (True,) * 4
+    assert (null < const, null <= const, const > null, const >= null) == (False,) * 4
+    values = [Null("N", iv(0, 2)), Null("N", 3), c("N"), iv(0, INF), iv(0, 2), 3, 0, Null("M", 9), True, 1.5, None]
+    assert sorted(values, key=tdx.model._any_sort_key) == [
+        0, 3, iv(0, 2), iv(0, INF), c("N"), Null("M", 9), Null("N", 3), Null("N", iv(0, 2)), None, True, 1.5]
     with pytest.raises(TypeError):
         value_sort_key(True)
 
@@ -689,18 +724,57 @@ def test_writer_matches_json_dumps_on_edge_cases():
     assert '"end": "inf"' in dumps_instance(cases[3])
 
 
-times = st.one_of(st.integers(0, 5), st.builds(
-    lambda s, length: iv(s, INF if length is None else s + length),
-    st.integers(0, 5), st.one_of(st.none(), st.integers(1, 3))))
-values = st.one_of(st.builds(c, st.text(max_size=3)),
-                   st.builds(Null, st.sampled_from(["N1", "N2", "M"]), times))
+intervals = st.builds(lambda s, length: iv(s, INF if length is None else s + length),
+                      st.integers(0, 5), st.one_of(st.none(), st.integers(1, 3)))
+times = st.one_of(st.integers(0, 5), intervals)
+labels = st.sampled_from(["N1", "N2", "M"])
+values = st.one_of(st.builds(c, st.text(max_size=3)), st.builds(Null, labels, times))
+_SCHEMA = (rel("R", "a", "b"), rel("S", "a"), rel("T"))
 
 
-@given(st.lists(st.builds(Fact, st.sampled_from(["R", "S", "T"]),
+@st.composite
+def well_formed_instances(draw):
+    """A well-formed instance of either kind: over its core facts, a
+    constant and a null at one position, nulls that share a label, and
+    (concrete) intervals with ``inf`` ends; then drawn facts of every
+    relation, each value a constant or a null annotated with the fact's time."""
+    kind = draw(st.sampled_from(["concrete", "abstract"]))
+    t1, t2 = (iv(2, INF), iv(0, 3)) if kind == "concrete" else (3, 0)
+    facts = [fact("R", "a", Null("N1", t1), time=t1), fact("R", "a", "N1", time=t1),
+             fact("R", Null("N1", t2), "b", time=t2), fact("S", Null("N2", t1), time=t1), fact("T", time=t2)]
+    for relation, arity in draw(st.lists(st.sampled_from([("R", 2), ("S", 1), ("T", 0)]), max_size=10)):
+        t = draw(intervals if kind == "concrete" else st.integers(0, 5))
+        cells = draw(st.lists(st.one_of(st.sampled_from(["", "M", "N1", "b"]), st.builds(Null, labels, st.just(t))),
+                              min_size=arity, max_size=arity))
+        facts.append(Fact(relation, tuple(cells), t))
+    return Instance(kind, _SCHEMA, facts)
+
+
+@given(well_formed_instances())
+def test_well_formed_facts_sort_natively_in_the_reference_order(inst):
+    assert validate_instance(inst) == []
+    assert sorted(inst.facts) == sorted(inst.facts, key=fact_sort_key)
+
+
+@given(well_formed_instances(), st.one_of(st.none(), st.integers(0, 99)))
+def test_writers_write_well_formed_instances_as_the_oracle_does(inst, horizon):
+    assert dumps_instance(inst, horizon) == json_dumps_instance(inst, horizon)
+    assert tdx.model.instance_to_json(inst) == instance_doc(inst)
+
+
+@given(st.lists(st.builds(Fact, st.sampled_from(["R", "S", "Ghost"]),
                           st.lists(values, max_size=3).map(tuple), times), max_size=12),
        st.sampled_from(["concrete", "abstract"]), st.one_of(st.none(), st.integers(0, 99)))
-def test_writer_orders_any_facts_like_fact_sort_key(facts, kind, horizon):
+def test_writers_refuse_ill_formed_instances_with_the_first_problem(facts, kind, horizon):
     """Facts of mixed arity and time kinds, nulls with any context, and a
-    relation outside the schema: still the oracle's text."""
-    inst = Instance(kind, (rel("R", "a"), rel("S", "a", "b")), frozenset(facts))
-    assert dumps_instance(inst, horizon) == json_dumps_instance(inst, horizon)
+    relation outside the schema: both writers refuse what ``validate_instance``
+    reports first, and write the oracle's text for a draw that is well formed."""
+    inst = Instance(kind, _SCHEMA, frozenset(facts))
+    problems = validate_instance(inst)
+    if not problems:
+        assert dumps_instance(inst, horizon) == json_dumps_instance(inst, horizon)
+        return
+    for write in (lambda i: dumps_instance(i, horizon), tdx.model.instance_to_json):
+        with pytest.raises(SchemaError) as err:
+            write(inst)
+        assert str(err.value) == problems[0].message
