@@ -17,16 +17,16 @@ from pathlib import Path
 
 from .chase import Failure, chase
 from .errors import TdxError
-from .homomorphism import hom_equivalent
+from .homomorphism import equivalent
 from .mapping_lang import Mapping, parse_mapping
 from .model import (
     CONCRETE,
     Instance,
     Value,
+    _default_horizon,
     _time_json,
     dumps_instance,
     loads_instance,
-    max_finite_endpoint,
     normalize_instance,
     sem_instance,
 )
@@ -91,14 +91,6 @@ def _failure_text(failure: Failure) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _pick_horizon(given: int | None, *instances: Instance) -> int:
-    """The given horizon, which ``sem_instance`` checks, or one above every finite endpoint."""
-    if given is not None:
-        return given
-    endpoints = [max_finite_endpoint(inst) for inst in instances if inst.kind == CONCRETE]
-    return max((e for e in endpoints if e is not None), default=0) + 1
-
-
 def _cmd_normalize(args: argparse.Namespace) -> int:
     inst = _load_instance(args.input, CONCRETE)
     _write_text(args.output, dumps_instance(normalize_instance(inst)))
@@ -107,7 +99,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_sem(args: argparse.Namespace) -> int:
     inst = _load_instance(args.input, CONCRETE)
-    horizon = _pick_horizon(args.horizon, inst)
+    horizon = _default_horizon([inst]) if args.horizon is None else args.horizon
     _write_text(args.output, dumps_instance(sem_instance(inst, horizon), horizon))
     return EXIT_OK
 
@@ -153,14 +145,7 @@ def _cmd_certain(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    a = _load_instance(args.a)
-    b = _load_instance(args.b)
-    horizon = _pick_horizon(args.horizon, a, b)
-    if a.kind == CONCRETE:
-        a = sem_instance(a, horizon)
-    if b.kind == CONCRETE:
-        b = sem_instance(b, horizon)
-    if hom_equivalent(a, b):
+    if equivalent(_load_instance(args.a), _load_instance(args.b), args.horizon):
         sys.stdout.write("equivalent\n")
         return EXIT_OK
     sys.stdout.write("not equivalent\n")

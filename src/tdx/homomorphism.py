@@ -19,28 +19,47 @@ Indexes are built from each relation's facts in no particular order, and
 canonical order is paid for only where a result's order shows.
 ``enumerate_formula_homs`` sorts its bindings, because the chase's null
 labels follow them; ``naive_eval`` takes the same walk unsorted into a set.
-The abstract search sorts each index list of the target and each
+``find_abstract_hom`` sorts each index list of the target and each
 shared-null component of the source into canonical order, because the hom
 it returns is the first binding in that order.  Canonical order is the
 values' own order (see ``model``), so each of these sorts is native.  The
 search compiles a join once per component shape (relations, and which
 position holds which null), with the component's constants and time point
 as parameters, not once per component.
+
+``hom_equivalent`` decides only existence, so it returns no hom and sorts no
+index list.  It keys each component by its facts with nulls numbered in
+order of first occurrence, and its time point; a component whose key the
+other instance also holds maps onto that twin by renaming nulls, and only
+the others are searched (on why a homomorphism between two solutions of
+one mapping is often cheap to find, see Fagin, Kolaitis and Popa, "Data
+exchange: getting to the core", TODS 2005).
+
+``equivalent`` compares the abstract views of two instances of either view
+at one time point per cell of their joint endpoint grid, the snapshot
+reading of the concrete view (Chomicki and Toman, "Temporal Databases",
+2005), so its cost does not grow with interval length.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from operator import itemgetter
 from typing import Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
 
-from .errors import SchemaError
+from .errors import PreconditionError, SchemaError
 from .mapping_lang import Atom, Var
 from .model import (
     ABSTRACT,
+    CONCRETE,
     Fact,
     Instance,
     Null,
     Value,
+    _check_horizon,
     _check_instance,
+    _cut,
+    _default_horizon,
 )
 
 Binding = dict[str, object]  # variable -> Value, plus temporal variable -> interval/point
@@ -242,6 +261,11 @@ def _check_hom_inputs(a: Instance, b: Instance) -> None:
     does not depend on the order in which it meets the facts."""
     if a.kind != ABSTRACT or b.kind != ABSTRACT:
         raise ValueError("abstract instances are required")
+    _check_pair(a, b)
+
+
+def _check_pair(a: Instance, b: Instance) -> None:
+    """Two instances to compare share a schema, and each is well formed."""
     if a.schema != b.schema:
         raise SchemaError("instances must share a schema")
     _check_instance(a)
@@ -250,12 +274,58 @@ def _check_hom_inputs(a: Instance, b: Instance) -> None:
 
 # A component compiled once per shape: the steps of its join, and the names of
 # its parameters, one per constant slot in order, which the start binding
-# binds with the component's constants (and "@" with its time point), and of
-# its nulls, numbered by first occurrence, which the join binds.
-_Compiled = tuple[list[_Step], list[str], list[str]]
+# binds with the component's constants (and "@" with its time point).  The
+# join binds the null numbered ``k`` by first occurrence as ``#k``.
+_Compiled = tuple[list[_Step], list[str]]
+
+# A shared-null component as its facts in canonical order, each as its relation
+# and its values, a constant as itself and a null as its number in order of
+# first occurrence; then the component's time point.  Two components with the
+# same key are the same up to renaming nulls.
+_Key = tuple[tuple[tuple[str, tuple], ...], int]
 
 
-def _compile_shape(shape: tuple, b: Instance, indexes: dict) -> _Compiled:
+def _components(inst: Instance) -> tuple[list[Fact], list[list[Fact]]]:
+    """The facts of ``inst`` that hold no null, and its connected components
+    of the shared-null graph, each a list of facts in no particular order."""
+    parent: dict[Null, Null] = {}
+
+    def find(n: Null) -> Null:
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
+
+    ground: list[Fact] = []
+    firsts: list[tuple[Fact, Null]] = []
+    for f in inst.facts:
+        nulls = [v for v in f.values if v.__class__ is Null]
+        if not nulls:
+            ground.append(f)
+            continue
+        for n in nulls:
+            parent.setdefault(n, n)
+        first = find(nulls[0])
+        for n in nulls[1:]:
+            parent[find(n)] = first
+        firsts.append((f, first))
+    components: dict[Null, list[Fact]] = {}
+    for f, n in firsts:
+        components.setdefault(find(n), []).append(f)
+    return ground, list(components.values())
+
+
+def _numbered(facts: list[Fact]) -> tuple[_Key, list[Null]]:
+    """A component's key, and its nulls in order of first occurrence."""
+    facts.sort()
+    ids: dict[Null, int] = {}
+    rows = tuple([(f.relation, tuple([ids.setdefault(v, len(ids)) if v.__class__ is Null else v
+                                      for v in f.values]))
+                  for f in facts])
+    return (rows, facts[0].time), list(ids)  # a component lies at one time point
+
+
+def _compile_shape(shape: tuple, b: Instance, indexes: dict, ordered: bool) -> _Compiled:
     """Compile a shape (per fact, its relation and, per value, its null's number
     or -1 for a constant) to a join over ``b``; names cannot collide, as none
     is a null's label."""
@@ -270,57 +340,41 @@ def _compile_shape(shape: tuple, b: Instance, indexes: dict) -> _Compiled:
             else:
                 slots.append(_Var(f"#{k}"))
         patterns.append((relation, (*slots, _Var("@"))))
-    nulls = [f"#{k}" for k in range(1 + max(k for _, ids in shape for k in ids))]
-    return _join_plan(patterns, b, {*params, "@"}, indexes, ordered=True), params, nulls
+    return _join_plan(patterns, b, {*params, "@"}, indexes, ordered), params
+
+
+def _component_binding(key: _Key, b: Instance, indexes: dict, compiled: dict[tuple, _Compiled],
+                       ordered: bool) -> Optional[Binding]:
+    """The first binding of the component's join over ``b``, which binds each
+    null's number ``k`` as ``#k``; None if there is none.  The join is compiled
+    once per shape into ``compiled``, on the indexes of ``indexes``."""
+    rows, time = key
+    shape = tuple([(relation, tuple([v if v.__class__ is int else -1 for v in values]))
+                   for relation, values in rows])
+    entry = compiled.get(shape)
+    if entry is None:
+        entry = compiled[shape] = _compile_shape(shape, b, indexes, ordered)
+    steps, params = entry
+    start = dict(zip(params, [v for _, values in rows for v in values if v.__class__ is not int]))
+    start["@"] = time
+    return next(_walk(steps, start), None)
 
 
 def _search_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     """``find_abstract_hom`` on instances that passed ``_check_hom_inputs``."""
-    parent: dict[Null, Null] = {}
-
-    def find(n: Null) -> Null:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    firsts: list[tuple[Fact, Null]] = []
-    for f in a.facts:
-        nulls = [v for v in f.values if v.__class__ is Null]
-        if not nulls:
-            if f not in b.facts:  # constants are fixed, so the image is f itself
-                return None
-            continue
-        for n in nulls:
-            parent.setdefault(n, n)
-        first = find(nulls[0])
-        for n in nulls[1:]:
-            parent[find(n)] = first
-        firsts.append((f, first))
-
-    components: dict[Null, list[Fact]] = {}
-    for f, n in firsts:
-        components.setdefault(find(n), []).append(f)
+    ground, components = _components(a)
+    if not b.facts.issuperset(ground):  # constants are fixed, so a ground fact's image is itself
+        return None
     indexes: dict = {}
-    compiled: dict[tuple, _Compiled] = {}  # by component shape
+    compiled: dict[tuple, _Compiled] = {}
     hom: AbstractHom = {}
-    for facts in components.values():
-        facts.sort()
-        ids: dict[Null, int] = {}  # a component's nulls, in order of first occurrence
-        shape = tuple([(f.relation, tuple([ids.setdefault(v, len(ids)) if v.__class__ is Null else -1
-                                           for v in f.values]))
-                       for f in facts])
-        entry = compiled.get(shape)
-        if entry is None:
-            entry = compiled[shape] = _compile_shape(shape, b, indexes)
-        steps, params, names = entry
-        start = dict(zip(params, [v for f in facts for v in f.values if v.__class__ is not Null]))
-        start["@"] = facts[0].time  # a component lies at one time point
-        binding = next(_walk(steps, start), None)
+    for facts in components:
+        key, nulls = _numbered(facts)
+        binding = _component_binding(key, b, indexes, compiled, ordered=True)
         if binding is None:
             return None
-        for n, name in zip(ids, names):
-            hom[n] = binding[name]
+        for k, n in enumerate(nulls):
+            hom[n] = binding[f"#{k}"]
     return hom
 
 
@@ -362,8 +416,99 @@ def apply_abstract_hom(hom: TMapping[Null, Value], inst: Instance) -> Instance:
     return Instance(inst.kind, inst.schema, frozenset(facts))
 
 
+def _keys(inst: Instance) -> tuple[list[Fact], set[_Key]]:
+    """The facts of ``inst`` that hold no null, and the keys of its components."""
+    ground, components = _components(inst)
+    return ground, {_numbered(facts)[0] for facts in components}
+
+
+def _maps_into(ground: list[Fact], keys: set[_Key], b: Instance, twins: set[_Key]) -> bool:
+    """Whether an abstract homomorphism exists from the instance of ``ground``
+    and ``keys`` into ``b``, the keys of whose components are ``twins``.  A
+    component with a twin in ``b`` maps onto it by renaming nulls; only the
+    others are searched, on indexes in no particular order."""
+    if not b.facts.issuperset(ground):
+        return False
+    indexes: dict = {}
+    compiled: dict[tuple, _Compiled] = {}
+    return all(key in twins or _component_binding(key, b, indexes, compiled, ordered=False) is not None
+               for key in keys)
+
+
 def hom_equivalent(a: Instance, b: Instance) -> bool:
     """True iff abstract homomorphisms exist in both directions (the inputs
-    are checked once, as ``find_abstract_hom`` checks them)."""
+    are checked once, as ``find_abstract_hom`` checks them).
+
+    Only existence is decided.  Each instance's components are keyed once
+    (see ``_Key``); a component whose key the other instance also holds maps
+    onto that twin by renaming nulls, since constants and the time point are
+    fixed and each null goes to a null at the same point.  The other
+    components are searched as ``find_abstract_hom`` searches them, once per
+    distinct key, but with candidates in no particular order.
+    """
     _check_hom_inputs(a, b)
-    return _search_abstract_hom(a, b) is not None and _search_abstract_hom(b, a) is not None
+    return _hom_equivalent(a, b)
+
+
+def _hom_equivalent(a: Instance, b: Instance) -> bool:
+    """``hom_equivalent`` on instances that passed ``_check_hom_inputs``."""
+    ground_a, keys_a = _keys(a)
+    ground_b, keys_b = _keys(b)
+    return _maps_into(ground_a, keys_a, b, keys_b) and _maps_into(ground_b, keys_b, a, keys_a)
+
+
+# The most abstract facts one ``equivalent`` builds, one per concrete fact and
+# grid cell it covers below the horizon.  Measured with tracemalloc (Python
+# 3.11, the benchmark's careers, long-lived and crossview chase results), the
+# peak of ``equivalent``, which also keys the facts it builds and indexes
+# them for the search, is about 0.5 KB per fact built when both inputs are
+# concrete, and 0.6-0.8 KB when one is abstract and keyed and indexed too:
+# 250,000 facts are about 0.2 GB.
+MAX_EQUIV_FACTS = 250_000
+
+
+def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
+    """Whether the abstract views of ``a`` and ``b`` are homomorphically
+    equivalent: ``hom_equivalent`` after ``sem_instance`` of each concrete
+    input up to ``horizon`` (by default one above every finite endpoint of
+    the concrete inputs), without building every time point.
+
+    The joint grid holds every endpoint of a concrete fact, ``t`` and
+    ``t+1`` for each abstract fact at ``t``, and the horizon.  Within one cell
+    of the grid below the horizon the abstract views at any two points are
+    the same up to re-annotating nulls, and an abstract homomorphism fixes
+    time points, so a homomorphism exists at every point of the cell iff one
+    exists at its first point.  So each concrete input is cut at the first
+    point of each cell only (a cell that holds an abstract fact is that one
+    point), and an abstract input is compared whole, facts at or beyond the
+    horizon too.
+
+    Checks, in order: each concrete input is well formed and the horizon is
+    at or above its endpoints, as ``sem_instance`` checks them; the inputs
+    share a schema and each abstract one is well formed, as
+    ``hom_equivalent`` checks them.  Then PreconditionError is raised,
+    before any fact is built, if the cut inputs would hold more than
+    ``MAX_EQUIV_FACTS`` facts.
+    """
+    concrete = [inst for inst in (a, b) if inst.kind == CONCRETE]
+    if horizon is None:
+        horizon = _default_horizon(concrete)
+    uses = []
+    for inst in concrete:
+        _check_instance(inst)
+        uses.append(Counter(f.time for f in inst.facts))
+        _check_horizon(horizon, *sorted(uses[-1]))
+    _check_pair(a, b)
+    if not concrete:
+        return _hom_equivalent(a, b)
+    times = {f.time for inst in (a, b) if inst.kind == ABSTRACT for f in inst.facts}
+    grid = {horizon, *times, *[t + 1 for t in times], *[e for u in uses for iv in u for e in iv]}
+    firsts = sorted([p for p in grid if p < horizon])  # the first point of each cell
+    points = {iv: firsts[bisect_left(firsts, iv.start):bisect_left(firsts, iv.end)] for u in uses for iv in u}
+    count = sum(n * len(points[iv]) for u in uses for iv, n in u.items())
+    if count > MAX_EQUIV_FACTS:
+        raise PreconditionError(f"the equivalence check up to horizon {horizon} builds {count} facts, "
+                                f"more than the limit of {MAX_EQUIV_FACTS}")
+    a, b = [Instance(ABSTRACT, inst.schema, _cut(inst.facts, points)) if inst.kind == CONCRETE else inst
+            for inst in (a, b)]
+    return _hom_equivalent(a, b)

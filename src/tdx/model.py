@@ -301,6 +301,12 @@ def max_finite_endpoint(inst: Instance) -> int | None:
     return max(points, default=None)
 
 
+def _default_horizon(instances: Iterable[Instance]) -> int:
+    """One above every finite endpoint of the instances: the horizon that
+    ``tdx sem`` and ``equivalent`` take when none is given."""
+    return max((max_finite_endpoint(inst) or 0 for inst in instances), default=0) + 1
+
+
 def _check_horizon(horizon: int, *intervals: ClopenInterval) -> None:
     """A horizon is a finite time point at or above every finite endpoint of ``intervals``."""
     if not _TIME_OF[ABSTRACT][0](horizon):
@@ -480,55 +486,55 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise SchemaError(f"{where}: {message}")
 
 
-def _time_from_json(doc: dict, kind: str, where: str, seen: dict) -> TimeValue:
-    """The fact's time.  ``seen`` holds each time that passed, by its JSON
-    value: ``(start, end)`` or ``time``, made only of exact ints and
-    ``"inf"``, since a bool or a float can equal an int but is not a time."""
+def _time_from_json(doc: dict, kind: str, seen: dict) -> TimeValue:
+    """The fact's time, or ValueError with its problem.  ``seen`` holds each
+    time that passed, by its JSON value: ``(start, end)`` or ``time``, made
+    only of exact ints and ``"inf"``, since a bool or a float can equal an
+    int but is not a time."""
     if kind == CONCRETE:
-        _require("interval" in doc, where, "concrete fact must carry an \"interval\"")
+        if "interval" not in doc:
+            raise ValueError("concrete fact must carry an \"interval\"")
         iv = doc["interval"]
-        _require(isinstance(iv, dict) and set(iv) == {"start", "end"}, where,
-                 "interval must be {\"start\": ..., \"end\": ...}")
+        if not (isinstance(iv, dict) and len(iv) == 2 and "start" in iv and "end" in iv):
+            raise ValueError("interval must be {\"start\": ..., \"end\": ...}")
         start, end = key = iv["start"], iv["end"]
         if start.__class__ is not int or (end.__class__ is not int and end != "inf"):
             key = None
         t = seen.get(key)
         if t is None:
-            _require(isinstance(start, int) and not isinstance(start, bool), where,
-                     "interval start must be an integer")
+            if not isinstance(start, int) or isinstance(start, bool):
+                raise ValueError("interval start must be an integer")
             if end == "inf":
                 end = INF
-            else:
-                _require(isinstance(end, int) and not isinstance(end, bool), where,
-                         "interval end must be an integer or \"inf\"")
-            try:
-                t = ClopenInterval(start, end)
-            except ValueError as exc:
-                raise SchemaError(f"{where}: {exc}") from exc
+            elif not isinstance(end, int) or isinstance(end, bool):
+                raise ValueError("interval end must be an integer or \"inf\"")
+            t = ClopenInterval(start, end)  # its ValueError is the fact's problem
     else:
-        _require("time" in doc, where, "abstract fact must carry a \"time\"")
+        if "time" not in doc:
+            raise ValueError("abstract fact must carry a \"time\"")
         t = key = doc["time"]
         if t.__class__ is not int:
             key = None
         if key not in seen:
-            _require(isinstance(t, int) and not isinstance(t, bool) and t >= 0, where,
-                     "time must be a non-negative integer")
+            if not (isinstance(t, int) and not isinstance(t, bool) and t >= 0):
+                raise ValueError("time must be a non-negative integer")
     if key is not None:
         seen[key] = t
     return t
 
 
-def _value_from_json(v: object, time: TimeValue, where: str, nulls: dict) -> Value:
-    """The value; ``nulls`` holds one ``Null`` per label and time."""
+def _value_from_json(v: object, time: TimeValue, nulls: dict) -> Value:
+    """The value, or ValueError with its problem; ``nulls`` holds one
+    ``Null`` per label and time."""
     if isinstance(v, str):
         return v
-    if isinstance(v, dict) and set(v) == {"null"} and isinstance(v["null"], str):
+    if isinstance(v, dict) and len(v) == 1 and isinstance(v.get("null"), str):
         key = (v["null"], time)
         null = nulls.get(key)
         if null is None:
             null = nulls[key] = Null(*key)
         return null
-    raise SchemaError(f"{where}: a value must be a string or {{\"null\": \"<label>\"}}, got {reprlib.repr(v)}")
+    raise ValueError(f"a value must be a string or {{\"null\": \"<label>\"}}, got {reprlib.repr(v)}")
 
 
 def instance_from_json(doc: object) -> Instance:
@@ -555,15 +561,19 @@ def instance_from_json(doc: object) -> Instance:
         rows = rel.get("facts", [])
         _require(isinstance(rows, list), where, "\"facts\" must be a list")
         for i, row in enumerate(rows):
-            fwhere = f"{where} fact #{i}"
-            _require(isinstance(row, dict), fwhere, "must be an object")
-            time = _time_from_json(row, kind, fwhere, times)
-            values = row.get("values")
-            _require(isinstance(values, list), fwhere, "\"values\" must be a list")
-            if len(values) != arity:
-                raise SchemaError(f"{fwhere}: expected {arity} values, got {len(values)}")
-            facts.add(Fact(name, tuple([v if v.__class__ is str else _value_from_json(v, time, fwhere, nulls)
-                                        for v in values]), time))
+            try:  # a fact's problem is a ValueError; where the fact is is written only then
+                if not isinstance(row, dict):
+                    raise ValueError("must be an object")
+                time = _time_from_json(row, kind, times)
+                values = row.get("values")
+                if not isinstance(values, list):
+                    raise ValueError("\"values\" must be a list")
+                if len(values) != arity:
+                    raise ValueError(f"expected {arity} values, got {len(values)}")
+                facts.add(Fact(name, tuple([v if v.__class__ is str else _value_from_json(v, time, nulls)
+                                            for v in values]), time))
+            except ValueError as exc:
+                raise SchemaError(f"{where} fact #{i}: {exc}") from None
     return Instance(kind, tuple(schemas), frozenset(facts))
 
 

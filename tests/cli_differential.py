@@ -6,7 +6,8 @@
 (a checkout's ``src``).  The script writes one battery of inputs into a
 temporary directory: the fixtures of ``tests/fixtures``, and the seed-1
 inputs of every ``perfbench`` workload at each of its three sizes, made by
-``perfbench/workloads.py`` without ``tdx``.  It runs the battery once per
+``perfbench/workloads.py`` without ``tdx``, and at its smallest size again
+with every endpoint scaled by ``SCALE``.  It runs the battery once per
 tree, in a subprocess that imports ``tdx`` from that tree and calls
 ``tdx.cli.run_cli`` in process for each run, and lists every run whose exit
 code, stdout, stderr, output bytes or uncaught exception differ.
@@ -14,8 +15,11 @@ code, stdout, stderr, output bytes or uncaught exception differ.
 Per group of inputs (the fixtures, or one workload at one size) the battery
 runs ``normalize`` and ``sem`` on each concrete instance; ``chase`` with
 both mappings and ``query`` and ``certain`` with every query of both on
-each instance; and ``equiv`` on every pair of the group's instances and the
-chase outputs with ``example1`` of its sources.  Exit status: 0 when no run
+each instance; ``equiv`` on every pair of the group's instances and the
+chase outputs with ``example1`` of its sources; and ``equiv`` of its first
+two instances (of a workload, the concrete and the abstract source), and of
+their chase outputs, with ``--horizon`` 10 and 20 times one above the
+group's largest finite endpoint.  Exit status: 0 when no run
 differs, 1 when some run differs, 2 on a usage error.  Not a tier-1 test:
 it takes about a minute per tree.
 """
@@ -37,6 +41,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
 MAPPINGS = {"example1": ["positions", "paid_positions"], "example3": ["pos"]}
+SCALE = 20  # the smallest size of each workload is also run with every endpoint times this
 
 
 def _battery(work: Path) -> list[dict]:
@@ -54,14 +59,17 @@ def _battery(work: Path) -> list[dict]:
     for name, workload in WORKLOADS.items():
         for k, n in enumerate(workload.sizes):
             sc = workload.generate(n, random.Random(f"1:{k}"))
-            docs = {"src": concrete_doc(EXAMPLE1_SOURCE, sc.source),
-                    "asrc": abstract_doc(EXAMPLE1_SOURCE, sc.source, sc.horizon),
-                    "fail": concrete_doc(sc.failing_schema, sc.failing),
-                    "afail": abstract_doc(sc.failing_schema, sc.failing, sc.failing_horizon)}
-            for stem, doc in docs.items():
-                path = inputs / f"{name}-{k}-{stem}.json"
-                path.write_text(dump(doc), encoding="utf-8")
-                groups.setdefault(f"{name}-{k}", []).append((str(path), doc))
+            for scale in (1, SCALE) if k == 0 else (1,):
+                source, failing = _scaled(sc.source, scale), _scaled(sc.failing, scale)
+                docs = {"src": concrete_doc(EXAMPLE1_SOURCE, source),
+                        "asrc": abstract_doc(EXAMPLE1_SOURCE, source, (sc.horizon - 1) * scale + 1),
+                        "fail": concrete_doc(sc.failing_schema, failing),
+                        "afail": abstract_doc(sc.failing_schema, failing, (sc.failing_horizon - 1) * scale + 1)}
+                group = f"{name}-{k}" if scale == 1 else f"{name}-{k}-x{scale}"
+                for stem, doc in docs.items():
+                    path = inputs / f"{group}-{stem}.json"
+                    path.write_text(dump(doc), encoding="utf-8")
+                    groups.setdefault(group, []).append((str(path), doc))
 
     runs = []
 
@@ -88,7 +96,21 @@ def _battery(work: Path) -> list[dict]:
                         run(group, [command, "-m", mappings[mapping], "-q", q, "-i", path, "-o", out], out)
         for a, b in itertools.combinations([path for path, _ in instances] + chased, 2):
             run(group, ["equiv", "-a", a, "-b", b])
+        top = 1 + max(max(e for iv in _intervals(doc) for e in (iv["start"], iv["end"]) if e != "inf")
+                      for _, doc in instances if doc["kind"] == "concrete")
+        for a, b in ([path for path, _ in instances[:2]], chased[:2]):
+            for factor in (10, 20):
+                run(group, ["equiv", "-a", a, "-b", b, "--horizon", str(factor * top)])
     return runs
+
+
+def _scaled(facts: list, k: int) -> list:
+    """Generated facts with every endpoint multiplied by ``k``."""
+    return [(r, values, start * k, None if end is None else end * k) for r, values, start, end in facts]
+
+
+def _intervals(doc: dict) -> list[dict]:
+    return [f["interval"] for rel in doc["relations"].values() for f in rel.get("facts", [])]
 
 
 def _run_battery(src: str, battery: str, results: str) -> None:

@@ -1,7 +1,9 @@
 """Shared builders and fixture loading for the test suite."""
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 from tdx import (
@@ -53,3 +55,14 @@ def fact(relation: str, *values, time) -> Fact:
 
 def rel(name: str, *attributes: str, temporal: str = "time") -> RelationSchema:
     return RelationSchema(name, tuple(attributes), temporal)
+
+
+def bench_workloads():
+    """``perfbench/workloads.py``, the benchmark's input generator, imported
+    from its file; it does not import tdx."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

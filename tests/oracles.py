@@ -8,7 +8,9 @@ formula homomorphisms by a recursive nested loop over whole relations, the
 key round's equalities from every pair of every key group, and the
 canonical instance text by the json module's own encoder.  The abstract
 homomorphism search that compiles each component shape once is checked
-against the search that plans a join for every component.  Canonical order
+against the search that plans a join for every component, and the
+equivalence check that cuts concrete inputs at one point per grid cell
+against the expansion of every time point up to the horizon.  Canonical order
 is stated here by explicit sort keys, ``value_sort_key`` and
 ``fact_sort_key``, against which the package's native order is checked.
 """
@@ -19,10 +21,14 @@ import json
 from typing import Optional, Sequence
 
 from tdx import (
+    CONCRETE,
     ClopenInterval,
     Fact,
     Instance,
     Null,
+    find_abstract_hom,
+    max_finite_endpoint,
+    sem_instance,
 )
 from tdx.chase import tkc_positions, tkc_step
 from tdx.homomorphism import _check_hom_inputs, _join_plan, _Var, _walk
@@ -173,6 +179,17 @@ def brute_force_hom_exists(a: Instance, b: Instance) -> bool:
         if ok:
             return True
     return False
+
+
+def sem_equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
+    """``equivalent`` by expanding each concrete input with ``sem_instance``
+    at every time point below the horizon (by default one above every finite
+    endpoint of the concrete inputs), then searching for an abstract
+    homomorphism in each direction with ``find_abstract_hom``."""
+    if horizon is None:
+        horizon = max((max_finite_endpoint(i) or 0 for i in (a, b) if i.kind == CONCRETE), default=0) + 1
+    a, b = [sem_instance(i, horizon) if i.kind == CONCRETE else i for i in (a, b)]
+    return find_abstract_hom(a, b) is not None and find_abstract_hom(b, a) is not None
 
 
 def _match_atom(atom, fact: Fact, binding: dict) -> dict | None:

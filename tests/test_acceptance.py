@@ -6,15 +6,12 @@ the benchmark's generated inputs.
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line per
 criterion.
 """
-import importlib.util
 import json
 import random
 import shutil
-import sys
 import time
 from contextlib import contextmanager
 from functools import cached_property
-from pathlib import Path
 
 import pytest
 
@@ -43,7 +40,7 @@ from tdx import (
 )
 
 from generators import random_case, random_overlapping_case
-from helpers import FIXTURES, fact, in_order, iv, rel
+from helpers import FIXTURES, bench_workloads, fact, in_order, iv, rel
 from oracles import brute_force_hom_exists
 
 HORIZON = 13
@@ -401,17 +398,6 @@ def test_overlapping_sources_universality(overlap_suite):
                     assert find_abstract_hom(result, perturbed) is not None, art.case
 
 
-def _bench_workloads():
-    """``perfbench/workloads.py``, the benchmark's input generator, imported
-    from its file; it does not import tdx."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_criterion_9_cross_view_at_bench_scale(example1, example3):
     """The seed-1 inputs of every workload at sizes S, 2S and 4S, made as
     ``perfbench/run.py`` makes them: the concrete chase under ``sem`` is
@@ -419,7 +405,7 @@ def test_criterion_9_cross_view_at_bench_scale(example1, example3):
     answers alike, and the failing variant fails in both views with the
     benchmark's witness."""
     with report("9 cross-view at bench scale"):
-        bench = _bench_workloads()
+        bench = bench_workloads()
         checked = 0
         for workload in bench.WORKLOADS.values():
             for k, n in enumerate(workload.sizes):

@@ -317,18 +317,36 @@ def test_a_leading_byte_order_mark_is_ignored(workdir, capsys, monkeypatch):
     assert loads_instance(capsys.readouterr().out) == load_fixture_instance("fig8.json")
 
 
-@pytest.mark.parametrize("argv", [
-    ("sem", "-i", "@long.json", "-o", "@out.json"),
-    ("equiv", "-a", "@long.json", "-b", "@long.json"),
-])
-def test_sem_beyond_the_fact_limit_is_one_error_line(workdir, capsys, argv):
-    (workdir / "long.json").write_text(
-        '{"kind": "concrete", "relations": {"R": {"attributes": ["a", "t"], "facts": '
-        '[{"values": ["x"], "interval": {"start": 0, "end": 100000000}}]}}}')
-    assert run(workdir, *argv) == 1
+_LONG = ('{"kind": "concrete", "relations": {"R": {"attributes": ["a", "t"], "facts": '
+         '[{"values": ["x"], "interval": {"start": 0, "end": 100000000}}]}}}')
+
+
+def test_sem_beyond_the_fact_limit_is_one_error_line(workdir, capsys):
+    (workdir / "long.json").write_text(_LONG)
+    assert run(workdir, "sem", "-i", "@long.json", "-o", "@out.json") == 1
     err = capsys.readouterr().err
     assert err == ("error: the abstract view up to horizon 100000001 has 100000000 facts, "
                    f"more than the limit of {tdx.MAX_SEM_FACTS}\n")
+
+
+def test_equiv_builds_one_point_per_grid_cell(workdir, capsys):
+    # sem of this input is beyond MAX_SEM_FACTS; equiv builds one fact per side
+    (workdir / "long.json").write_text(_LONG)
+    assert run(workdir, "equiv", "-a", "@long.json", "-b", "@long.json") == 0
+    assert capsys.readouterr() == ("equivalent\n", "")
+
+
+def test_equiv_beyond_its_fact_limit_is_one_error_line(workdir, capsys, monkeypatch):
+    # n nested facts [i, inf) cover n(n+1)/2 grid cells below the horizon n, on each side;
+    # the facts are counted before any is built
+    monkeypatch.setattr(tdx.homomorphism, "_cut", None)
+    n = 710
+    facts = [{"values": ["x"], "interval": {"start": i, "end": "inf"}} for i in range(n)]
+    (workdir / "nested.json").write_text(json.dumps({"kind": "concrete", "relations": {
+        "R": {"attributes": ["a", "t"], "facts": facts}}}))
+    assert run(workdir, "equiv", "-a", "@nested.json", "-b", "@nested.json") == 1
+    assert capsys.readouterr() == ("", f"error: the equivalence check up to horizon {n} builds {n * (n + 1)} "
+                                       f"facts, more than the limit of {tdx.MAX_EQUIV_FACTS}\n")
 
 
 @pytest.mark.parametrize("argv", [

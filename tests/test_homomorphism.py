@@ -19,19 +19,22 @@ from tdx import (
     apply_abstract_hom,
     chase,
     enumerate_formula_homs,
+    equivalent,
     find_abstract_hom,
     hom_equivalent,
+    instance_from_json,
     instantiate_atom,
     is_normalized,
+    max_finite_endpoint,
     naive_eval,
     sem_instance,
 )
 import tdx.homomorphism
 
-from generators import CONSTANTS, careers_chase_pair, careers_like, random_case
-from helpers import c, fact, in_order, iv, pnull, rel
+from generators import CONSTANTS, careers_chase_pair, careers_like, random_case, random_overlapping_case
+from helpers import bench_workloads, c, fact, in_order, iv, pnull, rel
 from oracles import (brute_force_hom_exists, fact_sort_key, nested_loop_homs, per_component_abstract_hom,
-                     scan_abstract_hom, value_sort_key)
+                     scan_abstract_hom, sem_equivalent, value_sort_key)
 
 JOIN_LHS = [
     Atom("Employee1", (Var("n"), Var("c")), "t"),
@@ -254,11 +257,17 @@ def _random_initial(rng, atoms, inst):
     return initial
 
 
-def _unnormalized(src):
-    """The source plus, for each fact with a finite end, a copy one point longer."""
-    longer = {Fact(f.relation, f.values, ClopenInterval(f.time.start, f.time.end + 1))
-              for f in src.facts if isinstance(f.time.end, int)}
-    return src.replace_facts(src.facts | longer)
+def _unnormalized(inst):
+    """A concrete instance plus, for each fact with a finite end, a copy one
+    point longer; the copy's nulls keep their labels, so each such label lies
+    on overlapping intervals and its nulls meet under ``sem``."""
+    longer = set()
+    for f in inst.facts:
+        if isinstance(f.time.end, int):
+            time = ClopenInterval(f.time.start, f.time.end + 1)
+            longer.add(Fact(f.relation, tuple(Null(v.label, time) if isinstance(v, Null) else v
+                                              for v in f.values), time))
+    return inst.replace_facts(inst.facts | longer)
 
 
 def test_indexed_join_agrees_with_the_nested_loop():
@@ -361,12 +370,30 @@ def test_hom_search_agrees_with_the_scan(example1):
     assert found >= 15 and missing >= 15, (found, missing)
 
 
+def _grounded(inst):
+    """``inst`` with each null replaced by a constant named after it, so that
+    no component of another instance has a twin in it."""
+    return apply_abstract_hom({v: c(f"{v}") for f in inst.facts for v in f.values if isinstance(v, Null)}, inst)
+
+
 def test_hom_search_work_grows_linearly(example1, monkeypatch):
+    # every null of jc is searched for among the grounded constants; the other
+    # direction fails on a ground fact without a walk
     counts = []
     for n in (6, 24):
         jc, ja = careers_chase_pair(n, example1)
-        counts.append(_count_matches(lambda: hom_equivalent(jc, ja), monkeypatch))
+        grounded = _grounded(ja)
+        counts.append(_count_matches(lambda: hom_equivalent(jc, grounded), monkeypatch))
     assert 0 < counts[0] and counts[1] <= 5 * counts[0], counts
+
+
+def test_hom_equivalence_of_twins_walks_no_join(example1, monkeypatch):
+    """Each component of the 4S careers pair has a twin on the other side, up
+    to null names, so no join is walked."""
+    jc, ja = careers_chase_pair(24, example1)
+    answers = []
+    assert _count_matches(lambda: answers.append(hom_equivalent(jc, ja)), monkeypatch) == 0
+    assert answers == [True]
 
 
 def _component_shapes(inst):
@@ -410,8 +437,173 @@ def test_hom_equivalence_plans_once_per_component_shape(example1, monkeypatch):
         return plan(*args)
 
     monkeypatch.setattr(tdx.homomorphism, "_most_bound_first", counting)
-    assert hom_equivalent(jc, ja)
+    # no component has a twin in the grounded side, so each is searched
+    assert not hom_equivalent(jc, _grounded(ja)) and not hom_equivalent(ja, _grounded(jc))
     assert 0 < calls <= 2 * len(shapes), (calls, len(shapes))
+
+
+def _random_abstract(rng):
+    """A small abstract instance over R(a, b) and S(a) at points 0-2, each value a
+    constant or one of four null labels."""
+    schema = [rel("R", "a", "b"), rel("S", "a")]
+    facts = set()
+    for _ in range(rng.randint(1, 8)):
+        r, t = rng.choice(schema), rng.randint(0, 2)
+        facts.add(Fact(r.name, tuple(rng.choice("cd") if rng.random() < 0.35 else pnull(rng.choice("NMOP"), t)
+                                     for _ in r.attributes), t))
+    return Instance.abstract(schema, facts)
+
+
+def _nulls_of(inst):
+    return sorted({v for f in inst.facts for v in f.values if isinstance(v, Null)})
+
+
+def _dropped(rng, inst):
+    facts = in_order(inst)
+    return inst.replace_facts(set(facts) - {rng.choice(facts)}) if facts else inst
+
+
+def _variant(rng, inst, kind):
+    """A variant of ``inst``: ``renamed``, each null relabeled one to one (which
+    can reorder a component's facts); ``redundant``, plus a copy of one fact
+    with its nulls fresh; ``grounded``, one null mapped to a constant;
+    ``merged``, one null mapped to another at its point; ``dropped``, one fact
+    fewer."""
+    nulls, facts = _nulls_of(inst), in_order(inst)
+    if kind == "renamed":
+        labels = [f"L{k}" for k in range(len(nulls))]
+        rng.shuffle(labels)
+        return apply_abstract_hom({n: Null(label, n.context) for n, label in zip(nulls, labels)}, inst)
+    if kind == "redundant":
+        f = rng.choice(facts)
+        return inst.replace_facts(inst.facts | apply_abstract_hom(
+            {v: Null(f"{v.label}'", v.context) for v in f.values if isinstance(v, Null)},
+            inst.replace_facts([f])).facts)
+    if kind == "grounded" and nulls:
+        return apply_abstract_hom({rng.choice(nulls): c(rng.choice("cd"))}, inst)
+    if kind == "merged":
+        pairs = [(m, n) for m in nulls for n in nulls if m != n and m.context == n.context]
+        if pairs:
+            return apply_abstract_hom(dict([rng.choice(pairs)]), inst)
+    return _dropped(rng, inst)
+
+
+def test_hom_equivalence_agrees_with_the_search_both_ways():
+    """``hom_equivalent``, which skips components with a twin, against
+    ``find_abstract_hom`` in both directions, on seeded random pairs."""
+    rng = random.Random(14)
+    seen = {}
+    for _ in range(400):
+        x = _random_abstract(rng)
+        for kind in ("renamed", "redundant", "grounded", "merged", "dropped"):
+            y = _variant(rng, x, kind)
+            if kind != "renamed" and rng.random() < 0.5:
+                y = _variant(rng, y, "renamed")
+            for a, b in ((x, y), (y, x)):
+                expected = find_abstract_hom(a, b) is not None and find_abstract_hom(b, a) is not None
+                assert hom_equivalent(a, b) == expected, (kind, a, b)
+                seen[kind, expected] = seen.get((kind, expected), 0) + 1
+    assert seen["renamed", True] == seen["redundant", True] == 800
+    assert all(seen.get((kind, answer), 0) >= 50 for kind in ("grounded", "merged", "dropped")
+               for answer in (True, False)), seen
+
+
+def test_hom_equivalence_when_canonical_order_follows_null_labels(monkeypatch):
+    """A component's key takes its facts in canonical order, which follows
+    null labels: an isomorphic copy may key differently, and is then searched."""
+    schema = [rel("R", "a", "b")]
+
+    def edges(*pairs):
+        return Instance.abstract(schema, [fact("R", pnull(x, 1), pnull(y, 1), time=1) for x, y in pairs])
+
+    path = edges(("N1", "N2"), ("N2", "N3"))
+    relabeled = edges(("Z", "A"), ("A", "B"))  # R(A, B) now sorts first
+    cycle, swapped = edges(("N1", "N2"), ("N2", "N1")), edges(("M2", "M1"), ("M1", "M2"))
+    answers = []
+    assert _count_matches(lambda: answers.append(hom_equivalent(path, relabeled)), monkeypatch) > 0
+    assert _count_matches(lambda: answers.append(hom_equivalent(cycle, swapped)), monkeypatch) == 0
+    answers += [hom_equivalent(path, cycle), hom_equivalent(cycle, path)]
+    assert answers == [True, True, False, False]
+
+
+def test_equivalent_per_cell_agrees_with_sem_then_search():
+    """``equivalent`` against ``sem`` of each concrete input at every point, on
+    random cases: both view orders, horizons just above the endpoints (the
+    default) and far above them, abstract sides with facts at or beyond the
+    horizon, and unnormalized concrete inputs whose null labels overlap."""
+    rng = random.Random(1405)
+    answers = {True: 0, False: 0}
+    for i in range(124):
+        overlapping = i % 62 == 0  # large: hundreds of facts, each cut many times
+        case = random_overlapping_case(rng) if overlapping else random_case(rng, with_queries=False)
+        top = max_finite_endpoint(case.source) + 1
+        try:
+            concrete = chase(case.source, case.mapping)
+            abstract = chase(sem_instance(case.source, top), case.mapping)
+            later = chase(sem_instance(case.source, top + 3), case.mapping)  # facts at and beyond top
+        except KeyNullViolation:
+            continue
+        if not all(isinstance(o, Success) for o in (concrete, abstract, later)):
+            continue
+        jc, ja, jl = concrete.instance, abstract.instance, later.instance
+        pairs = [(jc, ja), (jc, jl), (jc, _dropped(rng, ja)), (_dropped(rng, jc), ja),
+                 (_unnormalized(jc), ja), (_unnormalized(jc), jc), (ja, jl)]
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                for horizon in (None,) if overlapping else (None, top + 3, top + 60):
+                    expected = sem_equivalent(a, b, horizon)
+                    assert equivalent(a, b, horizon) == expected, (i, a, b, horizon)
+                    answers[expected] += 1
+    assert min(answers.values()) >= 400, answers
+
+
+def _scaled(inst, k):
+    """A concrete instance with every endpoint multiplied by ``k``."""
+    def scale(t):
+        return iv(t.start * k, t.end * k)
+    return inst.replace_facts(Fact(f.relation, tuple(Null(v.label, scale(v.context)) if isinstance(v, Null) else v
+                                                     for v in f.values), scale(f.time))
+                              for f in inst.facts)
+
+
+def _as_concrete(inst):
+    """An abstract instance as a concrete one: each fact at ``t`` on ``[t, t+1)``,
+    each null labeled by its label and point."""
+    def piece(v, time):
+        return Null(f"{v.label}@{v.context}", time) if isinstance(v, Null) else v
+    return Instance.concrete(inst.schema, [Fact(f.relation, tuple(piece(v, iv(f.time, f.time + 1)) for v in f.values),
+                                                iv(f.time, f.time + 1)) for f in inst.facts])
+
+
+def test_equivalent_on_bench_results_with_long_intervals(example1, monkeypatch):
+    """The 4S careers and crossview chase results, the abstract one read as a
+    concrete instance, with every endpoint x100: the answer is the one at
+    x1, which ``sem`` then search gives, and as many facts are built."""
+    bench = bench_workloads()
+    built = []
+    cut = tdx.homomorphism._cut
+
+    def counting(*args):
+        out = cut(*args)
+        built[-1] += len(out)
+        return out
+
+    monkeypatch.setattr(tdx.homomorphism, "_cut", counting)
+    rng = random.Random(3)
+    for name in ("careers", "crossview"):
+        workload = bench.WORKLOADS[name]
+        sc = workload.generate(workload.sizes[-1], random.Random(f"1:{len(workload.sizes) - 1}"))
+        src = instance_from_json(bench.concrete_doc(bench.EXAMPLE1_SOURCE, sc.source))
+        jc = chase(src, example1).instance
+        ja = _as_concrete(chase(sem_instance(src, sc.horizon), example1).instance)
+        for a, b, expected in ((jc, ja, True), (jc, _dropped(rng, ja), False)):
+            counts, answers = [], []
+            for k in (1, 100):
+                built.append(0)
+                answers.append(equivalent(_scaled(a, k), _scaled(b, k)))
+                counts.append(built[-1])
+            assert answers == [expected, expected] and sem_equivalent(a, b) == expected, name
+            assert counts[0] == counts[1] > 0, (name, counts)
 
 
 _HASH_SEED_PROBE = """

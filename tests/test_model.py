@@ -579,6 +579,62 @@ def test_loader_rejects_malformed_documents():
         loads_instance("{not json")
 
 
+def _with_second_fact(kind, row):
+    """A one-relation document of ``kind`` whose second fact is ``row``."""
+    first = {"values": ["x"], **({"interval": {"start": 0, "end": 1}} if kind == "concrete" else {"time": 0})}
+    return {"kind": kind, "relations": {"R": {"attributes": ["a", "t"], "facts": [first, row]}}}
+
+
+_CONCRETE_ROW = {"values": ["x"], "interval": {"start": 0, "end": 2}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "instance: top level must be a JSON object"),
+    ({"kind": "nope", "relations": {}}, 'instance: "kind" must be "concrete" or "abstract"'),
+    ({"kind": "abstract", "relations": []}, 'instance: "relations" must be an object'),
+    ({"kind": "abstract", "relations": {"R": []}}, "relation 'R': must be an object"),
+    ({"kind": "abstract", "relations": {"R": {"attributes": []}}},
+     "relation 'R': \"attributes\" must be a non-empty list of names"),
+    ({"kind": "abstract", "relations": {"R": {"attributes": ["a", "a"]}}}, "relation 'R': duplicate attribute name"),
+    ({"kind": "abstract", "relations": {"R": {"attributes": ["a", "t"], "facts": {}}}},
+     "relation 'R': \"facts\" must be a list"),
+    (_with_second_fact("concrete", []), "relation 'R' fact #1: must be an object"),
+    (_with_second_fact("concrete", {"values": ["x"]}),
+     "relation 'R' fact #1: concrete fact must carry an \"interval\""),
+    (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": 0}}),
+     "relation 'R' fact #1: interval must be {\"start\": ..., \"end\": ...}"),
+    (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": 0, "end": 2, "x": 1}}),
+     "relation 'R' fact #1: interval must be {\"start\": ..., \"end\": ...}"),
+    (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": True, "end": 2}}),
+     "relation 'R' fact #1: interval start must be an integer"),
+    (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": 0, "end": 2.0}}),
+     "relation 'R' fact #1: interval end must be an integer or \"inf\""),
+    (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": 2, "end": 2}}),
+     "relation 'R' fact #1: interval [2,2) is empty"),
+    (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": -1, "end": 2}}),
+     "relation 'R' fact #1: interval start must be non-negative, got -1"),
+    (_with_second_fact("abstract", {"values": ["x"]}), "relation 'R' fact #1: abstract fact must carry a \"time\""),
+    (_with_second_fact("abstract", {"values": ["x"], "time": -1}),
+     "relation 'R' fact #1: time must be a non-negative integer"),
+    (_with_second_fact("abstract", {"values": ["x"], "time": False}),
+     "relation 'R' fact #1: time must be a non-negative integer"),
+    (_with_second_fact("concrete", {"values": "x", "interval": {"start": 0, "end": 2}}),
+     "relation 'R' fact #1: \"values\" must be a list"),
+    (_with_second_fact("concrete", {**_CONCRETE_ROW, "values": ["x", "y"]}),
+     "relation 'R' fact #1: expected 1 values, got 2"),
+    (_with_second_fact("concrete", {**_CONCRETE_ROW, "values": [3]}),
+     "relation 'R' fact #1: a value must be a string or {\"null\": \"<label>\"}, got 3"),
+    (_with_second_fact("concrete", {**_CONCRETE_ROW, "values": [{"null": "N", "extra": 1}]}),
+     "relation 'R' fact #1: a value must be a string or {\"null\": \"<label>\"}, got {'extra': 1, 'null': 'N'}"),
+    (_with_second_fact("abstract", {"values": [{"null": 7}], "time": 0}),
+     "relation 'R' fact #1: a value must be a string or {\"null\": \"<label>\"}, got {'null': 7}"),
+])
+def test_each_loader_error_has_its_exact_text(doc, message):
+    with pytest.raises(SchemaError) as err:
+        loads_instance(json.dumps(doc, sort_keys=True))
+    assert str(err.value) == message
+
+
 def test_loader_accepts_inf_and_ignores_metadata():
     doc = {
         "kind": "concrete",
