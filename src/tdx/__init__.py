@@ -57,7 +57,6 @@ from .homomorphism import (
     AbstractHom,
     Binding,
     apply_abstract_hom,
-    MAX_EQUIV_FACTS,
     enumerate_formula_homs,
     equivalent,
     find_abstract_hom,

@@ -52,6 +52,7 @@ from .mapping_lang import Atom, Var
 from .model import (
     ABSTRACT,
     CONCRETE,
+    MAX_SEM_FACTS,
     Fact,
     Instance,
     Null,
@@ -60,7 +61,9 @@ from .model import (
     _check_instance,
     _cut,
     _default_horizon,
+    _grid_cuts,
 )
+from .temporal import ClopenInterval, build_grid
 
 Binding = dict[str, object]  # variable -> Value, plus temporal variable -> interval/point
 AbstractHom = dict[Null, Value]
@@ -457,58 +460,50 @@ def _hom_equivalent(a: Instance, b: Instance) -> bool:
     return _maps_into(ground_a, keys_a, b, keys_b) and _maps_into(ground_b, keys_b, a, keys_a)
 
 
-# The most abstract facts one ``equivalent`` builds, one per concrete fact and
-# grid cell it covers below the horizon.  Measured with tracemalloc (Python
-# 3.11, the benchmark's careers, long-lived and crossview chase results), the
-# peak of ``equivalent``, which also keys the facts it builds and indexes
-# them for the search, is about 0.5 KB per fact built when both inputs are
-# concrete, and 0.6-0.8 KB when one is abstract and keyed and indexed too:
-# 250,000 facts are about 0.2 GB.
-MAX_EQUIV_FACTS = 250_000
-
-
 def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     """Whether the abstract views of ``a`` and ``b`` are homomorphically
     equivalent: ``hom_equivalent`` after ``sem_instance`` of each concrete
     input up to ``horizon`` (by default one above every finite endpoint of
     the concrete inputs), without building every time point.
 
-    The joint grid holds every endpoint of a concrete fact, ``t`` and
-    ``t+1`` for each abstract fact at ``t``, and the horizon.  Within one cell
-    of the grid below the horizon the abstract views at any two points are
-    the same up to re-annotating nulls, and an abstract homomorphism fixes
-    time points, so a homomorphism exists at every point of the cell iff one
-    exists at its first point.  So each concrete input is cut at the first
+    The joint grid holds every endpoint of a concrete fact, and ``t`` and
+    ``t+1`` for each abstract fact at ``t`` (as if it held on ``[t, t+1)``);
+    its cells end at the horizon.  Within one cell below the horizon the
+    abstract views at any two points are the same up to re-annotating nulls,
+    and an abstract homomorphism fixes time points, so a homomorphism exists
+    at every point of the cell iff one exists at its first point.  So each concrete input is cut at the first
     point of each cell only (a cell that holds an abstract fact is that one
     point), and an abstract input is compared whole, facts at or beyond the
     horizon too.
 
-    Checks, in order: each concrete input is well formed and the horizon is
-    at or above its endpoints, as ``sem_instance`` checks them; the inputs
-    share a schema and each abstract one is well formed, as
-    ``hom_equivalent`` checks them.  Then PreconditionError is raised,
-    before any fact is built, if the cut inputs would hold more than
-    ``MAX_EQUIV_FACTS`` facts.
+    Checks, in order: each concrete input is well formed; the horizon is at
+    or above the endpoints of each, as ``sem_instance`` checks them; the
+    inputs share a schema and each abstract one is well formed, as
+    ``hom_equivalent`` checks them.  Then PreconditionError is raised if the
+    cut inputs would hold more than ``MAX_SEM_FACTS`` facts, counted on the
+    grid before any fact or list of points is built.
     """
     concrete = [inst for inst in (a, b) if inst.kind == CONCRETE]
-    if horizon is None:
-        horizon = _default_horizon(concrete)
-    uses = []
     for inst in concrete:
         _check_instance(inst)
-        uses.append(Counter(f.time for f in inst.facts))
-        _check_horizon(horizon, *sorted(uses[-1]))
+    if horizon is None:
+        horizon = _default_horizon(concrete)
+    uses: Counter[ClopenInterval] = Counter()
+    for inst in concrete:
+        each = Counter(f.time for f in inst.facts)
+        _check_horizon(horizon, *sorted(each))
+        uses.update(each)
     _check_pair(a, b)
     if not concrete:
         return _hom_equivalent(a, b)
     times = {f.time for inst in (a, b) if inst.kind == ABSTRACT for f in inst.facts}
-    grid = {horizon, *times, *[t + 1 for t in times], *[e for u in uses for iv in u for e in iv]}
-    firsts = sorted([p for p in grid if p < horizon])  # the first point of each cell
-    points = {iv: firsts[bisect_left(firsts, iv.start):bisect_left(firsts, iv.end)] for u in uses for iv in u}
-    count = sum(n * len(points[iv]) for u in uses for iv, n in u.items())
-    if count > MAX_EQUIV_FACTS:
+    grid = build_grid([*uses, *[ClopenInterval(t, t + 1) for t in times]])
+    firsts = grid[:bisect_left(grid, horizon)]  # the first point of each cell below the horizon
+    cuts, count = _grid_cuts(uses, firsts)
+    if count > MAX_SEM_FACTS:
         raise PreconditionError(f"the equivalence check up to horizon {horizon} builds {count} facts, "
-                                f"more than the limit of {MAX_EQUIV_FACTS}")
+                                f"more than the limit of {MAX_SEM_FACTS}")
+    points = {iv: firsts[lo:hi] for iv, (lo, hi) in cuts.items()}
     a, b = [Instance(ABSTRACT, inst.schema, _cut(inst.facts, points)) if inst.kind == CONCRETE else inst
             for inst in (a, b)]
     return _hom_equivalent(a, b)

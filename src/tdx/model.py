@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
@@ -344,10 +344,25 @@ def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
     return _cut([f], {f.time: interval_points(f.time, horizon)})
 
 
-# The most abstract facts one ``sem_instance`` materializes.  Measured with
-# tracemalloc (Python 3.11, facts of three values, one a null), an abstract
-# fact takes about 0.36 KB, and about 1.4 KB at the peak of ``tdx sem``, which
-# also builds the JSON text: 250,000 x 1.4 KB is about 0.35 GB.
+def _grid_cuts(uses: Counter[ClopenInterval], grid: list[int]) -> tuple[dict, int]:
+    """For each distinct interval of ``uses`` (facts per interval), the
+    ``(lo, hi)`` such that ``grid[lo:hi]`` are the points of the sorted
+    ``grid`` in it; and the number of pairs of a fact and such a point,
+    counted on the indexes, so that an input can be refused before anything
+    of that size is built."""
+    cuts = {iv: (bisect_left(grid, iv.start), bisect_left(grid, iv.end)) for iv in uses}
+    return cuts, sum(n * (cuts[iv][1] - cuts[iv][0]) for iv, n in uses.items())
+
+
+# The most abstract facts one ``sem_instance`` materializes, or one
+# ``homomorphism.equivalent`` builds.  Measured with tracemalloc (Python 3.11,
+# facts of three values, one a null), an abstract fact takes about 0.36 KB,
+# and about 1.4 KB at the peak of ``tdx sem``, which also builds the JSON
+# text: 250,000 x 1.4 KB is about 0.35 GB.  The peak of ``equivalent``, which
+# also keys the facts it builds and indexes them for the search, is about
+# 0.5 KB per fact built when both inputs are concrete, and 0.6-0.8 KB when
+# one is abstract and keyed and indexed too (the benchmark's careers,
+# long-lived and crossview chase results): at most 0.2 GB.
 MAX_SEM_FACTS = 250_000
 
 
@@ -416,8 +431,8 @@ def normalize_instance(inst: Instance) -> Instance:
     _check_instance(inst)
     uses = Counter(f.time for f in inst.facts)
     grid = build_grid(uses)
-    cuts = {iv: (bisect_right(grid, iv.start), bisect_left(grid, iv.end)) for iv in uses}  # grid points inside
-    added = sum(n * (cuts[iv][1] - cuts[iv][0]) for iv, n in uses.items())
+    cuts, count = _grid_cuts(uses, grid)  # one fragment per grid point in the interval, its start first
+    added = count - len(inst.facts)
     if added > MAX_NORMALIZE_FRAGMENTS:
         raise PreconditionError(f"normalization would split {len(inst.facts)} facts into "
                                 f"{len(inst.facts) + added} fragments, {added} more than the facts, "

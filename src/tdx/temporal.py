@@ -80,8 +80,8 @@ def split_interval(iv: ClopenInterval, grid: Iterable[int]) -> list[ClopenInterv
     Returns consecutive subintervals whose point sets partition the point set
     of ``iv``; none of them contains an interior grid point.  The grid must be
     sorted and duplicate-free (checked); grid points outside ``iv`` are
-    skipped by ``bisect``.  ``normalize_instance`` passes only the points
-    inside, so the check costs no more than the cuts.
+    skipped by ``bisect``.  ``normalize_instance`` passes only the points in
+    ``iv``, its start first, so the check costs no more than the cuts.
     """
     grid = list(grid)
     if not all(map(lt, grid, grid[1:])):

@@ -346,7 +346,7 @@ def test_equiv_beyond_its_fact_limit_is_one_error_line(workdir, capsys, monkeypa
         "R": {"attributes": ["a", "t"], "facts": facts}}}))
     assert run(workdir, "equiv", "-a", "@nested.json", "-b", "@nested.json") == 1
     assert capsys.readouterr() == ("", f"error: the equivalence check up to horizon {n} builds {n * (n + 1)} "
-                                       f"facts, more than the limit of {tdx.MAX_EQUIV_FACTS}\n")
+                                       f"facts, more than the limit of {tdx.MAX_SEM_FACTS}\n")
 
 
 @pytest.mark.parametrize("argv", [

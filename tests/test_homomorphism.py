@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,12 @@ import pytest
 from tdx import (
     Atom,
     ClopenInterval,
+    INF,
     Fact,
     Instance,
     KeyNullViolation,
     Null,
+    PreconditionError,
     SchemaError,
     Success,
     Var,
@@ -604,6 +607,24 @@ def test_equivalent_on_bench_results_with_long_intervals(example1, monkeypatch):
                 counts.append(built[-1])
             assert answers == [expected, expected] and sem_equivalent(a, b) == expected, name
             assert counts[0] == counts[1] > 0, (name, counts)
+
+
+def test_equivalent_refuses_a_large_cut_before_building_it():
+    """n nested facts ``[i, inf)`` cover n(n+1)/2 cells below the horizon n on
+    each side: for n = 3,000, 9,003,000 facts, and 4.5 million entries (about
+    36 MB) in the lists of each interval's points.  They are counted on the
+    grid's indexes and refused before either is built."""
+    n = 3_000
+    inst = Instance.concrete([rel("R", "a")], [fact("R", f"p{i}", time=iv(i, INF)) for i in range(n)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match=f"^the equivalence check up to horizon {n} builds "
+                                                    f"{n * (n + 1)} facts, more than the limit of 250000$"):
+            equivalent(inst, inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 _HASH_SEED_PROBE = """

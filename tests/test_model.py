@@ -27,6 +27,7 @@ from tdx import (
     chase,
     dumps_instance,
     enumerate_formula_homs,
+    equivalent,
     find_abstract_hom,
     hom_equivalent,
     is_complete,
@@ -110,6 +111,8 @@ _ENTRY_POINTS = [
     ("naive_eval-abstract", "fig4.json", "Emp", _positions),
     ("find_abstract_hom", "fig4.json", "Emp", lambda i: find_abstract_hom(i, i)),
     ("hom_equivalent", "fig4.json", "Emp", lambda i: hom_equivalent(i, i)),
+    ("equivalent-concrete", "fig1.json", "Employee1", lambda i: equivalent(i, i)),
+    ("equivalent-abstract", "fig4.json", "Emp", lambda i: equivalent(i, i)),
     ("certain-concrete", "fig1.json", "Employee1", _certain),
     ("certain-abstract", "fig2.json", "Employee1", _certain),
     ("enumerate_formula_homs", "fig4.json", "Emp",
@@ -233,7 +236,8 @@ def test_each_instance_is_screened_once(example1, monkeypatch):
 
 
 _TIME_CLASS_PROBE = """
-from tdx import chase, find_abstract_hom, hom_equivalent, is_normalized, naive_eval, normalize_instance, sem_instance
+from tdx import (chase, equivalent, find_abstract_hom, hom_equivalent, is_normalized, naive_eval, normalize_instance,
+                 sem_instance)
 from helpers import fact, load_fixture_instance, load_fixture_mapping
 
 m = load_fixture_mapping("example1.tdx")
@@ -248,6 +252,8 @@ runs = {
     "naive_eval-abstract": ("fig4.json", "Emp", lambda i: naive_eval(positions, i)),
     "find_abstract_hom": ("fig4.json", "Emp", lambda i: find_abstract_hom(i, i)),
     "hom_equivalent": ("fig4.json", "Emp", lambda i: hom_equivalent(i, i)),
+    "equivalent-concrete": ("fig1.json", "Employee1", lambda i: equivalent(i, i)),
+    "equivalent-abstract": ("fig4.json", "Emp", lambda i: equivalent(i, i)),
 }
 for name, (fixture, relation, run) in runs.items():
     inst = load_fixture_instance(fixture)
@@ -284,6 +290,8 @@ def test_a_time_equal_to_a_time_of_another_class_is_a_schema_error_under_every_h
         "naive_eval-concrete SchemaError: Emp(Zed0, X, X, (8, 10)): concrete fact must carry a clopen interval",
         "chase-abstract SchemaError: Employee1(Zed, Zed, False): abstract fact must carry a finite time point",
         *(f"{name} {abstract}" for name in ("naive_eval-abstract", "find_abstract_hom", "hom_equivalent")),
+        f"equivalent-concrete {concrete}",
+        f"equivalent-abstract {abstract}",
     ]
 
 
