@@ -14,16 +14,24 @@ rule and left-hand-side binding, and the key round derives a single equality
 closure from every conflicting fact pair before any replacement happens, so
 the outcome does not depend on step order.  A key group of k facts reaches
 that closure through k-1 pairs, each member paired with one hub.
+
+The per-fact work runs through C-level operations where it can: each rule's
+right-hand side is compiled once per round into one ``itemgetter`` per head
+atom, a key group is keyed by an ``itemgetter`` over the key positions, the
+closure merges in set order (sorting only to word a failure), and the facts
+to rebuild are found by ``dict_keys.isdisjoint``.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from itertools import count
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import KeyNullViolation, PreconditionError, SchemaError
 from .homomorphism import Binding, _sorted_formula_homs, instantiate_atom
-from .mapping_lang import Mapping, SttTgd, Tkc
+from .mapping_lang import Mapping, SttTgd, Tkc, Var
 from .model import (
     ABSTRACT,
     CONCRETE,
@@ -33,6 +41,7 @@ from .model import (
     RelationSchema,
     Value,
     _check_instance,
+    _new,
     conform_instance,
     is_complete,
     is_normalized,
@@ -62,11 +71,7 @@ class NullCounter:
     """Deterministic source of fresh null labels: N1, N2, ..."""
 
     def __init__(self) -> None:
-        self._n = 0
-
-    def next_label(self) -> str:
-        self._n += 1
-        return f"N{self._n}"
+        self.next_label: Callable[[], str] = map("N{}".format, count(1)).__next__
 
 
 class EqClosure:
@@ -112,8 +117,9 @@ class EqClosure:
             rx, ry = ry, rx
         self._parent[ry] = rx
         self._size[rx] += self._size[ry]
-        if cx is None and cy is not None:
-            self._const[rx] = cy
+        const = cx if cx is not None else cy
+        if const is not None:  # the class keeps its constant, whichever root held it
+            self._const[rx] = const
         return None
 
     def members(self) -> dict[Value, list[Value]]:
@@ -155,13 +161,50 @@ class EqClosure:
         return tuple(reversed(path))
 
 
-def _fire(rule: SttTgd, existentials: Sequence[str], binding: Binding,
-          nulls: NullCounter) -> frozenset[Fact]:
-    extended = dict(binding)
-    context = binding[rule.time_var]
-    for var in existentials:
-        extended[var] = Null(nulls.next_label(), context)
-    return frozenset(instantiate_atom(atom, extended) for atom in rule.rhs)
+class _Head(NamedTuple):
+    """A rule's right-hand side compiled for firing.  A firing extends its
+    binding in place: each existential variable gets a fresh null, and each
+    head constant is a fixed slot under an ``int`` key, which never names a
+    variable; each head atom then reads its values from the binding through
+    one ``itemgetter``."""
+
+    time_var: str
+    existentials: tuple[str, ...]  # in textual order
+    fixed: dict[int, str]  # the slot of each head constant
+    atoms: tuple[tuple[str, Callable[[Binding], tuple], str], ...]  # relation, values getter, time variable
+
+
+def _values_getter(keys: list) -> Callable[[Binding], tuple]:
+    """The tuple of a binding's values at ``keys`` (``itemgetter`` of one key
+    returns the bare value)."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return (lambda b: (b[keys[0]],)) if keys else (lambda b: ())
+
+
+def _compile_head(rule: SttTgd) -> _Head:
+    fixed: dict[int, str] = {}
+    atoms = []
+    for atom in rule.rhs:
+        keys: list = []
+        for t in atom.args:
+            if isinstance(t, Var):
+                keys.append(t.name)
+            else:
+                keys.append(len(fixed))
+                fixed[len(fixed)] = t
+        atoms.append((atom.relation, _values_getter(keys), atom.time_var))
+    return _Head(rule.time_var, rule.existential_order(), fixed, tuple(atoms))
+
+
+def _fire(head: _Head, binding: Binding, nulls: NullCounter, add: Callable[[Fact], None]) -> None:
+    """One firing: extend ``binding`` in place and pass each head fact to ``add``."""
+    context = binding[head.time_var]
+    for var in head.existentials:
+        binding[var] = _new(Null, (nulls.next_label(), context))
+    binding.update(head.fixed)
+    for relation, values, time_var in head.atoms:
+        add(_new(Fact, (relation, values(binding), binding[time_var])))
 
 
 def st_step(inst: Instance, rule: SttTgd, binding: Binding,
@@ -178,7 +221,9 @@ def st_step(inst: Instance, rule: SttTgd, binding: Binding,
     for atom in rule.lhs:
         if instantiate_atom(atom, binding) not in inst.facts:
             raise ValueError(f"binding is not a formula homomorphism for atom {atom.relation!r}")
-    return _fire(rule, rule.existential_order(), binding, nulls)
+    facts: set[Fact] = set()
+    _fire(_compile_head(rule), dict(binding), nulls, facts.add)
+    return frozenset(facts)
 
 
 def _st_round(inst: Instance, rules: Sequence[SttTgd],
@@ -189,9 +234,9 @@ def _st_round(inst: Instance, rules: Sequence[SttTgd],
     for i, rule in enumerate(rules):
         if not rule.lhs:
             raise PreconditionError(f"rule #{i} has an empty left-hand side")
-        existentials = rule.existential_order()
-        for binding in _sorted_formula_homs(rule.lhs, inst):
-            facts |= _fire(rule, existentials, binding, nulls)
+        head = _compile_head(rule)
+        for binding in _sorted_formula_homs(rule.lhs, inst):  # each a fresh dict, extended in place
+            _fire(head, binding, nulls, facts.add)
     return Instance(inst.kind, tuple(target), frozenset(facts))
 
 
@@ -253,9 +298,10 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
         if schema is None:
             raise SchemaError(f"key constraint on unknown relation {tkc.relation!r}")
         key_pos, dep_pos = tkc_positions(tkc, schema)
+        key_of = itemgetter(*key_pos) if key_pos else (lambda values: ())
         groups: dict[tuple, list[Fact]] = {}
         for f in inst.facts_by_relation[tkc.relation]:
-            groups.setdefault((f.time, tuple(f.values[i] for i in key_pos)), []).append(f)
+            groups.setdefault((f.time, key_of(f.values)), []).append(f)
         null_keys = []
         for group in groups.values():
             if len(group) < 2:
@@ -274,26 +320,38 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
     return equalities
 
 
-def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]) -> ChaseOutcome:
-    """All replacements are applied simultaneously from the closure's final
-    representatives; a merge of two distinct constants aborts with a witness.
-    Only facts holding a replaced value are rebuilt, and with none the
-    instance itself is the result."""
+def _first_conflict(equalities: Iterable[tuple[Value, Value]]) -> Failure:
+    """The failure met first when the equalities are merged in this order."""
     closure = EqClosure()
-    for x, y in sorted(set(equalities)):
+    for x, y in equalities:
         conflict = closure.merge(x, y)
         if conflict is not None:
             c1, c2 = conflict
             return Failure((c1, c2), closure.trace(c1, c2))
+    raise AssertionError("no conflict in an order of equalities that another order conflicts in")
+
+
+def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]) -> ChaseOutcome:
+    """All replacements are applied simultaneously from the closure's final
+    representatives; a merge of two distinct constants aborts with a witness.
+    Only facts holding a replaced value are rebuilt, and with none the
+    instance itself is the result.
+
+    Whether a merge conflicts, and the final representatives, do not depend
+    on the order of the merges, so they run in set order.  A failure's
+    witness does: at the first conflict the equalities are merged again in
+    canonical order, and the conflict met first in that order is reported."""
+    equalities = set(equalities)
+    closure = EqClosure()
+    for x, y in equalities:
+        if closure.merge(x, y) is not None:
+            return _first_conflict(sorted(equalities))
     reps = {v: rep for v, rep in closure.representatives().items() if v != rep}
     if not reps:
         return Success(inst)
-    # A class's constant represents it, so only nulls are replaced; their
-    # labels, which hash in C, pick out the facts that may hold one.
-    labels = {v.label for v in reps}
-    replaced = [f for f in inst.facts
-                if any(isinstance(v, Null) and v.label in labels for v in f.values)]
-    rebuilt = {Fact(f.relation, tuple(reps.get(v, v) for v in f.values), f.time) for f in replaced}
+    keys = reps.keys()  # only nulls: a class's constant represents it
+    replaced = [f for f in inst.facts if not keys.isdisjoint(f.values)]
+    rebuilt = {_new(Fact, (f.relation, tuple([reps.get(v, v) for v in f.values]), f.time)) for f in replaced}
     return Success(inst.replace_facts(inst.facts.difference(replaced) | rebuilt))
 
 

@@ -10,6 +10,7 @@ stdin or writes stdout.  Setting TDX_COLOR=0 disables ANSI diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -152,6 +153,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     return EXIT_NOT_EQUIVALENT
 
 
+@functools.cache  # built once per process: a parse leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tdx",

@@ -200,6 +200,19 @@ class Instance:
         return _plainly_well_formed(self.facts, self.kind, {r.name: r.arity for r in self.schema})
 
 
+# ``Fact`` and ``Null`` are named tuples, whose own ``__new__`` is a Python
+# function: where one is made per fact, ``_new(Fact, fields)`` makes it from
+# its fields in C.
+_new = tuple.__new__
+
+
+def _keep_screened(inst: Instance) -> Instance:
+    """``inst``, recorded as passing ``_plainly_well_formed``: for a builder
+    that knows its facts do."""
+    inst.__dict__["_screened"] = True  # where ``cached_property`` keeps its value
+    return inst
+
+
 # Per view: what a fact's time must be, and its name in messages.
 _TIME_OF = {
     CONCRETE: (lambda t: isinstance(t, ClopenInterval), "clopen interval"),
@@ -326,9 +339,9 @@ def _cut(facts: Iterable[Fact], pieces: dict[TimeValue, Iterable[TimeValue]]) ->
     for f in facts:
         for piece in pieces[f.time]:
             values = tuple([v if v.__class__ is not Null else
-                            nulls.get((v.label, piece)) or nulls.setdefault((v.label, piece), Null(v.label, piece))
+                            nulls.get((v.label, piece)) or nulls.setdefault((v.label, piece), _new(Null, (v.label, piece)))
                             for v in f.values])
-            out.add(Fact(f.relation, values, piece))
+            out.add(_new(Fact, (f.relation, values, piece)))
     return frozenset(out)
 
 
@@ -460,7 +473,9 @@ def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Inst
         if known != r:
             raise SchemaError(
                 f"relation {r.name!r} declared as {known.all_attributes}, instance has {r.all_attributes}")
-    return Instance(inst.kind, declared, inst.facts)
+    out = Instance(inst.kind, declared, inst.facts)
+    # a screened instance's facts are of its relations, now declared with the same arities
+    return _keep_screened(out) if inst.__dict__.get("_screened") else out
 
 
 # ---------------------------------------------------------------------------
@@ -552,16 +567,47 @@ def _value_from_json(v: object, time: TimeValue, nulls: dict) -> Value:
     raise ValueError(f"a value must be a string or {{\"null\": \"<label>\"}}, got {reprlib.repr(v)}")
 
 
+def _fact_from_json(row: object, name: str, arity: int, kind: str, times: dict, nulls: dict) -> Fact:
+    """One row of relation ``name`` read by the general rules, or ValueError
+    with its problem; ``times`` and ``nulls`` are those of
+    ``_time_from_json`` and ``_value_from_json``."""
+    if not isinstance(row, dict):
+        raise ValueError("must be an object")
+    time = _time_from_json(row, kind, times)
+    values = row.get("values")
+    if not isinstance(values, list):
+        raise ValueError("\"values\" must be a list")
+    if len(values) != arity:
+        raise ValueError(f"expected {arity} values, got {len(values)}")
+    return Fact(name, tuple([_value_from_json(v, time, nulls) for v in values]), time)
+
+
 def instance_from_json(doc: object) -> Instance:
+    """The instance of a JSON document, or SchemaError naming the first
+    problem: of the document, of a relation, or of ``relation 'R' fact #i``.
+
+    Each row is read in one loop with exact-class tests inline: an object
+    whose time was read before, and whose values are a list of the
+    relation's arity of strings and ``{"null": "<label>"}`` objects.  Any
+    other row, the first with each time among them, is read by
+    ``_fact_from_json``, which refuses it with its problem.  Every rule of
+    ``_plainly_well_formed`` holds of a fact the loop reads, so the instance
+    counts as screened unless a fact read by ``_fact_from_json`` breaks one
+    (a code-built document can hold a subclass of ``dict``, ``str`` or
+    ``int``).
+    """
     _require(isinstance(doc, dict), "instance", "top level must be a JSON object")
     kind = doc.get("kind")
     _require(kind in (CONCRETE, ABSTRACT), "instance", "\"kind\" must be \"concrete\" or \"abstract\"")
     relations = doc.get("relations")
     _require(isinstance(relations, dict), "instance", "\"relations\" must be an object")
+    concrete = kind == CONCRETE
     schemas: list[RelationSchema] = []
     facts: set[Fact] = set()
+    add = facts.add
     times: dict = {}
     nulls: dict = {}
+    plain = True
     for name in relations:
         where = f"relation {name!r}"
         rel = relations[name]
@@ -576,20 +622,37 @@ def instance_from_json(doc: object) -> Instance:
         rows = rel.get("facts", [])
         _require(isinstance(rows, list), where, "\"facts\" must be a list")
         for i, row in enumerate(rows):
-            try:  # a fact's problem is a ValueError; where the fact is is written only then
-                if not isinstance(row, dict):
-                    raise ValueError("must be an object")
-                time = _time_from_json(row, kind, times)
+            t = None
+            if row.__class__ is dict:
                 values = row.get("values")
-                if not isinstance(values, list):
-                    raise ValueError("\"values\" must be a list")
-                if len(values) != arity:
-                    raise ValueError(f"expected {arity} values, got {len(values)}")
-                facts.add(Fact(name, tuple([v if v.__class__ is str else _value_from_json(v, time, nulls)
-                                            for v in values]), time))
+                if concrete:
+                    iv = row.get("interval")
+                    if iv.__class__ is dict and len(iv) == 2:
+                        start, end = iv.get("start"), iv.get("end")
+                        if start.__class__ is int and (end.__class__ is int or end == "inf"):
+                            t = times.get((start, end))
+                else:
+                    t = row.get("time")
+                    t = times.get(t) if t.__class__ is int else None
+            if t is not None and values.__class__ is list and len(values) == arity:
+                out = []
+                for v in values:
+                    if v.__class__ is not str:
+                        if v.__class__ is not dict or len(v) != 1 or (label := v.get("null")).__class__ is not str:
+                            break
+                        v = nulls.get((label, t)) or nulls.setdefault((label, t), _new(Null, (label, t)))
+                    out.append(v)
+                else:
+                    add(_new(Fact, (name, tuple(out), t)))
+                    continue
+            try:  # where the fact is is written only when it has a problem
+                f = _fact_from_json(row, name, arity, kind, times, nulls)
             except ValueError as exc:
                 raise SchemaError(f"{where} fact #{i}: {exc}") from None
-    return Instance(kind, tuple(schemas), frozenset(facts))
+            plain = plain and _plainly_well_formed((f,), kind, {name: arity})
+            add(f)
+    inst = Instance(kind, tuple(schemas), frozenset(facts))
+    return _keep_screened(inst) if plain else inst
 
 
 def _list_text(items: list[str], indent: str) -> str:

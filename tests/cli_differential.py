@@ -21,7 +21,9 @@ two instances (of a workload, the concrete and the abstract source), and of
 their chase outputs, with ``--horizon`` 10 and 20 times one above the
 group's largest finite endpoint.  Exit status: 0 when no run
 differs, 1 when some run differs, 2 on a usage error.  Not a tier-1 test:
-it takes about a minute per tree.
+it takes about 10 s per tree (20 s for both, Python 3.11 on a 2-core
+x86-64 host).  CI runs it on every pull request against the base commit and
+writes the report to the job summary.
 """
 from __future__ import annotations
 

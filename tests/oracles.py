@@ -5,8 +5,10 @@ semantics is recomputed by explicit point enumeration, homomorphism
 existence by exhaustive enumeration of null assignments and by a
 backtracking scan over every fact at the same relation and time point,
 formula homomorphisms by a recursive nested loop over whole relations, the
-key round's equalities from every pair of every key group, and the
-canonical instance text by the json module's own encoder.  The abstract
+dependency round by instantiating each head atom of a copied binding, the
+key round's equalities from every pair of every key group, the instance
+loader by reading each row through the general rules, and the canonical
+instance text by the json module's own encoder.  The abstract
 homomorphism search that compiles each component shape once is checked
 against the search that plans a join for every component, and the
 equivalence check that cuts concrete inputs at one point per grid cell
@@ -21,17 +23,24 @@ import json
 from typing import Optional, Sequence
 
 from tdx import (
+    ABSTRACT,
     CONCRETE,
     ClopenInterval,
     Fact,
     Instance,
     Null,
+    NullCounter,
+    RelationSchema,
+    SchemaError,
+    enumerate_formula_homs,
     find_abstract_hom,
+    instantiate_atom,
     max_finite_endpoint,
     sem_instance,
 )
 from tdx.chase import tkc_positions, tkc_step
 from tdx.homomorphism import _check_hom_inputs, _join_plan, _Var, _walk
+from tdx.model import _require, _time_from_json, _value_from_json
 
 
 def value_sort_key(v: object) -> tuple:
@@ -85,6 +94,69 @@ def json_dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     if horizon is not None:
         doc["horizon"] = horizon
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def instantiated_firing(rule, binding: dict, nulls: NullCounter) -> frozenset[Fact]:
+    """One firing of ``rule``: a copy of ``binding`` extended with one fresh
+    null per existential variable, in textual order, annotated with the bound
+    time, and every head atom instantiated through ``instantiate_atom``."""
+    extended = dict(binding)
+    for var in rule.existential_order():
+        extended[var] = Null(nulls.next_label(), binding[rule.time_var])
+    return frozenset(instantiate_atom(atom, extended) for atom in rule.rhs)
+
+
+def instantiated_st_round(inst: Instance, rules, target) -> Instance:
+    """The dependency round: ``instantiated_firing`` of each rule, in order,
+    at each binding of ``enumerate_formula_homs``, in its order, with one
+    counter of null labels."""
+    nulls = NullCounter()
+    facts: set[Fact] = set()
+    for rule in rules:
+        for binding in enumerate_formula_homs(rule.lhs, inst):
+            facts |= instantiated_firing(rule, binding, nulls)
+    return Instance(inst.kind, tuple(target), frozenset(facts))
+
+
+def rowwise_instance_from_json(doc: object) -> Instance:
+    """The instance of a JSON document, each row read through
+    ``_time_from_json`` and ``_value_from_json``: what ``instance_from_json``
+    must return, or the ``SchemaError`` it must raise."""
+    _require(isinstance(doc, dict), "instance", "top level must be a JSON object")
+    kind = doc.get("kind")
+    _require(kind in (CONCRETE, ABSTRACT), "instance", "\"kind\" must be \"concrete\" or \"abstract\"")
+    relations = doc.get("relations")
+    _require(isinstance(relations, dict), "instance", "\"relations\" must be an object")
+    schemas: list[RelationSchema] = []
+    facts: set[Fact] = set()
+    times: dict = {}
+    nulls: dict = {}
+    for name in relations:
+        where = f"relation {name!r}"
+        rel = relations[name]
+        _require(isinstance(rel, dict), where, "must be an object")
+        attrs = rel.get("attributes")
+        _require(isinstance(attrs, list) and attrs and all(isinstance(a, str) for a in attrs),
+                 where, "\"attributes\" must be a non-empty list of names")
+        _require(len(set(attrs)) == len(attrs), where, "duplicate attribute name")
+        schema = RelationSchema(name, tuple(attrs[:-1]), attrs[-1])
+        schemas.append(schema)
+        rows = rel.get("facts", [])
+        _require(isinstance(rows, list), where, "\"facts\" must be a list")
+        for i, row in enumerate(rows):
+            try:
+                if not isinstance(row, dict):
+                    raise ValueError("must be an object")
+                time = _time_from_json(row, kind, times)
+                values = row.get("values")
+                if not isinstance(values, list):
+                    raise ValueError("\"values\" must be a list")
+                if len(values) != schema.arity:
+                    raise ValueError(f"expected {schema.arity} values, got {len(values)}")
+                facts.add(Fact(name, tuple(_value_from_json(v, time, nulls) for v in values), time))
+            except ValueError as exc:
+                raise SchemaError(f"{where} fact #{i}: {exc}") from None
+    return Instance(kind, tuple(schemas), frozenset(facts))
 
 
 def pairwise_round_equalities(inst: Instance, tkcs) -> list:

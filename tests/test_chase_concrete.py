@@ -27,6 +27,8 @@ from tdx import (
     hom_equivalent,
     normalize_instance,
     sem_instance,
+    Var,
+    st_round_abstract,
     st_round_concrete,
     st_step,
     tkc_round_concrete,
@@ -35,8 +37,9 @@ from tdx import (
 )
 from tdx.chase import _close_and_replace, _round_equalities
 
-from helpers import c, fact, in_order, inull, iv, rel
-from oracles import pairwise_round_equalities
+from generators import random_case
+from helpers import c, fact, in_order, inull, iv, pnull, rel
+from oracles import instantiated_firing, instantiated_st_round, pairwise_round_equalities
 
 HORIZON = 13
 chase_module = importlib.import_module("tdx.chase")  # the package's ``chase`` is the function
@@ -104,6 +107,40 @@ def test_st_round_of_empty_source_is_empty(example1):
     out = st_round_concrete(empty, example1.sttgds, example1.target)
     assert out.facts == frozenset()
     assert {r.name for r in out.schema} == {"Emp", "Sal"}
+
+
+def test_compiled_dependency_round_agrees_with_instantiated_firing():
+    """On random mappings, in both views, the dependency round writes the
+    bytes of a round that instantiates each head atom of a copied binding,
+    and ``st_step`` returns that firing's facts and leaves its binding as it
+    was.  The draws hold head constants, variables repeated in a head, nulls
+    shared across head atoms, and two-atom bodies."""
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(300):
+        case = random_case(rng, with_queries=False)
+        m = case.mapping
+        for rule in m.sttgds:
+            terms = [t for a in rule.rhs for t in a.args]
+            names = [t.name for t in terms if isinstance(t, Var)]
+            seen["head constant"] += any(isinstance(t, str) for t in terms)
+            seen["repeated head variable"] += len(names) > len(set(names))
+            seen["null shared across head atoms"] += any(
+                sum(Var(y) in a.args for a in rule.rhs) > 1 for y in rule.existentials)
+            seen["two-atom body"] += len(rule.lhs) == 2
+        concrete = normalize_instance(case.source)
+        for src, st_round in ((concrete, st_round_concrete),
+                              (sem_instance(concrete, case.horizon), st_round_abstract)):
+            got = st_round(src, m.sttgds, m.target)
+            assert dumps_instance(got) == dumps_instance(instantiated_st_round(src, m.sttgds, m.target))
+            seen[f"{src.kind} facts"] += len(got.facts)
+            for rule in m.sttgds:
+                for binding in enumerate_formula_homs(rule.lhs, src)[:2]:
+                    kept = dict(binding)
+                    assert st_step(src, rule, binding, NullCounter()) == instantiated_firing(rule, kept, NullCounter())
+                    assert binding == kept
+                    seen["st_step"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_tkc_step_on_figure_rows(fig7, example1):
@@ -290,6 +327,32 @@ def test_eqclosure_mixed_contexts_join_only_through_constants():
     assert reps[early] == reps[late] == c("k")
     # without a constant, classes never mix contexts: equalities only arise
     # between values of facts sharing one interval
+
+
+def test_eqclosure_keeps_the_constant_of_the_smaller_class():
+    """In this (canonical) order, the class of x, N5 is the smaller when it
+    meets the class of N1, N2, N7; the merged class keeps x, so merging in
+    the class of z then conflicts."""
+    n1, n2, n5, n7, n8 = (pnull(f"N{i}", 0) for i in (1, 2, 5, 7, 8))
+    equalities = [(c("x"), n5), (c("z"), n8), (n1, n2), (n1, n7), (n5, n7), (n7, n8)]
+    closure = EqClosure()
+    assert [closure.merge(x, y) for x, y in equalities] == [None] * 5 + [(c("x"), c("z"))]
+    inst = Instance.abstract([rel("R", "a")], [fact("R", n5, time=0), fact("R", n8, time=0)])
+    for order in (equalities, equalities[::-1]):
+        assert _close_and_replace(inst, order) == Failure((c("x"), c("z")), ((c("x"), n5), (n5, n7), (n7, n8),
+                                                                             (n8, c("z"))))
+
+
+def test_a_key_round_failure_is_the_conflict_canonical_order_meets_first():
+    """Twenty classes each equate two constants.  The merges run in set
+    order, but the witness is the least class's, whatever that order is."""
+    equalities = []
+    for i in range(20):
+        n = pnull(f"N{i:02d}", 0)
+        equalities += [(c(f"a{i:02d}"), n), (c(f"b{i:02d}"), n)]
+    n00 = pnull("N00", 0)
+    assert _close_and_replace(Instance.abstract([rel("R", "a")]), equalities[::-1]) == Failure(
+        (c("a00"), c("b00")), ((c("a00"), n00), (n00, c("b00"))))
 
 
 def _random_key_groups(rng, kind):

@@ -222,6 +222,31 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_call_of_a_process(workdir, capsys, monkeypatch):
+    """Two subcommands, a usage error, then the first again, in one process:
+    the parser is built once, and each call does what it does with a parser
+    built for it alone."""
+    batch = [["sem", "-i", "@fig1.json", "-o", "-"],
+             ["chase", "-m", "@example1.tdx", "-i", "@fig1.json", "-o", "-"],
+             ["chase", "-m", "@example1.tdx", "-o", "-"],
+             ["sem", "-i", "@fig1.json", "--horizon", "13", "-o", "-"]]
+
+    def results():
+        out = []
+        for argv in batch:
+            code = run(workdir, *argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    built = tdx.cli._build_parser()
+    cached = results()
+    assert tdx.cli._build_parser() is built
+    monkeypatch.setattr(tdx.cli, "_build_parser", tdx.cli._build_parser.__wrapped__)
+    assert cached == results()
+    assert [r[0] for r in cached] == [0, 0, 1, 0]
+    assert "the following arguments are required: -i/--input" in cached[2][2]
+
+
 def test_outputs_are_byte_deterministic(workdir):
     commands = [
         ["normalize", "-i", path(workdir, "fig1.json"), "-o", "OUT"],

@@ -1,24 +1,29 @@
 """Mutation fuzzing of the two readers of user text: the instance loader and
 the mapping parser.  Each mutated input either reads as a well-formed value
 or is refused with the reader's one diagnosed error; any other exception is a
-defect."""
+defect.  The loader also reads each mutated document as the row-by-row
+oracle does."""
 import json
 import re
 
 from hypothesis import given, settings, strategies as st
 
 from tdx import (
+    Instance,
     ParseError,
     SchemaError,
     dumps_instance,
+    instance_from_json,
     loads_instance,
     parse_mapping,
     render_mapping,
     validate_instance,
     validate_mapping,
 )
+from tdx.model import _plainly_well_formed
 
 from helpers import FIXTURES
+from oracles import rowwise_instance_from_json
 
 _DOCUMENTS = {path.name: json.loads(path.read_text(encoding="utf-8")) for path in sorted(FIXTURES.glob("*.json"))}
 _MAPPINGS = {path.name: path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tdx"))}
@@ -64,6 +69,29 @@ def _mutate(doc, path, op, value, name):
     return doc
 
 
+def _read(load, doc):
+    try:
+        return load(doc)
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _assert_loads_as_read_row_by_row(doc):
+    """The loader returns the instance that reading each row through the
+    general rules does, or raises the same message; and what it returns
+    passes the screen it counts as passed."""
+    got = _read(instance_from_json, doc)
+    assert got == _read(rowwise_instance_from_json, doc)
+    if isinstance(got, Instance):
+        assert _plainly_well_formed(got.facts, got.kind, {r.name: r.arity for r in got.schema})
+        assert got.__dict__.get("_screened") is True
+
+
+def test_each_fixture_loads_as_read_row_by_row():
+    for doc in _DOCUMENTS.values():
+        _assert_loads_as_read_row_by_row(doc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_a_mutated_instance_document_loads_well_formed_or_is_refused(data):
@@ -72,6 +100,7 @@ def test_a_mutated_instance_document_loads_well_formed_or_is_refused(data):
         path = data.draw(st.sampled_from(list(_paths(doc))))
         doc = _mutate(doc, path, data.draw(st.sampled_from(["replace", "delete", "insert"])),
                       data.draw(_JSON_VALUES), data.draw(st.sampled_from(["values", "time", "interval", "x"])))
+    _assert_loads_as_read_row_by_row(doc)
     text = json.dumps(doc)
     if data.draw(st.integers(0, 3)) == 0:  # and now and then a cut or a stray character in the text
         at = data.draw(st.integers(0, len(text)))

@@ -30,6 +30,7 @@ from tdx import (
     equivalent,
     find_abstract_hom,
     hom_equivalent,
+    instance_from_json,
     is_complete,
     is_normalized,
     is_null,
@@ -48,7 +49,8 @@ import tdx.model
 
 from generators import careers_like, random_case
 from helpers import FIXTURES, c, fact, in_order, inull, iv, load_fixture_instance, load_fixture_mapping, pnull, rel
-from oracles import expand_instance_by_points, fact_sort_key, instance_doc, json_dumps_instance, value_sort_key
+from oracles import (expand_instance_by_points, fact_sort_key, instance_doc, json_dumps_instance,
+                     rowwise_instance_from_json, value_sort_key)
 
 
 def test_running_example_instance_is_valid(fig1):
@@ -220,19 +222,22 @@ def test_the_instance_check_raises_the_first_problem_validate_instance_reports(k
 
 
 def test_each_instance_is_screened_once(example1, monkeypatch):
-    """``chase`` screens its source once (``normalize_instance`` reads the
-    same instance), and ``certain`` screens the chase result once more."""
+    """A loaded instance counts as screened, and ``conform_instance`` keeps
+    that, so ``chase`` screens no loaded source.  A source built in code it
+    screens once (``normalize_instance`` reads the same instance); ``certain``
+    screens the chase result once more."""
     screens = []
     screen = tdx.model._plainly_well_formed
     monkeypatch.setattr(tdx.model, "_plainly_well_formed", lambda *args: screens.append(args) or screen(*args))
     for name in ("fig1.json", "fig2.json"):
-        src = load_fixture_instance(name)
-        screens.clear()
-        assert isinstance(chase(src, example1), Success)
-        assert len(screens) == 1
-        screens.clear()
-        assert certain(example1.query("positions"), src, example1).rows
-        assert len(screens) == 2
+        loaded = load_fixture_instance(name)
+        for source, own in ((lambda: loaded, 0), (lambda: Instance(loaded.kind, loaded.schema, loaded.facts), 1)):
+            screens.clear()
+            assert isinstance(chase(source(), example1), Success)
+            assert len(screens) == own
+            screens.clear()
+            assert certain(example1.query("positions"), source(), example1).rows
+            assert len(screens) == own + 1
 
 
 _TIME_CLASS_PROBE = """
@@ -617,6 +622,13 @@ _CONCRETE_ROW = {"values": ["x"], "interval": {"start": 0, "end": 2}}
      "relation 'R' fact #1: interval start must be an integer"),
     (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": 0, "end": 2.0}}),
      "relation 'R' fact #1: interval end must be an integer or \"inf\""),
+    # equal to the first fact's time, which was read before, but not of its class
+    (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": False, "end": 1}}),
+     "relation 'R' fact #1: interval start must be an integer"),
+    (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": 0, "end": 1.0}}),
+     "relation 'R' fact #1: interval end must be an integer or \"inf\""),
+    (_with_second_fact("abstract", {"values": ["x"], "time": 0.0}),
+     "relation 'R' fact #1: time must be a non-negative integer"),
     (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": 2, "end": 2}}),
      "relation 'R' fact #1: interval [2,2) is empty"),
     (_with_second_fact("concrete", {"values": ["x"], "interval": {"start": -1, "end": 2}}),
@@ -652,6 +664,32 @@ def test_loader_accepts_inf_and_ignores_metadata():
     }
     inst = loads_instance(json.dumps(doc))
     assert inst.facts == {fact("R", "x", time=iv(1, INF))}
+
+
+class _Str(str):
+    pass
+
+
+class _Row(dict):
+    pass
+
+
+@pytest.mark.parametrize("kind, time, value, plain", [
+    ("concrete", {"interval": {"start": 1, "end": "inf"}}, _Str("x"), False),
+    ("abstract", {"time": 3}, {"null": _Str("N")}, False),
+    ("abstract", {"time": 3}, "x", True),
+])
+def test_a_code_built_document_is_read_by_the_general_rules(kind, time, value, plain):
+    """A row that is a ``dict`` subclass, or holds a ``str`` subclass, is
+    read as the general rules read it; the instance counts as screened only
+    if such a fact passes the screen (a subclass of ``str`` does not)."""
+    doc = {"kind": kind, "relations": {"R": {"attributes": ["a", "time"], "facts": [
+        {"values": ["y"], **time}, _Row(values=[value], **time)]}}}
+    inst = instance_from_json(doc)
+    assert inst == rowwise_instance_from_json(doc)
+    assert inst.__dict__.get("_screened", False) is plain
+    assert inst._screened is plain
+    assert validate_instance(inst) == []
 
 
 def _concrete_instance(rows) -> Instance:
