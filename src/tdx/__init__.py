@@ -67,7 +67,6 @@ from .chase import (
     ChaseOutcome,
     EqClosure,
     Failure,
-    NullCounter,
     Success,
     chase,
     st_round_abstract,

@@ -9,6 +9,14 @@ concrete source is normalized first.  Infinite abstract views are never
 materialized here; they are reached through ``sem_instance`` with an explicit
 horizon, and the chase runs on the resulting finite instance.
 
+A fresh null's label is its Skolem term (Fagin, Kolaitis, Popa and Tan,
+TODS 2005; Marnette, PODS 2009): the compact JSON text of the rule's index,
+the existential variable and the binding's non-temporal values, variables in
+name order, as ``[0,"p",["IBM","Ada"]]``.  It does not depend on binding
+order, and every fragment of a source fact, and each of its time points
+under ``sem``, labels alike, so ``sem`` of a concrete result equals the
+abstract result of the ``sem`` source as a set.
+
 Both rounds are parallel: the dependency round is the union of one step per
 rule and left-hand-side binding, and the key round derives a single equality
 closure from every conflicting fact pair before any replacement happens, so
@@ -18,19 +26,20 @@ that closure through k-1 pairs, each member paired with one hub.
 The per-fact work runs through C-level operations where it can: each rule's
 right-hand side is compiled once per round into one ``itemgetter`` per head
 atom, a key group is keyed by an ``itemgetter`` over the key positions, the
-closure merges in set order (sorting only to word a failure), and the facts
-to rebuild are found by ``dict_keys.isdisjoint``.
+closure merges in set order and records no equalities (only a failure,
+merged again in canonical order, records them to word its witness), and the
+facts to rebuild are found by ``dict_keys.isdisjoint``.
 """
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import KeyNullViolation, PreconditionError, SchemaError
-from .homomorphism import Binding, _sorted_formula_homs, instantiate_atom
+from .homomorphism import Binding, _formula_homs, instantiate_atom
 from .mapping_lang import Mapping, SttTgd, Tkc, Var
 from .model import (
     ABSTRACT,
@@ -67,15 +76,8 @@ class Failure:
 ChaseOutcome = Union[Success, Failure]
 
 
-class NullCounter:
-    """Deterministic source of fresh null labels: N1, N2, ..."""
-
-    def __init__(self) -> None:
-        self.next_label: Callable[[], str] = map("N{}".format, count(1)).__next__
-
-
 class EqClosure:
-    """Disjoint sets over values, recording the equalities that produced them.
+    """Disjoint sets over values.
 
     Merging two classes whose constants differ is a conflict (reported, not
     applied).  A class containing a constant is represented by it; otherwise
@@ -87,7 +89,6 @@ class EqClosure:
         self._parent: dict[Value, Value] = {}
         self._size: dict[Value, int] = {}
         self._const: dict[Value, str] = {}
-        self._adj: dict[Value, list[Value]] = {}
 
     def find(self, v: Value) -> Value:
         if v not in self._parent:
@@ -105,8 +106,6 @@ class EqClosure:
 
     def merge(self, x: Value, y: Value) -> tuple[str, str] | None:
         """Union the classes of x and y; returns the conflicting constants, if any."""
-        self._adj.setdefault(x, []).append(y)
-        self._adj.setdefault(y, []).append(x)
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return None
@@ -139,26 +138,8 @@ class EqClosure:
                 reps[v] = rep
         return reps
 
-    def trace(self, x: Value, y: Value) -> tuple[tuple[Value, Value], ...]:
-        """Shortest chain of recorded equalities linking x to y."""
-        prev: dict[Value, Value | None] = {x: None}
-        queue = deque([x])
-        while queue:
-            u = queue.popleft()
-            if u == y:
-                break
-            for w in self._adj.get(u, ()):
-                if w not in prev:
-                    prev[w] = u
-                    queue.append(w)
-        if y not in prev:
-            return ()
-        path = []
-        cur: Value = y
-        while prev[cur] is not None:
-            path.append((prev[cur], cur))
-            cur = prev[cur]
-        return tuple(reversed(path))
+
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 class _Head(NamedTuple):
@@ -169,7 +150,10 @@ class _Head(NamedTuple):
     one ``itemgetter``."""
 
     time_var: str
-    existentials: tuple[str, ...]  # in textual order
+    body: Callable[[Binding], tuple]  # the non-temporal body values, variables in name order
+    existentials: tuple[str, ...]
+    prefixes: tuple[str, ...]  # each existential's label text up to the body values
+    labels: dict[tuple, list[str]]  # body values -> the label of each existential, made once
     fixed: dict[int, str]  # the slot of each head constant
     atoms: tuple[tuple[str, Callable[[Binding], tuple], str], ...]  # relation, values getter, time variable
 
@@ -182,7 +166,10 @@ def _values_getter(keys: list) -> Callable[[Binding], tuple]:
     return (lambda b: (b[keys[0]],)) if keys else (lambda b: ())
 
 
-def _compile_head(rule: SttTgd) -> _Head:
+def _compile_head(rule: SttTgd, index: int) -> _Head:
+    body = sorted({t.name for atom in rule.lhs for t in atom.args if isinstance(t, Var)})
+    existentials = tuple(sorted(rule.existentials))
+    prefixes = tuple(_encode([index, var])[:-1] + "," for var in existentials)
     fixed: dict[int, str] = {}
     atoms = []
     for atom in rule.rhs:
@@ -194,49 +181,56 @@ def _compile_head(rule: SttTgd) -> _Head:
                 keys.append(len(fixed))
                 fixed[len(fixed)] = t
         atoms.append((atom.relation, _values_getter(keys), atom.time_var))
-    return _Head(rule.time_var, rule.existential_order(), fixed, tuple(atoms))
+    return _Head(rule.time_var, _values_getter(body), existentials, prefixes, {}, fixed, tuple(atoms))
 
 
-def _fire(head: _Head, binding: Binding, nulls: NullCounter, add: Callable[[Fact], None]) -> None:
+def _fire(head: _Head, binding: Binding, add: Callable[[Fact], None]) -> None:
     """One firing: extend ``binding`` in place and pass each head fact to ``add``."""
     context = binding[head.time_var]
-    for var in head.existentials:
-        binding[var] = _new(Null, (nulls.next_label(), context))
+    values = head.body(binding)
+    labels = head.labels.get(values)
+    if labels is None:  # the fragments of one source fact, or its time points, share their labels
+        text = _encode(values)
+        labels = head.labels[values] = [prefix + text + "]" for prefix in head.prefixes]
+    for var, label in zip(head.existentials, labels):
+        binding[var] = _new(Null, (label, context))
     binding.update(head.fixed)
     for relation, values, time_var in head.atoms:
         add(_new(Fact, (relation, values(binding), binding[time_var])))
 
 
-def st_step(inst: Instance, rule: SttTgd, binding: Binding,
-            nulls: NullCounter) -> frozenset[Fact]:
-    """One chase step: extend the binding with fresh nulls and fire the rule.
+def st_step(inst: Instance, rule: SttTgd, binding: Binding, index: int) -> frozenset[Fact]:
+    """One chase step: extend the binding with fresh nulls and fire the rule,
+    the mapping's rule number ``index``.
 
     Each existential variable gets one fresh null annotated with the bound
     interval or time point, reused at every occurrence across the
-    right-hand-side atoms.
+    right-hand-side atoms, and labeled by its Skolem term (see the module).
     """
     overlap = set(binding) & rule.existentials
     if overlap:
         raise ValueError(f"binding must not cover existential variables {sorted(overlap)}")
+    missing = {rule.time_var, *(t.name for a in rule.lhs for t in a.args if isinstance(t, Var))}.difference(binding)
+    if missing:
+        raise ValueError(f"binding must cover the left-hand-side variables {sorted(missing)}")
     for atom in rule.lhs:
         if instantiate_atom(atom, binding) not in inst.facts:
             raise ValueError(f"binding is not a formula homomorphism for atom {atom.relation!r}")
     facts: set[Fact] = set()
-    _fire(_compile_head(rule), dict(binding), nulls, facts.add)
+    _fire(_compile_head(rule, index), dict(binding), facts.add)
     return frozenset(facts)
 
 
 def _st_round(inst: Instance, rules: Sequence[SttTgd],
               target: Iterable[RelationSchema]) -> Instance:
     # the caller checked ``inst``; a join yields only homomorphisms, so no binding is re-checked
-    nulls = NullCounter()
     facts: set[Fact] = set()
     for i, rule in enumerate(rules):
         if not rule.lhs:
             raise PreconditionError(f"rule #{i} has an empty left-hand side")
-        head = _compile_head(rule)
-        for binding in _sorted_formula_homs(rule.lhs, inst):  # each a fresh dict, extended in place
-            _fire(head, binding, nulls, facts.add)
+        head = _compile_head(rule, i)
+        for binding in _formula_homs(rule.lhs, inst, None):  # each a fresh dict, extended in place
+            _fire(head, binding, facts.add)
     return Instance(inst.kind, tuple(target), frozenset(facts))
 
 
@@ -314,21 +308,42 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
                 if f is not hub:
                     for i in dep_pos:
                         if hub.values[i] != f.values[i]:
-                            equalities.append(_ordered_pair(hub.values[i], f.values[i]))
+                            equalities.append((hub.values[i], f.values[i]))
         if null_keys:
             _check_key(min(null_keys), schema, key_pos)
     return equalities
 
 
 def _first_conflict(equalities: Iterable[tuple[Value, Value]]) -> Failure:
-    """The failure met first when the equalities are merged in this order."""
+    """The failure met first when the equalities, each pair ordered, are
+    merged in canonical order; its trace is the shortest chain of the
+    equalities merged so far that links its two constants."""
     closure = EqClosure()
-    for x, y in equalities:
+    adjacent: dict[Value, list[Value]] = {}
+    for x, y in sorted({_ordered_pair(x, y) for x, y in equalities}):
+        adjacent.setdefault(x, []).append(y)
+        adjacent.setdefault(y, []).append(x)
         conflict = closure.merge(x, y)
         if conflict is not None:
-            c1, c2 = conflict
-            return Failure((c1, c2), closure.trace(c1, c2))
+            return Failure(conflict, _chain(adjacent, *conflict))
     raise AssertionError("no conflict in an order of equalities that another order conflicts in")
+
+
+def _chain(adjacent: dict[Value, list[Value]], x: Value, y: Value) -> tuple[tuple[Value, Value], ...]:
+    """Shortest chain of equalities linking x to y, found breadth first."""
+    prev = {x: x}
+    queue = deque([x])
+    while y not in prev:
+        u = queue.popleft()
+        for w in adjacent[u]:
+            if w not in prev:
+                prev[w] = u
+                queue.append(w)
+    path = [y]
+    while path[-1] != x:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return tuple(zip(path, path[1:]))
 
 
 def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]) -> ChaseOutcome:
@@ -345,7 +360,7 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]
     closure = EqClosure()
     for x, y in equalities:
         if closure.merge(x, y) is not None:
-            return _first_conflict(sorted(equalities))
+            return _first_conflict(equalities)
     reps = {v: rep for v, rep in closure.representatives().items() if v != rep}
     if not reps:
         return Success(inst)
@@ -372,9 +387,10 @@ def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],
                       target: Iterable[RelationSchema]) -> Instance:
     """Union of all dependency steps over every rule and left-hand-side binding.
 
-    Requires a normalized, complete concrete instance.  Fresh null labels are
-    issued in enumeration order (rules in order, bindings in canonical order,
-    existential variables in textual order), so the output is deterministic.
+    Requires a normalized, complete concrete instance.  Each fresh null is
+    labeled by its Skolem term (see the module), so the output does not
+    depend on the order the bindings are enumerated in, and every fragment
+    of one source fact labels its nulls alike.
     """
     _require(inst, CONCRETE, "dependency round", complete=True)
     return _st_round(inst, rules, target)

@@ -17,11 +17,11 @@ an index per pattern, and one stack walker yields the matching bindings.
 
 Indexes are built from each relation's facts in no particular order, and
 canonical order is paid for only where a result's order shows.
-``enumerate_formula_homs`` sorts its bindings, because the chase's null
-labels follow them; ``naive_eval`` takes the same walk unsorted into a set.
-``find_abstract_hom`` sorts each index list of the target and each
-shared-null component of the source into canonical order, because the hom
-it returns is the first binding in that order.  Canonical order is the
+``enumerate_formula_homs`` sorts the list it returns; the chase, whose null
+labels do not depend on binding order, and ``naive_eval`` take the same walk
+unsorted.  ``find_abstract_hom`` sorts each index list of the target and
+each shared-null component of the source into canonical order, because the
+hom it returns is the first binding in that order.  Canonical order is the
 values' own order (see ``model``), so each of these sorts is native.  The
 search compiles a join once per component shape (relations, and which
 position holds which null), with the component's constants and time point
@@ -229,15 +229,6 @@ def _formula_homs(atoms: Sequence[Atom], inst: Instance,
     return _walk(_join_plan(patterns, inst, bound, {}), start)
 
 
-def _sorted_formula_homs(atoms: Sequence[Atom], inst: Instance,
-                         initial: TMapping[str, object] | None = None) -> list[Binding]:
-    """The bindings of ``enumerate_formula_homs``, over a checked instance."""
-    results = list(_formula_homs(atoms, inst, initial))
-    if len(results) > 1:  # every binding of one call binds the same names
-        results.sort(key=itemgetter(*sorted(results[0])))
-    return results
-
-
 def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
                            initial: TMapping[str, object] | None = None) -> list[Binding]:
     """All bindings under which every atom instantiates to a fact of ``inst``.
@@ -255,7 +246,10 @@ def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
     relation of the schema.
     """
     _check_instance(inst)
-    return _sorted_formula_homs(atoms, inst, initial)
+    results = list(_formula_homs(atoms, inst, initial))
+    if len(results) > 1:  # every binding of one call binds the same names
+        results.sort(key=itemgetter(*sorted(results[0])))
+    return results
 
 
 def _check_hom_inputs(a: Instance, b: Instance) -> None:

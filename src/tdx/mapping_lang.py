@@ -66,15 +66,6 @@ class SttTgd:
     def time_var(self) -> str:
         return self.lhs[0].time_var
 
-    def existential_order(self) -> tuple[str, ...]:
-        """Existential variables in first-occurrence order over the rhs text."""
-        seen: list[str] = []
-        for atom in self.rhs:
-            for term in atom.args:
-                if isinstance(term, Var) and term.name in self.existentials and term.name not in seen:
-                    seen.append(term.name)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class Tkc:

@@ -5,7 +5,8 @@ semantics is recomputed by explicit point enumeration, homomorphism
 existence by exhaustive enumeration of null assignments and by a
 backtracking scan over every fact at the same relation and time point,
 formula homomorphisms by a recursive nested loop over whole relations, the
-dependency round by instantiating each head atom of a copied binding, the
+dependency round by instantiating each head atom of a copied binding with
+nulls labeled by the json module's text of their Skolem terms, the
 key round's equalities from every pair of every key group, the instance
 loader by reading each row through the general rules, and the canonical
 instance text by the json module's own encoder.  The abstract
@@ -29,9 +30,9 @@ from tdx import (
     Fact,
     Instance,
     Null,
-    NullCounter,
     RelationSchema,
     SchemaError,
+    Var,
     enumerate_formula_homs,
     find_abstract_hom,
     instantiate_atom,
@@ -96,25 +97,33 @@ def json_dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def instantiated_firing(rule, binding: dict, nulls: NullCounter) -> frozenset[Fact]:
-    """One firing of ``rule``: a copy of ``binding`` extended with one fresh
-    null per existential variable, in textual order, annotated with the bound
-    time, and every head atom instantiated through ``instantiate_atom``."""
+def skolem_label(index: int, var: str, body: dict) -> str:
+    """The label of the null that rule number ``index`` invents for ``var``
+    at a binding whose non-temporal body values are ``body``: the compact
+    JSON text of the Skolem term, the values in variable name order."""
+    term = [index, var, [body[name] for name in sorted(body)]]
+    return json.dumps(term, ensure_ascii=False, separators=(",", ":"))
+
+
+def instantiated_firing(rule, index: int, binding: dict) -> frozenset[Fact]:
+    """One firing of rule number ``index``: a copy of ``binding`` extended
+    with one fresh null per existential variable, labeled by
+    ``skolem_label`` and annotated with the bound time, and every head atom
+    instantiated through ``instantiate_atom``."""
+    body = {t.name: binding[t.name] for atom in rule.lhs for t in atom.args if isinstance(t, Var)}
     extended = dict(binding)
-    for var in rule.existential_order():
-        extended[var] = Null(nulls.next_label(), binding[rule.time_var])
+    for var in rule.existentials:
+        extended[var] = Null(skolem_label(index, var, body), binding[rule.time_var])
     return frozenset(instantiate_atom(atom, extended) for atom in rule.rhs)
 
 
 def instantiated_st_round(inst: Instance, rules, target) -> Instance:
-    """The dependency round: ``instantiated_firing`` of each rule, in order,
-    at each binding of ``enumerate_formula_homs``, in its order, with one
-    counter of null labels."""
-    nulls = NullCounter()
+    """The dependency round: ``instantiated_firing`` of each rule at each
+    binding of ``enumerate_formula_homs``."""
     facts: set[Fact] = set()
-    for rule in rules:
+    for index, rule in enumerate(rules):
         for binding in enumerate_formula_homs(rule.lhs, inst):
-            facts |= instantiated_firing(rule, binding, nulls)
+            facts |= instantiated_firing(rule, index, binding)
     return Instance(inst.kind, tuple(target), frozenset(facts))
 
 

@@ -26,9 +26,10 @@ HORIZON = 13
 def test_st_round_on_a_single_fact(example1):
     src = Instance.abstract(example1.source, [fact("Employee1", "Ada", "IBM", time=8)])
     out = st_round_abstract(src, example1.sttgds[:1], example1.target)
+    p, s = '[0,"p",["IBM","Ada"]]', '[0,"s",["IBM","Ada"]]'
     assert out.facts == {
-        fact("Emp", "Ada", pnull("N1", 8), "IBM", time=8),
-        fact("Sal", "Ada", pnull("N1", 8), pnull("N2", 8), time=8),
+        fact("Emp", "Ada", pnull(p, 8), "IBM", time=8),
+        fact("Sal", "Ada", pnull(p, 8), pnull(s, 8), time=8),
     }
 
 

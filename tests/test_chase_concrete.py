@@ -1,4 +1,3 @@
-import importlib
 import random
 import re
 from collections import Counter
@@ -15,7 +14,6 @@ from tdx import (
     Instance,
     KeyNullViolation,
     Null,
-    NullCounter,
     PreconditionError,
     SchemaError,
     Success,
@@ -42,16 +40,16 @@ from helpers import c, fact, in_order, inull, iv, pnull, rel
 from oracles import instantiated_firing, instantiated_st_round, pairwise_round_equalities
 
 HORIZON = 13
-chase_module = importlib.import_module("tdx.chase")  # the package's ``chase`` is the function
 
 
 def test_st_step_shares_the_fresh_null_across_atoms(fig8, example1):
     rule = example1.sttgds[0]
     binding = {"n": c("Ada"), "c": c("IBM"), "t": iv(8, 10)}
-    out = st_step(fig8, rule, binding, NullCounter())
+    out = st_step(fig8, rule, binding, 0)
+    p, s = '[0,"p",["IBM","Ada"]]', '[0,"s",["IBM","Ada"]]'  # body values in variable name order
     assert out == {
-        fact("Emp", "Ada", inull("N1", 8, 10), "IBM", time=iv(8, 10)),
-        fact("Sal", "Ada", inull("N1", 8, 10), inull("N2", 8, 10), time=iv(8, 10)),
+        fact("Emp", "Ada", inull(p, 8, 10), "IBM", time=iv(8, 10)),
+        fact("Sal", "Ada", inull(p, 8, 10), inull(s, 8, 10), time=iv(8, 10)),
     }
 
 
@@ -62,27 +60,35 @@ def test_st_step_without_existentials_copies_constants(fig8, example1):
         (Atom("Emp", (Var("n"), Var("n"), Var("c")), "t"),),
         frozenset())
     binding = {"n": c("Ada"), "c": c("IBM"), "t": iv(8, 10)}
-    out = st_step(fig8, rule, binding, NullCounter())
+    out = st_step(fig8, rule, binding, 0)
     assert out == {fact("Emp", "Ada", "Ada", "IBM", time=iv(8, 10))}
 
 
 def test_st_step_on_the_unbounded_tail_row(fig8, example1):
     rule = example1.sttgds[0]
     binding = {"n": c("Ada"), "c": c("Intel"), "t": iv(11, 13)}
-    out = st_step(fig8, rule, binding, NullCounter())
+    out = st_step(fig8, rule, binding, 0)
+    p, s = '[0,"p",["Intel","Ada"]]', '[0,"s",["Intel","Ada"]]'
     assert out == {
-        fact("Emp", "Ada", inull("N1", 11, 13), "Intel", time=iv(11, 13)),
-        fact("Sal", "Ada", inull("N1", 11, 13), inull("N2", 11, 13), time=iv(11, 13)),
+        fact("Emp", "Ada", inull(p, 11, 13), "Intel", time=iv(11, 13)),
+        fact("Sal", "Ada", inull(p, 11, 13), inull(s, 11, 13), time=iv(11, 13)),
     }
 
 
 def test_st_step_rejects_non_homomorphisms(fig8, example1):
     rule = example1.sttgds[0]
     with pytest.raises(ValueError):
-        st_step(fig8, rule, {"n": c("Ada"), "c": c("HP"), "t": iv(8, 10)}, NullCounter())
+        st_step(fig8, rule, {"n": c("Ada"), "c": c("HP"), "t": iv(8, 10)}, 0)
     with pytest.raises(ValueError):
-        st_step(fig8, rule, {"n": c("Ada"), "c": c("IBM"), "t": iv(8, 10), "p": c("x")},
-                NullCounter())
+        st_step(fig8, rule, {"n": c("Ada"), "c": c("IBM"), "t": iv(8, 10), "p": c("x")}, 0)
+
+
+def test_st_step_names_the_body_variables_a_binding_lacks(fig8, example1):
+    rule = example1.sttgds[0]
+    with pytest.raises(ValueError, match=re.escape("left-hand-side variables ['c']")):
+        st_step(fig8, rule, {"n": c("Ada"), "t": iv(8, 10)}, 0)
+    with pytest.raises(ValueError, match=re.escape("left-hand-side variables ['c', 'n', 't']")):
+        st_step(fig8, rule, {}, 0)
 
 
 def test_st_round_matches_figure_up_to_relabeling(fig7, fig8, example1):
@@ -134,10 +140,10 @@ def test_compiled_dependency_round_agrees_with_instantiated_firing():
             got = st_round(src, m.sttgds, m.target)
             assert dumps_instance(got) == dumps_instance(instantiated_st_round(src, m.sttgds, m.target))
             seen[f"{src.kind} facts"] += len(got.facts)
-            for rule in m.sttgds:
+            for index, rule in enumerate(m.sttgds):
                 for binding in enumerate_formula_homs(rule.lhs, src)[:2]:
                     kept = dict(binding)
-                    assert st_step(src, rule, binding, NullCounter()) == instantiated_firing(rule, kept, NullCounter())
+                    assert st_step(src, rule, binding, index) == instantiated_firing(rule, index, kept)
                     assert binding == kept
                     seen["st_step"] += 1
     assert min(seen.values()) >= 20, seen
@@ -300,15 +306,15 @@ def test_chase_is_deterministic(fig1, example1):
 def test_eqclosure_representatives_and_trace():
     closure = EqClosure()
     n1, n2, n3 = inull("A1", 0, 1), inull("A2", 0, 1), inull("A3", 0, 1)
-    assert closure.merge(n1, n2) is None
-    assert closure.merge(n2, c("k")) is None
-    assert closure.merge(n3, n3) is None
+    equalities = [(n1, n2), (n2, c("k")), (n3, n3)]
+    assert [closure.merge(x, y) for x, y in equalities] == [None] * 3
     reps = closure.representatives()
     assert reps[n1] == reps[n2] == c("k")
     conflict = closure.merge(c("k"), c("j"))
     assert conflict == (c("j"), c("k"))
-    trace = closure.trace(c("j"), c("k"))
-    assert trace and trace[0][0] == c("j") and trace[-1][1] == c("k")
+    inst = Instance.concrete([rel("R", "a")], [fact("R", n1, time=iv(0, 1))])
+    failure = _close_and_replace(inst, [*equalities, (n1, c("j"))])
+    assert failure == Failure((c("j"), c("k")), ((c("j"), n1), (n1, n2), (n2, c("k"))))
 
 
 def test_eqclosure_null_only_class_elects_least_label():
@@ -410,19 +416,14 @@ def test_hub_key_round_agrees_with_all_pairs():
     assert len(outcomes) == 3 and min(outcomes.values()) >= 20, outcomes
 
 
-def test_key_round_pairs_each_member_with_one_hub(monkeypatch):
+def test_key_round_pairs_each_member_with_one_hub():
     k = 2000
     inst = Instance.concrete([rel("Emp", "name", "position", "company")], [
         fact("Emp", "Ada", inull(f"N{i}", 0, 5), "IBM", time=iv(0, 5)) for i in range(k)])
-    calls = 0
-    ordered_pair = chase_module._ordered_pair
-
-    def counting(*args):  # one call per dependent that differs from the hub's: here, the position
-        nonlocal calls
-        calls += 1
-        return ordered_pair(*args)
-
-    monkeypatch.setattr(chase_module, "_ordered_pair", counting)
-    out = tkc_round_concrete(inst, [Tkc("Emp", frozenset({"name", "time"}), ("position", "company"))])
-    assert calls == k - 1
+    tkcs = [Tkc("Emp", frozenset({"name", "time"}), ("position", "company"))]
+    hub = inull("N0", 0, 5)  # one equality per dependent that differs from the hub's: here, the position
+    equalities = _round_equalities(inst, tkcs)
+    assert len(equalities) == k - 1
+    assert set(equalities) == {(hub, inull(f"N{i}", 0, 5)) for i in range(1, k)}
+    out = tkc_round_concrete(inst, tkcs)
     assert out == Success(inst.replace_facts([fact("Emp", "Ada", inull("N0", 0, 5), "IBM", time=iv(0, 5))]))

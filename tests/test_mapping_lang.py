@@ -31,7 +31,6 @@ def test_parse_running_example(example1):
         Atom("Sal", (Var("n"), Var("p"), Var("s")), "t"),
     )
     assert first.existentials == {"p", "s"}
-    assert first.existential_order() == ("p", "s")
     assert len(example1.tkcs) == 2
     emp_key = example1.tkcs[0]
     assert emp_key == Tkc("Emp", frozenset({"name", "time"}), ("position", "company"))
