@@ -4,10 +4,18 @@ either applies the replacements or fails on a constant conflict.
 
 The two views run one algorithm.  A fresh ``Null`` is annotated with the
 time its rule fired at, an interval over a concrete instance and a time point
-over an abstract one, so the view shows only in the instance kind; only a
-concrete source is normalized first.  Infinite abstract views are never
-materialized here; they are reached through ``sem_instance`` with an explicit
-horizon, and the chase runs on the resulting finite instance.
+over an abstract one, so the view shows only in the instance kind.
+Infinite abstract views are never materialized here; they are reached
+through ``sem_instance`` with an explicit horizon, and the chase runs on the
+resulting finite instance.
+
+A concrete chase cuts each fact only against the facts it can meet (the
+grouping-scoped alignment of Dignös, Böhlen and Gamper, SIGMOD 2012): a rule
+of one atom fires on the source facts as they are, a rule of several atoms
+reads its join blocks cut, and the key round coalesces its input, cuts it
+per key block, and coalesces its result (Böhlen, Snodgrass and Soo, VLDB
+1996).  So a concrete result is coalesced, and its bytes depend only on the
+abstract view of the dependency round's result.
 
 A fresh null's label is its Skolem term (Fagin, Kolaitis, Popa and Tan,
 TODS 2005; Marnette, PODS 2009): the compact JSON text of the rule's index,
@@ -39,7 +47,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import KeyNullViolation, PreconditionError, SchemaError
-from .homomorphism import Binding, _formula_homs, instantiate_atom
+from .homomorphism import Binding, _formula_homs, _join_inputs, instantiate_atom
 from .mapping_lang import Mapping, SttTgd, Tkc, Var
 from .model import (
     ABSTRACT,
@@ -49,13 +57,15 @@ from .model import (
     Null,
     RelationSchema,
     Value,
+    _apply_cuts,
+    _blocks,
     _check_instance,
+    _coalesce,
     _new,
+    _plan_cuts,
     conform_instance,
     is_complete,
-    is_normalized,
     is_null,
-    normalize_instance,
 )
 
 
@@ -223,13 +233,17 @@ def st_step(inst: Instance, rule: SttTgd, binding: Binding, index: int) -> froze
 
 def _st_round(inst: Instance, rules: Sequence[SttTgd],
               target: Iterable[RelationSchema]) -> Instance:
+    """Every rule fired at every binding of its body.  Over a concrete
+    instance each body reads its join blocks cut (``_join_inputs``): a rule
+    of one atom fires on the facts as they are."""
     # the caller checked ``inst``; a join yields only homomorphisms, so no binding is re-checked
-    facts: set[Fact] = set()
     for i, rule in enumerate(rules):
         if not rule.lhs:
             raise PreconditionError(f"rule #{i} has an empty left-hand side")
+    facts: set[Fact] = set()
+    for i, (rule, body_inst) in enumerate(zip(rules, _join_inputs([rule.lhs for rule in rules], inst, True))):
         head = _compile_head(rule, i)
-        for binding in _formula_homs(rule.lhs, inst, None):  # each a fresh dict, extended in place
+        for binding in _formula_homs(rule.lhs, body_inst, None):  # each a fresh dict, extended in place
             _fire(head, binding, facts.add)
     return Instance(inst.kind, tuple(target), frozenset(facts))
 
@@ -275,6 +289,50 @@ def tkc_step(u1: Fact, u2: Fact, tkc: Tkc,
         for i in dep_pos if u1.values[i] != u2.values[i])
 
 
+def _key_positions(inst: Instance, tkc: Tkc) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``tkc_positions`` of a key constraint within its relation's schema in ``inst``."""
+    schema = inst.schema_by_name.get(tkc.relation)
+    if schema is None:
+        raise SchemaError(f"key constraint on unknown relation {tkc.relation!r}")
+    return tkc_positions(tkc, schema)
+
+
+def _key_blocks(inst: Instance, tkcs: Sequence[Tkc]) -> list[list[Fact]]:
+    """The facts that a concrete key round must cut against each other: two
+    facts are in one block if they are in one key group up to time, or hold
+    a null of one label, each null read as its label.  A replacement then
+    meets every occurrence of its null, whose pieces are cut alike."""
+    keys: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
+    for i, tkc in enumerate(tkcs):
+        keys.setdefault(tkc.relation, []).append((i, _key_positions(inst, tkc)[0]))
+
+    def tokens(f: Fact) -> list:
+        values = f.values
+        out: list = [v.label for v in values if v.__class__ is Null]
+        for i, where in keys.get(f.relation, ()):
+            out.append((i, *[v if v.__class__ is str else (v.label,) for v in map(values.__getitem__, where)]))
+        return out
+
+    return _blocks(inst.facts, tokens)
+
+
+def _key_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
+    """The concrete key round: ``_coalesce`` the input, cut it per key block
+    (``_key_blocks``), close and replace, and coalesce a success.
+
+    The coalesced input is a function of the input's abstract view alone,
+    and so are the rest of the steps, so the outcome does not depend on how
+    the input was cut: a globally normalized dependency round and one cut
+    per join block give the same bytes, failure witness and
+    ``KeyNullViolation`` text.  The cut makes no more facts than a
+    dependency round over the globally normalized source, so it is not
+    refused for size."""
+    inst = _coalesce(inst)
+    inst = _apply_cuts(inst, _plan_cuts(_key_blocks(inst, tkcs)))
+    outcome = _close_and_replace(inst, _round_equalities(inst, tkcs))
+    return Success(_coalesce(outcome.instance)) if isinstance(outcome, Success) else outcome
+
+
 def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, Value]]:
     """The equalities of every key group: the facts of one relation that agree
     on the time and the key values.
@@ -288,10 +346,7 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
     """
     equalities: list[tuple[Value, Value]] = []
     for tkc in tkcs:
-        schema = inst.schema_by_name.get(tkc.relation)
-        if schema is None:
-            raise SchemaError(f"key constraint on unknown relation {tkc.relation!r}")
-        key_pos, dep_pos = tkc_positions(tkc, schema)
+        key_pos, dep_pos = _key_positions(inst, tkc)
         key_of = itemgetter(*key_pos) if key_pos else (lambda values: ())
         groups: dict[tuple, list[Fact]] = {}
         for f in inst.facts_by_relation[tkc.relation]:
@@ -310,7 +365,7 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
                         if hub.values[i] != f.values[i]:
                             equalities.append((hub.values[i], f.values[i]))
         if null_keys:
-            _check_key(min(null_keys), schema, key_pos)
+            _check_key(min(null_keys), inst.schema_by_name[tkc.relation], key_pos)
     return equalities
 
 
@@ -371,14 +426,10 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]
 
 
 def _require(inst: Instance, kind: str, what: str, *, complete: bool) -> None:
-    """One view's precondition: its kind, a well-formed instance (``is_normalized``
-    checks a concrete one), normalization if concrete, completeness if asked."""
+    """One view's precondition: its kind, a well-formed instance, completeness if asked."""
     if inst.kind != kind:
         raise PreconditionError(f"the {kind} {what} expects a {kind} instance, got {inst.kind}")
-    if kind == ABSTRACT:
-        _check_instance(inst)
-    elif not is_normalized(inst):
-        raise PreconditionError(f"the {kind} {what} requires a normalized instance")
+    _check_instance(inst)
     if complete and not is_complete(inst):
         raise PreconditionError(f"the {kind} {what} requires a complete instance")
 
@@ -387,10 +438,11 @@ def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],
                       target: Iterable[RelationSchema]) -> Instance:
     """Union of all dependency steps over every rule and left-hand-side binding.
 
-    Requires a normalized, complete concrete instance.  Each fresh null is
-    labeled by its Skolem term (see the module), so the output does not
-    depend on the order the bindings are enumerated in, and every fragment
-    of one source fact labels its nulls alike.
+    Requires a complete concrete instance; a rule of several atoms reads its
+    join blocks cut (see the module).  Each fresh null is labeled by its
+    Skolem term (see the module), so the output does not depend on the order
+    the bindings are enumerated in, and every fragment of one source fact
+    labels its nulls alike.
     """
     _require(inst, CONCRETE, "dependency round", complete=True)
     return _st_round(inst, rules, target)
@@ -407,11 +459,13 @@ def st_round_abstract(inst: Instance, rules: Sequence[SttTgd],
 def tkc_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     """Close the equalities of every conflicting pair, then replace or fail.
 
-    Requires a normalized concrete instance.  A null in a key position of a
-    conflicting pair raises KeyNullViolation.
+    The key round ``chase`` runs (``_key_round_concrete``), over any concrete
+    instance: the input is coalesced and cut per key block, and a success
+    is coalesced.  A null in a key position of a conflicting pair raises
+    KeyNullViolation.
     """
     _require(inst, CONCRETE, "key round", complete=False)
-    return _close_and_replace(inst, _round_equalities(inst, tkcs))
+    return _key_round_concrete(inst, tkcs)
 
 
 def tkc_round_abstract(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
@@ -428,15 +482,17 @@ def tkc_round_abstract(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
 def chase(src: Instance, m: Mapping) -> ChaseOutcome:
     """Dependency round, then key round, in the view of the source's kind.
 
-    A concrete source is normalized first.  On success the result together
-    with the source satisfies every dependency, and the result satisfies
-    every key constraint.
+    A concrete source is cut only where facts meet: each rule body per join
+    block, and the dependency round's result per key block; a concrete
+    result is coalesced.  On success the result together with the source
+    satisfies every dependency, and the result satisfies every key
+    constraint.
     """
     src = conform_instance(src, m.source)
     _check_instance(src)
     if not is_complete(src):
         raise PreconditionError("the source instance must be complete")
-    if src.kind == CONCRETE:
-        src = normalize_instance(src)
     staged = _st_round(src, m.sttgds, m.target)
+    if staged.kind == CONCRETE:
+        return _key_round_concrete(staged, m.tkcs)
     return _close_and_replace(staged, _round_equalities(staged, m.tkcs))

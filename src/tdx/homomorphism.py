@@ -57,11 +57,15 @@ from .model import (
     Instance,
     Null,
     Value,
+    _apply_cuts,
+    _blocks,
     _check_horizon,
     _check_instance,
     _cut,
     _default_horizon,
     _grid_cuts,
+    _plan_cuts,
+    _refuse_fragments,
 )
 from .temporal import ClopenInterval, build_grid
 
@@ -216,6 +220,15 @@ def _formula_homs(atoms: Sequence[Atom], inst: Instance,
     """The bindings of ``enumerate_formula_homs``, unsorted, as the walk yields
     them, over an instance that passed ``_check_instance``.  The atoms are
     checked, and the relations read are indexed, at the call."""
+    _check_atoms(atoms, inst)
+    start: Binding = dict(initial or {})
+    bound = {v for v, value in start.items() if value is not None}
+    patterns = [_compile(a) for a in atoms]
+    return _walk(_join_plan(patterns, inst, bound, {}), start)
+
+
+def _check_atoms(atoms: Sequence[Atom], inst: Instance) -> None:
+    """Each atom fills a relation of the schema (SchemaError otherwise)."""
     for atom in atoms:
         schema = inst.schema_by_name.get(atom.relation)
         if schema is None:
@@ -223,10 +236,78 @@ def _formula_homs(atoms: Sequence[Atom], inst: Instance,
         if len(atom.args) != schema.arity:
             raise SchemaError(f"relation {atom.relation!r} expects {schema.arity} value "
                               f"arguments, got {len(atom.args)}")
-    start: Binding = dict(initial or {})
-    bound = {v for v, value in start.items() if value is not None}
-    patterns = [_compile(a) for a in atoms]
-    return _walk(_join_plan(patterns, inst, bound, {}), start)
+
+
+def _join_tokens(atoms: Sequence[Atom]) -> Optional[dict[str, list[tuple[int, tuple[int, ...]]]]]:
+    """Per relation of a body, the tokens a fact of it gets: for each edge of
+    a spanning tree of the body's distinct atoms, two atoms linked when they
+    share a variable, at each end the edge's number and the positions there
+    of the variables the two atoms share.  The facts of one binding agree
+    on those values, so the edges' tokens link them all; none if some atoms
+    share no variable, even through others, and then every fact can meet
+    every other."""
+    atoms = list(dict.fromkeys(atoms))  # a repeated atom matches the fact its twin does
+    places = [{t.name: p for p, t in reversed(list(enumerate(a.args))) if isinstance(t, Var)} for a in atoms]
+    users: dict[str, list[int]] = {}
+    for i, names in enumerate(places):
+        for v in names:
+            users.setdefault(v, []).append(i)
+    tokens: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
+    reached, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for v in places[i]:
+            for j in users.pop(v, ()):  # each variable's atoms are met once
+                if j in reached:
+                    continue
+                reached.add(j)
+                stack.append(j)
+                shared = [w for w in places[i] if w in places[j]]
+                for k in (i, j):
+                    where = tuple([places[k][w] for w in shared])
+                    tokens.setdefault(atoms[k].relation, []).append((len(reached), where))
+    return tokens if len(reached) == len(atoms) else None
+
+
+def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, bounded: bool) -> list[Instance]:
+    """For each body, the instance its join reads.
+
+    A join binds one time value to every atom, so over a concrete instance
+    facts that overlap must first be cut into equal pieces.  Only facts that
+    can meet in one binding are cut against each other: the body's join
+    blocks, where two facts are in one block if, for a pair of atoms linked
+    in ``_join_tokens``, they agree on the values the pair shares, each null
+    read as its label (the grouping-scoped alignment of Dignös, Böhlen and
+    Gamper, "Temporal Alignment", SIGMOD 2012).  A body of one atom, a block
+    that lacks a fact of some relation of the body (it yields no binding), a
+    block whose intervals are equal or disjoint, and an abstract instance
+    need no cut.  If ``bounded``, the fragments are counted over every block
+    of every body before any is made, and refused above
+    ``MAX_NORMALIZE_FRAGMENTS`` as ``normalize_instance`` refuses them.
+    """
+    if inst.kind != CONCRETE:
+        return [inst] * len(bodies)
+    plans = []
+    for atoms in bodies:
+        if len(atoms) < 2:
+            plans.append([])
+            continue
+        _check_atoms(atoms, inst)
+        by_relation = _join_tokens(atoms)
+        relations = {a.relation for a in atoms}
+        if by_relation is None:
+            blocks = [[f for r in relations for f in inst.facts_by_relation[r]]]
+        else:
+            def tokens(f: Fact, by_relation=by_relation) -> list:
+                values = f.values  # each null read as its label, as ``model._coalesce`` reads it
+                return [(edge, *[v if v.__class__ is str else (v.label,) for v in map(values.__getitem__, where)])
+                        for edge, where in by_relation.get(f.relation, ())]
+
+            blocks = _blocks([f for r in relations for f in inst.facts_by_relation[r]], tokens)
+        plans.append(_plan_cuts([b for b in blocks if len(b) > 1 and relations <= {f.relation for f in b}]))
+    if bounded:
+        _refuse_fragments([p for block_plans in plans for p in block_plans])
+    return [_apply_cuts(inst, block_plans) for block_plans in plans]
 
 
 def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
@@ -285,31 +366,9 @@ _Key = tuple[tuple[tuple[str, tuple], ...], int]
 def _components(inst: Instance) -> tuple[list[Fact], list[list[Fact]]]:
     """The facts of ``inst`` that hold no null, and its connected components
     of the shared-null graph, each a list of facts in no particular order."""
-    parent: dict[Null, Null] = {}
-
-    def find(n: Null) -> Null:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
     ground: list[Fact] = []
-    firsts: list[tuple[Fact, Null]] = []
-    for f in inst.facts:
-        nulls = [v for v in f.values if v.__class__ is Null]
-        if not nulls:
-            ground.append(f)
-            continue
-        for n in nulls:
-            parent.setdefault(n, n)
-        first = find(nulls[0])
-        for n in nulls[1:]:
-            parent[find(n)] = first
-        firsts.append((f, first))
-    components: dict[Null, list[Fact]] = {}
-    for f, n in firsts:
-        components.setdefault(find(n), []).append(f)
-    return ground, list(components.values())
+    components = _blocks(inst.facts, lambda f: [v for v in f.values if v.__class__ is Null], ground)
+    return ground, components
 
 
 def _numbered(facts: list[Fact]) -> tuple[_Key, list[Null]]:

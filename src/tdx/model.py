@@ -21,7 +21,11 @@ values, then time; intervals by start, then end, finite ends first).
 up to an explicit finite horizon (abstract views of unbounded intervals are
 infinite, so materialization must be bounded).  ``normalize_instance``
 rewrites a concrete instance so that any two intervals across all relations
-are either equal or disjoint.
+are either equal or disjoint; it is the one-block case of the block cut
+(``_blocks``, ``_plan_cuts``, ``_apply_cuts``), which the chase and
+``naive_eval`` apply only among facts that can meet.  ``_coalesce`` merges
+facts that are equal up to null annotations and whose intervals overlap or
+meet, the one form of an abstract view with maximal facts.
 
 An instance is a set of facts; canonical order is a cost paid where order
 shows.  An instance's accessors, ``facts`` and ``facts_by_relation`` (each
@@ -46,7 +50,8 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, NamedTuple, Union
+from itertools import combinations
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
 from .temporal import INF, ClopenInterval, build_grid, interval_points, split_interval
@@ -410,13 +415,171 @@ def is_normalized(inst: Instance) -> bool:
     return all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
-# The most fragments one ``normalize_instance`` adds to the facts it splits
-# (see its docstring).
+# The most fragments one ``normalize_instance``, or the chase's cut of its
+# rule bodies, adds to the facts it splits (see ``normalize_instance``'s
+# docstring).
 MAX_NORMALIZE_FRAGMENTS = 100_000
+
+# A set of at most this many distinct intervals is tested pairwise, without
+# a sort: whether they are equal or disjoint (``_apart``), and their union
+# (``_merged``).
+_PAIRWISE = 8
+
+
+def _apart(times: Collection[ClopenInterval]) -> bool:
+    """Whether distinct intervals are pairwise disjoint."""
+    return all(a.end <= b.start or b.end <= a.start for a, b in combinations(times, 2))
+
+
+def _merged(times: Collection[ClopenInterval]) -> list[ClopenInterval]:
+    """The maximal intervals of the union of ``times``: two that overlap or
+    meet are one."""
+    if len(times) > _PAIRWISE:
+        ordered = sorted(times)
+        out = [ordered[0]]
+        for iv in ordered[1:]:
+            last = out[-1]
+            if iv.start > last.end:
+                out.append(iv)
+            elif iv.end > last.end:
+                out[-1] = _new(ClopenInterval, (last.start, iv.end))
+        return out
+    runs: list[tuple] = []
+    for s, e in times:
+        kept = []
+        for run in runs:  # pairwise apart and not meeting, so one pass absorbs all that meet [s, e)
+            if run[0] <= e and s <= run[1]:
+                s = run[0] if run[0] < s else s
+                e = run[1] if run[1] > e else e
+            else:
+                kept.append(run)
+        kept.append((s, e))
+        runs = kept
+    return [_new(ClopenInterval, run) for run in runs]
+
+
+def _coalesce(inst: Instance) -> Instance:
+    """The concrete instance with its facts coalesced: facts that are equal
+    once each null is read as its label, and whose intervals overlap or
+    meet, become one fact over the union, its nulls re-annotated with it.
+
+    The result has the same abstract view at every valid horizon, and it is
+    the one instance of maximal facts that has that view, so two instances
+    with equal abstract views coalesce to equal instances (Böhlen, Snodgrass
+    and Soo, "Coalescing in Temporal Databases", VLDB 1996).  An instance
+    with nothing to merge is returned as it is.
+    """
+    groups: dict[tuple, list[Fact]] = {}
+    for f in inst.facts:
+        # each null read as its label: the one-tuple of its label, which equals no constant
+        key = (f.relation, tuple([v if v.__class__ is str else (v.label,) for v in f.values]))
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [f]
+        else:
+            group.append(f)
+    if len(groups) == len(inst.facts):
+        return inst
+    facts: list[Fact] = []
+    for (relation, values), group in groups.items():
+        runs = _merged([f.time for f in group]) if len(group) > 1 else group
+        if len(runs) == len(group):  # nothing merges
+            facts += group
+            continue
+        for iv in runs:
+            facts.append(_new(Fact, (relation, tuple([v if v.__class__ is str else _new(Null, (v[0], iv))
+                                                      for v in values]), iv)))
+    return _keep_screened(Instance(CONCRETE, inst.schema, frozenset(facts)))
+
+
+def _blocks(facts: Iterable[Fact], tokens: Callable[[Fact], list],
+            loose: list[Fact] | None = None) -> list[list[Fact]]:
+    """The finest partition of the facts in which two facts that share a
+    token are in one block, found by union-find over the tokens.  A fact
+    without tokens meets no other fact: it is left out, or appended to
+    ``loose`` if given."""
+    parent: dict = {}
+
+    def find(t):
+        parent.setdefault(t, t)
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        return t
+
+    firsts = []
+    for f in facts:
+        mine = tokens(f)
+        if not mine:
+            if loose is not None:
+                loose.append(f)
+            continue
+        root = find(mine[0])
+        for t in mine[1:]:
+            other = find(t)
+            if other != root:
+                parent[other] = root
+        firsts.append((f, mine[0]))
+    blocks: dict = {}
+    for f, t in firsts:
+        blocks.setdefault(find(t), []).append(f)
+    return list(blocks.values())
+
+
+class _Cut(NamedTuple):
+    """A block that needs a cut: its facts, its sorted endpoint grid, and
+    ``_grid_cuts`` of its intervals on the grid."""
+
+    facts: Collection[Fact]
+    grid: list[int]
+    cuts: dict[ClopenInterval, tuple[int, int]]
+    fragments: int
+
+
+def _plan_cuts(blocks: Iterable[Collection[Fact]]) -> list[_Cut]:
+    """The blocks that need a cut, with their grids, so that no fact of a
+    block overlaps another fact of the block unless their intervals are
+    equal.  A block whose intervals are equal or disjoint needs none; a
+    block of at most ``_PAIRWISE`` distinct intervals is seen to be so
+    without a sort."""
+    plans = []
+    for block in blocks:
+        times = {f.time for f in block}
+        if len(times) < 2 or (len(times) <= _PAIRWISE and _apart(times)):
+            continue
+        uses = Counter(f.time for f in block)
+        grid = build_grid(times)
+        cuts, count = _grid_cuts(uses, grid)  # one fragment per grid point in the interval, its start first
+        if count > len(block):
+            plans.append(_Cut(block, grid, cuts, count))
+    return plans
+
+
+def _refuse_fragments(plans: list[_Cut]) -> None:
+    """PreconditionError if the cuts add more than ``MAX_NORMALIZE_FRAGMENTS``
+    fragments to the facts they split, counted before any is made."""
+    facts = sum(len(p.facts) for p in plans)
+    added = sum(p.fragments for p in plans) - facts
+    if added > MAX_NORMALIZE_FRAGMENTS:
+        raise PreconditionError(f"normalization would split {facts} facts into "
+                                f"{facts + added} fragments, {added} more than the facts, "
+                                f"above the limit of {MAX_NORMALIZE_FRAGMENTS}")
+
+
+def _apply_cuts(inst: Instance, plans: list[_Cut]) -> Instance:
+    """``inst`` with the facts of each planned block cut over the block's grid
+    by ``split_interval`` and ``_cut``."""
+    if not plans:
+        return inst
+    facts = set(inst.facts)
+    for p in plans:
+        facts.difference_update(p.facts)
+        facts.update(_cut(p.facts, {iv: split_interval(iv, p.grid[lo:hi]) for iv, (lo, hi) in p.cuts.items()}))
+    return _keep_screened(Instance(CONCRETE, inst.schema, frozenset(facts)))
 
 
 def normalize_instance(inst: Instance) -> Instance:
-    """Split every fact over the endpoint grid of the whole instance.
+    """Split every fact over the endpoint grid of the whole instance: the
+    block cut of ``_plan_cuts`` with all facts in one block.
 
     The output satisfies the normalization predicate and has the same abstract
     view at every valid horizon: each distinct interval is cut by
@@ -435,25 +598,16 @@ def normalize_instance(inst: Instance) -> Instance:
     passes.  Measured with tracemalloc (Python 3.11, example1 sources, 66,048
     and 80,200 fragments), a fragment takes about 0.4 KB at the peak of this
     function, 1.2 KB at the peak of ``tdx normalize``, which also writes the
-    text, and 3.9 KB at the peak of ``tdx chase``, which chases the
-    fragments: 100,000 added fragments are about 0.04, 0.12 and 0.39 GB on
-    top of what the facts themselves take.
+    text, and 3.9 KB at the peak of a chase of the fragments: 100,000 added
+    fragments are about 0.04, 0.12 and 0.39 GB on top of what the facts
+    themselves take.
     """
     if inst.kind != CONCRETE:
         raise SchemaError("normalize_instance expects a concrete instance")
     _check_instance(inst)
-    uses = Counter(f.time for f in inst.facts)
-    grid = build_grid(uses)
-    cuts, count = _grid_cuts(uses, grid)  # one fragment per grid point in the interval, its start first
-    added = count - len(inst.facts)
-    if added > MAX_NORMALIZE_FRAGMENTS:
-        raise PreconditionError(f"normalization would split {len(inst.facts)} facts into "
-                                f"{len(inst.facts) + added} fragments, {added} more than the facts, "
-                                f"above the limit of {MAX_NORMALIZE_FRAGMENTS}")
-    if not added:
-        return inst
-    pieces = {iv: split_interval(iv, grid[lo:hi]) for iv, (lo, hi) in cuts.items()}
-    return Instance(CONCRETE, inst.schema, _cut(inst.facts, pieces))
+    plans = _plan_cuts([inst.facts])
+    _refuse_fragments(plans)
+    return _apply_cuts(inst, plans)
 
 
 def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Instance:

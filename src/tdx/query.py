@@ -13,7 +13,7 @@ from typing import Union
 
 from .chase import Failure, chase
 from .errors import PreconditionError
-from .homomorphism import _formula_homs
+from .homomorphism import _formula_homs, _join_inputs
 from .mapping_lang import Mapping, Ucq
 from .model import (
     ABSTRACT,
@@ -23,7 +23,7 @@ from .model import (
     RelationSchema,
     _check_horizon,
     _check_instance,
-    is_normalized,
+    _merged,
 )
 from .temporal import interval_points
 
@@ -52,25 +52,39 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
     head variables and the temporal variable; the disjunct results are
     unioned, and tuples containing any null are dropped.  An answer set is a
     set, so the bindings go straight into it as the join yields them, in no
-    order.  A concrete instance must be normalized, and every disjunct needs
-    an atom.  Raises SchemaError for an instance that ``validate_instance``
-    faults (``is_normalized`` checks a concrete one).
+    order.  Every disjunct needs an atom.
+
+    A concrete instance need not be normalized: a disjunct of several atoms
+    reads its join blocks cut (``homomorphism._join_inputs``), and the
+    answers are coalesced, each answer's intervals merged where they overlap
+    or meet, so they depend only on the instance's abstract view.  Raises
+    SchemaError for an instance that ``validate_instance`` faults.
     """
-    if inst.kind == CONCRETE:
-        if not is_normalized(inst):
-            raise PreconditionError("naive evaluation on a concrete instance requires it normalized")
-    else:
-        _check_instance(inst)
-    rows: set[tuple] = set()
+    _check_instance(inst)
     for k, disjunct in enumerate(q.disjuncts):
         if not disjunct:
             raise PreconditionError(f"query {q.name!r}: disjunct #{k} has no atoms")
-        for binding in _formula_homs(disjunct, inst, None):
+    rows: set[tuple] = set()
+    for disjunct, body_inst in zip(q.disjuncts, _join_inputs(q.disjuncts, inst, False)):
+        for binding in _formula_homs(disjunct, body_inst, None):
             values = [binding[v] for v in q.head]
             if any(not isinstance(v, str) for v in values):
                 continue  # a null never reaches an answer
             rows.add((*values, binding[q.time_var]))
+    if inst.kind == CONCRETE:
+        rows = _coalesce_rows(rows)
     return AnswerSet(q.name, inst.kind, q.columns, frozenset(rows))
+
+
+def _coalesce_rows(rows: set[tuple]) -> set[tuple]:
+    """Concrete answers with each answer's intervals merged where they
+    overlap or meet (``model._merged``)."""
+    times: dict[tuple, list] = {}
+    for row in rows:
+        times.setdefault(row[:-1], []).append(row[-1])
+    if len(times) == len(rows):
+        return rows
+    return {(*values, iv) for values, ivs in times.items() for iv in (_merged(ivs) if len(ivs) > 1 else ivs)}
 
 
 def answers_sem(ans: AnswerSet, horizon: int) -> AnswerSet:

@@ -11,9 +11,13 @@ with every endpoint scaled by ``SCALE``.  It runs the battery once per
 tree, in a subprocess that imports ``tdx`` from that tree and calls
 ``tdx.cli.run_cli`` in process for each run, and lists every run whose exit
 code, stdout, stderr, output bytes or uncaught exception differ.  A run
-whose output bytes differ is tagged ``(null labels only)`` when the two
-outputs agree once every null label is blanked and each relation's facts
-are sorted again, and the report counts such runs.
+whose output bytes differ is tagged ``(same abstract view)`` when the two
+outputs agree point-wise: each fact read at each of its time points, with a
+null read as its label there (as ``perfbench/checks.py`` reads outputs), and
+a failure witness with each null read as its label.  Otherwise it is tagged
+``(null labels only)`` when the two outputs agree once every null label is
+blanked and each relation's facts are sorted again.  The report counts the
+runs of each tag on a line of its own.
 
 Per group of inputs (the fixtures, or one workload at one size) the battery
 runs ``normalize`` and ``sem`` on each concrete instance; ``chase`` with
@@ -139,6 +143,50 @@ def _blanked_digest(raw: bytes) -> str | None:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _abstract_digest(raw: bytes) -> str | None:
+    """Digest of an output document's abstract view; None if the output is
+    not JSON.  Each fact of an instance is read at each of its time points,
+    a null as its label; per relation and values, the points of bounded
+    intervals are listed and an unbounded tail is kept as its first point,
+    so the view needs no horizon.  A failure witness keeps its constants,
+    and its trace with each null read as its label."""
+    try:
+        doc = json.loads(raw)
+    except ValueError:
+        return None
+
+    def label(v):
+        return ["null", v["null"]] if isinstance(v, dict) else v
+
+    if isinstance(doc, dict) and isinstance(doc.get("failure"), dict):
+        failure = doc["failure"]
+        view = {"constants": failure.get("constants"),
+                "trace": [[label(v) for v in pair] for pair in failure.get("trace", [])]}
+    elif isinstance(doc, dict) and isinstance(doc.get("relations"), dict):
+        view = {k: v for k, v in doc.items() if k != "relations"}
+        for name, rel in doc["relations"].items():
+            points: dict[str, set] = {}
+            tails: dict[str, int] = {}
+            for f in rel.get("facts", []):
+                key = json.dumps([label(v) for v in f["values"]])
+                if "time" in f:
+                    points.setdefault(key, set()).add(f["time"])
+                elif f["interval"]["end"] == "inf":
+                    tails[key] = min(tails.get(key, f["interval"]["start"]), f["interval"]["start"])
+                else:
+                    points.setdefault(key, set()).update(range(f["interval"]["start"], f["interval"]["end"]))
+            for key, tail in tails.items():
+                while tail - 1 in points.get(key, ()):  # bounded points just below the tail join it
+                    tail -= 1
+                tails[key] = tail
+            view[name] = [rel.get("attributes"), sorted(
+                [key, sorted(p for p in points.get(key, ()) if key not in tails or p < tails[key]), tails.get(key)]
+                for key in points.keys() | tails.keys())]
+    else:
+        return None
+    return hashlib.sha256(json.dumps(view, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _run_battery(src: str, battery: str, results: str) -> None:
     """In a subprocess: import ``tdx`` from ``src`` and run each run of the
     battery in process, recording what it did."""
@@ -156,13 +204,13 @@ def _run_battery(src: str, battery: str, results: str) -> None:
                 code = tdx.cli.run_cli(r["argv"])
             except Exception as e:  # a traceback is itself a result to compare
                 exc = f"{type(e).__name__}: {e}"
-        data = blanked = None
+        data = blanked = abstract = None
         if r["output"] is not None and os.path.exists(r["output"]):
             raw = Path(r["output"]).read_bytes()
             data = hashlib.sha256(raw).hexdigest()
-            blanked = _blanked_digest(raw)
+            blanked, abstract = _blanked_digest(raw), _abstract_digest(raw)
         recorded.append({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
-                         "output": data, "exception": exc, "blanked": blanked})
+                         "output": data, "exception": exc, "blanked": blanked, "abstract": abstract})
     Path(results).write_text(json.dumps(recorded), encoding="utf-8")
 
 
@@ -187,18 +235,22 @@ def main(argv: list[str]) -> int:
                             str(results)], check=True, env=env)
             recorded.append(json.loads(results.read_text("utf-8")))
             shutil.rmtree(work / "out")
-    differing = labels_only = 0
+    differing = labels_only = same_view = 0
     for r, old, new in zip(runs, *recorded):
-        fields = [k for k in old if k != "blanked" and old[k] != new[k]]
+        fields = [k for k in old if k not in ("blanked", "abstract") and old[k] != new[k]]
         if fields:
             differing += 1
             tag = ""
-            if fields == ["output"] and old["blanked"] is not None and old["blanked"] == new["blanked"]:
+            if fields == ["output"] and old["abstract"] is not None and old["abstract"] == new["abstract"]:
+                same_view += 1
+                tag = " (same abstract view)"
+            elif fields == ["output"] and old["blanked"] is not None and old["blanked"] == new["blanked"]:
                 labels_only += 1
                 tag = " (null labels only)"
             print(f"DIFFERS in {', '.join(fields)}{tag}: {r['id']}")
             for k in fields:
                 print(f"  old {k}: {old[k]!r:.300}\n  new {k}: {new[k]!r:.300}")
+    print(f"{same_view} of the differing runs have the same abstract view")
     print(f"{labels_only} of the differing runs differ in null labels only")
     print(f"{len(runs)} runs, {differing} differing")
     return 1 if differing else 0

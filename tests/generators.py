@@ -2,10 +2,11 @@
 careers-like sources and chase results for the scale tests.
 
 All draws go through one ``random.Random`` so suites are reproducible.  The
-sources of ``random_case`` are complete and already normalized: fact
-intervals are drawn from one family of pairwise-disjoint cells over endpoints
-<= 8, the last of which may be unbounded.  ``random_overlapping_case`` draws
-complete sources that normalization must cut.
+sources of ``random_case`` are complete and, by default, already normalized:
+fact intervals are drawn from one family of pairwise-disjoint cells over
+endpoints <= 8, the last of which may be unbounded; with ``overlapping`` each
+interval is drawn on its own.  ``random_overlapping_case`` draws complete
+sources of 50-300 facts that normalization must cut.
 """
 from __future__ import annotations
 
@@ -98,6 +99,19 @@ def _random_source_instance(rng: random.Random, source) -> Instance:
     return Instance.concrete(source, facts)
 
 
+def _random_overlapping_source(rng: random.Random, source) -> Instance:
+    """Complete facts on intervals drawn independently, endpoints <= 8 and
+    now and then unbounded, so that they overlap without being equal."""
+    facts = set()
+    for _ in range(rng.randint(1, 6)):
+        schema = rng.choice(source)
+        values = tuple(rng.choice(CONSTANTS) for _ in schema.attributes)
+        start = rng.randrange(MAX_ENDPOINT)
+        end = INF if rng.random() < 0.2 else rng.randint(start + 1, MAX_ENDPOINT)
+        facts.add(Fact(schema.name, values, ClopenInterval(start, end)))
+    return Instance.concrete(source, facts)
+
+
 def random_query(rng: random.Random, target, name: str) -> Ucq:
     body_pool = ["z0", "z1", "z2"]
     shells = []
@@ -131,7 +145,10 @@ class Case:
     horizon: int
 
 
-def random_case(rng: random.Random, with_queries: bool = True) -> Case:
+def random_case(rng: random.Random, with_queries: bool = True, overlapping: bool = False) -> Case:
+    """A random mapping and source; if ``overlapping``, the source's intervals
+    are drawn independently (``_random_overlapping_source``), so it is not
+    normalized."""
     source = _random_schemas(rng, "S", rng.randint(1, 2), 2)
     target = _random_schemas(rng, "T", rng.randint(1, 2), 3)
     rules = tuple(_random_rule(rng, source, target) for _ in range(rng.randint(1, 3)))
@@ -139,7 +156,8 @@ def random_case(rng: random.Random, with_queries: bool = True) -> Case:
         if with_queries else ()
     mapping = Mapping(source, target, rules, _random_tkcs(rng, target), queries)
     assert not validate_mapping(mapping)
-    return Case(mapping, _random_source_instance(rng, source), MAX_ENDPOINT + 1)
+    draw = _random_overlapping_source if overlapping else _random_source_instance
+    return Case(mapping, draw(rng, source), MAX_ENDPOINT + 1)
 
 
 OVERLAP_MAX_ENDPOINT = 100

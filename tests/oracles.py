@@ -7,7 +7,9 @@ backtracking scan over every fact at the same relation and time point,
 formula homomorphisms by a recursive nested loop over whole relations, the
 dependency round by instantiating each head atom of a copied binding with
 nulls labeled by the json module's text of their Skolem terms, the
-key round's equalities from every pair of every key group, the instance
+key round's equalities from every pair of every key group, the concrete
+chase with every cut global (``globally_normalized_chase``) and its result
+coalesced by a sort and one sweep (``coalesced``), the instance
 loader by reading each row through the general rules, and the canonical
 instance text by the json module's own encoder.  The abstract
 homomorphism search that compiles each component shape once is checked
@@ -37,9 +39,10 @@ from tdx import (
     find_abstract_hom,
     instantiate_atom,
     max_finite_endpoint,
+    normalize_instance,
     sem_instance,
 )
-from tdx.chase import tkc_positions, tkc_step
+from tdx.chase import _close_and_replace, _round_equalities, _st_round, tkc_positions, tkc_step
 from tdx.homomorphism import _check_hom_inputs, _join_plan, _Var, _walk
 from tdx.model import _require, _time_from_json, _value_from_json
 
@@ -126,6 +129,37 @@ def instantiated_st_round(inst: Instance, rules, target) -> Instance:
             facts |= instantiated_firing(rule, index, binding)
     return Instance(inst.kind, tuple(target), frozenset(facts))
 
+
+
+def coalesced(inst: Instance) -> Instance:
+    """The concrete instance with facts that are equal, each null read as its
+    label, merged where their intervals overlap or meet: per such fact, its
+    intervals sorted by start and swept once."""
+    groups: dict[tuple, list[ClopenInterval]] = {}
+    for f in inst.facts:
+        key = (f.relation, tuple(v if isinstance(v, str) else ("null", v.label) for v in f.values))
+        groups.setdefault(key, []).append(f.time)
+    facts = set()
+    for (relation, values), times in groups.items():
+        runs: list[list] = []
+        for start, end in sorted(times):
+            if runs and start <= runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], end)
+            else:
+                runs.append([start, end])
+        for start, end in runs:
+            time = ClopenInterval(start, end)
+            facts.add(Fact(relation, tuple(v if isinstance(v, str) else Null(v[1], time) for v in values), time))
+    return Instance(inst.kind, inst.schema, frozenset(facts))
+
+
+def globally_normalized_chase(src: Instance, m):
+    """The concrete chase as it was before cuts were scoped: the source cut
+    over the endpoint grid of the whole instance (``normalize_instance``),
+    the dependency round over that, and the key round over its result,
+    uncoalesced."""
+    staged = _st_round(normalize_instance(src), m.sttgds, m.target)
+    return _close_and_replace(staged, _round_equalities(staged, m.tkcs))
 
 def rowwise_instance_from_json(doc: object) -> Instance:
     """The instance of a JSON document, each row read through

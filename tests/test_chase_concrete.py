@@ -101,9 +101,12 @@ def test_st_round_matches_figure_up_to_relabeling(fig7, fig8, example1):
     assert is_normalized(out)  # every output interval is an input grid interval
 
 
-def test_st_round_requires_normalized_complete_input(fig1, fig3, example1):
-    with pytest.raises(PreconditionError):
-        st_round_concrete(fig1, example1.sttgds, example1.target)
+def test_st_round_requires_complete_input_that_need_not_be_normalized(fig1, fig3, fig8, example1):
+    # one-atom rule bodies fire on fig1's facts as they are, with fig8's abstract view
+    out = st_round_concrete(fig1, example1.sttgds, example1.target)
+    assert len(out.facts) < len(st_round_concrete(fig8, example1.sttgds, example1.target).facts)
+    assert sem_instance(out, HORIZON) == sem_instance(
+        st_round_concrete(fig8, example1.sttgds, example1.target), HORIZON)
     with pytest.raises(PreconditionError):
         st_round_concrete(fig3, example1.sttgds, example1.target)  # has nulls
 

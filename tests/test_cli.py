@@ -374,21 +374,56 @@ def test_equiv_beyond_its_fact_limit_is_one_error_line(workdir, capsys, monkeypa
                                        f"facts, more than the limit of {tdx.MAX_SEM_FACTS}\n")
 
 
+def _nested_join(workdir, b_facts):
+    """450 nested facts [i, inf) of A, ``b_facts`` of B, and a mapping that
+    joins A and B on time alone, so that all of them are one join block."""
+    facts = [{"values": [f"p{i}"], "interval": {"start": i, "end": "inf"}} for i in range(450)]
+    (workdir / "nested.json").write_text(json.dumps({"kind": "concrete", "relations": {
+        "A": {"attributes": ["name", "time"], "facts": facts},
+        "B": {"attributes": ["company", "time"], "facts": b_facts}}}))
+    (workdir / "join.tdx").write_text("source A(name, @time).\nsource B(company, @time).\n"
+                                      "target C(name, company, @time).\n"
+                                      "rule A(n, t), B(c, t) -> C(n, c, t).\n"
+                                      "query q(n, t) :- C(n, c, t).\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("normalize", "-i", "@nested.json", "-o", "@out.json"),
+    ("chase", "-m", "@join.tdx", "-i", "@nested.json", "-o", "@out.json"),
+    ("certain", "-m", "@join.tdx", "-i", "@nested.json", "-q", "q", "-o", "@out.json"),
+])
+def test_normalize_beyond_the_fragment_limit_is_one_error_line(workdir, capsys, argv):
+    # n nested facts [i, inf) make n(n+1)/2 fragments: 450 make 101,475, and the one fact
+    # [0, inf) that each of them can join with makes 450, 101,474 more than the 451 facts;
+    # the chase cuts the rule's one join block so, as normalization cuts the whole instance
+    _nested_join(workdir, [{"values": ["acme"], "interval": {"start": 0, "end": "inf"}}])
+    assert run(workdir, *argv) == 1
+    assert not (workdir / "out.json").exists()
+    assert capsys.readouterr().err == ("error: normalization would split 451 facts into 101925 fragments, "
+                                       f"101474 more than the facts, above the limit of {tdx.MAX_NORMALIZE_FRAGMENTS}\n")
+
+
+def test_a_join_block_without_a_fact_of_each_body_relation_is_not_cut(workdir):
+    # with no B fact, no binding joins the nested A facts, so they need no cut
+    _nested_join(workdir, [])
+    assert run(workdir, "chase", "-m", "@join.tdx", "-i", "@nested.json", "-o", "@out.json") == 0
+    assert loads_instance((workdir / "out.json").read_text()).facts == frozenset()
+
+
+@pytest.mark.parametrize("argv", [
     ("chase", "-m", "@example1.tdx", "-i", "@nested.json", "-o", "@out.json"),
     ("certain", "-m", "@example1.tdx", "-i", "@nested.json", "-q", "positions", "-o", "@out.json"),
 ])
-def test_normalize_beyond_the_fragment_limit_is_one_error_line(workdir, capsys, argv):
-    # n nested facts [i, inf) make n(n+1)/2 fragments: 450 make 101,475, 101,025 more than the facts
+def test_nested_facts_that_meet_no_other_fact_are_chased_uncut(workdir, argv):
+    # 450 people's nested facts [i, inf): one-atom rule bodies fire on them as they are, and each
+    # key group holds one person's facts, so nothing is cut and each person keeps one fact per relation
     facts = [{"values": [f"p{i}", "acme"], "interval": {"start": i, "end": "inf"}} for i in range(450)]
     (workdir / "nested.json").write_text(json.dumps({"kind": "concrete", "relations": {
         "Employee1": {"attributes": ["name", "company", "time"], "facts": facts},
         "Employee2": {"attributes": ["name", "position", "dept", "time"], "facts": []}}}))
-    assert run(workdir, *argv) == 1
-    assert not (workdir / "out.json").exists()
-    assert capsys.readouterr().err == ("error: normalization would split 450 facts into 101475 fragments, "
-                                       f"101025 more than the facts, above the limit of {tdx.MAX_NORMALIZE_FRAGMENTS}\n")
+    assert run(workdir, *argv) == 0
+    out = loads_instance((workdir / "out.json").read_text())
+    assert len(out.facts) == (900 if argv[0] == "chase" else 0)
 
 
 @pytest.mark.parametrize("rule, message", [

@@ -47,7 +47,7 @@ from tdx import (
 
 import tdx.model
 
-from generators import careers_like, random_case
+from generators import random_case
 from helpers import FIXTURES, c, fact, in_order, inull, iv, load_fixture_instance, load_fixture_mapping, pnull, rel
 from oracles import (expand_instance_by_points, fact_sort_key, instance_doc, json_dumps_instance,
                      rowwise_instance_from_json, value_sort_key)
@@ -740,17 +740,28 @@ def test_normalize_instance_stops_when_splitting_adds_more_than_its_limit(monkey
         normalize_instance(at_limit.replace_facts(at_limit.facts | {fact("R", "c", time=iv(0, 4))}))
 
 
-def test_a_normalized_instance_of_any_size_passes_the_fragment_limit(monkeypatch, example1):
-    src = careers_like(6, example1)
+def test_a_normalized_instance_of_any_size_passes_the_fragment_limit(monkeypatch):
+    """A source whose rule's join blocks need a cut is refused above the
+    limit; its normalization, whose blocks need none, passes, with the same
+    coalesced result."""
+    m = parse_mapping("source A(n, c, @t).\nsource B(n, p, @t).\ntarget E(n, c, p, @t).\n"
+                      "rule A(n, c, t), B(n, p, t) -> E(n, c, p, t).\n")
+    rng = random.Random(5)
+    facts = []
+    for i in range(30):
+        start = rng.randrange(10)
+        facts += [fact("A", f"p{i}", "acme", time=iv(start, start + rng.randint(2, 6))),
+                  fact("B", f"p{i}", "dev", time=iv(rng.randrange(start + 1), INF))]
+    src = Instance.concrete(m.source, facts)
     normalized = normalize_instance(src)
-    expected = chase(src, example1)
-    assert isinstance(expected, Success)
+    expected = chase(src, m)
+    assert isinstance(expected, Success) and len(expected.instance.facts) == 30
     assert len(normalized.facts) > len(src.facts) > 0
     monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 0)
     assert normalize_instance(normalized) is normalized
-    assert chase(normalized, example1) == expected
+    assert chase(normalized, m) == expected
     with pytest.raises(PreconditionError, match="above the limit of 0"):
-        chase(src, example1)
+        chase(src, m)
 
 
 def test_normalize_rejects_a_mis_annotated_null_of_an_unsplit_fact():

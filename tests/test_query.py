@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from tdx import (
+    INF,
     AnswerSet,
     Atom,
     Instance,
@@ -23,12 +24,13 @@ from tdx import (
     loads_instance,
     max_finite_endpoint,
     naive_eval,
+    normalize_instance,
     sem_instance,
 )
 
 from generators import careers_like
-from helpers import fact, iv, rel
-from oracles import nested_loop_homs
+from helpers import fact, inull, iv, rel
+from oracles import coalesced, nested_loop_homs
 
 HORIZON = 13
 
@@ -61,13 +63,28 @@ def test_naive_eval_on_empty_instance(example1):
     assert naive_eval(positions_query(example1), empty).rows == frozenset()
 
 
-def test_naive_eval_requires_normalized_concrete_input(example1):
-    inst = Instance.concrete(example1.target, [
+def _unnormalized(example1):
+    """Overlapping facts, one null label on two intervals, and two join
+    blocks of ``paid_positions`` that need a cut: (Ada, DBA) and the null P."""
+    return Instance.concrete(example1.target, [
         fact("Emp", "Ada", "DBA", "IBM", time=iv(0, 4)),
         fact("Emp", "Ada", "DBA", "IBM", time=iv(2, 3)),
+        fact("Sal", "Ada", "DBA", inull("S", 3, INF), time=iv(3, INF)),
+        fact("Emp", "Bob", "Dev", "HP", time=iv(1, 3)),
+        fact("Emp", "Bob", "Dev", "Sun", time=iv(3, 6)),
+        fact("Emp", "Bob", inull("P", 1, 6), "HP", time=iv(1, 6)),
+        fact("Sal", "Bob", inull("P", 4, 9), "90k", time=iv(4, 9)),
     ])
-    with pytest.raises(PreconditionError):
-        naive_eval(positions_query(example1), inst)
+
+
+def test_naive_eval_on_an_unnormalized_instance_answers_as_on_its_normalization(example1):
+    inst = _unnormalized(example1)
+    for q in example1.queries:
+        assert answers_sem(naive_eval(q, inst), HORIZON) == \
+            answers_sem(naive_eval(q, normalize_instance(inst)), HORIZON)
+    # coalesced: each answer once per maximal interval
+    assert naive_eval(positions_query(example1), inst).rows == {("Ada", "DBA", iv(0, 4)), ("Bob", "Dev", iv(1, 6))}
+    assert naive_eval(example1.query("paid_positions"), inst).rows == {("Ada", "DBA", iv(3, 4))}
 
 
 def test_an_empty_disjunct_is_a_precondition_error(fig1, fig2, example1):
@@ -192,7 +209,11 @@ def _chase_results(n, example1):
 
 def test_naive_eval_sorts_nothing(example1):
     """No ``sorted``, ``list.sort`` or ``min`` call during ``naive_eval``
-    but ``is_normalized``'s sort of the distinct spans."""
+    but ``build_grid``'s sort of the endpoints of a join block that needs a
+    cut, and the sort of the relation schemas of the instance that a
+    disjunct with such a block then reads.  No block of a coalesced careers
+    result needs a cut; two blocks of ``_unnormalized`` do, for the one
+    query of two atoms."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -201,13 +222,17 @@ def test_naive_eval_sorts_nothing(example1):
             calls[frame.f_code.co_name, arg.__name__] += 1
 
     concrete, _ = _chase_results(24, example1)
-    sys.setprofile(profile)
-    try:
-        for q in example1.queries:
-            assert naive_eval(q, concrete).rows
-    finally:
-        sys.setprofile(None)
-    assert calls == Counter({("is_normalized", "sorted"): len(example1.queries)})
+    unnormalized = _unnormalized(example1)
+    cut_twice = Counter({("build_grid", "sorted"): 2, ("__post_init__", "sorted"): 1})
+    for inst, sorts in ((concrete, Counter()), (unnormalized, cut_twice)):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            for q in example1.queries:
+                assert naive_eval(q, inst).rows
+        finally:
+            sys.setprofile(None)
+        assert calls == sorts
 
 
 def _random_ucq(rng, schema, name):
@@ -227,20 +252,28 @@ def _random_ucq(rng, schema, name):
 
 
 def test_naive_eval_agrees_with_the_nested_loop(example1):
+    """On careers results of at least 200 facts: over the abstract result the
+    nested loop's answers, and over the coalesced concrete result the nested
+    loop's answers over its normalization, coalesced."""
     rng = random.Random(8)
     kept = dropped = 0
-    for inst in _chase_results(6, example1):
+    concrete, _ = _chase_results(12, example1)
+    _, abstract = _chase_results(6, example1)
+    for inst, oracle_inst in ((concrete, normalize_instance(concrete)), (abstract, abstract)):
         assert len(inst.facts) >= 200
         for k in range(25):
             q = _random_ucq(rng, example1.target, f"q{k}")
             expected = set()
             for disjunct in q.disjuncts:
-                for b in nested_loop_homs(disjunct, inst):
+                for b in nested_loop_homs(disjunct, oracle_inst):
                     values = [b[v] for v in q.head]
                     if all(isinstance(v, str) for v in values):
                         expected.add((*values, b[q.time_var]))
                     else:
                         dropped += 1
+            if inst.kind == "concrete":
+                expected = {(*f.values, f.time) for f in coalesced(answers_to_instance(
+                    AnswerSet(q.name, inst.kind, q.columns, frozenset(expected)))).facts}
             assert naive_eval(q, inst).rows == expected, q
             kept += len(expected)
     assert kept >= 100 and dropped >= 100, (kept, dropped)
