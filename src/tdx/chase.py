@@ -63,6 +63,7 @@ from .model import (
     _coalesce,
     _new,
     _plan_cuts,
+    _refuse_fragments,
     conform_instance,
     is_complete,
     is_null,
@@ -241,7 +242,7 @@ def _st_round(inst: Instance, rules: Sequence[SttTgd],
         if not rule.lhs:
             raise PreconditionError(f"rule #{i} has an empty left-hand side")
     facts: set[Fact] = set()
-    for i, (rule, body_inst) in enumerate(zip(rules, _join_inputs([rule.lhs for rule in rules], inst, True))):
+    for i, (rule, body_inst) in enumerate(zip(rules, _join_inputs([rule.lhs for rule in rules], inst))):
         head = _compile_head(rule, i)
         for binding in _formula_homs(rule.lhs, body_inst, None):  # each a fresh dict, extended in place
             _fire(head, binding, facts.add)
@@ -324,11 +325,13 @@ def _key_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     and so are the rest of the steps, so the outcome does not depend on how
     the input was cut: a globally normalized dependency round and one cut
     per join block give the same bytes, failure witness and
-    ``KeyNullViolation`` text.  The cut makes no more facts than a
-    dependency round over the globally normalized source, so it is not
-    refused for size."""
-    inst = _coalesce(inst)
-    inst = _apply_cuts(inst, _plan_cuts(_key_blocks(inst, tkcs)))
+    ``KeyNullViolation`` text.  The cut is refused, before any fragment is
+    made, if it would hold more than ``MAX_NORMALIZE_FRAGMENTS`` facts
+    beyond the input's own (``_refuse_fragments``)."""
+    coalesced = _coalesce(inst)
+    plans = _plan_cuts(_key_blocks(coalesced, tkcs))
+    _refuse_fragments(plans, len(inst.facts) - len(coalesced.facts))
+    inst = _apply_cuts(coalesced, plans)
     outcome = _close_and_replace(inst, _round_equalities(inst, tkcs))
     return Success(_coalesce(outcome.instance)) if isinstance(outcome, Success) else outcome
 

@@ -269,8 +269,8 @@ def _join_tokens(atoms: Sequence[Atom]) -> Optional[dict[str, list[tuple[int, tu
     return tokens if len(reached) == len(atoms) else None
 
 
-def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, bounded: bool) -> list[Instance]:
-    """For each body, the instance its join reads.
+def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance) -> Iterator[Instance]:
+    """For each body, the instance its join reads, made as it is asked for.
 
     A join binds one time value to every atom, so over a concrete instance
     facts that overlap must first be cut into equal pieces.  Only facts that
@@ -281,12 +281,14 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, bounded: bool
     Gamper, "Temporal Alignment", SIGMOD 2012).  A body of one atom, a block
     that lacks a fact of some relation of the body (it yields no binding), a
     block whose intervals are equal or disjoint, and an abstract instance
-    need no cut.  If ``bounded``, the fragments are counted over every block
-    of every body before any is made, and refused above
-    ``MAX_NORMALIZE_FRAGMENTS`` as ``normalize_instance`` refuses them.
+    need no cut.  The fragments are counted over every block of every body
+    when this is called, before any is made, and refused above
+    ``MAX_NORMALIZE_FRAGMENTS`` as ``normalize_instance`` refuses them; each
+    body's cut copy of the instance is then made only as the caller asks for
+    it, so a caller that reads them in turn holds at most two at once.
     """
     if inst.kind != CONCRETE:
-        return [inst] * len(bodies)
+        return iter([inst] * len(bodies))
     plans = []
     for atoms in bodies:
         if len(atoms) < 2:
@@ -305,9 +307,8 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, bounded: bool
 
             blocks = _blocks([f for r in relations for f in inst.facts_by_relation[r]], tokens)
         plans.append(_plan_cuts([b for b in blocks if len(b) > 1 and relations <= {f.relation for f in b}]))
-    if bounded:
-        _refuse_fragments([p for block_plans in plans for p in block_plans])
-    return [_apply_cuts(inst, block_plans) for block_plans in plans]
+    _refuse_fragments([p for block_plans in plans for p in block_plans])
+    return (_apply_cuts(inst, block_plans) for block_plans in plans)
 
 
 def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,

@@ -50,7 +50,6 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
 from functools import cached_property
-from itertools import combinations
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
@@ -411,84 +410,88 @@ def is_normalized(inst: Instance) -> bool:
     if inst.kind != CONCRETE:
         raise SchemaError("normalization is defined for concrete instances")
     _check_instance(inst)
-    spans = sorted({f.time for f in inst.facts})
-    return all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
-
-
-# The most fragments one ``normalize_instance``, or the chase's cut of its
-# rule bodies, adds to the facts it splits (see ``normalize_instance``'s
-# docstring).
-MAX_NORMALIZE_FRAGMENTS = 100_000
-
-# A set of at most this many distinct intervals is tested pairwise, without
-# a sort: whether they are equal or disjoint (``_apart``), and their union
-# (``_merged``).
-_PAIRWISE = 8
+    return _apart({f.time for f in inst.facts})
 
 
 def _apart(times: Collection[ClopenInterval]) -> bool:
-    """Whether distinct intervals are pairwise disjoint."""
-    return all(a.end <= b.start or b.end <= a.start for a, b in combinations(times, 2))
+    """Whether distinct intervals are pairwise disjoint: in order, each ends
+    by the start of the next."""
+    spans = sorted(times)
+    return all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
-def _merged(times: Collection[ClopenInterval]) -> list[ClopenInterval]:
-    """The maximal intervals of the union of ``times``: two that overlap or
-    meet are one."""
-    if len(times) > _PAIRWISE:
-        ordered = sorted(times)
-        out = [ordered[0]]
-        for iv in ordered[1:]:
-            last = out[-1]
-            if iv.start > last.end:
-                out.append(iv)
-            elif iv.end > last.end:
-                out[-1] = _new(ClopenInterval, (last.start, iv.end))
-        return out
-    runs: list[tuple] = []
-    for s, e in times:
-        kept = []
-        for run in runs:  # pairwise apart and not meeting, so one pass absorbs all that meet [s, e)
-            if run[0] <= e and s <= run[1]:
-                s = run[0] if run[0] < s else s
-                e = run[1] if run[1] > e else e
-            else:
-                kept.append(run)
-        kept.append((s, e))
-        runs = kept
-    return [_new(ClopenInterval, run) for run in runs]
+# The most fragments one ``normalize_instance``, or any cut of the chase or of
+# ``naive_eval``, adds to the facts it splits (see ``normalize_instance``'s
+# docstring).
+MAX_NORMALIZE_FRAGMENTS = 100_000
+
+
+def _merged(times: Iterable[ClopenInterval]) -> list[ClopenInterval]:
+    """The maximal intervals of the union of ``times``, in order: two that
+    overlap or meet are one."""
+    ordered = sorted(times)
+    out = [ordered[0]]
+    for iv in ordered[1:]:
+        last = out[-1]
+        if iv.start > last.end:
+            out.append(iv)
+        elif iv.end > last.end:
+            out[-1] = _new(ClopenInterval, (last.start, iv.end))
+    return out
+
+
+def _coalesced(items: Iterable[tuple], key: Callable[[tuple], object]) -> tuple[list, dict] | None:
+    """The coalescing of Böhlen, Snodgrass and Soo ("Coalescing in Temporal
+    Databases", VLDB 1996), which ``_coalesce`` applies to facts and
+    ``query.naive_eval`` to answers.  The items, each a tuple that ends in
+    its interval, are grouped by ``key``, and each group's intervals are
+    merged where they overlap or meet (``_merged``).  Returns the items of
+    the groups where nothing merges, and the key of every other group with
+    its merged intervals; or None if nothing merges.  Two items of one group
+    have distinct intervals."""
+    groups: dict = {}
+    for item in items:
+        k = key(item)
+        group = groups.get(k)
+        if group is None:
+            groups[k] = [item]
+        else:
+            group.append(item)
+    kept: list = []
+    merged: dict = {}
+    for k, group in groups.items():
+        if len(group) > 1:
+            runs = _merged([item[-1] for item in group])
+            if len(runs) < len(group):
+                merged[k] = runs
+                continue
+        kept += group
+    return (kept, merged) if merged else None
+
+
+def _label_key(f: Fact) -> tuple:
+    """A fact's relation and values, each null read as its label: the
+    one-tuple of its label, which equals no constant."""
+    return f.relation, tuple([v if v.__class__ is str else (v.label,) for v in f.values])
 
 
 def _coalesce(inst: Instance) -> Instance:
-    """The concrete instance with its facts coalesced: facts that are equal
-    once each null is read as its label, and whose intervals overlap or
-    meet, become one fact over the union, its nulls re-annotated with it.
+    """The concrete instance with its facts coalesced (``_coalesced``): facts
+    that are equal once each null is read as its label, and whose intervals
+    overlap or meet, become one fact over the union, its nulls re-annotated
+    with it.
 
     The result has the same abstract view at every valid horizon, and it is
     the one instance of maximal facts that has that view, so two instances
-    with equal abstract views coalesce to equal instances (Böhlen, Snodgrass
-    and Soo, "Coalescing in Temporal Databases", VLDB 1996).  An instance
-    with nothing to merge is returned as it is.
+    with equal abstract views coalesce to equal instances.  An instance with
+    nothing to merge is returned as it is.
     """
-    groups: dict[tuple, list[Fact]] = {}
-    for f in inst.facts:
-        # each null read as its label: the one-tuple of its label, which equals no constant
-        key = (f.relation, tuple([v if v.__class__ is str else (v.label,) for v in f.values]))
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [f]
-        else:
-            group.append(f)
-    if len(groups) == len(inst.facts):
+    parts = _coalesced(inst.facts, _label_key)
+    if parts is None:
         return inst
-    facts: list[Fact] = []
-    for (relation, values), group in groups.items():
-        runs = _merged([f.time for f in group]) if len(group) > 1 else group
-        if len(runs) == len(group):  # nothing merges
-            facts += group
-            continue
-        for iv in runs:
-            facts.append(_new(Fact, (relation, tuple([v if v.__class__ is str else _new(Null, (v[0], iv))
-                                                      for v in values]), iv)))
+    facts, merged = parts
+    facts += [_new(Fact, (relation, tuple([v if v.__class__ is str else _new(Null, (v[0], iv)) for v in values]), iv))
+              for (relation, values), ivs in merged.items() for iv in ivs]
     return _keep_screened(Instance(CONCRETE, inst.schema, frozenset(facts)))
 
 
@@ -538,26 +541,26 @@ class _Cut(NamedTuple):
 def _plan_cuts(blocks: Iterable[Collection[Fact]]) -> list[_Cut]:
     """The blocks that need a cut, with their grids, so that no fact of a
     block overlaps another fact of the block unless their intervals are
-    equal.  A block whose intervals are equal or disjoint needs none; a
-    block of at most ``_PAIRWISE`` distinct intervals is seen to be so
-    without a sort."""
+    equal.  A block whose intervals are equal or disjoint (``_apart``)
+    needs none."""
     plans = []
     for block in blocks:
         times = {f.time for f in block}
-        if len(times) < 2 or (len(times) <= _PAIRWISE and _apart(times)):
+        if len(times) < 2 or _apart(times):
             continue
-        uses = Counter(f.time for f in block)
         grid = build_grid(times)
-        cuts, count = _grid_cuts(uses, grid)  # one fragment per grid point in the interval, its start first
-        if count > len(block):
-            plans.append(_Cut(block, grid, cuts, count))
+        cuts, count = _grid_cuts(Counter(f.time for f in block), grid)  # one fragment per grid point in it
+        plans.append(_Cut(block, grid, cuts, count))
     return plans
 
 
-def _refuse_fragments(plans: list[_Cut]) -> None:
+def _refuse_fragments(plans: list[_Cut], merged: int = 0) -> None:
     """PreconditionError if the cuts add more than ``MAX_NORMALIZE_FRAGMENTS``
-    fragments to the facts they split, counted before any is made."""
-    facts = sum(len(p.facts) for p in plans)
+    fragments to the facts they split, counted before any is made.  The
+    ``merged`` facts that a coalescing removed before the cut count among
+    the facts split: a cut that only makes them again holds no more facts
+    than were made before the coalescing."""
+    facts = sum(len(p.facts) for p in plans) + merged
     added = sum(p.fragments for p in plans) - facts
     if added > MAX_NORMALIZE_FRAGMENTS:
         raise PreconditionError(f"normalization would split {facts} facts into "

@@ -23,7 +23,7 @@ from .model import (
     RelationSchema,
     _check_horizon,
     _check_instance,
-    _merged,
+    _coalesced,
 )
 from .temporal import interval_points
 
@@ -58,33 +58,32 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
     reads its join blocks cut (``homomorphism._join_inputs``), and the
     answers are coalesced, each answer's intervals merged where they overlap
     or meet, so they depend only on the instance's abstract view.  Raises
-    SchemaError for an instance that ``validate_instance`` faults.
+    SchemaError for an instance that ``validate_instance`` faults, and
+    PreconditionError, before any fragment is made, if the cuts would add
+    more than ``MAX_NORMALIZE_FRAGMENTS`` fragments, as ``chase`` does.
     """
     _check_instance(inst)
     for k, disjunct in enumerate(q.disjuncts):
         if not disjunct:
             raise PreconditionError(f"query {q.name!r}: disjunct #{k} has no atoms")
     rows: set[tuple] = set()
-    for disjunct, body_inst in zip(q.disjuncts, _join_inputs(q.disjuncts, inst, False)):
+    for disjunct, body_inst in zip(q.disjuncts, _join_inputs(q.disjuncts, inst)):
         for binding in _formula_homs(disjunct, body_inst, None):
             values = [binding[v] for v in q.head]
             if any(not isinstance(v, str) for v in values):
                 continue  # a null never reaches an answer
             rows.add((*values, binding[q.time_var]))
     if inst.kind == CONCRETE:
-        rows = _coalesce_rows(rows)
+        parts = _coalesced(rows, _values_of)
+        if parts is not None:
+            kept, merged = parts
+            rows = {*kept, *[(*values, iv) for values, ivs in merged.items() for iv in ivs]}
     return AnswerSet(q.name, inst.kind, q.columns, frozenset(rows))
 
 
-def _coalesce_rows(rows: set[tuple]) -> set[tuple]:
-    """Concrete answers with each answer's intervals merged where they
-    overlap or meet (``model._merged``)."""
-    times: dict[tuple, list] = {}
-    for row in rows:
-        times.setdefault(row[:-1], []).append(row[-1])
-    if len(times) == len(rows):
-        return rows
-    return {(*values, iv) for values, ivs in times.items() for iv in (_merged(ivs) if len(ivs) > 1 else ivs)}
+def _values_of(row: tuple) -> tuple:
+    """An answer's values, without its time."""
+    return row[:-1]
 
 
 def answers_sem(ans: AnswerSet, horizon: int) -> AnswerSet:

@@ -403,6 +403,47 @@ def test_normalize_beyond_the_fragment_limit_is_one_error_line(workdir, capsys, 
                                        f"101474 more than the facts, above the limit of {tdx.MAX_NORMALIZE_FRAGMENTS}\n")
 
 
+def _write(workdir, name, relations):
+    """A concrete instance of ``relations``, each its attributes and facts."""
+    (workdir / name).write_text(json.dumps({"kind": "concrete", "relations": {
+        r: {"attributes": attributes, "facts": facts} for r, (attributes, facts) in relations.items()}}))
+
+
+def _nested(values):
+    """450 nested facts [i, inf), a fact's values made from ``i``."""
+    return [{"values": values(i), "interval": {"start": i, "end": "inf"}} for i in range(450)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("chase", "-m", "@example1.tdx", "-i", "@nested.json", "-o", "@out.json"),
+    ("certain", "-m", "@example1.tdx", "-i", "@nested.json", "-q", "positions", "-o", "@out.json"),
+])
+def test_a_key_block_beyond_the_fragment_limit_is_one_error_line(workdir, capsys, argv):
+    # Ada's 450 nested DBA jobs [i, inf), each in its own department, so each fires its rule with
+    # nulls of its own and no two results coalesce; her Emp facts are one key group, and so are her
+    # Sal facts, and the key round would cut each group into 101,475 fragments
+    _write(workdir, "nested.json", {
+        "Employee1": (["name", "company", "time"], []),
+        "Employee2": (["name", "position", "dept", "time"], _nested(lambda i: ["Ada", "DBA", f"d{i}"]))})
+    assert run(workdir, *argv) == 1
+    assert not (workdir / "out.json").exists()
+    assert capsys.readouterr().err == ("error: normalization would split 900 facts into 202950 fragments, "
+                                       f"202050 more than the facts, above the limit of {tdx.MAX_NORMALIZE_FRAGMENTS}\n")
+
+
+def test_query_beyond_the_fragment_limit_is_one_error_line(workdir, capsys):
+    # paid_positions joins Emp and Sal on name and position: Ada's 450 nested DBA jobs [i, inf) and
+    # her one salary [0, inf) are one join block, which would be cut as normalization cuts it
+    _write(workdir, "nested.json", {
+        "Emp": (["name", "position", "company", "time"], _nested(lambda i: ["Ada", "DBA", f"c{i}"])),
+        "Sal": (["name", "position", "salary", "time"], _nested(lambda i: ["Ada", "DBA", "90k"])[:1])})
+    assert run(workdir, "query", "-m", "@example1.tdx", "-i", "@nested.json", "-q", "paid_positions",
+               "-o", "@out.json") == 1
+    assert not (workdir / "out.json").exists()
+    assert capsys.readouterr().err == ("error: normalization would split 451 facts into 101925 fragments, "
+                                       f"101474 more than the facts, above the limit of {tdx.MAX_NORMALIZE_FRAGMENTS}\n")
+
+
 def test_a_join_block_without_a_fact_of_each_body_relation_is_not_cut(workdir):
     # with no B fact, no binding joins the nested A facts, so they need no cut
     _nested_join(workdir, [])

@@ -208,12 +208,16 @@ def _chase_results(n, example1):
 
 
 def test_naive_eval_sorts_nothing(example1):
-    """No ``sorted``, ``list.sort`` or ``min`` call during ``naive_eval``
-    but ``build_grid``'s sort of the endpoints of a join block that needs a
-    cut, and the sort of the relation schemas of the instance that a
-    disjunct with such a block then reads.  No block of a coalesced careers
-    result needs a cut; two blocks of ``_unnormalized`` do, for the one
-    query of two atoms."""
+    """No ``sorted``, ``list.sort`` or ``min`` call during ``naive_eval`` but
+    those of its cuts and of its coalescing, each over one block or one
+    group, never over the bindings or the answers: ``_apart``'s sort of the
+    distinct intervals of a join block that has two or more,
+    ``build_grid``'s sort of the endpoints of a block that needs a cut, the
+    sort of the relation schemas of the instance that a disjunct with such
+    a block then reads, and ``_merged``'s sort of the intervals of one
+    answer's values when they are two or more.  No block of a coalesced
+    careers result needs a cut; two blocks of ``_unnormalized`` do, for the
+    one query of two atoms."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -223,8 +227,8 @@ def test_naive_eval_sorts_nothing(example1):
 
     concrete, _ = _chase_results(24, example1)
     unnormalized = _unnormalized(example1)
-    cut_twice = Counter({("build_grid", "sorted"): 2, ("__post_init__", "sorted"): 1})
-    for inst, sorts in ((concrete, Counter()), (unnormalized, cut_twice)):
+    per_block = {("_apart", "sorted"), ("_merged", "sorted"), ("build_grid", "sorted"), ("__post_init__", "sorted")}
+    for inst, cuts in ((concrete, 0), (unnormalized, 2)):
         calls.clear()
         sys.setprofile(profile)
         try:
@@ -232,7 +236,9 @@ def test_naive_eval_sorts_nothing(example1):
                 assert naive_eval(q, inst).rows
         finally:
             sys.setprofile(None)
-        assert calls == sorts
+        assert set(calls) <= per_block, calls
+        assert (calls["build_grid", "sorted"], calls["__post_init__", "sorted"]) == (cuts, min(cuts, 1))
+        assert calls["_apart", "sorted"] + calls["_merged", "sorted"] <= len(inst.facts), calls
 
 
 def _random_ucq(rng, schema, name):

@@ -22,11 +22,14 @@ from collections import Counter
 
 import pytest
 
+import tdx.model
 from tdx import (
+    INF,
     Failure,
     Instance,
     KeyNullViolation,
     Null,
+    PreconditionError,
     Success,
     TdxError,
     answers_sem,
@@ -174,3 +177,26 @@ def test_failure_witnesses_and_key_null_messages_do_not_depend_on_the_cut(exampl
         chase(src, m)
     with pytest.raises(KeyNullViolation, match=f"^{message}$"):
         tkc_round_concrete(st_round_concrete(normalize_instance(src), m.sttgds, m.target), m.tkcs)
+
+
+def test_the_key_round_counts_its_cut_against_the_facts_it_was_given(example1, monkeypatch):
+    """A key round's cut is refused when it would add more than
+    ``MAX_NORMALIZE_FRAGMENTS`` facts to the facts the round was given,
+    counting those it coalesced before the cut.  Ada's eight nested jobs
+    [i, inf), each in its own department, fire with nulls of their own, and
+    her Emp facts are one key group, as are her Sal facts.  Chased per
+    block, the dependency round makes 16 facts, which the key round would
+    cut into 2 x 36 = 72; over the globally normalized source (28 fragments
+    more than its 8 facts) it makes those 72 itself, which coalesce to 16
+    and are cut back into 72, adding nothing."""
+    src = Instance.concrete(example1.source, [fact("Employee2", "Ada", "DBA", f"d{i}", time=iv(i, INF))
+                                              for i in range(8)])
+    monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 30)
+    with pytest.raises(PreconditionError, match="^normalization would split 16 facts into 72 fragments, "
+                                                "56 more than the facts, above the limit of 30$"):
+        chase(src, example1)
+    staged = st_round_concrete(normalize_instance(src), example1.sttgds, example1.target)
+    assert len(staged.facts) == 72
+    traced = tkc_round_concrete(staged, example1.tkcs)
+    monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 56)
+    assert dumps_instance(chase(src, example1).instance) == dumps_instance(traced.instance)
