@@ -242,7 +242,8 @@ def _st_round(inst: Instance, rules: Sequence[SttTgd],
         if not rule.lhs:
             raise PreconditionError(f"rule #{i} has an empty left-hand side")
     facts: set[Fact] = set()
-    for i, (rule, body_inst) in enumerate(zip(rules, _join_inputs([rule.lhs for rule in rules], inst))):
+    bodies = _join_inputs([rule.lhs for rule in rules], inst, "the rule bodies")
+    for i, (rule, body_inst) in enumerate(zip(rules, bodies)):
         head = _compile_head(rule, i)
         for binding in _formula_homs(rule.lhs, body_inst, None):  # each a fresh dict, extended in place
             _fire(head, binding, facts.add)
@@ -330,7 +331,7 @@ def _key_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     beyond the input's own (``_refuse_fragments``)."""
     coalesced = _coalesce(inst)
     plans = _plan_cuts(_key_blocks(coalesced, tkcs))
-    _refuse_fragments(plans, len(inst.facts) - len(coalesced.facts))
+    _refuse_fragments("the key round", plans, len(inst.facts) - len(coalesced.facts))
     inst = _apply_cuts(coalesced, plans)
     outcome = _close_and_replace(inst, _round_equalities(inst, tkcs))
     return Success(_coalesce(outcome.instance)) if isinstance(outcome, Success) else outcome

@@ -28,24 +28,25 @@ position holds which null), with the component's constants and time point
 as parameters, not once per component.
 
 ``hom_equivalent`` decides only existence, so it returns no hom and sorts no
-index list.  It keys each component by its facts with nulls numbered in
-order of first occurrence, and its time point; a component whose key the
-other instance also holds maps onto that twin by renaming nulls, and only
-the others are searched (on why a homomorphism between two solutions of
-one mapping is often cheap to find, see Fagin, Kolaitis and Popa, "Data
+index list.  It keys each component by its facts with null labels numbered
+in order of first occurrence, each fact with its time; a component whose key
+the other instance also holds maps onto that twin by renaming nulls, and
+only the others are searched (on why a homomorphism between two solutions
+of one mapping is often cheap to find, see Fagin, Kolaitis and Popa, "Data
 exchange: getting to the core", TODS 2005).
 
 ``equivalent`` compares the abstract views of two instances of either view
-at one time point per cell of their joint endpoint grid, the snapshot
-reading of the concrete view (Chomicki and Toman, "Temporal Databases",
-2005), so its cost does not grow with interval length.
+coalesced (Böhlen, Snodgrass and Soo, VLDB 1996), skips the components with
+a twin, and cuts the rest at one time point per cell of the joint endpoint
+grid, the snapshot reading of the concrete view (Chomicki and Toman,
+"Temporal Databases", 2005), so its cost does not grow with interval length.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
 from operator import itemgetter
-from typing import Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError, SchemaError
 from .mapping_lang import Atom, Var
@@ -61,9 +62,14 @@ from .model import (
     _blocks,
     _check_horizon,
     _check_instance,
+    _coalesced,
     _cut,
     _default_horizon,
     _grid_cuts,
+    _label_key,
+    _labelled,
+    _merged,
+    _new,
     _plan_cuts,
     _refuse_fragments,
 )
@@ -269,7 +275,7 @@ def _join_tokens(atoms: Sequence[Atom]) -> Optional[dict[str, list[tuple[int, tu
     return tokens if len(reached) == len(atoms) else None
 
 
-def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance) -> Iterator[Instance]:
+def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -> Iterator[Instance]:
     """For each body, the instance its join reads, made as it is asked for.
 
     A join binds one time value to every atom, so over a concrete instance
@@ -283,9 +289,10 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance) -> Iterator[I
     block whose intervals are equal or disjoint, and an abstract instance
     need no cut.  The fragments are counted over every block of every body
     when this is called, before any is made, and refused above
-    ``MAX_NORMALIZE_FRAGMENTS`` as ``normalize_instance`` refuses them; each
-    body's cut copy of the instance is then made only as the caller asks for
-    it, so a caller that reads them in turn holds at most two at once.
+    ``MAX_NORMALIZE_FRAGMENTS`` as ``normalize_instance`` refuses them,
+    naming ``stage``; each body's cut copy of the instance is then made only
+    as the caller asks for it, so a caller that reads them in turn holds at
+    most two at once.
     """
     if inst.kind != CONCRETE:
         return iter([inst] * len(bodies))
@@ -307,7 +314,7 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance) -> Iterator[I
 
             blocks = _blocks([f for r in relations for f in inst.facts_by_relation[r]], tokens)
         plans.append(_plan_cuts([b for b in blocks if len(b) > 1 and relations <= {f.relation for f in b}]))
-    _refuse_fragments([p for block_plans in plans for p in block_plans])
+    _refuse_fragments(stage, [p for block_plans in plans for p in block_plans])
     return (_apply_cuts(inst, block_plans) for block_plans in plans)
 
 
@@ -357,29 +364,29 @@ def _check_pair(a: Instance, b: Instance) -> None:
 # join binds the null numbered ``k`` by first occurrence as ``#k``.
 _Compiled = tuple[list[_Step], list[str]]
 
-# A shared-null component as its facts in canonical order, each as its relation
-# and its values, a constant as itself and a null as its number in order of
-# first occurrence; then the component's time point.  Two components with the
-# same key are the same up to renaming nulls.
-_Key = tuple[tuple[tuple[str, tuple], ...], int]
+# A component as its facts in canonical order, each as its relation, its
+# values (a constant as itself, a null as the number of its label in order of
+# first occurrence) and its time.  Two components with the same key are the
+# same up to renaming null labels.
+_Key = tuple[tuple[str, tuple, object], ...]
 
 
-def _components(inst: Instance) -> tuple[list[Fact], list[list[Fact]]]:
-    """The facts of ``inst`` that hold no null, and its connected components
-    of the shared-null graph, each a list of facts in no particular order."""
+def _components(facts: Iterable[Fact]) -> tuple[list[Fact], list[list[Fact]]]:
+    """The facts that hold no null, and the connected components of the
+    shared-null graph, each a list of facts in no particular order.  Over an
+    abstract instance a component lies at one time point."""
     ground: list[Fact] = []
-    components = _blocks(inst.facts, lambda f: [v for v in f.values if v.__class__ is Null], ground)
+    components = _blocks(facts, lambda f: [v for v in f.values if v.__class__ is Null], ground)
     return ground, components
 
 
-def _numbered(facts: list[Fact]) -> tuple[_Key, list[Null]]:
-    """A component's key, and its nulls in order of first occurrence."""
+def _numbered(facts: list[Fact]) -> tuple[_Key, list[str]]:
+    """A component's key, and its null labels in order of first occurrence."""
     facts.sort()
-    ids: dict[Null, int] = {}
-    rows = tuple([(f.relation, tuple([ids.setdefault(v, len(ids)) if v.__class__ is Null else v
-                                      for v in f.values]))
-                  for f in facts])
-    return (rows, facts[0].time), list(ids)  # a component lies at one time point
+    ids: dict[str, int] = {}
+    return tuple([(f.relation, tuple([ids.setdefault(v.label, len(ids)) if v.__class__ is Null else v
+                                      for v in f.values]), f.time)
+                  for f in facts]), list(ids)
 
 
 def _compile_shape(shape: tuple, b: Instance, indexes: dict, ordered: bool) -> _Compiled:
@@ -402,36 +409,36 @@ def _compile_shape(shape: tuple, b: Instance, indexes: dict, ordered: bool) -> _
 
 def _component_binding(key: _Key, b: Instance, indexes: dict, compiled: dict[tuple, _Compiled],
                        ordered: bool) -> Optional[Binding]:
-    """The first binding of the component's join over ``b``, which binds each
-    null's number ``k`` as ``#k``; None if there is none.  The join is compiled
-    once per shape into ``compiled``, on the indexes of ``indexes``."""
-    rows, time = key
+    """The first binding of the join of a component at one time point over
+    ``b``, which binds each null's number ``k`` as ``#k``; None if there is
+    none.  The join is compiled once per shape into ``compiled``, on the
+    indexes of ``indexes``."""
     shape = tuple([(relation, tuple([v if v.__class__ is int else -1 for v in values]))
-                   for relation, values in rows])
+                   for relation, values, _ in key])
     entry = compiled.get(shape)
     if entry is None:
         entry = compiled[shape] = _compile_shape(shape, b, indexes, ordered)
     steps, params = entry
-    start = dict(zip(params, [v for _, values in rows for v in values if v.__class__ is not int]))
-    start["@"] = time
+    start = dict(zip(params, [v for _, values, _ in key for v in values if v.__class__ is not int]))
+    start["@"] = key[0][2]
     return next(_walk(steps, start), None)
 
 
 def _search_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     """``find_abstract_hom`` on instances that passed ``_check_hom_inputs``."""
-    ground, components = _components(a)
+    ground, components = _components(a.facts)
     if not b.facts.issuperset(ground):  # constants are fixed, so a ground fact's image is itself
         return None
     indexes: dict = {}
     compiled: dict[tuple, _Compiled] = {}
     hom: AbstractHom = {}
     for facts in components:
-        key, nulls = _numbered(facts)
+        key, labels = _numbered(facts)
         binding = _component_binding(key, b, indexes, compiled, ordered=True)
         if binding is None:
             return None
-        for k, n in enumerate(nulls):
-            hom[n] = binding[f"#{k}"]
+        for k, label in enumerate(labels):
+            hom[Null(label, facts[0].time)] = binding[f"#{k}"]
     return hom
 
 
@@ -473,10 +480,10 @@ def apply_abstract_hom(hom: TMapping[Null, Value], inst: Instance) -> Instance:
     return Instance(inst.kind, inst.schema, frozenset(facts))
 
 
-def _keys(inst: Instance) -> tuple[list[Fact], set[_Key]]:
-    """The facts of ``inst`` that hold no null, and the keys of its components."""
-    ground, components = _components(inst)
-    return ground, {_numbered(facts)[0] for facts in components}
+def _keys(facts: Iterable[Fact]) -> tuple[list[Fact], set[_Key]]:
+    """The facts that hold no null, and the keys of the shared-null components."""
+    ground, components = _components(facts)
+    return ground, {_numbered(c)[0] for c in components}
 
 
 def _maps_into(ground: list[Fact], keys: set[_Key], b: Instance, twins: set[_Key]) -> bool:
@@ -509,9 +516,38 @@ def hom_equivalent(a: Instance, b: Instance) -> bool:
 
 def _hom_equivalent(a: Instance, b: Instance) -> bool:
     """``hom_equivalent`` on instances that passed ``_check_hom_inputs``."""
-    ground_a, keys_a = _keys(a)
-    ground_b, keys_b = _keys(b)
+    ground_a, keys_a = _keys(a.facts)
+    ground_b, keys_b = _keys(b.facts)
     return _maps_into(ground_a, keys_a, b, keys_b) and _maps_into(ground_b, keys_b, a, keys_a)
+
+
+def _view(inst: Instance, horizon: int) -> list[Fact]:
+    """The abstract view of ``inst`` as concrete facts, coalesced as
+    ``model._coalesce`` coalesces them: a concrete fact clipped at
+    ``horizon`` (one that starts there has no point below it), an abstract
+    fact at ``t`` read as on ``[t, t+1)``."""
+    times = {f.time for f in inst.facts}
+    spans = ({t: _new(ClopenInterval, (t, t + 1)) for t in times} if inst.kind == ABSTRACT else
+             {t: t if t.end <= horizon else _new(ClopenInterval, (t.start, horizon)) for t in times if t.start < horizon})
+    rows = [(_label_key(f), spans[f.time]) for f in inst.facts if f.time in spans]
+    parts = _coalesced(rows, itemgetter(0))
+    if parts is not None:
+        rows, merged = parts
+        rows += [(key, iv) for key, ivs in merged.items() for iv in ivs]
+    return [_labelled(key, iv) for key, iv in rows]
+
+
+def _untwinned(views: list[list[Fact]]) -> list[list[Fact]]:
+    """Per view of two, the ground facts the other lacks, and the facts of
+    each component, linked by null labels, whose key (``_numbered``, each
+    fact with its interval) the other does not hold."""
+    sides = []
+    for view in views:
+        ground: list[Fact] = []
+        components = _blocks(view, lambda f: [v.label for v in f.values if v.__class__ is Null], ground)
+        sides.append((set(ground), {_numbered(facts)[0]: facts for facts in components}))
+    return [[*(ground - twin_ground), *[f for key, facts in keyed.items() if key not in twins for f in facts]]
+            for (ground, keyed), (twin_ground, twins) in (sides, sides[::-1])]
 
 
 def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
@@ -520,44 +556,47 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     input up to ``horizon`` (by default one above every finite endpoint of
     the concrete inputs), without building every time point.
 
-    The joint grid holds every endpoint of a concrete fact, and ``t`` and
-    ``t+1`` for each abstract fact at ``t`` (as if it held on ``[t, t+1)``);
-    its cells end at the horizon.  Within one cell below the horizon the
-    abstract views at any two points are the same up to re-annotating nulls,
-    and an abstract homomorphism fixes time points, so a homomorphism exists
-    at every point of the cell iff one exists at its first point.  So each concrete input is cut at the first
-    point of each cell only (a cell that holds an abstract fact is that one
-    point), and an abstract input is compared whole, facts at or beyond the
-    horizon too.
+    Both inputs are coalesced (``_view``): a concrete one clipped at the
+    horizon, an abstract one whole, facts at or beyond the horizon too.  A
+    component (``_untwinned``) or ground fact whose key the other side also
+    holds maps onto that twin at every point by renaming labels.  Only the
+    rest is cut, at the first point of each cell of the joint endpoint grid
+    that it covers, and the other side at the same points: within one cell
+    the abstract views at any two points are the same up to re-annotating
+    nulls, and an abstract homomorphism fixes time points.  The two cuts are
+    compared as ``hom_equivalent`` compares them, one direction each.
 
     Checks, in order: each concrete input is well formed; the horizon is at
     or above the endpoints of each, as ``sem_instance`` checks them; the
     inputs share a schema and each abstract one is well formed, as
     ``hom_equivalent`` checks them.  Then PreconditionError is raised if the
-    cut inputs would hold more than ``MAX_SEM_FACTS`` facts, counted on the
-    grid before any fact or list of points is built.
+    cuts would hold more than ``MAX_SEM_FACTS`` facts, counted on the grid
+    before any is built.
     """
     concrete = [inst for inst in (a, b) if inst.kind == CONCRETE]
     for inst in concrete:
         _check_instance(inst)
     if horizon is None:
         horizon = _default_horizon(concrete)
-    uses: Counter[ClopenInterval] = Counter()
     for inst in concrete:
-        each = Counter(f.time for f in inst.facts)
-        _check_horizon(horizon, *sorted(each))
-        uses.update(each)
+        _check_horizon(horizon, *sorted({f.time for f in inst.facts}))
     _check_pair(a, b)
-    if not concrete:
-        return _hom_equivalent(a, b)
-    times = {f.time for inst in (a, b) if inst.kind == ABSTRACT for f in inst.facts}
-    grid = build_grid([*uses, *[ClopenInterval(t, t + 1) for t in times]])
-    firsts = grid[:bisect_left(grid, horizon)]  # the first point of each cell below the horizon
-    cuts, count = _grid_cuts(uses, firsts)
+    views = [_view(inst, horizon) for inst in (a, b)]
+    grid = build_grid({f.time for view in views for f in view})
+    plans, count = [], 0
+    for rest, target in zip(_untwinned(views), views[::-1]):
+        if rest:
+            firsts = [p for span in _merged({f.time for f in rest})
+                      for p in grid[bisect_left(grid, span.start):bisect_left(grid, span.end)]]
+            cuts, n = _grid_cuts(Counter([f.time for facts in (rest, target) for f in facts]), firsts)
+            count += n
+            plans.append((rest, target, firsts, cuts))
     if count > MAX_SEM_FACTS:
         raise PreconditionError(f"the equivalence check up to horizon {horizon} builds {count} facts, "
                                 f"more than the limit of {MAX_SEM_FACTS}")
-    points = {iv: firsts[lo:hi] for iv, (lo, hi) in cuts.items()}
-    a, b = [Instance(ABSTRACT, inst.schema, _cut(inst.facts, points)) if inst.kind == CONCRETE else inst
-            for inst in (a, b)]
-    return _hom_equivalent(a, b)
+    for rest, target, firsts, cuts in plans:
+        points = {iv: firsts[lo:hi] for iv, (lo, hi) in cuts.items()}
+        rest, target = _cut(rest, points), _cut(target, points)
+        if not _maps_into(*_keys(rest), Instance(ABSTRACT, a.schema, target), _keys(target)[1]):
+            return False
+    return True

@@ -375,11 +375,11 @@ def _grid_cuts(uses: Counter[ClopenInterval], grid: list[int]) -> tuple[dict, in
 # ``homomorphism.equivalent`` builds.  Measured with tracemalloc (Python 3.11,
 # facts of three values, one a null), an abstract fact takes about 0.36 KB,
 # and about 1.4 KB at the peak of ``tdx sem``, which also builds the JSON
-# text: 250,000 x 1.4 KB is about 0.35 GB.  The peak of ``equivalent``, which
-# also keys the facts it builds and indexes them for the search, is about
-# 0.5 KB per fact built when both inputs are concrete, and 0.6-0.8 KB when
-# one is abstract and keyed and indexed too (the benchmark's careers,
-# long-lived and crossview chase results): at most 0.2 GB.
+# text: 250,000 x 1.4 KB is about 0.35 GB.  ``equivalent`` counts only what
+# its remainder's cut builds, not the twins it compares uncut.  Its peak, as
+# it also keys the facts it cuts and indexes them for the search, is about
+# 0.5-0.8 KB per fact cut (measured by cutting the benchmark's careers,
+# long-lived and crossview chase results whole): at most 0.2 GB.
 MAX_SEM_FACTS = 250_000
 
 
@@ -490,9 +490,13 @@ def _coalesce(inst: Instance) -> Instance:
     if parts is None:
         return inst
     facts, merged = parts
-    facts += [_new(Fact, (relation, tuple([v if v.__class__ is str else _new(Null, (v[0], iv)) for v in values]), iv))
-              for (relation, values), ivs in merged.items() for iv in ivs]
+    facts += [_labelled(key, iv) for key, ivs in merged.items() for iv in ivs]
     return _keep_screened(Instance(CONCRETE, inst.schema, frozenset(facts)))
+
+
+def _labelled(key: tuple, iv: ClopenInterval) -> Fact:
+    """The concrete fact over ``iv`` whose ``_label_key`` is ``key``."""
+    return _new(Fact, (key[0], tuple([v if v.__class__ is str else _new(Null, (v[0], iv)) for v in key[1]]), iv))
 
 
 def _blocks(facts: Iterable[Fact], tokens: Callable[[Fact], list],
@@ -554,16 +558,16 @@ def _plan_cuts(blocks: Iterable[Collection[Fact]]) -> list[_Cut]:
     return plans
 
 
-def _refuse_fragments(plans: list[_Cut], merged: int = 0) -> None:
-    """PreconditionError if the cuts add more than ``MAX_NORMALIZE_FRAGMENTS``
-    fragments to the facts they split, counted before any is made.  The
-    ``merged`` facts that a coalescing removed before the cut count among
-    the facts split: a cut that only makes them again holds no more facts
-    than were made before the coalescing."""
+def _refuse_fragments(stage: str, plans: list[_Cut], merged: int = 0) -> None:
+    """PreconditionError, naming ``stage``, if the cuts add more than
+    ``MAX_NORMALIZE_FRAGMENTS`` fragments to the facts they split, counted
+    before any is made.  The ``merged`` facts that a coalescing removed
+    before the cut count among the facts split: a cut that only makes them
+    again holds no more facts than were made before the coalescing."""
     facts = sum(len(p.facts) for p in plans) + merged
     added = sum(p.fragments for p in plans) - facts
     if added > MAX_NORMALIZE_FRAGMENTS:
-        raise PreconditionError(f"normalization would split {facts} facts into "
+        raise PreconditionError(f"{stage} would split {facts} facts into "
                                 f"{facts + added} fragments, {added} more than the facts, "
                                 f"above the limit of {MAX_NORMALIZE_FRAGMENTS}")
 
@@ -609,7 +613,7 @@ def normalize_instance(inst: Instance) -> Instance:
         raise SchemaError("normalize_instance expects a concrete instance")
     _check_instance(inst)
     plans = _plan_cuts([inst.facts])
-    _refuse_fragments(plans)
+    _refuse_fragments("normalization", plans)
     return _apply_cuts(inst, plans)
 
 

@@ -67,7 +67,7 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
         if not disjunct:
             raise PreconditionError(f"query {q.name!r}: disjunct #{k} has no atoms")
     rows: set[tuple] = set()
-    for disjunct, body_inst in zip(q.disjuncts, _join_inputs(q.disjuncts, inst)):
+    for disjunct, body_inst in zip(q.disjuncts, _join_inputs(q.disjuncts, inst, "the query body")):
         for binding in _formula_homs(disjunct, body_inst, None):
             values = [binding[v] for v in q.head]
             if any(not isinstance(v, str) for v in values):

@@ -22,7 +22,8 @@ runs of each tag on a line of its own.
 Per group of inputs (the fixtures, or one workload at one size) the battery
 runs ``normalize`` and ``sem`` on each concrete instance; ``chase`` with
 both mappings and ``query`` and ``certain`` with every query of both on
-each instance; ``equiv`` on every pair of the group's instances and the
+each instance, and ``query`` with each query of a mapping on the
+instance's ``chase`` output with that mapping; ``equiv`` on every pair of the group's instances and the
 chase outputs with ``example1`` of its sources; and ``equiv`` of its first
 two instances (of a workload, the concrete and the abstract source), and of
 their chase outputs, with ``--horizon`` 10 and 20 times one above the
@@ -95,14 +96,15 @@ def _battery(work: Path) -> list[dict]:
                     out = str(outputs / f"{stem}-{command}.json")
                     run(group, [command, "-i", path, "-o", out], out)
             for mapping, queries in MAPPINGS.items():
-                out = str(outputs / f"{stem}-chase-{mapping}.json")
-                run(group, ["chase", "-m", mappings[mapping], "-i", path, "-o", out], out)
+                target = str(outputs / f"{stem}-chase-{mapping}.json")
+                run(group, ["chase", "-m", mappings[mapping], "-i", path, "-o", target], target)
                 if mapping == "example1" and set(doc["relations"]) == set(EXAMPLE1_SOURCE):
-                    chased.append(out)
+                    chased.append(target)
                 for q in queries:
-                    for command in ("query", "certain"):
-                        out = str(outputs / f"{stem}-{command}-{q}.json")
-                        run(group, [command, "-m", mappings[mapping], "-q", q, "-i", path, "-o", out], out)
+                    for command, inst, prefix in (("query", path, stem), ("certain", path, stem),
+                                                  ("query", target, Path(target).stem)):
+                        out = str(outputs / f"{prefix}-{command}-{q}.json")
+                        run(group, [command, "-m", mappings[mapping], "-q", q, "-i", inst, "-o", out], out)
         for a, b in itertools.combinations([path for path, _ in instances] + chased, 2):
             run(group, ["equiv", "-a", a, "-b", b])
         top = 1 + max(max(e for iv in _intervals(doc) for e in (iv["start"], iv["end"]) if e != "inf")

@@ -355,23 +355,37 @@ def test_sem_beyond_the_fact_limit_is_one_error_line(workdir, capsys):
 
 
 def test_equiv_builds_one_point_per_grid_cell(workdir, capsys):
-    # sem of this input is beyond MAX_SEM_FACTS; equiv builds one fact per side
+    # sem of this input is beyond MAX_SEM_FACTS; equiv finds each fact's twin and builds none
     (workdir / "long.json").write_text(_LONG)
     assert run(workdir, "equiv", "-a", "@long.json", "-b", "@long.json") == 0
     assert capsys.readouterr() == ("equivalent\n", "")
 
 
 def test_equiv_beyond_its_fact_limit_is_one_error_line(workdir, capsys, monkeypatch):
-    # n nested facts [i, inf) cover n(n+1)/2 grid cells below the horizon n, on each side;
-    # the facts are counted before any is built
+    # n nested facts [i, inf), each with a null of its own on one side and a constant on the
+    # other, have no twin: each side's facts cover n(n+1)/2 grid cells below the horizon n, and
+    # so do the other side's at the same points; the facts are counted before any is built
     monkeypatch.setattr(tdx.homomorphism, "_cut", None)
-    n = 710
-    facts = [{"values": ["x"], "interval": {"start": i, "end": "inf"}} for i in range(n)]
+    n = 355
+    for name, value in (("nulls", lambda i: {"null": f"N{i}"}), ("constants", lambda i: f"p{i}")):
+        facts = [{"values": [value(i)], "interval": {"start": i, "end": "inf"}} for i in range(n)]
+        (workdir / f"{name}.json").write_text(json.dumps({"kind": "concrete", "relations": {
+            "R": {"attributes": ["a", "t"], "facts": facts}}}))
+    assert run(workdir, "equiv", "-a", "@nulls.json", "-b", "@constants.json") == 1
+    assert capsys.readouterr() == ("", f"error: the equivalence check up to horizon {n} builds {2 * n * (n + 1)} "
+                                       f"facts, more than the limit of {tdx.MAX_SEM_FACTS}\n")
+
+
+@pytest.mark.parametrize("name", ["nulls", "constants"])
+def test_equiv_of_an_input_with_itself_cuts_nothing(workdir, capsys, monkeypatch, name):
+    # each component and each ground fact is its own twin, so no fact is cut, however many cells
+    monkeypatch.setattr(tdx.homomorphism, "_cut", None)
+    value = {"nulls": lambda i: {"null": f"N{i}"}, "constants": lambda i: f"p{i}"}[name]
+    facts = [{"values": [value(i)], "interval": {"start": i, "end": "inf"}} for i in range(710)]
     (workdir / "nested.json").write_text(json.dumps({"kind": "concrete", "relations": {
         "R": {"attributes": ["a", "t"], "facts": facts}}}))
-    assert run(workdir, "equiv", "-a", "@nested.json", "-b", "@nested.json") == 1
-    assert capsys.readouterr() == ("", f"error: the equivalence check up to horizon {n} builds {n * (n + 1)} "
-                                       f"facts, more than the limit of {tdx.MAX_SEM_FACTS}\n")
+    assert run(workdir, "equiv", "-a", "@nested.json", "-b", "@nested.json") == 0
+    assert capsys.readouterr() == ("equivalent\n", "")
 
 
 def _nested_join(workdir, b_facts):
@@ -387,19 +401,19 @@ def _nested_join(workdir, b_facts):
                                       "query q(n, t) :- C(n, c, t).\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("normalize", "-i", "@nested.json", "-o", "@out.json"),
-    ("chase", "-m", "@join.tdx", "-i", "@nested.json", "-o", "@out.json"),
-    ("certain", "-m", "@join.tdx", "-i", "@nested.json", "-q", "q", "-o", "@out.json"),
+@pytest.mark.parametrize("stage, argv", [
+    ("normalization", ("normalize", "-i", "@nested.json", "-o", "@out.json")),
+    ("the rule bodies", ("chase", "-m", "@join.tdx", "-i", "@nested.json", "-o", "@out.json")),
+    ("the rule bodies", ("certain", "-m", "@join.tdx", "-i", "@nested.json", "-q", "q", "-o", "@out.json")),
 ])
-def test_normalize_beyond_the_fragment_limit_is_one_error_line(workdir, capsys, argv):
+def test_normalize_beyond_the_fragment_limit_is_one_error_line(workdir, capsys, stage, argv):
     # n nested facts [i, inf) make n(n+1)/2 fragments: 450 make 101,475, and the one fact
     # [0, inf) that each of them can join with makes 450, 101,474 more than the 451 facts;
     # the chase cuts the rule's one join block so, as normalization cuts the whole instance
     _nested_join(workdir, [{"values": ["acme"], "interval": {"start": 0, "end": "inf"}}])
     assert run(workdir, *argv) == 1
     assert not (workdir / "out.json").exists()
-    assert capsys.readouterr().err == ("error: normalization would split 451 facts into 101925 fragments, "
+    assert capsys.readouterr().err == (f"error: {stage} would split 451 facts into 101925 fragments, "
                                        f"101474 more than the facts, above the limit of {tdx.MAX_NORMALIZE_FRAGMENTS}\n")
 
 
@@ -427,7 +441,7 @@ def test_a_key_block_beyond_the_fragment_limit_is_one_error_line(workdir, capsys
         "Employee2": (["name", "position", "dept", "time"], _nested(lambda i: ["Ada", "DBA", f"d{i}"]))})
     assert run(workdir, *argv) == 1
     assert not (workdir / "out.json").exists()
-    assert capsys.readouterr().err == ("error: normalization would split 900 facts into 202950 fragments, "
+    assert capsys.readouterr().err == ("error: the key round would split 900 facts into 202950 fragments, "
                                        f"202050 more than the facts, above the limit of {tdx.MAX_NORMALIZE_FRAGMENTS}\n")
 
 
@@ -440,7 +454,7 @@ def test_query_beyond_the_fragment_limit_is_one_error_line(workdir, capsys):
     assert run(workdir, "query", "-m", "@example1.tdx", "-i", "@nested.json", "-q", "paid_positions",
                "-o", "@out.json") == 1
     assert not (workdir / "out.json").exists()
-    assert capsys.readouterr().err == ("error: normalization would split 451 facts into 101925 fragments, "
+    assert capsys.readouterr().err == ("error: the query body would split 451 facts into 101925 fragments, "
                                        f"101474 more than the facts, above the limit of {tdx.MAX_NORMALIZE_FRAGMENTS}\n")
 
 

@@ -529,12 +529,22 @@ def test_hom_equivalence_when_canonical_order_follows_null_labels(monkeypatch):
     assert answers == [True, True, False, False]
 
 
+def _relabeled(rng, inst):
+    """``inst`` with its null labels permuted, in either view."""
+    labels = sorted({v.label for f in inst.facts for v in f.values if isinstance(v, Null)})
+    image = dict(zip(labels, rng.sample(labels, len(labels))))
+    return inst.replace_facts(Fact(f.relation, tuple(Null(image[v.label], v.context) if isinstance(v, Null) else v
+                                                     for v in f.values), f.time) for f in inst.facts)
+
+
 def test_equivalent_per_cell_agrees_with_sem_then_search():
     """``equivalent`` against ``sem`` of each concrete input at every point, on
-    random cases: both view orders, horizons just above the endpoints (the
-    default) and far above them, abstract sides with facts at or beyond the
-    horizon, and unnormalized concrete inputs whose null labels overlap."""
-    rng = random.Random(1405)
+    random cases: both view orders, concrete/abstract, abstract/abstract and
+    concrete/concrete pairs, horizons just above the endpoints (the default)
+    and far above them (x10), abstract sides with facts at or beyond the
+    horizon, one fact dropped, null labels permuted, and unnormalized
+    concrete inputs whose null labels overlap."""
+    rng, relabel = random.Random(1405), random.Random(1805)
     answers = {True: 0, False: 0}
     for i in range(124):
         overlapping = i % 62 == 0  # large: hundreds of facts, each cut many times
@@ -551,9 +561,12 @@ def test_equivalent_per_cell_agrees_with_sem_then_search():
         jc, ja, jl = concrete.instance, abstract.instance, later.instance
         pairs = [(jc, ja), (jc, jl), (jc, _dropped(rng, ja)), (_dropped(rng, jc), ja),
                  (_unnormalized(jc), ja), (_unnormalized(jc), jc), (ja, jl)]
+        if not overlapping:
+            pairs += [(_relabeled(relabel, jc), ja), (_relabeled(relabel, jc), _dropped(relabel, jc)),
+                      (_relabeled(relabel, ja), jl)]
         for x, y in pairs:
             for a, b in ((x, y), (y, x)):
-                for horizon in (None,) if overlapping else (None, top + 3, top + 60):
+                for horizon in (None,) if overlapping else (None, top + 3, top + 60, 10 * top):
                     expected = sem_equivalent(a, b, horizon)
                     assert equivalent(a, b, horizon) == expected, (i, a, b, horizon)
                     answers[expected] += 1
@@ -579,9 +592,12 @@ def _as_concrete(inst):
 
 
 def test_equivalent_on_bench_results_with_long_intervals(example1, monkeypatch):
-    """The 4S careers and crossview chase results, the abstract one read as a
-    concrete instance, with every endpoint x100: the answer is the one at
-    x1, which ``sem`` then search gives, and as many facts are built."""
+    """The 4S careers, long-lived and crossview chase results coalesce to the
+    same facts, so every component and ground fact has a twin: nothing is
+    cut and no join is walked.  Careers and crossview again, the abstract
+    result read as a concrete instance with a null label per point, with
+    every endpoint x100: the answer is the one at x1, which ``sem`` then
+    search gives, and as many facts are built."""
     bench = bench_workloads()
     built = []
     cut = tdx.homomorphism._cut
@@ -593,12 +609,19 @@ def test_equivalent_on_bench_results_with_long_intervals(example1, monkeypatch):
 
     monkeypatch.setattr(tdx.homomorphism, "_cut", counting)
     rng = random.Random(3)
-    for name in ("careers", "crossview"):
+    for name in ("careers", "long-lived", "crossview"):
         workload = bench.WORKLOADS[name]
         sc = workload.generate(workload.sizes[-1], random.Random(f"1:{len(workload.sizes) - 1}"))
         src = instance_from_json(bench.concrete_doc(bench.EXAMPLE1_SOURCE, sc.source))
         jc = chase(src, example1).instance
-        ja = _as_concrete(chase(sem_instance(src, sc.horizon), example1).instance)
+        ja = chase(sem_instance(src, sc.horizon), example1).instance
+        built.append(0)
+        answers = []
+        assert _count_matches(lambda: answers.append(equivalent(jc, ja, sc.horizon)), monkeypatch) == 0
+        assert answers == [True] and built[-1] == 0, name
+        if name == "long-lived":
+            continue
+        ja = _as_concrete(ja)
         for a, b, expected in ((jc, ja, True), (jc, _dropped(rng, ja), False)):
             counts, answers = [], []
             for k in (1, 100):
@@ -610,21 +633,27 @@ def test_equivalent_on_bench_results_with_long_intervals(example1, monkeypatch):
 
 
 def test_equivalent_refuses_a_large_cut_before_building_it():
-    """n nested facts ``[i, inf)`` cover n(n+1)/2 cells below the horizon n on
-    each side: for n = 3,000, 9,003,000 facts, and 4.5 million entries (about
-    36 MB) in the lists of each interval's points.  They are counted on the
-    grid's indexes and refused before either is built."""
+    """n nested facts ``[i, inf)``, each holding a null of its own on one side
+    and a constant on the other, have no twin, so each side's facts are cut
+    at each of the n cells below the horizon n that they cover, and so are
+    the other side's at the same points: for n = 3,000, 2 x 2 x n(n+1)/2 =
+    18,006,000 facts, and 4.5 million entries (about 36 MB) in the lists of
+    each interval's points.  They are counted on the grid's indexes and
+    refused before either is built.  Either side compared with itself is its
+    own twin, and nothing is cut."""
     n = 3_000
-    inst = Instance.concrete([rel("R", "a")], [fact("R", f"p{i}", time=iv(i, INF)) for i in range(n)])
+    nulls, constants = [Instance.concrete([rel("R", "a")], [fact("R", value(i), time=iv(i, INF)) for i in range(n)])
+                        for value in (lambda i: Null(f"N{i}", iv(i, INF)), lambda i: f"p{i}")]
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionError, match=f"^the equivalence check up to horizon {n} builds "
-                                                    f"{n * (n + 1)} facts, more than the limit of 250000$"):
-            equivalent(inst, inst)
+                                                    f"{2 * n * (n + 1)} facts, more than the limit of 250000$"):
+            equivalent(nulls, constants)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+    assert equivalent(nulls, nulls) and equivalent(constants, constants)
 
 
 _HASH_SEED_PROBE = """

@@ -192,7 +192,7 @@ def test_the_key_round_counts_its_cut_against_the_facts_it_was_given(example1, m
     src = Instance.concrete(example1.source, [fact("Employee2", "Ada", "DBA", f"d{i}", time=iv(i, INF))
                                               for i in range(8)])
     monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 30)
-    with pytest.raises(PreconditionError, match="^normalization would split 16 facts into 72 fragments, "
+    with pytest.raises(PreconditionError, match="^the key round would split 16 facts into 72 fragments, "
                                                 "56 more than the facts, above the limit of 30$"):
         chase(src, example1)
     staged = st_round_concrete(normalize_instance(src), example1.sttgds, example1.target)
