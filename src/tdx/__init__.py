@@ -60,7 +60,6 @@ from .homomorphism import (
     enumerate_formula_homs,
     equivalent,
     find_abstract_hom,
-    hom_equivalent,
     instantiate_atom,
 )
 from .chase import (

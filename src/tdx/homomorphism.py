@@ -27,19 +27,20 @@ search compiles a join once per component shape (relations, and which
 position holds which null), with the component's constants and time point
 as parameters, not once per component.
 
-``hom_equivalent`` decides only existence, so it returns no hom and sorts no
-index list.  It keys each component by its facts with null labels numbered
-in order of first occurrence, each fact with its time; a component whose key
-the other instance also holds maps onto that twin by renaming nulls, and
-only the others are searched (on why a homomorphism between two solutions
-of one mapping is often cheap to find, see Fagin, Kolaitis and Popa, "Data
-exchange: getting to the core", TODS 2005).
-
-``equivalent`` compares the abstract views of two instances of either view
-coalesced (Böhlen, Snodgrass and Soo, VLDB 1996), skips the components with
-a twin, and cuts the rest at one time point per cell of the joint endpoint
-grid, the snapshot reading of the concrete view (Chomicki and Toman,
-"Temporal Databases", 2005), so its cost does not grow with interval length.
+``equivalent`` decides whether the abstract views of two instances, of
+either view, are homomorphically equivalent: whether ``find_abstract_hom``
+finds a hom both ways after ``sem_instance`` of each concrete input (the
+oracle ``tests/oracles.py::sem_equivalent``).  It decides only existence, so
+it returns no hom and sorts no index list.  It compares the two views
+coalesced (Böhlen, Snodgrass and Soo, VLDB 1996) and keys each component by
+its facts with null labels numbered in order of first occurrence, each fact
+with its interval; a component whose key the other side also holds maps
+onto that twin by renaming nulls (on why a homomorphism between two
+solutions of one mapping is often cheap to find, see Fagin, Kolaitis and
+Popa, "Data exchange: getting to the core", TODS 2005).  Only the rest is
+searched, cut at one time point per cell of the joint endpoint grid, the
+snapshot reading of the concrete view (Chomicki and Toman, "Temporal
+Databases", 2005), so its cost does not grow with interval length.
 """
 from __future__ import annotations
 
@@ -341,15 +342,6 @@ def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
     return results
 
 
-def _check_hom_inputs(a: Instance, b: Instance) -> None:
-    """The preconditions of an abstract homomorphism search, checked over
-    both instances before any search so that whether it raises, and what,
-    does not depend on the order in which it meets the facts."""
-    if a.kind != ABSTRACT or b.kind != ABSTRACT:
-        raise ValueError("abstract instances are required")
-    _check_pair(a, b)
-
-
 def _check_pair(a: Instance, b: Instance) -> None:
     """Two instances to compare share a schema, and each is well formed."""
     if a.schema != b.schema:
@@ -424,24 +416,6 @@ def _component_binding(key: _Key, b: Instance, indexes: dict, compiled: dict[tup
     return next(_walk(steps, start), None)
 
 
-def _search_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
-    """``find_abstract_hom`` on instances that passed ``_check_hom_inputs``."""
-    ground, components = _components(a.facts)
-    if not b.facts.issuperset(ground):  # constants are fixed, so a ground fact's image is itself
-        return None
-    indexes: dict = {}
-    compiled: dict[tuple, _Compiled] = {}
-    hom: AbstractHom = {}
-    for facts in components:
-        key, labels = _numbered(facts)
-        binding = _component_binding(key, b, indexes, compiled, ordered=True)
-        if binding is None:
-            return None
-        for k, label in enumerate(labels):
-            hom[Null(label, facts[0].time)] = binding[f"#{k}"]
-    return hom
-
-
 def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     """Search for an abstract homomorphism from ``a`` into ``b``.
 
@@ -464,10 +438,27 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     Returns None when no homomorphism exists.
 
     Raises SchemaError, as ``_check_instance`` words it, if ``a`` or ``b``
-    breaks a rule of ``validate_instance``.
+    breaks a rule of ``validate_instance``: both are checked before any
+    search, so whether it raises, and what, does not depend on the order in
+    which it meets the facts.
     """
-    _check_hom_inputs(a, b)
-    return _search_abstract_hom(a, b)
+    if a.kind != ABSTRACT or b.kind != ABSTRACT:
+        raise ValueError("abstract instances are required")
+    _check_pair(a, b)
+    ground, components = _components(a.facts)
+    if not b.facts.issuperset(ground):  # constants are fixed, so a ground fact's image is itself
+        return None
+    indexes: dict = {}
+    compiled: dict[tuple, _Compiled] = {}
+    hom: AbstractHom = {}
+    for facts in components:
+        key, labels = _numbered(facts)
+        binding = _component_binding(key, b, indexes, compiled, ordered=True)
+        if binding is None:
+            return None
+        for k, label in enumerate(labels):
+            hom[Null(label, facts[0].time)] = binding[f"#{k}"]
+    return hom
 
 
 def apply_abstract_hom(hom: TMapping[Null, Value], inst: Instance) -> Instance:
@@ -480,45 +471,22 @@ def apply_abstract_hom(hom: TMapping[Null, Value], inst: Instance) -> Instance:
     return Instance(inst.kind, inst.schema, frozenset(facts))
 
 
-def _keys(facts: Iterable[Fact]) -> tuple[list[Fact], set[_Key]]:
-    """The facts that hold no null, and the keys of the shared-null components."""
+def _maps_into(facts: Iterable[Fact], b: Instance) -> bool:
+    """Whether an abstract homomorphism exists from the abstract instance of
+    ``facts`` into ``b``.  A component whose key a component of ``b`` also
+    holds maps onto that twin by renaming nulls, since constants and the
+    time point are fixed and each null goes to a null at the same point;
+    only the others are searched, as ``find_abstract_hom`` searches them,
+    once per distinct key, but with candidates in no particular order."""
     ground, components = _components(facts)
-    return ground, {_numbered(c)[0] for c in components}
-
-
-def _maps_into(ground: list[Fact], keys: set[_Key], b: Instance, twins: set[_Key]) -> bool:
-    """Whether an abstract homomorphism exists from the instance of ``ground``
-    and ``keys`` into ``b``, the keys of whose components are ``twins``.  A
-    component with a twin in ``b`` maps onto it by renaming nulls; only the
-    others are searched, on indexes in no particular order."""
+    keys = {_numbered(c)[0] for c in components}
     if not b.facts.issuperset(ground):
         return False
+    twins = {_numbered(c)[0] for c in _components(b.facts)[1]}
     indexes: dict = {}
     compiled: dict[tuple, _Compiled] = {}
     return all(key in twins or _component_binding(key, b, indexes, compiled, ordered=False) is not None
                for key in keys)
-
-
-def hom_equivalent(a: Instance, b: Instance) -> bool:
-    """True iff abstract homomorphisms exist in both directions (the inputs
-    are checked once, as ``find_abstract_hom`` checks them).
-
-    Only existence is decided.  Each instance's components are keyed once
-    (see ``_Key``); a component whose key the other instance also holds maps
-    onto that twin by renaming nulls, since constants and the time point are
-    fixed and each null goes to a null at the same point.  The other
-    components are searched as ``find_abstract_hom`` searches them, once per
-    distinct key, but with candidates in no particular order.
-    """
-    _check_hom_inputs(a, b)
-    return _hom_equivalent(a, b)
-
-
-def _hom_equivalent(a: Instance, b: Instance) -> bool:
-    """``hom_equivalent`` on instances that passed ``_check_hom_inputs``."""
-    ground_a, keys_a = _keys(a.facts)
-    ground_b, keys_b = _keys(b.facts)
-    return _maps_into(ground_a, keys_a, b, keys_b) and _maps_into(ground_b, keys_b, a, keys_a)
 
 
 def _view(inst: Instance, horizon: int) -> list[Fact]:
@@ -530,11 +498,7 @@ def _view(inst: Instance, horizon: int) -> list[Fact]:
     spans = ({t: _new(ClopenInterval, (t, t + 1)) for t in times} if inst.kind == ABSTRACT else
              {t: t if t.end <= horizon else _new(ClopenInterval, (t.start, horizon)) for t in times if t.start < horizon})
     rows = [(_label_key(f), spans[f.time]) for f in inst.facts if f.time in spans]
-    parts = _coalesced(rows, itemgetter(0))
-    if parts is not None:
-        rows, merged = parts
-        rows += [(key, iv) for key, ivs in merged.items() for iv in ivs]
-    return [_labelled(key, iv) for key, iv in rows]
+    return [_labelled(key, iv) for key, iv in _coalesced(rows, itemgetter(0), lambda key, iv: (key, iv)) or rows]
 
 
 def _untwinned(views: list[list[Fact]]) -> list[list[Fact]]:
@@ -552,9 +516,10 @@ def _untwinned(views: list[list[Fact]]) -> list[list[Fact]]:
 
 def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     """Whether the abstract views of ``a`` and ``b`` are homomorphically
-    equivalent: ``hom_equivalent`` after ``sem_instance`` of each concrete
-    input up to ``horizon`` (by default one above every finite endpoint of
-    the concrete inputs), without building every time point.
+    equivalent: whether ``find_abstract_hom`` finds a hom both ways after
+    ``sem_instance`` of each concrete input up to ``horizon`` (by default one
+    above every finite endpoint of the concrete inputs), decided without
+    building every time point and without building a hom.
 
     Both inputs are coalesced (``_view``): a concrete one clipped at the
     horizon, an abstract one whole, facts at or beyond the horizon too.  A
@@ -563,13 +528,14 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     rest is cut, at the first point of each cell of the joint endpoint grid
     that it covers, and the other side at the same points: within one cell
     the abstract views at any two points are the same up to re-annotating
-    nulls, and an abstract homomorphism fixes time points.  The two cuts are
-    compared as ``hom_equivalent`` compares them, one direction each.
+    nulls, and an abstract homomorphism fixes time points.  Each cut rest is
+    then mapped into the other side's cut (``_maps_into``), one direction
+    each.
 
     Checks, in order: each concrete input is well formed; the horizon is at
     or above the endpoints of each, as ``sem_instance`` checks them; the
     inputs share a schema and each abstract one is well formed, as
-    ``hom_equivalent`` checks them.  Then PreconditionError is raised if the
+    ``find_abstract_hom`` checks them.  Then PreconditionError is raised if the
     cuts would hold more than ``MAX_SEM_FACTS`` facts, counted on the grid
     before any is built.
     """
@@ -597,6 +563,6 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     for rest, target, firsts, cuts in plans:
         points = {iv: firsts[lo:hi] for iv, (lo, hi) in cuts.items()}
         rest, target = _cut(rest, points), _cut(target, points)
-        if not _maps_into(*_keys(rest), Instance(ABSTRACT, a.schema, target), _keys(target)[1]):
+        if not _maps_into(rest, Instance(ABSTRACT, a.schema, target)):
             return False
     return True

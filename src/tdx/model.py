@@ -36,10 +36,14 @@ the one writer of instance text, and ``instance_to_json`` sort each
 relation's facts as they write them, and ``validate_instance`` orders its
 facts by ``_offender_key``, as it also orders facts that hold non-values.
 
-The rules of a well-formed instance are written once, in ``_fact_problems``:
+The rules of a well-formed instance are written once, in ``_fact_problems``,
+each by exact class: a fact's values are a ``tuple``, a constant is a
+``str``, a null a ``Null`` with a ``str`` label, and a time a
+``ClopenInterval`` or a non-negative ``int``, never a subclass of one.
 ``validate_instance`` lists every problem, and ``_check_instance``, which
 every function that reads an instance's facts calls, and both writers,
-raises the first.
+raises the first; its one-pass screen, ``_plainly_well_formed``, passes
+exactly the instances that break none.
 """
 from __future__ import annotations
 
@@ -217,18 +221,21 @@ def _keep_screened(inst: Instance) -> Instance:
     return inst
 
 
-# Per view: what a fact's time must be, and its name in messages.
+# Per view: what a fact's time must be, by exact class (``True == 1``), and its
+# name in messages.
 _TIME_OF = {
-    CONCRETE: (lambda t: isinstance(t, ClopenInterval), "clopen interval"),
-    ABSTRACT: (lambda t: isinstance(t, int) and not isinstance(t, bool) and t >= 0, "finite time point"),
+    CONCRETE: (lambda t: t.__class__ is ClopenInterval, "clopen interval"),
+    ABSTRACT: (lambda t: t.__class__ is int and t >= 0, "finite time point"),
 }
 
 
 def _fact_problems(f: Fact, kind: str, arity: dict[str, int]) -> Iterator[tuple[str, str]]:
     """Each rule of a well-formed ``kind`` instance that ``f`` breaks, as
     ``(code, message)``; ``arity`` maps each relation of the schema to its
-    number of non-temporal values.  These are the only rules of an instance."""
-    if not isinstance(f.values, tuple):
+    number of non-temporal values.  These are the only rules of an instance,
+    and each names an exact class: an instance of a subclass, which can
+    equal or hash like a value of the class, is none of its values."""
+    if f.values.__class__ is not tuple:
         yield "not-a-value", f"{f!r}: a fact's values must be a tuple"
         return
     n = arity.get(f.relation)
@@ -242,21 +249,21 @@ def _fact_problems(f: Fact, kind: str, arity: dict[str, int]) -> Iterator[tuple[
         yield "kind-violation", f"{f}: {kind} fact must carry a {time_name}"
         return
     for v in f.values:
-        if not isinstance(v, str) and not (isinstance(v, Null) and isinstance(v.label, str)):
+        if v.__class__ is not str and not (v.__class__ is Null and v.label.__class__ is str):
             yield "not-a-value", f"{f}: {v!r} is not a constant or a null with a string label"
         # annotated with the time itself: equal, and of its class (True == 1, and an interval equals a tuple)
-        if isinstance(v, Null) and not (v.context.__class__ is f.time.__class__ and v.context == f.time):
+        if v.__class__ is Null and not (v.context.__class__ is f.time.__class__ and v.context == f.time):
             other = isinstance(v.context, ClopenInterval) != isinstance(f.time, ClopenInterval)
             yield ("kind-violation" if other else "context-mismatch",
                    f"{f}: null {v} is not annotated with the fact's {time_name}")
 
 
 def _plainly_well_formed(facts: Iterable[Fact], kind: str, arity: dict[str, int]) -> bool:
-    """A one-pass screen, stricter than ``_fact_problems``: each fact's time
-    is of its view's exact class (``ClopenInterval``, or a non-negative
-    ``int``), its values are a ``tuple`` that fills its relation, and each
-    value is an exact ``str`` or a ``Null`` with a ``str`` label and a
-    context equal to the time and of its class."""
+    """Whether no fact breaks a rule of ``_fact_problems``, checked in one
+    pass: each fact's time is of its view's class (``ClopenInterval``, or a
+    non-negative ``int``), its values are a ``tuple`` that fills its
+    relation, and each value is a ``str`` or a ``Null`` with a ``str`` label
+    and a context equal to the time and of its class."""
     cls = ClopenInterval if kind == CONCRETE else int
     for f in facts:
         t, values = f.time, f.values
@@ -298,7 +305,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
     interval, or a finite time point; then no value is checked), or a null
     annotated with the other view's kind; ``not-a-value``, neither a ``str``
     nor a ``Null`` with a ``str`` label; ``context-mismatch``, a null
-    annotated with another time of the right kind.
+    annotated with another time of the right kind.  Each class is exact
+    (see ``_fact_problems``).
     """
     arity = {r.name: r.arity for r in inst.schema}
     return [Violation(code, message) for f in sorted(inst.facts, key=_offender_key)
@@ -440,15 +448,17 @@ def _merged(times: Iterable[ClopenInterval]) -> list[ClopenInterval]:
     return out
 
 
-def _coalesced(items: Iterable[tuple], key: Callable[[tuple], object]) -> tuple[list, dict] | None:
+def _coalesced(items: Iterable[tuple], key: Callable[[tuple], object],
+               make: Callable[[object, ClopenInterval], tuple]) -> list | None:
     """The coalescing of Böhlen, Snodgrass and Soo ("Coalescing in Temporal
-    Databases", VLDB 1996), which ``_coalesce`` applies to facts and
-    ``query.naive_eval`` to answers.  The items, each a tuple that ends in
-    its interval, are grouped by ``key``, and each group's intervals are
-    merged where they overlap or meet (``_merged``).  Returns the items of
-    the groups where nothing merges, and the key of every other group with
-    its merged intervals; or None if nothing merges.  Two items of one group
-    have distinct intervals."""
+    Databases", VLDB 1996), which ``_coalesce`` applies to facts,
+    ``homomorphism._view`` to abstract views and ``query.naive_eval`` to
+    answers.  The items, each a tuple that ends in its interval, are grouped
+    by ``key``, and each group's intervals are merged where they overlap or
+    meet (``_merged``).  Returns the coalesced items: those of the groups
+    where nothing merges, then ``make(key, interval)`` for each merged
+    interval of every other group; or None if nothing merges.  Two items of
+    one group have distinct intervals."""
     groups: dict = {}
     for item in items:
         k = key(item)
@@ -466,7 +476,8 @@ def _coalesced(items: Iterable[tuple], key: Callable[[tuple], object]) -> tuple[
                 merged[k] = runs
                 continue
         kept += group
-    return (kept, merged) if merged else None
+    kept += [make(k, iv) for k, runs in merged.items() for iv in runs]
+    return kept if merged else None
 
 
 def _label_key(f: Fact) -> tuple:
@@ -486,11 +497,9 @@ def _coalesce(inst: Instance) -> Instance:
     with equal abstract views coalesce to equal instances.  An instance with
     nothing to merge is returned as it is.
     """
-    parts = _coalesced(inst.facts, _label_key)
-    if parts is None:
+    facts = _coalesced(inst.facts, _label_key, _labelled)
+    if facts is None:
         return inst
-    facts, merged = parts
-    facts += [_labelled(key, iv) for key, ivs in merged.items() for iv in ivs]
     return _keep_screened(Instance(CONCRETE, inst.schema, frozenset(facts)))
 
 
@@ -562,14 +571,17 @@ def _refuse_fragments(stage: str, plans: list[_Cut], merged: int = 0) -> None:
     """PreconditionError, naming ``stage``, if the cuts add more than
     ``MAX_NORMALIZE_FRAGMENTS`` fragments to the facts they split, counted
     before any is made.  The ``merged`` facts that a coalescing removed
-    before the cut count among the facts split: a cut that only makes them
-    again holds no more facts than were made before the coalescing."""
-    facts = sum(len(p.facts) for p in plans) + merged
-    added = sum(p.fragments for p in plans) - facts
+    before the cut count as facts the stage was given: a cut that only
+    makes them again holds no more facts than were made before the
+    coalescing.  The message names the facts cut, their fragments, and the
+    facts merged when there are any."""
+    facts = sum(len(p.facts) for p in plans)
+    fragments = sum(p.fragments for p in plans)
+    added = fragments - facts - merged
     if added > MAX_NORMALIZE_FRAGMENTS:
-        raise PreconditionError(f"{stage} would split {facts} facts into "
-                                f"{facts + added} fragments, {added} more than the facts, "
-                                f"above the limit of {MAX_NORMALIZE_FRAGMENTS}")
+        given = f"the facts and the {merged} that coalescing merged away" if merged else "the facts"
+        raise PreconditionError(f"{stage} would split {facts} facts into {fragments} fragments, "
+                                f"{added} more than {given}, above the limit of {MAX_NORMALIZE_FRAGMENTS}")
 
 
 def _apply_cuts(inst: Instance, plans: list[_Cut]) -> Instance:
@@ -678,10 +690,11 @@ def _require(cond: bool, where: str, message: str) -> None:
 
 
 def _time_from_json(doc: dict, kind: str, seen: dict) -> TimeValue:
-    """The fact's time, or ValueError with its problem.  ``seen`` holds each
-    time that passed, by its JSON value: ``(start, end)`` or ``time``, made
-    only of exact ints and ``"inf"``, since a bool or a float can equal an
-    int but is not a time."""
+    """The fact's time, or ValueError with its problem; a subclass of ``int``
+    in a code-built document is read as the ``int`` it stands for.  ``seen``
+    holds each time that passed, by its JSON value: ``(start, end)`` or
+    ``time``, made only of exact ints and ``"inf"``, since a bool or a float
+    can equal an int but is not a time."""
     if kind == CONCRETE:
         if "interval" not in doc:
             raise ValueError("concrete fact must carry an \"interval\"")
@@ -699,7 +712,9 @@ def _time_from_json(doc: dict, kind: str, seen: dict) -> TimeValue:
                 end = INF
             elif not isinstance(end, int) or isinstance(end, bool):
                 raise ValueError("interval end must be an integer or \"inf\"")
-            t = ClopenInterval(start, end)  # its ValueError is the fact's problem
+            else:
+                end = int.__int__(end)
+            t = ClopenInterval(int.__int__(start), end)  # its ValueError is the fact's problem
     else:
         if "time" not in doc:
             raise ValueError("abstract fact must carry a \"time\"")
@@ -709,6 +724,7 @@ def _time_from_json(doc: dict, kind: str, seen: dict) -> TimeValue:
         if key not in seen:
             if not (isinstance(t, int) and not isinstance(t, bool) and t >= 0):
                 raise ValueError("time must be a non-negative integer")
+            t = int.__int__(t)
     if key is not None:
         seen[key] = t
     return t
@@ -716,11 +732,12 @@ def _time_from_json(doc: dict, kind: str, seen: dict) -> TimeValue:
 
 def _value_from_json(v: object, time: TimeValue, nulls: dict) -> Value:
     """The value, or ValueError with its problem; ``nulls`` holds one
-    ``Null`` per label and time."""
+    ``Null`` per label and time.  A subclass of ``str`` in a code-built
+    document is read as the ``str`` it stands for."""
     if isinstance(v, str):
-        return v
+        return str.__str__(v)
     if isinstance(v, dict) and len(v) == 1 and isinstance(v.get("null"), str):
-        key = (v["null"], time)
+        key = (str.__str__(v["null"]), time)
         null = nulls.get(key)
         if null is None:
             null = nulls[key] = Null(*key)
@@ -751,11 +768,10 @@ def instance_from_json(doc: object) -> Instance:
     whose time was read before, and whose values are a list of the
     relation's arity of strings and ``{"null": "<label>"}`` objects.  Any
     other row, the first with each time among them, is read by
-    ``_fact_from_json``, which refuses it with its problem.  Every rule of
-    ``_plainly_well_formed`` holds of a fact the loop reads, so the instance
-    counts as screened unless a fact read by ``_fact_from_json`` breaks one
-    (a code-built document can hold a subclass of ``dict``, ``str`` or
-    ``int``).
+    ``_fact_from_json``, which refuses it with its problem, and reads a
+    subclass of ``str`` or ``int`` (a code-built document can hold one) as
+    the value of its class.  So every fact read is well formed, and the
+    instance counts as screened.
     """
     _require(isinstance(doc, dict), "instance", "top level must be a JSON object")
     kind = doc.get("kind")
@@ -768,7 +784,6 @@ def instance_from_json(doc: object) -> Instance:
     add = facts.add
     times: dict = {}
     nulls: dict = {}
-    plain = True
     for name in relations:
         where = f"relation {name!r}"
         rel = relations[name]
@@ -807,13 +822,10 @@ def instance_from_json(doc: object) -> Instance:
                     add(_new(Fact, (name, tuple(out), t)))
                     continue
             try:  # where the fact is is written only when it has a problem
-                f = _fact_from_json(row, name, arity, kind, times, nulls)
+                add(_fact_from_json(row, name, arity, kind, times, nulls))
             except ValueError as exc:
                 raise SchemaError(f"{where} fact #{i}: {exc}") from None
-            plain = plain and _plainly_well_formed((f,), kind, {name: arity})
-            add(f)
-    inst = Instance(kind, tuple(schemas), frozenset(facts))
-    return _keep_screened(inst) if plain else inst
+    return _keep_screened(Instance(kind, tuple(schemas), frozenset(facts)))
 
 
 def _list_text(items: list[str], indent: str) -> str:

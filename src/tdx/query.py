@@ -74,17 +74,13 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
                 continue  # a null never reaches an answer
             rows.add((*values, binding[q.time_var]))
     if inst.kind == CONCRETE:
-        parts = _coalesced(rows, _values_of)
-        if parts is not None:
-            kept, merged = parts
-            rows = {*kept, *[(*values, iv) for values, ivs in merged.items() for iv in ivs]}
+        rows = _coalesced(rows, _values_of, lambda values, iv: (*values, iv)) or rows
     return AnswerSet(q.name, inst.kind, q.columns, frozenset(rows))
 
 
 def _values_of(row: tuple) -> tuple:
     """An answer's values, without its time."""
     return row[:-1]
-
 
 def answers_sem(ans: AnswerSet, horizon: int) -> AnswerSet:
     """Expand concrete answers to one abstract answer per contained time point."""

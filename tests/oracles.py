@@ -43,7 +43,7 @@ from tdx import (
     sem_instance,
 )
 from tdx.chase import _close_and_replace, _round_equalities, _st_round, tkc_positions, tkc_step
-from tdx.homomorphism import _check_hom_inputs, _join_plan, _Var, _walk
+from tdx.homomorphism import _check_pair, _join_plan, _Var, _walk
 from tdx.model import _require, _time_from_json, _value_from_json
 
 
@@ -447,7 +447,7 @@ def per_component_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
     """``find_abstract_hom`` with a join planned for each component: its
     constants and time fixed in the patterns and each null's label its
     variable, on the same planner, index cache and walker."""
-    _check_hom_inputs(a, b)
+    _check_pair(a, b)
     parent: dict[tuple[str, int], tuple[str, int]] = {}
 
     def find(k: tuple[str, int]) -> tuple[str, int]:

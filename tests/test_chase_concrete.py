@@ -22,7 +22,7 @@ from tdx import (
     chase,
     dumps_instance,
     enumerate_formula_homs,
-    hom_equivalent,
+    equivalent,
     normalize_instance,
     sem_instance,
     Var,
@@ -33,7 +33,7 @@ from tdx import (
     tkc_step,
     validate_instance,
 )
-from tdx.chase import _close_and_replace, _round_equalities
+from tdx.chase import _close_and_replace, _round_equalities, tkc_positions
 
 from generators import random_case
 from helpers import c, fact, in_order, inull, iv, pnull, rel
@@ -96,7 +96,7 @@ def test_st_round_matches_figure_up_to_relabeling(fig7, fig8, example1):
     out = st_round_concrete(fig8, example1.sttgds, example1.target)
     assert len(in_order(out, "Emp")) == 5
     assert len(in_order(out, "Sal")) == 5
-    assert hom_equivalent(sem_instance(out, HORIZON), sem_instance(fig7, HORIZON))
+    assert equivalent(sem_instance(out, HORIZON), sem_instance(fig7, HORIZON))
     assert validate_instance(out) == []
     assert is_normalized(out)  # every output interval is an input grid interval
 
@@ -180,6 +180,24 @@ def test_tkc_step_rejects_non_conflicting_pairs(example1):
     different_key = fact("Emp", "Bob", "DBA", "IBM", time=iv(0, 1))
     with pytest.raises(ValueError):
         tkc_step(same, different_key, emp_key, emp_schema)
+    sal = fact("Sal", "Ada", "DBA", "10", time=iv(0, 1))
+    with pytest.raises(ValueError, match="^facts must belong to relation 'Emp'$"):
+        tkc_step(sal, sal, emp_key, emp_schema)
+
+
+def test_key_positions_refuse_a_code_built_key_that_does_not_fit(example1):
+    """A code-built key is checked against the schema it is applied to: by
+    ``tkc_positions``, and by the key round for a relation outside the
+    instance."""
+    emp_key, emp_schema = example1.tkcs[0], example1.target_by_name["Emp"]
+    with pytest.raises(SchemaError, match="^key constraint on 'Emp' applied to schema 'Sal'$"):
+        tkc_positions(emp_key, example1.target_by_name["Sal"])
+    ghost = Tkc("Emp", frozenset({"name", "time", "age"}), ("position", "company"))
+    with pytest.raises(SchemaError, match=r"^key constraint on 'Emp' names unknown attributes \['age'\]$"):
+        tkc_positions(ghost, emp_schema)
+    inst = Instance.concrete([emp_schema], [fact("Emp", "Ada", "DBA", "IBM", time=iv(0, 1))])
+    with pytest.raises(SchemaError, match="^key constraint on unknown relation 'Sal'$"):
+        tkc_round_concrete(inst, example1.tkcs)
 
 
 def test_tkc_step_rejects_null_keys(example1):
@@ -196,7 +214,7 @@ def test_tkc_round_reaches_the_golden_solution(fig3, fig7, example1):
     assert isinstance(out, Success)
     assert len(in_order(out.instance, "Emp")) == 3
     assert len(in_order(out.instance, "Sal")) == 3
-    assert hom_equivalent(sem_instance(out.instance, HORIZON), sem_instance(fig3, HORIZON))
+    assert equivalent(sem_instance(out.instance, HORIZON), sem_instance(fig3, HORIZON))
     assert validate_instance(out.instance) == []
 
 
@@ -239,7 +257,7 @@ def test_tkc_round_shared_null_forces_failure(example1):
 def test_chase_running_example(fig1, fig3, example1):
     out = chase(fig1, example1)
     assert isinstance(out, Success)
-    assert hom_equivalent(sem_instance(out.instance, HORIZON), sem_instance(fig3, HORIZON))
+    assert equivalent(sem_instance(out.instance, HORIZON), sem_instance(fig3, HORIZON))
     assert len(out.instance.facts) == len(fig3.facts)
 
 

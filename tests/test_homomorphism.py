@@ -24,7 +24,6 @@ from tdx import (
     enumerate_formula_homs,
     equivalent,
     find_abstract_hom,
-    hom_equivalent,
     instance_from_json,
     instantiate_atom,
     is_normalized,
@@ -80,6 +79,12 @@ def test_initial_binding_restricts_enumeration(fig2):
     assert len(homs) == 1 and homs[0]["t"] == 9
 
 
+def test_an_empty_conjunction_has_one_binding(fig2):
+    """The join of no atoms yields its start binding once: the empty one, or ``initial``."""
+    assert enumerate_formula_homs([], fig2) == [{}]
+    assert enumerate_formula_homs([], fig2, initial={"t": 9}) == [{"t": 9}]
+
+
 def test_unknown_relation_is_a_schema_error(fig2):
     with pytest.raises(SchemaError):
         enumerate_formula_homs([Atom("Nope", (Var("x"),), "t")], fig2)
@@ -109,14 +114,14 @@ def test_hom_between_figures_is_the_documented_renaming(fig4, fig5):
     }
     image = apply_abstract_hom(hom, fig4)
     assert image.facts <= fig5.facts
-    assert hom_equivalent(fig4, fig5)
+    assert equivalent(fig4, fig5)
 
 
 def test_identity_hom(fig4):
     hom = find_abstract_hom(fig4, fig4)
     assert hom is not None
     assert all(k == v for k, v in hom.items())
-    assert hom_equivalent(fig4, fig4)
+    assert equivalent(fig4, fig4)
 
 
 def test_constants_are_fixed_points():
@@ -127,7 +132,7 @@ def test_constants_are_fixed_points():
     assert find_abstract_hom(with_const, with_null) is None
     a = Instance.abstract(schema, [fact("R", "c1", time=5)])
     b = Instance.abstract(schema, [fact("R", "c2", time=5)])
-    assert not hom_equivalent(a, b)
+    assert not equivalent(a, b)
 
 
 def test_context_preservation():
@@ -386,7 +391,7 @@ def test_hom_search_work_grows_linearly(example1, monkeypatch):
     for n in (6, 24):
         jc, ja = careers_chase_pair(n, example1)
         grounded = _grounded(ja)
-        counts.append(_count_matches(lambda: hom_equivalent(jc, grounded), monkeypatch))
+        counts.append(_count_matches(lambda: equivalent(jc, grounded), monkeypatch))
     assert 0 < counts[0] and counts[1] <= 5 * counts[0], counts
 
 
@@ -395,7 +400,7 @@ def test_hom_equivalence_of_twins_walks_no_join(example1, monkeypatch):
     to null names, so no join is walked."""
     jc, ja = careers_chase_pair(24, example1)
     answers = []
-    assert _count_matches(lambda: answers.append(hom_equivalent(jc, ja)), monkeypatch) == 0
+    assert _count_matches(lambda: answers.append(equivalent(jc, ja)), monkeypatch) == 0
     assert answers == [True]
 
 
@@ -441,7 +446,7 @@ def test_hom_equivalence_plans_once_per_component_shape(example1, monkeypatch):
 
     monkeypatch.setattr(tdx.homomorphism, "_most_bound_first", counting)
     # no component has a twin in the grounded side, so each is searched
-    assert not hom_equivalent(jc, _grounded(ja)) and not hom_equivalent(ja, _grounded(jc))
+    assert not equivalent(jc, _grounded(ja)) and not equivalent(ja, _grounded(jc))
     assert 0 < calls <= 2 * len(shapes), (calls, len(shapes))
 
 
@@ -492,8 +497,8 @@ def _variant(rng, inst, kind):
 
 
 def test_hom_equivalence_agrees_with_the_search_both_ways():
-    """``hom_equivalent``, which skips components with a twin, against
-    ``find_abstract_hom`` in both directions, on seeded random pairs."""
+    """``equivalent``, which skips components with a twin, against
+    ``find_abstract_hom`` in both directions, on seeded random abstract pairs."""
     rng = random.Random(14)
     seen = {}
     for _ in range(400):
@@ -504,7 +509,7 @@ def test_hom_equivalence_agrees_with_the_search_both_ways():
                 y = _variant(rng, y, "renamed")
             for a, b in ((x, y), (y, x)):
                 expected = find_abstract_hom(a, b) is not None and find_abstract_hom(b, a) is not None
-                assert hom_equivalent(a, b) == expected, (kind, a, b)
+                assert equivalent(a, b) == expected, (kind, a, b)
                 seen[kind, expected] = seen.get((kind, expected), 0) + 1
     assert seen["renamed", True] == seen["redundant", True] == 800
     assert all(seen.get((kind, answer), 0) >= 50 for kind in ("grounded", "merged", "dropped")
@@ -523,9 +528,9 @@ def test_hom_equivalence_when_canonical_order_follows_null_labels(monkeypatch):
     relabeled = edges(("Z", "A"), ("A", "B"))  # R(A, B) now sorts first
     cycle, swapped = edges(("N1", "N2"), ("N2", "N1")), edges(("M2", "M1"), ("M1", "M2"))
     answers = []
-    assert _count_matches(lambda: answers.append(hom_equivalent(path, relabeled)), monkeypatch) > 0
-    assert _count_matches(lambda: answers.append(hom_equivalent(cycle, swapped)), monkeypatch) == 0
-    answers += [hom_equivalent(path, cycle), hom_equivalent(cycle, path)]
+    assert _count_matches(lambda: answers.append(equivalent(path, relabeled)), monkeypatch) > 0
+    assert _count_matches(lambda: answers.append(equivalent(cycle, swapped)), monkeypatch) == 0
+    answers += [equivalent(path, cycle), equivalent(cycle, path)]
     assert answers == [True, True, False, False]
 
 

@@ -76,10 +76,12 @@ def test_parse_errors_carry_locations():
     expect_error(DECLS + "rule A(n, t) -> C(n, n, t).", "unknown target relation", 3, 17)
     expect_error(DECLS + "key B(z, @t).", "unknown attribute", 3, 7)
     expect_error(DECLS + "key B(x, t).", "write the temporal attribute as @t", 3, 10)
+    expect_error(DECLS + "key B(x, @u).", "the temporal attribute of 'B' is 't'", 3, 11)
     expect_error(DECLS + "key A(@t).", "source relation", 3, 5)
     expect_error(DECLS + "query q(x, t) :- A(x, t).", "target relation is required", 3, 18)
     expect_error(DECLS + "query q(h, t) :- B(x, y, t).", "does not occur in the body", 3, 9)
     expect_error(DECLS + "query q(x, t) :- B(x, ?y, t).", "'?' markers are not allowed", 3, 23)
+    expect_error(DECLS + "query q(x, x, t) :- B(x, y, t).", "duplicate head variable 'x'", 3, 12)
     expect_error(DECLS + "query q(x, t) :- B(x, y, t).\nquery q(y, t) :- B(y, x, t).",
                  "different head", 4, 1)
     expect_error(DECLS + "rule A(n, t) -> B(n, 'x, t).", "unterminated constant", 3, 22)
@@ -126,6 +128,32 @@ def test_validate_mapping_detects_structural_defects():
         (Atom("B", (Var("n"), Var("n")), "t"),),
         frozenset({"ghost"})),), (), ())
     assert [v.code for v in validate_mapping(dangling)] == ["existential-variable"]
+
+
+_B = rel("B", "x", "y", temporal="t")
+_Q = Ucq("q", ("x",), "t", ((Atom("B", (Var("x"), Var("y")), "t"),),))
+
+
+# Defects that only a code-built mapping can hold, so the parser has no text
+# for them: it derives a key's dependents, writes its temporal attribute,
+# names the relation it declares twice by another message, and merges the
+# disjuncts of two queries of one name.
+@pytest.mark.parametrize("target, tkcs, queries, expected", [
+    ((_B,), (Tkc("C", frozenset({"x", "t"}), ("y",)),), (),
+     [("unknown-relation", "key #0 on 'C': unknown target relation 'C'")]),
+    ((_B,), (Tkc("B", frozenset({"x"}), ("y",)),), (),
+     [("key-violation", "key #0 on 'B': a temporal key must include @t")]),
+    ((_B,), (Tkc("B", frozenset({"x", "t"}), ("x",)),), (),
+     [("key-violation", "key #0 on 'B': key and dependents must partition the attributes "
+                        "(expected dependents ('y',))")]),
+    ((_B, rel("A", "z", temporal="t")), (), (),
+     [("duplicate-relation", "relation 'A' declared more than once")]),
+    ((_B,), (), (_Q, _Q), [("duplicate-query", "query 'q': name used by more than one query")]),
+], ids=["unknown key relation", "key without its time", "dependents that do not partition",
+        "duplicate relation", "duplicate query"])
+def test_validate_mapping_lists_the_defects_only_code_can_build(target, tkcs, queries, expected):
+    m = Mapping((rel("A", "x", temporal="t"),), target, (), tkcs, queries)
+    assert [(v.code, v.message) for v in validate_mapping(m)] == expected
 
 
 def test_rule_with_an_empty_left_hand_side_is_a_violation():

@@ -25,11 +25,11 @@ from tdx import (
     build_grid,
     certain,
     chase,
+    conform_instance,
     dumps_instance,
     enumerate_formula_homs,
     equivalent,
     find_abstract_hom,
-    hom_equivalent,
     instance_from_json,
     is_complete,
     is_normalized,
@@ -88,6 +88,34 @@ def test_kind_violations_are_reported():
     assert [v.code for v in validate_instance(concrete_with_point_null)] == ["kind-violation"]
 
 
+def test_an_instance_has_a_known_kind_and_distinct_relation_names():
+    with pytest.raises(ValueError, match="^instance kind must be 'concrete' or 'abstract', got 'timeline'$"):
+        Instance("timeline", (rel("R", "a"),), frozenset())
+    with pytest.raises(SchemaError, match="^duplicate relation name in instance schema$"):
+        Instance.concrete([rel("R", "a"), rel("R", "b")])
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda i: sem_instance(i, 20), "sem_instance expects a concrete instance"),
+    (is_normalized, "normalization is defined for concrete instances"),
+    (normalize_instance, "normalize_instance expects a concrete instance"),
+], ids=["sem_instance", "is_normalized", "normalize_instance"])
+def test_the_concrete_only_functions_refuse_an_abstract_instance(fig2, run, message):
+    with pytest.raises(SchemaError) as err:
+        run(fig2)
+    assert str(err.value) == message
+
+
+def test_conform_instance_drops_an_empty_undeclared_relation(fig1, example1):
+    """A relation the mapping does not declare is dropped when it holds no
+    fact, and refused when it holds one."""
+    schema = (*fig1.schema, rel("Old", "a"))
+    conformed = conform_instance(Instance.concrete(schema, fig1.facts), example1.source)
+    assert conformed == fig1 and [r.name for r in conformed.schema] == ["Employee1", "Employee2"]
+    with pytest.raises(SchemaError, match="^relation 'Old' is not declared in the mapping$"):
+        conform_instance(Instance.concrete(schema, fig1.facts | {fact("Old", "x", time=iv(0, 1))}), example1.source)
+
+
 def _positions(inst):
     return naive_eval(load_fixture_mapping("example1.tdx").query("positions"), inst)
 
@@ -112,7 +140,6 @@ _ENTRY_POINTS = [
     ("chase-abstract", "fig2.json", "Employee1", _chase),
     ("naive_eval-abstract", "fig4.json", "Emp", _positions),
     ("find_abstract_hom", "fig4.json", "Emp", lambda i: find_abstract_hom(i, i)),
-    ("hom_equivalent", "fig4.json", "Emp", lambda i: hom_equivalent(i, i)),
     ("equivalent-concrete", "fig1.json", "Employee1", lambda i: equivalent(i, i)),
     ("equivalent-abstract", "fig4.json", "Emp", lambda i: equivalent(i, i)),
     ("certain-concrete", "fig1.json", "Employee1", _certain),
@@ -149,6 +176,8 @@ def _breaking(rule, kind, relation, arity):
         "arity": ("X", at, relation, arity + 1),
         "time-kind": ("X", other_kind, relation, arity),
         "non-value": (5, at, relation, arity),
+        "str-subclass": (_Str("X"), at, relation, arity),
+        "null-subclass": (_Null("N", at), at, relation, arity),
         "null-context-kind": (Null("N", other_kind), at, relation, arity),
         "context-mismatch": (Null("N", other_time), at, relation, arity),
     }[rule]
@@ -157,8 +186,10 @@ def _breaking(rule, kind, relation, arity):
 
 _RULES = {"values-str": "not-a-value", "values-int": "not-a-value", "unknown-relation": "unknown-relation",
           "arity": "arity-mismatch", "time-kind": "kind-violation", "non-value": "not-a-value",
+          "str-subclass": "not-a-value", "null-subclass": "not-a-value",
           "null-context-kind": "kind-violation", "context-mismatch": "context-mismatch"}
-_FACT_RULES = ["values-str", "values-int", "time-kind", "non-value", "null-context-kind", "context-mismatch"]
+_FACT_RULES = ["values-str", "values-int", "time-kind", "non-value", "str-subclass", "null-subclass",
+               "null-context-kind", "context-mismatch"]
 
 
 def _sem_each_fact(inst):
@@ -176,7 +207,10 @@ _CONTRACT += [(rule, write.__name__, name, "Emp", write) for rule in _RULES
 def test_every_entry_point_refuses_what_validate_instance_reports_first(rule, entry, name, relation, run):
     """One bad instance per rule of ``validate_instance``, read by every
     entry point that checks an instance, the writers among them, and by
-    ``sem_fact`` for the rules of one fact."""
+    ``sem_fact`` for the rules of one fact.  A constant of a ``str``
+    subclass, and a null of a ``Null`` subclass, are not values: at the
+    fast paths, which test exact classes, they would crash or be written
+    ill formed."""
     inst = load_fixture_instance(name)
     breaking = _breaking(rule, inst.kind, relation, inst.schema_by_name[relation].arity)
     bad = inst.replace_facts(inst.facts | set(breaking))
@@ -196,10 +230,15 @@ class _Int(int):
     pass
 
 
+class _Null(Null):
+    pass
+
+
 # Times and values of every class the rules tell apart, each beside a value
 # of another class that it equals or hashes like.
 _ODD_TIMES = [3, 5, True, _Int(3), -1, 1.5, "s", iv(3, 5), iv(5, 9), (3, 5), None]
-_ODD_VALUES = ["x", _Str("x"), 5, (), ("N", 3), *[Null(label, t) for label in ("N", _Str("N"), 7) for t in _ODD_TIMES]]
+_ODD_VALUES = ["x", _Str("x"), 5, (), ("N", 3), *[Null(label, t) for label in ("N", _Str("N"), 7) for t in _ODD_TIMES],
+               _Null("N", 3), _Null("N", iv(3, 5))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,10 +248,11 @@ _ODD_VALUES = ["x", _Str("x"), 5, (), ("N", 3), *[Null(label, t) for label in ("
                                     st.sampled_from([5, "xy", None])),
                           st.sampled_from(_ODD_TIMES)), max_size=6))
 def test_the_instance_check_raises_the_first_problem_validate_instance_reports(kind, rows):
-    """The check's screen never passes an instance that breaks a rule, and
-    what it raises is the first problem ``validate_instance`` lists."""
+    """The check's screen passes exactly the instances that break no rule,
+    and what the check raises is the first problem ``validate_instance`` lists."""
     inst = Instance(kind, (rel("R", "a"), rel("S", "a", "b")), [Fact(r, values, t) for r, values, t in rows])
     problems = validate_instance(inst)
+    assert inst._screened == (not problems)
     if not problems:
         tdx.model._check_instance(inst)
         return
@@ -241,7 +281,7 @@ def test_each_instance_is_screened_once(example1, monkeypatch):
 
 
 _TIME_CLASS_PROBE = """
-from tdx import (chase, equivalent, find_abstract_hom, hom_equivalent, is_normalized, naive_eval, normalize_instance,
+from tdx import (chase, equivalent, find_abstract_hom, is_normalized, naive_eval, normalize_instance,
                  sem_instance)
 from helpers import fact, load_fixture_instance, load_fixture_mapping
 
@@ -256,7 +296,6 @@ runs = {
     "chase-abstract": ("fig2.json", "Employee1", lambda i: chase(i, m)),
     "naive_eval-abstract": ("fig4.json", "Emp", lambda i: naive_eval(positions, i)),
     "find_abstract_hom": ("fig4.json", "Emp", lambda i: find_abstract_hom(i, i)),
-    "hom_equivalent": ("fig4.json", "Emp", lambda i: hom_equivalent(i, i)),
     "equivalent-concrete": ("fig1.json", "Employee1", lambda i: equivalent(i, i)),
     "equivalent-abstract": ("fig4.json", "Emp", lambda i: equivalent(i, i)),
 }
@@ -294,7 +333,7 @@ def test_a_time_equal_to_a_time_of_another_class_is_a_schema_error_under_every_h
                                             "sem_instance")),
         "naive_eval-concrete SchemaError: Emp(Zed0, X, X, (8, 10)): concrete fact must carry a clopen interval",
         "chase-abstract SchemaError: Employee1(Zed, Zed, False): abstract fact must carry a finite time point",
-        *(f"{name} {abstract}" for name in ("naive_eval-abstract", "find_abstract_hom", "hom_equivalent")),
+        *(f"{name} {abstract}" for name in ("naive_eval-abstract", "find_abstract_hom")),
         f"equivalent-concrete {concrete}",
         f"equivalent-abstract {abstract}",
     ]
@@ -666,30 +705,31 @@ def test_loader_accepts_inf_and_ignores_metadata():
     assert inst.facts == {fact("R", "x", time=iv(1, INF))}
 
 
-class _Str(str):
-    pass
-
-
 class _Row(dict):
     pass
 
 
-@pytest.mark.parametrize("kind, time, value, plain", [
-    ("concrete", {"interval": {"start": 1, "end": "inf"}}, _Str("x"), False),
-    ("abstract", {"time": 3}, {"null": _Str("N")}, False),
-    ("abstract", {"time": 3}, "x", True),
+@pytest.mark.parametrize("kind, time, value", [
+    ("concrete", {"interval": {"start": 1, "end": "inf"}}, _Str("x")),
+    ("concrete", {"interval": {"start": _Int(1), "end": _Int(4)}}, "x"),
+    ("abstract", {"time": 3}, {"null": _Str("N")}),
+    ("abstract", {"time": _Int(3)}, "x"),
+    ("abstract", {"time": 3}, "x"),
 ])
-def test_a_code_built_document_is_read_by_the_general_rules(kind, time, value, plain):
-    """A row that is a ``dict`` subclass, or holds a ``str`` subclass, is
-    read as the general rules read it; the instance counts as screened only
-    if such a fact passes the screen (a subclass of ``str`` does not)."""
+def test_a_code_built_document_is_read_by_the_general_rules(kind, time, value):
+    """A row that is a ``dict`` subclass, or holds a ``str`` or ``int``
+    subclass, is read as the general rules read it, each subclass as the
+    value of its class, so the instance is well formed and counts as
+    screened."""
     doc = {"kind": kind, "relations": {"R": {"attributes": ["a", "time"], "facts": [
         {"values": ["y"], **time}, _Row(values=[value], **time)]}}}
     inst = instance_from_json(doc)
     assert inst == rowwise_instance_from_json(doc)
-    assert inst.__dict__.get("_screened", False) is plain
-    assert inst._screened is plain
+    assert inst.__dict__.get("_screened") is True
     assert validate_instance(inst) == []
+    assert Instance(inst.kind, inst.schema, inst.facts)._screened  # the screen, run
+    times = [f.time for f in inst.facts]
+    assert {type(p) for t in times for p in (t if isinstance(t, tuple) else (t,)) if p != INF} == {int}
 
 
 def _concrete_instance(rows) -> Instance:

@@ -200,3 +200,19 @@ def test_the_key_round_counts_its_cut_against_the_facts_it_was_given(example1, m
     traced = tkc_round_concrete(staged, example1.tkcs)
     monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 56)
     assert dumps_instance(chase(src, example1).instance) == dumps_instance(traced.instance)
+
+
+def test_the_key_round_names_the_facts_coalescing_merged_apart_from_those_it_cuts(example1, monkeypatch):
+    """Each of Ada's eight nested jobs given in two pieces, [i, 100) and
+    [100, inf), fires twice with the same nulls, so the key round coalesces
+    the dependency round's 32 facts to 16 and would cut those into 72: it
+    names the 16 facts it cuts, and the 16 that coalescing merged away apart
+    from them."""
+    src = Instance.concrete(example1.source, [fact("Employee2", "Ada", "DBA", f"d{i}", time=t)
+                                              for i in range(8) for t in (iv(i, 100), iv(100, INF))])
+    assert len(st_round_concrete(src, example1.sttgds, example1.target).facts) == 32
+    monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 30)
+    with pytest.raises(PreconditionError, match="^the key round would split 16 facts into 72 fragments, 40 more "
+                                                "than the facts and the 16 that coalescing merged away, "
+                                                "above the limit of 30$"):
+        chase(src, example1)
