@@ -32,18 +32,20 @@ shows.  An instance's accessors, ``facts`` and ``facts_by_relation`` (each
 relation's facts), are unsorted, and the joins of ``homomorphism`` (and so
 the chase and ``naive_eval``) and the key round read only these.  A reader
 whose result shows an order sorts what it reads itself: ``dumps_instance``,
-the one writer of instance text, and ``instance_to_json`` sort each
-relation's facts as they write them, and ``validate_instance`` orders its
-facts by ``_offender_key``, as it also orders facts that hold non-values.
+the one writer of instance text (``instance_to_json`` reads that text back),
+sorts each relation's facts as it writes them, and ``validate_instance``
+orders its facts by ``_offender_key``, as it also orders facts that hold
+non-values.
 
 The rules of a well-formed instance are written once, in ``_fact_problems``,
 each by exact class: a fact's values are a ``tuple``, a constant is a
 ``str``, a null a ``Null`` with a ``str`` label, and a time a
 ``ClopenInterval`` or a non-negative ``int``, never a subclass of one.
 ``validate_instance`` lists every problem, and ``_check_instance``, which
-every function that reads an instance's facts calls, and both writers,
+every function that reads an instance's facts calls, and the writer,
 raises the first; its one-pass screen, ``_plainly_well_formed``, passes
-exactly the instances that break none.
+exactly the instances that break none.  Relation and attribute names are
+exact ``str``, which ``Instance`` itself checks.
 """
 from __future__ import annotations
 
@@ -171,7 +173,11 @@ class Instance:
     def __post_init__(self) -> None:
         if self.kind not in (CONCRETE, ABSTRACT):
             raise ValueError(f"instance kind must be {CONCRETE!r} or {ABSTRACT!r}, got {self.kind!r}")
-        object.__setattr__(self, "schema", tuple(sorted(self.schema, key=lambda r: r.name)))
+        schema = tuple(self.schema)
+        for r in schema:
+            if any(name.__class__ is not str for name in (r.name, *r.all_attributes)):
+                raise SchemaError(f"relation {r.name!r}: a relation or attribute name is not a str")
+        object.__setattr__(self, "schema", tuple(sorted(schema, key=lambda r: r.name)))
         object.__setattr__(self, "facts", frozenset(self.facts))
         names = [r.name for r in self.schema]
         if len(set(names)) != len(names):
@@ -289,7 +295,7 @@ def _check_facts(facts: Collection[Fact], kind: str, arity: dict[str, int]) -> N
 def _check_instance(inst: Instance) -> None:
     """Raise SchemaError with ``validate_instance(inst)[0].message`` if the
     instance breaks a rule: what every function that reads an instance's
-    facts, and both writers, refuse.  A well-formed instance pays only the
+    facts, and the writer, refuse.   A well-formed instance pays only the
     screen, once per instance."""
     if not inst._screened:
         _check_facts(inst.facts, inst.kind, {r.name: r.arity for r in inst.schema})
@@ -315,11 +321,13 @@ def validate_instance(inst: Instance) -> list[Violation]:
 
 def is_complete(inst: Instance) -> bool:
     """True iff no fact contains an annotated null."""
+    _check_instance(inst)
     return not any(is_null(v) for f in inst.facts for v in f.values)
 
 
 def max_finite_endpoint(inst: Instance) -> int | None:
     """Largest finite interval endpoint or time point in the instance, if any."""
+    _check_instance(inst)
     points = {p for f in inst.facts
               for p in ((f.time.start, f.time.end) if isinstance(f.time, ClopenInterval) else (f.time,))}
     points.discard(INF)
@@ -362,11 +370,12 @@ def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
 
     Constants are copied; a null keeps its label and is re-annotated with each
     time point.  ``horizon`` must be at least every finite endpoint of the
-    fact; unbounded intervals are truncated at the horizon.
+    fact; unbounded intervals are truncated at the horizon.  Refuses as
+    ``sem_instance`` does: the fact, the horizon, then more than
+    ``MAX_SEM_FACTS`` facts.
     """
     _check_facts([f], CONCRETE, {f.relation: len(f.values) if isinstance(f.values, tuple) else 0})
-    _check_horizon(horizon, f.time)
-    return _cut([f], {f.time: interval_points(f.time, horizon)})
+    return _sem([f], horizon)
 
 
 def _grid_cuts(uses: Counter[ClopenInterval], grid: list[int]) -> tuple[dict, int]:
@@ -392,25 +401,29 @@ MAX_SEM_FACTS = 250_000
 
 
 def sem_instance(inst: Instance, horizon: int) -> Instance:
-    """Abstract view of a concrete instance, materialized up to ``horizon``.
-
-    As ``sem_fact`` of every fact, checked once: the instance, then the
-    horizon against each distinct interval, in order (so an error names the
-    least interval it is below).  Raises PreconditionError, before
-    materializing anything, if that view has more than ``MAX_SEM_FACTS``
-    facts (one per fact and time point).
-    """
+    """Abstract view of a concrete instance, materialized up to ``horizon``:
+    ``sem_fact`` of every fact, checked once, the instance and then as
+    ``_sem`` checks."""
     if inst.kind != CONCRETE:
         raise SchemaError("sem_instance expects a concrete instance")
     _check_instance(inst)
-    uses = Counter(f.time for f in inst.facts)
+    return Instance(ABSTRACT, inst.schema, _sem(inst.facts, horizon))
+
+
+def _sem(facts: Collection[Fact], horizon: int) -> frozenset[Fact]:
+    """The abstract facts of well-formed concrete ``facts`` up to ``horizon``,
+    for ``sem_fact``, ``sem_instance`` and ``query.answers_sem``: the horizon
+    checked against each distinct interval in order (an error names the least
+    interval it is below), then PreconditionError, before anything is made,
+    above ``MAX_SEM_FACTS`` facts (one per fact and time point)."""
+    uses = Counter(f.time for f in facts)
     _check_horizon(horizon, *sorted(uses))
     points = {iv: interval_points(iv, horizon) for iv in uses}
     count = sum(n * len(points[iv]) for iv, n in uses.items())
     if count > MAX_SEM_FACTS:
         raise PreconditionError(f"the abstract view up to horizon {horizon} has {count} facts, "
                                 f"more than the limit of {MAX_SEM_FACTS}")
-    return Instance(ABSTRACT, inst.schema, _cut(inst.facts, points))
+    return _cut(facts, points)
 
 
 def is_normalized(inst: Instance) -> bool:
@@ -672,16 +685,9 @@ def _time_json(t: TimeValue) -> dict:
 
 
 def instance_to_json(inst: Instance) -> dict:
-    """The JSON document of ``inst``, each relation's facts in canonical
-    order.  Raises SchemaError, as ``_check_instance`` does, for an instance
-    that ``validate_instance`` faults."""
-    _check_instance(inst)
-    relations = {}
-    for schema in inst.schema:
-        facts = [{"values": [v if isinstance(v, str) else {"null": v.label} for v in f.values], **_time_json(f.time)}
-                 for f in sorted(inst.facts_by_relation[schema.name])]
-        relations[schema.name] = {"attributes": list(schema.all_attributes), "facts": facts}
-    return {"kind": inst.kind, "relations": relations}
+    """The JSON document of ``inst``: the text of ``dumps_instance``, read
+    back.  Raises SchemaError as ``dumps_instance`` does."""
+    return json.loads(dumps_instance(inst))
 
 
 def _require(cond: bool, where: str, message: str) -> None:
@@ -689,45 +695,31 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise SchemaError(f"{where}: {message}")
 
 
-def _time_from_json(doc: dict, kind: str, seen: dict) -> TimeValue:
+def _time_from_json(doc: dict, kind: str) -> TimeValue:
     """The fact's time, or ValueError with its problem; a subclass of ``int``
-    in a code-built document is read as the ``int`` it stands for.  ``seen``
-    holds each time that passed, by its JSON value: ``(start, end)`` or
-    ``time``, made only of exact ints and ``"inf"``, since a bool or a float
-    can equal an int but is not a time."""
+    in a code-built document is read as the ``int`` it stands for."""
     if kind == CONCRETE:
         if "interval" not in doc:
             raise ValueError("concrete fact must carry an \"interval\"")
         iv = doc["interval"]
         if not (isinstance(iv, dict) and len(iv) == 2 and "start" in iv and "end" in iv):
             raise ValueError("interval must be {\"start\": ..., \"end\": ...}")
-        start, end = key = iv["start"], iv["end"]
-        if start.__class__ is not int or (end.__class__ is not int and end != "inf"):
-            key = None
-        t = seen.get(key)
-        if t is None:
-            if not isinstance(start, int) or isinstance(start, bool):
-                raise ValueError("interval start must be an integer")
-            if end == "inf":
-                end = INF
-            elif not isinstance(end, int) or isinstance(end, bool):
-                raise ValueError("interval end must be an integer or \"inf\"")
-            else:
-                end = int.__int__(end)
-            t = ClopenInterval(int.__int__(start), end)  # its ValueError is the fact's problem
-    else:
-        if "time" not in doc:
-            raise ValueError("abstract fact must carry a \"time\"")
-        t = key = doc["time"]
-        if t.__class__ is not int:
-            key = None
-        if key not in seen:
-            if not (isinstance(t, int) and not isinstance(t, bool) and t >= 0):
-                raise ValueError("time must be a non-negative integer")
-            t = int.__int__(t)
-    if key is not None:
-        seen[key] = t
-    return t
+        start, end = iv["start"], iv["end"]
+        if not isinstance(start, int) or isinstance(start, bool):
+            raise ValueError("interval start must be an integer")
+        if end == "inf":
+            end = INF
+        elif not isinstance(end, int) or isinstance(end, bool):
+            raise ValueError("interval end must be an integer or \"inf\"")
+        else:
+            end = int.__int__(end)
+        return ClopenInterval(int.__int__(start), end)  # its ValueError is the fact's problem
+    if "time" not in doc:
+        raise ValueError("abstract fact must carry a \"time\"")
+    t = doc["time"]
+    if not (isinstance(t, int) and not isinstance(t, bool) and t >= 0):
+        raise ValueError("time must be a non-negative integer")
+    return int.__int__(t)
 
 
 def _value_from_json(v: object, time: TimeValue, nulls: dict) -> Value:
@@ -738,40 +730,22 @@ def _value_from_json(v: object, time: TimeValue, nulls: dict) -> Value:
         return str.__str__(v)
     if isinstance(v, dict) and len(v) == 1 and isinstance(v.get("null"), str):
         key = (str.__str__(v["null"]), time)
-        null = nulls.get(key)
-        if null is None:
-            null = nulls[key] = Null(*key)
-        return null
+        return nulls.get(key) or nulls.setdefault(key, _new(Null, key))
     raise ValueError(f"a value must be a string or {{\"null\": \"<label>\"}}, got {reprlib.repr(v)}")
-
-
-def _fact_from_json(row: object, name: str, arity: int, kind: str, times: dict, nulls: dict) -> Fact:
-    """One row of relation ``name`` read by the general rules, or ValueError
-    with its problem; ``times`` and ``nulls`` are those of
-    ``_time_from_json`` and ``_value_from_json``."""
-    if not isinstance(row, dict):
-        raise ValueError("must be an object")
-    time = _time_from_json(row, kind, times)
-    values = row.get("values")
-    if not isinstance(values, list):
-        raise ValueError("\"values\" must be a list")
-    if len(values) != arity:
-        raise ValueError(f"expected {arity} values, got {len(values)}")
-    return Fact(name, tuple([_value_from_json(v, time, nulls) for v in values]), time)
 
 
 def instance_from_json(doc: object) -> Instance:
     """The instance of a JSON document, or SchemaError naming the first
     problem: of the document, of a relation, or of ``relation 'R' fact #i``.
 
-    Each row is read in one loop with exact-class tests inline: an object
-    whose time was read before, and whose values are a list of the
-    relation's arity of strings and ``{"null": "<label>"}`` objects.  Any
-    other row, the first with each time among them, is read by
-    ``_fact_from_json``, which refuses it with its problem, and reads a
-    subclass of ``str`` or ``int`` (a code-built document can hold one) as
-    the value of its class.  So every fact read is well formed, and the
-    instance counts as screened.
+    Each row is read in one loop.  A time is read by ``_time_from_json`` the
+    first time it is seen, then found by its JSON value, made only of exact
+    ints and ``"inf"`` (a bool or a float can equal an int but is not a
+    time); a value that is not a ``str`` or a ``{"null": "<label>"}`` of
+    exact classes is read by ``_value_from_json``.  A subclass of ``str`` or
+    ``int`` (a code-built document can hold one), in a name, a value or a
+    time, is read as the value of its class, so every fact read is well
+    formed, and the instance counts as screened.
     """
     _require(isinstance(doc, dict), "instance", "top level must be a JSON object")
     kind = doc.get("kind")
@@ -786,45 +760,56 @@ def instance_from_json(doc: object) -> Instance:
     nulls: dict = {}
     for name in relations:
         where = f"relation {name!r}"
+        _require(isinstance(name, str), where, "name must be a string")
         rel = relations[name]
+        name = str.__str__(name)
         _require(isinstance(rel, dict), where, "must be an object")
         attrs = rel.get("attributes")
         _require(isinstance(attrs, list) and attrs and all(isinstance(a, str) for a in attrs),
                  where, "\"attributes\" must be a non-empty list of names")
+        attrs = [str.__str__(a) for a in attrs]
         _require(len(set(attrs)) == len(attrs), where, "duplicate attribute name")
         schema = RelationSchema(name, tuple(attrs[:-1]), attrs[-1])
         schemas.append(schema)
         arity = schema.arity
         rows = rel.get("facts", [])
         _require(isinstance(rows, list), where, "\"facts\" must be a list")
-        for i, row in enumerate(rows):
-            t = None
-            if row.__class__ is dict:
-                values = row.get("values")
+        try:  # where the fact is is written only when it has a problem
+            for i, row in enumerate(rows):
+                if not isinstance(row, dict):
+                    raise ValueError("must be an object")
                 if concrete:
+                    key = None
                     iv = row.get("interval")
                     if iv.__class__ is dict and len(iv) == 2:
                         start, end = iv.get("start"), iv.get("end")
                         if start.__class__ is int and (end.__class__ is int or end == "inf"):
-                            t = times.get((start, end))
+                            key = (start, end)
                 else:
-                    t = row.get("time")
-                    t = times.get(t) if t.__class__ is int else None
-            if t is not None and values.__class__ is list and len(values) == arity:
+                    key = row.get("time")
+                    if key.__class__ is not int:
+                        key = None
+                t = times.get(key)
+                if t is None:
+                    t = _time_from_json(row, kind)
+                    if key is not None:
+                        times[key] = t
+                values = row.get("values")
+                if not isinstance(values, list):
+                    raise ValueError("\"values\" must be a list")
+                if len(values) != arity:
+                    raise ValueError(f"expected {arity} values, got {len(values)}")
                 out = []
                 for v in values:
                     if v.__class__ is not str:
-                        if v.__class__ is not dict or len(v) != 1 or (label := v.get("null")).__class__ is not str:
-                            break
-                        v = nulls.get((label, t)) or nulls.setdefault((label, t), _new(Null, (label, t)))
+                        if v.__class__ is dict and len(v) == 1 and (label := v.get("null")).__class__ is str:
+                            v = nulls.get((label, t)) or nulls.setdefault((label, t), _new(Null, (label, t)))
+                        else:
+                            v = _value_from_json(v, t, nulls)
                     out.append(v)
-                else:
-                    add(_new(Fact, (name, tuple(out), t)))
-                    continue
-            try:  # where the fact is is written only when it has a problem
-                add(_fact_from_json(row, name, arity, kind, times, nulls))
-            except ValueError as exc:
-                raise SchemaError(f"{where} fact #{i}: {exc}") from None
+                add(_new(Fact, (name, tuple(out), t)))
+        except ValueError as exc:
+            raise SchemaError(f"{where} fact #{i}: {exc}") from None
     return _keep_screened(Instance(kind, tuple(schemas), frozenset(facts)))
 
 
@@ -840,12 +825,12 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     """Canonical, newline-terminated JSON text; byte-deterministic.
 
     The text is ``json.dumps(doc, indent=2, sort_keys=True,
-    ensure_ascii=False) + "\\n"`` of ``doc = instance_to_json(inst)``, with a
-    top-level ``"horizon"`` member when ``horizon`` is given.  It is written
-    directly from the instance: each relation's facts are sorted here, in
-    canonical order, strings are escaped by the json module's C encoder, and
-    each distinct time and null label is rendered once per call.  Raises
-    SchemaError, as ``instance_to_json`` does, for an instance that
+    ensure_ascii=False) + "\\n"`` of the instance's JSON document, each
+    relation's facts in canonical order, with a top-level ``"horizon"``
+    member when ``horizon`` is given.  It is written directly from the
+    instance: strings are escaped by the json module's C encoder, and each
+    distinct time and null label is rendered once per call.  Raises
+    SchemaError, as ``_check_instance`` does, for an instance that
     ``validate_instance`` faults.
     """
     _check_instance(inst)

@@ -21,11 +21,10 @@ from .model import (
     Fact,
     Instance,
     RelationSchema,
-    _check_horizon,
     _check_instance,
     _coalesced,
+    sem_instance,
 )
-from .temporal import interval_points
 
 
 @dataclass(frozen=True)
@@ -82,17 +81,15 @@ def _values_of(row: tuple) -> tuple:
     """An answer's values, without its time."""
     return row[:-1]
 
+
 def answers_sem(ans: AnswerSet, horizon: int) -> AnswerSet:
-    """Expand concrete answers to one abstract answer per contained time point."""
+    """Expand concrete answers to one abstract answer per contained time
+    point: the rows of ``sem_instance`` of ``answers_to_instance``, so
+    refused as ``sem_instance`` refuses."""
     if ans.kind != CONCRETE:
         raise PreconditionError("answers_sem expects concrete answers")
-    _check_horizon(horizon, *(row[-1] for row in ans.rows))
-    rows = {
-        (*row[:-1], t0)
-        for row in ans.rows
-        for t0 in interval_points(row[-1], horizon)
-    }
-    return AnswerSet(ans.name, ABSTRACT, ans.columns, frozenset(rows))
+    expanded = sem_instance(answers_to_instance(ans), horizon)
+    return AnswerSet(ans.name, ABSTRACT, ans.columns, frozenset((*f.values, f.time) for f in expanded.facts))
 
 
 def certain(q: Ucq, src: Instance, m: Mapping) -> Union[AnswerSet, NoSolution]:

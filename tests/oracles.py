@@ -172,15 +172,17 @@ def rowwise_instance_from_json(doc: object) -> Instance:
     _require(isinstance(relations, dict), "instance", "\"relations\" must be an object")
     schemas: list[RelationSchema] = []
     facts: set[Fact] = set()
-    times: dict = {}
     nulls: dict = {}
     for name in relations:
         where = f"relation {name!r}"
+        _require(isinstance(name, str), where, "name must be a string")
         rel = relations[name]
+        name = str(name)
         _require(isinstance(rel, dict), where, "must be an object")
         attrs = rel.get("attributes")
         _require(isinstance(attrs, list) and attrs and all(isinstance(a, str) for a in attrs),
                  where, "\"attributes\" must be a non-empty list of names")
+        attrs = [str(a) for a in attrs]
         _require(len(set(attrs)) == len(attrs), where, "duplicate attribute name")
         schema = RelationSchema(name, tuple(attrs[:-1]), attrs[-1])
         schemas.append(schema)
@@ -190,7 +192,7 @@ def rowwise_instance_from_json(doc: object) -> Instance:
             try:
                 if not isinstance(row, dict):
                     raise ValueError("must be an object")
-                time = _time_from_json(row, kind, times)
+                time = _time_from_json(row, kind)
                 values = row.get("values")
                 if not isinstance(values, list):
                     raise ValueError("\"values\" must be a list")

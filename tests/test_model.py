@@ -18,6 +18,7 @@ from tdx import (
     KeyNullViolation,
     Null,
     PreconditionError,
+    RelationSchema,
     SchemaError,
     Success,
     Var,
@@ -93,6 +94,15 @@ def test_an_instance_has_a_known_kind_and_distinct_relation_names():
         Instance("timeline", (rel("R", "a"),), frozenset())
     with pytest.raises(SchemaError, match="^duplicate relation name in instance schema$"):
         Instance.concrete([rel("R", "a"), rel("R", "b")])
+    # a relation or attribute name that is not exactly a ``str``: no rule of
+    # ``validate_instance`` lists one, and the writer breaks on it
+    for where, schema in [("relation 5", RelationSchema(5, ("a",), "t")),
+                          ("relation 'R'", RelationSchema(_Str("R"), ("a",), "t")),
+                          ("relation 'R'", RelationSchema("R", ("a", None), "t")),
+                          ("relation 'R'", RelationSchema("R", ("a",), _Str("t")))]:
+        with pytest.raises(SchemaError) as err:
+            Instance.abstract([rel("S", "a"), schema])
+        assert str(err.value) == f"{where}: a relation or attribute name is not a str"
 
 
 @pytest.mark.parametrize("run, message", [
@@ -146,6 +156,8 @@ _ENTRY_POINTS = [
     ("certain-abstract", "fig2.json", "Employee1", _certain),
     ("enumerate_formula_homs", "fig4.json", "Emp",
      lambda i: enumerate_formula_homs([Atom("Emp", (Var("x"), Var("y"), Var("z")), "t")], i)),
+    ("max_finite_endpoint", "fig4.json", "Emp", max_finite_endpoint),
+    ("is_complete", "fig1.json", "Employee1", is_complete),
 ]
 
 
@@ -520,16 +532,25 @@ def test_a_negative_horizon_is_not_a_time_point():
 
 
 def test_sem_instance_stops_above_its_fact_limit(monkeypatch):
+    """``sem_instance``, ``sem_fact`` and ``answers_sem`` share one limit,
+    checked before anything is materialized."""
     monkeypatch.setattr(tdx.model, "MAX_SEM_FACTS", 5)
-    at_limit = Instance.concrete([rel("R", "a")], [fact("R", "a", time=iv(0, 3)),
-                                                   fact("R", "b", time=iv(1, INF))])
-    assert len(sem_instance(at_limit, 3).facts) == 5
-    with pytest.raises(PreconditionError, match="has 6 facts, more than the limit of 5"):
-        sem_instance(at_limit, 4)
-    too_long = Instance.concrete([rel("R", "a")], [fact("R", "a", time=iv(0, 10**8))])
+    rows = [("a", iv(0, 3)), ("b", iv(1, INF))]
+    at_limit = Instance.concrete([rel("R", "a")], [fact("R", a, time=t) for a, t in rows])
+    answers = AnswerSet("R", "concrete", ("a", "t"), frozenset(rows))
+    unbounded = fact("R", "a", time=iv(0, INF))
+    assert len(sem_instance(at_limit, 3).facts) == len(answers_sem(answers, 3).rows) == len(sem_fact(unbounded, 5)) == 5
+    for run in (lambda: sem_instance(at_limit, 4), lambda: answers_sem(answers, 4), lambda: sem_fact(unbounded, 6)):
+        with pytest.raises(PreconditionError, match=r"^the abstract view up to horizon \d has 6 facts, "
+                                                    r"more than the limit of 5$"):
+            run()
     monkeypatch.undo()
-    with pytest.raises(PreconditionError, match="has 100000000 facts"):
-        sem_instance(too_long, 10**8)
+    too_long = fact("R", "a", time=iv(0, 10**8))
+    for run in (lambda: sem_instance(Instance.concrete([rel("R", "a")], [too_long]), 10**8),
+                lambda: answers_sem(AnswerSet("R", "concrete", ("a", "t"), frozenset({("a", too_long.time)})), 10**8),
+                lambda: sem_fact(too_long, 10**8)):
+        with pytest.raises(PreconditionError, match="has 100000000 facts"):
+            run()
 
 
 def test_sem_instance_matches_figures(fig1, fig2, fig3, fig4):
@@ -730,6 +751,29 @@ def test_a_code_built_document_is_read_by_the_general_rules(kind, time, value):
     assert Instance(inst.kind, inst.schema, inst.facts)._screened  # the screen, run
     times = [f.time for f in inst.facts]
     assert {type(p) for t in times for p in (t if isinstance(t, tuple) else (t,)) if p != INF} == {int}
+
+
+def _named(name, attributes):
+    """A one-fact abstract document of relation ``name``."""
+    return {"kind": "abstract", "relations": {name: {"attributes": attributes, "facts": [
+        {"values": ["x"], "time": 0}]}}}
+
+
+def test_a_code_built_name_is_read_as_its_str_and_any_other_name_is_refused():
+    """JSON text cannot hold a key that is not a string; a code-built
+    document can."""
+    inst = instance_from_json(_named(_Str("R"), [_Str("a"), "t"]))
+    assert inst == instance_from_json(_named("R", ["a", "t"])) == rowwise_instance_from_json(_named("R", ["a", "t"]))
+    assert [type(n) for r in inst.schema for n in (r.name, *r.all_attributes)] == [str, str, str]
+    assert {type(f.relation) for f in inst.facts} == {str}
+    assert dumps_instance(inst) == json_dumps_instance(inst)
+    for doc, message in [(_named(5, ["a", "t"]), "relation 5: name must be a string"),
+                         (_named(None, ["a", "t"]), "relation None: name must be a string"),
+                         (_named("R", ["a", 5]), "relation 'R': \"attributes\" must be a non-empty list of names")]:
+        for read in (instance_from_json, rowwise_instance_from_json):
+            with pytest.raises(SchemaError) as err:
+                read(doc)
+            assert str(err.value) == message
 
 
 def _concrete_instance(rows) -> Instance:

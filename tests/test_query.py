@@ -12,6 +12,7 @@ from tdx import (
     InvalidHorizonError,
     NoSolution,
     PreconditionError,
+    SchemaError,
     Success,
     Ucq,
     Var,
@@ -127,6 +128,14 @@ def test_answers_sem_validates_horizon():
     abstract = AnswerSet("q", "abstract", ("n", "t"), frozenset({("Ada", 8)}))
     with pytest.raises(PreconditionError):
         answers_sem(abstract, 13)
+    # as ``sem_instance``: rows that are not well formed, and the least
+    # interval below the horizon, whatever the hash order of the rows
+    with pytest.raises(SchemaError, match=r"^q\(Ada, 8\): concrete fact must carry a clopen interval$"):
+        answers_sem(AnswerSet("q", "concrete", ("n", "t"), frozenset({("Ada", 8)})), 13)
+    for name in ("ab", "xy", "Ada", "Bob", *map(str, range(20))):
+        ans = AnswerSet("q", "concrete", ("n", "t"), frozenset((name, iv(i, i + 5)) for i in range(8)))
+        with pytest.raises(InvalidHorizonError, match=r"^horizon 3 is below endpoint 5 of \[0,5\)$"):
+            answers_sem(ans, 3)
 
 
 def test_certain_concrete_running_example(fig1, example1):
