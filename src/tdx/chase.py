@@ -1,10 +1,11 @@
 """The chase over either view of time: a dependency round producing fresh
-annotated nulls, then a key round that collects equalities, closes them, and
-either applies the replacements or fails on a constant conflict.
+nulls, then a key round that collects equalities, closes them, and either
+applies the replacements or fails on a constant conflict.
 
-The two views run one algorithm.  A fresh ``Null`` is annotated with the
-time its rule fired at, an interval over a concrete instance and a time point
-over an abstract one, so the view shows only in the instance kind.
+The two views run one algorithm, over intervals or time points, so the view
+shows only in the instance kind.  A null is its label at the time of the
+fact that holds it: each equality of the key round carries its key group's
+time, and the closure and its replacements run per time.
 Infinite abstract views are never materialized here; they are reached
 through ``sem_instance`` with an explicit horizon, and the chase runs on the
 resulting finite instance.
@@ -56,6 +57,7 @@ from .model import (
     Instance,
     Null,
     RelationSchema,
+    TimeValue,
     Value,
     _apply_cuts,
     _blocks,
@@ -78,10 +80,12 @@ class Success:
 @dataclass(frozen=True)
 class Failure:
     """Witness of an unsatisfiable key round: two distinct constants forced equal,
-    with the chain of derived equalities connecting them."""
+    with the chain of derived equalities connecting them, all at ``time`` (a
+    chain joins them through nulls, each at one time)."""
 
     constants: tuple[str, str]
     trace: tuple[tuple[Value, Value], ...]
+    time: TimeValue
 
 
 ChaseOutcome = Union[Success, Failure]
@@ -92,8 +96,8 @@ class EqClosure:
 
     Merging two classes whose constants differ is a conflict (reported, not
     applied).  A class containing a constant is represented by it; otherwise
-    by its null with the least label.  Nulls of different temporal contexts
-    can share a class only through a constant, which then represents them.
+    by its null with the least label.  The key round keeps one closure per
+    time, so each null in it stands for its label at that time.
     """
 
     def __init__(self) -> None:
@@ -139,14 +143,16 @@ class EqClosure:
         return grouped
 
     def representatives(self) -> dict[Value, Value]:
-        """Final replacement map: every tracked value to its class representative."""
+        """Final replacement map: every tracked value that is not its class
+        representative to the representative (so only nulls)."""
         reps: dict[Value, Value] = {}
         for root, members in self.members().items():
             rep = self._const.get(root)
             if rep is None:
                 rep = min(members)
             for v in members:
-                reps[v] = rep
+                if v != rep:
+                    reps[v] = rep
         return reps
 
 
@@ -164,7 +170,7 @@ class _Head(NamedTuple):
     body: Callable[[Binding], tuple]  # the non-temporal body values, variables in name order
     existentials: tuple[str, ...]
     prefixes: tuple[str, ...]  # each existential's label text up to the body values
-    labels: dict[tuple, list[str]]  # body values -> the label of each existential, made once
+    labels: dict[tuple, list[Null]]  # body values -> the null of each existential, made once
     fixed: dict[int, str]  # the slot of each head constant
     atoms: tuple[tuple[str, Callable[[Binding], tuple], str], ...]  # relation, values getter, time variable
 
@@ -197,14 +203,12 @@ def _compile_head(rule: SttTgd, index: int) -> _Head:
 
 def _fire(head: _Head, binding: Binding, add: Callable[[Fact], None]) -> None:
     """One firing: extend ``binding`` in place and pass each head fact to ``add``."""
-    context = binding[head.time_var]
     values = head.body(binding)
-    labels = head.labels.get(values)
-    if labels is None:  # the fragments of one source fact, or its time points, share their labels
+    nulls = head.labels.get(values)
+    if nulls is None:  # the fragments of one source fact, or its time points, share their nulls
         text = _encode(values)
-        labels = head.labels[values] = [prefix + text + "]" for prefix in head.prefixes]
-    for var, label in zip(head.existentials, labels):
-        binding[var] = _new(Null, (label, context))
+        nulls = head.labels[values] = [_new(Null, (prefix + text + "]",)) for prefix in head.prefixes]
+    binding.update(zip(head.existentials, nulls))
     binding.update(head.fixed)
     for relation, values, time_var in head.atoms:
         add(_new(Fact, (relation, values(binding), binding[time_var])))
@@ -214,7 +218,7 @@ def st_step(inst: Instance, rule: SttTgd, binding: Binding, index: int) -> froze
     """One chase step: extend the binding with fresh nulls and fire the rule,
     the mapping's rule number ``index``.
 
-    Each existential variable gets one fresh null annotated with the bound
+    Each existential variable gets one fresh null, held at the bound
     interval or time point, reused at every occurrence across the
     right-hand-side atoms, and labeled by its Skolem term (see the module).
     """
@@ -269,7 +273,7 @@ def _ordered_pair(x: Value, y: Value) -> tuple[Value, Value]:
 def _check_key(f: Fact, schema: RelationSchema, key_pos: tuple[int, ...]) -> None:
     for i in key_pos:
         if is_null(f.values[i]):
-            raise KeyNullViolation(f"{f}: null {f.values[i]} in key position {schema.attributes[i]!r}")
+            raise KeyNullViolation(f"{f}: null {f.values[i]}^{f.time} in key position {schema.attributes[i]!r}")
 
 
 def tkc_step(u1: Fact, u2: Fact, tkc: Tkc,
@@ -302,17 +306,17 @@ def _key_positions(inst: Instance, tkc: Tkc) -> tuple[tuple[int, ...], tuple[int
 def _key_blocks(inst: Instance, tkcs: Sequence[Tkc]) -> list[list[Fact]]:
     """The facts that a concrete key round must cut against each other: two
     facts are in one block if they are in one key group up to time, or hold
-    a null of one label, each null read as its label.  A replacement then
-    meets every occurrence of its null, whose pieces are cut alike."""
+    a null of one label.  A replacement then meets every occurrence of its
+    null, whose pieces are cut alike."""
     keys: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
     for i, tkc in enumerate(tkcs):
         keys.setdefault(tkc.relation, []).append((i, _key_positions(inst, tkc)[0]))
 
     def tokens(f: Fact) -> list:
         values = f.values
-        out: list = [v.label for v in values if v.__class__ is Null]
+        out: list = [v for v in values if v.__class__ is Null]
         for i, where in keys.get(f.relation, ()):
-            out.append((i, *[v if v.__class__ is str else (v.label,) for v in map(values.__getitem__, where)]))
+            out.append((i, *map(values.__getitem__, where)))
         return out
 
     return _blocks(inst.facts, tokens)
@@ -337,9 +341,10 @@ def _key_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     return Success(_coalesce(outcome.instance)) if isinstance(outcome, Success) else outcome
 
 
-def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, Value]]:
-    """The equalities of every key group: the facts of one relation that agree
-    on the time and the key values.
+def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, Value, TimeValue]]:
+    """The equalities of every key group, the facts of one relation that agree
+    on the time and the key values, each as ``(x, y, time)`` with the
+    group's time.
 
     Each member of a group is paired with one hub, the group's least member
     in canonical order: that star has the same closure as all k(k-1)/2
@@ -348,7 +353,7 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
     values, so a null in a key position is in all of them; the violation
     reported is the one in the least such hub, whatever the set order.
     """
-    equalities: list[tuple[Value, Value]] = []
+    equalities: list[tuple[Value, Value, TimeValue]] = []
     for tkc in tkcs:
         key_pos, dep_pos = _key_positions(inst, tkc)
         key_of = itemgetter(*key_pos) if key_pos else (lambda values: ())
@@ -356,7 +361,7 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
         for f in inst.facts_by_relation[tkc.relation]:
             groups.setdefault((f.time, key_of(f.values)), []).append(f)
         null_keys = []
-        for group in groups.values():
+        for (t, _), group in groups.items():
             if len(group) < 2:
                 continue
             hub = min(group)
@@ -367,24 +372,32 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
                 if f is not hub:
                     for i in dep_pos:
                         if hub.values[i] != f.values[i]:
-                            equalities.append((hub.values[i], f.values[i]))
+                            equalities.append((hub.values[i], f.values[i], t))
         if null_keys:
             _check_key(min(null_keys), inst.schema_by_name[tkc.relation], key_pos)
     return equalities
 
 
-def _first_conflict(equalities: Iterable[tuple[Value, Value]]) -> Failure:
+def _canonical(equality: tuple[Value, Value, TimeValue]) -> tuple:
+    """An ordered equality's canonical key, a null read as (label, time)."""
+    x, y, t = equality
+    return (x, t, y) if x.__class__ is Null else (x, y, t)  # a null x has a null y
+
+
+def _first_conflict(equalities: Iterable[tuple[Value, Value, TimeValue]]) -> Failure:
     """The failure met first when the equalities, each pair ordered, are
-    merged in canonical order; its trace is the shortest chain of the
-    equalities merged so far that links its two constants."""
-    closure = EqClosure()
-    adjacent: dict[Value, list[Value]] = {}
-    for x, y in sorted({_ordered_pair(x, y) for x, y in equalities}):
-        adjacent.setdefault(x, []).append(y)
-        adjacent.setdefault(y, []).append(x)
+    merged per time in canonical order; its trace is the shortest chain of
+    the equalities of its time merged so far that links its two constants."""
+    closures: dict[TimeValue, EqClosure] = {}
+    adjacent: dict[TimeValue, dict[Value, list[Value]]] = {}
+    for x, y, t in sorted({(*_ordered_pair(x, y), t) for x, y, t in equalities}, key=_canonical):
+        near = adjacent.setdefault(t, {})
+        near.setdefault(x, []).append(y)
+        near.setdefault(y, []).append(x)
+        closure = closures.get(t) or closures.setdefault(t, EqClosure())
         conflict = closure.merge(x, y)
         if conflict is not None:
-            return Failure(conflict, _chain(adjacent, *conflict))
+            return Failure(conflict, _chain(near, *conflict), t)
     raise AssertionError("no conflict in an order of equalities that another order conflicts in")
 
 
@@ -405,27 +418,29 @@ def _chain(adjacent: dict[Value, list[Value]], x: Value, y: Value) -> tuple[tupl
     return tuple(zip(path, path[1:]))
 
 
-def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value]]) -> ChaseOutcome:
-    """All replacements are applied simultaneously from the closure's final
-    representatives; a merge of two distinct constants aborts with a witness.
-    Only facts holding a replaced value are rebuilt, and with none the
-    instance itself is the result.
+def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value, TimeValue]]) -> ChaseOutcome:
+    """All replacements are applied simultaneously from the final
+    representatives of one closure per time, each to the facts of its time;
+    a merge of two distinct constants aborts with a witness.  Only facts
+    holding a replaced value are rebuilt, and with none the instance itself
+    is the result.
 
     Whether a merge conflicts, and the final representatives, do not depend
     on the order of the merges, so they run in set order.  A failure's
     witness does: at the first conflict the equalities are merged again in
     canonical order, and the conflict met first in that order is reported."""
     equalities = set(equalities)
-    closure = EqClosure()
-    for x, y in equalities:
+    closures: dict[TimeValue, EqClosure] = {}
+    for x, y, t in equalities:
+        closure = closures.get(t) or closures.setdefault(t, EqClosure())
         if closure.merge(x, y) is not None:
             return _first_conflict(equalities)
-    reps = {v: rep for v, rep in closure.representatives().items() if v != rep}
-    if not reps:
+    reps_at = {t: reps for t, closure in closures.items() if (reps := closure.representatives())}
+    replaced = [f for f in inst.facts if f.time in reps_at and not reps_at[f.time].keys().isdisjoint(f.values)]
+    if not replaced:
         return Success(inst)
-    keys = reps.keys()  # only nulls: a class's constant represents it
-    replaced = [f for f in inst.facts if not keys.isdisjoint(f.values)]
-    rebuilt = {_new(Fact, (f.relation, tuple([reps.get(v, v) for v in f.values]), f.time)) for f in replaced}
+    rebuilt = {_new(Fact, (f.relation, tuple([reps_at[f.time].get(v, v) for v in f.values]), f.time))
+               for f in replaced}
     return Success(inst.replace_facts(inst.facts.difference(replaced) | rebuilt))
 
 
@@ -455,7 +470,7 @@ def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],
 def st_round_abstract(inst: Instance, rules: Sequence[SttTgd],
                       target: Iterable[RelationSchema]) -> Instance:
     """The dependency round over a complete abstract instance: fresh nulls are
-    annotated with the bound time point."""
+    held at the bound time point."""
     _require(inst, ABSTRACT, "dependency round", complete=True)
     return _st_round(inst, rules, target)
 
@@ -476,8 +491,8 @@ def tkc_round_abstract(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     """The key round over an abstract instance.
 
     The three derivable cases: two distinct constants equated is a failure; a
-    null equated with a constant is replaced by it everywhere; two nulls of
-    one time point equated collapse onto a designated one.
+    null equated with a constant is replaced by it at its time point; two
+    nulls of one time point equated collapse onto a designated one.
     """
     _require(inst, ABSTRACT, "key round", complete=False)
     return _close_and_replace(inst, _round_equalities(inst, tkcs))

@@ -80,16 +80,14 @@ def _load_mapping(path: str) -> Mapping:
     return parse_mapping(_read_text(path))
 
 
-def _value_doc(v: Value) -> object:
-    return v if isinstance(v, str) else {"null": v.label, **_time_json(v.context)}
-
-
 def _failure_text(failure: Failure) -> str:
-    doc = {"failure": {
-        "constants": list(failure.constants),
-        "trace": [[_value_doc(x), _value_doc(y)] for x, y in failure.trace],
-    }}
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The witness as JSON, each null written with the failure's time."""
+    def doc(v: Value) -> object:
+        return v if isinstance(v, str) else {"null": v.label, **_time_json(failure.time)}
+
+    return json.dumps({"failure": {"constants": list(failure.constants),
+                                   "trace": [[doc(x), doc(y)] for x, y in failure.trace]}},
+                      indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:

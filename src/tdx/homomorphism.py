@@ -6,9 +6,10 @@ variable binds to an interval (concrete instance) or a time point (abstract).
 Chase steps and query evaluation are both driven by this enumeration.
 
 An *abstract homomorphism* maps one abstract instance into another: constants
-and time points are fixed, and each null may go to a constant or to a null
-annotated with the same time point.  Existence in both directions is the
-equivalence used to compare chase results across the two views.
+and time points are fixed, and each null, a label at a time point, keyed as
+``(null, time point)``, may go to a constant or to a null at that point.
+Existence in both directions is the equivalence used to compare chase
+results across the two views.
 
 Both are found by one search (Chandra and Merlin: a homomorphism from an
 instance is an answer to that instance read as a conjunctive query).  Atoms
@@ -58,17 +59,16 @@ from .model import (
     Fact,
     Instance,
     Null,
+    TimeValue,
     Value,
     _apply_cuts,
     _blocks,
     _check_horizon,
     _check_instance,
-    _coalesced,
+    _coalesced_facts,
     _cut,
     _default_horizon,
     _grid_cuts,
-    _label_key,
-    _labelled,
     _merged,
     _new,
     _plan_cuts,
@@ -77,7 +77,7 @@ from .model import (
 from .temporal import ClopenInterval, build_grid
 
 Binding = dict[str, object]  # variable -> Value, plus temporal variable -> interval/point
-AbstractHom = dict[Null, Value]
+AbstractHom = dict[tuple[Null, TimeValue], Value]  # (null, its time point) -> image
 
 
 def instantiate_atom(atom: Atom, binding: TMapping[str, object]) -> Fact:
@@ -235,7 +235,12 @@ def _formula_homs(atoms: Sequence[Atom], inst: Instance,
 
 
 def _check_atoms(atoms: Sequence[Atom], inst: Instance) -> None:
-    """Each atom fills a relation of the schema (SchemaError otherwise)."""
+    """The atoms share one temporal variable, as a parsed body's do (a null
+    is its label at one time), and each fills a relation of the schema
+    (SchemaError otherwise)."""
+    times = {atom.time_var for atom in atoms}
+    if len(times) > 1:
+        raise SchemaError(f"the atoms of a body must share one temporal variable, got {sorted(times)}")
     for atom in atoms:
         schema = inst.schema_by_name.get(atom.relation)
         if schema is None:
@@ -283,8 +288,8 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -
     facts that overlap must first be cut into equal pieces.  Only facts that
     can meet in one binding are cut against each other: the body's join
     blocks, where two facts are in one block if, for a pair of atoms linked
-    in ``_join_tokens``, they agree on the values the pair shares, each null
-    read as its label (the grouping-scoped alignment of Dignös, Böhlen and
+    in ``_join_tokens``, they agree on the values the pair shares, a null
+    being its label (the grouping-scoped alignment of Dignös, Böhlen and
     Gamper, "Temporal Alignment", SIGMOD 2012).  A body of one atom, a block
     that lacks a fact of some relation of the body (it yields no binding), a
     block whose intervals are equal or disjoint, and an abstract instance
@@ -309,9 +314,7 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -
             blocks = [[f for r in relations for f in inst.facts_by_relation[r]]]
         else:
             def tokens(f: Fact, by_relation=by_relation) -> list:
-                values = f.values  # each null read as its label, as ``model._coalesce`` reads it
-                return [(edge, *[v if v.__class__ is str else (v.label,) for v in map(values.__getitem__, where)])
-                        for edge, where in by_relation.get(f.relation, ())]
+                return [(edge, *map(f.values.__getitem__, where)) for edge, where in by_relation.get(f.relation, ())]
 
             blocks = _blocks([f for r in relations for f in inst.facts_by_relation[r]], tokens)
         plans.append(_plan_cuts([b for b in blocks if len(b) > 1 and relations <= {f.relation for f in b}]))
@@ -365,18 +368,18 @@ _Key = tuple[tuple[str, tuple, object], ...]
 
 def _components(facts: Iterable[Fact]) -> tuple[list[Fact], list[list[Fact]]]:
     """The facts that hold no null, and the connected components of the
-    shared-null graph, each a list of facts in no particular order.  Over an
-    abstract instance a component lies at one time point."""
+    shared-null graph, each a list of facts in no particular order.  A null
+    is its label at its fact's time, so a component lies at one time."""
     ground: list[Fact] = []
-    components = _blocks(facts, lambda f: [v for v in f.values if v.__class__ is Null], ground)
+    components = _blocks(facts, lambda f: [(v, f.time) for v in f.values if v.__class__ is Null], ground)
     return ground, components
 
 
-def _numbered(facts: list[Fact]) -> tuple[_Key, list[str]]:
-    """A component's key, and its null labels in order of first occurrence."""
+def _numbered(facts: list[Fact]) -> tuple[_Key, list[Null]]:
+    """A component's key, and its nulls in order of first occurrence."""
     facts.sort()
-    ids: dict[str, int] = {}
-    return tuple([(f.relation, tuple([ids.setdefault(v.label, len(ids)) if v.__class__ is Null else v
+    ids: dict[Null, int] = {}
+    return tuple([(f.relation, tuple([ids.setdefault(v, len(ids)) if v.__class__ is Null else v
                                       for v in f.values]), f.time)
                   for f in facts]), list(ids)
 
@@ -452,19 +455,20 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     compiled: dict[tuple, _Compiled] = {}
     hom: AbstractHom = {}
     for facts in components:
-        key, labels = _numbered(facts)
+        key, nulls = _numbered(facts)
         binding = _component_binding(key, b, indexes, compiled, ordered=True)
         if binding is None:
             return None
-        for k, label in enumerate(labels):
-            hom[Null(label, facts[0].time)] = binding[f"#{k}"]
+        t = facts[0].time
+        for k, null in enumerate(nulls):
+            hom[null, t] = binding[f"#{k}"]
     return hom
 
 
-def apply_abstract_hom(hom: TMapping[Null, Value], inst: Instance) -> Instance:
-    """Image of an abstract instance under a null assignment."""
+def apply_abstract_hom(hom: TMapping[tuple[Null, TimeValue], Value], inst: Instance) -> Instance:
+    """Image of an abstract instance under a null assignment (an ``AbstractHom``)."""
     facts = {
-        Fact(f.relation, tuple(hom.get(v, v) if isinstance(v, Null) else v
+        Fact(f.relation, tuple(hom.get((v, f.time), v) if isinstance(v, Null) else v
                                for v in f.values), f.time)
         for f in inst.facts
     }
@@ -497,8 +501,8 @@ def _view(inst: Instance, horizon: int) -> list[Fact]:
     times = {f.time for f in inst.facts}
     spans = ({t: _new(ClopenInterval, (t, t + 1)) for t in times} if inst.kind == ABSTRACT else
              {t: t if t.end <= horizon else _new(ClopenInterval, (t.start, horizon)) for t in times if t.start < horizon})
-    rows = [(_label_key(f), spans[f.time]) for f in inst.facts if f.time in spans]
-    return [_labelled(key, iv) for key, iv in _coalesced(rows, itemgetter(0), lambda key, iv: (key, iv)) or rows]
+    facts = [_new(Fact, (f.relation, f.values, spans[f.time])) for f in inst.facts if f.time in spans]
+    return _coalesced_facts(facts) or facts
 
 
 def _untwinned(views: list[list[Fact]]) -> list[list[Fact]]:
@@ -508,7 +512,7 @@ def _untwinned(views: list[list[Fact]]) -> list[list[Fact]]:
     sides = []
     for view in views:
         ground: list[Fact] = []
-        components = _blocks(view, lambda f: [v.label for v in f.values if v.__class__ is Null], ground)
+        components = _blocks(view, lambda f: [v for v in f.values if v.__class__ is Null], ground)
         sides.append((set(ground), {_numbered(facts)[0]: facts for facts in components}))
     return [[*(ground - twin_ground), *[f for key, facts in keyed.items() if key not in twins for f in facts]]
             for (ground, keyed), (twin_ground, twins) in (sides, sides[::-1])]
@@ -527,8 +531,8 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     holds maps onto that twin at every point by renaming labels.  Only the
     rest is cut, at the first point of each cell of the joint endpoint grid
     that it covers, and the other side at the same points: within one cell
-    the abstract views at any two points are the same up to re-annotating
-    nulls, and an abstract homomorphism fixes time points.  Each cut rest is
+    the abstract views at any two points are the same but for the time, and
+    an abstract homomorphism fixes time points.  Each cut rest is
     then mapped into the other side's cut (``_maps_into``), one direction
     each.
 

@@ -1,12 +1,12 @@
 """Values, facts, schemas, instances, and the two views of temporal data.
 
 A *concrete* instance stores each fact with a clopen interval; an *abstract*
-instance stores one fact per time point.  A constant is its ``str``.  Unknown
-values are labeled nulls annotated with the temporal context of the fact they
-occur in: one ``Null`` type serves both views, as ``N^[s,e)`` in a concrete
-fact and ``N^t`` in an abstract one, so a null's view is the type of its
-context.  Two annotated nulls are equal exactly when label and context are
-both equal.
+instance stores one fact per time point.  A constant is its ``str``.  An
+unknown value is a labeled null, ``Null(label)``, in both views; the time of
+the fact that holds it annotates it, written ``N^[s,e)`` or ``N^t``.  So a
+null's identity is the pair (label, fact time), which is written out only
+where facts of different times meet: the key round's closure (``chase``)
+and the homomorphism search (``homomorphism``).
 
 ``Null``, ``Fact`` and ``ClopenInterval`` are named tuples, so they hash,
 compare and are built in C; each also equals the plain tuple of its fields.
@@ -24,8 +24,8 @@ rewrites a concrete instance so that any two intervals across all relations
 are either equal or disjoint; it is the one-block case of the block cut
 (``_blocks``, ``_plan_cuts``, ``_apply_cuts``), which the chase and
 ``naive_eval`` apply only among facts that can meet.  ``_coalesce`` merges
-facts that are equal up to null annotations and whose intervals overlap or
-meet, the one form of an abstract view with maximal facts.
+facts of equal relation and values whose intervals overlap or meet, the one
+form of an abstract view with maximal facts.
 
 An instance is a set of facts; canonical order is a cost paid where order
 shows.  An instance's accessors, ``facts`` and ``facts_by_relation`` (each
@@ -56,6 +56,7 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
@@ -69,17 +70,15 @@ TimeValue = Union[ClopenInterval, int]
 
 
 class Null(NamedTuple):
-    """A labeled null annotated with the time of its fact: an interval in a
-    concrete fact, a time point in an abstract one."""
+    """A labeled null; the time of the fact that holds it annotates it."""
 
     label: str
-    context: TimeValue
 
     def __str__(self) -> str:
-        return f"{self.label}^{self.context}"
+        return str(self.label)
 
     # Canonical order: a constant (a ``str``) sorts before every null, and two
-    # nulls compare as their ``(label, context)`` tuples.
+    # nulls compare as their labels.
     def __lt__(self, other: object) -> bool:
         return not isinstance(other, str) and tuple.__lt__(self, other)
 
@@ -107,8 +106,9 @@ class Fact(NamedTuple):
     values: tuple[Value, ...]
     time: TimeValue
 
-    def __str__(self) -> str:
-        inner = ", ".join(str(v) for v in (*self.values, self.time))
+    def __str__(self) -> str:  # as R(a, N^t, t): each null annotated with the time
+        t = self.time
+        inner = ", ".join([*(f"{v}^{t}" if isinstance(v, Null) else str(v) for v in self.values), str(t)])
         return f"{self.relation}({inner})"
 
 
@@ -124,7 +124,7 @@ def _any_sort_key(v: object) -> tuple:
     if isinstance(v, str):
         return (2, v)
     if isinstance(v, Null) and isinstance(v.label, str):
-        return (3, v.label, _any_sort_key(v.context))
+        return (3, v.label)
     return (4, type(v).__qualname__, repr(v))
 
 
@@ -257,19 +257,14 @@ def _fact_problems(f: Fact, kind: str, arity: dict[str, int]) -> Iterator[tuple[
     for v in f.values:
         if v.__class__ is not str and not (v.__class__ is Null and v.label.__class__ is str):
             yield "not-a-value", f"{f}: {v!r} is not a constant or a null with a string label"
-        # annotated with the time itself: equal, and of its class (True == 1, and an interval equals a tuple)
-        if v.__class__ is Null and not (v.context.__class__ is f.time.__class__ and v.context == f.time):
-            other = isinstance(v.context, ClopenInterval) != isinstance(f.time, ClopenInterval)
-            yield ("kind-violation" if other else "context-mismatch",
-                   f"{f}: null {v} is not annotated with the fact's {time_name}")
 
 
 def _plainly_well_formed(facts: Iterable[Fact], kind: str, arity: dict[str, int]) -> bool:
     """Whether no fact breaks a rule of ``_fact_problems``, checked in one
     pass: each fact's time is of its view's class (``ClopenInterval``, or a
     non-negative ``int``), its values are a ``tuple`` that fills its
-    relation, and each value is a ``str`` or a ``Null`` with a ``str`` label
-    and a context equal to the time and of its class."""
+    relation, and each value is a ``str`` or a ``Null`` with a ``str``
+    label."""
     cls = ClopenInterval if kind == CONCRETE else int
     for f in facts:
         t, values = f.time, f.values
@@ -277,8 +272,7 @@ def _plainly_well_formed(facts: Iterable[Fact], kind: str, arity: dict[str, int]
                 or arity.get(f.relation) != len(values)):
             return False
         for v in values:
-            if v.__class__ is not str and not (v.__class__ is Null and v.label.__class__ is str
-                                               and v.context.__class__ is cls and v.context == t):
+            if v.__class__ is not str and not (v.__class__ is Null and v.label.__class__ is str):
                 return False
     return True
 
@@ -308,11 +302,9 @@ def validate_instance(inst: Instance) -> list[Violation]:
     ``unknown-relation``, a fact of a relation outside the schema (no other
     rule is checked); ``arity-mismatch``, values that do not fill the
     relation; ``kind-violation``, a time not of the view's kind (a clopen
-    interval, or a finite time point; then no value is checked), or a null
-    annotated with the other view's kind; ``not-a-value``, neither a ``str``
-    nor a ``Null`` with a ``str`` label; ``context-mismatch``, a null
-    annotated with another time of the right kind.  Each class is exact
-    (see ``_fact_problems``).
+    interval, or a finite time point; then no value is checked);
+    ``not-a-value``, a value neither a ``str`` nor a ``Null`` with a ``str``
+    label.  Each class is exact (see ``_fact_problems``).
     """
     arity = {r.name: r.arity for r in inst.schema}
     return [Violation(code, message) for f in sorted(inst.facts, key=_offender_key)
@@ -320,7 +312,7 @@ def validate_instance(inst: Instance) -> list[Violation]:
 
 
 def is_complete(inst: Instance) -> bool:
-    """True iff no fact contains an annotated null."""
+    """True iff no fact contains a null."""
     _check_instance(inst)
     return not any(is_null(v) for f in inst.facts for v in f.values)
 
@@ -351,30 +343,22 @@ def _check_horizon(horizon: int, *intervals: ClopenInterval) -> None:
 
 
 def _cut(facts: Iterable[Fact], pieces: dict[TimeValue, Iterable[TimeValue]]) -> frozenset[Fact]:
-    """Each fact once per piece of its time (subintervals or time points):
-    a null keeps its label and is re-annotated with the piece, one ``Null``
-    per label and piece.  ``normalize_instance`` and ``sem`` both cut so."""
-    nulls: dict[tuple[str, TimeValue], Null] = {}
-    out: set[Fact] = set()
-    for f in facts:
-        for piece in pieces[f.time]:
-            values = tuple([v if v.__class__ is not Null else
-                            nulls.get((v.label, piece)) or nulls.setdefault((v.label, piece), _new(Null, (v.label, piece)))
-                            for v in f.values])
-            out.add(_new(Fact, (f.relation, values, piece)))
-    return frozenset(out)
+    """Each fact once per piece of its time (subintervals or time points),
+    sharing the fact's values: a null keeps its label, and the piece's time
+    annotates it.  ``normalize_instance`` and ``sem`` both cut so."""
+    return frozenset([_new(Fact, (f.relation, f.values, piece)) for f in facts for piece in pieces[f.time]])
 
 
 def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
     """Abstract expansion of one concrete fact: one fact per contained time point.
 
-    Constants are copied; a null keeps its label and is re-annotated with each
-    time point.  ``horizon`` must be at least every finite endpoint of the
-    fact; unbounded intervals are truncated at the horizon.  Refuses as
-    ``sem_instance`` does: the fact, the horizon, then more than
-    ``MAX_SEM_FACTS`` facts.
+    ``horizon`` must be at least every finite endpoint of the fact; unbounded
+    intervals are truncated at the horizon.  Refuses as ``sem_instance``
+    does: the fact (its relation is its schema, unless the name is not a
+    ``str``), the horizon, then more than ``MAX_SEM_FACTS`` facts.
     """
-    _check_facts([f], CONCRETE, {f.relation: len(f.values) if isinstance(f.values, tuple) else 0})
+    n = len(f.values) if isinstance(f.values, tuple) else 0
+    _check_facts([f], CONCRETE, {f.relation: n} if f.relation.__class__ is str else {})
     return _sem([f], horizon)
 
 
@@ -464,11 +448,10 @@ def _merged(times: Iterable[ClopenInterval]) -> list[ClopenInterval]:
 def _coalesced(items: Iterable[tuple], key: Callable[[tuple], object],
                make: Callable[[object, ClopenInterval], tuple]) -> list | None:
     """The coalescing of Böhlen, Snodgrass and Soo ("Coalescing in Temporal
-    Databases", VLDB 1996), which ``_coalesce`` applies to facts,
-    ``homomorphism._view`` to abstract views and ``query.naive_eval`` to
-    answers.  The items, each a tuple that ends in its interval, are grouped
-    by ``key``, and each group's intervals are merged where they overlap or
-    meet (``_merged``).  Returns the coalesced items: those of the groups
+    Databases", VLDB 1996), which ``_coalesced_facts`` applies to facts and
+    ``query.naive_eval`` to answers.  The items, each a tuple that ends in
+    its interval, are grouped by ``key``, and each group's intervals are
+    merged where they overlap or meet (``_merged``).  Returns the coalesced items: those of the groups
     where nothing merges, then ``make(key, interval)`` for each merged
     interval of every other group; or None if nothing merges.  Two items of
     one group have distinct intervals."""
@@ -493,32 +476,25 @@ def _coalesced(items: Iterable[tuple], key: Callable[[tuple], object],
     return kept if merged else None
 
 
-def _label_key(f: Fact) -> tuple:
-    """A fact's relation and values, each null read as its label: the
-    one-tuple of its label, which equals no constant."""
-    return f.relation, tuple([v if v.__class__ is str else (v.label,) for v in f.values])
+def _coalesced_facts(facts: Iterable[Fact]) -> list[Fact] | None:
+    """``_coalesced`` of concrete facts: facts of one relation and equal
+    values, whose intervals overlap or meet, become one fact over the union;
+    None if none do."""
+    return _coalesced(facts, itemgetter(0, 1), lambda key, iv: _new(Fact, (*key, iv)))
 
 
 def _coalesce(inst: Instance) -> Instance:
-    """The concrete instance with its facts coalesced (``_coalesced``): facts
-    that are equal once each null is read as its label, and whose intervals
-    overlap or meet, become one fact over the union, its nulls re-annotated
-    with it.
+    """The concrete instance with its facts coalesced (``_coalesced_facts``).
 
     The result has the same abstract view at every valid horizon, and it is
     the one instance of maximal facts that has that view, so two instances
     with equal abstract views coalesce to equal instances.  An instance with
     nothing to merge is returned as it is.
     """
-    facts = _coalesced(inst.facts, _label_key, _labelled)
+    facts = _coalesced_facts(inst.facts)
     if facts is None:
         return inst
     return _keep_screened(Instance(CONCRETE, inst.schema, frozenset(facts)))
-
-
-def _labelled(key: tuple, iv: ClopenInterval) -> Fact:
-    """The concrete fact over ``iv`` whose ``_label_key`` is ``key``."""
-    return _new(Fact, (key[0], tuple([v if v.__class__ is str else _new(Null, (v[0], iv)) for v in key[1]]), iv))
 
 
 def _blocks(facts: Iterable[Fact], tokens: Callable[[Fact], list],
@@ -615,11 +591,11 @@ def normalize_instance(inst: Instance) -> Instance:
 
     The output satisfies the normalization predicate and has the same abstract
     view at every valid horizon: each distinct interval is cut by
-    ``split_interval`` at the grid points inside it, and a null keeps its
-    label and is re-annotated with each piece, as ``sem_instance`` does with
-    each time point.  An instance that needs no split is returned as it is.
-    Raises SchemaError, as ``sem_instance`` does, for an instance that
-    ``validate_instance`` faults.
+    ``split_interval`` at the grid points inside it, and each piece holds
+    the fact's values, as each time point does in ``sem_instance``.  An
+    instance that needs no split is returned as it is.  Raises SchemaError,
+    as ``sem_instance`` does, for an instance that ``validate_instance``
+    faults.
 
     A fact becomes one fragment per grid cell it covers, so n nested facts
     ``[i, inf)`` make n(n+1)/2 fragments, n(n-1)/2 more than the facts.  The
@@ -672,13 +648,14 @@ def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Inst
 #
 # A fact is {"values": [v, ...], "interval": {"start": s, "end": e | "inf"}}
 # (concrete) or {"values": [v, ...], "time": t} (abstract).  A value is a JSON
-# string (constant) or {"null": "<label>"}; the null's context is implied by
-# the fact's time.
+# string (constant) or {"null": "<label>"}; the fact's time annotates the
+# null.
 # ---------------------------------------------------------------------------
 
 
 def _time_json(t: TimeValue) -> dict:
-    """A fact's time, or a null's context, as the members of its JSON object."""
+    """A time as the members of its JSON object: a fact's, or the one that
+    annotates the nulls of a failure witness."""
     if isinstance(t, ClopenInterval):
         return {"interval": {"start": t.start, "end": t.end if isinstance(t.end, int) else "inf"}}
     return {"time": t}
@@ -722,15 +699,15 @@ def _time_from_json(doc: dict, kind: str) -> TimeValue:
     return int.__int__(t)
 
 
-def _value_from_json(v: object, time: TimeValue, nulls: dict) -> Value:
+def _value_from_json(v: object, nulls: dict) -> Value:
     """The value, or ValueError with its problem; ``nulls`` holds one
-    ``Null`` per label and time.  A subclass of ``str`` in a code-built
-    document is read as the ``str`` it stands for."""
+    ``Null`` per label.  A subclass of ``str`` in a code-built document is
+    read as the ``str`` it stands for."""
     if isinstance(v, str):
         return str.__str__(v)
     if isinstance(v, dict) and len(v) == 1 and isinstance(v.get("null"), str):
-        key = (str.__str__(v["null"]), time)
-        return nulls.get(key) or nulls.setdefault(key, _new(Null, key))
+        label = str.__str__(v["null"])
+        return nulls.get(label) or nulls.setdefault(label, _new(Null, (label,)))
     raise ValueError(f"a value must be a string or {{\"null\": \"<label>\"}}, got {reprlib.repr(v)}")
 
 
@@ -803,9 +780,9 @@ def instance_from_json(doc: object) -> Instance:
                 for v in values:
                     if v.__class__ is not str:
                         if v.__class__ is dict and len(v) == 1 and (label := v.get("null")).__class__ is str:
-                            v = nulls.get((label, t)) or nulls.setdefault((label, t), _new(Null, (label, t)))
+                            v = nulls.get(label) or nulls.setdefault(label, _new(Null, (label,)))
                         else:
-                            v = _value_from_json(v, t, nulls)
+                            v = _value_from_json(v, nulls)
                     out.append(v)
                 add(_new(Fact, (name, tuple(out), t)))
         except ValueError as exc:

@@ -10,7 +10,6 @@ from tdx import (
     ClopenInterval,
     Fact,
     Instance,
-    Null,
     RelationSchema,
     loads_instance,
     parse_mapping,
@@ -41,12 +40,8 @@ def iv(start, end) -> ClopenInterval:
     return ClopenInterval(start, end)
 
 
-def inull(label: str, start, end) -> Null:
-    return Null(label, ClopenInterval(start, end))
-
-
-def pnull(label: str, t: int) -> Null:
-    return Null(label, t)
+def null(label: str) -> Null:
+    return Null(label)
 
 
 def fact(relation: str, *values, time) -> Fact:

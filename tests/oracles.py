@@ -50,7 +50,7 @@ from tdx.model import _require, _time_from_json, _value_from_json
 def value_sort_key(v: object) -> tuple:
     """Canonical order over time points, intervals, constants, and nulls, in
     that order.  Within one kind the order is the natural one (intervals by
-    start, then end, finite ends first); nulls order by label, then context."""
+    start, then end, finite ends first); nulls order by label."""
     if isinstance(v, bool):
         raise TypeError(f"not a value: {v!r}")
     if isinstance(v, int):
@@ -60,7 +60,7 @@ def value_sort_key(v: object) -> tuple:
     if isinstance(v, str):
         return (2, v)
     if isinstance(v, Null) and isinstance(v.label, str):
-        return (3, v.label, value_sort_key(v.context))
+        return (3, v.label)
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -111,12 +111,12 @@ def skolem_label(index: int, var: str, body: dict) -> str:
 def instantiated_firing(rule, index: int, binding: dict) -> frozenset[Fact]:
     """One firing of rule number ``index``: a copy of ``binding`` extended
     with one fresh null per existential variable, labeled by
-    ``skolem_label`` and annotated with the bound time, and every head atom
-    instantiated through ``instantiate_atom``."""
+    ``skolem_label``, and every head atom instantiated through
+    ``instantiate_atom`` at the bound time."""
     body = {t.name: binding[t.name] for atom in rule.lhs for t in atom.args if isinstance(t, Var)}
     extended = dict(binding)
     for var in rule.existentials:
-        extended[var] = Null(skolem_label(index, var, body), binding[rule.time_var])
+        extended[var] = Null(skolem_label(index, var, body))
     return frozenset(instantiate_atom(atom, extended) for atom in rule.rhs)
 
 
@@ -132,13 +132,12 @@ def instantiated_st_round(inst: Instance, rules, target) -> Instance:
 
 
 def coalesced(inst: Instance) -> Instance:
-    """The concrete instance with facts that are equal, each null read as its
-    label, merged where their intervals overlap or meet: per such fact, its
-    intervals sorted by start and swept once."""
+    """The concrete instance with facts of equal relation and values merged
+    where their intervals overlap or meet: per such fact, its intervals
+    sorted by start and swept once."""
     groups: dict[tuple, list[ClopenInterval]] = {}
     for f in inst.facts:
-        key = (f.relation, tuple(v if isinstance(v, str) else ("null", v.label) for v in f.values))
-        groups.setdefault(key, []).append(f.time)
+        groups.setdefault((f.relation, f.values), []).append(f.time)
     facts = set()
     for (relation, values), times in groups.items():
         runs: list[list] = []
@@ -148,8 +147,7 @@ def coalesced(inst: Instance) -> Instance:
             else:
                 runs.append([start, end])
         for start, end in runs:
-            time = ClopenInterval(start, end)
-            facts.add(Fact(relation, tuple(v if isinstance(v, str) else Null(v[1], time) for v in values), time))
+            facts.add(Fact(relation, values, ClopenInterval(start, end)))
     return Instance(inst.kind, inst.schema, frozenset(facts))
 
 
@@ -198,7 +196,7 @@ def rowwise_instance_from_json(doc: object) -> Instance:
                     raise ValueError("\"values\" must be a list")
                 if len(values) != schema.arity:
                     raise ValueError(f"expected {schema.arity} values, got {len(values)}")
-                facts.add(Fact(name, tuple(_value_from_json(v, time, nulls) for v in values), time))
+                facts.add(Fact(name, tuple(_value_from_json(v, nulls) for v in values), time))
             except ValueError as exc:
                 raise SchemaError(f"{where} fact #{i}: {exc}") from None
     return Instance(kind, tuple(schemas), frozenset(facts))
@@ -207,7 +205,7 @@ def rowwise_instance_from_json(doc: object) -> Instance:
 def pairwise_round_equalities(inst: Instance, tkcs) -> list:
     """The key round's equalities from all k(k-1)/2 pairs of each key group,
     groups and pairs in canonical fact order, each pair through the checked
-    ``tkc_step``."""
+    ``tkc_step``, with the group's time."""
     equalities = []
     for tkc in tkcs:
         schema = inst.schema_by_name[tkc.relation]
@@ -218,7 +216,7 @@ def pairwise_round_equalities(inst: Instance, tkcs) -> list:
         for group in groups.values():
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
-                    equalities.extend(tkc_step(group[i], group[j], tkc, schema))
+                    equalities.extend((x, y, group[i].time) for x, y in tkc_step(group[i], group[j], tkc, schema))
     return equalities
 
 
@@ -233,13 +231,7 @@ def interval_point_set(interval: ClopenInterval, horizon: int) -> set[int]:
 
 def expand_fact_by_points(f: Fact, horizon: int) -> set[Fact]:
     """Point-by-point expansion of a concrete fact, written independently."""
-    out = set()
-    for t in interval_point_set(f.time, horizon):
-        values = tuple(
-            Null(v.label, t) if not isinstance(v, str) else v
-            for v in f.values)
-        out.add(Fact(f.relation, values, t))
-    return out
+    return {Fact(f.relation, f.values, t) for t in interval_point_set(f.time, horizon)}
 
 
 def expand_instance_by_points(inst: Instance, horizon: int) -> set[Fact]:
@@ -250,21 +242,22 @@ def expand_instance_by_points(inst: Instance, horizon: int) -> set[Fact]:
 
 
 def brute_force_hom_exists(a: Instance, b: Instance) -> bool:
-    """Exhaustive enumeration over context-respecting null assignments.
+    """Exhaustive enumeration over null assignments, a null being a label at
+    a time point, each mapped to a value of ``b`` at that point.
 
     Per-null candidates are narrowed to the values appearing in ``b`` at the
     positions where the null occurs in ``a`` (with matching relation and
     time); any assignment outside those sets maps some fact of ``a`` onto a
     tuple absent from ``b``, so the narrowing cannot lose a homomorphism.
     """
-    nulls = sorted({v for f in a.facts for v in f.values if isinstance(v, Null)},
-                   key=value_sort_key)
+    nulls = sorted({(v, f.time) for f in a.facts for v in f.values if isinstance(v, Null)},
+                   key=lambda n: (n[0].label, n[1]))
     candidates = []
-    for n in nulls:
+    for n, t in nulls:
         pool = None
         for f in a.facts:
             for pos, v in enumerate(f.values):
-                if v != n:
+                if v != n or f.time != t:
                     continue
                 here = {
                     g.values[pos]
@@ -273,10 +266,6 @@ def brute_force_hom_exists(a: Instance, b: Instance) -> bool:
                 }
                 pool = here if pool is None else pool & here
         assert pool is not None
-        pool = {
-            v for v in pool
-            if isinstance(v, str) or (isinstance(v, Null) and v.context == n.context)
-        }
         if not pool:
             return False
         candidates.append(sorted(pool, key=value_sort_key))
@@ -288,7 +277,7 @@ def brute_force_hom_exists(a: Instance, b: Instance) -> bool:
         for f in a.facts:
             image = Fact(
                 f.relation,
-                tuple(assignment.get(v, v) if isinstance(v, Null) else v for v in f.values),
+                tuple(assignment.get((v, f.time), v) if isinstance(v, Null) else v for v in f.values),
                 f.time)
             if image not in b_facts:
                 ok = False
@@ -349,23 +338,24 @@ def nested_loop_homs(atoms, inst: Instance, initial: dict | None = None) -> list
     return results
 
 
-def _try_image(f: Fact, g: Fact, assignment: dict) -> Optional[list[Null]]:
-    """Try mapping fact ``f`` onto ``g``; mutates ``assignment`` on success."""
+def _try_image(f: Fact, g: Fact, assignment: dict) -> Optional[list[tuple[Null, object]]]:
+    """Try mapping fact ``f`` onto ``g``, a fact at the same time point;
+    mutates ``assignment``, keyed by ``(null, time point)``, on success."""
     if len(f.values) != len(g.values):
         return None
-    newly: list[Null] = []
+    newly: list[tuple[Null, object]] = []
     for v, w in zip(f.values, g.values):
         if isinstance(v, str):
             if v == w:
                 continue
         else:
-            bound = assignment.get(v)
+            n = (v, f.time)
+            bound = assignment.get(n)
             if bound is None:
-                if isinstance(w, str) or (isinstance(w, Null) and w.context == v.context):
-                    assignment[v] = w
-                    newly.append(v)
-                    continue
-            elif bound == w:
+                assignment[n] = w
+                newly.append(n)
+                continue
+            if bound == w:
                 continue
         for n in newly:
             del assignment[n]
@@ -375,7 +365,7 @@ def _try_image(f: Fact, g: Fact, assignment: dict) -> Optional[list[Null]]:
 
 def _search_component(facts: Sequence[Fact], index: dict, assignment: dict) -> bool:
     """Backtracking over one group of facts; extends ``assignment`` in place."""
-    trail: list[tuple[int, list[Null]]] = []
+    trail: list[tuple[int, list[tuple[Null, object]]]] = []
     depth, start = 0, 0
     while depth < len(facts):
         f = facts[depth]
@@ -406,24 +396,25 @@ def scan_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
     """Abstract homomorphism from ``a`` into ``b`` by backtracking per
     shared-null component, facts and their candidate images (every fact of
     ``b`` with the same relation and time point) in canonical order, so the
-    result is the canonically first assignment.  None when there is none."""
+    result is the canonically first assignment, keyed by ``(null, time
+    point)``.  None when there is none."""
     b_facts = b.facts
     index: dict[tuple[str, object], list[Fact]] = {}
     for g in in_order(b):
         index.setdefault((g.relation, g.time), []).append(g)
 
-    parent: dict[Null, Null] = {}
+    parent: dict[tuple, tuple] = {}
 
-    def find(n: Null) -> Null:
+    def find(n: tuple) -> tuple:
         while parent[n] != n:
             parent[n] = parent[parent[n]]
             n = parent[n]
         return n
 
-    components: dict[Null, list[Fact]] = {}
+    components: dict[tuple, list[Fact]] = {}
     assignment: dict = {}
     for f in in_order(a):
-        nulls = [v for v in f.values if isinstance(v, Null)]
+        nulls = [(v, f.time) for v in f.values if isinstance(v, Null)]
         if not nulls:
             if f not in b_facts:  # constants are fixed, so the image is f itself
                 return None
@@ -435,7 +426,7 @@ def scan_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
             parent[find(n)] = first
         components.setdefault(first, []).append(f)
 
-    merged: dict[Null, list[Fact]] = {}
+    merged: dict[tuple, list[Fact]] = {}
     for root, facts in components.items():
         merged.setdefault(find(root), []).extend(facts)
     for facts in merged.values():
@@ -487,5 +478,5 @@ def per_component_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
         for f in facts:
             for n in f.values:
                 if isinstance(n, Null):
-                    hom[n] = binding[n.label]
+                    hom[n, f.time] = binding[n.label]
     return hom

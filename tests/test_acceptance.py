@@ -179,12 +179,11 @@ def test_criterion_4_failure_fixture(fig6, example3):
         outcome = tkc_round_abstract(fig6, example3.tkcs)
         assert isinstance(outcome, Failure)
         assert set(outcome.constants) == {"DBA", "Manager"}
-        from helpers import inull
         emp = rel("Emp", "name", "position", "company")
         transcription = Instance.concrete([emp], [
-            fact("Emp", "Ada", inull("N", 8, 9), "IBM", time=iv(8, 9)),
+            fact("Emp", "Ada", Null("N"), "IBM", time=iv(8, 9)),
             fact("Emp", "Ada", "DBA", "IBM", time=iv(8, 9)),
-            fact("Emp", "David", inull("N", 8, 9), "Intel", time=iv(8, 9)),
+            fact("Emp", "David", Null("N"), "Intel", time=iv(8, 9)),
             fact("Emp", "David", "Manager", "Intel", time=iv(8, 9)),
         ])
         concrete = tkc_round_concrete(transcription, example3.tkcs)
@@ -221,18 +220,18 @@ def test_criterion_5_query_commutation(fig1, example1, suite):
 
 
 def _nulls_of(inst):
-    return sorted({v for f in inst.facts for v in f.values if isinstance(v, Null)},
-                  key=lambda n: (n.label, n.context))
+    """Each null of an abstract instance, a label at a point, as ``(null, point)``."""
+    return sorted({(v, f.time) for f in inst.facts for v in f.values if isinstance(v, Null)})
 
 
 def _perturbations(result):
     """Three alternative solutions the chase result must map into."""
     nulls = _nulls_of(result)
     renamed = apply_abstract_hom(
-        {n: Null(n.label + "r", n.context) for n in nulls}, result)
+        {(n, t): Null(n.label + "r") for n, t in nulls}, result)
     chosen = [n for i, n in enumerate(nulls) if i % 2 == 0] or nulls
     grounded = apply_abstract_hom(
-        {n: f"fc_{n.label}_{n.context}" for n in chosen}, result)
+        {(n, t): f"fc_{n.label}_{t}" for n, t in chosen}, result)
     top = max((f.time for f in result.facts), default=0)
     extra_facts = set(result.facts)
     for k, schema in enumerate(result.schema):
@@ -254,7 +253,7 @@ def test_criterion_6_universality(fig2, example1, suite):
         # a deliberately over-specialized instance admits no hom back into the result
         golden = chase(fig2, example1).instance
         overspecialized = apply_abstract_hom(
-            {n: f"ground_{n.label}" for n in _nulls_of(golden)}, golden)
+            {n: f"ground_{n[0].label}" for n in _nulls_of(golden)}, golden)
         assert find_abstract_hom(golden, overspecialized) is not None
         assert find_abstract_hom(overspecialized, golden) is None
 

@@ -5,6 +5,7 @@ from tdx import (
     Failure,
     Instance,
     KeyNullViolation,
+    Null,
     PreconditionError,
     Success,
     Tkc,
@@ -18,7 +19,7 @@ from tdx import (
     validate_instance,
 )
 
-from helpers import c, fact, iv, pnull, rel
+from helpers import c, fact, iv, rel
 
 HORIZON = 13
 
@@ -28,8 +29,8 @@ def test_st_round_on_a_single_fact(example1):
     out = st_round_abstract(src, example1.sttgds[:1], example1.target)
     p, s = '[0,"p",["IBM","Ada"]]', '[0,"s",["IBM","Ada"]]'
     assert out.facts == {
-        fact("Emp", "Ada", pnull(p, 8), "IBM", time=8),
-        fact("Sal", "Ada", pnull(p, 8), pnull(s, 8), time=8),
+        fact("Emp", "Ada", Null(p), "IBM", time=8),
+        fact("Sal", "Ada", Null(p), Null(s), time=8),
     }
 
 
@@ -41,23 +42,28 @@ def test_st_round_empty_and_incomplete(example1, fig4):
 
 
 def test_fresh_nulls_carry_their_time_point(fig2, example1):
+    """A fresh null is its Skolem label, the same at each point of its
+    source fact; the fact that holds it carries the point."""
     out = st_round_abstract(fig2, example1.sttgds, example1.target)
+    points: dict = {}
     for f in out.facts:
         for v in f.values:
-            if hasattr(v, "context"):
-                assert v.context == f.time
+            if not isinstance(v, str):
+                assert type(v) is Null
+                points.setdefault(v, set()).add(f.time)
+    assert points and max(len(ts) for ts in points.values()) > 1
     assert validate_instance(out) == []
 
 
 def test_tkc_step_on_the_failure_relation(fig6, example3):
     key = example3.tkcs[0]
     schema = example3.target_by_name["Emp"]
-    ada_null = fact("Emp", "Ada", pnull("N", 2008), "IBM", time=2008)
+    ada_null = fact("Emp", "Ada", Null("N"), "IBM", time=2008)
     ada_dba = fact("Emp", "Ada", "DBA", "IBM", time=2008)
-    david_null = fact("Emp", "David", pnull("N", 2008), "Intel", time=2008)
+    david_null = fact("Emp", "David", Null("N"), "Intel", time=2008)
     david_mgr = fact("Emp", "David", "Manager", "Intel", time=2008)
-    assert tkc_step(ada_null, ada_dba, key, schema) == {(c("DBA"), pnull("N", 2008))}
-    assert tkc_step(david_null, david_mgr, key, schema) == {(c("Manager"), pnull("N", 2008))}
+    assert tkc_step(ada_null, ada_dba, key, schema) == {(c("DBA"), Null("N"))}
+    assert tkc_step(david_null, david_mgr, key, schema) == {(c("Manager"), Null("N"))}
     with pytest.raises(ValueError):
         tkc_step(ada_dba, ada_dba, key, schema)
 
@@ -68,7 +74,7 @@ def test_tkc_round_fails_on_the_shared_null(fig6, example3):
     assert out.constants == ("DBA", "Manager")
     # the trace walks DBA = N^2008 = Manager
     flattened = {v for pair in out.trace for v in pair}
-    assert pnull("N", 2008) in flattened
+    assert Null("N") in flattened
 
 
 def test_tkc_round_without_conflicts(fig4, example1):
@@ -78,7 +84,7 @@ def test_tkc_round_without_conflicts(fig4, example1):
 def test_tkc_round_null_to_constant_replacement():
     schema = rel("R", "a", "b")
     inst = Instance.abstract([schema], [
-        fact("R", "a", pnull("N", 5), time=5),
+        fact("R", "a", Null("N"), time=5),
         fact("R", "a", "c", time=5),
     ])
     key = Tkc("R", frozenset({"a", "time"}), ("b",))
@@ -89,19 +95,19 @@ def test_tkc_round_null_to_constant_replacement():
 def test_tkc_round_null_to_null_replacement_elects_least_label():
     schema = rel("R", "a", "b")
     inst = Instance.abstract([schema], [
-        fact("R", "a", pnull("N", 5), time=5),
-        fact("R", "a", pnull("M", 5), time=5),
+        fact("R", "a", Null("N"), time=5),
+        fact("R", "a", Null("M"), time=5),
     ])
     key = Tkc("R", frozenset({"a", "time"}), ("b",))
     assert tkc_round_abstract(inst, [key]) == Success(
-        Instance.abstract([schema], [fact("R", "a", pnull("M", 5), time=5)]))
+        Instance.abstract([schema], [fact("R", "a", Null("M"), time=5)]))
 
 
 def test_tkc_round_key_null_violation():
     schema = rel("R", "a", "b")
     inst = Instance.abstract([schema], [
-        fact("R", pnull("N", 5), "x", time=5),
-        fact("R", pnull("N", 5), "y", time=5),
+        fact("R", Null("N"), "x", time=5),
+        fact("R", Null("N"), "y", time=5),
     ])
     with pytest.raises(KeyNullViolation):
         tkc_round_abstract(inst, [Tkc("R", frozenset({"a", "time"}), ("b",))])
@@ -152,30 +158,26 @@ def _equality_sets_align(j_c, tkcs, horizon, may_fail=False):
     concrete_eqs = _round_equalities(j_c, tkcs)
     abstract_eqs = _round_equalities(j_a, tkcs)
 
-    def expand(value, t):
-        return pnull(value.label, t) if hasattr(value, "label") else value
-
     expanded = set()
-    for x, y in concrete_eqs:
-        if not (hasattr(x, "context") or hasattr(y, "context")):
-            expanded.add(frozenset({x, y}))  # constant pairs expand point-free
-            continue
-        interval = x.context if hasattr(x, "context") else y.context
+    for x, y, interval in concrete_eqs:
         end = interval.end if isinstance(interval.end, int) else horizon
         for t in range(interval.start, min(end, horizon)):
-            expanded.add(frozenset({expand(x, t), expand(y, t)}))
-    assert expanded == {frozenset(pair) for pair in abstract_eqs}
+            expanded.add((frozenset({x, y}), t))
+    assert expanded == {(frozenset({x, y}), t) for x, y, t in abstract_eqs}
 
     def classes(eqs):
-        closure = EqClosure()
+        """The nontrivial classes of one closure per time point, each with its
+        point, and whether some merge conflicted."""
+        closures = {}
         conflicted = False
-        for x, y in sorted((sorted(pair, key=str) for pair in eqs), key=str):
-            conflicted = closure.merge(x, y) is not None or conflicted
-        return ({frozenset(members) for members in closure.members().values() if len(members) > 1},
-                conflicted)
+        for pair, t in sorted(eqs, key=str):
+            x, y = sorted(pair, key=str)
+            conflicted = closures.setdefault(t, EqClosure()).merge(x, y) is not None or conflicted
+        return ({(frozenset(members), t) for t, closure in closures.items()
+                 for members in closure.members().values() if len(members) > 1}, conflicted)
 
     expanded_classes, expanded_conflict = classes(expanded)
-    abstract_classes, abstract_conflict = classes(frozenset(pair) for pair in abstract_eqs)
+    abstract_classes, abstract_conflict = classes((frozenset({x, y}), t) for x, y, t in abstract_eqs)
     assert may_fail or not (expanded_conflict or abstract_conflict)
     assert expanded_conflict == abstract_conflict
     if not expanded_conflict:
@@ -206,3 +208,22 @@ def test_equality_sets_align_on_random_cases():
             continue
         checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("later", [iv(5, 7), iv(2, 4)], ids=["apart", "adjacent"])
+def test_one_skolem_label_at_two_times_equals_two_constants(example1, later):
+    """Ada at IBM over two spans gets one Skolem label for her position in
+    both; her known position is DBA over the first and Manager over the
+    second.  A null is its label at its time, so the key round equates the
+    label with DBA at one time and with Manager at the other, and succeeds
+    in both views, apart or adjacent (the key round coalesces the two
+    spans, then cuts them again)."""
+    src = Instance.concrete(example1.source, [
+        fact("Employee1", "Ada", "IBM", time=iv(0, 2)), fact("Employee1", "Ada", "IBM", time=later),
+        fact("Employee2", "Ada", "DBA", "R&D", time=iv(0, 2)),
+        fact("Employee2", "Ada", "Manager", "R&D", time=later)])
+    concrete, abstract = chase(src, example1), chase(sem_instance(src, HORIZON), example1)
+    assert isinstance(concrete, Success) and isinstance(abstract, Success)
+    assert sem_instance(concrete.instance, HORIZON) == abstract.instance
+    assert {(f.values, f.time) for f in concrete.instance.facts_by_relation["Emp"]} == {
+        (("Ada", "DBA", "IBM"), iv(0, 2)), (("Ada", "Manager", "IBM"), later)}

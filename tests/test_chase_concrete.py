@@ -36,7 +36,7 @@ from tdx import (
 from tdx.chase import _close_and_replace, _round_equalities, tkc_positions
 
 from generators import random_case
-from helpers import c, fact, in_order, inull, iv, pnull, rel
+from helpers import c, fact, in_order, iv, rel
 from oracles import instantiated_firing, instantiated_st_round, pairwise_round_equalities
 
 HORIZON = 13
@@ -48,8 +48,8 @@ def test_st_step_shares_the_fresh_null_across_atoms(fig8, example1):
     out = st_step(fig8, rule, binding, 0)
     p, s = '[0,"p",["IBM","Ada"]]', '[0,"s",["IBM","Ada"]]'  # body values in variable name order
     assert out == {
-        fact("Emp", "Ada", inull(p, 8, 10), "IBM", time=iv(8, 10)),
-        fact("Sal", "Ada", inull(p, 8, 10), inull(s, 8, 10), time=iv(8, 10)),
+        fact("Emp", "Ada", Null(p), "IBM", time=iv(8, 10)),
+        fact("Sal", "Ada", Null(p), Null(s), time=iv(8, 10)),
     }
 
 
@@ -70,8 +70,8 @@ def test_st_step_on_the_unbounded_tail_row(fig8, example1):
     out = st_step(fig8, rule, binding, 0)
     p, s = '[0,"p",["Intel","Ada"]]', '[0,"s",["Intel","Ada"]]'
     assert out == {
-        fact("Emp", "Ada", inull(p, 11, 13), "Intel", time=iv(11, 13)),
-        fact("Sal", "Ada", inull(p, 11, 13), inull(s, 11, 13), time=iv(11, 13)),
+        fact("Emp", "Ada", Null(p), "Intel", time=iv(11, 13)),
+        fact("Sal", "Ada", Null(p), Null(s), time=iv(11, 13)),
     }
 
 
@@ -155,19 +155,19 @@ def test_compiled_dependency_round_agrees_with_instantiated_firing():
 def test_tkc_step_on_figure_rows(fig7, example1):
     sal_key = example1.tkcs[1]
     sal_schema = example1.target_by_name["Sal"]
-    u1 = fact("Sal", "Ada", inull("L", 8, 10), inull("M", 8, 10), time=iv(8, 10))
-    u2 = fact("Sal", "Ada", "Developer", inull("W", 8, 10), time=iv(8, 10))
+    u1 = fact("Sal", "Ada", Null("L"), Null("M"), time=iv(8, 10))
+    u2 = fact("Sal", "Ada", "Developer", Null("W"), time=iv(8, 10))
     assert tkc_step(u1, u2, sal_key, sal_schema) == {
-        (c("Developer"), inull("L", 8, 10)),
-        (inull("M", 8, 10), inull("W", 8, 10)),
+        (c("Developer"), Null("L")),
+        (Null("M"), Null("W")),
     }
     emp_key = example1.tkcs[0]
     emp_schema = example1.target_by_name["Emp"]
-    w1 = fact("Emp", "Ada", inull("E", 10, 11), "IBM", time=iv(10, 11))
-    w2 = fact("Emp", "Ada", "DBA", inull("K", 10, 11), time=iv(10, 11))
+    w1 = fact("Emp", "Ada", Null("E"), "IBM", time=iv(10, 11))
+    w2 = fact("Emp", "Ada", "DBA", Null("K"), time=iv(10, 11))
     assert tkc_step(w1, w2, emp_key, emp_schema) == {
-        (c("DBA"), inull("E", 10, 11)),
-        (c("IBM"), inull("K", 10, 11)),
+        (c("DBA"), Null("E")),
+        (c("IBM"), Null("K")),
     }
 
 
@@ -203,8 +203,8 @@ def test_key_positions_refuse_a_code_built_key_that_does_not_fit(example1):
 def test_tkc_step_rejects_null_keys(example1):
     emp_key = example1.tkcs[0]
     emp_schema = example1.target_by_name["Emp"]
-    u1 = fact("Emp", inull("N", 0, 1), "DBA", "IBM", time=iv(0, 1))
-    u2 = fact("Emp", inull("N", 0, 1), "Boss", "IBM", time=iv(0, 1))
+    u1 = fact("Emp", Null("N"), "DBA", "IBM", time=iv(0, 1))
+    u2 = fact("Emp", Null("N"), "Boss", "IBM", time=iv(0, 1))
     with pytest.raises(KeyNullViolation):
         tkc_step(u1, u2, emp_key, emp_schema)
 
@@ -224,8 +224,8 @@ def test_tkc_round_without_conflicts_is_identity(fig3, example1):
 
 def test_tkc_round_key_null_propagates(example1):
     inst = Instance.concrete(example1.target, [
-        fact("Emp", inull("N", 0, 1), "DBA", "IBM", time=iv(0, 1)),
-        fact("Emp", inull("N", 0, 1), "Boss", "IBM", time=iv(0, 1)),
+        fact("Emp", Null("N"), "DBA", "IBM", time=iv(0, 1)),
+        fact("Emp", Null("N"), "Boss", "IBM", time=iv(0, 1)),
     ])
     with pytest.raises(KeyNullViolation):
         tkc_round_concrete(inst, [Tkc("Emp", frozenset({"name", "time"}), ("position", "company"))])
@@ -237,9 +237,9 @@ def test_tkc_round_shared_null_forces_failure(example1):
     # equates DBA with Manager
     emp = rel("Emp", "name", "position", "company")
     inst = Instance.concrete([emp], [
-        fact("Emp", "Ada", inull("N", 8, 9), "IBM", time=iv(8, 9)),
+        fact("Emp", "Ada", Null("N"), "IBM", time=iv(8, 9)),
         fact("Emp", "Ada", "DBA", "IBM", time=iv(8, 9)),
-        fact("Emp", "David", inull("N", 8, 9), "Intel", time=iv(8, 9)),
+        fact("Emp", "David", Null("N"), "Intel", time=iv(8, 9)),
         fact("Emp", "David", "Manager", "Intel", time=iv(8, 9)),
     ])
     key = Tkc("Emp", frozenset({"name", "company", "time"}), ("position",))
@@ -288,7 +288,7 @@ def test_chase_failure_with_conflicting_companies(fig1, example1):
 
 def test_chase_rejects_incomplete_or_mistyped_sources(fig1, example1):
     incomplete = Instance.concrete(
-        fig1.schema, fig1.facts | {fact("Employee1", "Ada", inull("X", 0, 1), time=iv(0, 1))})
+        fig1.schema, fig1.facts | {fact("Employee1", "Ada", Null("X"), time=iv(0, 1))})
     with pytest.raises(PreconditionError):
         chase(incomplete, example1)  # nulls in source
     stranger = Instance.concrete([rel("Alien", "a")], [fact("Alien", "x", time=iv(0, 1))])
@@ -326,7 +326,7 @@ def test_chase_is_deterministic(fig1, example1):
 
 def test_eqclosure_representatives_and_trace():
     closure = EqClosure()
-    n1, n2, n3 = inull("A1", 0, 1), inull("A2", 0, 1), inull("A3", 0, 1)
+    n1, n2, n3 = Null("A1"), Null("A2"), Null("A3")
     equalities = [(n1, n2), (n2, c("k")), (n3, n3)]
     assert [closure.merge(x, y) for x, y in equalities] == [None] * 3
     reps = closure.representatives()
@@ -334,40 +334,60 @@ def test_eqclosure_representatives_and_trace():
     conflict = closure.merge(c("k"), c("j"))
     assert conflict == (c("j"), c("k"))
     inst = Instance.concrete([rel("R", "a")], [fact("R", n1, time=iv(0, 1))])
-    failure = _close_and_replace(inst, [*equalities, (n1, c("j"))])
-    assert failure == Failure((c("j"), c("k")), ((c("j"), n1), (n1, n2), (n2, c("k"))))
+    failure = _close_and_replace(inst, [(x, y, iv(0, 1)) for x, y in [*equalities, (n1, c("j"))]])
+    assert failure == Failure((c("j"), c("k")), ((c("j"), n1), (n1, n2), (n2, c("k"))), iv(0, 1))
 
 
 def test_eqclosure_null_only_class_elects_least_label():
     closure = EqClosure()
-    a, b = inull("B", 2, 3), inull("A", 2, 3)
+    a, b = Null("B"), Null("A")
     closure.merge(a, b)
     assert closure.representatives()[a] == b
 
 
 def test_eqclosure_mixed_contexts_join_only_through_constants():
+    """Nulls of two times are never one class: they end at one value only
+    when each time's closure equates them with the same constant."""
+    early, late = iv(0, 1), iv(4, 5)
+    n, m = Null("N"), Null("M")
     closure = EqClosure()
-    early, late = inull("N", 0, 1), inull("M", 4, 5)
-    closure.merge(early, c("k"))
-    closure.merge(late, c("k"))
+    closure.merge(n, c("k"))
+    closure.merge(m, c("k"))
     reps = closure.representatives()
-    assert reps[early] == reps[late] == c("k")
-    # without a constant, classes never mix contexts: equalities only arise
-    # between values of facts sharing one interval
+    assert reps[n] == reps[m] == c("k")
+    inst = Instance.concrete([rel("R", "a")], [fact("R", n, time=early), fact("R", m, time=late)])
+    assert _close_and_replace(inst, [(n, c("k"), early), (m, c("k"), late)]) == Success(
+        inst.replace_facts([fact("R", "k", time=early), fact("R", "k", time=late)]))
+
+
+def test_the_key_round_keeps_one_label_at_two_times_in_two_classes():
+    """A null is its label at its time: the same label at two times is two
+    nulls, in two closures, so it may equal a different value at each."""
+    early, late = iv(0, 1), iv(4, 5)
+    n, m = Null("N"), Null("M")
+    inst = Instance.concrete([rel("R", "a")], [fact("R", n, time=early), fact("R", n, time=late),
+                                               fact("R", m, time=late)])
+    assert _close_and_replace(inst, [(n, c("k"), early), (n, m, late)]) == Success(
+        inst.replace_facts([fact("R", "k", time=early), fact("R", m, time=late)]))
+    assert _close_and_replace(inst, [(n, c("j"), early), (n, c("k"), late), (m, c("k"), late)]) == Success(
+        inst.replace_facts([fact("R", "j", time=early), fact("R", "k", time=late)]))
+    # N equals j early, so a chain that read N as its label would be j = N = k
+    assert _close_and_replace(inst, [(n, c("j"), early), (n, c("k"), late), (m, c("j"), late), (n, m, late)]) == \
+        Failure((c("j"), c("k")), ((c("j"), m), (m, n), (n, c("k"))), late)
 
 
 def test_eqclosure_keeps_the_constant_of_the_smaller_class():
     """In this (canonical) order, the class of x, N5 is the smaller when it
     meets the class of N1, N2, N7; the merged class keeps x, so merging in
     the class of z then conflicts."""
-    n1, n2, n5, n7, n8 = (pnull(f"N{i}", 0) for i in (1, 2, 5, 7, 8))
+    n1, n2, n5, n7, n8 = (Null(f"N{i}") for i in (1, 2, 5, 7, 8))
     equalities = [(c("x"), n5), (c("z"), n8), (n1, n2), (n1, n7), (n5, n7), (n7, n8)]
     closure = EqClosure()
     assert [closure.merge(x, y) for x, y in equalities] == [None] * 5 + [(c("x"), c("z"))]
     inst = Instance.abstract([rel("R", "a")], [fact("R", n5, time=0), fact("R", n8, time=0)])
     for order in (equalities, equalities[::-1]):
-        assert _close_and_replace(inst, order) == Failure((c("x"), c("z")), ((c("x"), n5), (n5, n7), (n7, n8),
-                                                                             (n8, c("z"))))
+        assert _close_and_replace(inst, [(x, y, 0) for x, y in order]) == Failure(
+            (c("x"), c("z")), ((c("x"), n5), (n5, n7), (n7, n8), (n8, c("z"))), 0)
 
 
 def test_a_key_round_failure_is_the_conflict_canonical_order_meets_first():
@@ -375,25 +395,25 @@ def test_a_key_round_failure_is_the_conflict_canonical_order_meets_first():
     order, but the witness is the least class's, whatever that order is."""
     equalities = []
     for i in range(20):
-        n = pnull(f"N{i:02d}", 0)
-        equalities += [(c(f"a{i:02d}"), n), (c(f"b{i:02d}"), n)]
-    n00 = pnull("N00", 0)
+        n = Null(f"N{i:02d}")
+        equalities += [(c(f"a{i:02d}"), n, 0), (c(f"b{i:02d}"), n, 0)]
+    n00 = Null("N00")
     assert _close_and_replace(Instance.abstract([rel("R", "a")]), equalities[::-1]) == Failure(
-        (c("a00"), c("b00")), ((c("a00"), n00), (n00, c("b00"))))
+        (c("a00"), c("b00")), ((c("a00"), n00), (n00, c("b00"))), 0)
 
 
 def _random_key_groups(rng, kind):
     """Key groups of R(k, d1, d2) keyed on k and the time: one to six members
     each, dependents drawn from three constants and six null labels (shared
-    across groups of one time), and now and then a null key."""
+    across groups, of one time and of both), and now and then a null key."""
     times = [iv(0, 3), iv(3, INF)] if kind == "concrete" else [0, 1]
     facts = set()
     for _ in range(rng.randint(1, 4)):
         time = rng.choice(times)
-        key = Null("K", time) if rng.random() < 0.05 else c(rng.choice("ab"))
+        key = Null("K") if rng.random() < 0.05 else c(rng.choice("ab"))
 
         def dependent():
-            return c(rng.choice("xyz")) if rng.random() < 0.3 else Null(f"N{rng.randint(1, 6)}", time)
+            return c(rng.choice("xyz")) if rng.random() < 0.3 else Null(f"N{rng.randint(1, 6)}")
 
         for _ in range(rng.randint(1, 6)):
             facts.add(Fact("R", (key, dependent(), dependent()), time))
@@ -401,13 +421,14 @@ def _random_key_groups(rng, kind):
 
 
 def _assert_witness(failure, equalities):
-    """Two distinct constants joined by a chain of the given equalities."""
+    """Two distinct constants joined by a chain of the given equalities of
+    the failure's time."""
     first, last = failure.constants
     assert first != last
     chain = failure.trace
     assert chain and chain[0][0] == c(first) and chain[-1][1] == c(last)
     assert all(y == u for (_, y), (u, _) in zip(chain, chain[1:]))
-    links = {frozenset(pair) for pair in equalities}
+    links = {frozenset((x, y)) for x, y, t in equalities if t == failure.time}
     assert all(frozenset(link) in links for link in chain)
 
 
@@ -440,11 +461,11 @@ def test_hub_key_round_agrees_with_all_pairs():
 def test_key_round_pairs_each_member_with_one_hub():
     k = 2000
     inst = Instance.concrete([rel("Emp", "name", "position", "company")], [
-        fact("Emp", "Ada", inull(f"N{i}", 0, 5), "IBM", time=iv(0, 5)) for i in range(k)])
+        fact("Emp", "Ada", Null(f"N{i}"), "IBM", time=iv(0, 5)) for i in range(k)])
     tkcs = [Tkc("Emp", frozenset({"name", "time"}), ("position", "company"))]
-    hub = inull("N0", 0, 5)  # one equality per dependent that differs from the hub's: here, the position
+    hub = Null("N0")  # one equality per dependent that differs from the hub's: here, the position
     equalities = _round_equalities(inst, tkcs)
     assert len(equalities) == k - 1
-    assert set(equalities) == {(hub, inull(f"N{i}", 0, 5)) for i in range(1, k)}
+    assert set(equalities) == {(hub, Null(f"N{i}"), iv(0, 5)) for i in range(1, k)}
     out = tkc_round_concrete(inst, tkcs)
-    assert out == Success(inst.replace_facts([fact("Emp", "Ada", inull("N0", 0, 5), "IBM", time=iv(0, 5))]))
+    assert out == Success(inst.replace_facts([fact("Emp", "Ada", Null("N0"), "IBM", time=iv(0, 5))]))

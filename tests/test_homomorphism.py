@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -34,7 +35,7 @@ from tdx import (
 import tdx.homomorphism
 
 from generators import CONSTANTS, careers_chase_pair, careers_like, random_case, random_overlapping_case
-from helpers import bench_workloads, c, fact, in_order, iv, pnull, rel
+from helpers import bench_workloads, c, fact, in_order, iv, rel
 from oracles import (brute_force_hom_exists, fact_sort_key, nested_loop_homs, per_component_abstract_hom,
                      scan_abstract_hom, sem_equivalent, value_sort_key)
 
@@ -90,6 +91,10 @@ def test_unknown_relation_is_a_schema_error(fig2):
         enumerate_formula_homs([Atom("Nope", (Var("x"),), "t")], fig2)
     with pytest.raises(SchemaError):
         enumerate_formula_homs([Atom("Employee1", (Var("x"),), "t")], fig2)
+    # a null is its label at its fact's time, so a join never spans two times
+    with pytest.raises(SchemaError, match=r"^the atoms of a body must share one temporal variable, got \['s', 't'\]$"):
+        enumerate_formula_homs([Atom("Employee1", (Var("x"), Var("y")), "t"),
+                                Atom("Employee1", (Var("x"), Var("z")), "s")], fig2)
 
 
 def test_enumeration_order_is_deterministic(fig2):
@@ -104,13 +109,13 @@ def test_enumeration_order_is_deterministic(fig2):
 def test_hom_between_figures_is_the_documented_renaming(fig4, fig5):
     hom = find_abstract_hom(fig4, fig5)
     assert hom == {
-        pnull("N", 11): pnull("J", 11),
-        pnull("N", 12): pnull("K", 12),
-        pnull("M", 8): pnull("M", 8),
-        pnull("M", 9): pnull("O", 9),
-        pnull("U", 10): pnull("P", 10),
-        pnull("V", 11): pnull("X", 11),
-        pnull("V", 12): pnull("Y", 12),
+        (Null("N"), 11): Null("J"),
+        (Null("N"), 12): Null("K"),
+        (Null("M"), 8): Null("M"),
+        (Null("M"), 9): Null("O"),
+        (Null("U"), 10): Null("P"),
+        (Null("V"), 11): Null("X"),
+        (Null("V"), 12): Null("Y"),
     }
     image = apply_abstract_hom(hom, fig4)
     assert image.facts <= fig5.facts
@@ -120,15 +125,15 @@ def test_hom_between_figures_is_the_documented_renaming(fig4, fig5):
 def test_identity_hom(fig4):
     hom = find_abstract_hom(fig4, fig4)
     assert hom is not None
-    assert all(k == v for k, v in hom.items())
+    assert all(null == v for (null, _), v in hom.items())
     assert equivalent(fig4, fig4)
 
 
 def test_constants_are_fixed_points():
     schema = [rel("R", "a")]
-    with_null = Instance.abstract(schema, [fact("R", pnull("N", 5), time=5)])
+    with_null = Instance.abstract(schema, [fact("R", Null("N"), time=5)])
     with_const = Instance.abstract(schema, [fact("R", "c", time=5)])
-    assert find_abstract_hom(with_null, with_const) == {pnull("N", 5): c("c")}
+    assert find_abstract_hom(with_null, with_const) == {(Null("N"), 5): c("c")}
     assert find_abstract_hom(with_const, with_null) is None
     a = Instance.abstract(schema, [fact("R", "c1", time=5)])
     b = Instance.abstract(schema, [fact("R", "c2", time=5)])
@@ -136,44 +141,62 @@ def test_constants_are_fixed_points():
 
 
 def test_context_preservation():
+    """Each null is mapped at its own point, to an image that a fact of the
+    target holds at that point."""
     schema = [rel("R", "a")]
     a = Instance.abstract(schema, [
-        fact("R", pnull("N", 5), time=5),
-        fact("R", pnull("N", 6), time=6),
+        fact("R", Null("N"), time=5),
+        fact("R", Null("N"), time=6),
     ])
     b = Instance.abstract(schema, [
-        fact("R", pnull("Z", 5), time=5),
-        fact("R", pnull("W", 6), time=6),
+        fact("R", Null("Z"), time=5),
+        fact("R", Null("W"), time=6),
     ])
     hom = find_abstract_hom(a, b)
-    assert hom is not None
-    for src, dst in hom.items():
-        if isinstance(dst, Null):
-            assert dst.context == src.context
+    assert hom is not None and sorted(hom) == [(Null("N"), 5), (Null("N"), 6)]
+    for (src, t), dst in hom.items():
+        assert fact("R", dst, time=t) in b.facts
+
+
+@pytest.mark.parametrize("images, answers", [((Null("Z"), Null("W")), [True, True, True]),
+                                             ((c("c"), c("d")), [False, True, False])], ids=["nulls", "constants"])
+def test_one_label_at_two_points_maps_to_two_images(images, answers):
+    """A null is its label at its time point: one label at two points is two
+    nulls, each mapped at its own point, here to two different images."""
+    schema = [rel("R", "a")]
+    a = Instance.abstract(schema, [fact("R", Null("N"), time=5), fact("R", Null("N"), time=6)])
+    b = Instance.abstract(schema, [fact("R", images[0], time=5), fact("R", images[1], time=6)])
+    assert find_abstract_hom(a, b) == {(Null("N"), 5): images[0], (Null("N"), 6): images[1]}
+    both = a.replace_facts(a.facts | b.facts)
+    pairs = [(a, b), (both, b), (both, a)]
+    assert [equivalent(x, y) for x, y in pairs] == [sem_equivalent(x, y) for x, y in pairs] == answers
 
 
 def test_shared_null_forces_consistent_images():
     schema = [rel("R", "a", "b")]
-    a = Instance.abstract(schema, [fact("R", pnull("N", 1), pnull("N", 1), time=1)])
+    a = Instance.abstract(schema, [fact("R", Null("N"), Null("N"), time=1)])
     b_ok = Instance.abstract(schema, [fact("R", "c", "c", time=1)])
     b_bad = Instance.abstract(schema, [fact("R", "c", "d", time=1)])
-    assert find_abstract_hom(a, b_ok) == {pnull("N", 1): c("c")}
+    assert find_abstract_hom(a, b_ok) == {(Null("N"), 1): c("c")}
     assert find_abstract_hom(a, b_bad) is None
 
 
 def test_a_null_not_annotated_with_its_fact_time_is_a_schema_error():
+    """A null takes its time from its fact; a (label, time) pair, the shape
+    of a null annotated with another time, is no value of the source."""
     schema = [rel("R", "a")]
-    a = Instance.abstract(schema, [fact("R", pnull("N", 4), time=5)])
+    a = Instance.abstract(schema, [fact("R", ("N", 4), time=5)])
     b = Instance.abstract(schema, [fact("R", "c", time=5)])
-    with pytest.raises(SchemaError, match="not annotated with the fact's finite time point"):
+    with pytest.raises(SchemaError, match=r"^R\(\('N', 4\), 5\): \('N', 4\) is not a constant or a null "
+                                          r"with a string label$"):
         find_abstract_hom(a, b)
 
 
 def test_an_image_null_annotated_with_another_time_is_a_schema_error():
     schema = [rel("R", "a", "b")]
-    a = Instance.abstract(schema, [fact("R", "c", pnull("N", 5), time=5)])
-    b = Instance.abstract(schema, [fact("R", "c", pnull("M", 4), time=5)])
-    with pytest.raises(SchemaError, match="M\\^4"):
+    a = Instance.abstract(schema, [fact("R", "c", Null("N"), time=5)])
+    b = Instance.abstract(schema, [fact("R", "c", ("M", 4), time=5)])
+    with pytest.raises(SchemaError, match=r"\('M', 4\) is not a constant or a null with a string label$"):
         find_abstract_hom(a, b)
 
 
@@ -189,8 +212,8 @@ def test_a_fact_of_the_wrong_arity_is_a_schema_error_in_the_hom_search():
     short = Instance.abstract(schema, [fact("R", "c", time=5)])
     full = Instance.abstract(schema, [fact("R", "c", "d", time=5)])
     with pytest.raises(SchemaError, match=r"R\(c, 5\): relation 'R' expects 2 non-temporal values, got 1"):
-        find_abstract_hom(Instance.abstract(schema, [fact("R", pnull("N", 5), "d", time=5)]), short)
-    for values, count in (((pnull("N", 5),), 1), ((pnull("N", 5), "d", "e"), 3)):
+        find_abstract_hom(Instance.abstract(schema, [fact("R", Null("N"), "d", time=5)]), short)
+    for values, count in (((Null("N"),), 1), ((Null("N"), "d", "e"), 3)):
         with pytest.raises(SchemaError, match=f"expects 2 non-temporal values, got {count}"):
             find_abstract_hom(Instance.abstract(schema, [fact("R", *values, time=5)]), full)
 
@@ -207,15 +230,15 @@ def test_backtracking_beyond_greedy_choices():
     # the second fact constrains the shared null
     schema = [rel("R", "a", "b"), rel("S", "a")]
     a = Instance.abstract(schema, [
-        fact("R", pnull("N", 1), pnull("M", 1), time=1),
-        fact("S", pnull("N", 1), time=1),
+        fact("R", Null("N"), Null("M"), time=1),
+        fact("S", Null("N"), time=1),
     ])
     b = Instance.abstract(schema, [
         fact("R", "c1", "c2", time=1),
         fact("R", "c3", "c4", time=1),
         fact("S", "c3", time=1),
     ])
-    assert find_abstract_hom(a, b) == {pnull("N", 1): c("c3"), pnull("M", 1): c("c4")}
+    assert find_abstract_hom(a, b) == {(Null("N"), 1): c("c3"), (Null("M"), 1): c("c4")}
 
 
 def test_agrees_with_brute_force_on_figures(fig2, fig4, fig5):
@@ -236,7 +259,7 @@ def test_agrees_with_brute_force_on_random_instances(example1, fig1):
         if len(out.facts) > 12:
             continue
         renamed = apply_abstract_hom(
-            {v: Null(v.label + "_r", v.context)
+            {(v, f.time): Null(v.label + "_r")
              for f in out.facts for v in f.values if isinstance(v, Null)}, out)
         for a, b in [(out, renamed), (renamed, out)]:
             assert (find_abstract_hom(a, b) is not None) == brute_force_hom_exists(a, b)
@@ -267,14 +290,12 @@ def _random_initial(rng, atoms, inst):
 
 def _unnormalized(inst):
     """A concrete instance plus, for each fact with a finite end, a copy one
-    point longer; the copy's nulls keep their labels, so each such label lies
-    on overlapping intervals and its nulls meet under ``sem``."""
+    point longer; the copy keeps its nulls, so each such label lies on
+    overlapping intervals and its nulls meet under ``sem``."""
     longer = set()
     for f in inst.facts:
         if isinstance(f.time.end, int):
-            time = ClopenInterval(f.time.start, f.time.end + 1)
-            longer.add(Fact(f.relation, tuple(Null(v.label, time) if isinstance(v, Null) else v
-                                              for v in f.values), time))
+            longer.add(Fact(f.relation, f.values, ClopenInterval(f.time.start, f.time.end + 1)))
     return inst.replace_facts(inst.facts | longer)
 
 
@@ -337,9 +358,10 @@ def test_two_atom_query_work_grows_linearly(example1, monkeypatch):
 
 
 def _perturbed(rng, inst):
-    """``inst`` with one null grounded to a fresh constant, or one fact dropped."""
+    """``inst`` with one null, a label at a point, grounded to a fresh
+    constant, or one fact dropped."""
     facts = in_order(inst)
-    nulls = sorted({v for f in facts for v in f.values if isinstance(v, Null)}, key=value_sort_key)
+    nulls = sorted({(v, f.time) for f in facts for v in f.values if isinstance(v, Null)})
     if rng.random() < 0.5:
         return apply_abstract_hom({rng.choice(nulls): c("fresh")}, inst)
     return inst.replace_facts(set(facts) - {rng.choice(facts)})
@@ -350,7 +372,7 @@ def _with_decoys(rng, inst):
     and about half the facts dropped.  Constants sort before nulls, so the
     search tries the copy's facts first and must back out of those whose
     partners were dropped."""
-    grounded = apply_abstract_hom({v: c(f"fresh-{v}") for f in inst.facts for v in f.values
+    grounded = apply_abstract_hom({(v, f.time): c(f"fresh-{v}^{f.time}") for f in inst.facts for v in f.values
                                    if isinstance(v, Null)}, inst)
     return inst.replace_facts(inst.facts | {f for f in in_order(grounded) if rng.random() < 0.5})
 
@@ -379,9 +401,10 @@ def test_hom_search_agrees_with_the_scan(example1):
 
 
 def _grounded(inst):
-    """``inst`` with each null replaced by a constant named after it, so that
-    no component of another instance has a twin in it."""
-    return apply_abstract_hom({v: c(f"{v}") for f in inst.facts for v in f.values if isinstance(v, Null)}, inst)
+    """``inst`` with each null replaced by a constant named after it and its
+    point, so that no component of another instance has a twin in it."""
+    return apply_abstract_hom({(v, f.time): c(f"{v}^{f.time}") for f in inst.facts for v in f.values
+                               if isinstance(v, Null)}, inst)
 
 
 def test_hom_search_work_grows_linearly(example1, monkeypatch):
@@ -407,12 +430,13 @@ def test_hom_equivalence_of_twins_walks_no_join(example1, monkeypatch):
 def _component_shapes(inst):
     """The shape of each shared-null component of ``inst``: its facts in
     canonical order, each as its relation and, per value, the number of its
-    null in order of first occurrence (-1 for a constant)."""
+    null in order of first occurrence (-1 for a constant).  A null is its
+    label at its fact's point."""
     by_null = {}
     for f in inst.facts:
         for v in f.values:
             if isinstance(v, Null):
-                by_null.setdefault(v, []).append(f)
+                by_null.setdefault((v, f.time), []).append(f)
     seen, shapes = set(), set()
     for f in inst.facts:
         if f in seen or not any(isinstance(v, Null) for v in f.values):
@@ -422,7 +446,7 @@ def _component_shapes(inst):
         while todo:
             g = todo.pop()
             component.append(g)
-            for h in (h for v in g.values if isinstance(v, Null) for h in by_null[v]):
+            for h in (h for v in g.values if isinstance(v, Null) for h in by_null[v, g.time]):
                 if h not in seen:
                     seen.add(h)
                     todo.append(h)
@@ -457,13 +481,14 @@ def _random_abstract(rng):
     facts = set()
     for _ in range(rng.randint(1, 8)):
         r, t = rng.choice(schema), rng.randint(0, 2)
-        facts.add(Fact(r.name, tuple(rng.choice("cd") if rng.random() < 0.35 else pnull(rng.choice("NMOP"), t)
+        facts.add(Fact(r.name, tuple(rng.choice("cd") if rng.random() < 0.35 else Null(rng.choice("NMOP"))
                                      for _ in r.attributes), t))
     return Instance.abstract(schema, facts)
 
 
 def _nulls_of(inst):
-    return sorted({v for f in inst.facts for v in f.values if isinstance(v, Null)})
+    """Each null of ``inst``, a label at a point, as ``(null, point)``."""
+    return sorted({(v, f.time) for f in inst.facts for v in f.values if isinstance(v, Null)})
 
 
 def _dropped(rng, inst):
@@ -481,18 +506,19 @@ def _variant(rng, inst, kind):
     if kind == "renamed":
         labels = [f"L{k}" for k in range(len(nulls))]
         rng.shuffle(labels)
-        return apply_abstract_hom({n: Null(label, n.context) for n, label in zip(nulls, labels)}, inst)
+        return apply_abstract_hom({n: Null(label) for n, label in zip(nulls, labels)}, inst)
     if kind == "redundant":
         f = rng.choice(facts)
         return inst.replace_facts(inst.facts | apply_abstract_hom(
-            {v: Null(f"{v.label}'", v.context) for v in f.values if isinstance(v, Null)},
+            {(v, f.time): Null(f"{v.label}'") for v in f.values if isinstance(v, Null)},
             inst.replace_facts([f])).facts)
     if kind == "grounded" and nulls:
         return apply_abstract_hom({rng.choice(nulls): c(rng.choice("cd"))}, inst)
     if kind == "merged":
-        pairs = [(m, n) for m in nulls for n in nulls if m != n and m.context == n.context]
+        pairs = [(m, n) for m in nulls for n in nulls if m != n and m[1] == n[1]]
         if pairs:
-            return apply_abstract_hom(dict([rng.choice(pairs)]), inst)
+            m, (n, _) = rng.choice(pairs)
+            return apply_abstract_hom({m: n}, inst)
     return _dropped(rng, inst)
 
 
@@ -522,7 +548,7 @@ def test_hom_equivalence_when_canonical_order_follows_null_labels(monkeypatch):
     schema = [rel("R", "a", "b")]
 
     def edges(*pairs):
-        return Instance.abstract(schema, [fact("R", pnull(x, 1), pnull(y, 1), time=1) for x, y in pairs])
+        return Instance.abstract(schema, [fact("R", Null(x), Null(y), time=1) for x, y in pairs])
 
     path = edges(("N1", "N2"), ("N2", "N3"))
     relabeled = edges(("Z", "A"), ("A", "B"))  # R(A, B) now sorts first
@@ -538,7 +564,7 @@ def _relabeled(rng, inst):
     """``inst`` with its null labels permuted, in either view."""
     labels = sorted({v.label for f in inst.facts for v in f.values if isinstance(v, Null)})
     image = dict(zip(labels, rng.sample(labels, len(labels))))
-    return inst.replace_facts(Fact(f.relation, tuple(Null(image[v.label], v.context) if isinstance(v, Null) else v
+    return inst.replace_facts(Fact(f.relation, tuple(Null(image[v.label]) if isinstance(v, Null) else v
                                                      for v in f.values), f.time) for f in inst.facts)
 
 
@@ -582,17 +608,15 @@ def _scaled(inst, k):
     """A concrete instance with every endpoint multiplied by ``k``."""
     def scale(t):
         return iv(t.start * k, t.end * k)
-    return inst.replace_facts(Fact(f.relation, tuple(Null(v.label, scale(v.context)) if isinstance(v, Null) else v
-                                                     for v in f.values), scale(f.time))
-                              for f in inst.facts)
+    return inst.replace_facts(Fact(f.relation, f.values, scale(f.time)) for f in inst.facts)
 
 
 def _as_concrete(inst):
     """An abstract instance as a concrete one: each fact at ``t`` on ``[t, t+1)``,
     each null labeled by its label and point."""
-    def piece(v, time):
-        return Null(f"{v.label}@{v.context}", time) if isinstance(v, Null) else v
-    return Instance.concrete(inst.schema, [Fact(f.relation, tuple(piece(v, iv(f.time, f.time + 1)) for v in f.values),
+    def piece(v, t):
+        return Null(f"{v.label}@{t}") if isinstance(v, Null) else v
+    return Instance.concrete(inst.schema, [Fact(f.relation, tuple(piece(v, f.time) for v in f.values),
                                                 iv(f.time, f.time + 1)) for f in inst.facts])
 
 
@@ -648,7 +672,7 @@ def test_equivalent_refuses_a_large_cut_before_building_it():
     own twin, and nothing is cut."""
     n = 3_000
     nulls, constants = [Instance.concrete([rel("R", "a")], [fact("R", value(i), time=iv(i, INF)) for i in range(n)])
-                        for value in (lambda i: Null(f"N{i}", iv(i, INF)), lambda i: f"p{i}")]
+                        for value in (lambda i: Null(f"N{i}"), lambda i: f"p{i}")]
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionError, match=f"^the equivalence check up to horizon {n} builds "
@@ -665,7 +689,7 @@ _HASH_SEED_PROBE = """
 import hashlib
 from tdx import Instance, Null, SchemaError, apply_abstract_hom, find_abstract_hom
 from generators import careers_chase_pair
-from helpers import fact, load_fixture_mapping, pnull, rel
+from helpers import fact, load_fixture_mapping, rel
 
 def search(a, b):
     try:
@@ -678,16 +702,17 @@ def search(a, b):
 schema = [rel("R", "a", "b")]
 short = Instance.abstract(schema, [fact("R", x, time=5) for x in "cdefgh"])
 print(search(short, short))
-misannotated = Instance.abstract(schema, [fact("R", "d", pnull("M", 6), time=5), fact("R", "e", "f", time=5),
-                                          fact("R", "c", pnull("N", 4), time=5)])
-other = Instance.abstract(schema, [fact("R", "c", "g", time=5)])
-print(search(misannotated, other))
-print(search(other, misannotated))
+two_points = Instance.abstract(schema, [fact("R", "d", Null("M"), time=6), fact("R", "e", "f", time=5),
+                                        fact("R", "c", Null("M"), time=5), fact("R", "c", "g", time=6)])
+other = Instance.abstract(schema, [fact("R", "c", "g", time=5), fact("R", "c", "g", time=6),
+                                   fact("R", "d", "h", time=6), fact("R", "e", "f", time=5)])
+print(search(two_points, other))
+print(search(other, two_points))
 jc, ja = careers_chase_pair(12, load_fixture_mapping("example1.tdx"))
 print(search(jc, ja))
 print(search(ja, jc))
 # each null's image now has a second candidate, the same fact with a constant
-grounded = apply_abstract_hom({v: f"{v}" for f in ja.facts for v in f.values
+grounded = apply_abstract_hom({(v, f.time): f"{v}^{f.time}" for f in ja.facts for v in f.values
                                if isinstance(v, Null)}, ja)
 print(search(jc, ja.replace_facts(ja.facts | grounded.facts)))
 """
@@ -703,6 +728,6 @@ def test_hom_search_does_not_depend_on_the_string_hash_seed():
     assert runs[0] == runs[1]
     lines = runs[0]
     assert lines[0] == "SchemaError: R(c, 5): relation 'R' expects 2 non-temporal values, got 1"
-    assert lines[1] == lines[2] == \
-        "SchemaError: R(c, N^4, 5): null N^4 is not annotated with the fact's finite time point"
+    two_points = {(Null("M"), 5): "g", (Null("M"), 6): "h"}  # one label at two points, two images
+    assert lines[1:3] == [hashlib.sha256(repr(sorted(map(repr, two_points.items()))).encode()).hexdigest(), "None"]
     assert len(lines) == 6 and "None" not in lines[3:] and not any(x.startswith("Schema") for x in lines[3:])

@@ -49,7 +49,7 @@ from tdx import (
 import tdx.model
 
 from generators import random_case
-from helpers import FIXTURES, c, fact, in_order, inull, iv, load_fixture_instance, load_fixture_mapping, pnull, rel
+from helpers import FIXTURES, c, fact, in_order, iv, load_fixture_instance, load_fixture_mapping, rel
 from oracles import (expand_instance_by_points, fact_sort_key, instance_doc, json_dumps_instance,
                      rowwise_instance_from_json, value_sort_key)
 
@@ -60,33 +60,43 @@ def test_running_example_instance_is_valid(fig1):
 
 
 def test_loaded_nulls_are_annotated_with_their_fact_time():
+    """A loaded null is a ``Null`` of a ``str`` label, one object per label
+    of an instance, whatever the times of the facts that hold it; each fact
+    writes it annotated with the fact's time."""
     seen = set()
     for path in sorted(FIXTURES.glob("*.json")):
         inst = load_fixture_instance(path.name)
+        nulls: dict = {}
         for f in inst.facts:
             for v in f.values:
                 if is_null(v):
-                    assert type(v) is Null and v.context == f.time, (path.name, str(f))
+                    assert type(v) is Null and type(v.label) is str, (path.name, str(f))
+                    assert nulls.setdefault(v.label, v) is v, (path.name, str(f))
+                    assert f"{v.label}^{f.time}" in str(f), (path.name, str(f))
                     seen.add(inst.kind)
     assert seen == {"concrete", "abstract"}
 
 
 def test_context_mismatch_is_reported():
+    """A null's context is the time of the fact that holds it, so one label
+    in facts of two times is well formed, and a (label, context) pair, the
+    shape of a null annotated with another time, is reported as no value."""
     emp = rel("Emp", "name", "position", "company")
-    bad = fact("Emp", "Ada", inull("N", 10, 12), "IBM", time=iv(8, 10))
+    shared = [fact("Emp", "Ada", Null("N"), "IBM", time=iv(8, 10)),
+              fact("Emp", "Bob", Null("N"), "IBM", time=iv(10, 12))]
+    assert validate_instance(Instance.concrete([emp], shared)) == []
+    bad = fact("Emp", "Ada", ("N", iv(10, 12)), "IBM", time=iv(8, 10))
     inst = Instance.concrete([emp], [bad])
     codes = [v.code for v in validate_instance(inst)]
-    assert codes == ["context-mismatch"]
+    assert codes == ["not-a-value"]
 
 
 def test_kind_violations_are_reported():
     emp = rel("Emp", "name", "position", "company")
-    abstract_with_interval_null = Instance.abstract(
-        [emp], [fact("Emp", "Ada", inull("N", 8, 10), "IBM", time=8)])
-    assert [v.code for v in validate_instance(abstract_with_interval_null)] == ["kind-violation"]
-    concrete_with_point_null = Instance.concrete(
-        [emp], [fact("Emp", "Ada", pnull("N", 8), "IBM", time=iv(8, 10))])
-    assert [v.code for v in validate_instance(concrete_with_point_null)] == ["kind-violation"]
+    abstract_with_interval = Instance.abstract([emp], [fact("Emp", "Ada", Null("N"), "IBM", time=iv(8, 10))])
+    assert [v.code for v in validate_instance(abstract_with_interval)] == ["kind-violation"]
+    concrete_with_point = Instance.concrete([emp], [fact("Emp", "Ada", Null("N"), "IBM", time=8)])
+    assert [v.code for v in validate_instance(concrete_with_point)] == ["kind-violation"]
 
 
 def test_an_instance_has_a_known_kind_and_distinct_relation_names():
@@ -185,23 +195,27 @@ def _breaking(rule, kind, relation, arity):
         return [Fact(relation, k, at) for k in (7, 5)]
     first, time, relation, n = {
         "unknown-relation": ("X", at, "Ghost", arity),
+        "relation-class": ("X", at, 5, arity),
         "arity": ("X", at, relation, arity + 1),
         "time-kind": ("X", other_kind, relation, arity),
         "non-value": (5, at, relation, arity),
         "str-subclass": (_Str("X"), at, relation, arity),
-        "null-subclass": (_Null("N", at), at, relation, arity),
-        "null-context-kind": (Null("N", other_kind), at, relation, arity),
-        "context-mismatch": (Null("N", other_time), at, relation, arity),
+        "null-subclass": (_Null("N"), at, relation, arity),
+        # a null is its label alone: a (label, context) pair, the shape of an
+        # annotated null, is no value, whatever its context
+        "null-context-kind": (("N", other_kind), at, relation, arity),
+        "context-mismatch": (("N", other_time), at, relation, arity),
     }[rule]
     return [Fact(relation, (first, *["X"] * (n - 2), who), time) for who in ("Zed", "Bob")]
 
 
 _RULES = {"values-str": "not-a-value", "values-int": "not-a-value", "unknown-relation": "unknown-relation",
-          "arity": "arity-mismatch", "time-kind": "kind-violation", "non-value": "not-a-value",
-          "str-subclass": "not-a-value", "null-subclass": "not-a-value",
-          "null-context-kind": "kind-violation", "context-mismatch": "context-mismatch"}
-_FACT_RULES = ["values-str", "values-int", "time-kind", "non-value", "str-subclass", "null-subclass",
-               "null-context-kind", "context-mismatch"]
+          "relation-class": "unknown-relation", "arity": "arity-mismatch", "time-kind": "kind-violation",
+          "non-value": "not-a-value", "str-subclass": "not-a-value", "null-subclass": "not-a-value",
+          "null-context-kind": "not-a-value", "context-mismatch": "not-a-value"}
+# a relation name that is not a ``str`` is in no schema, ``sem_fact``'s too
+_FACT_RULES = ["values-str", "values-int", "relation-class", "time-kind", "non-value", "str-subclass",
+               "null-subclass", "null-context-kind", "context-mismatch"]
 
 
 def _sem_each_fact(inst):
@@ -249,8 +263,7 @@ class _Null(Null):
 # Times and values of every class the rules tell apart, each beside a value
 # of another class that it equals or hashes like.
 _ODD_TIMES = [3, 5, True, _Int(3), -1, 1.5, "s", iv(3, 5), iv(5, 9), (3, 5), None]
-_ODD_VALUES = ["x", _Str("x"), 5, (), ("N", 3), *[Null(label, t) for label in ("N", _Str("N"), 7) for t in _ODD_TIMES],
-               _Null("N", 3), _Null("N", iv(3, 5))]
+_ODD_VALUES = ["x", _Str("x"), 5, (), ("N",), ("N", 3), *[Null(label) for label in ("N", _Str("N"), 7)], _Null("N")]
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,18 +365,20 @@ def test_a_time_equal_to_a_time_of_another_class_is_a_schema_error_under_every_h
 
 
 def test_a_null_annotated_with_an_equal_time_of_another_class_is_not_annotated_with_it():
+    """A null is annotated with its fact's time, so a fact time that equals a
+    time of the view's class (a plain tuple, ``True``) is refused before any
+    null is written annotated with it."""
     schema = [rel("R", "a")]
-    concrete = fact("R", Null("N", (0, 5)), time=iv(0, 5))
+    concrete = Fact("R", (Null("N"),), (0, 5))
     inst = Instance.concrete(schema, [concrete])
     assert [v.code for v in validate_instance(inst)] == ["kind-violation"]
     for run in (lambda: sem_fact(concrete, 9), lambda: sem_instance(inst, 9), lambda: normalize_instance(inst)):
-        with pytest.raises(SchemaError, match=r"^R\(N\^\(0, 5\), \[0,5\)\): null N\^\(0, 5\) is not annotated "
-                                              r"with the fact's clopen interval$"):
+        with pytest.raises(SchemaError, match=r"^R\(N\^\(0, 5\), \(0, 5\)\): concrete fact must carry a "
+                                              r"clopen interval$"):
             run()
-    abstract = Instance.abstract(schema, [fact("R", Null("N", True), time=1)])
-    assert [v.code for v in validate_instance(abstract)] == ["context-mismatch"]
-    with pytest.raises(SchemaError, match=r"^R\(N\^True, 1\): null N\^True is not annotated with the fact's "
-                                          r"finite time point$"):
+    abstract = Instance.abstract(schema, [Fact("R", (Null("N"),), True)])
+    assert [v.code for v in validate_instance(abstract)] == ["kind-violation"]
+    with pytest.raises(SchemaError, match=r"^R\(N\^True, True\): abstract fact must carry a finite time point$"):
         find_abstract_hom(abstract, abstract)
 
 
@@ -372,11 +387,12 @@ def test_writers_name_the_least_fact_whose_time_or_null_context_is_not_a_value()
     cases = {
         "R(x, True): abstract fact must carry a finite time point":
             [Fact("R", ("x",), True), Fact("R", ("y",), 1.5), fact("R", "z", time=2)],
-        "R(N^True, 1): null N^True is not annotated with the fact's finite time point":
-            [Fact("R", (Null("N", True),), 1), fact("R", "z", time=2)],
         "R(x, s): abstract fact must carry a finite time point": [Fact("R", ("x",), "s")],
-        "R(7^1, 1): Null(label=7, context=1) is not a constant or a null with a string label":
-            [Fact("R", (Null(7, 1),), 1), fact("R", "z", time=2)],
+        "R(7^1, 1): Null(label=7) is not a constant or a null with a string label":
+            [Fact("R", (Null(7),), 1), fact("R", "z", time=2)],
+        # a null takes its context from its fact, so a (label, context) pair is no value
+        "R(('N', True), 1): ('N', True) is not a constant or a null with a string label":
+            [Fact("R", (("N", True),), 1), fact("R", "z", time=2)],
     }
     for message, facts in cases.items():
         inst = Instance.abstract(schema, facts)
@@ -395,10 +411,10 @@ def test_writers_name_a_value_that_is_neither_a_constant_nor_a_null():
 
 
 def test_validate_instance_reports_a_value_that_is_neither_a_constant_nor_a_null():
-    inst = Instance.abstract([rel("R", "a", "b")], [Fact("R", (5, Null(7, 1)), 1), fact("R", "x", "y", time=1)])
+    inst = Instance.abstract([rel("R", "a", "b")], [Fact("R", (5, Null(7)), 1), fact("R", "x", "y", time=1)])
     assert [(v.code, v.message) for v in validate_instance(inst)] == [
         ("not-a-value", "R(5, 7^1, 1): 5 is not a constant or a null with a string label"),
-        ("not-a-value", "R(5, 7^1, 1): Null(label=7, context=1) is not a constant or a null with a string label"),
+        ("not-a-value", "R(5, 7^1, 1): Null(label=7) is not a constant or a null with a string label"),
     ]
 
 
@@ -414,16 +430,18 @@ def test_every_constant_is_an_exact_str(fig1, example1):
 
 
 def test_values_are_tuples_with_their_names_fields_and_text():
-    interval, null = iv(0, 5), Null("N", 3)
+    interval, null = iv(0, 5), Null("N")
     f = fact("R", "a", null, time=3)
-    assert (interval, null, f) == ((0, 5), ("N", 3), ("R", ("a", null), 3))
-    assert hash(interval) == hash((0, 5)) and hash(f) == hash(("R", ("a", ("N", 3)), 3))
-    assert (len(f), list(null), interval[1]) == (3, ["N", 3], 5)
+    assert (interval, null, f) == ((0, 5), ("N",), ("R", ("a", null), 3))
+    assert hash(interval) == hash((0, 5)) and hash(f) == hash(("R", ("a", ("N",)), 3))
+    assert (len(f), list(null), interval[1]) == (3, ["N"], 5)
     assert all(null != x for x in ("N", "N^3", str(null)))
     assert (repr(interval), repr(null), repr(f)) == (
-        "ClopenInterval(start=0, end=5)", "Null(label='N', context=3)",
-        "Fact(relation='R', values=('a', Null(label='N', context=3)), time=3)")
-    assert (str(iv(2014, INF)), str(Null("N", interval)), str(f)) == ("[2014,inf)", "N^[0,5)", "R(a, N^3, 3)")
+        "ClopenInterval(start=0, end=5)", "Null(label='N')",
+        "Fact(relation='R', values=('a', Null(label='N')), time=3)")
+    # a null is its label; a fact writes each of its nulls annotated with its time
+    assert (str(iv(2014, INF)), str(null), str(f), str(fact("R", null, null, time=interval)), str(fact("R", time=3))) \
+        == ("[2014,inf)", "N", "R(a, N^3, 3)", "R(N^[0,5), N^[0,5), [0,5))", "R(3)")
     assert sorted([iv(2, 3), iv(0, INF), iv(1, 2), interval]) == [interval, iv(0, INF), iv(1, 2), iv(2, 3)]
     for value, field in ((interval, "start"), (null, "label"), (f, "time")):
         with pytest.raises(AttributeError):
@@ -432,19 +450,17 @@ def test_values_are_tuples_with_their_names_fields_and_text():
 
 def test_values_sort_natively_within_a_kind_and_problems_sort_over_any_objects():
     """Within one kind, values sort natively in canonical order: constants
-    before nulls, nulls by label, then context.  ``_any_sort_key`` orders
-    mixed kinds (time points, intervals, constants, nulls) and then every
-    non-value, ``True`` among them, by its type's name and ``repr``."""
-    assert sorted([Null("N", 3), c("N"), Null("M", 9), c(""), Null("N", 1)]) == [
-        c(""), c("N"), Null("M", 9), Null("N", 1), Null("N", 3)]
-    assert sorted([Null("N", iv(1, 2)), c("Z"), Null("N", iv(0, INF)), Null("N", iv(0, 2))]) == [
-        c("Z"), Null("N", iv(0, 2)), Null("N", iv(0, INF)), Null("N", iv(1, 2))]
-    null, const = Null("A", 0), c("Z")
+    before nulls, nulls by label.  ``_any_sort_key`` orders mixed kinds
+    (time points, intervals, constants, nulls) and then every non-value,
+    ``True`` among them, by its type's name and ``repr``."""
+    assert sorted([Null("N"), c("N"), Null("M"), c(""), Null("NA")]) == [
+        c(""), c("N"), Null("M"), Null("N"), Null("NA")]
+    null, const = Null("A"), c("Z")
     assert (const < null, const <= null, null > const, null >= const) == (True,) * 4
     assert (null < const, null <= const, const > null, const >= null) == (False,) * 4
-    values = [Null("N", iv(0, 2)), Null("N", 3), c("N"), iv(0, INF), iv(0, 2), 3, 0, Null("M", 9), True, 1.5, None]
+    values = [Null("N"), c("N"), iv(0, INF), iv(0, 2), 3, 0, Null("M"), True, 1.5, None]
     assert sorted(values, key=tdx.model._any_sort_key) == [
-        0, 3, iv(0, 2), iv(0, INF), c("N"), Null("M", 9), Null("N", 3), Null("N", iv(0, 2)), None, True, 1.5]
+        0, 3, iv(0, 2), iv(0, INF), c("N"), Null("M"), Null("N"), None, True, 1.5]
     with pytest.raises(TypeError):
         value_sort_key(True)
 
@@ -472,10 +488,10 @@ def test_sem_fact_expansion():
         fact("Employee1", "Ada", "IBM", time=9),
         fact("Employee1", "Ada", "IBM", time=10),
     }
-    g = fact("Emp", "Ada", inull("N", 11, 13), "Intel", time=iv(11, 13))
+    g = fact("Emp", "Ada", Null("N"), "Intel", time=iv(11, 13))
     assert sem_fact(g, 13) == {
-        fact("Emp", "Ada", pnull("N", 11), "Intel", time=11),
-        fact("Emp", "Ada", pnull("N", 12), "Intel", time=12),
+        fact("Emp", "Ada", Null("N"), "Intel", time=11),
+        fact("Emp", "Ada", Null("N"), "Intel", time=12),
     }
     unbounded = fact("Employee1", "Ada", "Intel", time=iv(2014, INF))
     assert sem_fact(unbounded, 2016) == {
@@ -485,9 +501,11 @@ def test_sem_fact_expansion():
 
 
 def test_sem_fact_rejects_a_mis_annotated_null():
-    for null in (inull("N", 10, 12), pnull("N", 8)):
-        f = fact("Emp", "Ada", null, "IBM", time=iv(8, 10))
-        with pytest.raises(SchemaError, match="is not annotated with the fact's clopen interval"):
+    """A (label, time) pair, the shape of a null annotated with a time other
+    than its fact's, is no value."""
+    for context in (iv(10, 12), 8):
+        f = fact("Emp", "Ada", ("N", context), "IBM", time=iv(8, 10))
+        with pytest.raises(SchemaError, match="is not a constant or a null with a string label$"):
             sem_fact(f, 13)
 
 
@@ -587,14 +605,14 @@ def test_normalize_splits_across_relations():
 def test_normalize_reannotates_nulls_and_preserves_semantics():
     schemas = [rel("R", "a"), rel("S", "b")]
     inst = Instance.concrete(schemas, [
-        Fact("R", (inull("N", 0, 4),), iv(0, 4)),
+        Fact("R", (Null("N"),), iv(0, 4)),
         fact("S", "b", time=iv(2, 3)),
     ])
     out = normalize_instance(inst)
     assert out.facts == {
-        Fact("R", (inull("N", 0, 2),), iv(0, 2)),
-        Fact("R", (inull("N", 2, 3),), iv(2, 3)),
-        Fact("R", (inull("N", 3, 4),), iv(3, 4)),
+        Fact("R", (Null("N"),), iv(0, 2)),
+        Fact("R", (Null("N"),), iv(2, 3)),
+        Fact("R", (Null("N"),), iv(3, 4)),
         fact("S", "b", time=iv(2, 3)),
     }
     assert validate_instance(out) == []
@@ -777,12 +795,12 @@ def test_a_code_built_name_is_read_as_its_str_and_any_other_name_is_refused():
 
 
 def _concrete_instance(rows) -> Instance:
-    """Facts of one value each: an upper-case value is a null annotated with
-    its fact's interval, a lower-case one a constant."""
+    """Facts of one value each: an upper-case value is a null of that label,
+    a lower-case one a constant."""
     facts = []
     for name, value, start, length in rows:
         time = iv(start, INF if length is None else start + length)
-        facts.append(Fact(name, (Null(value, time) if value.isupper() else c(value),), time))
+        facts.append(Fact(name, (Null(value) if value.isupper() else c(value),), time))
     return Instance.concrete([rel("R", "a"), rel("S", "b")], facts)
 
 
@@ -808,7 +826,7 @@ def test_normalization_properties(inst):
 def test_normalize_splits_like_split_interval(inst):
     grid = build_grid(f.time for f in inst.facts)
     assert normalize_instance(inst).facts == {
-        Fact(f.relation, tuple(Null(v.label, piece) if isinstance(v, Null) else v for v in f.values), piece)
+        Fact(f.relation, f.values, piece)
         for f in inst.facts for piece in split_interval(f.time, grid)}
 
 
@@ -816,7 +834,7 @@ def test_normalize_instance_stops_when_splitting_adds_more_than_its_limit(monkey
     monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 2)
     # 3 facts make 5 fragments, 2 more than the facts
     at_limit = Instance.concrete([rel("R", "a")], [fact("R", "a", time=iv(0, 2)),
-                                                   Fact("R", (inull("N", 1, INF),), iv(1, INF)),
+                                                   Fact("R", (Null("N"),), iv(1, INF)),
                                                    fact("R", "b", time=iv(2, INF))])
     assert len(normalize_instance(at_limit).facts) == 5
     with pytest.raises(PreconditionError, match="would split 4 facts into 10 fragments, 6 more than the facts, "
@@ -849,18 +867,18 @@ def test_a_normalized_instance_of_any_size_passes_the_fragment_limit(monkeypatch
 
 
 def test_normalize_rejects_a_mis_annotated_null_of_an_unsplit_fact():
-    """Split or not, a null not annotated with its fact's interval is the
-    error ``sem_instance`` raises, not a null to re-annotate."""
-    unsplit = Instance.concrete([rel("R", "a")], [Fact("R", (inull("N", 0, 5),), iv(0, 2))])
-    split = unsplit.replace_facts([Fact("R", (inull("N", 0, 3),), iv(5, 9)), fact("R", "a", time=iv(7, 9))])
+    """Split or not, a (label, time) pair in place of a null is the error
+    ``sem_instance`` raises, not a null to re-time."""
+    unsplit = Instance.concrete([rel("R", "a")], [Fact("R", (("N", iv(0, 5)),), iv(0, 2))])
+    split = unsplit.replace_facts([Fact("R", (("N", iv(0, 3)),), iv(5, 9)), fact("R", "a", time=iv(7, 9))])
     for inst in (unsplit, split):
         with pytest.raises(SchemaError) as sem_error:
             sem_instance(inst, 9)
         with pytest.raises(SchemaError) as normalize_error:
             normalize_instance(inst)
         assert str(normalize_error.value) == str(sem_error.value)
-    assert str(normalize_error.value) == \
-        "R(N^[0,3), [5,9)): null N^[0,3) is not annotated with the fact's clopen interval"
+    assert str(normalize_error.value) == ("R(('N', ClopenInterval(start=0, end=3)), [5,9)): ('N', ClopenInterval("
+                                          "start=0, end=3)) is not a constant or a null with a string label")
 
 
 def _generated_instances(seed: int, count: int):
@@ -902,7 +920,7 @@ def test_writer_matches_json_dumps_on_edge_cases():
                "line\u2028para\u2029", "emoji \U0001f600", ""]
     names = awkward[:4]
     schema = [rel(name, "a", "b") for name in names] + [rel("Empty", "x"), rel("Nullary")]
-    facts = [fact(name, awkward[i + 1], Null(awkward[i + 2], iv(0, INF)), time=iv(0, INF))
+    facts = [fact(name, awkward[i + 1], Null(awkward[i + 2]), time=iv(0, INF))
              for i, name in enumerate(names)]
     facts += [fact("Nullary", time=iv(3, 4)), fact("Nullary", time=iv(1, INF))]
     cases = [
@@ -925,7 +943,7 @@ intervals = st.builds(lambda s, length: iv(s, INF if length is None else s + len
                       st.integers(0, 5), st.one_of(st.none(), st.integers(1, 3)))
 times = st.one_of(st.integers(0, 5), intervals)
 labels = st.sampled_from(["N1", "N2", "M"])
-values = st.one_of(st.builds(c, st.text(max_size=3)), st.builds(Null, labels, times))
+values = st.one_of(st.builds(c, st.text(max_size=3)), st.builds(Null, labels))
 _SCHEMA = (rel("R", "a", "b"), rel("S", "a"), rel("T"))
 
 
@@ -934,14 +952,14 @@ def well_formed_instances(draw):
     """A well-formed instance of either kind: over its core facts, a
     constant and a null at one position, nulls that share a label, and
     (concrete) intervals with ``inf`` ends; then drawn facts of every
-    relation, each value a constant or a null annotated with the fact's time."""
+    relation, each value a constant or a null."""
     kind = draw(st.sampled_from(["concrete", "abstract"]))
     t1, t2 = (iv(2, INF), iv(0, 3)) if kind == "concrete" else (3, 0)
-    facts = [fact("R", "a", Null("N1", t1), time=t1), fact("R", "a", "N1", time=t1),
-             fact("R", Null("N1", t2), "b", time=t2), fact("S", Null("N2", t1), time=t1), fact("T", time=t2)]
+    facts = [fact("R", "a", Null("N1"), time=t1), fact("R", "a", "N1", time=t1),
+             fact("R", Null("N1"), "b", time=t2), fact("S", Null("N2"), time=t1), fact("T", time=t2)]
     for relation, arity in draw(st.lists(st.sampled_from([("R", 2), ("S", 1), ("T", 0)]), max_size=10)):
         t = draw(intervals if kind == "concrete" else st.integers(0, 5))
-        cells = draw(st.lists(st.one_of(st.sampled_from(["", "M", "N1", "b"]), st.builds(Null, labels, st.just(t))),
+        cells = draw(st.lists(st.one_of(st.sampled_from(["", "M", "N1", "b"]), st.builds(Null, labels)),
                               min_size=arity, max_size=arity))
         facts.append(Fact(relation, tuple(cells), t))
     return Instance(kind, _SCHEMA, facts)
@@ -963,7 +981,7 @@ def test_writers_write_well_formed_instances_as_the_oracle_does(inst, horizon):
                           st.lists(values, max_size=3).map(tuple), times), max_size=12),
        st.sampled_from(["concrete", "abstract"]), st.one_of(st.none(), st.integers(0, 99)))
 def test_writers_refuse_ill_formed_instances_with_the_first_problem(facts, kind, horizon):
-    """Facts of mixed arity and time kinds, nulls with any context, and a
+    """Facts of mixed arity and time kinds, nulls, and a
     relation outside the schema: both writers refuse what ``validate_instance``
     reports first, and write the oracle's text for a draw that is well formed."""
     inst = Instance(kind, _SCHEMA, frozenset(facts))

@@ -11,6 +11,7 @@ from tdx import (
     Instance,
     InvalidHorizonError,
     NoSolution,
+    Null,
     PreconditionError,
     SchemaError,
     Success,
@@ -30,7 +31,7 @@ from tdx import (
 )
 
 from generators import careers_like
-from helpers import fact, inull, iv, rel
+from helpers import fact, iv, rel
 from oracles import coalesced, nested_loop_homs
 
 HORIZON = 13
@@ -70,11 +71,11 @@ def _unnormalized(example1):
     return Instance.concrete(example1.target, [
         fact("Emp", "Ada", "DBA", "IBM", time=iv(0, 4)),
         fact("Emp", "Ada", "DBA", "IBM", time=iv(2, 3)),
-        fact("Sal", "Ada", "DBA", inull("S", 3, INF), time=iv(3, INF)),
+        fact("Sal", "Ada", "DBA", Null("S"), time=iv(3, INF)),
         fact("Emp", "Bob", "Dev", "HP", time=iv(1, 3)),
         fact("Emp", "Bob", "Dev", "Sun", time=iv(3, 6)),
-        fact("Emp", "Bob", inull("P", 1, 6), "HP", time=iv(1, 6)),
-        fact("Sal", "Bob", inull("P", 4, 9), "90k", time=iv(4, 9)),
+        fact("Emp", "Bob", Null("P"), "HP", time=iv(1, 6)),
+        fact("Sal", "Bob", Null("P"), "90k", time=iv(4, 9)),
     ])
 
 

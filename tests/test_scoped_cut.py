@@ -163,8 +163,8 @@ def test_failure_witnesses_and_key_null_messages_do_not_depend_on_the_cut(exampl
         fact("Title", "Ada", "DBA", "IBM", time=iv(6, 9)),
         fact("Title", "David", "Manager", "Intel", time=iv(4, 8)),
     ])
-    position = Null('[0,"p",["IBM","Intel","Ada","David"]]', iv(4, 8))
-    witness = Failure(("DBA", "Manager"), (("DBA", position), (position, "Manager")))
+    position = Null('[0,"p",["IBM","Intel","Ada","David"]]')
+    witness = Failure(("DBA", "Manager"), (("DBA", position), (position, "Manager")), iv(4, 8))
     assert chase(src, example3) == witness
     assert tkc_round_concrete(st_round_concrete(normalize_instance(src), example3.sttgds, example3.target),
                               example3.tkcs) == witness
