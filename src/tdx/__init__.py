@@ -13,7 +13,6 @@ from .temporal import (
     ClopenInterval,
     TimePoint,
     build_grid,
-    interval_contains,
     interval_points,
     split_interval,
 )
@@ -33,12 +32,10 @@ from .model import (
     instance_from_json,
     instance_to_json,
     is_complete,
-    is_normalized,
     is_null,
     loads_instance,
     max_finite_endpoint,
     normalize_instance,
-    sem_fact,
     sem_instance,
     validate_instance,
 )
@@ -50,17 +47,13 @@ from .mapping_lang import (
     Ucq,
     Var,
     parse_mapping,
-    render_mapping,
     validate_mapping,
 )
 from .homomorphism import (
     AbstractHom,
     Binding,
-    apply_abstract_hom,
-    enumerate_formula_homs,
     equivalent,
     find_abstract_hom,
-    instantiate_atom,
 )
 from .chase import (
     ChaseOutcome,
@@ -70,15 +63,12 @@ from .chase import (
     chase,
     st_round_abstract,
     st_round_concrete,
-    st_step,
     tkc_round_abstract,
     tkc_round_concrete,
-    tkc_step,
 )
 from .query import (
     AnswerSet,
     NoSolution,
-    answers_sem,
     answers_to_instance,
     certain,
     naive_eval,

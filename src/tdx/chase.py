@@ -26,11 +26,16 @@ order, and every fragment of a source fact, and each of its time points
 under ``sem``, labels alike, so ``sem`` of a concrete result equals the
 abstract result of the ``sem`` source as a set.
 
-Both rounds are parallel: the dependency round is the union of one step per
-rule and left-hand-side binding, and the key round derives a single equality
-closure from every conflicting fact pair before any replacement happens, so
-the outcome does not depend on step order.  A key group of k facts reaches
-that closure through k-1 pairs, each member paired with one hub.
+Both rounds are parallel: the dependency round is the union of the paper's
+s-t tgd step over every rule and left-hand-side binding, and the key round
+derives a single equality closure from the key step of every conflicting
+fact pair before any replacement happens, so the outcome does not depend on
+step order.  The single steps are the specification the rounds are tested
+against (``tests/oracles.py``: ``st_step`` and ``tkc_step``).  A key group
+of k facts reaches that closure through k-1 pairs, each member paired with
+one hub.  Every round first refuses, with the first problem
+``validate_mapping`` lists, rules and keys built in code that break a
+structural rule (``mapping_lang._check_mapping``).
 
 The per-fact work runs through C-level operations where it can: each rule's
 right-hand side is compiled once per round into one ``itemgetter`` per head
@@ -47,9 +52,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import KeyNullViolation, PreconditionError, SchemaError
-from .homomorphism import Binding, _formula_homs, _join_inputs, instantiate_atom
-from .mapping_lang import Mapping, SttTgd, Tkc, Var
+from .errors import KeyNullViolation, PreconditionError
+from .homomorphism import Binding, _formula_homs, _join_inputs
+from .mapping_lang import Mapping, SttTgd, Tkc, Var, _check_mapping
 from .model import (
     ABSTRACT,
     CONCRETE,
@@ -214,37 +219,13 @@ def _fire(head: _Head, binding: Binding, add: Callable[[Fact], None]) -> None:
         add(_new(Fact, (relation, values(binding), binding[time_var])))
 
 
-def st_step(inst: Instance, rule: SttTgd, binding: Binding, index: int) -> frozenset[Fact]:
-    """One chase step: extend the binding with fresh nulls and fire the rule,
-    the mapping's rule number ``index``.
-
-    Each existential variable gets one fresh null, held at the bound
-    interval or time point, reused at every occurrence across the
-    right-hand-side atoms, and labeled by its Skolem term (see the module).
-    """
-    overlap = set(binding) & rule.existentials
-    if overlap:
-        raise ValueError(f"binding must not cover existential variables {sorted(overlap)}")
-    missing = {rule.time_var, *(t.name for a in rule.lhs for t in a.args if isinstance(t, Var))}.difference(binding)
-    if missing:
-        raise ValueError(f"binding must cover the left-hand-side variables {sorted(missing)}")
-    for atom in rule.lhs:
-        if instantiate_atom(atom, binding) not in inst.facts:
-            raise ValueError(f"binding is not a formula homomorphism for atom {atom.relation!r}")
-    facts: set[Fact] = set()
-    _fire(_compile_head(rule, index), dict(binding), facts.add)
-    return frozenset(facts)
-
-
 def _st_round(inst: Instance, rules: Sequence[SttTgd],
               target: Iterable[RelationSchema]) -> Instance:
     """Every rule fired at every binding of its body.  Over a concrete
     instance each body reads its join blocks cut (``_join_inputs``): a rule
     of one atom fires on the facts as they are."""
-    # the caller checked ``inst``; a join yields only homomorphisms, so no binding is re-checked
-    for i, rule in enumerate(rules):
-        if not rule.lhs:
-            raise PreconditionError(f"rule #{i} has an empty left-hand side")
+    # the caller checked ``inst`` and the rules; a join yields only homomorphisms,
+    # so no binding is re-checked
     facts: set[Fact] = set()
     bodies = _join_inputs([rule.lhs for rule in rules], inst, "the rule bodies")
     for i, (rule, body_inst) in enumerate(zip(rules, bodies)):
@@ -254,53 +235,15 @@ def _st_round(inst: Instance, rules: Sequence[SttTgd],
     return Instance(inst.kind, tuple(target), frozenset(facts))
 
 
-def tkc_positions(tkc: Tkc, schema: RelationSchema) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Key and dependent positions of a key constraint within a relation schema."""
-    if tkc.relation != schema.name:
-        raise SchemaError(f"key constraint on {tkc.relation!r} applied to schema {schema.name!r}")
-    unknown = (tkc.key | set(tkc.dependents)) - set(schema.all_attributes)
-    if unknown:
-        raise SchemaError(f"key constraint on {tkc.relation!r} names unknown attributes {sorted(unknown)}")
-    key_pos = tuple(i for i, a in enumerate(schema.attributes) if a in tkc.key)
-    dep_pos = tuple(schema.attributes.index(a) for a in tkc.dependents)
-    return key_pos, dep_pos
-
-
 def _ordered_pair(x: Value, y: Value) -> tuple[Value, Value]:
     return (x, y) if x <= y else (y, x)
 
 
-def _check_key(f: Fact, schema: RelationSchema, key_pos: tuple[int, ...]) -> None:
-    for i in key_pos:
-        if is_null(f.values[i]):
-            raise KeyNullViolation(f"{f}: null {f.values[i]}^{f.time} in key position {schema.attributes[i]!r}")
-
-
-def tkc_step(u1: Fact, u2: Fact, tkc: Tkc,
-             schema: RelationSchema) -> frozenset[tuple[Value, Value]]:
-    """Equalities between the dependent values of two conflicting facts; checks
-    that they are distinct facts of the relation that agree on the time and on
-    a key without nulls (KeyNullViolation otherwise)."""
-    key_pos, dep_pos = tkc_positions(tkc, schema)
-    if u1.relation != tkc.relation or u2.relation != tkc.relation:
-        raise ValueError(f"facts must belong to relation {tkc.relation!r}")
-    _check_key(u1, schema, key_pos)
-    _check_key(u2, schema, key_pos)
-    if u1.time != u2.time or any(u1.values[i] != u2.values[i] for i in key_pos):
-        raise ValueError(f"facts {u1} and {u2} do not agree on the temporal key")
-    if u1 == u2:
-        raise ValueError(f"facts are identical, not conflicting: {u1}")
-    return frozenset(
-        _ordered_pair(u1.values[i], u2.values[i])
-        for i in dep_pos if u1.values[i] != u2.values[i])
-
-
 def _key_positions(inst: Instance, tkc: Tkc) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``tkc_positions`` of a key constraint within its relation's schema in ``inst``."""
-    schema = inst.schema_by_name.get(tkc.relation)
-    if schema is None:
-        raise SchemaError(f"key constraint on unknown relation {tkc.relation!r}")
-    return tkc_positions(tkc, schema)
+    """Key and dependent positions of a key constraint within its relation's
+    schema in ``inst``, which a checked key fits."""
+    attributes = inst.schema_by_name[tkc.relation].attributes
+    return tuple(i for i, a in enumerate(attributes) if a in tkc.key), tuple(map(attributes.index, tkc.dependents))
 
 
 def _key_blocks(inst: Instance, tkcs: Sequence[Tkc]) -> list[list[Fact]]:
@@ -348,10 +291,10 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
 
     Each member of a group is paired with one hub, the group's least member
     in canonical order: that star has the same closure as all k(k-1)/2
-    pairs of the group, in k-1 pairs; the grouping guarantees what
-    ``tkc_step`` checks of a pair.  Members of one group share their key
-    values, so a null in a key position is in all of them; the violation
-    reported is the one in the least such hub, whatever the set order.
+    pairs of the group, in k-1 pairs; the grouping guarantees what the key
+    step checks of a pair.  Members of one group share their key values, so
+    a null in a key position is in all of them: KeyNullViolation names the
+    first in the least such hub, whatever the set order.
     """
     equalities: list[tuple[Value, Value, TimeValue]] = []
     for tkc in tkcs:
@@ -374,7 +317,10 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
                         if hub.values[i] != f.values[i]:
                             equalities.append((hub.values[i], f.values[i], t))
         if null_keys:
-            _check_key(min(null_keys), inst.schema_by_name[tkc.relation], key_pos)
+            f = min(null_keys)
+            i = next(i for i in key_pos if is_null(f.values[i]))
+            raise KeyNullViolation(f"{f}: null {f.values[i]}^{f.time} in key position "
+                                   f"{inst.schema_by_name[tkc.relation].attributes[i]!r}")
     return equalities
 
 
@@ -453,6 +399,16 @@ def _require(inst: Instance, kind: str, what: str, *, complete: bool) -> None:
         raise PreconditionError(f"the {kind} {what} requires a complete instance")
 
 
+def _checked_st_round(inst: Instance, kind: str, rules: Sequence[SttTgd],
+                      target: Iterable[RelationSchema]) -> Instance:
+    """A public dependency round: its precondition, and the rules checked as
+    the rules of a mapping from ``inst``'s schema to ``target``."""
+    _require(inst, kind, "dependency round", complete=True)
+    target = tuple(target)
+    _check_mapping(Mapping(inst.schema, target, tuple(rules), (), ()))
+    return _st_round(inst, rules, target)
+
+
 def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],
                       target: Iterable[RelationSchema]) -> Instance:
     """Union of all dependency steps over every rule and left-hand-side binding.
@@ -463,16 +419,14 @@ def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],
     the bindings are enumerated in, and every fragment of one source fact
     labels its nulls alike.
     """
-    _require(inst, CONCRETE, "dependency round", complete=True)
-    return _st_round(inst, rules, target)
+    return _checked_st_round(inst, CONCRETE, rules, target)
 
 
 def st_round_abstract(inst: Instance, rules: Sequence[SttTgd],
                       target: Iterable[RelationSchema]) -> Instance:
     """The dependency round over a complete abstract instance: fresh nulls are
     held at the bound time point."""
-    _require(inst, ABSTRACT, "dependency round", complete=True)
-    return _st_round(inst, rules, target)
+    return _checked_st_round(inst, ABSTRACT, rules, target)
 
 
 def tkc_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
@@ -484,6 +438,7 @@ def tkc_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     KeyNullViolation.
     """
     _require(inst, CONCRETE, "key round", complete=False)
+    _check_mapping(Mapping((), inst.schema, (), tuple(tkcs), ()))
     return _key_round_concrete(inst, tkcs)
 
 
@@ -495,6 +450,7 @@ def tkc_round_abstract(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     nulls of one time point equated collapse onto a designated one.
     """
     _require(inst, ABSTRACT, "key round", complete=False)
+    _check_mapping(Mapping((), inst.schema, (), tuple(tkcs), ()))
     return _close_and_replace(inst, _round_equalities(inst, tkcs))
 
 
@@ -505,8 +461,10 @@ def chase(src: Instance, m: Mapping) -> ChaseOutcome:
     block, and the dependency round's result per key block; a concrete
     result is coalesced.  On success the result together with the source
     satisfies every dependency, and the result satisfies every key
-    constraint.
+    constraint.  A mapping built in code is refused first, with the first
+    problem ``validate_mapping`` lists.
     """
+    _check_mapping(m)
     src = conform_instance(src, m.source)
     _check_instance(src)
     if not is_complete(src):

@@ -17,16 +17,16 @@ and facts compile to patterns, a planner orders them most bound first with
 an index per pattern, and one stack walker yields the matching bindings.
 
 Indexes are built from each relation's facts in no particular order, and
-canonical order is paid for only where a result's order shows.
-``enumerate_formula_homs`` sorts the list it returns; the chase, whose null
-labels do not depend on binding order, and ``naive_eval`` take the same walk
-unsorted.  ``find_abstract_hom`` sorts each index list of the target and
-each shared-null component of the source into canonical order, because the
-hom it returns is the first binding in that order.  Canonical order is the
-values' own order (see ``model``), so each of these sorts is native.  The
-search compiles a join once per component shape (relations, and which
-position holds which null), with the component's constants and time point
-as parameters, not once per component.
+canonical order is paid for only where a result's order shows.  The chase,
+whose null labels do not depend on binding order, and ``naive_eval`` take
+the walk unsorted (``_formula_homs``).  ``find_abstract_hom`` sorts each
+index list of the target and each shared-null component of the source into
+canonical order, because the hom it returns is the first binding in that
+order.  Canonical order is the values' own order (see ``model``), so each
+of these sorts is native.  The search compiles a join once per component
+shape (relations, and which position holds which null), with the
+component's constants and time point as parameters, not once per
+component.
 
 ``equivalent`` decides whether the abstract views of two instances, of
 either view, are homomorphically equivalent: whether ``find_abstract_hom``
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping as TMapping, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError, SchemaError
@@ -78,12 +77,6 @@ from .temporal import ClopenInterval, build_grid
 
 Binding = dict[str, object]  # variable -> Value, plus temporal variable -> interval/point
 AbstractHom = dict[tuple[Null, TimeValue], Value]  # (null, its time point) -> image
-
-
-def instantiate_atom(atom: Atom, binding: TMapping[str, object]) -> Fact:
-    """Apply a total binding to one atom, producing a fact."""
-    values = tuple(binding[t.name] if isinstance(t, Var) else t for t in atom.args)
-    return Fact(atom.relation, values, binding[atom.time_var])
 
 
 class _Var(str):
@@ -224,9 +217,10 @@ def _walk(plan: Sequence[_Step], start: Binding) -> Iterator[Binding]:
 
 def _formula_homs(atoms: Sequence[Atom], inst: Instance,
                   initial: TMapping[str, object] | None) -> Iterator[Binding]:
-    """The bindings of ``enumerate_formula_homs``, unsorted, as the walk yields
-    them, over an instance that passed ``_check_instance``.  The atoms are
-    checked, and the relations read are indexed, at the call."""
+    """Every extension of ``initial`` under which each atom instantiates to a
+    fact of ``inst``, an instance that passed ``_check_instance``, unsorted,
+    as the walk yields them.  The atoms are checked, and the relations read
+    are indexed, at the call."""
     _check_atoms(atoms, inst)
     start: Binding = dict(initial or {})
     bound = {v for v, value in start.items() if value is not None}
@@ -235,12 +229,9 @@ def _formula_homs(atoms: Sequence[Atom], inst: Instance,
 
 
 def _check_atoms(atoms: Sequence[Atom], inst: Instance) -> None:
-    """The atoms share one temporal variable, as a parsed body's do (a null
-    is its label at one time), and each fills a relation of the schema
-    (SchemaError otherwise)."""
-    times = {atom.time_var for atom in atoms}
-    if len(times) > 1:
-        raise SchemaError(f"the atoms of a body must share one temporal variable, got {sorted(times)}")
+    """Each atom fills a relation of the schema (SchemaError otherwise).  The
+    atoms share one temporal variable (a null is its label at one time): the
+    parser and ``mapping_lang._check_mapping`` refuse a body that does not."""
     for atom in atoms:
         schema = inst.schema_by_name.get(atom.relation)
         if schema is None:
@@ -320,29 +311,6 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -
         plans.append(_plan_cuts([b for b in blocks if len(b) > 1 and relations <= {f.relation for f in b}]))
     _refuse_fragments(stage, [p for block_plans in plans for p in block_plans])
     return (_apply_cuts(inst, block_plans) for block_plans in plans)
-
-
-def enumerate_formula_homs(atoms: Sequence[Atom], inst: Instance,
-                           initial: TMapping[str, object] | None = None) -> list[Binding]:
-    """All bindings under which every atom instantiates to a fact of ``inst``.
-
-    The body is evaluated as one indexed join.  Atoms are planned most bound
-    positions first; each later atom looks its facts up by the time value
-    and the values it shares with the binding so far, which is an exact
-    equi-join because the atoms share the temporal variable (time values are
-    compared by equality, as an unnormalized concrete instance needs).  The
-    plan is walked with an explicit stack, so body length is not bounded by
-    the recursion limit.  The result is sorted by the bound values (variables
-    in name order), so the enumeration order is deterministic.  ``initial``
-    seeds a partial binding.  Raises SchemaError for an instance that
-    ``validate_instance`` faults, and for an atom that does not fill a
-    relation of the schema.
-    """
-    _check_instance(inst)
-    results = list(_formula_homs(atoms, inst, initial))
-    if len(results) > 1:  # every binding of one call binds the same names
-        results.sort(key=itemgetter(*sorted(results[0])))
-    return results
 
 
 def _check_pair(a: Instance, b: Instance) -> None:
@@ -427,7 +395,7 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     in ``b``.  A component lies at one time point, so it is a conjunctive
     query over ``b``: each fact is a pattern with its constants and time
     fixed and each null as a variable.  It runs on the same join as
-    ``enumerate_formula_homs``, with one index cache for the whole search,
+    ``_formula_homs``, with one index cache for the whole search,
     and the component's assignment is the first binding in the join's plan.
 
     Components are found in set order, but the hom does not depend on it.
@@ -463,16 +431,6 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
         for k, null in enumerate(nulls):
             hom[null, t] = binding[f"#{k}"]
     return hom
-
-
-def apply_abstract_hom(hom: TMapping[tuple[Null, TimeValue], Value], inst: Instance) -> Instance:
-    """Image of an abstract instance under a null assignment (an ``AbstractHom``)."""
-    facts = {
-        Fact(f.relation, tuple(hom.get((v, f.time), v) if isinstance(v, Null) else v
-                               for v in f.values), f.time)
-        for f in inst.facts
-    }
-    return Instance(inst.kind, inst.schema, frozenset(facts))
 
 
 def _maps_into(facts: Iterable[Fact], b: Instance) -> bool:
@@ -536,8 +494,9 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     then mapped into the other side's cut (``_maps_into``), one direction
     each.
 
-    Checks, in order: each concrete input is well formed; the horizon is at
-    or above the endpoints of each, as ``sem_instance`` checks them; the
+    Checks, in order: each concrete input is well formed; the horizon is a
+    finite time point, whatever the kinds of the inputs, and at or above the
+    endpoints of each concrete one, as ``sem_instance`` checks them; the
     inputs share a schema and each abstract one is well formed, as
     ``find_abstract_hom`` checks them.  Then PreconditionError is raised if the
     cuts would hold more than ``MAX_SEM_FACTS`` facts, counted on the grid
@@ -548,6 +507,7 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
         _check_instance(inst)
     if horizon is None:
         horizon = _default_horizon(concrete)
+    _check_horizon(horizon)
     for inst in concrete:
         _check_horizon(horizon, *sorted({f.time for f in inst.facts}))
     _check_pair(a, b)

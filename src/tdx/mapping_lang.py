@@ -25,7 +25,10 @@ temporal variable kept out of value positions, bound or existential variables,
 key attributes and dependents, head variables in the body) is written once, in
 the per-statement checks at the end of this module.  The parser raises the
 first problem they find at its token; ``validate_mapping`` reports them all
-for mappings built in code.
+for mappings built in code, and ``_check_mapping`` raises the first of them
+for the engine, which refuses a mapping or query built in code that breaks
+a rule.  What the parser returns breaks none, so it is marked checked and
+never checked again.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Union
 
-from .errors import ParseError
+from .errors import ParseError, SchemaError
 from .model import RelationSchema, Violation
 
 
@@ -403,51 +406,10 @@ def parse_mapping(text: str) -> Mapping:
                 q = Ucq(q.name, q.head, q.time_var, (*prev.disjuncts, *q.disjuncts))
             queries[q.name] = q
 
-    return Mapping(tuple(source), tuple(target), tuple(sttgds), tuple(tkcs),
-                   tuple(queries.values()))
-
-
-# ---------------------------------------------------------------------------
-# Canonical rendering (parse . render is the identity on valid mappings)
-# ---------------------------------------------------------------------------
-
-
-def _render_signature(schema: RelationSchema) -> str:
-    parts = [*schema.attributes, f"@{schema.temporal}"]
-    return f"{schema.name}({', '.join(parts)})"
-
-
-def _render_atom(atom: Atom, existentials: frozenset[str]) -> str:
-    parts = []
-    for term in atom.args:
-        if isinstance(term, str):
-            parts.append(f"'{term}'")
-        elif term.name in existentials:
-            parts.append(f"?{term.name}")
-        else:
-            parts.append(term.name)
-    parts.append(atom.time_var)
-    return f"{atom.relation}({', '.join(parts)})"
-
-
-def render_mapping(m: Mapping) -> str:
-    none = frozenset()
-    lines = [f"source {_render_signature(r)}." for r in m.source]
-    lines += [f"target {_render_signature(r)}." for r in m.target]
-    for dep in m.sttgds:
-        lhs = ", ".join(_render_atom(a, none) for a in dep.lhs)
-        rhs = ", ".join(_render_atom(a, dep.existentials) for a in dep.rhs)
-        lines.append(f"rule {lhs} -> {rhs}.")
-    for tkc in m.tkcs:
-        schema = m.target_by_name[tkc.relation]
-        attrs = [a for a in schema.attributes if a in tkc.key] + [f"@{schema.temporal}"]
-        lines.append(f"key {tkc.relation}({', '.join(attrs)}).")
-    for q in m.queries:
-        head = ", ".join(q.columns)
-        for disjunct in q.disjuncts:
-            body = ", ".join(_render_atom(a, none) for a in disjunct)
-            lines.append(f"query {q.name}({head}) :- {body}.")
-    return "\n".join(lines) + "\n"
+    for q in queries.values():
+        _mark_checked(q)
+    return _mark_checked(Mapping(tuple(source), tuple(target), tuple(sttgds), tuple(tkcs),
+                                 tuple(queries.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +517,10 @@ def validate_mapping(m: Mapping) -> list[Violation]:
     names = [r.name for r in (*m.source, *m.target)]
     for name in sorted({n for n in names if names.count(n) > 1}):
         out.append(Violation("duplicate-relation", f"relation {name!r} declared more than once"))
+    for r in (*m.source, *m.target):
+        attributes = r.all_attributes
+        out += [Violation("duplicate-attribute", f"relation {r.name!r}: duplicate attribute {a!r}")
+                for a in sorted({a for a in attributes if attributes.count(a) > 1})]
     src, tgt = m.source_by_name, m.target_by_name
     checks = [(f"rule #{i}", _rule_problems(dep, src, tgt)) for i, dep in enumerate(m.sttgds)]
     checks += [(f"key #{i} on {tkc.relation!r}", _key_problems(tkc, src, tgt))
@@ -566,3 +532,28 @@ def validate_mapping(m: Mapping) -> list[Violation]:
     for name in sorted({n for n in queries if queries.count(n) > 1}):
         out.append(Violation("duplicate-query", f"query {name!r}: name used by more than one query"))
     return list(dict.fromkeys(out))
+
+
+def _mark_checked(statement):
+    """``statement`` (a mapping or a query), recorded as breaking no rule:
+    for the parser, which refused the first problem of each statement."""
+    statement.__dict__["_checked"] = True
+    return statement
+
+
+def _check_mapping(m: Mapping) -> None:
+    """Raise SchemaError with ``validate_mapping(m)[0].message`` if a mapping
+    built in code breaks a structural rule, as ``model._check_instance``
+    refuses an instance; a parsed mapping is not checked again."""
+    if not m.__dict__.get("_checked"):
+        problems = validate_mapping(m)
+        if problems:
+            raise SchemaError(problems[0].message)
+
+
+def _check_query(q: Ucq, schema: tuple[RelationSchema, ...]) -> None:
+    """``_check_mapping`` of a query built in code, as a query over
+    ``schema``.  A parsed query broke no rule of its mapping, so it is not
+    checked again, and the join fits its atoms to the schema it reads."""
+    if not q.__dict__.get("_checked"):
+        _check_mapping(Mapping((), schema, (), (), (q,)))

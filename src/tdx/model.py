@@ -17,8 +17,8 @@ its tuple lacks, a constant before every null, so the values, facts and
 bindings of a well-formed instance sort natively (a fact by relation, then
 values, then time; intervals by start, then end, finite ends first).
 
-``sem_fact`` / ``sem_instance`` expand the concrete view into the abstract one
-up to an explicit finite horizon (abstract views of unbounded intervals are
+``sem_instance`` expands the concrete view into the abstract one up to an
+explicit finite horizon (abstract views of unbounded intervals are
 infinite, so materialization must be bounded).  ``normalize_instance``
 rewrites a concrete instance so that any two intervals across all relations
 are either equal or disjoint; it is the one-block case of the block cut
@@ -45,7 +45,8 @@ each by exact class: a fact's values are a ``tuple``, a constant is a
 every function that reads an instance's facts calls, and the writer,
 raises the first; its one-pass screen, ``_plainly_well_formed``, passes
 exactly the instances that break none.  Relation and attribute names are
-exact ``str``, which ``Instance`` itself checks.
+exact ``str``, and a relation's attribute names are distinct, which
+``Instance`` itself checks.
 """
 from __future__ import annotations
 
@@ -177,6 +178,8 @@ class Instance:
         for r in schema:
             if any(name.__class__ is not str for name in (r.name, *r.all_attributes)):
                 raise SchemaError(f"relation {r.name!r}: a relation or attribute name is not a str")
+            if len(set(r.all_attributes)) != len(r.all_attributes):
+                raise SchemaError(f"relation {r.name!r}: duplicate attribute name")
         object.__setattr__(self, "schema", tuple(sorted(schema, key=lambda r: r.name)))
         object.__setattr__(self, "facts", frozenset(self.facts))
         names = [r.name for r in self.schema]
@@ -277,22 +280,14 @@ def _plainly_well_formed(facts: Iterable[Fact], kind: str, arity: dict[str, int]
     return True
 
 
-def _check_facts(facts: Collection[Fact], kind: str, arity: dict[str, int]) -> None:
-    """Raise SchemaError with the first problem of the least fact, in
-    ``_offender_key`` order (so whatever the set's order), that
-    ``_fact_problems`` finds."""
-    fact = min([f for f in facts if next(_fact_problems(f, kind, arity), None)], key=_offender_key, default=None)
-    if fact is not None:
-        raise SchemaError(next(_fact_problems(fact, kind, arity))[1])
-
-
 def _check_instance(inst: Instance) -> None:
-    """Raise SchemaError with ``validate_instance(inst)[0].message`` if the
-    instance breaks a rule: what every function that reads an instance's
-    facts, and the writer, refuse.   A well-formed instance pays only the
-    screen, once per instance."""
+    """Raise SchemaError with ``validate_instance(inst)[0].message``, the
+    first problem of the least offending fact (so whatever the set's
+    order), if the instance breaks a rule: what every function that reads
+    an instance's facts, and the writer, refuse.  A well-formed instance
+    pays only the screen, once per instance."""
     if not inst._screened:
-        _check_facts(inst.facts, inst.kind, {r.name: r.arity for r in inst.schema})
+        raise SchemaError(validate_instance(inst)[0].message)
 
 
 def validate_instance(inst: Instance) -> list[Violation]:
@@ -349,19 +344,6 @@ def _cut(facts: Iterable[Fact], pieces: dict[TimeValue, Iterable[TimeValue]]) ->
     return frozenset([_new(Fact, (f.relation, f.values, piece)) for f in facts for piece in pieces[f.time]])
 
 
-def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
-    """Abstract expansion of one concrete fact: one fact per contained time point.
-
-    ``horizon`` must be at least every finite endpoint of the fact; unbounded
-    intervals are truncated at the horizon.  Refuses as ``sem_instance``
-    does: the fact (its relation is its schema, unless the name is not a
-    ``str``), the horizon, then more than ``MAX_SEM_FACTS`` facts.
-    """
-    n = len(f.values) if isinstance(f.values, tuple) else 0
-    _check_facts([f], CONCRETE, {f.relation: n} if f.relation.__class__ is str else {})
-    return _sem([f], horizon)
-
-
 def _grid_cuts(uses: Counter[ClopenInterval], grid: list[int]) -> tuple[dict, int]:
     """For each distinct interval of ``uses`` (facts per interval), the
     ``(lo, hi)`` such that ``grid[lo:hi]`` are the points of the sorted
@@ -386,36 +368,26 @@ MAX_SEM_FACTS = 250_000
 
 def sem_instance(inst: Instance, horizon: int) -> Instance:
     """Abstract view of a concrete instance, materialized up to ``horizon``:
-    ``sem_fact`` of every fact, checked once, the instance and then as
-    ``_sem`` checks."""
+    each fact once per time point of its interval below the horizon, so an
+    unbounded interval is truncated there.
+
+    Refuses, in order: an abstract instance, and one that breaks a rule
+    (``_check_instance``), with SchemaError; the horizon, checked against
+    each distinct interval in order (an error names the least interval it
+    is below); then, before anything is made, more than ``MAX_SEM_FACTS``
+    facts (one per fact and time point), with PreconditionError.
+    """
     if inst.kind != CONCRETE:
         raise SchemaError("sem_instance expects a concrete instance")
     _check_instance(inst)
-    return Instance(ABSTRACT, inst.schema, _sem(inst.facts, horizon))
-
-
-def _sem(facts: Collection[Fact], horizon: int) -> frozenset[Fact]:
-    """The abstract facts of well-formed concrete ``facts`` up to ``horizon``,
-    for ``sem_fact``, ``sem_instance`` and ``query.answers_sem``: the horizon
-    checked against each distinct interval in order (an error names the least
-    interval it is below), then PreconditionError, before anything is made,
-    above ``MAX_SEM_FACTS`` facts (one per fact and time point)."""
-    uses = Counter(f.time for f in facts)
+    uses = Counter(f.time for f in inst.facts)
     _check_horizon(horizon, *sorted(uses))
     points = {iv: interval_points(iv, horizon) for iv in uses}
     count = sum(n * len(points[iv]) for iv, n in uses.items())
     if count > MAX_SEM_FACTS:
         raise PreconditionError(f"the abstract view up to horizon {horizon} has {count} facts, "
                                 f"more than the limit of {MAX_SEM_FACTS}")
-    return _cut(facts, points)
-
-
-def is_normalized(inst: Instance) -> bool:
-    """True iff any two fact intervals across all relations are equal or disjoint."""
-    if inst.kind != CONCRETE:
-        raise SchemaError("normalization is defined for concrete instances")
-    _check_instance(inst)
-    return _apart({f.time for f in inst.facts})
+    return Instance(ABSTRACT, inst.schema, _cut(inst.facts, points))
 
 
 def _apart(times: Collection[ClopenInterval]) -> bool:

@@ -12,18 +12,15 @@ from dataclasses import dataclass
 from typing import Union
 
 from .chase import Failure, chase
-from .errors import PreconditionError
 from .homomorphism import _formula_homs, _join_inputs
-from .mapping_lang import Mapping, Ucq
+from .mapping_lang import Mapping, Ucq, _check_query
 from .model import (
-    ABSTRACT,
     CONCRETE,
     Fact,
     Instance,
     RelationSchema,
     _check_instance,
     _coalesced,
-    sem_instance,
 )
 
 
@@ -51,20 +48,22 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
     head variables and the temporal variable; the disjunct results are
     unioned, and tuples containing any null are dropped.  An answer set is a
     set, so the bindings go straight into it as the join yields them, in no
-    order.  Every disjunct needs an atom.
+    order.
 
     A concrete instance need not be normalized: a disjunct of several atoms
     reads its join blocks cut (``homomorphism._join_inputs``), and the
     answers are coalesced, each answer's intervals merged where they overlap
     or meet, so they depend only on the instance's abstract view.  Raises
-    SchemaError for an instance that ``validate_instance`` faults, and
-    PreconditionError, before any fragment is made, if the cuts would add
-    more than ``MAX_NORMALIZE_FRAGMENTS`` fragments, as ``chase`` does.
+    SchemaError for an instance that ``validate_instance`` faults, then for
+    a query built in code that ``validate_mapping`` faults as a query over
+    the instance's schema (its first problem), and PreconditionError, before
+    any fragment is made, if the cuts would add more than
+    ``MAX_NORMALIZE_FRAGMENTS`` fragments, as ``chase`` does.  A parsed
+    query broke no rule of its mapping, so only its atoms are fitted to the
+    instance's schema.
     """
     _check_instance(inst)
-    for k, disjunct in enumerate(q.disjuncts):
-        if not disjunct:
-            raise PreconditionError(f"query {q.name!r}: disjunct #{k} has no atoms")
+    _check_query(q, inst.schema)
     rows: set[tuple] = set()
     for disjunct, body_inst in zip(q.disjuncts, _join_inputs(q.disjuncts, inst, "the query body")):
         for binding in _formula_homs(disjunct, body_inst, None):
@@ -80,16 +79,6 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
 def _values_of(row: tuple) -> tuple:
     """An answer's values, without its time."""
     return row[:-1]
-
-
-def answers_sem(ans: AnswerSet, horizon: int) -> AnswerSet:
-    """Expand concrete answers to one abstract answer per contained time
-    point: the rows of ``sem_instance`` of ``answers_to_instance``, so
-    refused as ``sem_instance`` refuses."""
-    if ans.kind != CONCRETE:
-        raise PreconditionError("answers_sem expects concrete answers")
-    expanded = sem_instance(answers_to_instance(ans), horizon)
-    return AnswerSet(ans.name, ABSTRACT, ans.columns, frozenset((*f.values, f.time) for f in expanded.facts))
 
 
 def certain(q: Ucq, src: Instance, m: Mapping) -> Union[AnswerSet, NoSolution]:

@@ -55,13 +55,6 @@ class ClopenInterval(_Span):
         return f"[{self.start},{self.end})"
 
 
-def interval_contains(iv: ClopenInterval, t: int) -> bool:
-    """Return True iff the finite time point ``t`` lies in ``iv``."""
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise ValueError(f"membership is defined for finite time points only, got {t!r}")
-    return iv.start <= t < iv.end
-
-
 def interval_points(iv: ClopenInterval, horizon: int) -> range:
     """Time points of ``iv`` strictly below ``horizon`` (truncates unbounded ends)."""
     return range(iv.start, min(iv.end, horizon))

@@ -27,7 +27,10 @@ instance's ``chase`` output with that mapping; ``equiv`` on every pair of the gr
 chase outputs with ``example1`` of its sources; and ``equiv`` of its first
 two instances (of a workload, the concrete and the abstract source), and of
 their chase outputs, with ``--horizon`` 10 and 20 times one above the
-group's largest finite endpoint.  Exit status: 0 when no run
+group's largest finite endpoint; and ``equiv`` of the group's first concrete
+instance with itself, and of its first abstract one with itself, with
+``--horizon -1`` and with a horizon one below the instance's largest finite
+endpoint or time point.  Exit status: 0 when no run
 differs, 1 when some run differs, 2 on a usage error.  Not a tier-1 test:
 it takes about 10 s per tree (20 s for both, Python 3.11 on a 2-core
 x86-64 host).  CI runs it on every pull request against the base commit and
@@ -107,11 +110,15 @@ def _battery(work: Path) -> list[dict]:
                         run(group, [command, "-m", mappings[mapping], "-q", q, "-i", inst, "-o", out], out)
         for a, b in itertools.combinations([path for path, _ in instances] + chased, 2):
             run(group, ["equiv", "-a", a, "-b", b])
-        top = 1 + max(max(e for iv in _intervals(doc) for e in (iv["start"], iv["end"]) if e != "inf")
-                      for _, doc in instances if doc["kind"] == "concrete")
+        top = 1 + max(max(_endpoints(doc)) for _, doc in instances if doc["kind"] == "concrete")
         for a, b in ([path for path, _ in instances[:2]], chased[:2]):
             for factor in (10, 20):
                 run(group, ["equiv", "-a", a, "-b", b, "--horizon", str(factor * top)])
+        for kind in ("concrete", "abstract"):
+            path, doc = next((path, doc) for path, doc in instances if doc["kind"] == kind)
+            below = max(_endpoints(doc)) - 1
+            for horizon in (-1, below):
+                run(group, ["equiv", "-a", path, "-b", path, "--horizon", str(horizon)])
     return runs
 
 
@@ -122,6 +129,13 @@ def _scaled(facts: list, k: int) -> list:
 
 def _intervals(doc: dict) -> list[dict]:
     return [f["interval"] for rel in doc["relations"].values() for f in rel.get("facts", [])]
+
+
+def _endpoints(doc: dict) -> list[int]:
+    """The finite interval endpoints, or the time points, of an instance document."""
+    if doc["kind"] == "abstract":
+        return [f["time"] for rel in doc["relations"].values() for f in rel.get("facts", [])]
+    return [e for iv in _intervals(doc) for e in (iv["start"], iv["end"]) if e != "inf"]
 
 
 def _blanked_digest(raw: bytes) -> str | None:

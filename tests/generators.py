@@ -6,7 +6,8 @@ sources of ``random_case`` are complete and, by default, already normalized:
 fact intervals are drawn from one family of pairwise-disjoint cells over
 endpoints <= 8, the last of which may be unbounded; with ``overlapping`` each
 interval is drawn on its own.  ``random_overlapping_case`` draws complete
-sources of 50-300 facts that normalization must cut.
+sources of 50-300 facts that normalization must cut.  ``render_mapping``
+writes a mapping as ``.tdx`` text, for the parser's round trip and fuzz.
 """
 from __future__ import annotations
 
@@ -33,6 +34,47 @@ from tdx import (
 )
 
 CONSTANTS = ["ada", "bob", "eve", "hp", "ibm"]
+
+
+def _render_signature(schema: RelationSchema) -> str:
+    parts = [*schema.attributes, f"@{schema.temporal}"]
+    return f"{schema.name}({', '.join(parts)})"
+
+
+def _render_atom(atom: Atom, existentials: frozenset[str]) -> str:
+    parts = []
+    for term in atom.args:
+        if isinstance(term, str):
+            parts.append(f"'{term}'")
+        elif term.name in existentials:
+            parts.append(f"?{term.name}")
+        else:
+            parts.append(term.name)
+    parts.append(atom.time_var)
+    return f"{atom.relation}({', '.join(parts)})"
+
+
+def render_mapping(m: Mapping) -> str:
+    """The text of a mapping in the ``.tdx`` syntax: ``parse_mapping`` of it
+    is ``m`` for a valid mapping, and for a code-built one that breaks a
+    structural rule it raises that rule's first problem at its token."""
+    none = frozenset()
+    lines = [f"source {_render_signature(r)}." for r in m.source]
+    lines += [f"target {_render_signature(r)}." for r in m.target]
+    for dep in m.sttgds:
+        lhs = ", ".join(_render_atom(a, none) for a in dep.lhs)
+        rhs = ", ".join(_render_atom(a, dep.existentials) for a in dep.rhs)
+        lines.append(f"rule {lhs} -> {rhs}.")
+    for tkc in m.tkcs:
+        schema = m.target_by_name[tkc.relation]
+        attrs = [a for a in schema.attributes if a in tkc.key] + [f"@{schema.temporal}"]
+        lines.append(f"key {tkc.relation}({', '.join(attrs)}).")
+    for q in m.queries:
+        head = ", ".join(q.columns)
+        for disjunct in q.disjuncts:
+            body = ", ".join(_render_atom(a, none) for a in disjunct)
+            lines.append(f"query {q.name}({head}) :- {body}.")
+    return "\n".join(lines) + "\n"
 MAX_ENDPOINT = 8
 
 

@@ -7,12 +7,17 @@ import sys
 from pathlib import Path
 
 from tdx import (
+    ABSTRACT,
+    AnswerSet,
     ClopenInterval,
     Fact,
     Instance,
+    Null,
     RelationSchema,
+    answers_to_instance,
     loads_instance,
     parse_mapping,
+    sem_instance,
 )
 
 from oracles import in_order  # noqa: F401  (canonical order, by the reference keys)
@@ -50,6 +55,13 @@ def fact(relation: str, *values, time) -> Fact:
 
 def rel(name: str, *attributes: str, temporal: str = "time") -> RelationSchema:
     return RelationSchema(name, tuple(attributes), temporal)
+
+
+def answers_sem(ans: AnswerSet, horizon: int) -> AnswerSet:
+    """Concrete answers expanded to one abstract answer per time point below
+    ``horizon``: the rows of ``sem_instance`` of ``answers_to_instance``."""
+    expanded = sem_instance(answers_to_instance(ans), horizon)
+    return AnswerSet(ans.name, ABSTRACT, ans.columns, frozenset((*f.values, f.time) for f in expanded.facts))
 
 
 def bench_workloads():

@@ -1,13 +1,21 @@
 """Independent oracles the main code paths are checked against.
 
-These deliberately avoid the package's search and expansion routines: interval
-semantics is recomputed by explicit point enumeration, homomorphism
-existence by exhaustive enumeration of null assignments and by a
-backtracking scan over every fact at the same relation and time point,
+The paper's two chase steps are stated here, and the rounds of the engine
+are checked against them: ``st_step`` fires one rule at one checked binding
+by instantiating each head atom (``instantiate_atom``) of a copied binding
+with nulls labeled by the json module's text of their Skolem terms, and
+``tkc_step`` equates the dependent values of one checked pair of facts that
+agree on a temporal key.  The figure tests read the join's bindings sorted
+(``enumerate_formula_homs``), and a hom witness is checked by its image
+(``apply_abstract_hom``).
+
+The other oracles deliberately avoid the package's search and expansion
+routines: interval semantics is recomputed by explicit point enumeration,
+homomorphism existence by exhaustive enumeration of null assignments and by
+a backtracking scan over every fact at the same relation and time point,
 formula homomorphisms by a recursive nested loop over whole relations, the
-dependency round by instantiating each head atom of a copied binding with
-nulls labeled by the json module's text of their Skolem terms, the
-key round's equalities from every pair of every key group, the concrete
+dependency round by ``st_step`` at each binding, the key round's equalities
+from ``tkc_step`` of every pair of every key group, the concrete
 chase with every cut global (``globally_normalized_chase``) and its result
 coalesced by a sort and one sweep (``coalesced``), the instance
 loader by reading each row through the general rules, and the canonical
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from tdx import (
@@ -31,20 +40,19 @@ from tdx import (
     ClopenInterval,
     Fact,
     Instance,
+    KeyNullViolation,
     Null,
     RelationSchema,
     SchemaError,
     Var,
-    enumerate_formula_homs,
     find_abstract_hom,
-    instantiate_atom,
     max_finite_endpoint,
     normalize_instance,
     sem_instance,
 )
-from tdx.chase import _close_and_replace, _round_equalities, _st_round, tkc_positions, tkc_step
-from tdx.homomorphism import _check_pair, _join_plan, _Var, _walk
-from tdx.model import _require, _time_from_json, _value_from_json
+from tdx.chase import _close_and_replace, _round_equalities, _st_round
+from tdx.homomorphism import _check_pair, _formula_homs, _join_plan, _Var, _walk
+from tdx.model import _check_instance, _require, _time_from_json, _value_from_json
 
 
 def value_sort_key(v: object) -> tuple:
@@ -108,27 +116,91 @@ def skolem_label(index: int, var: str, body: dict) -> str:
     return json.dumps(term, ensure_ascii=False, separators=(",", ":"))
 
 
-def instantiated_firing(rule, index: int, binding: dict) -> frozenset[Fact]:
-    """One firing of rule number ``index``: a copy of ``binding`` extended
-    with one fresh null per existential variable, labeled by
-    ``skolem_label``, and every head atom instantiated through
-    ``instantiate_atom`` at the bound time."""
-    body = {t.name: binding[t.name] for atom in rule.lhs for t in atom.args if isinstance(t, Var)}
+def instantiate_atom(atom, binding: dict) -> Fact:
+    """Apply a total binding to one atom, producing a fact."""
+    values = tuple(binding[t.name] if isinstance(t, Var) else t for t in atom.args)
+    return Fact(atom.relation, values, binding[atom.time_var])
+
+
+def st_step(inst: Instance, rule, binding: dict, index: int) -> frozenset[Fact]:
+    """One chase step of rule number ``index`` of a mapping at a binding of
+    its left-hand side into ``inst``: a copy of ``binding`` extended with one
+    fresh null per existential variable, labeled by ``skolem_label``, held
+    at the bound interval or time point and reused at every occurrence, and
+    every head atom instantiated through ``instantiate_atom``.  ValueError
+    if the binding covers an existential variable, misses a left-hand-side
+    variable, or is not a formula homomorphism into ``inst``."""
+    overlap = set(binding) & rule.existentials
+    if overlap:
+        raise ValueError(f"binding must not cover existential variables {sorted(overlap)}")
+    body = {t.name for atom in rule.lhs for t in atom.args if isinstance(t, Var)}
+    missing = {rule.time_var, *body}.difference(binding)
+    if missing:
+        raise ValueError(f"binding must cover the left-hand-side variables {sorted(missing)}")
+    for atom in rule.lhs:
+        if instantiate_atom(atom, binding) not in inst.facts:
+            raise ValueError(f"binding is not a formula homomorphism for atom {atom.relation!r}")
     extended = dict(binding)
     for var in rule.existentials:
-        extended[var] = Null(skolem_label(index, var, body))
+        extended[var] = Null(skolem_label(index, var, {name: binding[name] for name in body}))
     return frozenset(instantiate_atom(atom, extended) for atom in rule.rhs)
 
 
 def instantiated_st_round(inst: Instance, rules, target) -> Instance:
-    """The dependency round: ``instantiated_firing`` of each rule at each
-    binding of ``enumerate_formula_homs``."""
+    """The dependency round: ``st_step`` of each rule at each binding of
+    ``enumerate_formula_homs``."""
     facts: set[Fact] = set()
     for index, rule in enumerate(rules):
         for binding in enumerate_formula_homs(rule.lhs, inst):
-            facts |= instantiated_firing(rule, index, binding)
+            facts |= st_step(inst, rule, binding, index)
     return Instance(inst.kind, tuple(target), frozenset(facts))
 
+
+def tkc_step(u1: Fact, u2: Fact, tkc, schema: RelationSchema) -> frozenset[tuple]:
+    """One key step: the equalities between the dependent values of two
+    conflicting facts, each pair ordered.  ValueError unless they are
+    distinct facts of the key's relation that agree on the time and the
+    key; KeyNullViolation if a key position holds a null."""
+    if u1.relation != tkc.relation or u2.relation != tkc.relation:
+        raise ValueError(f"facts must belong to relation {tkc.relation!r}")
+    key_pos = [i for i, a in enumerate(schema.attributes) if a in tkc.key]
+    for f in (u1, u2):
+        for i in key_pos:
+            if isinstance(f.values[i], Null):
+                raise KeyNullViolation(f"{f}: null {f.values[i]}^{f.time} in key position {schema.attributes[i]!r}")
+    if u1.time != u2.time or any(u1.values[i] != u2.values[i] for i in key_pos):
+        raise ValueError(f"facts {u1} and {u2} do not agree on the temporal key")
+    if u1 == u2:
+        raise ValueError(f"facts are identical, not conflicting: {u1}")
+    pairs = [(u1.values[i], u2.values[i]) for i in map(schema.attributes.index, tkc.dependents)]
+    return frozenset((x, y) if x <= y else (y, x) for x, y in pairs if x != y)
+
+
+def enumerate_formula_homs(atoms, inst: Instance, initial: dict | None = None) -> list[dict]:
+    """The engine's join (``homomorphism._formula_homs``) over a checked
+    instance, its bindings sorted by the bound values, variables in name
+    order, so that a figure test reads them in one order."""
+    _check_instance(inst)
+    results = list(_formula_homs(atoms, inst, initial))
+    if len(results) > 1:  # every binding of one call binds the same names
+        results.sort(key=itemgetter(*sorted(results[0])))
+    return results
+
+
+def apply_abstract_hom(hom: dict, inst: Instance) -> Instance:
+    """Image of an abstract instance under a null assignment keyed by
+    ``(null, time point)``: a hom witness from ``a`` into ``b`` holds iff
+    the image of ``a`` is a subset of ``b``."""
+    facts = {Fact(f.relation, tuple(hom.get((v, f.time), v) if isinstance(v, Null) else v for v in f.values), f.time)
+             for f in inst.facts}
+    return Instance(inst.kind, inst.schema, frozenset(facts))
+
+
+def is_normalized(inst: Instance) -> bool:
+    """Whether any two fact intervals of a concrete instance, across all
+    relations, are equal or disjoint, checked pair by pair."""
+    times = list({f.time for f in inst.facts})
+    return all(a.end <= b.start or b.end <= a.start for a, b in itertools.combinations(times, 2))
 
 
 def coalesced(inst: Instance) -> Instance:
@@ -209,7 +281,7 @@ def pairwise_round_equalities(inst: Instance, tkcs) -> list:
     equalities = []
     for tkc in tkcs:
         schema = inst.schema_by_name[tkc.relation]
-        key_pos, _ = tkc_positions(tkc, schema)
+        key_pos = [i for i, a in enumerate(schema.attributes) if a in tkc.key]
         groups: dict[tuple, list[Fact]] = {}
         for f in in_order(inst, tkc.relation):
             groups.setdefault((f.time, tuple(f.values[i] for i in key_pos)), []).append(f)

@@ -22,8 +22,6 @@ from tdx import (
     NoSolution,
     Null,
     Success,
-    answers_sem,
-    apply_abstract_hom,
     certain,
     chase,
     equivalent,
@@ -40,8 +38,8 @@ from tdx import (
 )
 
 from generators import random_case, random_overlapping_case
-from helpers import FIXTURES, bench_workloads, fact, in_order, iv, rel
-from oracles import brute_force_hom_exists
+from helpers import FIXTURES, answers_sem, bench_workloads, fact, in_order, iv, rel
+from oracles import apply_abstract_hom, brute_force_hom_exists
 
 HORIZON = 13
 CASE_COUNT = 220

@@ -15,11 +15,11 @@ from tdx import (
     st_round_abstract,
     st_round_concrete,
     tkc_round_abstract,
-    tkc_step,
     validate_instance,
 )
 
 from helpers import c, fact, iv, rel
+from oracles import tkc_step
 
 HORIZON = 13
 

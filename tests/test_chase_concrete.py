@@ -21,23 +21,22 @@ from tdx import (
     Tkc,
     chase,
     dumps_instance,
-    enumerate_formula_homs,
     equivalent,
     normalize_instance,
     sem_instance,
     Var,
     st_round_abstract,
     st_round_concrete,
-    st_step,
+    tkc_round_abstract,
     tkc_round_concrete,
-    tkc_step,
     validate_instance,
 )
-from tdx.chase import _close_and_replace, _round_equalities, tkc_positions
+from tdx.chase import _close_and_replace, _compile_head, _fire, _round_equalities
 
 from generators import random_case
 from helpers import c, fact, in_order, iv, rel
-from oracles import instantiated_firing, instantiated_st_round, pairwise_round_equalities
+from oracles import (enumerate_formula_homs, instantiated_st_round, is_normalized, pairwise_round_equalities,
+                     st_step, tkc_step)
 
 HORIZON = 13
 
@@ -92,7 +91,6 @@ def test_st_step_names_the_body_variables_a_binding_lacks(fig8, example1):
 
 
 def test_st_round_matches_figure_up_to_relabeling(fig7, fig8, example1):
-    from tdx import is_normalized
     out = st_round_concrete(fig8, example1.sttgds, example1.target)
     assert len(in_order(out, "Emp")) == 5
     assert len(in_order(out, "Sal")) == 5
@@ -120,9 +118,9 @@ def test_st_round_of_empty_source_is_empty(example1):
 
 def test_compiled_dependency_round_agrees_with_instantiated_firing():
     """On random mappings, in both views, the dependency round writes the
-    bytes of a round that instantiates each head atom of a copied binding,
-    and ``st_step`` returns that firing's facts and leaves its binding as it
-    was.  The draws hold head constants, variables repeated in a head, nulls
+    bytes of a round of ``st_step``, which instantiates each head atom of a
+    copied binding, and one compiled firing makes the facts of that step.
+    The draws hold head constants, variables repeated in a head, nulls
     shared across head atoms, and two-atom bodies."""
     rng = random.Random(23)
     seen = Counter()
@@ -145,9 +143,9 @@ def test_compiled_dependency_round_agrees_with_instantiated_firing():
             seen[f"{src.kind} facts"] += len(got.facts)
             for index, rule in enumerate(m.sttgds):
                 for binding in enumerate_formula_homs(rule.lhs, src)[:2]:
-                    kept = dict(binding)
-                    assert st_step(src, rule, binding, index) == instantiated_firing(rule, index, kept)
-                    assert binding == kept
+                    fired: set = set()
+                    _fire(_compile_head(rule, index), dict(binding), fired.add)
+                    assert fired == st_step(src, rule, binding, index)
                     seen["st_step"] += 1
     assert min(seen.values()) >= 20, seen
 
@@ -186,18 +184,20 @@ def test_tkc_step_rejects_non_conflicting_pairs(example1):
 
 
 def test_key_positions_refuse_a_code_built_key_that_does_not_fit(example1):
-    """A code-built key is checked against the schema it is applied to: by
-    ``tkc_positions``, and by the key round for a relation outside the
-    instance."""
-    emp_key, emp_schema = example1.tkcs[0], example1.target_by_name["Emp"]
-    with pytest.raises(SchemaError, match="^key constraint on 'Emp' applied to schema 'Sal'$"):
-        tkc_positions(emp_key, example1.target_by_name["Sal"])
+    """A code-built key is checked against the schema it is applied to, by
+    both key rounds and by ``chase``, with the first problem
+    ``validate_mapping`` lists: a relation outside the instance, an unknown
+    attribute."""
+    emp_schema = example1.target_by_name["Emp"]
     ghost = Tkc("Emp", frozenset({"name", "time", "age"}), ("position", "company"))
-    with pytest.raises(SchemaError, match=r"^key constraint on 'Emp' names unknown attributes \['age'\]$"):
-        tkc_positions(ghost, emp_schema)
     inst = Instance.concrete([emp_schema], [fact("Emp", "Ada", "DBA", "IBM", time=iv(0, 1))])
-    with pytest.raises(SchemaError, match="^key constraint on unknown relation 'Sal'$"):
-        tkc_round_concrete(inst, example1.tkcs)
+    for key_round, view in ((tkc_round_concrete, inst), (tkc_round_abstract, sem_instance(inst, 1))):
+        with pytest.raises(SchemaError, match="^key #1 on 'Sal': unknown target relation 'Sal'$"):
+            key_round(view, example1.tkcs)
+        with pytest.raises(SchemaError, match="^key #0 on 'Emp': unknown attribute 'age' of relation 'Emp'$"):
+            key_round(view, [ghost])
+    with pytest.raises(SchemaError, match="^key #0 on 'Emp': unknown attribute 'age' of relation 'Emp'$"):
+        chase(Instance.concrete(example1.source), replace(example1, tkcs=(ghost,)))
 
 
 def test_tkc_step_rejects_null_keys(example1):
@@ -300,7 +300,7 @@ def test_chase_rejects_a_rule_with_an_empty_left_hand_side(fig1, fig2, example1)
     headless = SttTgd((), (Atom("Emp", ("a", "b", "c"), "t"),), frozenset())
     m = replace(example1, sttgds=(*example1.sttgds, headless))
     for src in (fig1, fig2):
-        with pytest.raises(PreconditionError, match="rule #2 has an empty left-hand side"):
+        with pytest.raises(SchemaError, match="^rule #2: the left-hand side has no atoms$"):
             chase(src, m)
 
 

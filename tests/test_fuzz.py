@@ -16,12 +16,12 @@ from tdx import (
     instance_from_json,
     loads_instance,
     parse_mapping,
-    render_mapping,
     validate_instance,
     validate_mapping,
 )
 from tdx.model import _plainly_well_formed
 
+from generators import render_mapping
 from helpers import FIXTURES
 from oracles import rowwise_instance_from_json
 

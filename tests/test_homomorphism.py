@@ -19,15 +19,12 @@ from tdx import (
     PreconditionError,
     SchemaError,
     Success,
+    Ucq,
     Var,
-    apply_abstract_hom,
     chase,
-    enumerate_formula_homs,
     equivalent,
     find_abstract_hom,
     instance_from_json,
-    instantiate_atom,
-    is_normalized,
     max_finite_endpoint,
     naive_eval,
     sem_instance,
@@ -36,7 +33,8 @@ import tdx.homomorphism
 
 from generators import CONSTANTS, careers_chase_pair, careers_like, random_case, random_overlapping_case
 from helpers import bench_workloads, c, fact, in_order, iv, rel
-from oracles import (brute_force_hom_exists, fact_sort_key, nested_loop_homs, per_component_abstract_hom,
+from oracles import (apply_abstract_hom, brute_force_hom_exists, enumerate_formula_homs, fact_sort_key,
+                     instantiate_atom, is_normalized, nested_loop_homs, per_component_abstract_hom,
                      scan_abstract_hom, sem_equivalent, value_sort_key)
 
 JOIN_LHS = [
@@ -92,9 +90,10 @@ def test_unknown_relation_is_a_schema_error(fig2):
     with pytest.raises(SchemaError):
         enumerate_formula_homs([Atom("Employee1", (Var("x"),), "t")], fig2)
     # a null is its label at its fact's time, so a join never spans two times
-    with pytest.raises(SchemaError, match=r"^the atoms of a body must share one temporal variable, got \['s', 't'\]$"):
-        enumerate_formula_homs([Atom("Employee1", (Var("x"), Var("y")), "t"),
-                                Atom("Employee1", (Var("x"), Var("z")), "s")], fig2)
+    body = (Atom("Employee1", (Var("x"), Var("y")), "t"), Atom("Employee1", (Var("x"), Var("z")), "s"))
+    with pytest.raises(SchemaError, match=r"^query 'q': all atoms must share one temporal variable "
+                                          r"\(expected 't', got 's'\)$"):
+        naive_eval(Ucq("q", ("x",), "t", (body,)), fig2)
 
 
 def test_enumeration_order_is_deterministic(fig2):
@@ -687,7 +686,8 @@ def test_equivalent_refuses_a_large_cut_before_building_it():
 
 _HASH_SEED_PROBE = """
 import hashlib
-from tdx import Instance, Null, SchemaError, apply_abstract_hom, find_abstract_hom
+from tdx import Instance, Null, SchemaError, find_abstract_hom
+from oracles import apply_abstract_hom
 from generators import careers_chase_pair
 from helpers import fact, load_fixture_mapping, rel
 

@@ -3,21 +3,30 @@ from dataclasses import replace
 
 import pytest
 
+import tdx.mapping_lang
 from tdx import (
     Atom,
+    Instance,
     Mapping,
     ParseError,
+    RelationSchema,
+    SchemaError,
     SttTgd,
     Tkc,
     Ucq,
     Var,
+    certain,
+    chase,
+    naive_eval,
     parse_mapping,
-    render_mapping,
+    sem_instance,
+    st_round_abstract,
+    st_round_concrete,
     validate_mapping,
 )
 
-from generators import random_mapping
-from helpers import rel
+from generators import random_mapping, render_mapping
+from helpers import fact, iv, rel
 
 
 def test_parse_running_example(example1):
@@ -203,6 +212,70 @@ def test_parser_and_validate_mapping_agree(defect):
     with pytest.raises(ParseError) as err:
         parse_mapping(render_mapping(m))
     assert err.value.message == first.split(": ", 1)[1]
+
+
+def test_parser_and_validate_mapping_agree_on_a_duplicate_attribute():
+    """A relation whose attribute names repeat, the temporal one among them,
+    is listed once per repeated name, and the parser refuses the first."""
+    m = Mapping((RelationSchema("S", ("x", "x"), "t"),), (RelationSchema("T", ("a", "t"), "t"),), (), (), ())
+    assert [(v.code, v.message) for v in validate_mapping(m)] == [
+        ("duplicate-attribute", "relation 'S': duplicate attribute 'x'"),
+        ("duplicate-attribute", "relation 'T': duplicate attribute 't'")]
+    with pytest.raises(ParseError) as err:
+        parse_mapping(render_mapping(m))
+    assert err.value.message == validate_mapping(m)[0].message.split(": ", 1)[1]
+
+
+_S, _T = rel("S", "a", temporal="t"), rel("T", "a", "b", temporal="t")
+_SX = (Atom("S", (Var("x"),), "t"),)
+# Code-built rules and a query that the engine once crashed on (KeyError) or
+# answered with facts outside the target schema.
+ENGINE_PROBES = {
+    "rhs variable neither bound nor existential": (_SX, (Atom("T", (Var("x"), Var("z")), "t"),)),
+    "rhs atom over another temporal variable": (_SX, (Atom("T", (Var("x"), Var("x")), "u"),)),
+    "head variable missing from the body": Ucq("q", ("x", "z"), "t", ((Atom("T", (Var("x"), Var("y")), "t"),),)),
+    "rhs atom of the wrong arity": (_SX, (Atom("T", (Var("x"),), "t"),)),
+    "rhs atom outside the target schema": (_SX, (Atom("U", (Var("x"),), "t"),)),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(ENGINE_PROBES))
+def test_the_engine_refuses_a_code_built_mapping_with_the_first_problem_validate_mapping_lists(probe):
+    """``chase``, ``certain``, ``naive_eval`` and the dependency rounds, in
+    both views, refuse a rule or query that ``validate_mapping`` faults, as
+    ``SchemaError`` with its first problem."""
+    statement = ENGINE_PROBES[probe]
+    concrete = Instance.concrete([_S], [fact("S", "a", time=iv(0, 2))])
+    sources = (concrete, sem_instance(concrete, 2))
+    if isinstance(statement, Ucq):
+        m = Mapping((_S,), (_T,), (SttTgd(_SX, (Atom("T", (Var("x"), Var("x")), "t"),), frozenset()),), (), (statement,))
+        targets = {inst.kind: inst for inst in (Instance.concrete([_T], [fact("T", "a", "a", time=iv(0, 2))]),
+                                                Instance.abstract([_T], [fact("T", "a", "a", time=0)]))}
+        runs = [lambda src: certain(statement, src, m), lambda src: naive_eval(statement, targets[src.kind])]
+    else:
+        m = Mapping((_S,), (_T,), (SttTgd(*statement, frozenset()),), (), ())
+        runs = [lambda src: chase(src, m),
+                lambda src: (st_round_concrete if src.kind == "concrete" else st_round_abstract)(src, m.sttgds, m.target)]
+    first = validate_mapping(m)[0].message
+    for src in sources:
+        for run in runs:
+            with pytest.raises(SchemaError) as err:
+                run(src)
+            assert str(err.value) == first
+
+
+def test_a_parsed_mapping_is_checked_once(example1, fig1, monkeypatch):
+    """The parser refused the first problem of each statement, so no command
+    checks a parsed mapping or query again; a copy built in code is checked
+    on each call."""
+    calls = []
+    check = tdx.mapping_lang.validate_mapping
+    monkeypatch.setattr(tdx.mapping_lang, "validate_mapping", lambda m: calls.append(m) or check(m))
+    q = example1.query("positions")
+    certain(q, fig1, example1)
+    assert calls == []
+    certain(replace(q), fig1, replace(example1))
+    assert len(calls) == 2
 
 
 def test_render_round_trip_running_example(example1, example3):

@@ -22,35 +22,35 @@ from tdx import (
     SchemaError,
     Success,
     Var,
-    answers_sem,
     build_grid,
     certain,
     chase,
     conform_instance,
     dumps_instance,
-    enumerate_formula_homs,
     equivalent,
     find_abstract_hom,
     instance_from_json,
     is_complete,
-    is_normalized,
     is_null,
     loads_instance,
     max_finite_endpoint,
     naive_eval,
     normalize_instance,
     parse_mapping,
-    sem_fact,
     sem_instance,
     split_interval,
+    st_round_abstract,
+    st_round_concrete,
+    tkc_round_abstract,
+    tkc_round_concrete,
     validate_instance,
 )
 
 import tdx.model
 
 from generators import random_case
-from helpers import FIXTURES, c, fact, in_order, iv, load_fixture_instance, load_fixture_mapping, rel
-from oracles import (expand_instance_by_points, fact_sort_key, instance_doc, json_dumps_instance,
+from helpers import FIXTURES, answers_sem, c, fact, in_order, iv, load_fixture_instance, load_fixture_mapping, rel
+from oracles import (expand_instance_by_points, fact_sort_key, instance_doc, is_normalized, json_dumps_instance,
                      rowwise_instance_from_json, value_sort_key)
 
 
@@ -115,11 +115,50 @@ def test_an_instance_has_a_known_kind_and_distinct_relation_names():
         assert str(err.value) == f"{where}: a relation or attribute name is not a str"
 
 
+def test_an_instance_refuses_a_duplicate_attribute_name():
+    """A relation whose attribute names repeat, the temporal one among them,
+    has no text that reads back: ``Instance`` refuses it as the loader does."""
+    for schema in (RelationSchema("S", ("x", "x"), "t"), RelationSchema("S", ("x",), "x")):
+        with pytest.raises(SchemaError, match="^relation 'S': duplicate attribute name$"):
+            Instance.concrete([rel("R", "a"), schema])
+        doc = {"kind": "concrete", "relations": {"S": {"attributes": list(schema.all_attributes), "facts": []}}}
+        with pytest.raises(SchemaError, match="^relation 'S': duplicate attribute name$"):
+            instance_from_json(doc)
+
+
+_NAMES = ["x", "y", "t", "", "é", '"', "\\"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["concrete", "abstract"]),
+       st.lists(st.tuples(st.sampled_from(_NAMES), st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4)),
+                max_size=3, unique_by=lambda r: r[0]),
+       st.data())
+def test_every_instance_that_instance_accepts_reads_back_as_itself(kind, relations, data):
+    """Whatever its names, a schema ``Instance`` accepts, with well-formed
+    facts, is written by ``dumps_instance`` as text that ``loads_instance``
+    reads back as the same instance; what it refuses repeats a name."""
+    schema = [RelationSchema(name, tuple(attributes[:-1]), attributes[-1]) for name, attributes in relations]
+    try:
+        inst = Instance(kind, schema, ())
+    except SchemaError as err:
+        assert str(err).endswith(": duplicate attribute name")
+        assert any(len(set(r.all_attributes)) < len(r.all_attributes) for r in schema)
+        return
+    values = st.one_of(st.sampled_from(_NAMES), st.sampled_from(_NAMES).map(Null))
+    times = (st.tuples(st.integers(0, 9), st.one_of(st.integers(1, 9), st.just(INF)))
+             .filter(lambda se: se[0] < se[1]).map(lambda se: iv(*se))) if kind == "concrete" else st.integers(0, 9)
+    facts = [Fact(r.name, tuple(data.draw(st.lists(values, min_size=r.arity, max_size=r.arity))), data.draw(times))
+             for r in schema for _ in range(data.draw(st.integers(0, 3)))]
+    inst = inst.replace_facts(facts)
+    assert validate_instance(inst) == []
+    assert loads_instance(dumps_instance(inst)) == inst
+
+
 @pytest.mark.parametrize("run, message", [
     (lambda i: sem_instance(i, 20), "sem_instance expects a concrete instance"),
-    (is_normalized, "normalization is defined for concrete instances"),
     (normalize_instance, "normalize_instance expects a concrete instance"),
-], ids=["sem_instance", "is_normalized", "normalize_instance"])
+], ids=["sem_instance", "normalize_instance"])
 def test_the_concrete_only_functions_refuse_an_abstract_instance(fig2, run, message):
     with pytest.raises(SchemaError) as err:
         run(fig2)
@@ -149,12 +188,22 @@ def _certain(inst):
     return certain(m.query("positions"), inst, m)
 
 
+def _st_round(run):
+    def go(inst):
+        m = load_fixture_mapping("example1.tdx")
+        return run(inst, m.sttgds, m.target)
+    return go
+
+
+def _tkc_round(run):
+    return lambda inst: run(inst, load_fixture_mapping("example1.tdx").tkcs)
+
+
 # Every entry point that reads an instance's facts: its name, the fixture it
 # reads and a relation of that fixture, and the call.
 _ENTRY_POINTS = [
     ("chase-concrete", "fig1.json", "Employee1", _chase),
     ("normalize_instance", "fig1.json", "Employee1", normalize_instance),
-    ("is_normalized", "fig1.json", "Employee1", is_normalized),
     ("sem_instance", "fig1.json", "Employee1", lambda i: sem_instance(i, 20)),
     ("naive_eval-concrete", "fig3.json", "Emp", _positions),
     ("chase-abstract", "fig2.json", "Employee1", _chase),
@@ -164,10 +213,12 @@ _ENTRY_POINTS = [
     ("equivalent-abstract", "fig4.json", "Emp", lambda i: equivalent(i, i)),
     ("certain-concrete", "fig1.json", "Employee1", _certain),
     ("certain-abstract", "fig2.json", "Employee1", _certain),
-    ("enumerate_formula_homs", "fig4.json", "Emp",
-     lambda i: enumerate_formula_homs([Atom("Emp", (Var("x"), Var("y"), Var("z")), "t")], i)),
     ("max_finite_endpoint", "fig4.json", "Emp", max_finite_endpoint),
     ("is_complete", "fig1.json", "Employee1", is_complete),
+    ("st_round_concrete", "fig1.json", "Employee1", _st_round(st_round_concrete)),
+    ("st_round_abstract", "fig2.json", "Employee1", _st_round(st_round_abstract)),
+    ("tkc_round_concrete", "fig3.json", "Emp", _tkc_round(tkc_round_concrete)),
+    ("tkc_round_abstract", "fig4.json", "Emp", _tkc_round(tkc_round_abstract)),
 ]
 
 
@@ -213,17 +264,9 @@ _RULES = {"values-str": "not-a-value", "values-int": "not-a-value", "unknown-rel
           "relation-class": "unknown-relation", "arity": "arity-mismatch", "time-kind": "kind-violation",
           "non-value": "not-a-value", "str-subclass": "not-a-value", "null-subclass": "not-a-value",
           "null-context-kind": "not-a-value", "context-mismatch": "not-a-value"}
-# a relation name that is not a ``str`` is in no schema, ``sem_fact``'s too
-_FACT_RULES = ["values-str", "values-int", "relation-class", "time-kind", "non-value", "str-subclass",
-               "null-subclass", "null-context-kind", "context-mismatch"]
-
-
-def _sem_each_fact(inst):
-    return [sem_fact(f, 20) for f in sorted(inst.facts, key=tdx.model._offender_key)]
 
 
 _CONTRACT = [(rule, *entry) for rule in _RULES for entry in _ENTRY_POINTS]
-_CONTRACT += [(rule, "sem_fact", "fig1.json", "Employee1", _sem_each_fact) for rule in _FACT_RULES]
 _CONTRACT += [(rule, write.__name__, name, "Emp", write) for rule in _RULES
               for write in (dumps_instance, tdx.model.instance_to_json) for name in ("fig3.json", "fig4.json")]
 
@@ -232,8 +275,7 @@ _CONTRACT += [(rule, write.__name__, name, "Emp", write) for rule in _RULES
                          ids=[f"{rule}-{entry}-{name[:4]}" for rule, entry, name, _, _ in _CONTRACT])
 def test_every_entry_point_refuses_what_validate_instance_reports_first(rule, entry, name, relation, run):
     """One bad instance per rule of ``validate_instance``, read by every
-    entry point that checks an instance, the writers among them, and by
-    ``sem_fact`` for the rules of one fact.  A constant of a ``str``
+    entry point that checks an instance, the writers among them.  A constant of a ``str``
     subclass, and a null of a ``Null`` subclass, are not values: at the
     fast paths, which test exact classes, they would crash or be written
     ill formed."""
@@ -306,8 +348,7 @@ def test_each_instance_is_screened_once(example1, monkeypatch):
 
 
 _TIME_CLASS_PROBE = """
-from tdx import (chase, equivalent, find_abstract_hom, is_normalized, naive_eval, normalize_instance,
-                 sem_instance)
+from tdx import chase, equivalent, find_abstract_hom, naive_eval, normalize_instance, sem_instance
 from helpers import fact, load_fixture_instance, load_fixture_mapping
 
 m = load_fixture_mapping("example1.tdx")
@@ -315,7 +356,6 @@ positions = m.query("positions")
 runs = {
     "chase-concrete": ("fig1.json", "Employee1", lambda i: chase(i, m)),
     "normalize_instance": ("fig1.json", "Employee1", normalize_instance),
-    "is_normalized": ("fig1.json", "Employee1", is_normalized),
     "sem_instance": ("fig1.json", "Employee1", lambda i: sem_instance(i, 20)),
     "naive_eval-concrete": ("fig3.json", "Emp", lambda i: naive_eval(positions, i)),
     "chase-abstract": ("fig2.json", "Employee1", lambda i: chase(i, m)),
@@ -354,8 +394,7 @@ def test_a_time_equal_to_a_time_of_another_class_is_a_schema_error_under_every_h
     concrete = "SchemaError: Employee1(Zed0, X, (8, 10)): concrete fact must carry a clopen interval"
     abstract = "SchemaError: Emp(Zed, Zed, Zed, False): abstract fact must carry a finite time point"
     assert runs[0] == [
-        *(f"{name} {concrete}" for name in ("chase-concrete", "normalize_instance", "is_normalized",
-                                            "sem_instance")),
+        *(f"{name} {concrete}" for name in ("chase-concrete", "normalize_instance", "sem_instance")),
         "naive_eval-concrete SchemaError: Emp(Zed0, X, X, (8, 10)): concrete fact must carry a clopen interval",
         "chase-abstract SchemaError: Employee1(Zed, Zed, False): abstract fact must carry a finite time point",
         *(f"{name} {abstract}" for name in ("naive_eval-abstract", "find_abstract_hom")),
@@ -372,7 +411,7 @@ def test_a_null_annotated_with_an_equal_time_of_another_class_is_not_annotated_w
     concrete = Fact("R", (Null("N"),), (0, 5))
     inst = Instance.concrete(schema, [concrete])
     assert [v.code for v in validate_instance(inst)] == ["kind-violation"]
-    for run in (lambda: sem_fact(concrete, 9), lambda: sem_instance(inst, 9), lambda: normalize_instance(inst)):
+    for run in (lambda: sem_instance(inst, 9), lambda: normalize_instance(inst)):
         with pytest.raises(SchemaError, match=r"^R\(N\^\(0, 5\), \(0, 5\)\): concrete fact must carry a "
                                               r"clopen interval$"):
             run()
@@ -481,6 +520,13 @@ def test_is_complete(fig1, fig3):
     assert is_complete(Instance.concrete([], []))
 
 
+def sem_fact(f: Fact, horizon: int) -> frozenset[Fact]:
+    """The abstract facts of one concrete fact: ``sem_instance`` of the
+    instance of that fact alone."""
+    schema = rel(f.relation, *(f"a{i}" for i in range(len(f.values))))
+    return sem_instance(Instance.concrete([schema], [f]), horizon).facts
+
+
 def test_sem_fact_expansion():
     f = fact("Employee1", "Ada", "IBM", time=iv(8, 11))
     assert sem_fact(f, 13) == {
@@ -541,8 +587,10 @@ def test_sem_instance_checks_the_horizon_on_an_empty_instance():
 
 def test_a_negative_horizon_is_not_a_time_point():
     empty = Instance.concrete([rel("R", "a")])
+    abstract = Instance.abstract([rel("R", "a")], [fact("R", "a", time=0)])
     for run in (lambda h: sem_instance(empty, h), lambda h: sem_fact(fact("R", "a", time=iv(0, 2)), h),
-                lambda h: answers_sem(AnswerSet("q", "concrete", ("a", "t"), frozenset()), h)):
+                lambda h: answers_sem(AnswerSet("q", "concrete", ("a", "t"), frozenset()), h),
+                lambda h: equivalent(abstract, abstract, h), lambda h: equivalent(empty, abstract, h)):
         for horizon in (-1, -5):
             with pytest.raises(InvalidHorizonError, match=rf"^horizon must be a finite time point, got {horizon}$"):
                 run(horizon)
@@ -550,8 +598,8 @@ def test_a_negative_horizon_is_not_a_time_point():
 
 
 def test_sem_instance_stops_above_its_fact_limit(monkeypatch):
-    """``sem_instance``, ``sem_fact`` and ``answers_sem`` share one limit,
-    checked before anything is materialized."""
+    """``sem_instance`` checks its limit before anything is materialized,
+    whether it expands an instance, one fact, or answers."""
     monkeypatch.setattr(tdx.model, "MAX_SEM_FACTS", 5)
     rows = [("a", iv(0, 3)), ("b", iv(1, INF))]
     at_limit = Instance.concrete([rel("R", "a")], [fact("R", a, time=t) for a, t in rows])

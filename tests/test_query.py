@@ -12,12 +12,10 @@ from tdx import (
     InvalidHorizonError,
     NoSolution,
     Null,
-    PreconditionError,
     SchemaError,
     Success,
     Ucq,
     Var,
-    answers_sem,
     answers_to_instance,
     certain,
     chase,
@@ -31,7 +29,7 @@ from tdx import (
 )
 
 from generators import careers_like
-from helpers import fact, iv, rel
+from helpers import answers_sem, fact, iv, rel
 from oracles import coalesced, nested_loop_homs
 
 HORIZON = 13
@@ -89,12 +87,14 @@ def test_naive_eval_on_an_unnormalized_instance_answers_as_on_its_normalization(
     assert naive_eval(example1.query("paid_positions"), inst).rows == {("Ada", "DBA", iv(3, 4))}
 
 
-def test_an_empty_disjunct_is_a_precondition_error(fig1, fig2, example1):
+def test_an_empty_disjunct_is_refused(fig1, fig2, example1):
+    """A code-built query with an empty disjunct breaks a rule of
+    ``validate_mapping``, and is refused with its text."""
     empty = Ucq("e", (), "t", ((),))
-    with pytest.raises(PreconditionError, match="query 'e': disjunct #0 has no atoms"):
+    with pytest.raises(SchemaError, match="^query 'e': disjunct #0 has no atoms$"):
         naive_eval(empty, Instance.concrete(example1.target, []))
     for src in (fig1, fig2):
-        with pytest.raises(PreconditionError, match="disjunct #0 has no atoms"):
+        with pytest.raises(SchemaError, match="^query 'e': disjunct #0 has no atoms$"):
             certain(empty, src, example1)
 
 
@@ -127,7 +127,7 @@ def test_answers_sem_validates_horizon():
     with pytest.raises(InvalidHorizonError):
         answers_sem(AnswerSet("q", "concrete", ("n", "t"), frozenset()), 9.5)
     abstract = AnswerSet("q", "abstract", ("n", "t"), frozenset({("Ada", 8)}))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(SchemaError, match="^sem_instance expects a concrete instance$"):
         answers_sem(abstract, 13)
     # as ``sem_instance``: rows that are not well formed, and the least
     # interval below the horizon, whatever the hash order of the rows

@@ -32,14 +32,12 @@ from tdx import (
     PreconditionError,
     Success,
     TdxError,
-    answers_sem,
     answers_to_instance,
     chase,
     dumps_instance,
     naive_eval,
     normalize_instance,
     parse_mapping,
-    render_mapping,
     run_cli,
     st_round_concrete,
     tkc_round_concrete,
@@ -47,8 +45,8 @@ from tdx import (
 from tdx.cli import _failure_text
 from tdx.query import AnswerSet
 
-from generators import random_case, random_overlapping_case
-from helpers import fact, iv
+from generators import random_case, random_overlapping_case, render_mapping
+from helpers import answers_sem, fact, iv
 from oracles import coalesced, globally_normalized_chase, nested_loop_homs
 
 RANDOM_DRAWS = 300  # of each kind of ``random_case``: normalized and overlapping sources

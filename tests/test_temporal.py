@@ -6,7 +6,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from tdx import INF, ClopenInterval, build_grid, interval_contains, split_interval
+from tdx import INF, ClopenInterval, build_grid, split_interval
 
 from helpers import iv
 from oracles import interval_point_set
@@ -54,14 +54,6 @@ def test_an_interval_is_validated_however_it_is_made():
                      lambda: pickle.loads(data.replace(b"K\x03K\x05", endpoints))):
             with pytest.raises(ValueError):
                 make()
-
-
-def test_contains():
-    assert interval_contains(iv(2008, 2011), 2010)
-    assert not interval_contains(iv(2008, 2011), 2011)
-    assert interval_contains(iv(2014, INF), 9999)
-    with pytest.raises(ValueError):
-        interval_contains(iv(0, 2), INF)
 
 
 def test_build_grid():
