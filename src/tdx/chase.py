@@ -67,6 +67,7 @@ from .model import (
     _apply_cuts,
     _blocks,
     _check_instance,
+    _check_kind,
     _coalesce,
     _new,
     _plan_cuts,
@@ -97,31 +98,26 @@ ChaseOutcome = Union[Success, Failure]
 
 
 class EqClosure:
-    """Disjoint sets over values.
-
-    Merging two classes whose constants differ is a conflict (reported, not
-    applied).  A class containing a constant is represented by it; otherwise
-    by its null with the least label.  The key round keeps one closure per
-    time, so each null in it stands for its label at that time.
+    """Disjoint sets over values, each rooted at its least member in
+    canonical order, so ``find`` returns a class's representative: its
+    constant if it has one (a constant sorts before every null), else its
+    least null.  ``merge`` links the larger root under the smaller, a sound
+    union-find with path compression (Tarjan and van Leeuwen, JACM 1984);
+    two roots that are constants are a conflict, reported, not applied.
+    The key round keeps one closure per time, so each null in it stands
+    for its label at that time.
     """
 
     def __init__(self) -> None:
         self._parent: dict[Value, Value] = {}
-        self._size: dict[Value, int] = {}
-        self._const: dict[Value, str] = {}
 
     def find(self, v: Value) -> Value:
-        if v not in self._parent:
-            self._parent[v] = v
-            self._size[v] = 1
-            if isinstance(v, str):
-                self._const[v] = v
-            return v
-        root = v
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[v] != root:
-            self._parent[v], v = root, self._parent[v]
+        parent = self._parent
+        root = parent.setdefault(v, v)
+        while parent[root] != root:
+            root = parent[root]
+        while v != root:
+            parent[v], v = root, parent[v]
         return root
 
     def merge(self, x: Value, y: Value) -> tuple[str, str] | None:
@@ -129,16 +125,10 @@ class EqClosure:
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return None
-        cx, cy = self._const.get(rx), self._const.get(ry)
-        if cx is not None and cy is not None and cx != cy:
-            return (cx, cy) if cx < cy else (cy, cx)
-        if self._size[rx] < self._size[ry]:
-            rx, ry = ry, rx
-        self._parent[ry] = rx
-        self._size[rx] += self._size[ry]
-        const = cx if cx is not None else cy
-        if const is not None:  # the class keeps its constant, whichever root held it
-            self._const[rx] = const
+        low, high = (rx, ry) if rx < ry else (ry, rx)
+        if isinstance(high, str):  # so both roots are constants
+            return low, high
+        self._parent[high] = low
         return None
 
     def members(self) -> dict[Value, list[Value]]:
@@ -150,15 +140,7 @@ class EqClosure:
     def representatives(self) -> dict[Value, Value]:
         """Final replacement map: every tracked value that is not its class
         representative to the representative (so only nulls)."""
-        reps: dict[Value, Value] = {}
-        for root, members in self.members().items():
-            rep = self._const.get(root)
-            if rep is None:
-                rep = min(members)
-            for v in members:
-                if v != rep:
-                    reps[v] = rep
-        return reps
+        return {v: root for v in self._parent if (root := self.find(v)) != v}
 
 
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
@@ -265,23 +247,26 @@ def _key_blocks(inst: Instance, tkcs: Sequence[Tkc]) -> list[list[Fact]]:
     return _blocks(inst.facts, tokens)
 
 
-def _key_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
-    """The concrete key round: ``_coalesce`` the input, cut it per key block
-    (``_key_blocks``), close and replace, and coalesce a success.
+def _key_round(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
+    """The key round over either view: close the equalities of every key
+    group per time, then replace or fail (``_close_and_replace``).
 
-    The coalesced input is a function of the input's abstract view alone,
-    and so are the rest of the steps, so the outcome does not depend on how
-    the input was cut: a globally normalized dependency round and one cut
-    per join block give the same bytes, failure witness and
-    ``KeyNullViolation`` text.  The cut is refused, before any fragment is
-    made, if it would hold more than ``MAX_NORMALIZE_FRAGMENTS`` facts
-    beyond the input's own (``_refuse_fragments``)."""
-    coalesced = _coalesce(inst)
-    plans = _plan_cuts(_key_blocks(coalesced, tkcs))
-    _refuse_fragments("the key round", plans, len(inst.facts) - len(coalesced.facts))
-    inst = _apply_cuts(coalesced, plans)
+    A concrete input is first coalesced and cut per key block
+    (``_key_blocks``), and a success is coalesced.  The coalesced input is
+    a function of the input's abstract view alone, and so are the rest of
+    the steps, so the outcome does not depend on how the input was cut: a
+    globally normalized dependency round and one cut per join block give
+    the same bytes, failure witness and ``KeyNullViolation`` text.  The cut
+    is refused, before any fragment is made, if it would hold more than
+    ``MAX_NORMALIZE_FRAGMENTS`` facts beyond the input's own."""
+    concrete = inst.kind == CONCRETE
+    if concrete:
+        coalesced = _coalesce(inst)
+        plans = _plan_cuts(_key_blocks(coalesced, tkcs))
+        _refuse_fragments("the key round", plans, len(inst.facts) - len(coalesced.facts))
+        inst = _apply_cuts(coalesced, plans)
     outcome = _close_and_replace(inst, _round_equalities(inst, tkcs))
-    return Success(_coalesce(outcome.instance)) if isinstance(outcome, Success) else outcome
+    return Success(_coalesce(outcome.instance)) if concrete and isinstance(outcome, Success) else outcome
 
 
 def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, Value, TimeValue]]:
@@ -390,10 +375,11 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value, 
     return Success(inst.replace_facts(inst.facts.difference(replaced) | rebuilt))
 
 
-def _require(inst: Instance, kind: str, what: str, *, complete: bool) -> None:
-    """One view's precondition: its kind, a well-formed instance, completeness if asked."""
-    if inst.kind != kind:
-        raise PreconditionError(f"the {kind} {what} expects a {kind} instance, got {inst.kind}")
+def _require(inst: Instance, kind: str, reader: str, what: str, *, complete: bool) -> None:
+    """The precondition of ``reader``, which its messages call the ``kind``
+    ``what``: a ``kind`` instance (``model._check_kind``), well formed, and
+    complete if asked."""
+    _check_kind(inst, kind, reader)
     _check_instance(inst)
     if complete and not is_complete(inst):
         raise PreconditionError(f"the {kind} {what} requires a complete instance")
@@ -403,10 +389,18 @@ def _checked_st_round(inst: Instance, kind: str, rules: Sequence[SttTgd],
                       target: Iterable[RelationSchema]) -> Instance:
     """A public dependency round: its precondition, and the rules checked as
     the rules of a mapping from ``inst``'s schema to ``target``."""
-    _require(inst, kind, "dependency round", complete=True)
+    _require(inst, kind, f"st_round_{kind}", "dependency round", complete=True)
     target = tuple(target)
     _check_mapping(Mapping(inst.schema, target, tuple(rules), (), ()))
     return _st_round(inst, rules, target)
+
+
+def _checked_key_round(inst: Instance, kind: str, tkcs: Sequence[Tkc]) -> ChaseOutcome:
+    """A public key round: its precondition, and the keys checked as the
+    keys of a mapping into ``inst``'s schema."""
+    _require(inst, kind, f"tkc_round_{kind}", "key round", complete=False)
+    _check_mapping(Mapping((), inst.schema, (), tuple(tkcs), ()))
+    return _key_round(inst, tkcs)
 
 
 def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],
@@ -432,14 +426,12 @@ def st_round_abstract(inst: Instance, rules: Sequence[SttTgd],
 def tkc_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     """Close the equalities of every conflicting pair, then replace or fail.
 
-    The key round ``chase`` runs (``_key_round_concrete``), over any concrete
+    The key round ``chase`` runs (``_key_round``), over any concrete
     instance: the input is coalesced and cut per key block, and a success
     is coalesced.  A null in a key position of a conflicting pair raises
     KeyNullViolation.
     """
-    _require(inst, CONCRETE, "key round", complete=False)
-    _check_mapping(Mapping((), inst.schema, (), tuple(tkcs), ()))
-    return _key_round_concrete(inst, tkcs)
+    return _checked_key_round(inst, CONCRETE, tkcs)
 
 
 def tkc_round_abstract(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
@@ -449,9 +441,7 @@ def tkc_round_abstract(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     null equated with a constant is replaced by it at its time point; two
     nulls of one time point equated collapse onto a designated one.
     """
-    _require(inst, ABSTRACT, "key round", complete=False)
-    _check_mapping(Mapping((), inst.schema, (), tuple(tkcs), ()))
-    return _close_and_replace(inst, _round_equalities(inst, tkcs))
+    return _checked_key_round(inst, ABSTRACT, tkcs)
 
 
 def chase(src: Instance, m: Mapping) -> ChaseOutcome:
@@ -466,10 +456,5 @@ def chase(src: Instance, m: Mapping) -> ChaseOutcome:
     """
     _check_mapping(m)
     src = conform_instance(src, m.source)
-    _check_instance(src)
-    if not is_complete(src):
-        raise PreconditionError("the source instance must be complete")
-    staged = _st_round(src, m.sttgds, m.target)
-    if staged.kind == CONCRETE:
-        return _key_round_concrete(staged, m.tkcs)
-    return _close_and_replace(staged, _round_equalities(staged, m.tkcs))
+    _require(src, src.kind, "chase", "chase", complete=True)
+    return _key_round(_st_round(src, m.sttgds, m.target), m.tkcs)

@@ -25,7 +25,9 @@ from .model import (
     Instance,
     Value,
     _default_horizon,
-    _time_json,
+    _encode,
+    _list_text,
+    _time_text,
     dumps_instance,
     loads_instance,
     normalize_instance,
@@ -81,13 +83,20 @@ def _load_mapping(path: str) -> Mapping:
 
 
 def _failure_text(failure: Failure) -> str:
-    """The witness as JSON, each null written with the failure's time."""
-    def doc(v: Value) -> object:
-        return v if isinstance(v, str) else {"null": v.label, **_time_json(failure.time)}
+    """The witness as the text of ``json.dumps(indent=2, sort_keys=True,
+    ensure_ascii=False)``, written as ``dumps_instance`` writes instances;
+    each null is written with the failure's time."""
+    time = _time_text(failure.time)
 
-    return json.dumps({"failure": {"constants": list(failure.constants),
-                                   "trace": [[doc(x), doc(y)] for x, y in failure.trace]}},
-                      indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    def text(v: Value) -> str:
+        if isinstance(v, str):
+            return _encode(v)
+        members = sorted([time, '"null": ' + _encode(v.label)])  # by key: "interval" < "null" < "time"
+        return "{\n          " + ",\n          ".join(members) + "\n        }"
+
+    trace = _list_text([_list_text([text(x), text(y)], "      ") for x, y in failure.trace], "    ")
+    constants = _list_text([_encode(c) for c in failure.constants], "    ")
+    return f'{{\n  "failure": {{\n    "constants": {constants},\n    "trace": {trace}\n  }}\n}}\n'
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:

@@ -64,6 +64,7 @@ from .model import (
     _blocks,
     _check_horizon,
     _check_instance,
+    _check_kind,
     _coalesced_facts,
     _cut,
     _default_horizon,
@@ -219,26 +220,14 @@ def _formula_homs(atoms: Sequence[Atom], inst: Instance,
                   initial: TMapping[str, object] | None) -> Iterator[Binding]:
     """Every extension of ``initial`` under which each atom instantiates to a
     fact of ``inst``, an instance that passed ``_check_instance``, unsorted,
-    as the walk yields them.  The atoms are checked, and the relations read
-    are indexed, at the call."""
-    _check_atoms(atoms, inst)
+    as the walk yields them.  The atoms fill relations of the instance's
+    schema and share one temporal variable, as the caller has checked
+    (``mapping_lang._check_mapping``); the relations read are indexed at the
+    call."""
     start: Binding = dict(initial or {})
     bound = {v for v, value in start.items() if value is not None}
     patterns = [_compile(a) for a in atoms]
     return _walk(_join_plan(patterns, inst, bound, {}), start)
-
-
-def _check_atoms(atoms: Sequence[Atom], inst: Instance) -> None:
-    """Each atom fills a relation of the schema (SchemaError otherwise).  The
-    atoms share one temporal variable (a null is its label at one time): the
-    parser and ``mapping_lang._check_mapping`` refuse a body that does not."""
-    for atom in atoms:
-        schema = inst.schema_by_name.get(atom.relation)
-        if schema is None:
-            raise SchemaError(f"unknown relation {atom.relation!r}")
-        if len(atom.args) != schema.arity:
-            raise SchemaError(f"relation {atom.relation!r} expects {schema.arity} value "
-                              f"arguments, got {len(atom.args)}")
 
 
 def _join_tokens(atoms: Sequence[Atom]) -> Optional[dict[str, list[tuple[int, tuple[int, ...]]]]]:
@@ -298,7 +287,6 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -
         if len(atoms) < 2:
             plans.append([])
             continue
-        _check_atoms(atoms, inst)
         by_relation = _join_tokens(atoms)
         relations = {a.relation for a in atoms}
         if by_relation is None:
@@ -408,13 +396,14 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     shape, and each component only binds its constants and time point.
     Returns None when no homomorphism exists.
 
-    Raises SchemaError, as ``_check_instance`` words it, if ``a`` or ``b``
-    breaks a rule of ``validate_instance``: both are checked before any
+    Raises SchemaError if ``a`` or ``b`` is not abstract
+    (``model._check_kind``), then, as ``_check_instance`` words it, if
+    either breaks a rule of ``validate_instance``: both are checked before any
     search, so whether it raises, and what, does not depend on the order in
     which it meets the facts.
     """
-    if a.kind != ABSTRACT or b.kind != ABSTRACT:
-        raise ValueError("abstract instances are required")
+    _check_kind(a, ABSTRACT, "find_abstract_hom")
+    _check_kind(b, ABSTRACT, "find_abstract_hom")
     _check_pair(a, b)
     ground, components = _components(a.facts)
     if not b.facts.issuperset(ground):  # constants are fixed, so a ground fact's image is itself
@@ -435,20 +424,17 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
 
 def _maps_into(facts: Iterable[Fact], b: Instance) -> bool:
     """Whether an abstract homomorphism exists from the abstract instance of
-    ``facts`` into ``b``.  A component whose key a component of ``b`` also
-    holds maps onto that twin by renaming nulls, since constants and the
-    time point are fixed and each null goes to a null at the same point;
-    only the others are searched, as ``find_abstract_hom`` searches them,
-    once per distinct key, but with candidates in no particular order."""
+    ``facts`` into ``b``: each component is searched as
+    ``find_abstract_hom`` searches it, once per distinct key, but with
+    candidates in no particular order.  ``equivalent`` has already skipped,
+    uncut, each component with a twin (``_untwinned``)."""
     ground, components = _components(facts)
-    keys = {_numbered(c)[0] for c in components}
     if not b.facts.issuperset(ground):
         return False
-    twins = {_numbered(c)[0] for c in _components(b.facts)[1]}
+    keys = {_numbered(c)[0] for c in components}
     indexes: dict = {}
     compiled: dict[tuple, _Compiled] = {}
-    return all(key in twins or _component_binding(key, b, indexes, compiled, ordered=False) is not None
-               for key in keys)
+    return all(_component_binding(key, b, indexes, compiled, ordered=False) is not None for key in keys)
 
 
 def _view(inst: Instance, horizon: int) -> list[Fact]:

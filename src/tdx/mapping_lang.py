@@ -26,9 +26,10 @@ key attributes and dependents, head variables in the body) is written once, in
 the per-statement checks at the end of this module.  The parser raises the
 first problem they find at its token; ``validate_mapping`` reports them all
 for mappings built in code, and ``_check_mapping`` raises the first of them
-for the engine, which refuses a mapping or query built in code that breaks
-a rule.  What the parser returns breaks none, so it is marked checked and
-never checked again.
+for the engine, which refuses a mapping built in code that breaks a rule.
+What the parser returns breaks none, so it is marked checked and never
+checked again.  A query is checked on each evaluation, parsed or not, as a
+query over the schema of the instance it reads (``query.naive_eval``).
 """
 from __future__ import annotations
 
@@ -406,10 +407,9 @@ def parse_mapping(text: str) -> Mapping:
                 q = Ucq(q.name, q.head, q.time_var, (*prev.disjuncts, *q.disjuncts))
             queries[q.name] = q
 
-    for q in queries.values():
-        _mark_checked(q)
-    return _mark_checked(Mapping(tuple(source), tuple(target), tuple(sttgds), tuple(tkcs),
-                                 tuple(queries.values())))
+    m = Mapping(tuple(source), tuple(target), tuple(sttgds), tuple(tkcs), tuple(queries.values()))
+    m.__dict__["_checked"] = True  # breaks no rule: the first problem of each statement was raised
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +534,6 @@ def validate_mapping(m: Mapping) -> list[Violation]:
     return list(dict.fromkeys(out))
 
 
-def _mark_checked(statement):
-    """``statement`` (a mapping or a query), recorded as breaking no rule:
-    for the parser, which refused the first problem of each statement."""
-    statement.__dict__["_checked"] = True
-    return statement
-
-
 def _check_mapping(m: Mapping) -> None:
     """Raise SchemaError with ``validate_mapping(m)[0].message`` if a mapping
     built in code breaks a structural rule, as ``model._check_instance``
@@ -549,11 +542,3 @@ def _check_mapping(m: Mapping) -> None:
         problems = validate_mapping(m)
         if problems:
             raise SchemaError(problems[0].message)
-
-
-def _check_query(q: Ucq, schema: tuple[RelationSchema, ...]) -> None:
-    """``_check_mapping`` of a query built in code, as a query over
-    ``schema``.  A parsed query broke no rule of its mapping, so it is not
-    checked again, and the join fits its atoms to the schema it reads."""
-    if not q.__dict__.get("_checked"):
-        _check_mapping(Mapping((), schema, (), (), (q,)))

@@ -290,6 +290,13 @@ def _check_instance(inst: Instance) -> None:
         raise SchemaError(validate_instance(inst)[0].message)
 
 
+def _check_kind(inst: Instance, kind: str, reader: str) -> None:
+    """SchemaError unless ``inst`` is of the view that ``reader`` reads: the
+    one wording of that rule, for every function that reads only one view."""
+    if inst.kind != kind:
+        raise SchemaError(f"{reader} expects a {kind} instance, got {inst.kind}")
+
+
 def validate_instance(inst: Instance) -> list[Violation]:
     """Every problem of an instance, as data: facts in ``_offender_key``
     order, each fact's problems in the order of the rules, each with its code:
@@ -377,8 +384,7 @@ def sem_instance(inst: Instance, horizon: int) -> Instance:
     is below); then, before anything is made, more than ``MAX_SEM_FACTS``
     facts (one per fact and time point), with PreconditionError.
     """
-    if inst.kind != CONCRETE:
-        raise SchemaError("sem_instance expects a concrete instance")
+    _check_kind(inst, CONCRETE, "sem_instance")
     _check_instance(inst)
     uses = Counter(f.time for f in inst.facts)
     _check_horizon(horizon, *sorted(uses))
@@ -582,8 +588,7 @@ def normalize_instance(inst: Instance) -> Instance:
     fragments are about 0.04, 0.12 and 0.39 GB on top of what the facts
     themselves take.
     """
-    if inst.kind != CONCRETE:
-        raise SchemaError("normalize_instance expects a concrete instance")
+    _check_kind(inst, CONCRETE, "normalize_instance")
     _check_instance(inst)
     plans = _plan_cuts([inst.facts])
     _refuse_fragments("normalization", plans)
@@ -623,14 +628,6 @@ def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Inst
 # string (constant) or {"null": "<label>"}; the fact's time annotates the
 # null.
 # ---------------------------------------------------------------------------
-
-
-def _time_json(t: TimeValue) -> dict:
-    """A time as the members of its JSON object: a fact's, or the one that
-    annotates the nulls of a failure witness."""
-    if isinstance(t, ClopenInterval):
-        return {"interval": {"start": t.start, "end": t.end if isinstance(t.end, int) else "inf"}}
-    return {"time": t}
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -770,6 +767,17 @@ def _list_text(items: list[str], indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
+def _time_text(t: TimeValue) -> str:
+    """A time as the text of its JSON members at the depth of a fact's
+    members (the interval's own members one level deeper): a fact's, or the
+    one that annotates the nulls of a failure witness."""
+    if isinstance(t, ClopenInterval):
+        end = int.__repr__(t.end) if isinstance(t.end, int) else '"inf"'
+        return (f'"interval": {{\n            "end": {end},\n'
+                f'            "start": {int.__repr__(t.start)}\n          }}')
+    return f'"time": {int.__repr__(t)}'
+
+
 def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     """Canonical, newline-terminated JSON text; byte-deterministic.
 
@@ -801,13 +809,7 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
             t = f.time
             time_text = times.get(t)
             if time_text is None:
-                if isinstance(t, ClopenInterval):
-                    end = int.__repr__(t.end) if isinstance(t.end, int) else '"inf"'
-                    time_text = (f'"interval": {{\n            "end": {end},\n'
-                                 f'            "start": {int.__repr__(t.start)}\n          }}')
-                else:
-                    time_text = f'"time": {int.__repr__(t)}'
-                times[t] = time_text
+                time_text = times[t] = _time_text(t)
             rows.append("{\n          " + time_text + ',\n          "values": '
                         + _list_text(texts, "          ") + "\n        }")
         facts = _list_text(rows, "      ")

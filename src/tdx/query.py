@@ -13,7 +13,7 @@ from typing import Union
 
 from .chase import Failure, chase
 from .homomorphism import _formula_homs, _join_inputs
-from .mapping_lang import Mapping, Ucq, _check_query
+from .mapping_lang import Mapping, Ucq, _check_mapping
 from .model import (
     CONCRETE,
     Fact,
@@ -55,15 +55,13 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
     answers are coalesced, each answer's intervals merged where they overlap
     or meet, so they depend only on the instance's abstract view.  Raises
     SchemaError for an instance that ``validate_instance`` faults, then for
-    a query built in code that ``validate_mapping`` faults as a query over
-    the instance's schema (its first problem), and PreconditionError, before
-    any fragment is made, if the cuts would add more than
-    ``MAX_NORMALIZE_FRAGMENTS`` fragments, as ``chase`` does.  A parsed
-    query broke no rule of its mapping, so only its atoms are fitted to the
-    instance's schema.
+    a query, parsed or built in code, that ``validate_mapping`` faults as a
+    query over the instance's schema (its first problem), and
+    PreconditionError, before any fragment is made, if the cuts would add
+    more than ``MAX_NORMALIZE_FRAGMENTS`` fragments, as ``chase`` does.
     """
     _check_instance(inst)
-    _check_query(q, inst.schema)
+    _check_mapping(Mapping((), inst.schema, (), (), (q,)))
     rows: set[tuple] = set()
     for disjunct, body_inst in zip(q.disjuncts, _join_inputs(q.disjuncts, inst, "the query body")):
         for binding in _formula_homs(disjunct, body_inst, None):

@@ -72,17 +72,21 @@ def main(argv: list[str]) -> int:
     files = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
     ran: dict[str, set[int]] = {name: set() for name in files}
 
-    def trace(frame, event, arg):
-        lines = ran.get(frame.f_code.co_filename)
-        if lines is None:
-            return None
-
+    def line_tracer(lines: set[int]):
         def local(frame, event, arg):
             if event == "line":
                 lines.add(frame.f_lineno)
             return local
 
         return local
+
+    # one local tracer per file, made up front: a closure that returns itself is
+    # a reference cycle, and one made per call would leave garbage that
+    # ``test_a_command_leaves_no_cyclic_garbage`` counts
+    tracers = {name: line_tracer(lines) for name, lines in ran.items()}
+
+    def trace(frame, event, arg):
+        return tracers.get(frame.f_code.co_filename)
 
     sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(trace)

@@ -15,8 +15,9 @@ homomorphism existence by exhaustive enumeration of null assignments and by
 a backtracking scan over every fact at the same relation and time point,
 formula homomorphisms by a recursive nested loop over whole relations, the
 dependency round by ``st_step`` at each binding, the key round's equalities
-from ``tkc_step`` of every pair of every key group, the concrete
-chase with every cut global (``globally_normalized_chase``) and its result
+from ``tkc_step`` of every pair of every key group, and their closure by a
+breadth-first search per time after each equality (``naive_closure``), the
+concrete chase with every cut global (``globally_normalized_chase``) and its result
 coalesced by a sort and one sweep (``coalesced``), the instance
 loader by reading each row through the general rules, and the canonical
 instance text by the json module's own encoder.  The abstract
@@ -290,6 +291,58 @@ def pairwise_round_equalities(inst: Instance, tkcs) -> list:
                 for j in range(i + 1, len(group)):
                     equalities.extend((x, y, group[i].time) for x, y in tkc_step(group[i], group[j], tkc, schema))
     return equalities
+
+
+def _equality_key(equality: tuple) -> tuple:
+    """Canonical order of an ordered equality at its time: each value by
+    ``value_sort_key``, a null read as its label at the time."""
+    x, y, t = equality
+    def read(v):
+        return (value_sort_key(v), value_sort_key(t)) if isinstance(v, Null) else (value_sort_key(v),)
+    return read(x), read(y), value_sort_key(t)
+
+
+def _distances(adjacent: dict, start) -> dict:
+    """Every value linked to ``start``, with its distance from it, found breadth first."""
+    seen = {start: 0}
+    queue = [start]
+    for u in queue:
+        for w in adjacent[u]:
+            if w not in seen:
+                seen[w] = seen[u] + 1
+                queue.append(w)
+    return seen
+
+
+def naive_closure(inst: Instance, equalities):
+    """The key round's closure, stated naively: per time, the components of
+    the equalities, each found by breadth-first search; a component's
+    representative is its least member, and a conflict is a component that
+    holds two constants.  The equalities, each pair ordered, are added in
+    canonical order (``_equality_key``), and the first conflict is met at
+    the shortest prefix that has one.  Returns the instance with each null
+    replaced by its representative at its fact's time, or, at the first
+    conflict, its two constants in order, its time, and the length of the
+    shortest chain of the prefix's equalities that links them."""
+    ordered = {(x, y, t) if value_sort_key(x) <= value_sort_key(y) else (y, x, t) for x, y, t in equalities}
+    adjacent: dict = {}
+    for x, y, t in sorted(ordered, key=_equality_key):
+        near = adjacent.setdefault(t, {})
+        near.setdefault(x, set()).add(y)
+        near.setdefault(y, set()).add(x)
+        constants = sorted((v for v in _distances(near, x) if isinstance(v, str)), key=value_sort_key)
+        if len(constants) > 1:
+            first, last = constants
+            return (first, last), t, _distances(near, first)[last]
+    reps = {}
+    for t, near in adjacent.items():
+        for v in near:
+            if (v, t) not in reps:
+                component = _distances(near, v)
+                least = min(component, key=value_sort_key)
+                reps.update(((u, t), least) for u in component)
+    return inst.replace_facts(Fact(f.relation, tuple(reps.get((v, f.time), v) for v in f.values), f.time)
+                              for f in inst.facts)
 
 
 def interval_point_set(interval: ClopenInterval, horizon: int) -> set[int]:

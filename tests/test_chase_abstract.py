@@ -7,6 +7,7 @@ from tdx import (
     KeyNullViolation,
     Null,
     PreconditionError,
+    SchemaError,
     Success,
     Tkc,
     chase,
@@ -144,7 +145,8 @@ def test_rounds_reject_the_other_view(name, fig1, fig2, example1):
     # itself runs in the view of its source
     other_view = fig2 if name.endswith("concrete") else fig1
     args = (example1.sttgds, example1.target) if name.startswith("st") else (example1.tkcs,)
-    with pytest.raises(PreconditionError):
+    kind, other = ("concrete", "abstract") if name.endswith("concrete") else ("abstract", "concrete")
+    with pytest.raises(SchemaError, match=f"^{name} expects a {kind} instance, got {other}$"):
         getattr(tdx, name)(other_view, *args)
 
 

@@ -35,8 +35,8 @@ from tdx.chase import _close_and_replace, _compile_head, _fire, _round_equalitie
 
 from generators import random_case
 from helpers import c, fact, in_order, iv, rel
-from oracles import (enumerate_formula_homs, instantiated_st_round, is_normalized, pairwise_round_equalities,
-                     st_step, tkc_step)
+from oracles import (enumerate_formula_homs, instantiated_st_round, is_normalized, naive_closure,
+                     pairwise_round_equalities, st_step, tkc_step)
 
 HORIZON = 13
 
@@ -420,12 +420,13 @@ def _random_key_groups(rng, kind):
     return Instance(kind, (rel("R", "k", "d1", "d2"),), frozenset(facts))
 
 
-def _assert_witness(failure, equalities):
+def _assert_witness(failure, equalities, length=None):
     """Two distinct constants joined by a chain of the given equalities of
-    the failure's time."""
+    the failure's time, of ``length`` links if given."""
     first, last = failure.constants
     assert first != last
     chain = failure.trace
+    assert length is None or len(chain) == length
     assert chain and chain[0][0] == c(first) and chain[-1][1] == c(last)
     assert all(y == u for (_, y), (u, _) in zip(chain, chain[1:]))
     links = {frozenset((x, y)) for x, y, t in equalities if t == failure.time}
@@ -456,6 +457,32 @@ def test_hub_key_round_agrees_with_all_pairs():
                 _assert_witness(got, pairs)
                 outcomes["failure"] += 1
     assert len(outcomes) == 3 and min(outcomes.values()) >= 20, outcomes
+
+
+def test_the_closure_agrees_with_the_naive_closure():
+    """The key round's closure and replacement over random key groups, in
+    both views, against the breadth-first oracle: the same instance, or the
+    same first conflict with a shortest chain."""
+    rng = random.Random(23)
+    tkcs = [Tkc("R", frozenset({"k", "time"}), ("d1", "d2"))]
+    outcomes = Counter()
+    for kind in ("concrete", "abstract"):
+        for _ in range(300):
+            inst = _random_key_groups(rng, kind)
+            try:
+                equalities = _round_equalities(inst, tkcs)
+            except KeyNullViolation:
+                continue
+            got, want = _close_and_replace(inst, equalities), naive_closure(inst, equalities)
+            if isinstance(want, Instance):
+                assert got == Success(want), inst
+                outcomes[kind, "success"] += 1
+            else:
+                constants, time, length = want
+                assert (got.constants, got.time) == (constants, time), inst
+                _assert_witness(got, equalities, length)
+                outcomes[kind, "failure"] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 20, outcomes
 
 
 def test_key_round_pairs_each_member_with_one_hub():

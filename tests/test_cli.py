@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -497,3 +498,70 @@ def test_source_attributes_that_differ_from_the_mapping_are_one_error_line(workd
     (workdir / "a.json").write_text('{"kind": "abstract", "relations": {"A": {"attributes": ["y", "t"]}}}')
     assert run(workdir, "chase", "-m", "@m.tdx", "-i", "@a.json", "-o", "@out.json") == 1
     assert capsys.readouterr().err == "error: relation 'A' declared as ('x', 't'), instance has ('y', 't')\n"
+
+
+def test_query_on_an_instance_without_a_relation_of_the_query_names_the_query(workdir, capsys):
+    """A parsed query is checked against the schema of the instance it
+    reads, as a query built in code is."""
+    assert run(workdir, "query", "-m", "@example1.tdx", "-q", "positions", "-i", "@fig1.json", "-o", "@x.json") == 1
+    assert capsys.readouterr().err == "error: query 'positions': unknown target relation 'Emp'\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("chase", "-m", "@example1.tdx", "-i", "@fig1.json", "-o", "@out.json"), 0),
+    (("chase", "-m", "@example3.tdx", "-i", "@example3_source.json", "-o", "@out.json"), 2),
+    (("achase", "-m", "@example1.tdx", "-i", "@fig2.json", "-o", "@out.json"), 0),
+    (("certain", "-m", "@example1.tdx", "-q", "positions", "-i", "@fig1.json", "-o", "@out.json"), 0),
+    (("certain", "-m", "@example3.tdx", "-q", "pos", "-i", "@example3_source.json", "-o", "@out.json"), 2),
+    (("sem", "-i", "@fig1.json", "-o", "@out.json"), 0),
+    (("normalize", "-i", "@fig1.json", "-o", "@out.json"), 0),
+    (("equiv", "-a", "@fig1.json", "-b", "@fig2.json", "--horizon", "13"), 0),
+    (("equiv", "-a", "@twisted.json", "-b", "@fig3.json", "--horizon", "13"), 3),
+    (("equiv", "-a", "@fig1.json", "-b", "@fig1.json", "--horizon", "2"), 1),
+], ids=["chase", "chase-failure", "achase", "certain", "certain-no-solution", "sem", "normalize",
+        "equiv", "equiv-false", "horizon-refusal"])
+def test_a_command_leaves_no_cyclic_garbage(workdir, capsys, argv, code):
+    """After one warm-up call, a command run with the cyclic collector
+    disabled leaves 0 objects for ``gc.collect()``: reference counting
+    frees all it made.  Exempt: an argparse usage error (``tdx chase -m``,
+    exit 1) leaves the 6 ``HelpFormatter`` objects that argparse builds to
+    word it."""
+    (workdir / "twisted.json").write_text((workdir / "fig3.json").read_text().replace("Developer", "Boss"))
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(workdir, *argv) == code
+        gc.collect()
+        assert run(workdir, *argv) == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+class _Terminal(io.StringIO):
+    def isatty(self) -> bool:
+        return True
+
+
+@pytest.mark.parametrize("color, prefix", [(None, "\x1b[31merror: \x1b[0m"), ("0", "error: ")])
+def test_an_error_is_red_on_a_terminal_unless_tdx_color_is_0(monkeypatch, color, prefix):
+    terminal = _Terminal()
+    monkeypatch.setattr(sys, "stderr", terminal)
+    if color is None:
+        monkeypatch.delenv("TDX_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("TDX_COLOR", color)
+    tdx.cli._diag("boom")
+    tdx.cli._diag("chase failed", error=False)
+    assert terminal.getvalue() == f"{prefix}boom\nchase failed\n"
+
+
+@pytest.mark.parametrize("argv, code", [(("equiv", "-a", "@fig4.json", "-b", "@fig4.json"), 0),
+                                        (("sem", "-i", "@missing.json", "-o", "-"), 1)])
+def test_main_exits_with_the_code_of_run_cli(workdir, capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["tdx", *(a.replace("@", str(workdir) + "/") for a in argv)])
+    with pytest.raises(SystemExit) as exit_info:
+        tdx.cli.main()
+    assert exit_info.value.code == code
+    capsys.readouterr()

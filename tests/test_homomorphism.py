@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -85,10 +86,12 @@ def test_an_empty_conjunction_has_one_binding(fig2):
 
 
 def test_unknown_relation_is_a_schema_error(fig2):
-    with pytest.raises(SchemaError):
-        enumerate_formula_homs([Atom("Nope", (Var("x"),), "t")], fig2)
-    with pytest.raises(SchemaError):
-        enumerate_formula_homs([Atom("Employee1", (Var("x"),), "t")], fig2)
+    """A query is fitted to the schema of the instance it reads by
+    ``validate_mapping``'s rules, whether it was parsed or built in code."""
+    for atom, problem in ((Atom("Nope", (Var("x"),), "t"), "unknown target relation 'Nope'"),
+                          (Atom("Employee1", (Var("x"),), "t"), "relation 'Employee1' expects 3 arguments, got 2")):
+        with pytest.raises(SchemaError, match=re.escape(f"query 'q': {problem}") + "$"):
+            naive_eval(Ucq("q", ("x",), "t", ((atom,),)), fig2)
     # a null is its label at its fact's time, so a join never spans two times
     body = (Atom("Employee1", (Var("x"), Var("y")), "t"), Atom("Employee1", (Var("x"), Var("z")), "s"))
     with pytest.raises(SchemaError, match=r"^query 'q': all atoms must share one temporal variable "
@@ -218,8 +221,9 @@ def test_a_fact_of_the_wrong_arity_is_a_schema_error_in_the_hom_search():
 
 
 def test_kind_and_schema_preconditions(fig1, fig2, fig4):
-    with pytest.raises(ValueError):
-        find_abstract_hom(fig1, fig2)
+    for a, b in ((fig1, fig2), (fig2, fig1)):
+        with pytest.raises(SchemaError, match="^find_abstract_hom expects a abstract instance, got concrete$"):
+            find_abstract_hom(a, b)
     with pytest.raises(SchemaError):
         find_abstract_hom(fig2, fig4)
 

@@ -266,16 +266,18 @@ def test_the_engine_refuses_a_code_built_mapping_with_the_first_problem_validate
 
 def test_a_parsed_mapping_is_checked_once(example1, fig1, monkeypatch):
     """The parser refused the first problem of each statement, so no command
-    checks a parsed mapping or query again; a copy built in code is checked
-    on each call."""
+    checks a parsed mapping again; a copy built in code is checked on each
+    call.  A query, parsed or not, is checked once per ``naive_eval``, as a
+    query over the schema of the instance it reads."""
     calls = []
     check = tdx.mapping_lang.validate_mapping
     monkeypatch.setattr(tdx.mapping_lang, "validate_mapping", lambda m: calls.append(m) or check(m))
     q = example1.query("positions")
     certain(q, fig1, example1)
-    assert calls == []
+    assert calls == [Mapping((), example1.target, (), (), (q,))]
+    calls.clear()
     certain(replace(q), fig1, replace(example1))
-    assert len(calls) == 2
+    assert calls == [example1, Mapping((), example1.target, (), (), (q,))]
 
 
 def test_render_round_trip_running_example(example1, example3):

@@ -156,8 +156,8 @@ def test_every_instance_that_instance_accepts_reads_back_as_itself(kind, relatio
 
 
 @pytest.mark.parametrize("run, message", [
-    (lambda i: sem_instance(i, 20), "sem_instance expects a concrete instance"),
-    (normalize_instance, "normalize_instance expects a concrete instance"),
+    (lambda i: sem_instance(i, 20), "sem_instance expects a concrete instance, got abstract"),
+    (normalize_instance, "normalize_instance expects a concrete instance, got abstract"),
 ], ids=["sem_instance", "normalize_instance"])
 def test_the_concrete_only_functions_refuse_an_abstract_instance(fig2, run, message):
     with pytest.raises(SchemaError) as err:

@@ -127,7 +127,7 @@ def test_answers_sem_validates_horizon():
     with pytest.raises(InvalidHorizonError):
         answers_sem(AnswerSet("q", "concrete", ("n", "t"), frozenset()), 9.5)
     abstract = AnswerSet("q", "abstract", ("n", "t"), frozenset({("Ada", 8)}))
-    with pytest.raises(SchemaError, match="^sem_instance expects a concrete instance$"):
+    with pytest.raises(SchemaError, match="^sem_instance expects a concrete instance, got abstract$"):
         answers_sem(abstract, 13)
     # as ``sem_instance``: rows that are not well formed, and the least
     # interval below the horizon, whatever the hash order of the rows
@@ -219,15 +219,17 @@ def _chase_results(n, example1):
 
 def test_naive_eval_sorts_nothing(example1):
     """No ``sorted``, ``list.sort`` or ``min`` call during ``naive_eval`` but
-    those of its cuts and of its coalescing, each over one block or one
-    group, never over the bindings or the answers: ``_apart``'s sort of the
-    distinct intervals of a join block that has two or more,
-    ``build_grid``'s sort of the endpoints of a block that needs a cut, the
-    sort of the relation schemas of the instance that a disjunct with such
-    a block then reads, and ``_merged``'s sort of the intervals of one
-    answer's values when they are two or more.  No block of a coalesced
-    careers result needs a cut; two blocks of ``_unnormalized`` do, for the
-    one query of two atoms."""
+    those of its query check and of its cuts and its coalescing, each over
+    one block or one group, never over the bindings or the answers:
+    ``validate_mapping``'s sorts of the duplicate names of the query's
+    relations, of each relation's attributes and of the query (each call a
+    fixed number of them), ``_apart``'s sort of the distinct intervals of a
+    join block that has two or more, ``build_grid``'s sort of the endpoints
+    of a block that needs a cut, the sort of the relation schemas of the
+    instance that a disjunct with such a block then reads, and
+    ``_merged``'s sort of the intervals of one answer's values when they are
+    two or more.  No block of a coalesced careers result needs a cut; two
+    blocks of ``_unnormalized`` do, for the one query of two atoms."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -237,7 +239,8 @@ def test_naive_eval_sorts_nothing(example1):
 
     concrete, _ = _chase_results(24, example1)
     unnormalized = _unnormalized(example1)
-    per_block = {("_apart", "sorted"), ("_merged", "sorted"), ("build_grid", "sorted"), ("__post_init__", "sorted")}
+    per_block = {("_apart", "sorted"), ("_merged", "sorted"), ("build_grid", "sorted"), ("__post_init__", "sorted"),
+                 ("validate_mapping", "sorted")}
     for inst, cuts in ((concrete, 0), (unnormalized, 2)):
         calls.clear()
         sys.setprofile(profile)
@@ -248,6 +251,7 @@ def test_naive_eval_sorts_nothing(example1):
             sys.setprofile(None)
         assert set(calls) <= per_block, calls
         assert (calls["build_grid", "sorted"], calls["__post_init__", "sorted"]) == (cuts, min(cuts, 1))
+        assert calls["validate_mapping", "sorted"] == len(example1.queries) * (len(inst.schema) + 2)
         assert calls["_apart", "sorted"] + calls["_merged", "sorted"] <= len(inst.facts), calls
 
 
