@@ -69,6 +69,7 @@ from .model import (
     _check_instance,
     _check_kind,
     _coalesce,
+    _mark_checked,
     _new,
     _plan_cuts,
     _refuse_fragments,
@@ -205,16 +206,16 @@ def _st_round(inst: Instance, rules: Sequence[SttTgd],
               target: Iterable[RelationSchema]) -> Instance:
     """Every rule fired at every binding of its body.  Over a concrete
     instance each body reads its join blocks cut (``_join_inputs``): a rule
-    of one atom fires on the facts as they are."""
-    # the caller checked ``inst`` and the rules; a join yields only homomorphisms,
-    # so no binding is re-checked
+    of one atom fires on the facts as they are.  The result is born checked:
+    a firing writes only the values and times of the checked ``inst``, the
+    checked rules' constants, and fresh nulls."""
     facts: set[Fact] = set()
     bodies = _join_inputs([rule.lhs for rule in rules], inst, "the rule bodies")
     for i, (rule, body_inst) in enumerate(zip(rules, bodies)):
         head = _compile_head(rule, i)
         for binding in _formula_homs(rule.lhs, body_inst, None):  # each a fresh dict, extended in place
             _fire(head, binding, facts.add)
-    return Instance(inst.kind, tuple(target), frozenset(facts))
+    return _mark_checked(Instance(inst.kind, tuple(target), frozenset(facts)))
 
 
 def _ordered_pair(x: Value, y: Value) -> tuple[Value, Value]:
@@ -354,7 +355,7 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value, 
     representatives of one closure per time, each to the facts of its time;
     a merge of two distinct constants aborts with a witness.  Only facts
     holding a replaced value are rebuilt, and with none the instance itself
-    is the result.
+    is the result; a rebuilt fact holds values of the checked ``inst``.
 
     Whether a merge conflicts, and the final representatives, do not depend
     on the order of the merges, so they run in set order.  A failure's
@@ -372,7 +373,7 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value, 
         return Success(inst)
     rebuilt = {_new(Fact, (f.relation, tuple([reps_at[f.time].get(v, v) for v in f.values]), f.time))
                for f in replaced}
-    return Success(inst.replace_facts(inst.facts.difference(replaced) | rebuilt))
+    return Success(_mark_checked(inst.replace_facts(inst.facts.difference(replaced) | rebuilt)))
 
 
 def _require(inst: Instance, kind: str, reader: str, what: str, *, complete: bool) -> None:

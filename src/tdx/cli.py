@@ -24,6 +24,7 @@ from .model import (
     CONCRETE,
     Instance,
     Value,
+    _A_KIND,
     _default_horizon,
     _encode,
     _list_text,
@@ -74,7 +75,7 @@ def _diag(message: str, *, error: bool = True) -> None:
 def _load_instance(path: str, kind: str | None = None) -> Instance:
     inst = loads_instance(_read_text(path))
     if kind is not None and inst.kind != kind:
-        raise TdxError(f"{path}: expected a {kind} instance, got {inst.kind}")
+        raise TdxError(f"{path}: expected {_A_KIND[kind]}, got {inst.kind}")
     return inst
 
 

@@ -405,36 +405,31 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     _check_kind(a, ABSTRACT, "find_abstract_hom")
     _check_kind(b, ABSTRACT, "find_abstract_hom")
     _check_pair(a, b)
-    ground, components = _components(a.facts)
+    return _hom(a.facts, b, ordered=True)
+
+
+def _hom(facts: Iterable[Fact], b: Instance, ordered: bool) -> Optional[AbstractHom]:
+    """An abstract homomorphism from the abstract instance of ``facts`` into
+    ``b``, or None; each distinct component key is searched once, with
+    candidates in canonical order if ``ordered``."""
+    ground, components = _components(facts)
     if not b.facts.issuperset(ground):  # constants are fixed, so a ground fact's image is itself
         return None
     indexes: dict = {}
     compiled: dict[tuple, _Compiled] = {}
+    found: dict[_Key, Optional[Binding]] = {}
     hom: AbstractHom = {}
-    for facts in components:
-        key, nulls = _numbered(facts)
-        binding = _component_binding(key, b, indexes, compiled, ordered=True)
+    for component in components:
+        key, nulls = _numbered(component)
+        if key not in found:
+            found[key] = _component_binding(key, b, indexes, compiled, ordered)
+        binding = found[key]
         if binding is None:
             return None
-        t = facts[0].time
+        t = component[0].time
         for k, null in enumerate(nulls):
             hom[null, t] = binding[f"#{k}"]
     return hom
-
-
-def _maps_into(facts: Iterable[Fact], b: Instance) -> bool:
-    """Whether an abstract homomorphism exists from the abstract instance of
-    ``facts`` into ``b``: each component is searched as
-    ``find_abstract_hom`` searches it, once per distinct key, but with
-    candidates in no particular order.  ``equivalent`` has already skipped,
-    uncut, each component with a twin (``_untwinned``)."""
-    ground, components = _components(facts)
-    if not b.facts.issuperset(ground):
-        return False
-    keys = {_numbered(c)[0] for c in components}
-    indexes: dict = {}
-    compiled: dict[tuple, _Compiled] = {}
-    return all(_component_binding(key, b, indexes, compiled, ordered=False) is not None for key in keys)
 
 
 def _view(inst: Instance, horizon: int) -> list[Fact]:
@@ -477,8 +472,7 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     that it covers, and the other side at the same points: within one cell
     the abstract views at any two points are the same but for the time, and
     an abstract homomorphism fixes time points.  Each cut rest is
-    then mapped into the other side's cut (``_maps_into``), one direction
-    each.
+    then mapped into the other side's cut (``_hom``), one direction each.
 
     Checks, in order: each concrete input is well formed; the horizon is a
     finite time point, whatever the kinds of the inputs, and at or above the
@@ -513,6 +507,6 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     for rest, target, firsts, cuts in plans:
         points = {iv: firsts[lo:hi] for iv, (lo, hi) in cuts.items()}
         rest, target = _cut(rest, points), _cut(target, points)
-        if not _maps_into(rest, Instance(ABSTRACT, a.schema, target)):
+        if _hom(rest, Instance(ABSTRACT, a.schema, target), ordered=False) is None:
             return False
     return True

@@ -20,25 +20,28 @@ single-quoted strings; in an atom a constant is its ``str``, a variable a
 Checking is split between syntax and structure.  The parser rejects only what
 the syntax tree cannot hold: bad tokens, ``?`` and ``@`` marking, a literal in
 the temporal slot, duplicate names and a query head redeclared differently.
-Each structural rule (relations on their side and of the right arity, one
-temporal variable kept out of value positions, bound or existential variables,
-key attributes and dependents, head variables in the body) is written once, in
-the per-statement checks at the end of this module.  The parser raises the
-first problem they find at its token; ``validate_mapping`` reports them all
-for mappings built in code, and ``_check_mapping`` raises the first of them
-for the engine, which refuses a mapping built in code that breaks a rule.
-What the parser returns breaks none, so it is marked checked and never
-checked again.  A query is checked on each evaluation, parsed or not, as a
-query over the schema of the instance it reads (``query.naive_eval``).
+Each structural rule (atoms of terms, relations on their side and of the right
+arity, one temporal variable kept out of value positions, bound or existential
+variables, key attributes and dependents, head variables in the body) is
+written once, in the per-statement checks at the end of this module; a term
+is an exact ``str`` or a ``Var`` named by one, and so is a temporal variable.
+The parser raises the first problem they find at its token;
+``validate_mapping`` reports them all for mappings built in code, and
+``_check_mapping`` raises the first of them for the engine.  A mapping is
+checked once, where it enters: what the parser returns, and a code-built
+mapping that ``_check_mapping`` passes, is marked checked
+(``model._mark_checked``).  A query is checked on each evaluation, parsed or
+not, as a query over the schema of the instance it reads
+(``query.naive_eval``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import ParseError, SchemaError
-from .model import RelationSchema, Violation
+from .model import RelationSchema, Violation, _mark_checked
 
 
 @dataclass(frozen=True)
@@ -407,9 +410,8 @@ def parse_mapping(text: str) -> Mapping:
                 q = Ucq(q.name, q.head, q.time_var, (*prev.disjuncts, *q.disjuncts))
             queries[q.name] = q
 
-    m = Mapping(tuple(source), tuple(target), tuple(sttgds), tuple(tkcs), tuple(queries.values()))
-    m.__dict__["_checked"] = True  # breaks no rule: the first problem of each statement was raised
-    return m
+    # breaks no rule: the first problem of each statement was raised
+    return _mark_checked(Mapping(tuple(source), tuple(target), tuple(sttgds), tuple(tkcs), tuple(queries.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +423,18 @@ def parse_mapping(text: str) -> Mapping:
 # temporal term is ``j == len(args)``), a key attribute or head variable name,
 # or None for the statement as a whole.
 _Problem = tuple[str, str, tuple[int, int | None] | str | None]
+
+
+def _term_problems(atoms: Sequence[Atom]) -> list[_Problem]:
+    """Each atom whose args are not a ``tuple`` of terms, each a constant (a
+    ``str``) or a ``Var`` named by a ``str``, or whose temporal variable is
+    not a ``str``, each class exact.  A statement's other rules read only
+    terms, so ``validate_mapping`` checks them only when this finds none."""
+    return [("not-a-term", f"atom {atom.relation!r}{atom.args!r} at {atom.time_var!r}: its args must be a tuple "
+             f"of terms, each a str or a Var named by a str, and its temporal variable a str", (i, None))
+            for i, atom in enumerate(atoms)
+            if atom.args.__class__ is not tuple or atom.time_var.__class__ is not str or any(
+                t.__class__ is not str and not (t.__class__ is Var and t.name.__class__ is str) for t in atom.args)]
 
 
 def _atom_problems(i: int, atom: Atom, time_var: str, here: dict[str, RelationSchema],
@@ -522,10 +536,12 @@ def validate_mapping(m: Mapping) -> list[Violation]:
         out += [Violation("duplicate-attribute", f"relation {r.name!r}: duplicate attribute {a!r}")
                 for a in sorted({a for a in attributes if attributes.count(a) > 1})]
     src, tgt = m.source_by_name, m.target_by_name
-    checks = [(f"rule #{i}", _rule_problems(dep, src, tgt)) for i, dep in enumerate(m.sttgds)]
+    checks = [(f"rule #{i}", _term_problems((*dep.lhs, *dep.rhs)) or _rule_problems(dep, src, tgt))
+              for i, dep in enumerate(m.sttgds)]
     checks += [(f"key #{i} on {tkc.relation!r}", _key_problems(tkc, src, tgt))
                for i, tkc in enumerate(m.tkcs)]
-    checks += [(f"query {q.name!r}", _query_problems(q, src, tgt)) for q in m.queries]
+    checks += [(f"query {q.name!r}", _term_problems([a for body in q.disjuncts for a in body])
+                or _query_problems(q, src, tgt)) for q in m.queries]
     for where, problems in checks:
         out += [Violation(code, f"{where}: {message}") for code, message, _at in problems]
     queries = [q.name for q in m.queries]
@@ -537,8 +553,10 @@ def validate_mapping(m: Mapping) -> list[Violation]:
 def _check_mapping(m: Mapping) -> None:
     """Raise SchemaError with ``validate_mapping(m)[0].message`` if a mapping
     built in code breaks a structural rule, as ``model._check_instance``
-    refuses an instance; a parsed mapping is not checked again."""
+    refuses an instance; a clean one is marked checked, as the parser marks
+    what it returns, and not checked again."""
     if not m.__dict__.get("_checked"):
         problems = validate_mapping(m)
         if problems:
             raise SchemaError(problems[0].message)
+        _mark_checked(m)

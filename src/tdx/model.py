@@ -43,10 +43,10 @@ each by exact class: a fact's values are a ``tuple``, a constant is a
 ``ClopenInterval`` or a non-negative ``int``, never a subclass of one.
 ``validate_instance`` lists every problem, and ``_check_instance``, which
 every function that reads an instance's facts calls, and the writer,
-raises the first; its one-pass screen, ``_plainly_well_formed``, passes
-exactly the instances that break none.  Relation and attribute names are
-exact ``str``, and a relation's attribute names are distinct, which
-``Instance`` itself checks.
+raises the first.  An instance is checked once, where it enters, and then
+marked checked (``_mark_checked``); one the engine builds from checked
+inputs is born checked.  Relation and attribute names are exact ``str``,
+and a relation's attribute names are distinct, which ``Instance`` checks.
 """
 from __future__ import annotations
 
@@ -208,13 +208,8 @@ class Instance:
         return {name: tuple(facts) for name, facts in grouped.items()}
 
     def replace_facts(self, facts: Iterable[Fact]) -> "Instance":
+        """The instance of these facts, not marked checked: it may be ill formed."""
         return Instance(self.kind, self.schema, frozenset(facts))
-
-    @cached_property
-    def _screened(self) -> bool:
-        """Whether the facts pass ``_plainly_well_formed``: an instance is
-        immutable, so ``_check_instance`` screens it once."""
-        return _plainly_well_formed(self.facts, self.kind, {r.name: r.arity for r in self.schema})
 
 
 # ``Fact`` and ``Null`` are named tuples, whose own ``__new__`` is a Python
@@ -223,11 +218,12 @@ class Instance:
 _new = tuple.__new__
 
 
-def _keep_screened(inst: Instance) -> Instance:
-    """``inst``, recorded as passing ``_plainly_well_formed``: for a builder
-    that knows its facts do."""
-    inst.__dict__["_screened"] = True  # where ``cached_property`` keeps its value
-    return inst
+def _mark_checked(x):
+    """``x``, a frozen ``Instance`` or ``mapping_lang.Mapping``, marked as
+    breaking no rule, so that its checker passes it at once; the mark is
+    kept where ``cached_property`` keeps its values."""
+    x.__dict__["_checked"] = True
+    return x
 
 
 # Per view: what a fact's time must be, by exact class (``True == 1``), and its
@@ -262,39 +258,28 @@ def _fact_problems(f: Fact, kind: str, arity: dict[str, int]) -> Iterator[tuple[
             yield "not-a-value", f"{f}: {v!r} is not a constant or a null with a string label"
 
 
-def _plainly_well_formed(facts: Iterable[Fact], kind: str, arity: dict[str, int]) -> bool:
-    """Whether no fact breaks a rule of ``_fact_problems``, checked in one
-    pass: each fact's time is of its view's class (``ClopenInterval``, or a
-    non-negative ``int``), its values are a ``tuple`` that fills its
-    relation, and each value is a ``str`` or a ``Null`` with a ``str``
-    label."""
-    cls = ClopenInterval if kind == CONCRETE else int
-    for f in facts:
-        t, values = f.time, f.values
-        if (t.__class__ is not cls or (cls is int and t < 0) or values.__class__ is not tuple
-                or arity.get(f.relation) != len(values)):
-            return False
-        for v in values:
-            if v.__class__ is not str and not (v.__class__ is Null and v.label.__class__ is str):
-                return False
-    return True
-
-
 def _check_instance(inst: Instance) -> None:
     """Raise SchemaError with ``validate_instance(inst)[0].message``, the
     first problem of the least offending fact (so whatever the set's
     order), if the instance breaks a rule: what every function that reads
-    an instance's facts, and the writer, refuse.  A well-formed instance
-    pays only the screen, once per instance."""
-    if not inst._screened:
-        raise SchemaError(validate_instance(inst)[0].message)
+    an instance's facts, and the writer, refuse.  An instance not yet marked
+    checked is checked in one pass of ``_fact_problems``, and marked if it
+    breaks none."""
+    if not inst.__dict__.get("_checked"):
+        arity = {r.name: r.arity for r in inst.schema}
+        if any(True for f in inst.facts for _ in _fact_problems(f, inst.kind, arity)):
+            raise SchemaError(validate_instance(inst)[0].message)
+        _mark_checked(inst)
+
+
+_A_KIND = {CONCRETE: "a concrete instance", ABSTRACT: "an abstract instance"}
 
 
 def _check_kind(inst: Instance, kind: str, reader: str) -> None:
     """SchemaError unless ``inst`` is of the view that ``reader`` reads: the
     one wording of that rule, for every function that reads only one view."""
     if inst.kind != kind:
-        raise SchemaError(f"{reader} expects a {kind} instance, got {inst.kind}")
+        raise SchemaError(f"{reader} expects {_A_KIND[kind]}, got {inst.kind}")
 
 
 def validate_instance(inst: Instance) -> list[Violation]:
@@ -393,7 +378,7 @@ def sem_instance(inst: Instance, horizon: int) -> Instance:
     if count > MAX_SEM_FACTS:
         raise PreconditionError(f"the abstract view up to horizon {horizon} has {count} facts, "
                                 f"more than the limit of {MAX_SEM_FACTS}")
-    return Instance(ABSTRACT, inst.schema, _cut(inst.facts, points))
+    return _mark_checked(Instance(ABSTRACT, inst.schema, _cut(inst.facts, points)))
 
 
 def _apart(times: Collection[ClopenInterval]) -> bool:
@@ -472,7 +457,7 @@ def _coalesce(inst: Instance) -> Instance:
     facts = _coalesced_facts(inst.facts)
     if facts is None:
         return inst
-    return _keep_screened(Instance(CONCRETE, inst.schema, frozenset(facts)))
+    return _mark_checked(Instance(CONCRETE, inst.schema, frozenset(facts)))
 
 
 def _blocks(facts: Iterable[Fact], tokens: Callable[[Fact], list],
@@ -560,7 +545,7 @@ def _apply_cuts(inst: Instance, plans: list[_Cut]) -> Instance:
     for p in plans:
         facts.difference_update(p.facts)
         facts.update(_cut(p.facts, {iv: split_interval(iv, p.grid[lo:hi]) for iv, (lo, hi) in p.cuts.items()}))
-    return _keep_screened(Instance(CONCRETE, inst.schema, frozenset(facts)))
+    return _mark_checked(Instance(CONCRETE, inst.schema, frozenset(facts)))
 
 
 def normalize_instance(inst: Instance) -> Instance:
@@ -613,8 +598,8 @@ def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Inst
             raise SchemaError(
                 f"relation {r.name!r} declared as {known.all_attributes}, instance has {r.all_attributes}")
     out = Instance(inst.kind, declared, inst.facts)
-    # a screened instance's facts are of its relations, now declared with the same arities
-    return _keep_screened(out) if inst.__dict__.get("_screened") else out
+    # a checked instance's facts are of its relations, now declared with the same arities
+    return _mark_checked(out) if inst.__dict__.get("_checked") else out
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +676,7 @@ def instance_from_json(doc: object) -> Instance:
     exact classes is read by ``_value_from_json``.  A subclass of ``str`` or
     ``int`` (a code-built document can hold one), in a name, a value or a
     time, is read as the value of its class, so every fact read is well
-    formed, and the instance counts as screened.
+    formed, and the instance is marked checked.
     """
     _require(isinstance(doc, dict), "instance", "top level must be a JSON object")
     kind = doc.get("kind")
@@ -756,7 +741,7 @@ def instance_from_json(doc: object) -> Instance:
                 add(_new(Fact, (name, tuple(out), t)))
         except ValueError as exc:
             raise SchemaError(f"{where} fact #{i}: {exc}") from None
-    return _keep_screened(Instance(kind, tuple(schemas), frozenset(facts)))
+    return _mark_checked(Instance(kind, tuple(schemas), frozenset(facts)))
 
 
 def _list_text(items: list[str], indent: str) -> str:

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs the command-line walkthrough of README.md in a temporary copy of
-# tests/fixtures and checks each command's exit code: 0 for every step, 2 for
-# the failing chase at the end, and "equivalent" printed by `equiv`.
+# tests/fixtures and checks each command's exit code: 0 for every step, 1 for
+# the refused `sem` of an abstract instance, 2 for the failing chase at the
+# end, and "equivalent" printed by `equiv`.  No step may print a traceback,
+# since an uncaught exception also exits 1.
 #
 # The arguments are the command that runs tdx, for example:
 #
@@ -29,6 +31,10 @@ expect() {  # the expected exit code, then the arguments of one tdx command
         echo "FAIL: tdx $* exited $got, expected $want" >&2
         cat stderr.txt >&2
         failed=1
+    elif grep -q Traceback stderr.txt; then
+        echo "FAIL: tdx $* printed a traceback" >&2
+        cat stderr.txt >&2
+        failed=1
     else
         echo "ok: tdx $* (exit $got)"
     fi
@@ -45,5 +51,6 @@ if [ "$(cat stdout.txt)" != "equivalent" ]; then
 fi
 expect 0 query -m example1.tdx -i solution.json -q positions -o answers.json
 expect 0 certain -m example1.tdx -i fig1.json -q positions -o certain.json
+expect 1 sem -i asolution.json -o x.json
 expect 2 chase -m example3.tdx -i example3_source.json -o failure.json
 exit $failed

@@ -35,6 +35,7 @@ from tdx import (
     st_round_concrete,
     tkc_round_abstract,
     tkc_round_concrete,
+    validate_instance,
 )
 
 from generators import random_case, random_overlapping_case
@@ -411,13 +412,19 @@ def test_criterion_9_cross_view_at_bench_scale(example1, example3):
                     bench.abstract_doc(bench.EXAMPLE1_SOURCE, sc.source, sc.horizon))
                 concrete, abstract = chase(src, example1), chase(abstract_src, example1)
                 assert isinstance(concrete, Success) and isinstance(abstract, Success)
-                assert sem_instance(concrete.instance, sc.horizon) == abstract.instance
+                expanded = sem_instance(concrete.instance, sc.horizon)
+                assert expanded == abstract.instance
+                # each is born checked, so each must break no rule
+                for inst in (abstract_src, concrete.instance, abstract.instance, expanded):
+                    assert validate_instance(inst) == [], (workload.name, n)
                 for q in example1.queries:
                     assert answers_sem(naive_eval(q, concrete.instance), sc.horizon) == \
                         naive_eval(q, abstract.instance), (workload.name, n, q.name)
                 m = example1 if sc.failing_schema is bench.EXAMPLE1_SOURCE else example3
                 failing = instance_from_json(bench.concrete_doc(sc.failing_schema, sc.failing))
-                for outcome in (chase(failing, m), chase(sem_instance(failing, sc.failing_horizon), m)):
+                failing_abstract = sem_instance(failing, sc.failing_horizon)
+                assert validate_instance(failing_abstract) == [], (workload.name, n)
+                for outcome in (chase(failing, m), chase(failing_abstract, m)):
                     assert isinstance(outcome, Failure), (workload.name, n)
                     assert tuple(sorted(outcome.constants)) == sc.witness, (workload.name, n)
                 checked += 1

@@ -222,7 +222,7 @@ def test_a_fact_of_the_wrong_arity_is_a_schema_error_in_the_hom_search():
 
 def test_kind_and_schema_preconditions(fig1, fig2, fig4):
     for a, b in ((fig1, fig2), (fig2, fig1)):
-        with pytest.raises(SchemaError, match="^find_abstract_hom expects a abstract instance, got concrete$"):
+        with pytest.raises(SchemaError, match="^find_abstract_hom expects an abstract instance, got concrete$"):
             find_abstract_hom(a, b)
     with pytest.raises(SchemaError):
         find_abstract_hom(fig2, fig4)

@@ -228,14 +228,27 @@ def test_parser_and_validate_mapping_agree_on_a_duplicate_attribute():
 
 _S, _T = rel("S", "a", temporal="t"), rel("T", "a", "b", temporal="t")
 _SX = (Atom("S", (Var("x"),), "t"),)
-# Code-built rules and a query that the engine once crashed on (KeyError) or
-# answered with facts outside the target schema.
+# Code-built rules and queries that the engine once crashed on (KeyError,
+# TypeError), answered with facts outside the target schema, or answered
+# with a Success that ``validate_instance`` faults (a head constant 5), each
+# with the code of the first problem ``validate_mapping`` lists.
 ENGINE_PROBES = {
-    "rhs variable neither bound nor existential": (_SX, (Atom("T", (Var("x"), Var("z")), "t"),)),
-    "rhs atom over another temporal variable": (_SX, (Atom("T", (Var("x"), Var("x")), "u"),)),
-    "head variable missing from the body": Ucq("q", ("x", "z"), "t", ((Atom("T", (Var("x"), Var("y")), "t"),),)),
-    "rhs atom of the wrong arity": (_SX, (Atom("T", (Var("x"),), "t"),)),
-    "rhs atom outside the target schema": (_SX, (Atom("U", (Var("x"),), "t"),)),
+    "rhs variable neither bound nor existential":
+        ((_SX, (Atom("T", (Var("x"), Var("z")), "t"),)), "unsafe-variable"),
+    "rhs atom over another temporal variable":
+        ((_SX, (Atom("T", (Var("x"), Var("x")), "u"),)), "temporal-variable"),
+    "head variable missing from the body":
+        (Ucq("q", ("x", "z"), "t", ((Atom("T", (Var("x"), Var("y")), "t"),),)), "head-variable"),
+    "rhs atom of the wrong arity": ((_SX, (Atom("T", (Var("x"),), "t"),)), "arity-mismatch"),
+    "rhs atom outside the target schema": ((_SX, (Atom("U", (Var("x"),), "t"),)), "unknown-relation"),
+    "rhs constant that is not a str": ((_SX, (Atom("T", (Var("x"), 5), "t"),)), "not-a-term"),
+    "temporal variable that is not a str":
+        (((Atom("S", (Var("x"),), 5),), (Atom("T", (Var("x"), Var("x")), 5),)), "not-a-term"),
+    "variable named by an int":
+        (((Atom("S", (Var(0),), "t"), *_SX), (Atom("T", (Var(0), Var("x")), "t"),)), "not-a-term"),
+    "query atom whose args are a list":
+        (Ucq("q", ("x",), "t", ((Atom("T", [Var("x"), Var("y")], "t"), Atom("T", (Var("y"), Var("x")), "t")),)),
+         "not-a-term"),
 }
 
 
@@ -244,7 +257,7 @@ def test_the_engine_refuses_a_code_built_mapping_with_the_first_problem_validate
     """``chase``, ``certain``, ``naive_eval`` and the dependency rounds, in
     both views, refuse a rule or query that ``validate_mapping`` faults, as
     ``SchemaError`` with its first problem."""
-    statement = ENGINE_PROBES[probe]
+    statement, code = ENGINE_PROBES[probe]
     concrete = Instance.concrete([_S], [fact("S", "a", time=iv(0, 2))])
     sources = (concrete, sem_instance(concrete, 2))
     if isinstance(statement, Ucq):
@@ -256,28 +269,32 @@ def test_the_engine_refuses_a_code_built_mapping_with_the_first_problem_validate
         m = Mapping((_S,), (_T,), (SttTgd(*statement, frozenset()),), (), ())
         runs = [lambda src: chase(src, m),
                 lambda src: (st_round_concrete if src.kind == "concrete" else st_round_abstract)(src, m.sttgds, m.target)]
-    first = validate_mapping(m)[0].message
+    first = validate_mapping(m)[0]
+    assert first.code == code
     for src in sources:
         for run in runs:
             with pytest.raises(SchemaError) as err:
                 run(src)
-            assert str(err.value) == first
+            assert str(err.value) == first.message
 
 
 def test_a_parsed_mapping_is_checked_once(example1, fig1, monkeypatch):
     """The parser refused the first problem of each statement, so no command
-    checks a parsed mapping again; a copy built in code is checked on each
-    call.  A query, parsed or not, is checked once per ``naive_eval``, as a
-    query over the schema of the instance it reads."""
+    checks a parsed mapping again; a copy built in code is checked on its
+    first call, and then marked checked too.  A query, parsed or not, is
+    checked once per ``naive_eval``, as a query over the schema of the
+    instance it reads."""
     calls = []
     check = tdx.mapping_lang.validate_mapping
     monkeypatch.setattr(tdx.mapping_lang, "validate_mapping", lambda m: calls.append(m) or check(m))
     q = example1.query("positions")
     certain(q, fig1, example1)
     assert calls == [Mapping((), example1.target, (), (), (q,))]
-    calls.clear()
-    certain(replace(q), fig1, replace(example1))
-    assert calls == [example1, Mapping((), example1.target, (), (), (q,))]
+    copy = replace(example1)
+    for first in (True, False):
+        calls.clear()
+        certain(replace(q), fig1, copy)
+        assert calls == [example1] * first + [Mapping((), example1.target, (), (), (q,))]
 
 
 def test_render_round_trip_running_example(example1, example3):

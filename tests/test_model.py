@@ -315,13 +315,13 @@ _ODD_VALUES = ["x", _Str("x"), 5, (), ("N",), ("N", 3), *[Null(label) for label 
                                     st.sampled_from([5, "xy", None])),
                           st.sampled_from(_ODD_TIMES)), max_size=6))
 def test_the_instance_check_raises_the_first_problem_validate_instance_reports(kind, rows):
-    """The check's screen passes exactly the instances that break no rule,
-    and what the check raises is the first problem ``validate_instance`` lists."""
+    """The check passes, and marks, exactly the instances that break no
+    rule, and what it raises is the first problem ``validate_instance`` lists."""
     inst = Instance(kind, (rel("R", "a"), rel("S", "a", "b")), [Fact(r, values, t) for r, values, t in rows])
     problems = validate_instance(inst)
-    assert inst._screened == (not problems)
     if not problems:
         tdx.model._check_instance(inst)
+        assert inst.__dict__.get("_checked") is True
         return
     with pytest.raises(SchemaError) as err:
         tdx.model._check_instance(inst)
@@ -329,22 +329,23 @@ def test_the_instance_check_raises_the_first_problem_validate_instance_reports(k
 
 
 def test_each_instance_is_screened_once(example1, monkeypatch):
-    """A loaded instance counts as screened, and ``conform_instance`` keeps
-    that, so ``chase`` screens no loaded source.  A source built in code it
-    screens once (``normalize_instance`` reads the same instance); ``certain``
-    screens the chase result once more."""
-    screens = []
-    screen = tdx.model._plainly_well_formed
-    monkeypatch.setattr(tdx.model, "_plainly_well_formed", lambda *args: screens.append(args) or screen(*args))
+    """A loaded instance is born checked, and ``conform_instance`` keeps
+    that, so ``chase`` checks no loaded source; a source built in code it
+    checks in one pass over its facts (``normalize_instance`` reads the same
+    instance).  The chase result is born checked, so ``certain`` checks no
+    more."""
+    checked = []
+    problems = tdx.model._fact_problems
+    monkeypatch.setattr(tdx.model, "_fact_problems", lambda f, *args: checked.append(f) or problems(f, *args))
     for name in ("fig1.json", "fig2.json"):
         loaded = load_fixture_instance(name)
-        for source, own in ((lambda: loaded, 0), (lambda: Instance(loaded.kind, loaded.schema, loaded.facts), 1)):
-            screens.clear()
+        for source, passes in ((lambda: loaded, 0), (lambda: Instance(loaded.kind, loaded.schema, loaded.facts), 1)):
+            checked.clear()
             assert isinstance(chase(source(), example1), Success)
-            assert len(screens) == own
-            screens.clear()
+            assert sorted(checked) == sorted(passes * list(loaded.facts))
+            checked.clear()
             assert certain(example1.query("positions"), source(), example1).rows
-            assert len(screens) == own + 1
+            assert sorted(checked) == sorted(passes * list(loaded.facts))
 
 
 _TIME_CLASS_PROBE = """
@@ -806,15 +807,13 @@ class _Row(dict):
 def test_a_code_built_document_is_read_by_the_general_rules(kind, time, value):
     """A row that is a ``dict`` subclass, or holds a ``str`` or ``int``
     subclass, is read as the general rules read it, each subclass as the
-    value of its class, so the instance is well formed and counts as
-    screened."""
+    value of its class, so the instance is well formed and born checked."""
     doc = {"kind": kind, "relations": {"R": {"attributes": ["a", "time"], "facts": [
         {"values": ["y"], **time}, _Row(values=[value], **time)]}}}
     inst = instance_from_json(doc)
     assert inst == rowwise_instance_from_json(doc)
-    assert inst.__dict__.get("_screened") is True
+    assert inst.__dict__.get("_checked") is True
     assert validate_instance(inst) == []
-    assert Instance(inst.kind, inst.schema, inst.facts)._screened  # the screen, run
     times = [f.time for f in inst.facts]
     assert {type(p) for t in times for p in (t if isinstance(t, tuple) else (t,)) if p != INF} == {int}
 

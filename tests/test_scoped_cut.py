@@ -41,6 +41,7 @@ from tdx import (
     run_cli,
     st_round_concrete,
     tkc_round_concrete,
+    validate_instance,
 )
 from tdx.cli import _failure_text
 from tdx.query import AnswerSet
@@ -91,6 +92,7 @@ def test_scoped_chase_agrees_with_the_globally_normalized_chase(draws):
         want = _outcome(lambda: globally_normalized_chase(src, m))
         assert type(got) is type(want), case
         if isinstance(got, Success):
+            assert validate_instance(got.instance) == [], case  # born checked, so it must break no rule
             assert dumps_instance(got.instance) == dumps_instance(coalesced(want.instance)), case
             for q in m.queries:
                 assert answers_sem(naive_eval(q, got.instance), case.horizon) == \
@@ -123,8 +125,13 @@ def test_the_traced_pass_writes_the_bytes_of_the_commands(draws, tmp_path, capsy
         m, src = case.mapping, case.source
         mapping.write_text(render_mapping(m), encoding="utf-8")
         source.write_text(dumps_instance(src), encoding="utf-8")
-        traced = _outcome(lambda: tkc_round_concrete(
-            st_round_concrete(normalize_instance(src), m.sttgds, m.target), m.tkcs))
+
+        def traced_pass():
+            staged = st_round_concrete(normalize_instance(src), m.sttgds, m.target)
+            assert validate_instance(staged) == [], case  # each round's output is born checked
+            return tkc_round_concrete(staged, m.tkcs)
+
+        traced = _outcome(traced_pass)
         code, text, err = _cli(tmp_path, capsys, "chase", "-m", str(mapping), "-i", str(source))
         if isinstance(traced, KeyNullViolation):
             assert (code, text, err) == (1, "", f"error: {traced}\n"), case
@@ -133,6 +140,7 @@ def test_the_traced_pass_writes_the_bytes_of_the_commands(draws, tmp_path, capsy
             assert (code, text) == (2, _failure_text(traced)), case
             seen["failures"] += 1
         else:
+            assert validate_instance(traced.instance) == [], case
             assert (code, text) == (0, dumps_instance(traced.instance)), case
             seen["results"] += 1
         for q in m.queries:
