@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -55,14 +56,17 @@ def _write_text(path: str, text: str) -> None:
     instead of being truncated to zero on open: on ext4, truncating a file
     to zero queues its pages for writeback (``auto_da_alloc``), and the next
     truncate waits for that disk write, which added tens of milliseconds of
-    variable disk latency to each command that rewrites its output.
+    variable disk latency to each command that rewrites its output.  Only a
+    regular file is cut: a device such as ``/dev/null``, or a pipe, cannot
+    be truncated or sought.
     """
     if path == "-":
         sys.stdout.write(text)
         return
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
         fh.write(text)
-        fh.truncate()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _diag(message: str, *, error: bool = True) -> None:

@@ -24,7 +24,9 @@ Each structural rule (atoms of terms, relations on their side and of the right
 arity, one temporal variable kept out of value positions, bound or existential
 variables, key attributes and dependents, head variables in the body) is
 written once, in the per-statement checks at the end of this module; a term
-is an exact ``str`` or a ``Var`` named by one, and so is a temporal variable.
+is an exact ``str`` or a ``Var`` named by one, and so is a temporal variable,
+and a rule's existentials and a key's attributes are names, each an exact
+``str``.
 The parser raises the first problem they find at its token;
 ``validate_mapping`` reports them all for mappings built in code, and
 ``_check_mapping`` raises the first of them for the engine.  A mapping is
@@ -437,6 +439,17 @@ def _term_problems(atoms: Sequence[Atom]) -> list[_Problem]:
                 t.__class__ is not str and not (t.__class__ is Var and t.name.__class__ is str) for t in atom.args)]
 
 
+def _name_problems(fields: Sequence[tuple[str, object, type]]) -> list[_Problem]:
+    """Each ``(field, names, cls)`` whose names are not a ``cls`` of names,
+    each a ``str``, each class exact: a rule's ``existentials`` and a key's
+    ``key`` are a ``frozenset``, a key's ``dependents`` a ``tuple``.  A
+    statement's other rules sort and compare these names, so
+    ``validate_mapping`` checks them only when this finds none."""
+    return [("not-a-name", f"its {field} must be a {cls.__name__} of names, each a str", None)
+            for field, names, cls in fields
+            if names.__class__ is not cls or any(n.__class__ is not str for n in names)]
+
+
 def _atom_problems(i: int, atom: Atom, time_var: str, here: dict[str, RelationSchema],
                    there: dict[str, RelationSchema], side: str) -> Iterator[_Problem]:
     schema = here.get(atom.relation)
@@ -536,10 +549,12 @@ def validate_mapping(m: Mapping) -> list[Violation]:
         out += [Violation("duplicate-attribute", f"relation {r.name!r}: duplicate attribute {a!r}")
                 for a in sorted({a for a in attributes if attributes.count(a) > 1})]
     src, tgt = m.source_by_name, m.target_by_name
-    checks = [(f"rule #{i}", _term_problems((*dep.lhs, *dep.rhs)) or _rule_problems(dep, src, tgt))
+    checks = [(f"rule #{i}", _term_problems((*dep.lhs, *dep.rhs))
+               + _name_problems([("existentials", dep.existentials, frozenset)]) or _rule_problems(dep, src, tgt))
               for i, dep in enumerate(m.sttgds)]
-    checks += [(f"key #{i} on {tkc.relation!r}", _key_problems(tkc, src, tgt))
-               for i, tkc in enumerate(m.tkcs)]
+    checks += [(f"key #{i} on {tkc.relation!r}",
+                _name_problems([("key", tkc.key, frozenset), ("dependents", tkc.dependents, tuple)])
+                or _key_problems(tkc, src, tgt)) for i, tkc in enumerate(m.tkcs)]
     checks += [(f"query {q.name!r}", _term_problems([a for body in q.disjuncts for a in body])
                 or _query_problems(q, src, tgt)) for q in m.queries]
     for where, problems in checks:

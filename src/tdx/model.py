@@ -33,7 +33,8 @@ relation's facts), are unsorted, and the joins of ``homomorphism`` (and so
 the chase and ``naive_eval``) and the key round read only these.  A reader
 whose result shows an order sorts what it reads itself: ``dumps_instance``,
 the one writer of instance text (``instance_to_json`` reads that text back),
-sorts each relation's facts as it writes them, and ``validate_instance``
+groups each relation's facts by their values tuple as it writes them, and
+renders and sorts each distinct tuple once, and ``validate_instance``
 orders its facts by ``_offender_key``, as it also orders facts that hold
 non-values.
 
@@ -348,9 +349,11 @@ def _grid_cuts(uses: Counter[ClopenInterval], grid: list[int]) -> tuple[dict, in
 
 # The most abstract facts one ``sem_instance`` materializes, or one
 # ``homomorphism.equivalent`` builds.  Measured with tracemalloc (Python 3.11,
-# facts of three values, one a null), an abstract fact takes about 0.36 KB,
-# and about 1.4 KB at the peak of ``tdx sem``, which also builds the JSON
-# text: 250,000 x 1.4 KB is about 0.35 GB.  ``equivalent`` counts only what
+# facts of three values, one a null), an abstract fact takes about 0.36 KB.
+# At the peak of ``tdx sem``, which also builds the JSON text and one list of
+# times per values tuple, it takes about 1.7 KB when each concrete fact spans
+# one point, and 1.1 KB when each spans 20 (60,000 abstract facts each):
+# 250,000 x 1.7 KB is about 0.42 GB.  ``equivalent`` counts only what
 # its remainder's cut builds, not the twins it compares uncut.  Its peak, as
 # it also keys the facts it cuts and indexes them for the search, is about
 # 0.5-0.8 KB per fact cut (measured by cutting the benchmark's careers,
@@ -373,11 +376,12 @@ def sem_instance(inst: Instance, horizon: int) -> Instance:
     _check_instance(inst)
     uses = Counter(f.time for f in inst.facts)
     _check_horizon(horizon, *sorted(uses))
-    points = {iv: interval_points(iv, horizon) for iv in uses}
-    count = sum(n * len(points[iv]) for iv, n in uses.items())
+    # counted by arithmetic: ``len`` of a range longer than sys.maxsize overflows
+    count = sum(n * (min(iv.end, horizon) - iv.start) for iv, n in uses.items())
     if count > MAX_SEM_FACTS:
         raise PreconditionError(f"the abstract view up to horizon {horizon} has {count} facts, "
                                 f"more than the limit of {MAX_SEM_FACTS}")
+    points = {iv: interval_points(iv, horizon) for iv in uses}
     return _mark_checked(Instance(ABSTRACT, inst.schema, _cut(inst.facts, points)))
 
 
@@ -770,8 +774,13 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     ensure_ascii=False) + "\\n"`` of the instance's JSON document, each
     relation's facts in canonical order, with a top-level ``"horizon"``
     member when ``horizon`` is given.  It is written directly from the
-    instance: strings are escaped by the json module's C encoder, and each
-    distinct time and null label is rendered once per call.  Raises
+    instance: strings are escaped by the json module's C encoder.  Each
+    relation's facts are grouped by their values tuple, so only the distinct
+    tuples are sorted (with the ``Null`` comparisons of canonical order) and
+    each tuple's ``"values"`` text is rendered once; a group's times, ints
+    or intervals, sort in C.  Canonical order is (relation, values, time),
+    so each row is the text of its time, rendered once per distinct time
+    and null label per call, joined to its group's values text.  Raises
     SchemaError, as ``_check_instance`` does, for an instance that
     ``validate_instance`` faults.
     """
@@ -780,10 +789,17 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     nulls: dict[str, str] = {}
     relations = []
     for schema in inst.schema:
+        groups: dict[tuple[Value, ...], list[TimeValue]] = {}
+        for _, values, t in inst.facts_by_relation[schema.name]:
+            group = groups.get(values)
+            if group is None:
+                groups[values] = [t]
+            else:
+                group.append(t)
         rows = []
-        for f in sorted(inst.facts_by_relation[schema.name]):
+        for values in sorted(groups):
             texts = []
-            for v in f.values:
+            for v in values:
                 if isinstance(v, str):
                     texts.append(_encode(v))
                 else:
@@ -791,12 +807,14 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
                     if text is None:
                         text = nulls[v.label] = '{\n              "null": ' + _encode(v.label) + "\n            }"
                     texts.append(text)
-            t = f.time
-            time_text = times.get(t)
-            if time_text is None:
-                time_text = times[t] = _time_text(t)
-            rows.append("{\n          " + time_text + ',\n          "values": '
-                        + _list_text(texts, "          ") + "\n        }")
+            values_text = ',\n          "values": ' + _list_text(texts, "          ") + "\n        }"
+            group = groups[values]
+            group.sort()
+            for t in group:
+                time_text = times.get(t)
+                if time_text is None:
+                    time_text = times[t] = "{\n          " + _time_text(t)
+                rows.append(time_text + values_text)
         facts = _list_text(rows, "      ")
         attributes = _list_text([_encode(a) for a in schema.all_attributes], "      ")
         relations.append(f'    {_encode(schema.name)}: {{\n      "attributes": {attributes},\n'

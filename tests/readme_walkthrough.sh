@@ -2,13 +2,14 @@
 # Runs the command-line walkthrough of README.md in a temporary copy of
 # tests/fixtures and checks each command's exit code: 0 for every step, 1 for
 # the refused `sem` of an abstract instance, 2 for the failing chase at the
-# end, and "equivalent" printed by `equiv`.  No step may print a traceback,
-# since an uncaught exception also exits 1.
+# end, and "equivalent" printed by `equiv`.  One `sem` step writes to
+# /dev/null, a device, which must not be truncated as a file is.  No step
+# may print a traceback, since an uncaught exception also exits 1.
 #
 # The arguments are the command that runs tdx, for example:
 #
 #   bash tests/readme_walkthrough.sh tdx
-#   PYTHONPATH=src bash tests/readme_walkthrough.sh python -c "from tdx.cli import main; main()"
+#   PYTHONPATH="$PWD/src" bash tests/readme_walkthrough.sh python -c "from tdx.cli import main; main()"
 set -u
 if [ $# -eq 0 ]; then
     echo "usage: $0 TDX-COMMAND..." >&2
@@ -42,6 +43,7 @@ expect() {  # the expected exit code, then the arguments of one tdx command
 
 expect 0 normalize -i fig1.json -o normalized.json
 expect 0 sem -i fig1.json --horizon 13 -o abstract.json
+expect 0 sem -i fig1.json --horizon 13 -o /dev/null
 expect 0 chase -m example1.tdx -i fig1.json -o solution.json
 expect 0 chase -m example1.tdx -i abstract.json -o asolution.json
 expect 0 equiv -a solution.json -b asolution.json --horizon 13

@@ -32,6 +32,15 @@ def path(workdir, name):
     return str(workdir / name)
 
 
+_TDX = [sys.executable, "-c", "from tdx.cli import main; main()"]
+
+
+def _tdx_env(**extra):
+    """The environment of a ``tdx`` subprocess that imports the package under test."""
+    paths = [str(Path(tdx.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
 def test_normalize(workdir):
     out = path(workdir, "out.json")
     assert run_cli(["normalize", "-i", path(workdir, "fig1.json"), "-o", out]) == 0
@@ -294,12 +303,8 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(argv, tmp_path):
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     runs = []
     for seed in ("1", "2"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "TDX_COLOR": "0",
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(tdx.__file__).parent.parent),
-                                                           os.environ.get("PYTHONPATH")]))}
-        runs.append(subprocess.run(
-            [sys.executable, "-c", "from tdx.cli import main; main()", *argv, "-o", "-"],
-            cwd=FIXTURES, env=env, capture_output=True))
+        runs.append(subprocess.run([*_TDX, *argv, "-o", "-"], cwd=FIXTURES, capture_output=True,
+                                   env=_tdx_env(PYTHONHASHSEED=seed, TDX_COLOR="0")))
     first, second = runs
     assert first.returncode in (0, 2) and first.stdout
     assert (first.returncode, first.stdout, first.stderr) == \
@@ -314,6 +319,21 @@ def test_output_replaces_a_longer_existing_file(workdir):
     out.write_bytes(b"x" * (3 * len(expected)))
     assert run_cli(argv) == 0
     assert out.read_bytes() == expected
+
+
+def test_output_to_a_device_is_written_without_truncating_it(workdir, capsys):
+    # /dev/null is a device: truncating it raises [Errno 22], so only a regular file is truncated
+    assert run(workdir, "chase", "-m", "@example1.tdx", "-i", "@fig1.json", "-o", os.devnull) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_to_a_pipe_is_written_once_and_whole(workdir):
+    # a pipe cannot be sought: truncating it raises [Errno 29], after the whole text is written
+    proc = subprocess.run([*_TDX, "normalize", "-i", path(workdir, "fig1.json"), "-o", "/dev/stdout"],
+                          env=_tdx_env(), capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert loads_instance(proc.stdout.decode()) == load_fixture_instance("fig8.json")
 
 
 def test_certain_evaluates_a_1200_atom_query_body(workdir, capsys):
@@ -353,6 +373,17 @@ def test_sem_beyond_the_fact_limit_is_one_error_line(workdir, capsys):
     err = capsys.readouterr().err
     assert err == ("error: the abstract view up to horizon 100000001 has 100000000 facts, "
                    f"more than the limit of {tdx.MAX_SEM_FACTS}\n")
+
+
+@pytest.mark.parametrize("end, argv, horizon", [('"inf"', ["--horizon", 10**20], 10**20),
+                                                 (10**20, [], 10**20 + 1)])
+def test_sem_of_an_interval_longer_than_sys_maxsize_is_one_error_line(workdir, capsys, end, argv, horizon):
+    # its 10**20 points outnumber sys.maxsize, which len(range(...)) cannot count
+    (workdir / "huge.json").write_text(_LONG.replace("100000000", str(end)))
+    assert run(workdir, "sem", "-i", "@huge.json", "-o", "@out.json", *argv) == 1
+    assert capsys.readouterr() == ("", f"error: the abstract view up to horizon {horizon} has {10**20} facts, "
+                                       f"more than the limit of {tdx.MAX_SEM_FACTS}\n")
+    assert not (workdir / "out.json").exists()
 
 
 def test_equiv_builds_one_point_per_grid_cell(workdir, capsys):

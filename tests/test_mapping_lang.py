@@ -278,6 +278,35 @@ def test_the_engine_refuses_a_code_built_mapping_with_the_first_problem_validate
             assert str(err.value) == first.message
 
 
+_TP = (_SX, (Atom("T", (Var("x"), Var("p")), "t"),))
+# Code-built rules and keys on which ``validate_mapping`` and ``chase`` once
+# raised TypeError (sorting a set that mixes classes), each with the
+# message of the first problem ``validate_mapping`` lists.
+NAME_PROBES = {
+    "existentials that are a list":
+        (SttTgd(*_TP, ["p"]), None, "rule #0: its existentials must be a frozenset of names, each a str"),
+    "existentials that mix classes":
+        (SttTgd(*_TP, frozenset({0, "p"})), None, "rule #0: its existentials must be a frozenset of names, each a str"),
+    "key that mixes classes": (SttTgd(*_TP, frozenset({"p"})), Tkc("T", frozenset({0, "zz"}), ("b",)),
+                               "key #0 on 'T': its key must be a frozenset of names, each a str"),
+    "dependents that are a list": (SttTgd(*_TP, frozenset({"p"})), Tkc("T", frozenset({"a", "t"}), ["b"]),
+                                   "key #0 on 'T': its dependents must be a tuple of names, each a str"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(NAME_PROBES))
+def test_names_that_are_not_a_set_of_str_are_listed_and_refused(probe):
+    rule, key, message = NAME_PROBES[probe]
+    m = Mapping((_S,), (_T,), (rule,), () if key is None else (key,), ())
+    problems = validate_mapping(m)
+    assert [(p.code, p.message) for p in problems] == [("not-a-name", message)]
+    concrete = Instance.concrete([_S], [fact("S", "a", time=iv(0, 2))])
+    for src in (concrete, sem_instance(concrete, 2)):
+        with pytest.raises(SchemaError) as err:
+            chase(src, m)
+        assert str(err.value) == message
+
+
 def test_a_parsed_mapping_is_checked_once(example1, fig1, monkeypatch):
     """The parser refused the first problem of each statement, so no command
     checks a parsed mapping again; a copy built in code is checked on its

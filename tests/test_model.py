@@ -49,7 +49,8 @@ from tdx import (
 import tdx.model
 
 from generators import random_case
-from helpers import FIXTURES, answers_sem, c, fact, in_order, iv, load_fixture_instance, load_fixture_mapping, rel
+from helpers import (FIXTURES, answers_sem, bench_workloads, c, fact, in_order, iv, load_fixture_instance,
+                     load_fixture_mapping, rel)
 from oracles import (expand_instance_by_points, fact_sort_key, instance_doc, is_normalized, json_dumps_instance,
                      rowwise_instance_from_json, value_sort_key)
 
@@ -946,7 +947,7 @@ def _generated_instances(seed: int, count: int):
                 yield out.instance
 
 
-def test_writer_matches_json_dumps_on_fixtures_and_generated_instances():
+def test_writer_matches_json_dumps_on_fixtures_and_generated_instances(example1):
     views = set()
     for path in sorted(FIXTURES.glob("*.json")):
         inst = load_fixture_instance(path.name)
@@ -959,6 +960,15 @@ def test_writer_matches_json_dumps_on_fixtures_and_generated_instances():
             horizon = (max_finite_endpoint(inst) or 0) + 1
             expanded = sem_instance(inst, horizon)
             assert dumps_instance(expanded, horizon) == json_dumps_instance(expanded, horizon)
+    # at bench scale, where an abstract instance repeats each values tuple at up to 17 points:
+    # the seed-1 inputs of every workload at 4S, their sem and its chase
+    bench = bench_workloads()
+    for workload in bench.WORKLOADS.values():
+        sc = workload.generate(workload.sizes[2], random.Random("1:2"))
+        abstract = sem_instance(instance_from_json(bench.concrete_doc(bench.EXAMPLE1_SOURCE, sc.source)), sc.horizon)
+        assert dumps_instance(abstract, sc.horizon) == json_dumps_instance(abstract, sc.horizon), workload.name
+        out = chase(abstract, example1).instance
+        assert dumps_instance(out) == json_dumps_instance(out), workload.name
     assert views == {"concrete", "abstract"}
 
 
@@ -998,17 +1008,20 @@ _SCHEMA = (rel("R", "a", "b"), rel("S", "a"), rel("T"))
 def well_formed_instances(draw):
     """A well-formed instance of either kind: over its core facts, a
     constant and a null at one position, nulls that share a label, and
-    (concrete) intervals with ``inf`` ends; then drawn facts of every
-    relation, each value a constant or a null."""
+    (concrete) intervals with ``inf`` ends, and a null-holding tuple and
+    the nullary one each at two times; then drawn facts of every relation,
+    each value a constant or a null, each values tuple held at one or more
+    drawn times, as an abstract view holds it at each point."""
     kind = draw(st.sampled_from(["concrete", "abstract"]))
     t1, t2 = (iv(2, INF), iv(0, 3)) if kind == "concrete" else (3, 0)
-    facts = [fact("R", "a", Null("N1"), time=t1), fact("R", "a", "N1", time=t1),
-             fact("R", Null("N1"), "b", time=t2), fact("S", Null("N2"), time=t1), fact("T", time=t2)]
+    facts = [fact("R", "a", Null("N1"), time=t1), fact("R", "a", "N1", time=t1), fact("R", "a", Null("N1"), time=t2),
+             fact("R", Null("N1"), "b", time=t2), fact("S", Null("N2"), time=t1), fact("T", time=t2),
+             fact("T", time=t1)]
     for relation, arity in draw(st.lists(st.sampled_from([("R", 2), ("S", 1), ("T", 0)]), max_size=10)):
-        t = draw(intervals if kind == "concrete" else st.integers(0, 5))
         cells = draw(st.lists(st.one_of(st.sampled_from(["", "M", "N1", "b"]), st.builds(Null, labels)),
                               min_size=arity, max_size=arity))
-        facts.append(Fact(relation, tuple(cells), t))
+        for t in draw(st.lists(intervals if kind == "concrete" else st.integers(0, 5), min_size=1, max_size=4)):
+            facts.append(Fact(relation, tuple(cells), t))
     return Instance(kind, _SCHEMA, facts)
 
 
