@@ -33,9 +33,9 @@ fact pair before any replacement happens, so the outcome does not depend on
 step order.  The single steps are the specification the rounds are tested
 against (``tests/oracles.py``: ``st_step`` and ``tkc_step``).  A key group
 of k facts reaches that closure through k-1 pairs, each member paired with
-one hub.  Every round first refuses, with the first problem
-``validate_mapping`` lists, rules and keys built in code that break a
-structural rule (``mapping_lang._check_mapping``).
+one hub.  Every round first refuses its instance, and then rules and keys
+built in code, with the first problem ``validate_instance`` and
+``validate_mapping`` list.
 
 The per-fact work runs through C-level operations where it can: each rule's
 right-hand side is compiled once per round into one ``itemgetter`` per head
@@ -48,9 +48,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import KeyNullViolation, PreconditionError
 from .homomorphism import Binding, _formula_homs, _join_inputs
@@ -66,7 +67,6 @@ from .model import (
     Value,
     _apply_cuts,
     _blocks,
-    _check_instance,
     _check_kind,
     _coalesce,
     _mark_checked,
@@ -378,12 +378,16 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value, 
 
 def _require(inst: Instance, kind: str, reader: str, what: str, *, complete: bool) -> None:
     """The precondition of ``reader``, which its messages call the ``kind``
-    ``what``: a ``kind`` instance (``model._check_kind``), well formed, and
+    ``what``: a well-formed ``kind`` instance (``model._check_kind``), and
     complete if asked."""
     _check_kind(inst, kind, reader)
-    _check_instance(inst)
     if complete and not is_complete(inst):
         raise PreconditionError(f"the {kind} {what} requires a complete instance")
+
+
+def _tuple(statements: Iterable) -> tuple:
+    """A collection as the tuple a mapping holds, for its check to refuse."""
+    return tuple(statements) if isinstance(statements, Iterable) else statements
 
 
 def _checked_st_round(inst: Instance, kind: str, rules: Sequence[SttTgd],
@@ -391,17 +395,18 @@ def _checked_st_round(inst: Instance, kind: str, rules: Sequence[SttTgd],
     """A public dependency round: its precondition, and the rules checked as
     the rules of a mapping from ``inst``'s schema to ``target``."""
     _require(inst, kind, f"st_round_{kind}", "dependency round", complete=True)
-    target = tuple(target)
-    _check_mapping(Mapping(inst.schema, target, tuple(rules), (), ()))
-    return _st_round(inst, rules, target)
+    m = Mapping(inst.schema, _tuple(target), _tuple(rules), (), ())
+    _check_mapping(m)
+    return _st_round(inst, m.sttgds, m.target)
 
 
 def _checked_key_round(inst: Instance, kind: str, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     """A public key round: its precondition, and the keys checked as the
     keys of a mapping into ``inst``'s schema."""
     _require(inst, kind, f"tkc_round_{kind}", "key round", complete=False)
-    _check_mapping(Mapping((), inst.schema, (), tuple(tkcs), ()))
-    return _key_round(inst, tkcs)
+    m = Mapping((), inst.schema, (), _tuple(tkcs), ())
+    _check_mapping(m)
+    return _key_round(inst, m.tkcs)
 
 
 def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],

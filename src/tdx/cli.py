@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .chase import Failure, chase
-from .errors import TdxError
+from .errors import ParseError, TdxError
 from .homomorphism import equivalent
 from .mapping_lang import Mapping, parse_mapping
 from .model import (
@@ -77,14 +77,22 @@ def _diag(message: str, *, error: bool = True) -> None:
 
 
 def _load_instance(path: str, kind: str | None = None) -> Instance:
-    inst = loads_instance(_read_text(path))
+    """The instance at ``path``; a refusal names the path once."""
+    try:
+        inst = loads_instance(_read_text(path))
+    except (TdxError, ValueError) as exc:  # ValueError: JSON syntax or UTF-8 decoding
+        raise TdxError(f"{path}: {exc}") from None
     if kind is not None and inst.kind != kind:
         raise TdxError(f"{path}: expected {_A_KIND[kind]}, got {inst.kind}")
     return inst
 
 
 def _load_mapping(path: str) -> Mapping:
-    return parse_mapping(_read_text(path))
+    """The mapping at ``path``; a refusal names the path once."""
+    try:
+        return parse_mapping(_read_text(path))
+    except (TdxError, ValueError) as exc:
+        raise TdxError(f"{path}:{exc}" if isinstance(exc, ParseError) else f"{path}: {exc}") from None
 
 
 def _failure_text(failure: Failure) -> str:

@@ -302,11 +302,11 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -
 
 
 def _check_pair(a: Instance, b: Instance) -> None:
-    """Two instances to compare share a schema, and each is well formed."""
-    if a.schema != b.schema:
-        raise SchemaError("instances must share a schema")
+    """Two instances to compare are each well formed, and share a schema."""
     _check_instance(a)
     _check_instance(b)
+    if a.schema != b.schema:
+        raise SchemaError("instances must share a schema")
 
 
 # A component compiled once per shape: the steps of its join, and the names of
@@ -396,11 +396,9 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     shape, and each component only binds its constants and time point.
     Returns None when no homomorphism exists.
 
-    Raises SchemaError if ``a`` or ``b`` is not abstract
-    (``model._check_kind``), then, as ``_check_instance`` words it, if
-    either breaks a rule of ``validate_instance``: both are checked before any
-    search, so whether it raises, and what, does not depend on the order in
-    which it meets the facts.
+    Raises SchemaError if ``a`` or then ``b`` is ill formed or not abstract
+    (``model._check_kind``), or if they do not share a schema, all before
+    any search, so what it raises does not depend on the facts' order.
     """
     _check_kind(a, ABSTRACT, "find_abstract_hom")
     _check_kind(b, ABSTRACT, "find_abstract_hom")
@@ -474,17 +472,16 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     an abstract homomorphism fixes time points.  Each cut rest is
     then mapped into the other side's cut (``_hom``), one direction each.
 
-    Checks, in order: each concrete input is well formed; the horizon is a
-    finite time point, whatever the kinds of the inputs, and at or above the
+    Checks, in order: each input is well formed; the horizon is a finite
+    time point, whatever the kinds of the inputs, and at or above the
     endpoints of each concrete one, as ``sem_instance`` checks them; the
-    inputs share a schema and each abstract one is well formed, as
-    ``find_abstract_hom`` checks them.  Then PreconditionError is raised if the
+    inputs share a schema.  Then PreconditionError is raised if the
     cuts would hold more than ``MAX_SEM_FACTS`` facts, counted on the grid
     before any is built.
     """
+    _check_instance(a)
+    _check_instance(b)
     concrete = [inst for inst in (a, b) if inst.kind == CONCRETE]
-    for inst in concrete:
-        _check_instance(inst)
     if horizon is None:
         horizon = _default_horizon(concrete)
     _check_horizon(horizon)

@@ -20,13 +20,11 @@ single-quoted strings; in an atom a constant is its ``str``, a variable a
 Checking is split between syntax and structure.  The parser rejects only what
 the syntax tree cannot hold: bad tokens, ``?`` and ``@`` marking, a literal in
 the temporal slot, duplicate names and a query head redeclared differently.
-Each structural rule (atoms of terms, relations on their side and of the right
-arity, one temporal variable kept out of value positions, bound or existential
+Each structural rule (relations on their side and of the right arity, one
+temporal variable kept out of value positions, bound or existential
 variables, key attributes and dependents, head variables in the body) is
-written once, in the per-statement checks at the end of this module; a term
-is an exact ``str`` or a ``Var`` named by one, and so is a temporal variable,
-and a rule's existentials and a key's attributes are names, each an exact
-``str``.
+written once, in the per-statement checks at the end of this module, which
+run once every part is of a class its field declares (``model._misfit``).
 The parser raises the first problem they find at its token;
 ``validate_mapping`` reports them all for mappings built in code, and
 ``_check_mapping`` raises the first of them for the engine.  A mapping is
@@ -40,10 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union, get_args, get_type_hints
 
 from .errors import ParseError, SchemaError
-from .model import RelationSchema, Violation, _mark_checked
+from .model import RelationSchema, Violation, _mark_checked, _misfit, _refuse_misfit, _wrong_class
 
 
 @dataclass(frozen=True)
@@ -367,6 +365,7 @@ def _parse_query(cur: _Cursor, source: dict[str, RelationSchema],
 
 def parse_mapping(text: str) -> Mapping:
     """Parse mapping text; raises ParseError with a source location on any defect."""
+    _refuse_misfit(text, str, "mapping text")
     statements: list[tuple[str, _Cursor]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize_line(raw, line_no)
@@ -425,29 +424,6 @@ def parse_mapping(text: str) -> Mapping:
 # temporal term is ``j == len(args)``), a key attribute or head variable name,
 # or None for the statement as a whole.
 _Problem = tuple[str, str, tuple[int, int | None] | str | None]
-
-
-def _term_problems(atoms: Sequence[Atom]) -> list[_Problem]:
-    """Each atom whose args are not a ``tuple`` of terms, each a constant (a
-    ``str``) or a ``Var`` named by a ``str``, or whose temporal variable is
-    not a ``str``, each class exact.  A statement's other rules read only
-    terms, so ``validate_mapping`` checks them only when this finds none."""
-    return [("not-a-term", f"atom {atom.relation!r}{atom.args!r} at {atom.time_var!r}: its args must be a tuple "
-             f"of terms, each a str or a Var named by a str, and its temporal variable a str", (i, None))
-            for i, atom in enumerate(atoms)
-            if atom.args.__class__ is not tuple or atom.time_var.__class__ is not str or any(
-                t.__class__ is not str and not (t.__class__ is Var and t.name.__class__ is str) for t in atom.args)]
-
-
-def _name_problems(fields: Sequence[tuple[str, object, type]]) -> list[_Problem]:
-    """Each ``(field, names, cls)`` whose names are not a ``cls`` of names,
-    each a ``str``, each class exact: a rule's ``existentials`` and a key's
-    ``key`` are a ``frozenset``, a key's ``dependents`` a ``tuple``.  A
-    statement's other rules sort and compare these names, so
-    ``validate_mapping`` checks them only when this finds none."""
-    return [("not-a-name", f"its {field} must be a {cls.__name__} of names, each a str", None)
-            for field, names, cls in fields
-            if names.__class__ is not cls or any(n.__class__ is not str for n in names)]
 
 
 def _atom_problems(i: int, atom: Atom, time_var: str, here: dict[str, RelationSchema],
@@ -538,8 +514,38 @@ def _query_problems(q: Ucq, source: dict[str, RelationSchema],
                 yield "head-variable", f"head variable {v!r} does not occur in the body", v
 
 
+# Each collection of a mapping, and what messages call one of its statements.
+_STATEMENTS = {"source": "source relation", "target": "target relation", "sttgds": "rule", "tkcs": "key",
+               "queries": "query"}
+
+
+def _misfits(m: Mapping) -> list[Violation]:
+    """The misfits (``model._misfit``) of ``m``: the first, if ``m`` is not a
+    ``Mapping``; else that of each collection that is not a tuple, and the
+    first of each statement that holds one, named by its index."""
+    root = _misfit((m,), Mapping)
+    if root is None or not root[0]:
+        return [] if root is None else [_wrong_class("mapping", root)]
+    out, hints = [], get_type_hints(Mapping)
+    for field, noun in _STATEMENTS.items():
+        statements, hint = getattr(m, field), hints[field]
+        found = _misfit((statements,), hint, field)
+        if found is not None and found[0] == field:
+            out.append(_wrong_class("mapping", found))
+        elif found is not None:
+            out += [_wrong_class(f"{noun} #{i}", misfit) for i, statement in enumerate(statements)
+                    if (misfit := _misfit((statement,), get_args(hint)[0]))]
+    return out
+
+
 def validate_mapping(m: Mapping) -> list[Violation]:
-    """Every structural problem of a mapping, each distinct one once, prefixed with its statement."""
+    """Every structural problem of a mapping, each distinct one once, prefixed
+    with its statement.  If a part is not of the class its field declares,
+    only those problems are listed, ``wrong-class``, since every other rule
+    reads the shapes."""
+    misfits = _misfits(m)
+    if misfits:
+        return misfits
     out: list[Violation] = []
     names = [r.name for r in (*m.source, *m.target)]
     for name in sorted({n for n in names if names.count(n) > 1}):
@@ -549,14 +555,9 @@ def validate_mapping(m: Mapping) -> list[Violation]:
         out += [Violation("duplicate-attribute", f"relation {r.name!r}: duplicate attribute {a!r}")
                 for a in sorted({a for a in attributes if attributes.count(a) > 1})]
     src, tgt = m.source_by_name, m.target_by_name
-    checks = [(f"rule #{i}", _term_problems((*dep.lhs, *dep.rhs))
-               + _name_problems([("existentials", dep.existentials, frozenset)]) or _rule_problems(dep, src, tgt))
-              for i, dep in enumerate(m.sttgds)]
-    checks += [(f"key #{i} on {tkc.relation!r}",
-                _name_problems([("key", tkc.key, frozenset), ("dependents", tkc.dependents, tuple)])
-                or _key_problems(tkc, src, tgt)) for i, tkc in enumerate(m.tkcs)]
-    checks += [(f"query {q.name!r}", _term_problems([a for body in q.disjuncts for a in body])
-                or _query_problems(q, src, tgt)) for q in m.queries]
+    checks = [(f"rule #{i}", _rule_problems(dep, src, tgt)) for i, dep in enumerate(m.sttgds)]
+    checks += [(f"key #{i} on {tkc.relation!r}", _key_problems(tkc, src, tgt)) for i, tkc in enumerate(m.tkcs)]
+    checks += [(f"query {q.name!r}", _query_problems(q, src, tgt)) for q in m.queries]
     for where, problems in checks:
         out += [Violation(code, f"{where}: {message}") for code, message, _at in problems]
     queries = [q.name for q in m.queries]
@@ -570,7 +571,7 @@ def _check_mapping(m: Mapping) -> None:
     built in code breaks a structural rule, as ``model._check_instance``
     refuses an instance; a clean one is marked checked, as the parser marks
     what it returns, and not checked again."""
-    if not m.__dict__.get("_checked"):
+    if not (type(m) is Mapping and m.__dict__.get("_checked")):
         problems = validate_mapping(m)
         if problems:
             raise SchemaError(problems[0].message)

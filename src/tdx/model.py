@@ -35,19 +35,18 @@ whose result shows an order sorts what it reads itself: ``dumps_instance``,
 the one writer of instance text (``instance_to_json`` reads that text back),
 groups each relation's facts by their values tuple as it writes them, and
 renders and sorts each distinct tuple once, and ``validate_instance``
-orders its facts by ``_offender_key``, as it also orders facts that hold
-non-values.
+orders its problems by their text.
 
-The rules of a well-formed instance are written once, in ``_fact_problems``,
-each by exact class: a fact's values are a ``tuple``, a constant is a
-``str``, a null a ``Null`` with a ``str`` label, and a time a
-``ClopenInterval`` or a non-negative ``int``, never a subclass of one.
+The shape of every input is stated once, in the field annotations of the
+engine's dataclasses and named tuples (``Fact``, ``Instance``, and the
+mapping's classes), and checked by one walker, ``_misfit``: each part is of
+exactly a declared class, never a subclass, which can equal or hash like a
+value of it.  An instance's other rules read only well-shaped facts.
 ``validate_instance`` lists every problem, and ``_check_instance``, which
-every function that reads an instance's facts calls, and the writer,
-raises the first.  An instance is checked once, where it enters, and then
-marked checked (``_mark_checked``); one the engine builds from checked
-inputs is born checked.  Relation and attribute names are exact ``str``,
-and a relation's attribute names are distinct, which ``Instance`` checks.
+every function that reads an instance calls first, raises the first.  An
+instance is checked once, where it enters, and then marked checked
+(``_mark_checked``); one the engine builds from checked inputs is born
+checked.  ``Instance`` checks its schema, each relation once.
 """
 from __future__ import annotations
 
@@ -55,11 +54,13 @@ import json
 import reprlib
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from json.encoder import encode_basestring as _encode
-from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Union
+from functools import cache, cached_property
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_, itemgetter
+from typing import (Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, Union, get_args, get_origin,
+                    get_type_hints)
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
 from .temporal import INF, ClopenInterval, build_grid, interval_points, split_interval
@@ -114,29 +115,6 @@ class Fact(NamedTuple):
         return f"{self.relation}({inner})"
 
 
-def _any_sort_key(v: object) -> tuple:
-    """A total order over any objects, which orders the problems of
-    ``validate_instance``: time points, intervals, constants and nulls, in
-    that order and each kind in canonical order, then every other object by
-    its type's name and ``repr``."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return (0, v)
-    if isinstance(v, ClopenInterval):
-        return (1, v.start, v.end)
-    if isinstance(v, str):
-        return (2, v)
-    if isinstance(v, Null) and isinstance(v.label, str):
-        return (3, v.label)
-    return (4, type(v).__qualname__, repr(v))
-
-
-def _offender_key(f: Fact) -> tuple:
-    """Canonical fact order, extended to a fact of any relation name that
-    holds or is timed by a non-value, or whose values are not a tuple."""
-    values = (0, tuple(map(_any_sort_key, f.values))) if isinstance(f.values, tuple) else (1, _any_sort_key(f.values))
-    return (_any_sort_key(f.relation), values, _any_sort_key(f.time))
-
-
 @dataclass(frozen=True)
 class RelationSchema:
     """Relation signature: non-temporal attributes plus the temporal attribute (last)."""
@@ -160,12 +138,78 @@ class Violation:
     message: str
 
 
+@cache
+def _shape(hint) -> dict[type, tuple]:
+    """Each exact class a part declared ``hint`` may have, in order, with the
+    parts inside it as ``(name, hint, getter)``: each field of a dataclass
+    or named tuple, or, getter None, the items of a ``tuple[X, ...]`` or
+    ``frozenset[X]``.  A ``ClopenInterval`` checks its own fields."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return {cls: inside for arg in args for cls, inside in _shape(arg).items()}
+    if origin in (tuple, frozenset):
+        return {origin: (("", args[0], None),)}
+    named = hasattr(hint, "_fields") and hint is not ClopenInterval
+    fields = get_type_hints(hint).items() if named or is_dataclass(hint) else ()
+    return {hint: tuple((name, h, itemgetter(i) if named else attrgetter(name)) for i, (name, h) in enumerate(fields))}
+
+
+def _misfit(parts: Sequence, hint, path: str = "",
+            columns: dict[str, Sequence] | None = None) -> tuple[str, tuple, object] | None:
+    """The first part, of ``parts`` or inside them, of no class its field
+    declares (``hint``), as (its path, the declared classes, the part).  A
+    field is walked as one column over all the parts, kept in ``columns``.
+    One tuple's items are named by index; in a column of several tuples' or
+    of a frozenset's, whose order the hash seed sets, the least misfit by
+    class name and text is first."""
+    if columns is not None:
+        columns[path] = parts
+    shape = _shape(hint)
+    types = list(map(type, parts))
+    present = set(types)
+    if not present.issubset(shape):
+        return path, tuple(shape), min([p for p in parts if type(p) not in shape],
+                                       key=lambda p: (type(p).__name__, reprlib.repr(p)))
+    for cls, inside in [(cls, inside) for cls, inside in shape.items() if cls in present]:
+        own = parts if len(present) == 1 else list(compress(parts, map(is_, types, repeat(cls))))
+        for name, inner, get in inside:
+            if get is not None:
+                found = _misfit(list(map(get, own)), inner, f"{path}.{name}" if path else name, columns)
+            elif cls is tuple and len(own) == 1:
+                found = next(filter(None, (_misfit((item,), inner, f"{path}[{i}]", columns)
+                                           for i, item in enumerate(own[0]))), None)
+            else:
+                found = _misfit(list(chain.from_iterable(own)), inner, f"{path}[]" if cls is tuple else f"{path} member",
+                                columns)
+            if found is not None:
+                return found
+    return None
+
+
+def _wrong_class(where: str, misfit: tuple[str, tuple, object]) -> Violation:
+    """The problem of a misfit in the part named ``where``; it names the
+    misfit's own class, which the text of a subclass would not show."""
+    path, classes, part = misfit
+    must = " or ".join(("an " if c.__name__[0] in "AEIOaeio" else "a ") + c.__name__ for c in classes)
+    return Violation("wrong-class", f"{where}: {path + ' ' if path else ''}must be {must}, "
+                                    f"got {type(part).__name__} {reprlib.repr(part)}")
+
+
+def _refuse_misfit(part: object, hint, where: str, path: str = "") -> None:
+    """SchemaError naming the first misfit of ``part``, declared ``hint``."""
+    found = _misfit((part,), hint, path)
+    if found is not None:
+        raise SchemaError(_wrong_class(where, found).message)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A finite set of facts per relation, tagged concrete or abstract.
 
     Instances are immutable values; the schema is kept sorted by relation name
-    so that equal instances serialize identically.
+    so that equal instances serialize identically.  The schema is checked
+    here, each relation once, the facts where the instance is read
+    (``_check_instance``).
     """
 
     kind: str
@@ -174,15 +218,20 @@ class Instance:
 
     def __post_init__(self) -> None:
         if self.kind not in (CONCRETE, ABSTRACT):
-            raise ValueError(f"instance kind must be {CONCRETE!r} or {ABSTRACT!r}, got {self.kind!r}")
-        schema = tuple(self.schema)
-        for r in schema:
-            if any(name.__class__ is not str for name in (r.name, *r.all_attributes)):
-                raise SchemaError(f"relation {r.name!r}: a relation or attribute name is not a str")
+            raise SchemaError(f"instance kind must be {CONCRETE!r} or {ABSTRACT!r}, got {self.kind!r}")
+        for name, cls in (("schema", tuple), ("facts", frozenset)):
+            try:
+                object.__setattr__(self, name, cls(getattr(self, name)))
+            except TypeError:  # not a collection, or facts that do not hash
+                raise SchemaError(_wrong_class("instance", (name, (cls,), getattr(self, name))).message) from None
+        fresh = [r for r in self.schema if not (type(r) is RelationSchema and r.__dict__.get("_checked"))]
+        if fresh and _misfit(fresh, RelationSchema) is not None:
+            _refuse_misfit(self.schema, get_type_hints(Instance)["schema"], "instance", "schema")
+        for r in fresh:
             if len(set(r.all_attributes)) != len(r.all_attributes):
                 raise SchemaError(f"relation {r.name!r}: duplicate attribute name")
-        object.__setattr__(self, "schema", tuple(sorted(schema, key=lambda r: r.name)))
-        object.__setattr__(self, "facts", frozenset(self.facts))
+            _mark_checked(r)
+        object.__setattr__(self, "schema", tuple(sorted(self.schema, key=lambda r: r.name)))
         names = [r.name for r in self.schema]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate relation name in instance schema")
@@ -220,83 +269,78 @@ _new = tuple.__new__
 
 
 def _mark_checked(x):
-    """``x``, a frozen ``Instance`` or ``mapping_lang.Mapping``, marked as
-    breaking no rule, so that its checker passes it at once; the mark is
-    kept where ``cached_property`` keeps its values."""
+    """``x``, a frozen ``Instance``, ``RelationSchema`` or
+    ``mapping_lang.Mapping``, marked as breaking no rule, so that its
+    checker passes it at once; the mark is kept in the object's own
+    ``__dict__``, where ``cached_property`` keeps its values."""
     x.__dict__["_checked"] = True
     return x
 
 
-# Per view: what a fact's time must be, by exact class (``True == 1``), and its
-# name in messages.
+# Per view: what a column of fact times must hold, by exact class (``True ==
+# 1``), and its name in messages.
 _TIME_OF = {
-    CONCRETE: (lambda t: t.__class__ is ClopenInterval, "clopen interval"),
-    ABSTRACT: (lambda t: t.__class__ is int and t >= 0, "finite time point"),
+    CONCRETE: (lambda times: set(map(type, times)) <= {ClopenInterval}, "clopen interval"),
+    ABSTRACT: (lambda times: set(map(type, times)) <= {int} and min(times, default=0) >= 0, "finite time point"),
 }
 
 
-def _fact_problems(f: Fact, kind: str, arity: dict[str, int]) -> Iterator[tuple[str, str]]:
-    """Each rule of a well-formed ``kind`` instance that ``f`` breaks, as
-    ``(code, message)``; ``arity`` maps each relation of the schema to its
-    number of non-temporal values.  These are the only rules of an instance,
-    and each names an exact class: an instance of a subclass, which can
-    equal or hash like a value of the class, is none of its values."""
-    if f.values.__class__ is not tuple:
-        yield "not-a-value", f"{f!r}: a fact's values must be a tuple"
-        return
-    n = arity.get(f.relation)
-    if n is None:
-        yield "unknown-relation", f"{f}: relation {f.relation!r} is not in the schema"
-        return
-    if len(f.values) != n:
-        yield "arity-mismatch", f"{f}: relation {f.relation!r} expects {n} non-temporal values, got {len(f.values)}"
-    is_time, time_name = _TIME_OF[kind]
-    if not is_time(f.time):
-        yield "kind-violation", f"{f}: {kind} fact must carry a {time_name}"
-        return
-    for v in f.values:
-        if v.__class__ is not str and not (v.__class__ is Null and v.label.__class__ is str):
-            yield "not-a-value", f"{f}: {v!r} is not a constant or a null with a string label"
-
-
 def _check_instance(inst: Instance) -> None:
-    """Raise SchemaError with ``validate_instance(inst)[0].message``, the
-    first problem of the least offending fact (so whatever the set's
-    order), if the instance breaks a rule: what every function that reads
-    an instance's facts, and the writer, refuse.  An instance not yet marked
-    checked is checked in one pass of ``_fact_problems``, and marked if it
-    breaks none."""
-    if not inst.__dict__.get("_checked"):
-        arity = {r.name: r.arity for r in inst.schema}
-        if any(True for f in inst.facts for _ in _fact_problems(f, inst.kind, arity)):
-            raise SchemaError(validate_instance(inst)[0].message)
-        _mark_checked(inst)
+    """SchemaError with ``validate_instance(inst)[0].message`` if the
+    instance breaks a rule, found on the columns ``_misfit`` walks; else
+    the instance is marked checked."""
+    if type(inst) is Instance and inst.__dict__.get("_checked"):
+        return
+    columns: dict[str, Sequence] = {}
+    if _misfit((inst,), Instance, "", columns) is not None or _breaks_a_rule(inst, *(
+            columns.get(f"facts member.{name}", ()) for name in ("relation", "values", "time"))):
+        raise SchemaError(validate_instance(inst)[0].message)
+    _mark_checked(inst)
+
+
+def _breaks_a_rule(inst: Instance, relations: Sequence[str], values: Sequence[tuple], times: Sequence) -> bool:
+    """Whether the facts of these columns break a rule that
+    ``validate_instance`` words per fact, applied to all of them at once."""
+    arity = {r.name: r.arity for r in inst.schema}
+    return list(map(arity.get, relations)) != list(map(len, values)) or not _TIME_OF[inst.kind][0](times)
 
 
 _A_KIND = {CONCRETE: "a concrete instance", ABSTRACT: "an abstract instance"}
 
 
 def _check_kind(inst: Instance, kind: str, reader: str) -> None:
-    """SchemaError unless ``inst`` is of the view that ``reader`` reads: the
-    one wording of that rule, for every function that reads only one view."""
+    """``_check_instance``, then SchemaError unless ``inst`` is of the view
+    that ``reader`` reads, the one wording of that rule."""
+    _check_instance(inst)
     if inst.kind != kind:
         raise SchemaError(f"{reader} expects {_A_KIND[kind]}, got {inst.kind}")
 
 
 def validate_instance(inst: Instance) -> list[Violation]:
-    """Every problem of an instance, as data: facts in ``_offender_key``
-    order, each fact's problems in the order of the rules, each with its code:
-    ``not-a-value``, values that are not a tuple (no other rule is checked);
-    ``unknown-relation``, a fact of a relation outside the schema (no other
-    rule is checked); ``arity-mismatch``, values that do not fill the
-    relation; ``kind-violation``, a time not of the view's kind (a clopen
-    interval, or a finite time point; then no value is checked);
-    ``not-a-value``, a value neither a ``str`` nor a ``Null`` with a ``str``
-    label.  Each class is exact (see ``_fact_problems``).
-    """
+    """Every problem of an instance, ordered by message, each with its
+    code.  If a part is of no class its field declares (``_misfit``), only
+    those are listed, ``wrong-class``, the first of each fact, named by its
+    ``repr``.  Otherwise a fact, named by its text, may break these rules:
+    ``unknown-relation`` or ``arity-mismatch``, a relation outside the
+    schema or not filled; ``kind-violation``, a time not of the view."""
+    misfit = _misfit((inst,), Instance)
+    if misfit is not None:
+        problems = [_wrong_class(repr(f), found) for f in (inst.facts if type(inst) is Instance else ())
+                    if (found := _misfit((f,), Fact))] or [_wrong_class("instance", misfit)]
+        return sorted(problems, key=attrgetter("message"))
     arity = {r.name: r.arity for r in inst.schema}
-    return [Violation(code, message) for f in sorted(inst.facts, key=_offender_key)
-            for code, message in _fact_problems(f, inst.kind, arity)]
+    is_time, time_name = _TIME_OF[inst.kind]
+    problems = []
+    for f in inst.facts:
+        n = arity.get(f.relation)
+        if n is None:
+            problems.append(Violation("unknown-relation", f"{f}: relation {f.relation!r} is not in the schema"))
+        elif len(f.values) != n:
+            problems.append(Violation("arity-mismatch", f"{f}: relation {f.relation!r} expects {n} non-temporal "
+                                                        f"values, got {len(f.values)}"))
+        if not is_time((f.time,)):
+            problems.append(Violation("kind-violation", f"{f}: {inst.kind} fact must carry a {time_name}"))
+    return sorted(problems, key=attrgetter("message"))
 
 
 def is_complete(inst: Instance) -> bool:
@@ -322,7 +366,7 @@ def _default_horizon(instances: Iterable[Instance]) -> int:
 
 def _check_horizon(horizon: int, *intervals: ClopenInterval) -> None:
     """A horizon is a finite time point at or above every finite endpoint of ``intervals``."""
-    if not _TIME_OF[ABSTRACT][0](horizon):
+    if not _TIME_OF[ABSTRACT][0]((horizon,)):
         raise InvalidHorizonError(f"horizon must be a finite time point, got {horizon!r}")
     for iv in intervals:
         for e in [iv.start] + ([iv.end] if isinstance(iv.end, int) else []):
@@ -366,14 +410,13 @@ def sem_instance(inst: Instance, horizon: int) -> Instance:
     each fact once per time point of its interval below the horizon, so an
     unbounded interval is truncated there.
 
-    Refuses, in order: an abstract instance, and one that breaks a rule
-    (``_check_instance``), with SchemaError; the horizon, checked against
+    Refuses, in order: an instance that breaks a rule or is abstract
+    (``_check_kind``), with SchemaError; the horizon, checked against
     each distinct interval in order (an error names the least interval it
     is below); then, before anything is made, more than ``MAX_SEM_FACTS``
     facts (one per fact and time point), with PreconditionError.
     """
     _check_kind(inst, CONCRETE, "sem_instance")
-    _check_instance(inst)
     uses = Counter(f.time for f in inst.facts)
     _check_horizon(horizon, *sorted(uses))
     # counted by arithmetic: ``len`` of a range longer than sys.maxsize overflows
@@ -560,9 +603,7 @@ def normalize_instance(inst: Instance) -> Instance:
     view at every valid horizon: each distinct interval is cut by
     ``split_interval`` at the grid points inside it, and each piece holds
     the fact's values, as each time point does in ``sem_instance``.  An
-    instance that needs no split is returned as it is.  Raises SchemaError,
-    as ``sem_instance`` does, for an instance that ``validate_instance``
-    faults.
+    instance that needs no split is returned as it is.
 
     A fact becomes one fragment per grid cell it covers, so n nested facts
     ``[i, inf)`` make n(n+1)/2 fragments, n(n-1)/2 more than the facts.  The
@@ -578,7 +619,6 @@ def normalize_instance(inst: Instance) -> Instance:
     themselves take.
     """
     _check_kind(inst, CONCRETE, "normalize_instance")
-    _check_instance(inst)
     plans = _plan_cuts([inst.facts])
     _refuse_fragments("normalization", plans)
     return _apply_cuts(inst, plans)
@@ -587,11 +627,13 @@ def normalize_instance(inst: Instance) -> Instance:
 def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Instance:
     """Re-type an instance against declared schemas, adding missing relations as empty.
 
-    Raises SchemaError if the instance carries a relation the declaration does
-    not know, or one whose attributes disagree with the declaration.
+    Raises SchemaError if the instance breaks a rule (``_check_instance``), or
+    carries a relation the declaration does not know, or one whose
+    attributes disagree with the declaration.
     """
-    declared = tuple(declared)
-    by_name = {r.name: r for r in declared}
+    _check_instance(inst)
+    out = Instance(inst.kind, declared, inst.facts)
+    by_name = out.schema_by_name
     for r in inst.schema:
         known = by_name.get(r.name)
         if known is None:
@@ -601,9 +643,8 @@ def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Inst
         if known != r:
             raise SchemaError(
                 f"relation {r.name!r} declared as {known.all_attributes}, instance has {r.all_attributes}")
-    out = Instance(inst.kind, declared, inst.facts)
-    # a checked instance's facts are of its relations, now declared with the same arities
-    return _mark_checked(out) if inst.__dict__.get("_checked") else out
+    # the facts are of the instance's relations, now declared with the same arities
+    return _mark_checked(out)
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +822,12 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
     or intervals, sort in C.  Canonical order is (relation, values, time),
     so each row is the text of its time, rendered once per distinct time
     and null label per call, joined to its group's values text.  Raises
-    SchemaError, as ``_check_instance`` does, for an instance that
-    ``validate_instance`` faults.
+    SchemaError, as ``_check_instance`` does, and InvalidHorizonError for a
+    horizon that is not a finite time point.
     """
     _check_instance(inst)
+    if horizon is not None:
+        _check_horizon(horizon)
     times: dict[TimeValue, str] = {}
     nulls: dict[str, str] = {}
     relations = []
@@ -825,6 +868,7 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
 
 
 def loads_instance(text: str) -> Instance:
+    _refuse_misfit(text, str, "instance text")
     try:
         doc = json.loads(text)
     except RecursionError:

@@ -21,6 +21,7 @@ from .model import (
     RelationSchema,
     _check_instance,
     _coalesced,
+    _refuse_misfit,
 )
 
 
@@ -88,7 +89,10 @@ def certain(q: Ucq, src: Instance, m: Mapping) -> Union[AnswerSet, NoSolution]:
 
 
 def answers_to_instance(ans: AnswerSet) -> Instance:
-    """Answers as a one-relation instance (complete facts only), for serialization."""
+    """Answers as a one-relation instance (complete facts only), for
+    serialization.  Raises SchemaError if ``ans`` or a part of it is not of
+    the class its field declares."""
+    _refuse_misfit(ans, AnswerSet, "answers")
     schema = RelationSchema(ans.name, ans.columns[:-1], ans.columns[-1])
     facts = {
         Fact(ans.name, row[:-1], row[-1])

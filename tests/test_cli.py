@@ -196,9 +196,25 @@ def test_deeply_nested_json_is_one_error_line(workdir, capsys, argv):
     _write_deep(workdir, 20_000)  # deeper than the json module of any supported Python reads
     assert run(workdir, *argv) == 1
     err = capsys.readouterr().err
-    assert err == "error: instance: JSON is nested too deeply\n"
+    assert err == f"error: {workdir}/deep.json: instance: JSON is nested too deeply\n"
     with pytest.raises(SchemaError):
         loads_instance((workdir / "deep.json").read_text())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ('{"kind": "concrete"}', 'instance: "relations" must be an object'),
+    ("\udcff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["json-syntax", "instance-format", "utf-8"])
+def test_a_loader_error_names_the_file_it_reads(workdir, capsys, text, message):
+    """``equiv`` reads two files, so a refusal names the one refused."""
+    (workdir / "bad.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+    for argv in (("-a", "@fig1.json", "-b", "@bad.json"), ("-a", "@bad.json", "-b", "@fig1.json")):
+        assert run(workdir, "equiv", *argv) == 1
+        assert capsys.readouterr() == ("", f"error: {workdir}/bad.json: {message}\n")
+    (workdir / "m.tdx").write_text("{")
+    assert run(workdir, "chase", "-m", "@m.tdx", "-i", "@fig1.json", "-o", "@out.json") == 1
+    assert capsys.readouterr().err == f"error: {workdir}/m.tdx:1:1: unexpected character '{{'\n"
 
 
 def _write_deep(workdir, depth):
@@ -521,7 +537,7 @@ def test_a_mapping_syntax_error_is_one_located_error_line(workdir, capsys, rule,
     (workdir / "m.tdx").write_text(f"source A(x, @t).\ntarget B(x, @t).\n{rule}\n")
     (workdir / "a.json").write_text('{"kind": "abstract", "relations": {"A": {"attributes": ["x", "t"]}}}')
     assert run(workdir, "chase", "-m", "@m.tdx", "-i", "@a.json", "-o", "@out.json") == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {workdir}/m.tdx:{message}\n"
 
 
 def test_source_attributes_that_differ_from_the_mapping_are_one_error_line(workdir, capsys):

@@ -1,27 +1,53 @@
-"""Mutation fuzzing of the two readers of user text: the instance loader and
-the mapping parser.  Each mutated input either reads as a well-formed value
-or is refused with the reader's one diagnosed error; any other exception is a
-defect.  The loader also reads each mutated document as the row-by-row
-oracle does."""
+"""Mutation fuzzing of the two readers of user text, the instance loader and
+the mapping parser, and type-confusion fuzzing of code-built inputs.  Each
+mutated input either reads as a well-formed value or is refused with the
+reader's one diagnosed error; any other exception is a defect.  The loader
+also reads each mutated document as the row-by-row oracle does.  A code-built
+mapping or instance with one part of another class is read, or refused with
+a ``TdxError``, by every public function that reads one."""
+import dataclasses
 import json
 import re
 
 from hypothesis import given, settings, strategies as st
 
 from tdx import (
+    Atom,
+    ClopenInterval,
+    Fact,
     Instance,
+    Mapping,
+    Null,
     ParseError,
+    RelationSchema,
     SchemaError,
+    TdxError,
+    Var,
+    certain,
+    chase,
+    conform_instance,
     dumps_instance,
+    equivalent,
+    find_abstract_hom,
     instance_from_json,
+    instance_to_json,
+    is_complete,
     loads_instance,
+    max_finite_endpoint,
+    naive_eval,
+    normalize_instance,
     parse_mapping,
+    sem_instance,
+    st_round_abstract,
+    st_round_concrete,
+    tkc_round_abstract,
+    tkc_round_concrete,
     validate_instance,
     validate_mapping,
 )
 
 from generators import render_mapping
-from helpers import FIXTURES
+from helpers import FIXTURES, load_fixture_instance, load_fixture_mapping
 from oracles import rowwise_instance_from_json
 
 _DOCUMENTS = {path.name: json.loads(path.read_text(encoding="utf-8")) for path in sorted(FIXTURES.glob("*.json"))}
@@ -143,3 +169,112 @@ def test_a_mutated_mapping_text_parses_valid_and_round_trips_or_is_a_parse_error
         return
     assert validate_mapping(m) == []
     assert parse_mapping(render_mapping(m)) == m
+
+
+# What a type-confusion mutation puts in place of one part: values of the
+# classes the engine reads, of their near misses, and of none of them.
+_HASHABLE_PARTS = [None, 0, 5, -1, 1.5, True, "", "x", "Emp", b"x", (), ("x",), (5,), frozenset(), frozenset({"x"}),
+                   Null("x"), Null(5), Var("x"), Var(5), ClopenInterval(0, 1), ("Emp", ("x",), 1),
+                   Fact("Emp", ("x",), 1), Atom("Emp", (Var("x"),), "t"), RelationSchema("Emp", ("x",), "t")]
+_PARTS = _HASHABLE_PARTS + [[], ["x"], {"a": 1}, {"x"}]
+
+
+def _parts(node, at=()):
+    """Every path to a part of an engine value, the root first: a field of
+    a dataclass or named tuple, an item of a tuple, a member of a frozenset
+    (keyed by itself).  An interval checks its own fields, so it is one part."""
+    yield at
+    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+        children = [(f.name, getattr(node, f.name)) for f in dataclasses.fields(node)]
+    elif isinstance(node, tuple) and not isinstance(node, ClopenInterval):
+        children = list(zip(node._fields, node)) if hasattr(node, "_fields") else list(enumerate(node))
+    elif isinstance(node, frozenset):
+        children = [(member, member) for member in sorted(node, key=repr)]
+    else:
+        children = []
+    for key, child in children:
+        yield from _parts(child, (*at, key))
+
+
+def _replaced(node, path, value):
+    """``node`` with the part at ``path`` replaced by ``value``, each value on
+    the way rebuilt as its class builds it (a named tuple without its checks,
+    as the engine builds one)."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if dataclasses.is_dataclass(node):
+        return dataclasses.replace(node, **{key: _replaced(getattr(node, key), rest, value)})
+    if isinstance(node, frozenset):
+        return node - {key} | {_replaced(key, rest, value)}
+    if hasattr(node, "_fields"):
+        return tuple.__new__(type(node), [_replaced(v, rest, value) if f == key else v for f, v in zip(node._fields, node)])
+    return tuple(_replaced(v, rest, value) if i == key else v for i, v in enumerate(node))
+
+
+def _confused(data, root):
+    """``root`` with one part, anywhere, replaced by a value of another class
+    (only a hashable one inside a frozenset), or the SchemaError that
+    rebuilding it raised."""
+    path = data.draw(st.sampled_from(list(_parts(root))))
+    inside_a_set = any(isinstance(node, frozenset) for node in _nodes(root, path))
+    value = data.draw(st.sampled_from(_HASHABLE_PARTS if inside_a_set else _PARTS))
+    try:
+        return _replaced(root, path, value)
+    except SchemaError as exc:  # ``Instance`` checks its schema as it is built
+        return exc
+
+
+def _nodes(node, path):
+    """The values on ``path`` from ``node``, the last one's parent last."""
+    for key in path:
+        yield node
+        node = getattr(node, key) if dataclasses.is_dataclass(node) else key if isinstance(node, frozenset) else (
+            node[node._fields.index(key)] if hasattr(node, "_fields") else node[key])
+
+
+def _reads_or_refuses(calls):
+    for call in calls:
+        try:
+            call()
+        except TdxError:
+            pass
+
+
+_EXAMPLE1 = load_fixture_mapping("example1.tdx")
+_FIGS = {name: load_fixture_instance(f"{name}.json") for name in ("fig1", "fig2", "fig3", "fig4")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_reader_of_a_mapping_reads_or_refuses_one_part_of_another_class(data):
+    m = _confused(data, _EXAMPLE1)
+    if isinstance(m, SchemaError):
+        return
+    q = _EXAMPLE1.query("positions")
+    fig1, fig2, fig3, fig4 = _FIGS.values()
+    calls = [lambda: validate_mapping(m), lambda: chase(fig1, m), lambda: chase(fig2, m),
+             lambda: certain(q, fig1, m), lambda: certain(q, fig2, m)]
+    if isinstance(m, Mapping):
+        calls += [lambda: st_round_concrete(fig1, m.sttgds, m.target), lambda: st_round_abstract(fig2, m.sttgds, m.target),
+                  lambda: tkc_round_concrete(fig3, m.tkcs), lambda: tkc_round_abstract(fig4, m.tkcs)]
+        queries = m.queries if isinstance(m.queries, tuple) else (m.queries,)
+        calls += [lambda u=u: naive_eval(u, fig) for u in queries for fig in (fig3, fig4)]
+    _reads_or_refuses(calls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_reader_of_an_instance_reads_or_refuses_one_part_of_another_class(data):
+    name = data.draw(st.sampled_from(sorted(_FIGS)))
+    i = _confused(data, _FIGS[name])
+    if isinstance(i, SchemaError):
+        return
+    m, q, other = _EXAMPLE1, _EXAMPLE1.query("positions"), _FIGS[name]
+    _reads_or_refuses([
+        lambda: validate_instance(i), lambda: dumps_instance(i), lambda: instance_to_json(i), lambda: is_complete(i),
+        lambda: max_finite_endpoint(i), lambda: normalize_instance(i), lambda: sem_instance(i, 20),
+        lambda: conform_instance(i, m.source), lambda: chase(i, m), lambda: certain(q, i, m), lambda: naive_eval(q, i),
+        lambda: find_abstract_hom(i, i), lambda: equivalent(i, other), lambda: equivalent(other, i),
+        lambda: st_round_concrete(i, m.sttgds, m.target), lambda: st_round_abstract(i, m.sttgds, m.target),
+        lambda: tkc_round_concrete(i, m.tkcs), lambda: tkc_round_abstract(i, m.tkcs)])

@@ -241,14 +241,14 @@ ENGINE_PROBES = {
         (Ucq("q", ("x", "z"), "t", ((Atom("T", (Var("x"), Var("y")), "t"),),)), "head-variable"),
     "rhs atom of the wrong arity": ((_SX, (Atom("T", (Var("x"),), "t"),)), "arity-mismatch"),
     "rhs atom outside the target schema": ((_SX, (Atom("U", (Var("x"),), "t"),)), "unknown-relation"),
-    "rhs constant that is not a str": ((_SX, (Atom("T", (Var("x"), 5), "t"),)), "not-a-term"),
+    "rhs constant that is not a str": ((_SX, (Atom("T", (Var("x"), 5), "t"),)), "wrong-class"),
     "temporal variable that is not a str":
-        (((Atom("S", (Var("x"),), 5),), (Atom("T", (Var("x"), Var("x")), 5),)), "not-a-term"),
+        (((Atom("S", (Var("x"),), 5),), (Atom("T", (Var("x"), Var("x")), 5),)), "wrong-class"),
     "variable named by an int":
-        (((Atom("S", (Var(0),), "t"), *_SX), (Atom("T", (Var(0), Var("x")), "t"),)), "not-a-term"),
+        (((Atom("S", (Var(0),), "t"), *_SX), (Atom("T", (Var(0), Var("x")), "t"),)), "wrong-class"),
     "query atom whose args are a list":
         (Ucq("q", ("x",), "t", ((Atom("T", [Var("x"), Var("y")], "t"), Atom("T", (Var("y"), Var("x")), "t")),)),
-         "not-a-term"),
+         "wrong-class"),
 }
 
 
@@ -284,13 +284,13 @@ _TP = (_SX, (Atom("T", (Var("x"), Var("p")), "t"),))
 # message of the first problem ``validate_mapping`` lists.
 NAME_PROBES = {
     "existentials that are a list":
-        (SttTgd(*_TP, ["p"]), None, "rule #0: its existentials must be a frozenset of names, each a str"),
+        (SttTgd(*_TP, ["p"]), None, "rule #0: existentials must be a frozenset, got list ['p']"),
     "existentials that mix classes":
-        (SttTgd(*_TP, frozenset({0, "p"})), None, "rule #0: its existentials must be a frozenset of names, each a str"),
+        (SttTgd(*_TP, frozenset({0, "p"})), None, "rule #0: existentials member must be a str, got int 0"),
     "key that mixes classes": (SttTgd(*_TP, frozenset({"p"})), Tkc("T", frozenset({0, "zz"}), ("b",)),
-                               "key #0 on 'T': its key must be a frozenset of names, each a str"),
+                               "key #0: key member must be a str, got int 0"),
     "dependents that are a list": (SttTgd(*_TP, frozenset({"p"})), Tkc("T", frozenset({"a", "t"}), ["b"]),
-                                   "key #0 on 'T': its dependents must be a tuple of names, each a str"),
+                                   "key #0: dependents must be a tuple, got list ['b']"),
 }
 
 
@@ -299,11 +299,56 @@ def test_names_that_are_not_a_set_of_str_are_listed_and_refused(probe):
     rule, key, message = NAME_PROBES[probe]
     m = Mapping((_S,), (_T,), (rule,), () if key is None else (key,), ())
     problems = validate_mapping(m)
-    assert [(p.code, p.message) for p in problems] == [("not-a-name", message)]
+    assert [(p.code, p.message) for p in problems] == [("wrong-class", message)]
     concrete = Instance.concrete([_S], [fact("S", "a", time=iv(0, 2))])
     for src in (concrete, sem_instance(concrete, 2)):
         with pytest.raises(SchemaError) as err:
             chase(src, m)
+        assert str(err.value) == message
+
+
+def _first(collection, **fields):
+    """``collection`` with its first statement's fields replaced."""
+    return (replace(collection[0], **fields), *collection[1:])
+
+
+# One field of example1's parsed mapping replaced by a value of another class,
+# on which ``validate_mapping`` or ``chase`` once raised TypeError or
+# AttributeError, each with the one problem ``validate_mapping`` lists.
+FIELD_PROBES = {
+    "Mapping.source": (lambda m: replace(m, source=None), "mapping: source must be a tuple, got NoneType None"),
+    "Mapping.target": (lambda m: replace(m, target=["x"]), "mapping: target must be a tuple, got list ['x']"),
+    "Mapping.sttgds": (lambda m: replace(m, sttgds=5), "mapping: sttgds must be a tuple, got int 5"),
+    "Mapping.tkcs": (lambda m: replace(m, tkcs=frozenset({"x"})),
+                     "mapping: tkcs must be a tuple, got frozenset frozenset({'x'})"),
+    "Mapping.queries": (lambda m: replace(m, queries=("x",)), "query #0: must be a Ucq, got str 'x'"),
+    "SttTgd.lhs": (lambda m: replace(m, sttgds=_first(m.sttgds, lhs=None)),
+                   "rule #0: lhs must be a tuple, got NoneType None"),
+    "SttTgd.rhs": (lambda m: replace(m, sttgds=_first(m.sttgds, rhs=b"x")), "rule #0: rhs must be a tuple, got bytes b'x'"),
+    "Tkc.relation": (lambda m: replace(m, tkcs=_first(m.tkcs, relation=["x"])),
+                     "key #0: relation must be a str, got list ['x']"),
+    "Ucq.head": (lambda m: replace(m, queries=_first(m.queries, head=5)), "query #0: head must be a tuple, got int 5"),
+    "Ucq.disjuncts": (lambda m: replace(m, queries=_first(m.queries, disjuncts=("x",))),
+                      "query #0: disjuncts[0] must be a tuple, got str 'x'"),
+    "Atom.relation": (lambda m: replace(m, sttgds=_first(m.sttgds, lhs=_first(m.sttgds[0].lhs, relation={"a": 1}))),
+                      "rule #0: lhs[0].relation must be a str, got dict {'a': 1}"),
+    "RelationSchema.name": (lambda m: replace(m, source=_first(m.source, name=[])),
+                            "source relation #0: name must be a str, got list []"),
+    "RelationSchema.attributes": (lambda m: replace(m, source=_first(m.source, attributes=1.5)),
+                                  "source relation #0: attributes must be a tuple, got float 1.5"),
+    "RelationSchema.temporal": (lambda m: replace(m, target=_first(m.target, temporal=None)),
+                                "target relation #0: temporal must be a str, got NoneType None"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(FIELD_PROBES))
+def test_a_field_of_another_class_is_listed_and_refused(probe, example1, fig1, fig2):
+    build, message = FIELD_PROBES[probe]
+    m = build(example1)
+    assert [(p.code, p.message) for p in validate_mapping(m)] == [("wrong-class", message)]
+    for run in (lambda: chase(fig1, m), lambda: chase(fig2, m), lambda: certain(example1.query("positions"), fig1, m)):
+        with pytest.raises(SchemaError) as err:
+            run()
         assert str(err.value) == message
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import reprlib
 import subprocess
 import sys
 from pathlib import Path
@@ -81,7 +82,8 @@ def test_loaded_nulls_are_annotated_with_their_fact_time():
 def test_context_mismatch_is_reported():
     """A null's context is the time of the fact that holds it, so one label
     in facts of two times is well formed, and a (label, context) pair, the
-    shape of a null annotated with another time, is reported as no value."""
+    shape of a null annotated with another time, is reported as a part of
+    the wrong class."""
     emp = rel("Emp", "name", "position", "company")
     shared = [fact("Emp", "Ada", Null("N"), "IBM", time=iv(8, 10)),
               fact("Emp", "Bob", Null("N"), "IBM", time=iv(10, 12))]
@@ -89,7 +91,7 @@ def test_context_mismatch_is_reported():
     bad = fact("Emp", "Ada", ("N", iv(10, 12)), "IBM", time=iv(8, 10))
     inst = Instance.concrete([emp], [bad])
     codes = [v.code for v in validate_instance(inst)]
-    assert codes == ["not-a-value"]
+    assert codes == ["wrong-class"]
 
 
 def test_kind_violations_are_reported():
@@ -101,19 +103,20 @@ def test_kind_violations_are_reported():
 
 
 def test_an_instance_has_a_known_kind_and_distinct_relation_names():
-    with pytest.raises(ValueError, match="^instance kind must be 'concrete' or 'abstract', got 'timeline'$"):
+    with pytest.raises(SchemaError, match="^instance kind must be 'concrete' or 'abstract', got 'timeline'$"):
         Instance("timeline", (rel("R", "a"),), frozenset())
     with pytest.raises(SchemaError, match="^duplicate relation name in instance schema$"):
         Instance.concrete([rel("R", "a"), rel("R", "b")])
     # a relation or attribute name that is not exactly a ``str``: no rule of
     # ``validate_instance`` lists one, and the writer breaks on it
-    for where, schema in [("relation 5", RelationSchema(5, ("a",), "t")),
-                          ("relation 'R'", RelationSchema(_Str("R"), ("a",), "t")),
-                          ("relation 'R'", RelationSchema("R", ("a", None), "t")),
-                          ("relation 'R'", RelationSchema("R", ("a",), _Str("t")))]:
+    for message, schema in [("schema[1].name must be a str, got int 5", RelationSchema(5, ("a",), "t")),
+                            ("schema[1].name must be a str, got _Str 'R'", RelationSchema(_Str("R"), ("a",), "t")),
+                            ("schema[1].attributes[1] must be a str, got NoneType None",
+                             RelationSchema("R", ("a", None), "t")),
+                            ("schema[1].temporal must be a str, got _Str 't'", RelationSchema("R", ("a",), _Str("t")))]:
         with pytest.raises(SchemaError) as err:
             Instance.abstract([rel("S", "a"), schema])
-        assert str(err.value) == f"{where}: a relation or attribute name is not a str"
+        assert str(err.value) == f"instance: {message}"
 
 
 def test_an_instance_refuses_a_duplicate_attribute_name():
@@ -245,6 +248,13 @@ def _breaking(rule, kind, relation, arity):
         return [Fact(relation, who, at) for who in ("Zed", "Bob")]
     if rule == "values-int":
         return [Fact(relation, k, at) for k in (7, 5)]
+    # a member of the facts that is not a ``Fact``
+    if rule == "member-str":
+        return ["Zed", "Bob"]
+    if rule == "member-int":
+        return [7, 5]
+    if rule == "member-tuple":
+        return [(relation, ("X",) * (arity - 1) + (who,), at) for who in ("Zed", "Bob")]
     first, time, relation, n = {
         "unknown-relation": ("X", at, "Ghost", arity),
         "relation-class": ("X", at, 5, arity),
@@ -261,10 +271,11 @@ def _breaking(rule, kind, relation, arity):
     return [Fact(relation, (first, *["X"] * (n - 2), who), time) for who in ("Zed", "Bob")]
 
 
-_RULES = {"values-str": "not-a-value", "values-int": "not-a-value", "unknown-relation": "unknown-relation",
-          "relation-class": "unknown-relation", "arity": "arity-mismatch", "time-kind": "kind-violation",
-          "non-value": "not-a-value", "str-subclass": "not-a-value", "null-subclass": "not-a-value",
-          "null-context-kind": "not-a-value", "context-mismatch": "not-a-value"}
+_RULES = {"values-str": "wrong-class", "values-int": "wrong-class", "unknown-relation": "unknown-relation",
+          "relation-class": "wrong-class", "arity": "arity-mismatch", "time-kind": "kind-violation",
+          "non-value": "wrong-class", "str-subclass": "wrong-class", "null-subclass": "wrong-class",
+          "null-context-kind": "wrong-class", "context-mismatch": "wrong-class", "member-str": "wrong-class",
+          "member-int": "wrong-class", "member-tuple": "wrong-class"}
 
 
 _CONTRACT = [(rule, *entry) for rule in _RULES for entry in _ENTRY_POINTS]
@@ -279,12 +290,13 @@ def test_every_entry_point_refuses_what_validate_instance_reports_first(rule, en
     entry point that checks an instance, the writers among them.  A constant of a ``str``
     subclass, and a null of a ``Null`` subclass, are not values: at the
     fast paths, which test exact classes, they would crash or be written
-    ill formed."""
+    ill formed.  The first problem is the least by its text, and a fact
+    that holds a part of the wrong class is named by its ``repr``."""
     inst = load_fixture_instance(name)
     breaking = _breaking(rule, inst.kind, relation, inst.schema_by_name[relation].arity)
     bad = inst.replace_facts(inst.facts | set(breaking))
     first = validate_instance(bad)[0]
-    shown = str(breaking[1]) if isinstance(breaking[1].values, tuple) else repr(breaking[1])
+    shown = repr(breaking[1]) if _RULES[rule] == "wrong-class" else str(breaking[1])
     assert first.code == _RULES[rule] and first.message.startswith(f"{shown}: ")
     with pytest.raises(SchemaError) as err:
         run(bad)
@@ -332,21 +344,21 @@ def test_the_instance_check_raises_the_first_problem_validate_instance_reports(k
 def test_each_instance_is_screened_once(example1, monkeypatch):
     """A loaded instance is born checked, and ``conform_instance`` keeps
     that, so ``chase`` checks no loaded source; a source built in code it
-    checks in one pass over its facts (``normalize_instance`` reads the same
-    instance).  The chase result is born checked, so ``certain`` checks no
-    more."""
+    walks once and checks once against the rules (``normalize_instance``
+    reads the same instance).  The chase result is born checked, so
+    ``certain`` checks no more."""
     checked = []
-    problems = tdx.model._fact_problems
-    monkeypatch.setattr(tdx.model, "_fact_problems", lambda f, *args: checked.append(f) or problems(f, *args))
+    breaks = tdx.model._breaks_a_rule
+    monkeypatch.setattr(tdx.model, "_breaks_a_rule", lambda inst, *args: checked.append(inst.facts) or breaks(inst, *args))
     for name in ("fig1.json", "fig2.json"):
         loaded = load_fixture_instance(name)
         for source, passes in ((lambda: loaded, 0), (lambda: Instance(loaded.kind, loaded.schema, loaded.facts), 1)):
             checked.clear()
             assert isinstance(chase(source(), example1), Success)
-            assert sorted(checked) == sorted(passes * list(loaded.facts))
+            assert checked == passes * [loaded.facts]
             checked.clear()
             assert certain(example1.query("positions"), source(), example1).rows
-            assert sorted(checked) == sorted(passes * list(loaded.facts))
+            assert checked == passes * [loaded.facts]
 
 
 _TIME_CLASS_PROBE = """
@@ -393,12 +405,14 @@ def test_a_time_equal_to_a_time_of_another_class_is_a_schema_error_under_every_h
                            text=True, env={**env, "PYTHONHASHSEED": seed}, check=True).stdout.splitlines()
             for seed in ("0", "1", "2", "3", "4", "5")]
     assert all(run == runs[0] for run in runs)
-    concrete = "SchemaError: Employee1(Zed0, X, (8, 10)): concrete fact must carry a clopen interval"
-    abstract = "SchemaError: Emp(Zed, Zed, Zed, False): abstract fact must carry a finite time point"
+    time = "time must be a ClopenInterval or an int, got"
+    concrete = f"SchemaError: Fact(relation='Employee1', values=('Zed0', 'X'), time=(8, 10)): {time} tuple (8, 10)"
+    abstract = f"SchemaError: Fact(relation='Emp', values=('Zed', 'Zed', 'Zed'), time=False): {time} bool False"
     assert runs[0] == [
         *(f"{name} {concrete}" for name in ("chase-concrete", "normalize_instance", "sem_instance")),
-        "naive_eval-concrete SchemaError: Emp(Zed0, X, X, (8, 10)): concrete fact must carry a clopen interval",
-        "chase-abstract SchemaError: Employee1(Zed, Zed, False): abstract fact must carry a finite time point",
+        f"naive_eval-concrete SchemaError: Fact(relation='Emp', values=('Zed0', 'X', 'X'), time=(8, 10)): {time} "
+        "tuple (8, 10)",
+        f"chase-abstract SchemaError: Fact(relation='Employee1', values=('Zed', 'Zed'), time=False): {time} bool False",
         *(f"{name} {abstract}" for name in ("naive_eval-abstract", "find_abstract_hom")),
         f"equivalent-concrete {concrete}",
         f"equivalent-abstract {abstract}",
@@ -412,27 +426,30 @@ def test_a_null_annotated_with_an_equal_time_of_another_class_is_not_annotated_w
     schema = [rel("R", "a")]
     concrete = Fact("R", (Null("N"),), (0, 5))
     inst = Instance.concrete(schema, [concrete])
-    assert [v.code for v in validate_instance(inst)] == ["kind-violation"]
+    assert [v.code for v in validate_instance(inst)] == ["wrong-class"]
     for run in (lambda: sem_instance(inst, 9), lambda: normalize_instance(inst)):
-        with pytest.raises(SchemaError, match=r"^R\(N\^\(0, 5\), \(0, 5\)\): concrete fact must carry a "
-                                              r"clopen interval$"):
+        with pytest.raises(SchemaError) as err:
             run()
+        assert str(err.value) == (f"{concrete!r}: time must be a ClopenInterval or an int, got tuple (0, 5)")
     abstract = Instance.abstract(schema, [Fact("R", (Null("N"),), True)])
-    assert [v.code for v in validate_instance(abstract)] == ["kind-violation"]
-    with pytest.raises(SchemaError, match=r"^R\(N\^True, True\): abstract fact must carry a finite time point$"):
+    assert [v.code for v in validate_instance(abstract)] == ["wrong-class"]
+    with pytest.raises(SchemaError) as err:
         find_abstract_hom(abstract, abstract)
+    assert str(err.value) == ("Fact(relation='R', values=(Null(label='N'),), time=True): time must be a "
+                              "ClopenInterval or an int, got bool True")
 
 
 def test_writers_name_the_least_fact_whose_time_or_null_context_is_not_a_value():
     schema = [rel("R", "a")]
     cases = {
-        "R(x, True): abstract fact must carry a finite time point":
+        "Fact(relation='R', values=('x',), time=True): time must be a ClopenInterval or an int, got bool True":
             [Fact("R", ("x",), True), Fact("R", ("y",), 1.5), fact("R", "z", time=2)],
-        "R(x, s): abstract fact must carry a finite time point": [Fact("R", ("x",), "s")],
-        "R(7^1, 1): Null(label=7) is not a constant or a null with a string label":
+        "Fact(relation='R', values=('x',), time='s'): time must be a ClopenInterval or an int, got str 's'":
+            [Fact("R", ("x",), "s")],
+        "Fact(relation='R', values=(Null(label=7),), time=1): values[0].label must be a str, got int 7":
             [Fact("R", (Null(7),), 1), fact("R", "z", time=2)],
         # a null takes its context from its fact, so a (label, context) pair is no value
-        "R(('N', True), 1): ('N', True) is not a constant or a null with a string label":
+        "Fact(relation='R', values=(('N', True),), time=1): values[0] must be a str or a Null, got tuple ('N', True)":
             [Fact("R", (("N", True),), 1), fact("R", "z", time=2)],
     }
     for message, facts in cases.items():
@@ -447,15 +464,16 @@ def test_writers_name_the_least_fact_whose_time_or_null_context_is_not_a_value()
 def test_writers_name_a_value_that_is_neither_a_constant_nor_a_null():
     inst = Instance.abstract([rel("R", "a")], [Fact("R", (5,), 1), Fact("R", ((),), 1), fact("R", "z", time=1)])
     for write in (dumps_instance, tdx.model.instance_to_json):
-        with pytest.raises(SchemaError, match=r"^R\(5, 1\): 5 is not a constant or a null with a string label$"):
+        with pytest.raises(SchemaError) as err:
             write(inst)
+        assert str(err.value) == "Fact(relation='R', values=((),), time=1): values[0] must be a str or a Null, got tuple ()"
 
 
 def test_validate_instance_reports_a_value_that_is_neither_a_constant_nor_a_null():
     inst = Instance.abstract([rel("R", "a", "b")], [Fact("R", (5, Null(7)), 1), fact("R", "x", "y", time=1)])
     assert [(v.code, v.message) for v in validate_instance(inst)] == [
-        ("not-a-value", "R(5, 7^1, 1): 5 is not a constant or a null with a string label"),
-        ("not-a-value", "R(5, 7^1, 1): Null(label=7) is not a constant or a null with a string label"),
+        ("wrong-class", "Fact(relation='R', values=(5, Null(label=7)), time=1): values[0] must be a str or a Null, "
+                        "got int 5"),
     ]
 
 
@@ -491,17 +509,19 @@ def test_values_are_tuples_with_their_names_fields_and_text():
 
 def test_values_sort_natively_within_a_kind_and_problems_sort_over_any_objects():
     """Within one kind, values sort natively in canonical order: constants
-    before nulls, nulls by label.  ``_any_sort_key`` orders mixed kinds
-    (time points, intervals, constants, nulls) and then every non-value,
-    ``True`` among them, by its type's name and ``repr``."""
+    before nulls, nulls by label.  ``validate_instance`` orders the
+    problems of facts that hold any objects, time points, intervals and
+    ``True`` among them, by their text, whatever the set's order."""
     assert sorted([Null("N"), c("N"), Null("M"), c(""), Null("NA")]) == [
         c(""), c("N"), Null("M"), Null("N"), Null("NA")]
     null, const = Null("A"), c("Z")
     assert (const < null, const <= null, null > const, null >= const) == (True,) * 4
     assert (null < const, null <= const, const > null, const >= null) == (False,) * 4
     values = [Null("N"), c("N"), iv(0, INF), iv(0, 2), 3, 0, Null("M"), True, 1.5, None]
-    assert sorted(values, key=tdx.model._any_sort_key) == [
-        0, 3, iv(0, 2), iv(0, INF), c("N"), Null("M"), Null("N"), None, True, 1.5]
+    problems = validate_instance(Instance.abstract([rel("R", "a")], [Fact("R", (v,), 1) for v in values]))
+    assert [p.message for p in problems] == [
+        f"Fact(relation='R', values=({v!r},), time=1): values[0] must be a str or a Null, got {type(v).__name__} {reprlib.repr(v)}"
+        for v in sorted(values[2:6] + values[7:], key=lambda v: repr(v))]
     with pytest.raises(TypeError):
         value_sort_key(True)
 
@@ -553,7 +573,7 @@ def test_sem_fact_rejects_a_mis_annotated_null():
     than its fact's, is no value."""
     for context in (iv(10, 12), 8):
         f = fact("Emp", "Ada", ("N", context), "IBM", time=iv(8, 10))
-        with pytest.raises(SchemaError, match="is not a constant or a null with a string label$"):
+        with pytest.raises(SchemaError, match=r"values\[1\] must be a str or a Null, got tuple \('N', "):
             sem_fact(f, 13)
 
 
@@ -925,8 +945,9 @@ def test_normalize_rejects_a_mis_annotated_null_of_an_unsplit_fact():
         with pytest.raises(SchemaError) as normalize_error:
             normalize_instance(inst)
         assert str(normalize_error.value) == str(sem_error.value)
-    assert str(normalize_error.value) == ("R(('N', ClopenInterval(start=0, end=3)), [5,9)): ('N', ClopenInterval("
-                                          "start=0, end=3)) is not a constant or a null with a string label")
+    assert str(normalize_error.value) == (
+        "Fact(relation='R', values=(('N', ClopenInterval(start=0, end=3)),), time=ClopenInterval(start=5, end=9)): "
+        "values[0] must be a str or a Null, got tuple ('N', ClopenInterval(start=0, end=3))")
 
 
 def _generated_instances(seed: int, count: int):
