@@ -17,16 +17,16 @@ union; body variables not listed in the head are existential.  Constants are
 single-quoted strings; in an atom a constant is its ``str``, a variable a
 ``Var``.
 
-Checking is split between syntax and structure.  The parser rejects only what
-the syntax tree cannot hold: bad tokens, ``?`` and ``@`` marking, a literal in
-the temporal slot, duplicate names and a query head redeclared differently.
-Each structural rule (relations on their side and of the right arity, one
-temporal variable kept out of value positions, bound or existential
-variables, key attributes and dependents, head variables in the body) is
-written once, in the per-statement checks at the end of this module, which
-run once every part is of a class its field declares (``model._misfit``).
-The parser raises the first problem they find at its token;
-``validate_mapping`` reports them all for mappings built in code, and
+Every part checks the classes of its own fields where it is made
+(``model._Checked``).  Checking is split between syntax and structure.  The
+parser rejects only what the syntax tree cannot hold: bad tokens, ``?`` and
+``@`` marking, a literal in the temporal slot, duplicate names and a query
+head redeclared differently.  Each structural rule (relations on their side
+and of the right arity, one temporal variable kept out of value positions,
+bound or existential variables, key attributes and dependents, head
+variables in the body) is written once, in the per-statement checks at the
+end of this module.  The parser raises the first problem they find at its
+token; ``validate_mapping`` reports them all for mappings built in code, and
 ``_check_mapping`` raises the first of them for the engine.  A mapping is
 checked once, where it enters: what the parser returns, and a code-built
 mapping that ``_check_mapping`` passes, is marked checked
@@ -38,14 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union, get_args, get_type_hints
+from typing import Iterator, Union
 
 from .errors import ParseError, SchemaError
-from .model import RelationSchema, Violation, _mark_checked, _misfit, _refuse_misfit, _wrong_class
+from .model import RelationSchema, Violation, _Checked, _mark_checked, _refuse_class, _wrong_class
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Checked):
     name: str
 
 
@@ -53,7 +53,7 @@ Term = Union[Var, str]  # a variable, or a constant as its string
 
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Checked):
     """One relational atom: non-temporal terms plus the temporal variable (last)."""
 
     relation: str
@@ -62,7 +62,7 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class SttTgd:
+class SttTgd(_Checked):
     """Source-to-target dependency: lhs over the source schema, rhs over the target."""
 
     lhs: tuple[Atom, ...]
@@ -75,7 +75,7 @@ class SttTgd:
 
 
 @dataclass(frozen=True)
-class Tkc:
+class Tkc(_Checked):
     """Temporal key constraint: key attributes (temporal included) determine the rest."""
 
     relation: str
@@ -84,7 +84,7 @@ class Tkc:
 
 
 @dataclass(frozen=True)
-class Ucq:
+class Ucq(_Checked):
     """Union of conjunctive queries; the temporal head variable is always last."""
 
     name: str
@@ -98,7 +98,7 @@ class Ucq:
 
 
 @dataclass(frozen=True)
-class Mapping:
+class Mapping(_Checked):
     source: tuple[RelationSchema, ...]
     target: tuple[RelationSchema, ...]
     sttgds: tuple[SttTgd, ...]
@@ -365,7 +365,7 @@ def _parse_query(cur: _Cursor, source: dict[str, RelationSchema],
 
 def parse_mapping(text: str) -> Mapping:
     """Parse mapping text; raises ParseError with a source location on any defect."""
-    _refuse_misfit(text, str, "mapping text")
+    _refuse_class(text, str, "mapping text")
     statements: list[tuple[str, _Cursor]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize_line(raw, line_no)
@@ -443,7 +443,7 @@ def _atom_problems(i: int, atom: Atom, time_var: str, here: dict[str, RelationSc
         yield ("temporal-variable", f"all atoms must share one temporal variable "
                f"(expected {time_var!r}, got {atom.time_var!r})", (i, len(atom.args)))
     for j, term in enumerate(atom.args):
-        if term == Var(time_var):
+        if type(term) is Var and term.name == time_var:
             yield ("temporal-variable",
                    f"temporal variable {time_var!r} cannot be used in a value position", (i, j))
 
@@ -514,46 +514,16 @@ def _query_problems(q: Ucq, source: dict[str, RelationSchema],
                 yield "head-variable", f"head variable {v!r} does not occur in the body", v
 
 
-# Each collection of a mapping, and what messages call one of its statements.
-_STATEMENTS = {"source": "source relation", "target": "target relation", "sttgds": "rule", "tkcs": "key",
-               "queries": "query"}
-
-
-def _misfits(m: Mapping) -> list[Violation]:
-    """The misfits (``model._misfit``) of ``m``: the first, if ``m`` is not a
-    ``Mapping``; else that of each collection that is not a tuple, and the
-    first of each statement that holds one, named by its index."""
-    root = _misfit((m,), Mapping)
-    if root is None or not root[0]:
-        return [] if root is None else [_wrong_class("mapping", root)]
-    out, hints = [], get_type_hints(Mapping)
-    for field, noun in _STATEMENTS.items():
-        statements, hint = getattr(m, field), hints[field]
-        found = _misfit((statements,), hint, field)
-        if found is not None and found[0] == field:
-            out.append(_wrong_class("mapping", found))
-        elif found is not None:
-            out += [_wrong_class(f"{noun} #{i}", misfit) for i, statement in enumerate(statements)
-                    if (misfit := _misfit((statement,), get_args(hint)[0]))]
-    return out
-
-
 def validate_mapping(m: Mapping) -> list[Violation]:
     """Every structural problem of a mapping, each distinct one once, prefixed
-    with its statement.  If a part is not of the class its field declares,
-    only those problems are listed, ``wrong-class``, since every other rule
-    reads the shapes."""
-    misfits = _misfits(m)
-    if misfits:
-        return misfits
+    with its statement; ``wrong-class`` alone if ``m`` is not a ``Mapping``
+    (each of its parts checked its own fields where it was made)."""
+    if type(m) is not Mapping:
+        return [_wrong_class("mapping", "", (Mapping,), m)]
     out: list[Violation] = []
     names = [r.name for r in (*m.source, *m.target)]
     for name in sorted({n for n in names if names.count(n) > 1}):
         out.append(Violation("duplicate-relation", f"relation {name!r} declared more than once"))
-    for r in (*m.source, *m.target):
-        attributes = r.all_attributes
-        out += [Violation("duplicate-attribute", f"relation {r.name!r}: duplicate attribute {a!r}")
-                for a in sorted({a for a in attributes if attributes.count(a) > 1})]
     src, tgt = m.source_by_name, m.target_by_name
     checks = [(f"rule #{i}", _rule_problems(dep, src, tgt)) for i, dep in enumerate(m.sttgds)]
     checks += [(f"key #{i} on {tkc.relation!r}", _key_problems(tkc, src, tgt)) for i, tkc in enumerate(m.tkcs)]

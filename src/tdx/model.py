@@ -38,15 +38,15 @@ renders and sorts each distinct tuple once, and ``validate_instance``
 orders its problems by their text.
 
 The shape of every input is stated once, in the field annotations of the
-engine's dataclasses and named tuples (``Fact``, ``Instance``, and the
-mapping's classes), and checked by one walker, ``_misfit``: each part is of
-exactly a declared class, never a subclass, which can equal or hash like a
-value of it.  An instance's other rules read only well-shaped facts.
-``validate_instance`` lists every problem, and ``_check_instance``, which
-every function that reads an instance calls first, raises the first.  An
-instance is checked once, where it enters, and then marked checked
-(``_mark_checked``); one the engine builds from checked inputs is born
-checked.  ``Instance`` checks its schema, each relation once.
+engine's dataclasses and named tuples, and each part is checked where it is
+made, one level deep (``_Checked``): each field, and each item of a
+collection field, is of exactly a declared class, never a subclass, which
+can equal or hash like a value of it.  The facts, named tuples the engine
+makes in C, are checked where an instance is read: ``validate_instance``
+lists every problem, and ``_check_instance``, which every function that
+reads an instance calls first, raises the first.  An instance is checked
+once, where it enters, and then marked checked (``_mark_checked``); one the
+engine builds from checked inputs is born checked.
 """
 from __future__ import annotations
 
@@ -54,13 +54,11 @@ import json
 import reprlib
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
 from functools import cache, cached_property
-from itertools import chain, compress, repeat
-from operator import attrgetter, is_, itemgetter
-from typing import (Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, Union, get_args, get_origin,
-                    get_type_hints)
+from operator import attrgetter, itemgetter
+from typing import Callable, Collection, Iterable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
 from .temporal import INF, ClopenInterval, build_grid, interval_points, split_interval
@@ -116,12 +114,108 @@ class Fact(NamedTuple):
 
 
 @dataclass(frozen=True)
-class RelationSchema:
+class Violation:
+    code: str
+    message: str
+
+
+@cache
+def _classes(hint) -> dict[type, dict | None]:
+    """The exact classes a part declared ``hint`` may have, each with the
+    ``_classes`` of its items for a ``tuple[X, ...]`` or ``frozenset[X]``;
+    named tuples in a collection (facts) are checked where they are read."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return {cls: items for arg in args for cls, items in _classes(arg).items()}
+    if origin in (tuple, frozenset):
+        return {origin: None if hasattr(args[0], "_fields") else _classes(args[0])}
+    return {hint: None}
+
+
+@cache
+def _fields(cls: type) -> tuple[tuple[str, dict], ...]:
+    """Each field of a dataclass or named tuple, with its ``_classes``."""
+    return tuple((name, _classes(hint)) for name, hint in get_type_hints(cls).items())
+
+
+def _misplaced(part: object, classes: dict) -> tuple[str, dict, object] | None:
+    """(path, classes, misfit): ``part`` if it is of no class of
+    ``classes``, else the first such item of a tuple (by index) or the least
+    of a frozenset (by class name and text, since the hash seed sets its
+    order).  No other part is looked into: it checked itself when made."""
+    cls = type(part)
+    if cls not in classes:
+        return "", classes, part
+    if classes[cls] is None:
+        return None
+    found = [((f"[{i}]" if cls is tuple else " member") + misfit[0], *misfit[1:])
+             for i, item in enumerate(part) if (misfit := _misplaced(item, classes[cls]))]
+    if not found:
+        return None
+    return min(found, key=lambda m: (type(m[2]).__name__, reprlib.repr(m[2]))) if cls is frozenset else found[0]
+
+
+def _misplaced_field(part: object) -> tuple[str, dict, object] | None:
+    """``_misplaced`` of the first field of ``part`` that holds a misfit, led
+    by the field's name; a named tuple of another field count is one."""
+    fields = _fields(type(part))
+    if hasattr(part, "_fields") and len(part) != len(fields):
+        return "", {type(part): None}, part
+    return next(((name + misfit[0], *misfit[1:]) for name, classes in fields
+                 if (misfit := _misplaced(getattr(part, name), classes))), None)
+
+
+def _shown(part: object) -> str:
+    """``repr(part)``, or, where it fails on a named tuple of another field
+    count, the part's class and its items shown."""
+    try:
+        return repr(part)
+    except TypeError:
+        items = ", ".join(map(_shown, part)) + ("," if len(part) == 1 and type(part) is tuple else "")
+        return f"{'' if type(part) is tuple else type(part).__name__}({items})"
+
+
+def _wrong_class(where: str, path: str, classes: Iterable[type], part: object) -> Violation:
+    """The problem of a misfit ``part`` at ``path`` in ``where``: it names
+    the part's own class, which a subclass's text would not show, or, for a
+    named tuple of one of ``classes``, its field count."""
+    at = f"{where}: {path + ' ' if path else ''}"
+    if type(part) in classes:
+        return Violation("wrong-class", f"{at}field count must be {len(part._fields)}, got {len(part)}")
+    must = " or ".join(("an " if c.__name__[0] in "AEIOaeio" else "a ") + c.__name__ for c in classes)
+    return Violation("wrong-class", f"{at}must be {must}, got {type(part).__name__} {reprlib.repr(part)}")
+
+
+def _refuse_class(part: object, cls: type, where: str) -> None:
+    """SchemaError unless ``part``, which no constructor checked, is a ``cls``."""
+    if type(part) is not cls:
+        raise SchemaError(_wrong_class(where, "", (cls,), part).message)
+
+
+class _Checked:
+    """A dataclass of the engine, which checks its fields where it is made:
+    each field, and each item of a collection field, is of exactly a class
+    its annotation declares (not a subclass, which can equal or hash like a
+    value of it), or SchemaError names the class and the field."""
+
+    def __post_init__(self) -> None:
+        misfit = _misplaced_field(self)
+        if misfit is not None:
+            raise SchemaError(_wrong_class(type(self).__name__, *misfit).message)
+
+
+@dataclass(frozen=True)
+class RelationSchema(_Checked):
     """Relation signature: non-temporal attributes plus the temporal attribute (last)."""
 
     name: str
     attributes: tuple[str, ...]
     temporal: str
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(set(self.all_attributes)) != len(self.all_attributes):
+            raise SchemaError(f"relation {self.name!r}: duplicate attribute name")
 
     @property
     def arity(self) -> int:
@@ -133,83 +227,12 @@ class RelationSchema:
 
 
 @dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-
-
-@cache
-def _shape(hint) -> dict[type, tuple]:
-    """Each exact class a part declared ``hint`` may have, in order, with the
-    parts inside it as ``(name, hint, getter)``: each field of a dataclass
-    or named tuple, or, getter None, the items of a ``tuple[X, ...]`` or
-    ``frozenset[X]``.  A ``ClopenInterval`` checks its own fields."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:
-        return {cls: inside for arg in args for cls, inside in _shape(arg).items()}
-    if origin in (tuple, frozenset):
-        return {origin: (("", args[0], None),)}
-    named = hasattr(hint, "_fields") and hint is not ClopenInterval
-    fields = get_type_hints(hint).items() if named or is_dataclass(hint) else ()
-    return {hint: tuple((name, h, itemgetter(i) if named else attrgetter(name)) for i, (name, h) in enumerate(fields))}
-
-
-def _misfit(parts: Sequence, hint, path: str = "",
-            columns: dict[str, Sequence] | None = None) -> tuple[str, tuple, object] | None:
-    """The first part, of ``parts`` or inside them, of no class its field
-    declares (``hint``), as (its path, the declared classes, the part).  A
-    field is walked as one column over all the parts, kept in ``columns``.
-    One tuple's items are named by index; in a column of several tuples' or
-    of a frozenset's, whose order the hash seed sets, the least misfit by
-    class name and text is first."""
-    if columns is not None:
-        columns[path] = parts
-    shape = _shape(hint)
-    types = list(map(type, parts))
-    present = set(types)
-    if not present.issubset(shape):
-        return path, tuple(shape), min([p for p in parts if type(p) not in shape],
-                                       key=lambda p: (type(p).__name__, reprlib.repr(p)))
-    for cls, inside in [(cls, inside) for cls, inside in shape.items() if cls in present]:
-        own = parts if len(present) == 1 else list(compress(parts, map(is_, types, repeat(cls))))
-        for name, inner, get in inside:
-            if get is not None:
-                found = _misfit(list(map(get, own)), inner, f"{path}.{name}" if path else name, columns)
-            elif cls is tuple and len(own) == 1:
-                found = next(filter(None, (_misfit((item,), inner, f"{path}[{i}]", columns)
-                                           for i, item in enumerate(own[0]))), None)
-            else:
-                found = _misfit(list(chain.from_iterable(own)), inner, f"{path}[]" if cls is tuple else f"{path} member",
-                                columns)
-            if found is not None:
-                return found
-    return None
-
-
-def _wrong_class(where: str, misfit: tuple[str, tuple, object]) -> Violation:
-    """The problem of a misfit in the part named ``where``; it names the
-    misfit's own class, which the text of a subclass would not show."""
-    path, classes, part = misfit
-    must = " or ".join(("an " if c.__name__[0] in "AEIOaeio" else "a ") + c.__name__ for c in classes)
-    return Violation("wrong-class", f"{where}: {path + ' ' if path else ''}must be {must}, "
-                                    f"got {type(part).__name__} {reprlib.repr(part)}")
-
-
-def _refuse_misfit(part: object, hint, where: str, path: str = "") -> None:
-    """SchemaError naming the first misfit of ``part``, declared ``hint``."""
-    found = _misfit((part,), hint, path)
-    if found is not None:
-        raise SchemaError(_wrong_class(where, found).message)
-
-
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Checked):
     """A finite set of facts per relation, tagged concrete or abstract.
 
     Instances are immutable values; the schema is kept sorted by relation name
     so that equal instances serialize identically.  The schema is checked
-    here, each relation once, the facts where the instance is read
-    (``_check_instance``).
+    here, the facts where the instance is read (``_check_instance``).
     """
 
     kind: str
@@ -223,14 +246,8 @@ class Instance:
             try:
                 object.__setattr__(self, name, cls(getattr(self, name)))
             except TypeError:  # not a collection, or facts that do not hash
-                raise SchemaError(_wrong_class("instance", (name, (cls,), getattr(self, name))).message) from None
-        fresh = [r for r in self.schema if not (type(r) is RelationSchema and r.__dict__.get("_checked"))]
-        if fresh and _misfit(fresh, RelationSchema) is not None:
-            _refuse_misfit(self.schema, get_type_hints(Instance)["schema"], "instance", "schema")
-        for r in fresh:
-            if len(set(r.all_attributes)) != len(r.all_attributes):
-                raise SchemaError(f"relation {r.name!r}: duplicate attribute name")
-            _mark_checked(r)
+                raise SchemaError(_wrong_class("Instance", name, (cls,), getattr(self, name)).message) from None
+        super().__post_init__()
         object.__setattr__(self, "schema", tuple(sorted(self.schema, key=lambda r: r.name)))
         names = [r.name for r in self.schema]
         if len(set(names)) != len(names):
@@ -269,40 +286,31 @@ _new = tuple.__new__
 
 
 def _mark_checked(x):
-    """``x``, a frozen ``Instance``, ``RelationSchema`` or
-    ``mapping_lang.Mapping``, marked as breaking no rule, so that its
-    checker passes it at once; the mark is kept in the object's own
-    ``__dict__``, where ``cached_property`` keeps its values."""
+    """``x``, a frozen ``Instance`` or ``mapping_lang.Mapping``, marked as
+    breaking no rule, so that its checker passes it at once; the mark is
+    kept in the object's own ``__dict__``, where ``cached_property`` keeps
+    its values."""
     x.__dict__["_checked"] = True
     return x
 
 
-# Per view: what a column of fact times must hold, by exact class (``True ==
-# 1``), and its name in messages.
+# Per view: whether a fact time is of it, by exact class (``True == 1``), and
+# its name in messages.
 _TIME_OF = {
-    CONCRETE: (lambda times: set(map(type, times)) <= {ClopenInterval}, "clopen interval"),
-    ABSTRACT: (lambda times: set(map(type, times)) <= {int} and min(times, default=0) >= 0, "finite time point"),
+    CONCRETE: (lambda t: type(t) is ClopenInterval, "clopen interval"),
+    ABSTRACT: (lambda t: type(t) is int and t >= 0, "finite time point"),
 }
 
 
 def _check_instance(inst: Instance) -> None:
     """SchemaError with ``validate_instance(inst)[0].message`` if the
-    instance breaks a rule, found on the columns ``_misfit`` walks; else
-    the instance is marked checked."""
+    instance breaks a rule; else the instance is marked checked."""
     if type(inst) is Instance and inst.__dict__.get("_checked"):
         return
-    columns: dict[str, Sequence] = {}
-    if _misfit((inst,), Instance, "", columns) is not None or _breaks_a_rule(inst, *(
-            columns.get(f"facts member.{name}", ()) for name in ("relation", "values", "time"))):
-        raise SchemaError(validate_instance(inst)[0].message)
+    problems = validate_instance(inst)
+    if problems:
+        raise SchemaError(problems[0].message)
     _mark_checked(inst)
-
-
-def _breaks_a_rule(inst: Instance, relations: Sequence[str], values: Sequence[tuple], times: Sequence) -> bool:
-    """Whether the facts of these columns break a rule that
-    ``validate_instance`` words per fact, applied to all of them at once."""
-    arity = {r.name: r.arity for r in inst.schema}
-    return list(map(arity.get, relations)) != list(map(len, values)) or not _TIME_OF[inst.kind][0](times)
 
 
 _A_KIND = {CONCRETE: "a concrete instance", ABSTRACT: "an abstract instance"}
@@ -316,29 +324,40 @@ def _check_kind(inst: Instance, kind: str, reader: str) -> None:
         raise SchemaError(f"{reader} expects {_A_KIND[kind]}, got {inst.kind}")
 
 
+def _fact_misfit(f: object) -> Violation | None:
+    """The first part of ``f``, a member of an instance's facts, of no class
+    its field declares, one level at a time: the fact, its fields and
+    values (``_misplaced_field``), then each null."""
+    misfit = _misplaced(f, {Fact: None}) or _misplaced_field(f)
+    for i, v in enumerate(() if misfit else f.values):
+        if type(v) is Null and (misfit := _misplaced_field(v)):
+            misfit = (f"values[{i}]" + (misfit[0] and "." + misfit[0]), *misfit[1:])
+            break
+    return misfit and _wrong_class(_shown(f), *misfit)
+
+
 def validate_instance(inst: Instance) -> list[Violation]:
     """Every problem of an instance, ordered by message, each with its
-    code.  If a part is of no class its field declares (``_misfit``), only
-    those are listed, ``wrong-class``, the first of each fact, named by its
-    ``repr``.  Otherwise a fact, named by its text, may break these rules:
-    ``unknown-relation`` or ``arity-mismatch``, a relation outside the
-    schema or not filled; ``kind-violation``, a time not of the view."""
-    misfit = _misfit((inst,), Instance)
-    if misfit is not None:
-        problems = [_wrong_class(repr(f), found) for f in (inst.facts if type(inst) is Instance else ())
-                    if (found := _misfit((f,), Fact))] or [_wrong_class("instance", misfit)]
-        return sorted(problems, key=attrgetter("message"))
+    code.  A fact that holds a part of no class its field declares
+    (``_fact_misfit``) is listed as ``wrong-class``, named by its ``repr``,
+    with its first such part; if there is any, only those are listed, since
+    the other rules read well-shaped facts.  Otherwise a fact, named by its
+    text, may break these rules: ``unknown-relation`` or ``arity-mismatch``,
+    a relation outside the schema or not filled; ``kind-violation``, a time
+    not of the view."""
+    if type(inst) is not Instance:
+        return [_wrong_class("instance", "", (Instance,), inst)]
+    problems = [misfit for f in inst.facts if (misfit := _fact_misfit(f))]
     arity = {r.name: r.arity for r in inst.schema}
     is_time, time_name = _TIME_OF[inst.kind]
-    problems = []
-    for f in inst.facts:
+    for f in () if problems else inst.facts:
         n = arity.get(f.relation)
         if n is None:
             problems.append(Violation("unknown-relation", f"{f}: relation {f.relation!r} is not in the schema"))
         elif len(f.values) != n:
             problems.append(Violation("arity-mismatch", f"{f}: relation {f.relation!r} expects {n} non-temporal "
                                                         f"values, got {len(f.values)}"))
-        if not is_time((f.time,)):
+        if not is_time(f.time):
             problems.append(Violation("kind-violation", f"{f}: {inst.kind} fact must carry a {time_name}"))
     return sorted(problems, key=attrgetter("message"))
 
@@ -366,7 +385,7 @@ def _default_horizon(instances: Iterable[Instance]) -> int:
 
 def _check_horizon(horizon: int, *intervals: ClopenInterval) -> None:
     """A horizon is a finite time point at or above every finite endpoint of ``intervals``."""
-    if not _TIME_OF[ABSTRACT][0]((horizon,)):
+    if not _TIME_OF[ABSTRACT][0](horizon):
         raise InvalidHorizonError(f"horizon must be a finite time point, got {horizon!r}")
     for iv in intervals:
         for e in [iv.start] + ([iv.end] if isinstance(iv.end, int) else []):
@@ -744,7 +763,6 @@ def instance_from_json(doc: object) -> Instance:
         _require(isinstance(attrs, list) and attrs and all(isinstance(a, str) for a in attrs),
                  where, "\"attributes\" must be a non-empty list of names")
         attrs = [str.__str__(a) for a in attrs]
-        _require(len(set(attrs)) == len(attrs), where, "duplicate attribute name")
         schema = RelationSchema(name, tuple(attrs[:-1]), attrs[-1])
         schemas.append(schema)
         arity = schema.arity
@@ -868,7 +886,7 @@ def dumps_instance(inst: Instance, horizon: int | None = None) -> str:
 
 
 def loads_instance(text: str) -> Instance:
-    _refuse_misfit(text, str, "instance text")
+    _refuse_class(text, str, "instance text")
     try:
         doc = json.loads(text)
     except RecursionError:

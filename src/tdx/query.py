@@ -12,27 +12,35 @@ from dataclasses import dataclass
 from typing import Union
 
 from .chase import Failure, chase
+from .errors import SchemaError
 from .homomorphism import _formula_homs, _join_inputs
-from .mapping_lang import Mapping, Ucq, _check_mapping
+from .mapping_lang import Mapping, Ucq, _query_problems
 from .model import (
     CONCRETE,
     Fact,
     Instance,
     RelationSchema,
     _check_instance,
+    _Checked,
     _coalesced,
-    _refuse_misfit,
+    _refuse_class,
 )
 
 
 @dataclass(frozen=True)
-class AnswerSet:
+class AnswerSet(_Checked):
     """Answers to one named query: complete tuples of constants plus a time value."""
 
     name: str
     kind: str
     columns: tuple[str, ...]
     rows: frozenset[tuple]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.columns or any(len(row) != len(self.columns) for row in self.rows):
+            raise SchemaError(f"answers {self.name!r}: every row must hold one value per column of {self.columns}, "
+                              "the time last")
 
 
 @dataclass(frozen=True)
@@ -56,13 +64,16 @@ def naive_eval(q: Ucq, inst: Instance) -> AnswerSet:
     answers are coalesced, each answer's intervals merged where they overlap
     or meet, so they depend only on the instance's abstract view.  Raises
     SchemaError for an instance that ``validate_instance`` faults, then for
-    a query, parsed or built in code, that ``validate_mapping`` faults as a
-    query over the instance's schema (its first problem), and
+    a ``q`` that is not a ``Ucq``, or, parsed or built in code, that
+    ``validate_mapping`` faults as the one query of a mapping into the
+    instance's schema (its first problem), and
     PreconditionError, before any fragment is made, if the cuts would add
     more than ``MAX_NORMALIZE_FRAGMENTS`` fragments, as ``chase`` does.
     """
     _check_instance(inst)
-    _check_mapping(Mapping((), inst.schema, (), (), (q,)))
+    _refuse_class(q, Ucq, "query")
+    for _code, message, _at in _query_problems(q, {}, inst.schema_by_name):
+        raise SchemaError(f"query {q.name!r}: {message}")
     rows: set[tuple] = set()
     for disjunct, body_inst in zip(q.disjuncts, _join_inputs(q.disjuncts, inst, "the query body")):
         for binding in _formula_homs(disjunct, body_inst, None):
@@ -90,9 +101,9 @@ def certain(q: Ucq, src: Instance, m: Mapping) -> Union[AnswerSet, NoSolution]:
 
 def answers_to_instance(ans: AnswerSet) -> Instance:
     """Answers as a one-relation instance (complete facts only), for
-    serialization.  Raises SchemaError if ``ans`` or a part of it is not of
-    the class its field declares."""
-    _refuse_misfit(ans, AnswerSet, "answers")
+    serialization.  Raises SchemaError if ``ans`` is not an ``AnswerSet``;
+    its rows are checked as facts where the instance is read."""
+    _refuse_class(ans, AnswerSet, "answers")
     schema = RelationSchema(ans.name, ans.columns[:-1], ans.columns[-1])
     facts = {
         Fact(ans.name, row[:-1], row[-1])

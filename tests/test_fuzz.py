@@ -174,7 +174,7 @@ def test_a_mutated_mapping_text_parses_valid_and_round_trips_or_is_a_parse_error
 # What a type-confusion mutation puts in place of one part: values of the
 # classes the engine reads, of their near misses, and of none of them.
 _HASHABLE_PARTS = [None, 0, 5, -1, 1.5, True, "", "x", "Emp", b"x", (), ("x",), (5,), frozenset(), frozenset({"x"}),
-                   Null("x"), Null(5), Var("x"), Var(5), ClopenInterval(0, 1), ("Emp", ("x",), 1),
+                   Null("x"), Null(5), Var("x"), ClopenInterval(0, 1), ("Emp", ("x",), 1),
                    Fact("Emp", ("x",), 1), Atom("Emp", (Var("x"),), "t"), RelationSchema("Emp", ("x",), "t")]
 _PARTS = _HASHABLE_PARTS + [[], ["x"], {"a": 1}, {"x"}]
 
@@ -221,7 +221,7 @@ def _confused(data, root):
     value = data.draw(st.sampled_from(_HASHABLE_PARTS if inside_a_set else _PARTS))
     try:
         return _replaced(root, path, value)
-    except SchemaError as exc:  # ``Instance`` checks its schema as it is built
+    except SchemaError as exc:  # each dataclass checks its fields where it is made
         return exc
 
 

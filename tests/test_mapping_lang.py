@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 import tdx.mapping_lang
+import tdx.query
 from tdx import (
     Atom,
     Instance,
@@ -214,16 +215,15 @@ def test_parser_and_validate_mapping_agree(defect):
     assert err.value.message == first.split(": ", 1)[1]
 
 
-def test_parser_and_validate_mapping_agree_on_a_duplicate_attribute():
+def test_a_duplicate_attribute_is_refused_by_the_relation_and_located_by_the_parser():
     """A relation whose attribute names repeat, the temporal one among them,
-    is listed once per repeated name, and the parser refuses the first."""
-    m = Mapping((RelationSchema("S", ("x", "x"), "t"),), (RelationSchema("T", ("a", "t"), "t"),), (), (), ())
-    assert [(v.code, v.message) for v in validate_mapping(m)] == [
-        ("duplicate-attribute", "relation 'S': duplicate attribute 'x'"),
-        ("duplicate-attribute", "relation 'T': duplicate attribute 't'")]
-    with pytest.raises(ParseError) as err:
-        parse_mapping(render_mapping(m))
-    assert err.value.message == validate_mapping(m)[0].message.split(": ", 1)[1]
+    cannot be built, and the parser refuses the first repeated name at its
+    token."""
+    for attributes, temporal in ((("x", "x"), "t"), (("a", "t"), "t")):
+        with pytest.raises(SchemaError, match="^relation 'S': duplicate attribute name$"):
+            RelationSchema("S", attributes, temporal)
+    expect_error("source A(x, x, @t).\n", "duplicate attribute 'x'", 1, 13)
+    expect_error("target T(a, t, @t).\n", "duplicate attribute 't'", 1, 17)
 
 
 _S, _T = rel("S", "a", temporal="t"), rel("T", "a", "b", temporal="t")
@@ -241,15 +241,25 @@ ENGINE_PROBES = {
         (Ucq("q", ("x", "z"), "t", ((Atom("T", (Var("x"), Var("y")), "t"),),)), "head-variable"),
     "rhs atom of the wrong arity": ((_SX, (Atom("T", (Var("x"),), "t"),)), "arity-mismatch"),
     "rhs atom outside the target schema": ((_SX, (Atom("U", (Var("x"),), "t"),)), "unknown-relation"),
-    "rhs constant that is not a str": ((_SX, (Atom("T", (Var("x"), 5), "t"),)), "wrong-class"),
-    "temporal variable that is not a str":
-        (((Atom("S", (Var("x"),), 5),), (Atom("T", (Var("x"), Var("x")), 5),)), "wrong-class"),
-    "variable named by an int":
-        (((Atom("S", (Var(0),), "t"), *_SX), (Atom("T", (Var(0), Var("x")), "t"),)), "wrong-class"),
-    "query atom whose args are a list":
-        (Ucq("q", ("x",), "t", ((Atom("T", [Var("x"), Var("y")], "t"), Atom("T", (Var("y"), Var("x")), "t")),)),
-         "wrong-class"),
 }
+# Code-built terms that the engine once crashed on, or answered with a
+# Success that ``validate_instance`` faults (a head constant 5); each part
+# now refuses a field of another class where it is made.
+CLASS_PROBES = {
+    "rhs constant that is not a str": (lambda: Atom("T", (Var("x"), 5), "t"), "Atom: args[1] must be a Var or a str, got int 5"),
+    "temporal variable that is not a str": (lambda: Atom("S", (Var("x"),), 5), "Atom: time_var must be a str, got int 5"),
+    "variable named by an int": (lambda: Var(0), "Var: name must be a str, got int 0"),
+    "query atom whose args are a list": (lambda: Atom("T", [Var("x"), Var("y")], "t"),
+                                         "Atom: args must be a tuple, got list [Var(name='x'), Var(name='y')]"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(CLASS_PROBES))
+def test_a_term_of_another_class_is_refused_where_it_is_made(probe):
+    build, message = CLASS_PROBES[probe]
+    with pytest.raises(SchemaError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("probe", sorted(ENGINE_PROBES))
@@ -280,31 +290,25 @@ def test_the_engine_refuses_a_code_built_mapping_with_the_first_problem_validate
 
 _TP = (_SX, (Atom("T", (Var("x"), Var("p")), "t"),))
 # Code-built rules and keys on which ``validate_mapping`` and ``chase`` once
-# raised TypeError (sorting a set that mixes classes), each with the
-# message of the first problem ``validate_mapping`` lists.
+# raised TypeError (sorting a set that mixes classes), each refused where
+# it is made.
 NAME_PROBES = {
     "existentials that are a list":
-        (SttTgd(*_TP, ["p"]), None, "rule #0: existentials must be a frozenset, got list ['p']"),
+        (lambda: SttTgd(*_TP, ["p"]), "SttTgd: existentials must be a frozenset, got list ['p']"),
     "existentials that mix classes":
-        (SttTgd(*_TP, frozenset({0, "p"})), None, "rule #0: existentials member must be a str, got int 0"),
-    "key that mixes classes": (SttTgd(*_TP, frozenset({"p"})), Tkc("T", frozenset({0, "zz"}), ("b",)),
-                               "key #0: key member must be a str, got int 0"),
-    "dependents that are a list": (SttTgd(*_TP, frozenset({"p"})), Tkc("T", frozenset({"a", "t"}), ["b"]),
-                                   "key #0: dependents must be a tuple, got list ['b']"),
+        (lambda: SttTgd(*_TP, frozenset({0, "p"})), "SttTgd: existentials member must be a str, got int 0"),
+    "key that mixes classes": (lambda: Tkc("T", frozenset({0, "zz"}), ("b",)), "Tkc: key member must be a str, got int 0"),
+    "dependents that are a list": (lambda: Tkc("T", frozenset({"a", "t"}), ["b"]),
+                                   "Tkc: dependents must be a tuple, got list ['b']"),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(NAME_PROBES))
-def test_names_that_are_not_a_set_of_str_are_listed_and_refused(probe):
-    rule, key, message = NAME_PROBES[probe]
-    m = Mapping((_S,), (_T,), (rule,), () if key is None else (key,), ())
-    problems = validate_mapping(m)
-    assert [(p.code, p.message) for p in problems] == [("wrong-class", message)]
-    concrete = Instance.concrete([_S], [fact("S", "a", time=iv(0, 2))])
-    for src in (concrete, sem_instance(concrete, 2)):
-        with pytest.raises(SchemaError) as err:
-            chase(src, m)
-        assert str(err.value) == message
+def test_names_that_are_not_a_set_of_str_are_refused_where_they_are_made(probe):
+    build, message = NAME_PROBES[probe]
+    with pytest.raises(SchemaError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def _first(collection, **fields):
@@ -314,42 +318,49 @@ def _first(collection, **fields):
 
 # One field of example1's parsed mapping replaced by a value of another class,
 # on which ``validate_mapping`` or ``chase`` once raised TypeError or
-# AttributeError, each with the one problem ``validate_mapping`` lists.
+# AttributeError, each refused by the part it is a field of, where that is
+# made again.
 FIELD_PROBES = {
-    "Mapping.source": (lambda m: replace(m, source=None), "mapping: source must be a tuple, got NoneType None"),
-    "Mapping.target": (lambda m: replace(m, target=["x"]), "mapping: target must be a tuple, got list ['x']"),
-    "Mapping.sttgds": (lambda m: replace(m, sttgds=5), "mapping: sttgds must be a tuple, got int 5"),
+    "Mapping.source": (lambda m: replace(m, source=None), "Mapping: source must be a tuple, got NoneType None"),
+    "Mapping.target": (lambda m: replace(m, target=["x"]), "Mapping: target must be a tuple, got list ['x']"),
+    "Mapping.sttgds": (lambda m: replace(m, sttgds=5), "Mapping: sttgds must be a tuple, got int 5"),
     "Mapping.tkcs": (lambda m: replace(m, tkcs=frozenset({"x"})),
-                     "mapping: tkcs must be a tuple, got frozenset frozenset({'x'})"),
-    "Mapping.queries": (lambda m: replace(m, queries=("x",)), "query #0: must be a Ucq, got str 'x'"),
+                     "Mapping: tkcs must be a tuple, got frozenset frozenset({'x'})"),
+    "Mapping.queries": (lambda m: replace(m, queries=("x",)), "Mapping: queries[0] must be a Ucq, got str 'x'"),
     "SttTgd.lhs": (lambda m: replace(m, sttgds=_first(m.sttgds, lhs=None)),
-                   "rule #0: lhs must be a tuple, got NoneType None"),
-    "SttTgd.rhs": (lambda m: replace(m, sttgds=_first(m.sttgds, rhs=b"x")), "rule #0: rhs must be a tuple, got bytes b'x'"),
+                   "SttTgd: lhs must be a tuple, got NoneType None"),
+    "SttTgd.rhs": (lambda m: replace(m, sttgds=_first(m.sttgds, rhs=b"x")), "SttTgd: rhs must be a tuple, got bytes b'x'"),
     "Tkc.relation": (lambda m: replace(m, tkcs=_first(m.tkcs, relation=["x"])),
-                     "key #0: relation must be a str, got list ['x']"),
-    "Ucq.head": (lambda m: replace(m, queries=_first(m.queries, head=5)), "query #0: head must be a tuple, got int 5"),
+                     "Tkc: relation must be a str, got list ['x']"),
+    "Ucq.head": (lambda m: replace(m, queries=_first(m.queries, head=5)), "Ucq: head must be a tuple, got int 5"),
     "Ucq.disjuncts": (lambda m: replace(m, queries=_first(m.queries, disjuncts=("x",))),
-                      "query #0: disjuncts[0] must be a tuple, got str 'x'"),
+                      "Ucq: disjuncts[0] must be a tuple, got str 'x'"),
     "Atom.relation": (lambda m: replace(m, sttgds=_first(m.sttgds, lhs=_first(m.sttgds[0].lhs, relation={"a": 1}))),
-                      "rule #0: lhs[0].relation must be a str, got dict {'a': 1}"),
+                      "Atom: relation must be a str, got dict {'a': 1}"),
     "RelationSchema.name": (lambda m: replace(m, source=_first(m.source, name=[])),
-                            "source relation #0: name must be a str, got list []"),
+                            "RelationSchema: name must be a str, got list []"),
     "RelationSchema.attributes": (lambda m: replace(m, source=_first(m.source, attributes=1.5)),
-                                  "source relation #0: attributes must be a tuple, got float 1.5"),
+                                  "RelationSchema: attributes must be a tuple, got float 1.5"),
     "RelationSchema.temporal": (lambda m: replace(m, target=_first(m.target, temporal=None)),
-                                "target relation #0: temporal must be a str, got NoneType None"),
+                                "RelationSchema: temporal must be a str, got NoneType None"),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(FIELD_PROBES))
-def test_a_field_of_another_class_is_listed_and_refused(probe, example1, fig1, fig2):
+def test_a_field_of_another_class_is_refused_where_it_is_made(probe, example1):
     build, message = FIELD_PROBES[probe]
-    m = build(example1)
-    assert [(p.code, p.message) for p in validate_mapping(m)] == [("wrong-class", message)]
-    for run in (lambda: chase(fig1, m), lambda: chase(fig2, m), lambda: certain(example1.query("positions"), fig1, m)):
-        with pytest.raises(SchemaError) as err:
-            run()
-        assert str(err.value) == message
+    with pytest.raises(SchemaError) as err:
+        build(example1)
+    assert str(err.value) == message
+
+
+def test_validate_mapping_and_the_engine_refuse_what_is_not_a_mapping(fig1):
+    """The root is the one part no constructor checked."""
+    problems = validate_mapping(("x",))
+    assert [(p.code, p.message) for p in problems] == [("wrong-class", "mapping: must be a Mapping, got tuple ('x',)")]
+    with pytest.raises(SchemaError) as err:
+        chase(fig1, ("x",))
+    assert str(err.value) == problems[0].message
 
 
 def test_a_parsed_mapping_is_checked_once(example1, fig1, monkeypatch):
@@ -359,16 +370,20 @@ def test_a_parsed_mapping_is_checked_once(example1, fig1, monkeypatch):
     checked once per ``naive_eval``, as a query over the schema of the
     instance it reads."""
     calls = []
-    check = tdx.mapping_lang.validate_mapping
+    check, check_query = tdx.mapping_lang.validate_mapping, tdx.mapping_lang._query_problems
     monkeypatch.setattr(tdx.mapping_lang, "validate_mapping", lambda m: calls.append(m) or check(m))
+    for module in (tdx.mapping_lang, tdx.query):
+        monkeypatch.setattr(module, "_query_problems",
+                            lambda q, source, target: calls.append((q, source, target)) or check_query(q, source, target))
     q = example1.query("positions")
     certain(q, fig1, example1)
-    assert calls == [Mapping((), example1.target, (), (), (q,))]
+    assert calls == [(q, {}, example1.target_by_name)]
     copy = replace(example1)
+    in_the_mapping = [copy, *((u, copy.source_by_name, copy.target_by_name) for u in copy.queries)]
     for first in (True, False):
         calls.clear()
         certain(replace(q), fig1, copy)
-        assert calls == [example1] * first + [Mapping((), example1.target, (), (), (q,))]
+        assert calls == in_the_mapping * first + [(q, {}, example1.target_by_name)]
 
 
 def test_render_round_trip_running_example(example1, example3):

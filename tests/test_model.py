@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -17,12 +18,17 @@ from tdx import (
     Instance,
     InvalidHorizonError,
     KeyNullViolation,
+    Mapping,
     Null,
     PreconditionError,
     RelationSchema,
     SchemaError,
+    SttTgd,
     Success,
+    Tkc,
+    Ucq,
     Var,
+    answers_to_instance,
     build_grid,
     certain,
     chase,
@@ -108,24 +114,30 @@ def test_an_instance_has_a_known_kind_and_distinct_relation_names():
     with pytest.raises(SchemaError, match="^duplicate relation name in instance schema$"):
         Instance.concrete([rel("R", "a"), rel("R", "b")])
     # a relation or attribute name that is not exactly a ``str``: no rule of
-    # ``validate_instance`` lists one, and the writer breaks on it
-    for message, schema in [("schema[1].name must be a str, got int 5", RelationSchema(5, ("a",), "t")),
-                            ("schema[1].name must be a str, got _Str 'R'", RelationSchema(_Str("R"), ("a",), "t")),
-                            ("schema[1].attributes[1] must be a str, got NoneType None",
-                             RelationSchema("R", ("a", None), "t")),
-                            ("schema[1].temporal must be a str, got _Str 't'", RelationSchema("R", ("a",), _Str("t")))]:
+    # ``validate_instance`` lists one, and the writer breaks on it, so the
+    # relation refuses it where it is made, and an instance a schema of
+    # another class
+    for message, build in [("name must be a str, got int 5", lambda: RelationSchema(5, ("a",), "t")),
+                           ("name must be a str, got _Str 'R'", lambda: RelationSchema(_Str("R"), ("a",), "t")),
+                           ("attributes[1] must be a str, got NoneType None", lambda: RelationSchema("R", ("a", None), "t")),
+                           ("temporal must be a str, got _Str 't'", lambda: RelationSchema("R", ("a",), _Str("t")))]:
         with pytest.raises(SchemaError) as err:
-            Instance.abstract([rel("S", "a"), schema])
-        assert str(err.value) == f"instance: {message}"
+            build()
+        assert str(err.value) == f"RelationSchema: {message}"
+    with pytest.raises(SchemaError) as err:
+        Instance.abstract([rel("S", "a"), ("R", ("a",), "t")])
+    assert str(err.value) == "Instance: schema[1] must be a RelationSchema, got tuple ('R', ('a',), 't')"
 
 
-def test_an_instance_refuses_a_duplicate_attribute_name():
+def test_a_relation_refuses_a_duplicate_attribute_name():
     """A relation whose attribute names repeat, the temporal one among them,
-    has no text that reads back: ``Instance`` refuses it as the loader does."""
-    for schema in (RelationSchema("S", ("x", "x"), "t"), RelationSchema("S", ("x",), "x")):
+    has no text that reads back: ``RelationSchema`` refuses it where it is
+    made, and so the loader refuses it too."""
+    for attributes in (("x", "x"), ("x",)):
         with pytest.raises(SchemaError, match="^relation 'S': duplicate attribute name$"):
-            Instance.concrete([rel("R", "a"), schema])
-        doc = {"kind": "concrete", "relations": {"S": {"attributes": list(schema.all_attributes), "facts": []}}}
+            RelationSchema("S", attributes, "x" if len(attributes) == 1 else "t")
+        doc = {"kind": "concrete", "relations": {"S": {"attributes": [*attributes, "x" if len(attributes) == 1 else "t"],
+                                                       "facts": []}}}
         with pytest.raises(SchemaError, match="^relation 'S': duplicate attribute name$"):
             instance_from_json(doc)
 
@@ -139,16 +151,17 @@ _NAMES = ["x", "y", "t", "", "é", '"', "\\"]
                 max_size=3, unique_by=lambda r: r[0]),
        st.data())
 def test_every_instance_that_instance_accepts_reads_back_as_itself(kind, relations, data):
-    """Whatever its names, a schema ``Instance`` accepts, with well-formed
-    facts, is written by ``dumps_instance`` as text that ``loads_instance``
-    reads back as the same instance; what it refuses repeats a name."""
-    schema = [RelationSchema(name, tuple(attributes[:-1]), attributes[-1]) for name, attributes in relations]
+    """Whatever its names, a schema of relations that ``RelationSchema``
+    accepts, with well-formed facts, is written by ``dumps_instance`` as
+    text that ``loads_instance`` reads back as the same instance; what it
+    refuses repeats a name."""
     try:
-        inst = Instance(kind, schema, ())
+        schema = [RelationSchema(name, tuple(attributes[:-1]), attributes[-1]) for name, attributes in relations]
     except SchemaError as err:
         assert str(err).endswith(": duplicate attribute name")
-        assert any(len(set(r.all_attributes)) < len(r.all_attributes) for r in schema)
+        assert any(len(set(attributes)) < len(attributes) for _, attributes in relations)
         return
+    inst = Instance(kind, schema, ())
     values = st.one_of(st.sampled_from(_NAMES), st.sampled_from(_NAMES).map(Null))
     times = (st.tuples(st.integers(0, 9), st.one_of(st.integers(1, 9), st.just(INF)))
              .filter(lambda se: se[0] < se[1]).map(lambda se: iv(*se))) if kind == "concrete" else st.integers(0, 9)
@@ -303,6 +316,42 @@ def test_every_entry_point_refuses_what_validate_instance_reports_first(rule, en
     assert str(err.value) == first.message
 
 
+# A fact or null that ``tuple.__new__`` built with another field count: a
+# field count is not a class, yet a reader that takes the fields apart, or a
+# ``repr``, fails on it.  Each with a relation of its fixture's facts and the
+# message its fact is refused with.
+_MISCOUNTED = {
+    "fact-2-fields": (lambda relation, values, time: tuple.__new__(Fact, (relation, values)), "field count must be 3, got 2"),
+    "fact-4-fields": (lambda relation, values, time: tuple.__new__(Fact, (relation, values, time, time)), "field count must be 3, got 4"),
+    "null-0-fields": (lambda relation, values, time: Fact(relation, (*values[:-1], tuple.__new__(Null, ())), time),
+                      "field count must be 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case, entry, name, relation, run",
+                         [(case, *entry) for case in _MISCOUNTED for entry in _ENTRY_POINTS]
+                         + [(case, write.__name__, name, "Emp", write) for case in _MISCOUNTED
+                            for write in (dumps_instance, tdx.model.instance_to_json) for name in ("fig3.json", "fig4.json")],
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_a_fact_or_null_of_another_field_count_is_a_wrong_class_schema_error(case, entry, name, relation, run):
+    inst = load_fixture_instance(name)
+    good = next(f for f in inst.facts if f.relation == relation)
+    build, message = _MISCOUNTED[case]
+    bad = inst.replace_facts(inst.facts | {build(relation, good.values, good.time)})
+    problems = validate_instance(bad)
+    assert [p.code for p in problems] == ["wrong-class"] and problems[0].message.endswith(message)
+    with pytest.raises(SchemaError) as err:
+        run(bad)
+    assert str(err.value) == problems[0].message
+
+
+def test_a_fact_of_another_field_count_is_named_by_its_fields():
+    inst = Instance.abstract([rel("R", "a")], [tuple.__new__(Fact, ("R", ("a",))), Fact("R", (tuple.__new__(Null, ("N", "M")),), 1)])
+    assert [p.message for p in validate_instance(inst)] == [
+        "Fact('R', ('a',)): field count must be 3, got 2",
+        "Fact('R', (Null('N', 'M'),), 1): values[0] field count must be 1, got 2"]
+
+
 class _Str(str):
     pass
 
@@ -313,6 +362,55 @@ class _Int(int):
 
 class _Null(Null):
     pass
+
+
+_ATOM = Atom("R", (Var("x"),), "t")
+# Each dataclass of the engine: a well-formed value of it, and one of its
+# fields with a value that holds a part of another class (a subclass of the
+# declared class among them), with the message it is refused with.
+_MISFITS = {
+    Var: (Var("x"), "name", _Str("x"), "Var: name must be a str, got _Str 'x'"),
+    Atom: (_ATOM, "args", (Var("x"), 5.0), "Atom: args[1] must be a Var or a str, got float 5.0"),
+    SttTgd: (SttTgd((_ATOM,), (_ATOM,), frozenset()), "existentials", frozenset({"p", 0}),
+             "SttTgd: existentials member must be a str, got int 0"),
+    Tkc: (Tkc("R", frozenset({"t"}), ("a",)), "key", ["t"], "Tkc: key must be a frozenset, got list ['t']"),
+    Ucq: (Ucq("q", ("x",), "t", ((_ATOM,),)), "disjuncts", ((_ATOM, "R"),),
+          "Ucq: disjuncts[0][1] must be an Atom, got str 'R'"),
+    Mapping: (Mapping((), (), (), (), ()), "tkcs", (_ATOM,), "Mapping: tkcs[0] must be a Tkc, got Atom " + reprlib.repr(_ATOM)),
+    RelationSchema: (rel("R", "a"), "attributes", ("a", b"b"), "RelationSchema: attributes[1] must be a str, got bytes b'b'"),
+    Instance: (Instance.concrete([rel("R", "a")]), "schema", [("R", ("a",), "t")],
+               "Instance: schema[0] must be a RelationSchema, got tuple ('R', ('a',), 't')"),
+    AnswerSet: (AnswerSet("q", "concrete", ("t",), frozenset()), "rows", frozenset({"t"}),
+                "AnswerSet: rows member must be a tuple, got str 't'"),
+}
+
+
+@pytest.mark.parametrize("cls", list(_MISFITS), ids=lambda cls: cls.__name__)
+def test_every_dataclass_refuses_a_part_of_another_class_where_it_is_made(cls):
+    """Each part checks its own fields where it is made, by the constructor
+    or by ``dataclasses.replace``, one level deep: a tuple or frozenset
+    field's items, and a nested tuple's too; every other part checked
+    itself."""
+    good, field, value, message = _MISFITS[cls]
+    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(cls)}
+    for build in (lambda: cls(**{**fields, field: value}), lambda: dataclasses.replace(good, **{field: value})):
+        with pytest.raises(SchemaError) as err:
+            build()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("read, root, message", [
+    (loads_instance, b"{}", "instance text: must be a str, got bytes b'{}'"),
+    (parse_mapping, ["source R(a, @t)."], "mapping text: must be a str, got list ['source R(a, @t).']"),
+    (answers_to_instance, ("q", "concrete", ("t",), frozenset()),
+     "answers: must be an AnswerSet, got tuple ('q', 'concrete', ('t',), frozenset())"),
+    (lambda q: naive_eval(q, load_fixture_instance("fig3.json")), "positions", "query: must be a Ucq, got str 'positions'"),
+], ids=["loads_instance", "parse_mapping", "answers_to_instance", "naive_eval"])
+def test_a_reader_refuses_a_root_of_another_class(read, root, message):
+    """What no constructor made is checked where it is read."""
+    with pytest.raises(SchemaError) as err:
+        read(root)
+    assert str(err.value) == message
 
 
 # Times and values of every class the rules tell apart, each beside a value
@@ -344,12 +442,11 @@ def test_the_instance_check_raises_the_first_problem_validate_instance_reports(k
 def test_each_instance_is_screened_once(example1, monkeypatch):
     """A loaded instance is born checked, and ``conform_instance`` keeps
     that, so ``chase`` checks no loaded source; a source built in code it
-    walks once and checks once against the rules (``normalize_instance``
-    reads the same instance).  The chase result is born checked, so
+    checks once (``normalize_instance`` reads the same instance).  The chase result is born checked, so
     ``certain`` checks no more."""
     checked = []
-    breaks = tdx.model._breaks_a_rule
-    monkeypatch.setattr(tdx.model, "_breaks_a_rule", lambda inst, *args: checked.append(inst.facts) or breaks(inst, *args))
+    validate = tdx.model.validate_instance
+    monkeypatch.setattr(tdx.model, "validate_instance", lambda inst: checked.append(inst.facts) or validate(inst))
     for name in ("fig1.json", "fig2.json"):
         loaded = load_fixture_instance(name)
         for source, passes in ((lambda: loaded, 0), (lambda: Instance(loaded.kind, loaded.schema, loaded.facts), 1)):

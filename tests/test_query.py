@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -139,6 +140,22 @@ def test_answers_sem_validates_horizon():
             answers_sem(ans, 3)
 
 
+@pytest.mark.parametrize("columns, rows, shown", [
+    ((), frozenset(), "()"),
+    (("t",), frozenset({()}), "('t',)"),
+    (("n", "t"), frozenset({("Ada", iv(0, 2)), ("Bob",)}), "('n', 't')"),
+    (("n", "t"), frozenset({("Ada", "IBM", iv(0, 2))}), "('n', 't')"),
+], ids=["no-columns", "empty-row", "short-row", "long-row"])
+def test_answers_whose_rows_do_not_fill_their_columns_are_refused_where_they_are_made(columns, rows, shown):
+    """``answers_to_instance`` takes a row apart at its last value, the
+    time, so a row that does not fill the columns is no answer."""
+    for build in (lambda: AnswerSet("q", "concrete", columns, rows),
+                  lambda: replace(AnswerSet("q", "concrete", ("n", "t"), frozenset()), columns=columns, rows=rows)):
+        with pytest.raises(SchemaError) as err:
+            answers_to_instance(build())
+        assert str(err.value) == f"answers 'q': every row must hold one value per column of {shown}, the time last"
+
+
 def test_certain_concrete_running_example(fig1, example1):
     ans = certain(positions_query(example1), fig1, example1)
     assert ans.rows == {
@@ -219,11 +236,10 @@ def _chase_results(n, example1):
 
 def test_naive_eval_sorts_nothing(example1):
     """No ``sorted``, ``list.sort`` or ``min`` call during ``naive_eval`` but
-    those of its query check and of its cuts and its coalescing, each over
-    one block or one group, never over the bindings or the answers:
-    ``validate_mapping``'s sorts of the duplicate names of the query's
-    relations, of each relation's attributes and of the query (each call a
-    fixed number of them), ``_apart``'s sort of the distinct intervals of a
+    those of its instance check and of its cuts and its coalescing, each
+    over one block or one group, never over the bindings or the answers:
+    ``validate_instance``'s sort of the problems of an instance built in
+    code (none here), ``_apart``'s sort of the distinct intervals of a
     join block that has two or more, ``build_grid``'s sort of the endpoints
     of a block that needs a cut, the sort of the relation schemas of the
     instance that a disjunct with such a block then reads, and
@@ -240,7 +256,7 @@ def test_naive_eval_sorts_nothing(example1):
     concrete, _ = _chase_results(24, example1)
     unnormalized = _unnormalized(example1)
     per_block = {("_apart", "sorted"), ("_merged", "sorted"), ("build_grid", "sorted"), ("__post_init__", "sorted"),
-                 ("validate_mapping", "sorted")}
+                 ("validate_instance", "sorted")}
     for inst, cuts in ((concrete, 0), (unnormalized, 2)):
         calls.clear()
         sys.setprofile(profile)
@@ -251,7 +267,7 @@ def test_naive_eval_sorts_nothing(example1):
             sys.setprofile(None)
         assert set(calls) <= per_block, calls
         assert (calls["build_grid", "sorted"], calls["__post_init__", "sorted"]) == (cuts, min(cuts, 1))
-        assert calls["validate_mapping", "sorted"] == len(example1.queries) * (len(inst.schema) + 2)
+        assert calls["validate_instance", "sorted"] <= 1
         assert calls["_apart", "sorted"] + calls["_merged", "sorted"] <= len(inst.facts), calls
 
 
