@@ -359,14 +359,22 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value, 
 
     Whether a merge conflicts, and the final representatives, do not depend
     on the order of the merges, so they run in set order.  A failure's
-    witness does: at the first conflict the equalities are merged again in
-    canonical order, and the conflict met first in that order is reported."""
+    witness does: the equalities of each time that conflicts are merged
+    again in canonical order, and the conflict met first in that order is
+    reported.  Each time has a closure of its own, so a time that does not
+    conflict neither comes first nor lengthens a chain, and is not merged
+    again."""
     equalities = set(equalities)
     closures: dict[TimeValue, EqClosure] = {}
+    conflicted: set[TimeValue] = set()
     for x, y, t in equalities:
+        if t in conflicted:
+            continue
         closure = closures.get(t) or closures.setdefault(t, EqClosure())
         if closure.merge(x, y) is not None:
-            return _first_conflict(equalities)
+            conflicted.add(t)
+    if conflicted:
+        return _first_conflict([e for e in equalities if e[2] in conflicted])
     reps_at = {t: reps for t, closure in closures.items() if (reps := closure.representatives())}
     replaced = [f for f in inst.facts if f.time in reps_at and not reps_at[f.time].keys().isdisjoint(f.values)]
     if not replaced:

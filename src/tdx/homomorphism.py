@@ -33,15 +33,20 @@ either view, are homomorphically equivalent: whether ``find_abstract_hom``
 finds a hom both ways after ``sem_instance`` of each concrete input (the
 oracle ``tests/oracles.py::sem_equivalent``).  It decides only existence, so
 it returns no hom and sorts no index list.  It compares the two views
-coalesced (Böhlen, Snodgrass and Soo, VLDB 1996) and keys each component by
-its facts with null labels numbered in order of first occurrence, each fact
-with its interval; a component whose key the other side also holds maps
-onto that twin by renaming nulls (on why a homomorphism between two
-solutions of one mapping is often cheap to find, see Fagin, Kolaitis and
-Popa, "Data exchange: getting to the core", TODS 2005).  Only the rest is
-searched, cut at one time point per cell of the joint endpoint grid, the
-snapshot reading of the concrete view (Chomicki and Toman, "Temporal
-Databases", 2005), so its cost does not grow with interval length.
+coalesced (Böhlen, Snodgrass and Soo, VLDB 1996), an abstract one by runs
+of consecutive points, and pays only for what they do not share (on why a
+homomorphism between two solutions of one mapping is often cheap to find,
+see Fagin, Kolaitis and Popa, "Data exchange: getting to the core", TODS
+2005).  First the identity: a direction whose view is a subset of the
+other's holds by the identity map, so two equal views, as the concrete and
+abstract chase results of one source are, are decided by comparing sets.
+Then twins: in a direction left open, each component is keyed by its facts
+with null labels numbered in order of first occurrence, each fact with its
+interval, and a component whose key the other side also holds maps onto
+that twin by renaming nulls.  Only the rest is searched, cut at one time
+point per cell of the joint endpoint grid, the snapshot reading of the
+concrete view (Chomicki and Toman, "Temporal Databases", 2005), so its cost
+does not grow with interval length.
 """
 from __future__ import annotations
 
@@ -430,19 +435,42 @@ def _hom(facts: Iterable[Fact], b: Instance, ordered: bool) -> Optional[Abstract
     return hom
 
 
-def _view(inst: Instance, horizon: int) -> list[Fact]:
+def _view(inst: Instance, horizon: int) -> set[Fact]:
     """The abstract view of ``inst`` as concrete facts, coalesced as
     ``model._coalesce`` coalesces them: a concrete fact clipped at
-    ``horizon`` (one that starts there has no point below it), an abstract
-    fact at ``t`` read as on ``[t, t+1)``."""
-    times = {f.time for f in inst.facts}
-    spans = ({t: _new(ClopenInterval, (t, t + 1)) for t in times} if inst.kind == ABSTRACT else
-             {t: t if t.end <= horizon else _new(ClopenInterval, (t.start, horizon)) for t in times if t.start < horizon})
-    facts = [_new(Fact, (f.relation, f.values, spans[f.time])) for f in inst.facts if f.time in spans]
-    return _coalesced_facts(facts) or facts
+    ``horizon`` (one that starts there has no point below it); an abstract
+    instance's points grouped by relation and values, as ``dumps_instance``
+    groups them, each group's run of consecutive points one fact over
+    ``[first, last + 1)``."""
+    if inst.kind == CONCRETE:
+        spans = {t: t if t.end <= horizon else _new(ClopenInterval, (t.start, horizon))
+                 for t in {f.time for f in inst.facts} if t.start < horizon}
+        facts = [_new(Fact, (f.relation, f.values, spans[f.time])) for f in inst.facts if f.time in spans]
+        return set(_coalesced_facts(facts) or facts)
+    groups: dict[tuple[str, tuple[Value, ...]], list[int]] = {}
+    for relation, values, t in inst.facts:
+        group = groups.get((relation, values))
+        if group is None:
+            groups[relation, values] = [t]
+        else:
+            group.append(t)
+    view = set()
+    for key, points in groups.items():
+        points.sort()
+        first = last = points[0]
+        if points[-1] - first >= len(points):  # distinct points that span more than their count leave a gap
+            for t in points:
+                if t > last + 1:
+                    view.add(_new(Fact, (*key, _new(ClopenInterval, (first, last + 1)))))
+                    first = t
+                last = t
+        else:
+            last = points[-1]
+        view.add(_new(Fact, (*key, _new(ClopenInterval, (first, last + 1)))))
+    return view
 
 
-def _untwinned(views: list[list[Fact]]) -> list[list[Fact]]:
+def _untwinned(views: list[set[Fact]]) -> list[list[Fact]]:
     """Per view of two, the ground facts the other lacks, and the facts of
     each component, linked by null labels, whose key (``_numbered``, each
     fact with its interval) the other does not hold."""
@@ -463,21 +491,25 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
     building every time point and without building a hom.
 
     Both inputs are coalesced (``_view``): a concrete one clipped at the
-    horizon, an abstract one whole, facts at or beyond the horizon too.  A
+    horizon, an abstract one whole, facts at or beyond the horizon too.
+    Each direction is then decided by the first of three steps that settles
+    it.  Identity: a direction whose view is a subset of the other's holds
+    by the identity map, and is neither keyed nor searched; with equal
+    views the answer is True at once.  Twins: in a direction left open, a
     component (``_untwinned``) or ground fact whose key the other side also
-    holds maps onto that twin at every point by renaming labels.  Only the
-    rest is cut, at the first point of each cell of the joint endpoint grid
-    that it covers, and the other side at the same points: within one cell
-    the abstract views at any two points are the same but for the time, and
-    an abstract homomorphism fixes time points.  Each cut rest is
-    then mapped into the other side's cut (``_hom``), one direction each.
+    holds maps onto that twin at every point by renaming labels.  Search:
+    only the rest is cut, at the first point of each cell of the joint
+    endpoint grid that it covers, and the other side at the same points:
+    within one cell the abstract views at any two points are the same but
+    for the time, and an abstract homomorphism fixes time points.  Each cut
+    rest is then mapped into the other side's cut (``_hom``).
 
     Checks, in order: each input is well formed; the horizon is a finite
     time point, whatever the kinds of the inputs, and at or above the
     endpoints of each concrete one, as ``sem_instance`` checks them; the
-    inputs share a schema.  Then PreconditionError is raised if the
-    cuts would hold more than ``MAX_SEM_FACTS`` facts, counted on the grid
-    before any is built.
+    inputs share a schema.  Then PreconditionError is raised if the cuts of
+    the directions left open would hold more than ``MAX_SEM_FACTS`` facts,
+    counted on the grid before any is built.
     """
     _check_instance(a)
     _check_instance(b)
@@ -489,10 +521,13 @@ def equivalent(a: Instance, b: Instance, horizon: int | None = None) -> bool:
         _check_horizon(horizon, *sorted({f.time for f in inst.facts}))
     _check_pair(a, b)
     views = [_view(inst, horizon) for inst in (a, b)]
+    searched = [not views[0] <= views[1], not views[1] <= views[0]]  # else the identity map is a hom
+    if not any(searched):
+        return True
     grid = build_grid({f.time for view in views for f in view})
     plans, count = [], 0
-    for rest, target in zip(_untwinned(views), views[::-1]):
-        if rest:
+    for search, rest, target in zip(searched, _untwinned(views), views[::-1]):
+        if search and rest:
             firsts = [p for span in _merged({f.time for f in rest})
                       for p in grid[bisect_left(grid, span.start):bisect_left(grid, span.end)]]
             cuts, n = _grid_cuts(Counter([f.time for facts in (rest, target) for f in facts]), firsts)

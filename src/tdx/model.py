@@ -152,7 +152,7 @@ def _misplaced(part: object, classes: dict) -> tuple[str, dict, object] | None:
              for i, item in enumerate(part) if (misfit := _misplaced(item, classes[cls]))]
     if not found:
         return None
-    return min(found, key=lambda m: (type(m[2]).__name__, reprlib.repr(m[2]))) if cls is frozenset else found[0]
+    return min(found, key=lambda m: (type(m[2]).__name__, _brief(m[2]))) if cls is frozenset else found[0]
 
 
 def _misplaced_field(part: object) -> tuple[str, dict, object] | None:
@@ -175,6 +175,21 @@ def _shown(part: object) -> str:
         return f"{'' if type(part) is tuple else type(part).__name__}({items})"
 
 
+class _Brief(reprlib.Repr):
+    """``reprlib.repr`` that shows a part whose ``repr`` fails by ``_shown``,
+    cut as reprlib cuts it, not by its memory address."""
+
+    def repr_instance(self, x: object, level: int) -> str:
+        text = _shown(x)
+        if len(text) <= self.maxother:
+            return text
+        head = (self.maxother - 3) // 2
+        return text[:head] + "..." + text[len(text) - (self.maxother - 3 - head):]
+
+
+_brief = _Brief().repr
+
+
 def _wrong_class(where: str, path: str, classes: Iterable[type], part: object) -> Violation:
     """The problem of a misfit ``part`` at ``path`` in ``where``: it names
     the part's own class, which a subclass's text would not show, or, for a
@@ -183,7 +198,7 @@ def _wrong_class(where: str, path: str, classes: Iterable[type], part: object) -
     if type(part) in classes:
         return Violation("wrong-class", f"{at}field count must be {len(part._fields)}, got {len(part)}")
     must = " or ".join(("an " if c.__name__[0] in "AEIOaeio" else "a ") + c.__name__ for c in classes)
-    return Violation("wrong-class", f"{at}must be {must}, got {type(part).__name__} {reprlib.repr(part)}")
+    return Violation("wrong-class", f"{at}must be {must}, got {type(part).__name__} {_brief(part)}")
 
 
 def _refuse_class(part: object, cls: type, where: str) -> None:
@@ -417,7 +432,8 @@ def _grid_cuts(uses: Counter[ClopenInterval], grid: list[int]) -> tuple[dict, in
 # times per values tuple, it takes about 1.7 KB when each concrete fact spans
 # one point, and 1.1 KB when each spans 20 (60,000 abstract facts each):
 # 250,000 x 1.7 KB is about 0.42 GB.  ``equivalent`` counts only what
-# its remainder's cut builds, not the twins it compares uncut.  Its peak, as
+# its remainder's cut builds, not the twins it compares uncut, nor a
+# direction that the identity map decides.  Its peak, as
 # it also keys the facts it cuts and indexes them for the search, is about
 # 0.5-0.8 KB per fact cut (measured by cutting the benchmark's careers,
 # long-lived and crossview chase results whole): at most 0.2 GB.
@@ -726,7 +742,7 @@ def _value_from_json(v: object, nulls: dict) -> Value:
     if isinstance(v, dict) and len(v) == 1 and isinstance(v.get("null"), str):
         label = str.__str__(v["null"])
         return nulls.get(label) or nulls.setdefault(label, _new(Null, (label,)))
-    raise ValueError(f"a value must be a string or {{\"null\": \"<label>\"}}, got {reprlib.repr(v)}")
+    raise ValueError(f"a value must be a string or {{\"null\": \"<label>\"}}, got {_brief(v)}")
 
 
 def instance_from_json(doc: object) -> Instance:

@@ -18,7 +18,8 @@ dependency round by ``st_step`` at each binding, the key round's equalities
 from ``tkc_step`` of every pair of every key group, and their closure by a
 breadth-first search per time after each equality (``naive_closure``), the
 concrete chase with every cut global (``globally_normalized_chase``) and its result
-coalesced by a sort and one sweep (``coalesced``), the instance
+coalesced by a sort and one sweep (``coalesced``), the coalesced view of an
+abstract instance from one fact per point (``pointwise_view``), the instance
 loader by reading each row through the general rules, and the canonical
 instance text by the json module's own encoder.  The abstract
 homomorphism search that compiles each component shape once is checked
@@ -222,6 +223,15 @@ def coalesced(inst: Instance) -> Instance:
         for start, end in runs:
             facts.add(Fact(relation, values, ClopenInterval(start, end)))
     return Instance(inst.kind, inst.schema, frozenset(facts))
+
+
+def pointwise_view(inst: Instance) -> set[Fact]:
+    """The abstract view of an abstract instance as coalesced concrete facts,
+    built point by point: each fact at ``t`` read as on ``[t, t+1)``, and the
+    facts of one relation and values then merged where they meet
+    (``coalesced``)."""
+    per_point = [Fact(f.relation, f.values, ClopenInterval(f.time, f.time + 1)) for f in inst.facts]
+    return set(coalesced(Instance(CONCRETE, inst.schema, frozenset(per_point))).facts)
 
 
 def globally_normalized_chase(src: Instance, m):

@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tdx import (
     INF,
@@ -31,7 +32,7 @@ from tdx import (
     tkc_round_concrete,
     validate_instance,
 )
-from tdx.chase import _close_and_replace, _compile_head, _fire, _round_equalities
+from tdx.chase import _close_and_replace, _compile_head, _fire, _first_conflict, _round_equalities
 
 from generators import random_case
 from helpers import c, fact, in_order, iv, rel
@@ -400,6 +401,22 @@ def test_a_key_round_failure_is_the_conflict_canonical_order_meets_first():
     n00 = Null("N00")
     assert _close_and_replace(Instance.abstract([rel("R", "a")]), equalities[::-1]) == Failure(
         (c("a00"), c("b00")), ((c("a00"), n00), (n00, c("b00"))), 0)
+
+
+_KEY_VALUES = [c("a"), c("b"), c("c"), *(Null(f"N{i}") for i in range(1, 5))]
+
+
+@given(st.lists(st.tuples(st.sampled_from([(x, y) for x in _KEY_VALUES for y in _KEY_VALUES if x != y]),
+                          st.integers(0, 3)), max_size=30),
+       st.lists(st.tuples(st.sampled_from(["ab", "ac", "bc"]), st.sampled_from(_KEY_VALUES[3:]), st.integers(0, 3)),
+                min_size=2, max_size=4, unique_by=lambda conflict: conflict[2]))
+def test_a_failing_key_round_replays_only_the_times_that_conflict(pairs, conflicts):
+    """Random equalities, and two constants equal to one null at each of two
+    to four times.  Each time has a closure of its own, so replaying only
+    the equalities of the times that conflict meets the same first conflict,
+    with the same chain, as replaying every equality."""
+    equalities = [(x, y, t) for (x, y), t in pairs] + [(k, n, t) for ks, n, t in conflicts for k in ks]
+    assert _close_and_replace(Instance.abstract([rel("R", "a")]), equalities) == _first_conflict(equalities)
 
 
 def _random_key_groups(rng, kind):

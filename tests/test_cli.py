@@ -403,7 +403,7 @@ def test_sem_of_an_interval_longer_than_sys_maxsize_is_one_error_line(workdir, c
 
 
 def test_equiv_builds_one_point_per_grid_cell(workdir, capsys):
-    # sem of this input is beyond MAX_SEM_FACTS; equiv finds each fact's twin and builds none
+    # sem of this input is beyond MAX_SEM_FACTS; equiv decides it by the identity map and builds none
     (workdir / "long.json").write_text(_LONG)
     assert run(workdir, "equiv", "-a", "@long.json", "-b", "@long.json") == 0
     assert capsys.readouterr() == ("equivalent\n", "")
@@ -426,7 +426,7 @@ def test_equiv_beyond_its_fact_limit_is_one_error_line(workdir, capsys, monkeypa
 
 @pytest.mark.parametrize("name", ["nulls", "constants"])
 def test_equiv_of_an_input_with_itself_cuts_nothing(workdir, capsys, monkeypatch, name):
-    # each component and each ground fact is its own twin, so no fact is cut, however many cells
+    # the two views are equal, so the identity map decides it and no fact is cut, however many cells
     monkeypatch.setattr(tdx.homomorphism, "_cut", None)
     value = {"nulls": lambda i: {"null": f"N{i}"}, "constants": lambda i: f"p{i}"}[name]
     facts = [{"values": [value(i)], "interval": {"start": i, "end": "inf"}} for i in range(710)]

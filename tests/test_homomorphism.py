@@ -8,6 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tdx import (
     Atom,
@@ -31,12 +32,13 @@ from tdx import (
     sem_instance,
 )
 import tdx.homomorphism
+from tdx.homomorphism import _view
 
 from generators import CONSTANTS, careers_chase_pair, careers_like, random_case, random_overlapping_case
 from helpers import bench_workloads, c, fact, in_order, iv, rel
 from oracles import (apply_abstract_hom, brute_force_hom_exists, enumerate_formula_homs, fact_sort_key,
                      instantiate_atom, is_normalized, nested_loop_homs, per_component_abstract_hom,
-                     scan_abstract_hom, sem_equivalent, value_sort_key)
+                     pointwise_view, scan_abstract_hom, sem_equivalent, value_sort_key)
 
 JOIN_LHS = [
     Atom("Employee1", (Var("n"), Var("c")), "t"),
@@ -332,19 +334,24 @@ def test_indexed_join_agrees_with_the_nested_loop():
     assert nonempty >= 1000
 
 
-def _count_matches(run, monkeypatch):
-    calls = 0
-    match = tdx.homomorphism._match_atom
+def _counting(monkeypatch, name):
+    """Count the calls of ``tdx.homomorphism``'s ``name``, in a list of one."""
+    calls = [0]
+    run = getattr(tdx.homomorphism, name)
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return match(*args)
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return run(*args, **kwargs)
 
-    with monkeypatch.context() as patched:
-        patched.setattr(tdx.homomorphism, "_match_atom", counting)
-        run()
+    monkeypatch.setattr(tdx.homomorphism, name, counting)
     return calls
+
+
+def _count_matches(run, monkeypatch):
+    with monkeypatch.context() as patched:
+        calls = _counting(patched, "_match_atom")
+        run()
+    return calls[0]
 
 
 def _match_calls(inst, query, monkeypatch):
@@ -422,13 +429,67 @@ def test_hom_search_work_grows_linearly(example1, monkeypatch):
     assert 0 < counts[0] and counts[1] <= 5 * counts[0], counts
 
 
+def _prefixed(inst):
+    """``inst`` with an ``x`` put before every null label: one to one, and
+    each label keeps its place in canonical order."""
+    return inst.replace_facts(Fact(f.relation, tuple(Null("x" + v.label) if isinstance(v, Null) else v
+                                                     for v in f.values), f.time) for f in inst.facts)
+
+
 def test_hom_equivalence_of_twins_walks_no_join(example1, monkeypatch):
-    """Each component of the 4S careers pair has a twin on the other side, up
-    to null names, so no join is walked."""
+    """The 4S careers pair with every null of one side relabeled: the views
+    differ, so the twin pass runs, and each component has a twin on the
+    other side, up to null names, so no join is walked."""
     jc, ja = careers_chase_pair(24, example1)
+    untwinned = _counting(monkeypatch, "_untwinned")
     answers = []
-    assert _count_matches(lambda: answers.append(equivalent(jc, ja)), monkeypatch) == 0
-    assert answers == [True]
+    assert _count_matches(lambda: answers.append(equivalent(jc, _prefixed(ja))), monkeypatch) == 0
+    assert answers == [True] and untwinned == [1]
+
+
+def test_equal_coalesced_views_are_decided_by_the_identity_map(example1, fig1, fig2, monkeypatch):
+    """A pair whose coalesced views are equal is equivalent by the identity
+    map, each way: it is neither keyed, nor cut, nor searched."""
+    jc, ja = careers_chase_pair(24, example1)
+    source = sem_instance(fig1, 13)
+    for name in ("_untwinned", "build_grid", "_cut", "_hom"):
+        monkeypatch.setattr(tdx.homomorphism, name, None)
+    for a, b in ((jc, ja), (ja, ja), (fig1, source), (fig1, fig1), (fig2, fig2)):
+        assert equivalent(a, b, 13) and equivalent(b, a, 13)
+
+
+def test_a_subset_direction_holds_by_the_identity_map(monkeypatch):
+    """Pairs whose coalesced views are a strict subset one of the other, in
+    both orders and both views, against ``sem`` then search: only the other
+    direction is searched, so one ``_hom`` at most runs per check."""
+    rng = random.Random(28)
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        small = _random_abstract(rng)
+        large = small.replace_facts(small.facts | _random_abstract(rng).facts)
+        for a, b in ((small, large), (_as_concrete(small), _as_concrete(large))):
+            if not _view(a, 3) < _view(b, 3):
+                continue
+            for x, y in ((a, b), (b, a)):
+                expected = sem_equivalent(x, y, 3)
+                with monkeypatch.context() as patched:
+                    homs = _counting(patched, "_hom")
+                    assert equivalent(x, y, 3) == expected, (x, y)
+                assert homs[0] <= 1
+                answers[expected] += 1
+    assert min(answers.values()) >= 50, answers
+
+
+@given(st.sets(st.tuples(st.sampled_from(["R", "T"]), st.sampled_from(["a", "b", Null("N"), Null("M")]),
+                         st.integers(0, 12)), max_size=30),
+       st.integers(1, 8))
+def test_an_abstract_view_is_coalesced_by_runs_as_point_by_point(rows, horizon):
+    """The abstract view by runs of points against one fact per point
+    coalesced: gaps, single points, nulls, the nullary ``T``, and facts at
+    or beyond the horizon, which an abstract input keeps."""
+    inst = Instance.abstract([rel("R", "a"), rel("T")],
+                             [Fact(r, (v,) if r == "R" else (), t) for r, v, t in rows])
+    assert _view(inst, horizon) == pointwise_view(inst)
 
 
 def _component_shapes(inst):
@@ -626,8 +687,8 @@ def _as_concrete(inst):
 
 def test_equivalent_on_bench_results_with_long_intervals(example1, monkeypatch):
     """The 4S careers, long-lived and crossview chase results coalesce to the
-    same facts, so every component and ground fact has a twin: nothing is
-    cut and no join is walked.  Careers and crossview again, the abstract
+    same facts, so the identity map decides them: nothing is keyed or cut
+    and no join is walked.  Careers and crossview again, the abstract
     result read as a concrete instance with a null label per point, with
     every endpoint x100: the answer is the one at x1, which ``sem`` then
     search gives, and as many facts are built."""
@@ -641,6 +702,7 @@ def test_equivalent_on_bench_results_with_long_intervals(example1, monkeypatch):
         return out
 
     monkeypatch.setattr(tdx.homomorphism, "_cut", counting)
+    untwinned = _counting(monkeypatch, "_untwinned")
     rng = random.Random(3)
     for name in ("careers", "long-lived", "crossview"):
         workload = bench.WORKLOADS[name]
@@ -649,9 +711,9 @@ def test_equivalent_on_bench_results_with_long_intervals(example1, monkeypatch):
         jc = chase(src, example1).instance
         ja = chase(sem_instance(src, sc.horizon), example1).instance
         built.append(0)
-        answers = []
+        answers, keyed = [], untwinned[0]
         assert _count_matches(lambda: answers.append(equivalent(jc, ja, sc.horizon)), monkeypatch) == 0
-        assert answers == [True] and built[-1] == 0, name
+        assert answers == [True] and built[-1] == 0 and untwinned[0] == keyed, name
         if name == "long-lived":
             continue
         ja = _as_concrete(ja)
@@ -672,8 +734,8 @@ def test_equivalent_refuses_a_large_cut_before_building_it():
     the other side's at the same points: for n = 3,000, 2 x 2 x n(n+1)/2 =
     18,006,000 facts, and 4.5 million entries (about 36 MB) in the lists of
     each interval's points.  They are counted on the grid's indexes and
-    refused before either is built.  Either side compared with itself is its
-    own twin, and nothing is cut."""
+    refused before either is built.  Either side compared with itself is
+    decided by the identity map, and nothing is cut."""
     n = 3_000
     nulls, constants = [Instance.concrete([rel("R", "a")], [fact("R", value(i), time=iv(i, INF)) for i in range(n)])
                         for value in (lambda i: Null(f"N{i}"), lambda i: f"p{i}")]
@@ -687,6 +749,22 @@ def test_equivalent_refuses_a_large_cut_before_building_it():
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
     assert equivalent(nulls, nulls) and equivalent(constants, constants)
+
+
+def test_a_direction_the_identity_map_decides_is_not_counted_against_the_limit(monkeypatch):
+    """``a`` holds n nested facts ``R(N_i)`` and ``R(M_i), S(M_i)`` on
+    ``[i, inf)``, and ``b`` adds ``S(N_i)``.  ``a``'s view is a subset of
+    ``b``'s, so that direction holds by the identity map, though no ``R(N_i)``
+    has a twin in ``b``; each component of ``b`` has a twin in ``a``.  Cutting
+    the ``R(N_i)`` and ``b`` at their cells would build 5n(n+1)/2 = 315,950
+    facts for n = 355, above the limit: none is counted, and none is cut."""
+    monkeypatch.setattr(tdx.homomorphism, "_cut", None)
+    n = 355
+    a = [fact("R", Null(f"N{i}"), time=iv(i, INF)) for i in range(n)]
+    a += [fact(r, Null(f"M{i}"), time=iv(i, INF)) for i in range(n) for r in "RS"]
+    b = a + [fact("S", Null(f"N{i}"), time=iv(i, INF)) for i in range(n)]
+    a, b = (Instance.concrete([rel("R", "a"), rel("S", "a")], facts) for facts in (a, b))
+    assert equivalent(a, b) and equivalent(b, a)
 
 
 _HASH_SEED_PROBE = """

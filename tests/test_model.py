@@ -352,6 +352,33 @@ def test_a_fact_of_another_field_count_is_named_by_its_fields():
         "Fact('R', (Null('N', 'M'),), 1): values[0] field count must be 1, got 2"]
 
 
+_MISSHOWN_PROBE = """
+from tdx import Atom, Fact, Instance, Null, SchemaError, SttTgd, Var, validate_instance
+from helpers import rel
+print(validate_instance(Instance.abstract([rel("R", "a")], [Fact("R", (("N", tuple.__new__(Null, ())),), 1)]))[0].message)
+try:
+    SttTgd((Atom("S", (Var("x"),), "t"),), (Atom("T", (Var("x"),), "t"),),
+           frozenset({tuple.__new__(Null, ("b", "x")), tuple.__new__(Null, ("a", "y"))}))
+except SchemaError as exc:
+    print(exc)
+"""
+
+
+def test_a_misfit_that_holds_a_null_of_another_field_count_is_shown_by_its_fields():
+    """The ``repr`` of such a null fails, so a message shows it by its
+    fields, never by its memory address: the same text in every process,
+    and the same least member of a frozenset."""
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(tdx.model.__file__).parent.parent), str(tests), os.environ.get("PYTHONPATH")]))}
+    runs = [subprocess.run([sys.executable, "-c", _MISSHOWN_PROBE], cwd=tests, capture_output=True,
+                           text=True, env=env, check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1] and "0x" not in runs[0]
+    assert runs[0].splitlines() == [
+        "Fact('R', (('N', Null()),), 1): values[0] must be a str or a Null, got tuple ('N', Null())",
+        "SttTgd: existentials member must be a str, got Null Null('a', 'y')"]
+
+
 class _Str(str):
     pass
 
