@@ -65,14 +65,12 @@ from .model import (
     RelationSchema,
     TimeValue,
     Value,
-    _apply_cuts,
+    _aligned,
     _blocks,
     _check_kind,
     _coalesce,
     _mark_checked,
     _new,
-    _plan_cuts,
-    _refuse_fragments,
     conform_instance,
     is_complete,
     is_null,
@@ -226,7 +224,8 @@ def _key_positions(inst: Instance, tkc: Tkc) -> tuple[tuple[int, ...], tuple[int
     """Key and dependent positions of a key constraint within its relation's
     schema in ``inst``, which a checked key fits."""
     attributes = inst.schema_by_name[tkc.relation].attributes
-    return tuple(i for i, a in enumerate(attributes) if a in tkc.key), tuple(map(attributes.index, tkc.dependents))
+    return (tuple(i for i, a in enumerate(attributes) if a in tkc.key),
+            tuple(i for i, a in enumerate(attributes) if a not in tkc.key))
 
 
 def _key_blocks(inst: Instance, tkcs: Sequence[Tkc]) -> list[list[Fact]]:
@@ -263,9 +262,8 @@ def _key_round(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     concrete = inst.kind == CONCRETE
     if concrete:
         coalesced = _coalesce(inst)
-        plans = _plan_cuts(_key_blocks(coalesced, tkcs))
-        _refuse_fragments("the key round", plans, len(inst.facts) - len(coalesced.facts))
-        inst = _apply_cuts(coalesced, plans)
+        merged = len(inst.facts) - len(coalesced.facts)
+        inst = next(_aligned(coalesced, [_key_blocks(coalesced, tkcs)], "the key round", merged))
     outcome = _close_and_replace(inst, _round_equalities(inst, tkcs))
     return Success(_coalesce(outcome.instance)) if concrete and isinstance(outcome, Success) else outcome
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import stat
 import sys
@@ -228,7 +227,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
-    except (TdxError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (TdxError, OSError, ValueError) as exc:
         _diag(str(exc))
         return EXIT_ERROR
 

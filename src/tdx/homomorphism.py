@@ -65,7 +65,7 @@ from .model import (
     Null,
     TimeValue,
     Value,
-    _apply_cuts,
+    _aligned,
     _blocks,
     _check_horizon,
     _check_instance,
@@ -76,8 +76,6 @@ from .model import (
     _grid_cuts,
     _merged,
     _new,
-    _plan_cuts,
-    _refuse_fragments,
 )
 from .temporal import ClopenInterval, build_grid
 
@@ -267,7 +265,7 @@ def _join_tokens(atoms: Sequence[Atom]) -> Optional[dict[str, list[tuple[int, tu
 
 
 def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -> Iterator[Instance]:
-    """For each body, the instance its join reads, made as it is asked for.
+    """For each body, the instance its join reads, cut by ``_aligned``.
 
     A join binds one time value to every atom, so over a concrete instance
     facts that overlap must first be cut into equal pieces.  Only facts that
@@ -276,21 +274,15 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -
     in ``_join_tokens``, they agree on the values the pair shares, a null
     being its label (the grouping-scoped alignment of Dignös, Böhlen and
     Gamper, "Temporal Alignment", SIGMOD 2012).  A body of one atom, a block
-    that lacks a fact of some relation of the body (it yields no binding), a
-    block whose intervals are equal or disjoint, and an abstract instance
-    need no cut.  The fragments are counted over every block of every body
-    when this is called, before any is made, and refused above
-    ``MAX_NORMALIZE_FRAGMENTS`` as ``normalize_instance`` refuses them,
-    naming ``stage``; each body's cut copy of the instance is then made only
-    as the caller asks for it, so a caller that reads them in turn holds at
-    most two at once.
+    that lacks a fact of some relation of the body (it yields no binding),
+    and an abstract instance need no cut.
     """
     if inst.kind != CONCRETE:
         return iter([inst] * len(bodies))
-    plans = []
+    blockings = []
     for atoms in bodies:
         if len(atoms) < 2:
-            plans.append([])
+            blockings.append([])
             continue
         by_relation = _join_tokens(atoms)
         relations = {a.relation for a in atoms}
@@ -301,15 +293,12 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -
                 return [(edge, *map(f.values.__getitem__, where)) for edge, where in by_relation.get(f.relation, ())]
 
             blocks = _blocks([f for r in relations for f in inst.facts_by_relation[r]], tokens)
-        plans.append(_plan_cuts([b for b in blocks if len(b) > 1 and relations <= {f.relation for f in b}]))
-    _refuse_fragments(stage, [p for block_plans in plans for p in block_plans])
-    return (_apply_cuts(inst, block_plans) for block_plans in plans)
+        blockings.append([b for b in blocks if relations <= {f.relation for f in b}])
+    return _aligned(inst, blockings, stage)
 
 
 def _check_pair(a: Instance, b: Instance) -> None:
-    """Two instances to compare are each well formed, and share a schema."""
-    _check_instance(a)
-    _check_instance(b)
+    """Two instances to compare, each already checked, share a schema."""
     if a.schema != b.schema:
         raise SchemaError("instances must share a schema")
 

@@ -23,7 +23,7 @@ parser rejects only what the syntax tree cannot hold: bad tokens, ``?`` and
 ``@`` marking, a literal in the temporal slot, duplicate names and a query
 head redeclared differently.  Each structural rule (relations on their side
 and of the right arity, one temporal variable kept out of value positions,
-bound or existential variables, key attributes and dependents, head
+bound or existential variables, key attributes and a dependent, head
 variables in the body) is written once, in the per-statement checks at the
 end of this module.  The parser raises the first problem they find at its
 token; ``validate_mapping`` reports them all for mappings built in code, and
@@ -76,11 +76,11 @@ class SttTgd(_Checked):
 
 @dataclass(frozen=True)
 class Tkc(_Checked):
-    """Temporal key constraint: key attributes (temporal included) determine the rest."""
+    """Temporal key constraint: key attributes (temporal included) determine
+    the rest of the relation's attributes, its dependents."""
 
     relation: str
     key: frozenset[str]
-    dependents: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -331,9 +331,7 @@ def _parse_key(cur: _Cursor, source: dict[str, RelationSchema],
                                 f"{schema.temporal!r}", tok)
             if tok is not temporal and tok.text == schema.temporal:
                 raise cur.error(f"write the temporal attribute as @{tok.text}", tok)
-    key = frozenset(t.text for t in toks)
-    dependents = tuple(a for a in schema.attributes if a not in key) if schema is not None else ()
-    tkc = Tkc(rel.text, key, dependents)
+    tkc = Tkc(rel.text, frozenset(t.text for t in toks))
     _raise_first(cur, _key_problems(tkc, source, target), {(0, None): rel, **{t.text: t for t in toks}})
     cur.expect_end()
     return tkc
@@ -477,7 +475,8 @@ def _rule_problems(dep: SttTgd, source: dict[str, RelationSchema],
 
 def _key_problems(tkc: Tkc, source: dict[str, RelationSchema],
                   target: dict[str, RelationSchema]) -> Iterator[_Problem]:
-    """A target relation whose attributes split into the key (temporal included) and dependents."""
+    """A target relation whose attributes the key (temporal included) names,
+    leaving at least one dependent."""
     schema = target.get(tkc.relation)
     if schema is None:
         if tkc.relation in source:
@@ -490,13 +489,9 @@ def _key_problems(tkc: Tkc, source: dict[str, RelationSchema],
         yield "key-violation", f"unknown attribute {a!r} of relation {schema.name!r}", a
     if schema.temporal not in tkc.key:
         yield "key-violation", f"a temporal key must include @{schema.temporal}", None
-    if not tkc.dependents:
+    if tkc.key.issuperset(schema.attributes):
         yield ("key-violation",
                "the key covers every attribute; at least one dependent attribute is required", None)
-    expected = tuple(a for a in schema.attributes if a not in tkc.key)
-    if tkc.dependents != expected:
-        yield ("key-violation", f"key and dependents must partition the attributes "
-               f"(expected dependents {expected})", None)
 
 
 def _query_problems(q: Ucq, source: dict[str, RelationSchema],

@@ -22,8 +22,8 @@ explicit finite horizon (abstract views of unbounded intervals are
 infinite, so materialization must be bounded).  ``normalize_instance``
 rewrites a concrete instance so that any two intervals across all relations
 are either equal or disjoint; it is the one-block case of the block cut
-(``_blocks``, ``_plan_cuts``, ``_apply_cuts``), which the chase and
-``naive_eval`` apply only among facts that can meet.  ``_coalesce`` merges
+(``_blocks``, ``_aligned``), which the chase and ``naive_eval`` apply only
+among facts that can meet.  ``_coalesce`` merges
 facts of equal relation and values whose intervals overlap or meet, the one
 form of an abstract view with maximal facts.
 
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
 from functools import cache, cached_property
 from operator import attrgetter, itemgetter
-from typing import Callable, Collection, Iterable, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
 from .temporal import INF, ClopenInterval, build_grid, interval_points, split_interval
@@ -575,64 +575,62 @@ def _blocks(facts: Iterable[Fact], tokens: Callable[[Fact], list],
     return list(blocks.values())
 
 
-class _Cut(NamedTuple):
-    """A block that needs a cut: its facts, its sorted endpoint grid, and
-    ``_grid_cuts`` of its intervals on the grid."""
+def _aligned(inst: Instance, blockings: Iterable[Iterable[Collection[Fact]]], stage: str,
+             merged: int = 0) -> Iterator[Instance]:
+    """The concrete ``inst`` once per blocking, a list of disjoint blocks of
+    its facts, with each block's facts cut over the block's endpoint grid so
+    that no two facts of a block overlap unless their intervals are equal.
+    Each is made only as the caller asks for it, so a caller that reads them
+    in turn holds at most two at once; it is ``inst`` itself when nothing
+    is cut.  A block whose intervals are equal or disjoint (``_apart``)
+    needs no cut.
 
-    facts: Collection[Fact]
-    grid: list[int]
-    cuts: dict[ClopenInterval, tuple[int, int]]
-    fragments: int
-
-
-def _plan_cuts(blocks: Iterable[Collection[Fact]]) -> list[_Cut]:
-    """The blocks that need a cut, with their grids, so that no fact of a
-    block overlaps another fact of the block unless their intervals are
-    equal.  A block whose intervals are equal or disjoint (``_apart``)
-    needs none."""
-    plans = []
-    for block in blocks:
-        times = {f.time for f in block}
-        if len(times) < 2 or _apart(times):
-            continue
-        grid = build_grid(times)
-        cuts, count = _grid_cuts(Counter(f.time for f in block), grid)  # one fragment per grid point in it
-        plans.append(_Cut(block, grid, cuts, count))
-    return plans
-
-
-def _refuse_fragments(stage: str, plans: list[_Cut], merged: int = 0) -> None:
-    """PreconditionError, naming ``stage``, if the cuts add more than
-    ``MAX_NORMALIZE_FRAGMENTS`` fragments to the facts they split, counted
-    before any is made.  The ``merged`` facts that a coalescing removed
-    before the cut count as facts the stage was given: a cut that only
-    makes them again holds no more facts than were made before the
+    Every block of every blocking is planned, and its fragments counted on
+    the grid (``_grid_cuts``), when this is called.  PreconditionError,
+    naming ``stage``, is then raised before any fragment is made if the
+    fragments outnumber the facts they split by more than
+    ``MAX_NORMALIZE_FRAGMENTS``.  The ``merged`` facts that a coalescing
+    removed before the cut count as facts the stage was given: a cut that
+    only makes them again holds no more facts than were made before the
     coalescing.  The message names the facts cut, their fragments, and the
     facts merged when there are any."""
-    facts = sum(len(p.facts) for p in plans)
-    fragments = sum(p.fragments for p in plans)
+    plans = []
+    facts = fragments = 0
+    for blocks in blockings:
+        plan = []
+        for block in blocks:
+            times = {f.time for f in block}
+            if len(times) < 2 or _apart(times):
+                continue
+            grid = build_grid(times)
+            cuts, count = _grid_cuts(Counter(f.time for f in block), grid)  # one fragment per grid point in it
+            facts += len(block)
+            fragments += count
+            plan.append((block, grid, cuts))
+        plans.append(plan)
     added = fragments - facts - merged
     if added > MAX_NORMALIZE_FRAGMENTS:
         given = f"the facts and the {merged} that coalescing merged away" if merged else "the facts"
         raise PreconditionError(f"{stage} would split {facts} facts into {fragments} fragments, "
                                 f"{added} more than {given}, above the limit of {MAX_NORMALIZE_FRAGMENTS}")
+    return (_cut_blocks(inst, plan) for plan in plans)
 
 
-def _apply_cuts(inst: Instance, plans: list[_Cut]) -> Instance:
-    """``inst`` with the facts of each planned block cut over the block's grid
-    by ``split_interval`` and ``_cut``."""
-    if not plans:
+def _cut_blocks(inst: Instance, plan: list) -> Instance:
+    """``inst`` with the facts of each planned block cut by ``split_interval``
+    at its grid points."""
+    if not plan:
         return inst
     facts = set(inst.facts)
-    for p in plans:
-        facts.difference_update(p.facts)
-        facts.update(_cut(p.facts, {iv: split_interval(iv, p.grid[lo:hi]) for iv, (lo, hi) in p.cuts.items()}))
+    for block, grid, cuts in plan:
+        facts.difference_update(block)
+        facts.update(_cut(block, {iv: split_interval(iv, grid[lo:hi]) for iv, (lo, hi) in cuts.items()}))
     return _mark_checked(Instance(CONCRETE, inst.schema, frozenset(facts)))
 
 
 def normalize_instance(inst: Instance) -> Instance:
     """Split every fact over the endpoint grid of the whole instance: the
-    block cut of ``_plan_cuts`` with all facts in one block.
+    cut of ``_aligned`` with all facts in one block.
 
     The output satisfies the normalization predicate and has the same abstract
     view at every valid horizon: each distinct interval is cut by
@@ -654,9 +652,7 @@ def normalize_instance(inst: Instance) -> Instance:
     themselves take.
     """
     _check_kind(inst, CONCRETE, "normalize_instance")
-    plans = _plan_cuts([inst.facts])
-    _refuse_fragments("normalization", plans)
-    return _apply_cuts(inst, plans)
+    return next(_aligned(inst, [[inst.facts]], "normalization"))
 
 
 def conform_instance(inst: Instance, declared: Iterable[RelationSchema]) -> Instance:

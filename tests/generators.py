@@ -118,8 +118,7 @@ def _random_tkcs(rng: random.Random, target) -> tuple[Tkc, ...]:
             continue
         key_size = rng.randint(0, schema.arity - 1)
         key = set(rng.sample(schema.attributes, key_size))
-        dependents = tuple(a for a in schema.attributes if a not in key)
-        tkcs.append(Tkc(schema.name, frozenset(key) | {schema.temporal}, dependents))
+        tkcs.append(Tkc(schema.name, frozenset(key) | {schema.temporal}))
     return tuple(tkcs)
 
 
@@ -207,7 +206,7 @@ OVERLAP_MAX_ENDPOINT = 100
 
 def _keyed_tkcs(target) -> tuple[Tkc, ...]:
     """One key per target relation with dependents: its first attribute and the time."""
-    return tuple(Tkc(r.name, frozenset({r.attributes[0], r.temporal}), r.attributes[1:])
+    return tuple(Tkc(r.name, frozenset({r.attributes[0], r.temporal}))
                  for r in target if r.arity >= 2)
 
 

@@ -174,7 +174,7 @@ def tkc_step(u1: Fact, u2: Fact, tkc, schema: RelationSchema) -> frozenset[tuple
         raise ValueError(f"facts {u1} and {u2} do not agree on the temporal key")
     if u1 == u2:
         raise ValueError(f"facts are identical, not conflicting: {u1}")
-    pairs = [(u1.values[i], u2.values[i]) for i in map(schema.attributes.index, tkc.dependents)]
+    pairs = [(u1.values[i], u2.values[i]) for i, a in enumerate(schema.attributes) if a not in tkc.key]
     return frozenset((x, y) if x <= y else (y, x) for x, y in pairs if x != y)
 
 

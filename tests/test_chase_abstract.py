@@ -88,7 +88,7 @@ def test_tkc_round_null_to_constant_replacement():
         fact("R", "a", Null("N"), time=5),
         fact("R", "a", "c", time=5),
     ])
-    key = Tkc("R", frozenset({"a", "time"}), ("b",))
+    key = Tkc("R", frozenset({"a", "time"}))
     assert tkc_round_abstract(inst, [key]) == Success(
         Instance.abstract([schema], [fact("R", "a", "c", time=5)]))
 
@@ -99,7 +99,7 @@ def test_tkc_round_null_to_null_replacement_elects_least_label():
         fact("R", "a", Null("N"), time=5),
         fact("R", "a", Null("M"), time=5),
     ])
-    key = Tkc("R", frozenset({"a", "time"}), ("b",))
+    key = Tkc("R", frozenset({"a", "time"}))
     assert tkc_round_abstract(inst, [key]) == Success(
         Instance.abstract([schema], [fact("R", "a", Null("M"), time=5)]))
 
@@ -111,7 +111,7 @@ def test_tkc_round_key_null_violation():
         fact("R", Null("N"), "y", time=5),
     ])
     with pytest.raises(KeyNullViolation):
-        tkc_round_abstract(inst, [Tkc("R", frozenset({"a", "time"}), ("b",))])
+        tkc_round_abstract(inst, [Tkc("R", frozenset({"a", "time"}))])
 
 
 def test_chase_reaches_the_golden_abstract_solution(fig2, fig5, example1):

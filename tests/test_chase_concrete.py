@@ -190,7 +190,7 @@ def test_key_positions_refuse_a_code_built_key_that_does_not_fit(example1):
     ``validate_mapping`` lists: a relation outside the instance, an unknown
     attribute."""
     emp_schema = example1.target_by_name["Emp"]
-    ghost = Tkc("Emp", frozenset({"name", "time", "age"}), ("position", "company"))
+    ghost = Tkc("Emp", frozenset({"name", "time", "age"}))
     inst = Instance.concrete([emp_schema], [fact("Emp", "Ada", "DBA", "IBM", time=iv(0, 1))])
     for key_round, view in ((tkc_round_concrete, inst), (tkc_round_abstract, sem_instance(inst, 1))):
         with pytest.raises(SchemaError, match="^key #1 on 'Sal': unknown target relation 'Sal'$"):
@@ -229,7 +229,7 @@ def test_tkc_round_key_null_propagates(example1):
         fact("Emp", Null("N"), "Boss", "IBM", time=iv(0, 1)),
     ])
     with pytest.raises(KeyNullViolation):
-        tkc_round_concrete(inst, [Tkc("Emp", frozenset({"name", "time"}), ("position", "company"))])
+        tkc_round_concrete(inst, [Tkc("Emp", frozenset({"name", "time"}))])
 
 
 def test_tkc_round_shared_null_forces_failure(example1):
@@ -243,7 +243,7 @@ def test_tkc_round_shared_null_forces_failure(example1):
         fact("Emp", "David", Null("N"), "Intel", time=iv(8, 9)),
         fact("Emp", "David", "Manager", "Intel", time=iv(8, 9)),
     ])
-    key = Tkc("Emp", frozenset({"name", "company", "time"}), ("position",))
+    key = Tkc("Emp", frozenset({"name", "company", "time"}))
     out = tkc_round_concrete(inst, [key])
     assert isinstance(out, Failure)
     assert out.constants == ("DBA", "Manager")
@@ -452,7 +452,7 @@ def _assert_witness(failure, equalities, length=None):
 
 def test_hub_key_round_agrees_with_all_pairs():
     rng = random.Random(11)
-    tkcs = [Tkc("R", frozenset({"k", "time"}), ("d1", "d2"))]
+    tkcs = [Tkc("R", frozenset({"k", "time"}))]
     outcomes = Counter()
     for kind in ("concrete", "abstract"):
         for _ in range(300):
@@ -481,7 +481,7 @@ def test_the_closure_agrees_with_the_naive_closure():
     both views, against the breadth-first oracle: the same instance, or the
     same first conflict with a shortest chain."""
     rng = random.Random(23)
-    tkcs = [Tkc("R", frozenset({"k", "time"}), ("d1", "d2"))]
+    tkcs = [Tkc("R", frozenset({"k", "time"}))]
     outcomes = Counter()
     for kind in ("concrete", "abstract"):
         for _ in range(300):
@@ -506,7 +506,7 @@ def test_key_round_pairs_each_member_with_one_hub():
     k = 2000
     inst = Instance.concrete([rel("Emp", "name", "position", "company")], [
         fact("Emp", "Ada", Null(f"N{i}"), "IBM", time=iv(0, 5)) for i in range(k)])
-    tkcs = [Tkc("Emp", frozenset({"name", "time"}), ("position", "company"))]
+    tkcs = [Tkc("Emp", frozenset({"name", "time"}))]
     hub = Null("N0")  # one equality per dependent that differs from the hub's: here, the position
     equalities = _round_equalities(inst, tkcs)
     assert len(equalities) == k - 1

@@ -43,7 +43,7 @@ def test_parse_running_example(example1):
     assert first.existentials == {"p", "s"}
     assert len(example1.tkcs) == 2
     emp_key = example1.tkcs[0]
-    assert emp_key == Tkc("Emp", frozenset({"name", "time"}), ("position", "company"))
+    assert emp_key == Tkc("Emp", frozenset({"name", "time"}))
     assert {q.name for q in example1.queries} == {"positions", "paid_positions"}
     assert validate_mapping(example1) == []
 
@@ -110,7 +110,7 @@ def test_existential_marker_hint():
 
 def test_temporal_only_key_is_permitted():
     m = parse_mapping("target B(x, @t).\nkey B(@t).")
-    assert m.tkcs == (Tkc("B", frozenset({"t"}), ("x",)),)
+    assert m.tkcs == (Tkc("B", frozenset({"t"})),)
 
 
 def test_validate_mapping_detects_structural_defects():
@@ -130,7 +130,7 @@ def test_validate_mapping_detects_structural_defects():
         Ucq("q", ("x",), "t", ((Atom("A", (Var("x"),), "t"),),)),))
     assert [v.code for v in validate_mapping(query_on_source)] == ["wrong-schema-side"]
 
-    bad_key = Mapping((a,), (b,), (), (Tkc("B", frozenset({"x", "y", "t"}), ()),), ())
+    bad_key = Mapping((a,), (b,), (), (Tkc("B", frozenset({"x", "y", "t"})),), ())
     assert "key-violation" in [v.code for v in validate_mapping(bad_key)]
 
     dangling = Mapping((a,), (b,), (SttTgd(
@@ -145,22 +145,18 @@ _Q = Ucq("q", ("x",), "t", ((Atom("B", (Var("x"), Var("y")), "t"),),))
 
 
 # Defects that only a code-built mapping can hold, so the parser has no text
-# for them: it derives a key's dependents, writes its temporal attribute,
-# names the relation it declares twice by another message, and merges the
-# disjuncts of two queries of one name.
+# for them: it writes a key's temporal attribute, names the relation it
+# declares twice by another message, and merges the disjuncts of two queries
+# of one name.
 @pytest.mark.parametrize("target, tkcs, queries, expected", [
-    ((_B,), (Tkc("C", frozenset({"x", "t"}), ("y",)),), (),
+    ((_B,), (Tkc("C", frozenset({"x", "t"})),), (),
      [("unknown-relation", "key #0 on 'C': unknown target relation 'C'")]),
-    ((_B,), (Tkc("B", frozenset({"x"}), ("y",)),), (),
+    ((_B,), (Tkc("B", frozenset({"x"})),), (),
      [("key-violation", "key #0 on 'B': a temporal key must include @t")]),
-    ((_B,), (Tkc("B", frozenset({"x", "t"}), ("x",)),), (),
-     [("key-violation", "key #0 on 'B': key and dependents must partition the attributes "
-                        "(expected dependents ('y',))")]),
     ((_B, rel("A", "z", temporal="t")), (), (),
      [("duplicate-relation", "relation 'A' declared more than once")]),
     ((_B,), (), (_Q, _Q), [("duplicate-query", "query 'q': name used by more than one query")]),
-], ids=["unknown key relation", "key without its time", "dependents that do not partition",
-        "duplicate relation", "duplicate query"])
+], ids=["unknown key relation", "key without its time", "duplicate relation", "duplicate query"])
 def test_validate_mapping_lists_the_defects_only_code_can_build(target, tkcs, queries, expected):
     m = Mapping((rel("A", "x", temporal="t"),), target, (), tkcs, queries)
     assert [(v.code, v.message) for v in validate_mapping(m)] == expected
@@ -297,9 +293,8 @@ NAME_PROBES = {
         (lambda: SttTgd(*_TP, ["p"]), "SttTgd: existentials must be a frozenset, got list ['p']"),
     "existentials that mix classes":
         (lambda: SttTgd(*_TP, frozenset({0, "p"})), "SttTgd: existentials member must be a str, got int 0"),
-    "key that mixes classes": (lambda: Tkc("T", frozenset({0, "zz"}), ("b",)), "Tkc: key member must be a str, got int 0"),
-    "dependents that are a list": (lambda: Tkc("T", frozenset({"a", "t"}), ["b"]),
-                                   "Tkc: dependents must be a tuple, got list ['b']"),
+    "key that mixes classes": (lambda: Tkc("T", frozenset({0, "zz"})), "Tkc: key member must be a str, got int 0"),
+    "key that is a list": (lambda: Tkc("T", ["a", "t"]), "Tkc: key must be a frozenset, got list ['a', 't']"),
 }
 
 

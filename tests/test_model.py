@@ -400,7 +400,7 @@ _MISFITS = {
     Atom: (_ATOM, "args", (Var("x"), 5.0), "Atom: args[1] must be a Var or a str, got float 5.0"),
     SttTgd: (SttTgd((_ATOM,), (_ATOM,), frozenset()), "existentials", frozenset({"p", 0}),
              "SttTgd: existentials member must be a str, got int 0"),
-    Tkc: (Tkc("R", frozenset({"t"}), ("a",)), "key", ["t"], "Tkc: key must be a frozenset, got list ['t']"),
+    Tkc: (Tkc("R", frozenset({"t"})), "key", ["t"], "Tkc: key must be a frozenset, got list ['t']"),
     Ucq: (Ucq("q", ("x",), "t", ((_ATOM,),)), "disjuncts", ((_ATOM, "R"),),
           "Ucq: disjuncts[0][1] must be an Atom, got str 'R'"),
     Mapping: (Mapping((), (), (), (), ()), "tkcs", (_ATOM,), "Mapping: tkcs[0] must be a Tkc, got Atom " + reprlib.repr(_ATOM)),

@@ -222,3 +222,45 @@ def test_the_key_round_names_the_facts_coalescing_merged_apart_from_those_it_cut
                                                 "than the facts and the 16 that coalescing merged away, "
                                                 "above the limit of 30$"):
         chase(src, example1)
+
+
+_TWO_JOINS = parse_mapping("""
+source A(x, @t).
+source B(x, @t).
+source C(x, @t).
+source D(x, @t).
+target T(x, @t).
+target U(x, @t).
+rule A(x, t), B(x, t) -> T(x, t).
+rule C(x, t), D(x, t) -> U(x, t).
+""")
+_TWO_DISJUNCTS = parse_mapping("""
+source S(x, @t).
+target A(x, @t).
+target B(x, @t).
+target C(x, @t).
+target D(x, @t).
+query q(x, t) :- A(x, t), B(x, t).
+query q(x, t) :- C(x, t), D(x, t).
+""")
+
+
+def test_the_fragments_of_every_body_are_summed_before_any_is_cut(monkeypatch):
+    """Each body's join block needs a cut: A and B split 2 facts into 4
+    fragments, C and D 3 facts into 7.  With a limit between one body's
+    added fragments (2 or 4) and their sum (6), the chase and ``naive_eval``
+    refuse with the counts of both bodies, and no fact is cut first."""
+    facts = [fact("A", "a", time=iv(0, 4)), fact("B", "a", time=iv(2, 6)),
+             fact("C", "c", time=iv(0, 6)), fact("D", "c", time=iv(1, 2)), fact("D", "c", time=iv(3, 4))]
+
+    def no_cut(*args):
+        raise AssertionError("a fact was cut before the count was refused")
+
+    monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 5)
+    monkeypatch.setattr(tdx.model, "_cut", no_cut)
+    for stage, run in (("the rule bodies", lambda: chase(Instance.concrete(_TWO_JOINS.source, facts), _TWO_JOINS)),
+                       ("the query body", lambda: naive_eval(_TWO_DISJUNCTS.queries[0],
+                                                             Instance.concrete(_TWO_DISJUNCTS.target, facts)))):
+        with pytest.raises(PreconditionError, match=f"^{stage} would split 5 facts into 11 fragments, "
+                                                    "6 more than the facts, above the limit of 5$"):
+            run()
