@@ -13,10 +13,13 @@ resulting finite instance.
 A concrete chase cuts each fact only against the facts it can meet (the
 grouping-scoped alignment of Dignös, Böhlen and Gamper, SIGMOD 2012): a rule
 of one atom fires on the source facts as they are, a rule of several atoms
-reads its join blocks cut, and the key round coalesces its input, cuts it
-per key block, and coalesces its result (Böhlen, Snodgrass and Soo, VLDB
-1996).  So a concrete result is coalesced, and its bytes depend only on the
-abstract view of the dependency round's result.
+reads its join blocks cut, and the key round coalesces its input, cuts only
+the key blocks that hold two facts of one key group at one time point, and
+coalesces its result (Böhlen, Snodgrass and Soo, VLDB 1996).  A key step
+fires only on such facts, the egd step of Fagin, Kolaitis, Miller and Popa
+(TCS 2005), so an input that violates no key is its own result.  So a
+concrete result is coalesced, and its bytes depend only on the abstract
+view of the dependency round's result.
 
 A fresh null's label is its Skolem term (Fagin, Kolaitis, Popa and Tan,
 TODS 2005; Marnette, PODS 2009): the compact JSON text of the rule's index,
@@ -66,7 +69,7 @@ from .model import (
     TimeValue,
     Value,
     _aligned,
-    _blocks,
+    _apart,
     _check_kind,
     _coalesce,
     _mark_checked,
@@ -220,6 +223,11 @@ def _ordered_pair(x: Value, y: Value) -> tuple[Value, Value]:
     return (x, y) if x <= y else (y, x)
 
 
+def _key_getter(key_pos: tuple[int, ...]) -> Callable[[tuple], object]:
+    """A values tuple's key values, as one hashable object."""
+    return itemgetter(*key_pos) if key_pos else (lambda values: ())
+
+
 def _key_positions(inst: Instance, tkc: Tkc) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Key and dependent positions of a key constraint within its relation's
     schema in ``inst``, which a checked key fits."""
@@ -228,44 +236,101 @@ def _key_positions(inst: Instance, tkc: Tkc) -> tuple[tuple[int, ...], tuple[int
             tuple(i for i, a in enumerate(attributes) if a not in tkc.key))
 
 
-def _key_blocks(inst: Instance, tkcs: Sequence[Tkc]) -> list[list[Fact]]:
-    """The facts that a concrete key round must cut against each other: two
-    facts are in one block if they are in one key group up to time, or hold
-    a null of one label.  A replacement then meets every occurrence of its
-    null, whose pieces are cut alike."""
-    keys: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
-    for i, tkc in enumerate(tkcs):
-        keys.setdefault(tkc.relation, []).append((i, _key_positions(inst, tkc)[0]))
+def _key_groups(inst: Instance, tkcs: Sequence[Tkc]) -> list[list[Fact]]:
+    """The key groups up to time: per key, its relation's facts grouped by
+    their key values, kept where a group holds two facts or more."""
+    groups: list[list[Fact]] = []
+    for tkc in tkcs:
+        key_of = _key_getter(_key_positions(inst, tkc)[0])
+        by_key: dict[object, list[Fact]] = {}
+        for f in inst.facts_by_relation[tkc.relation]:
+            k = key_of(f.values)
+            group = by_key.get(k)
+            if group is None:
+                by_key[k] = [f]
+            else:
+                group.append(f)
+        groups += [group for group in by_key.values() if len(group) > 1]
+    return groups
 
-    def tokens(f: Fact) -> list:
-        values = f.values
-        out: list = [v for v in values if v.__class__ is Null]
-        for i, where in keys.get(f.relation, ()):
-            out.append((i, *map(values.__getitem__, where)))
-        return out
 
-    return _blocks(inst.facts, tokens)
+def _key_blocks(inst: Instance, groups: list[list[Fact]], hot: Iterable[Fact]) -> list[list[Fact]]:
+    """The blocks of ``inst`` that hold a fact of ``hot``: the facts that a
+    concrete key round must cut against each other.  Two facts are in one
+    block if they are in one key group up to time (``groups``), or hold a
+    null of one label, so a replacement meets every occurrence of its null,
+    whose pieces are cut alike.  Each block is found breadth first from a
+    fact of ``hot``, reading the facts of each group and each null once."""
+    members: dict[object, list[Fact]] = dict(enumerate(groups))  # a group's token is its index
+    linked: dict[Fact, list] = {}
+    for k, group in enumerate(groups):
+        for f in group:
+            linked.setdefault(f, []).append(k)
+    for f in inst.facts:
+        for v in f.values:
+            if v.__class__ is Null:
+                near = members.get(v)
+                if near is None:
+                    members[v] = [f]
+                else:
+                    near.append(f)
+    reached: set = set()
+    seen: set[Fact] = set()
+    blocks = []
+    for start in hot:
+        if start in seen:
+            continue
+        seen.add(start)
+        block = [start]
+        for f in block:  # grows as the search reaches further
+            for token in [v for v in f.values if v.__class__ is Null] + linked.get(f, []):
+                if token not in reached:
+                    reached.add(token)
+                    for g in members[token]:
+                        if g not in seen:
+                            seen.add(g)
+                            block.append(g)
+        blocks.append(block)
+    return blocks
 
 
 def _key_round(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     """The key round over either view: close the equalities of every key
     group per time, then replace or fail (``_close_and_replace``).
 
-    A concrete input is first coalesced and cut per key block
-    (``_key_blocks``), and a success is coalesced.  The coalesced input is
+    A concrete input is first coalesced, and each key's facts are grouped
+    by their key values (``_key_groups``).  A key step fires only where two
+    facts of a group share a time point, so a group whose intervals are
+    pairwise disjoint is at peace; with no group in conflict the coalesced
+    input is the result.  Otherwise only the key blocks (``_key_blocks``)
+    that hold a conflicting group are cut, and their facts alone give the
+    equalities and take the replacements: a replaced null occurs in an
+    equality, and every fact that holds it is in that block.  A success is
+    coalesced together with the facts left uncut.  The coalesced input is
     a function of the input's abstract view alone, and so are the rest of
     the steps, so the outcome does not depend on how the input was cut: a
     globally normalized dependency round and one cut per join block give
     the same bytes, failure witness and ``KeyNullViolation`` text.  The cut
-    is refused, before any fragment is made, if it would hold more than
-    ``MAX_NORMALIZE_FRAGMENTS`` facts beyond the input's own."""
-    concrete = inst.kind == CONCRETE
-    if concrete:
-        coalesced = _coalesce(inst)
-        merged = len(inst.facts) - len(coalesced.facts)
-        inst = next(_aligned(coalesced, [_key_blocks(coalesced, tkcs)], "the key round", merged))
-    outcome = _close_and_replace(inst, _round_equalities(inst, tkcs))
-    return Success(_coalesce(outcome.instance)) if concrete and isinstance(outcome, Success) else outcome
+    is refused, before any fragment is made, if the blocks it cuts would
+    hold more than ``MAX_NORMALIZE_FRAGMENTS`` facts beyond their own and
+    those that coalescing merged away; a block that is not cut is not
+    counted."""
+    if inst.kind != CONCRETE:
+        return _close_and_replace(inst, _round_equalities(inst, tkcs))
+    coalesced = _coalesce(inst)
+    groups = _key_groups(coalesced, tkcs)
+    hot = [group[0] for group in groups if not _apart([f.time for f in group])]
+    if not hot:
+        return Success(coalesced)
+    blocks = _key_blocks(coalesced, groups, hot)
+    facts = frozenset([f for block in blocks for f in block])
+    part = _mark_checked(Instance(CONCRETE, coalesced.schema, facts))
+    part = next(_aligned(part, [blocks], "the key round", len(inst.facts) - len(coalesced.facts)))
+    outcome = _close_and_replace(part, _round_equalities(part, tkcs))
+    if isinstance(outcome, Failure):
+        return outcome
+    rest = coalesced.facts.difference(facts)
+    return Success(_coalesce(_mark_checked(Instance(CONCRETE, coalesced.schema, outcome.instance.facts | rest))))
 
 
 def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, Value, TimeValue]]:
@@ -283,7 +348,7 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
     equalities: list[tuple[Value, Value, TimeValue]] = []
     for tkc in tkcs:
         key_pos, dep_pos = _key_positions(inst, tkc)
-        key_of = itemgetter(*key_pos) if key_pos else (lambda values: ())
+        key_of = _key_getter(key_pos)
         groups: dict[tuple, list[Fact]] = {}
         for f in inst.facts_by_relation[tkc.relation]:
             groups.setdefault((f.time, key_of(f.values)), []).append(f)
@@ -439,9 +504,10 @@ def tkc_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     """Close the equalities of every conflicting pair, then replace or fail.
 
     The key round ``chase`` runs (``_key_round``), over any concrete
-    instance: the input is coalesced and cut per key block, and a success
-    is coalesced.  A null in a key position of a conflicting pair raises
-    KeyNullViolation.
+    instance: the input is coalesced, only the key blocks that hold a key
+    group with two facts at one time point are cut, and a success is
+    coalesced; an input that violates no key is returned coalesced.  A
+    null in a key position of a conflicting pair raises KeyNullViolation.
     """
     return _checked_key_round(inst, CONCRETE, tkcs)
 

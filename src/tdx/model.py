@@ -57,11 +57,11 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
 from functools import cache, cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter, gt, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import InvalidHorizonError, PreconditionError, SchemaError
-from .temporal import INF, ClopenInterval, build_grid, interval_points, split_interval
+from .temporal import INF, ClopenInterval, build_grid, interval_points
 
 CONCRETE = "concrete"
 ABSTRACT = "abstract"
@@ -463,11 +463,11 @@ def sem_instance(inst: Instance, horizon: int) -> Instance:
     return _mark_checked(Instance(ABSTRACT, inst.schema, _cut(inst.facts, points)))
 
 
-def _apart(times: Collection[ClopenInterval]) -> bool:
-    """Whether distinct intervals are pairwise disjoint: in order, each ends
-    by the start of the next."""
-    spans = sorted(times)
-    return all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+def _apart(times: Iterable[ClopenInterval]) -> bool:
+    """Whether one or more intervals are pairwise disjoint (two equal ones
+    are not): in order, each ends by the start of the next."""
+    starts, ends = zip(*sorted(times))
+    return not any(map(gt, ends, starts[1:]))
 
 
 # The most fragments one ``normalize_instance``, or any cut of the chase or of
@@ -616,15 +616,22 @@ def _aligned(inst: Instance, blockings: Iterable[Iterable[Collection[Fact]]], st
     return (_cut_blocks(inst, plan) for plan in plans)
 
 
+def _pieces(iv: ClopenInterval, points: list[int]) -> list[ClopenInterval]:
+    """``split_interval(iv, points)`` for ``points``, the sorted grid points
+    in ``iv``, its start first: each piece runs from one point to the next,
+    the last to the end of ``iv``."""
+    return [_new(ClopenInterval, span) for span in zip(points, [*points[1:], iv.end])]
+
+
 def _cut_blocks(inst: Instance, plan: list) -> Instance:
-    """``inst`` with the facts of each planned block cut by ``split_interval``
-    at its grid points."""
+    """``inst`` with the facts of each planned block cut at its grid points
+    (``_pieces``)."""
     if not plan:
         return inst
     facts = set(inst.facts)
     for block, grid, cuts in plan:
         facts.difference_update(block)
-        facts.update(_cut(block, {iv: split_interval(iv, grid[lo:hi]) for iv, (lo, hi) in cuts.items()}))
+        facts.update(_cut(block, {iv: _pieces(iv, grid[lo:hi]) for iv, (lo, hi) in cuts.items()}))
     return _mark_checked(Instance(CONCRETE, inst.schema, frozenset(facts)))
 
 
@@ -633,8 +640,8 @@ def normalize_instance(inst: Instance) -> Instance:
     cut of ``_aligned`` with all facts in one block.
 
     The output satisfies the normalization predicate and has the same abstract
-    view at every valid horizon: each distinct interval is cut by
-    ``split_interval`` at the grid points inside it, and each piece holds
+    view at every valid horizon: each distinct interval is cut at the grid
+    points inside it, as ``split_interval`` cuts it, and each piece holds
     the fact's values, as each time point does in ``sem_instance``.  An
     instance that needs no split is returned as it is.
 

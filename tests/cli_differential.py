@@ -1,6 +1,9 @@
-"""Differential check of the ``tdx`` command between two source trees.
+"""Differential check of the ``tdx`` command between two source trees, and
+the committed digest of each of its runs.
 
     python tests/cli_differential.py OLD_SRC NEW_SRC
+    python tests/cli_differential.py --write SRC
+    python tests/cli_differential.py --check SRC
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories that hold the ``tdx`` package
 (a checkout's ``src``).  The script writes one battery of inputs into a
@@ -32,9 +35,21 @@ instance with itself, and of its first abstract one with itself, with
 ``--horizon -1`` and with a horizon one below the instance's largest finite
 endpoint or time point.  Exit status: 0 when no run
 differs, 1 when some run differs, 2 on a usage error.  Not a tier-1 test:
-it takes about 10 s per tree (20 s for both, Python 3.11 on a 2-core
-x86-64 host).  CI runs it on every pull request against the base commit and
-writes the report to the job summary.
+it takes about 5 s per tree (Python 3.11 on a 2-core x86-64 host).  CI
+runs it on every pull request against the base commit and writes the
+report to the job summary.
+
+``--write SRC`` runs the battery once, on ``SRC``, and writes
+``tests/output_digests.txt``: one line per run, the SHA-256 of its exit
+code, stdout, stderr, output bytes and uncaught exception, then the run's
+id.  The battery's temporary directory is written as ``WORK`` before the
+digest is taken, so a message that names an input's path digests alike
+on every run.  ``--check SRC`` lists each run whose digest differs from
+the committed file, and exits 1 if any does.  A change to what ``tdx``
+writes therefore rewrites the lines of exactly the runs it changes, and
+CI fails until the file is written again.  The digests are the same on
+Python 3.10 to 3.13 and under ``PYTHONHASHSEED`` 0, 1 and 2 (the
+subprocess keeps the caller's ``PYTHONHASHSEED``, or sets 0).
 """
 from __future__ import annotations
 
@@ -53,6 +68,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
+DIGESTS = HERE / "output_digests.txt"
 MAPPINGS = {"example1": ["positions", "paid_positions"], "example3": ["pos"]}
 SCALE = 20  # the smallest size of each workload is also run with every endpoint times this
 
@@ -230,27 +246,69 @@ def _run_battery(src: str, battery: str, results: str) -> None:
     Path(results).write_text(json.dumps(recorded), encoding="utf-8")
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) == 4 and argv[0] == "--run":
-        _run_battery(*argv[1:])
-        return 0
-    if len(argv) != 2:
-        sys.stderr.write(__doc__)
-        return 2
+def _record(srcs: list[str]) -> tuple[list[dict], list[list[dict]]]:
+    """The battery's runs, and what each run did under each tree of ``srcs``,
+    with the battery's temporary directory written as ``WORK`` in the
+    recorded text."""
     with tempfile.TemporaryDirectory(prefix="tdx-cli-differential-") as tmp:
         work = Path(tmp)
         runs = _battery(work)
         battery = work / "battery.json"
         battery.write_text(json.dumps(runs), encoding="utf-8")
-        env = dict(os.environ, PYTHONHASHSEED="0", TDX_COLOR="0")
+        env = dict(os.environ, TDX_COLOR="0")
+        env.setdefault("PYTHONHASHSEED", "0")
         recorded = []
-        for i, src in enumerate(argv):
+        for i, src in enumerate(srcs):
             (work / "out").mkdir()  # the same output paths for both trees
             results = work / f"results{i}.json"
             subprocess.run([sys.executable, __file__, "--run", str(Path(src).resolve()), str(battery),
                             str(results)], check=True, env=env)
-            recorded.append(json.loads(results.read_text("utf-8")))
+            recorded.append(json.loads(results.read_text("utf-8").replace(json.dumps(tmp)[1:-1], "WORK")))
             shutil.rmtree(work / "out")
+    return runs, recorded
+
+
+def _run_digests(runs: list[dict], recorded: list[dict]) -> dict[str, str]:
+    """Each run's id, to the SHA-256 of its exit code, stdout, stderr, output
+    bytes and uncaught exception."""
+    digests = {}
+    for r, rec in zip(runs, recorded):
+        what = json.dumps([rec[k] for k in ("exit", "stdout", "stderr", "output", "exception")])
+        digests[r["id"]] = hashlib.sha256(what.encode("utf-8")).hexdigest()
+    if len(digests) != len(runs):
+        raise SystemExit("two runs of the battery have one id")
+    return digests
+
+
+def _digests(argv: list[str]) -> int:
+    """``--write SRC`` writes ``DIGESTS``, one line per run: its digest, two
+    spaces and its id.  ``--check SRC`` lists every run whose digest differs
+    from that file's, or that only one of them has."""
+    runs, (recorded,) = _record(argv[1:])
+    now = _run_digests(runs, recorded)
+    if argv[0] == "--write":
+        DIGESTS.write_text("".join(f"{digest}  {run}\n" for run, digest in now.items()), encoding="utf-8")
+        print(f"{len(now)} runs written to {DIGESTS.name}")
+        return 0
+    lines = DIGESTS.read_text(encoding="utf-8").splitlines() if DIGESTS.exists() else []
+    committed = {run: digest for digest, run in (line.split("  ", 1) for line in lines)}
+    differing = sorted(run for run in now.keys() | committed.keys() if now.get(run) != committed.get(run))
+    for run in differing:
+        print(f"DIFFERS: {run} (committed {committed.get(run, 'none')}, now {now.get(run, 'none')})")
+    print(f"{len(now)} runs, {len(differing)} differing from {DIGESTS.name}")
+    return 1 if differing else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[0] == "--run":
+        _run_battery(*argv[1:])
+        return 0
+    if len(argv) == 2 and argv[0] in ("--write", "--check"):
+        return _digests(argv)
+    if len(argv) != 2 or argv[0].startswith("--"):
+        sys.stderr.write(__doc__)
+        return 2
+    runs, recorded = _record(argv)
     differing = labels_only = same_view = 0
     for r, old, new in zip(runs, *recorded):
         fields = [k for k in old if k not in ("blanked", "abstract") and old[k] != new[k]]

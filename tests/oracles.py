@@ -25,7 +25,9 @@ instance text by the json module's own encoder.  The abstract
 homomorphism search that compiles each component shape once is checked
 against the search that plans a join for every component, and the
 equivalence check that cuts concrete inputs at one point per grid cell
-against the expansion of every time point up to the horizon.  Canonical order
+against the expansion of every time point up to the horizon, and the
+concrete key round that cuts only the key blocks in conflict against the
+round that cuts every key block (``every_block_key_round``).  Canonical order
 is stated here by explicit sort keys, ``value_sort_key`` and
 ``fact_sort_key``, against which the package's native order is checked.
 """
@@ -46,6 +48,7 @@ from tdx import (
     Null,
     RelationSchema,
     SchemaError,
+    Success,
     Var,
     find_abstract_hom,
     max_finite_endpoint,
@@ -54,7 +57,7 @@ from tdx import (
 )
 from tdx.chase import _close_and_replace, _round_equalities, _st_round
 from tdx.homomorphism import _check_pair, _formula_homs, _join_plan, _Var, _walk
-from tdx.model import _check_instance, _require, _time_from_json, _value_from_json
+from tdx.model import _aligned, _blocks, _check_instance, _coalesce, _require, _time_from_json, _value_from_json
 
 
 def value_sort_key(v: object) -> tuple:
@@ -241,6 +244,29 @@ def globally_normalized_chase(src: Instance, m):
     uncoalesced."""
     staged = _st_round(normalize_instance(src), m.sttgds, m.target)
     return _close_and_replace(staged, _round_equalities(staged, m.tkcs))
+
+
+def every_block_key_round(inst: Instance, tkcs):
+    """The concrete key round as it was before it cut only the key blocks
+    that hold a conflict: the input coalesced, every key block cut (two
+    facts are in one block if they agree on the values of some key, or hold
+    a null of one label), the equalities and replacements over the whole
+    cut instance, and a success coalesced.  The cut of every block is
+    counted, and refused, as the round's own."""
+    coalesced = _coalesce(inst)
+    keys: dict[str, list] = {}
+    for i, tkc in enumerate(tkcs):
+        attributes = inst.schema_by_name[tkc.relation].attributes
+        keys.setdefault(tkc.relation, []).append((i, [j for j, a in enumerate(attributes) if a in tkc.key]))
+
+    def tokens(f: Fact) -> list:
+        return [v for v in f.values if isinstance(v, Null)] + \
+            [(i, *(f.values[j] for j in where)) for i, where in keys.get(f.relation, ())]
+
+    merged = len(inst.facts) - len(coalesced.facts)
+    cut = next(_aligned(coalesced, [_blocks(coalesced.facts, tokens)], "the key round", merged))
+    outcome = _close_and_replace(cut, _round_equalities(cut, tkcs))
+    return Success(_coalesce(outcome.instance)) if isinstance(outcome, Success) else outcome
 
 def rowwise_instance_from_json(doc: object) -> Instance:
     """The instance of a JSON document, each row read through

@@ -586,6 +586,43 @@ def test_a_command_leaves_no_cyclic_garbage(workdir, capsys, argv, code):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("chase", "-m", "@example1.tdx", "-i", "@fig1.json", "-o", "@out.json"), 0),
+    (("sem", "-i", "@missing.json", "-o", "@out.json"), 1),
+    (("chase", "-m", "@example3.tdx", "-i", "@example3_source.json", "-o", "@out.json"), 2),
+    (("equiv", "-a", "@twisted.json", "-b", "@fig3.json", "--horizon", "13"), 3),
+    (("chase", "-m"), 1),
+], ids=["exit-0", "exit-1", "exit-2", "exit-3", "usage-error"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_a_command_runs_without_the_collector_and_leaves_it_as_it_was(workdir, capsys, monkeypatch, argv,
+                                                                      code, collecting):
+    """The collector is off while the command runs, whatever its exit, and
+    afterwards is on exactly if the caller had it on."""
+    (workdir / "twisted.json").write_text((workdir / "fig3.json").read_text().replace("Developer", "Boss"))
+    during = []
+    load = tdx.cli._load_instance
+    monkeypatch.setattr(tdx.cli, "_load_instance", lambda *args: during.append(gc.isenabled()) or load(*args))
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run(workdir, *argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    reads = 0 if argv == ("chase", "-m") else 2 if argv[0] == "equiv" else 1  # instances each command reads
+    assert during == [False] * reads
+    capsys.readouterr()
+
+
+def test_a_command_that_raises_turns_the_collector_back_on(workdir, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(tdx.cli, "_load_instance", boom)
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run(workdir, "sem", "-i", "@fig1.json", "-o", "@out.json")
+    assert gc.isenabled()
+
+
 class _Terminal(io.StringIO):
     def isatty(self) -> bool:
         return True

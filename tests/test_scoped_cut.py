@@ -1,5 +1,6 @@
 """The concrete chase cuts each fact only against the facts it can meet and
 writes its result coalesced; ``naive_eval`` does the same per query body.
+The key round cuts only the key blocks that hold a conflict.
 
 Two contracts are checked on random draws, with one-atom and two-atom rule
 bodies: the normalized and the overlapping sources of ``random_case``, and
@@ -14,13 +15,18 @@ the larger overlapping sources of ``random_overlapping_case``:
   ``naive_eval``, and its bytes, failure witnesses and ``KeyNullViolation``
   messages are the commands' own.  Random draws seldom fail with a null in
   the witness, so one such failure, and one ``KeyNullViolation``, are
-  checked on fixed sources that the two paths cut differently.
+  checked on fixed sources that the two paths cut differently;
+- against the key round that cuts every key block (``every_block_key_round``),
+  on drawn key groups and on the benchmark's sources: the same bytes, the
+  same failure, the same ``KeyNullViolation`` text.  Only the size refusal
+  differs, since it counts only the blocks that are cut.
 """
 import random
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tdx.model
 from tdx import (
@@ -32,6 +38,7 @@ from tdx import (
     PreconditionError,
     Success,
     TdxError,
+    Tkc,
     answers_to_instance,
     chase,
     dumps_instance,
@@ -43,12 +50,14 @@ from tdx import (
     tkc_round_concrete,
     validate_instance,
 )
+from tdx.chase import _key_round, _st_round
 from tdx.cli import _failure_text
+from tdx.model import conform_instance, instance_from_json
 from tdx.query import AnswerSet
 
 from generators import random_case, random_overlapping_case, render_mapping
-from helpers import answers_sem, fact, iv
-from oracles import coalesced, globally_normalized_chase, nested_loop_homs
+from helpers import answers_sem, bench_workloads, fact, iv, rel
+from oracles import coalesced, every_block_key_round, globally_normalized_chase, nested_loop_homs
 
 RANDOM_DRAWS = 300  # of each kind of ``random_case``: normalized and overlapping sources
 LARGE_DRAWS = 1  # of ``random_overlapping_case``; a draw of 200-300 facts can take seconds per chase
@@ -264,3 +273,93 @@ def test_the_fragments_of_every_body_are_summed_before_any_is_cut(monkeypatch):
         with pytest.raises(PreconditionError, match=f"^{stage} would split 5 facts into 11 fragments, "
                                                     "6 more than the facts, above the limit of 5$"):
             run()
+
+
+def _same_key_round(inst, tkcs):
+    """The key round's outcome, checked against the round that cuts every
+    key block: equal bytes, an equal failure (constants, trace and time),
+    or an error of one class and one text."""
+    got = _outcome(lambda: _key_round(inst, tkcs))
+    want = _outcome(lambda: every_block_key_round(inst, tkcs))
+    assert type(got) is type(want), inst
+    if isinstance(got, Success):
+        assert dumps_instance(got.instance) == dumps_instance(want.instance), inst
+    elif isinstance(got, Failure):
+        assert got == want, inst
+    else:
+        assert str(got) == str(want), inst
+    return got
+
+
+_KEYED = (rel("R", "k", "d", "e"), rel("S", "k", "d"), rel("U", "a", "b"))
+_KEYS = (Tkc("R", frozenset({"k", "time"})), Tkc("S", frozenset({"k", "time"})), Tkc("S", frozenset({"d", "time"})))
+_N1, _N2, _N3 = Null("N1"), Null("N2"), Null("N3")
+_times = st.builds(lambda start, length: iv(start, INF if length is None else start + length),
+                   st.integers(0, 5), st.one_of(st.integers(1, 4), st.none()))
+_keys = st.sampled_from(["a", "b", "a", "b", _N1])  # now and then a null in a key position
+_values = st.sampled_from(["a", "b", "x", _N1, _N2, _N3])
+_facts = st.one_of(st.builds(lambda k, d, e, t: fact("R", k, d, e, time=t), _keys, _values, _values, _times),
+                   st.builds(lambda k, d, t: fact("S", k, d, time=t), _keys, _values, _times),
+                   st.builds(lambda a, b, t: fact("U", a, b, time=t), _values, _values, _times))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_facts, max_size=10))
+@example([fact("R", "a", _N2, "x", time=iv(0, INF)), fact("R", "a", "b", "x", time=iv(2, 4)),  # nested
+          fact("U", _N2, "b", time=iv(1, 3))])  # the null of a conflict held outside its key group
+@example([fact("R", "a", _N2, "x", time=iv(0, 2)), fact("R", "a", "b", "x", time=iv(2, 4)),  # meeting
+          fact("S", "a", _N2, time=iv(1, 5))])
+@example([fact("R", "a", _N2, _N3, time=iv(1, 3)), fact("R", "a", "b", "x", time=iv(1, 3)),  # equal
+          fact("R", "b", _N3, "a", time=iv(0, 6)), fact("R", "b", "b", "x", time=iv(2, 3))])
+@example([fact("S", _N1, "a", time=iv(0, 3)), fact("S", _N1, "b", time=iv(2, INF))])  # a null key
+def test_the_key_round_agrees_with_the_round_that_cuts_every_key_block(facts):
+    """Drawn facts of two keyed relations, one with two keys, and one
+    relation without a key that links key groups through nulls."""
+    _same_key_round(Instance.concrete(_KEYED, facts), _KEYS)
+
+
+def test_the_key_round_agrees_with_the_round_that_cuts_every_key_block_on_the_bench_sources(example1, example3):
+    """Every benchmark source at its largest size, and every failing source
+    under its own mapping (example1 or example3), each through the
+    dependency round and then both key rounds."""
+    bench = bench_workloads()
+    seen = Counter()
+    for workload in bench.WORKLOADS.values():
+        sc = workload.generate(workload.sizes[-1], random.Random("1:2"))
+        failing_mapping = example1 if sc.failing_schema is bench.EXAMPLE1_SOURCE else example3
+        for m, schema, facts in ((example1, bench.EXAMPLE1_SOURCE, sc.source),
+                                 (failing_mapping, sc.failing_schema, sc.failing)):
+            src = conform_instance(instance_from_json(bench.concrete_doc(schema, facts)), m.source)
+            seen[type(_same_key_round(_st_round(src, m.sttgds, m.target), m.tkcs)).__name__] += 1
+    assert seen == {"Success": 3, "Failure": 3}, seen
+
+
+def test_the_key_round_counts_only_the_blocks_it_cuts(monkeypatch):
+    """Eight facts R(a_i, N) over nested intervals [i, inf) hold one null
+    and have distinct keys: one key block of 8 facts that a cut would split
+    into 36 fragments, 28 more, and in which no key is violated.  The round
+    that cuts every key block refuses it under a limit of 27; the key round
+    cuts nothing and returns it.  A second such block, of the null M, with
+    one more fact R(b_0, x) over [0, 1) that overlaps R(b_0, M), is in
+    conflict: its 9 facts would be split into 37 fragments, so it is
+    refused again, counting that block alone."""
+    quiet = [fact("R", f"a{i}", Null("N"), time=iv(i, INF)) for i in range(8)]
+    loud = [fact("R", f"b{i}", Null("M"), time=iv(i, INF)) for i in range(8)] + [fact("R", "b0", "x", time=iv(0, 1))]
+    schema, keys = [rel("R", "k", "d")], [Tkc("R", frozenset({"k", "time"}))]
+    monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 27)
+    inst = Instance.concrete(schema, quiet)
+    with pytest.raises(PreconditionError, match="^the key round would split 8 facts into 36 fragments, "
+                                                "28 more than the facts, above the limit of 27$"):
+        every_block_key_round(inst, keys)
+    assert tkc_round_concrete(inst, keys) == Success(inst)
+
+    inst = Instance.concrete(schema, quiet + loud)
+    with pytest.raises(PreconditionError, match="^the key round would split 17 facts into 73 fragments, "
+                                                "56 more than the facts, above the limit of 27$"):
+        every_block_key_round(inst, keys)
+    with pytest.raises(PreconditionError, match="^the key round would split 9 facts into 37 fragments, "
+                                                "28 more than the facts, above the limit of 27$"):
+        tkc_round_concrete(inst, keys)
+    monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 28)
+    assert tkc_round_concrete(inst, keys) == Success(inst.replace_facts(
+        quiet + loud[1:] + [fact("R", "b0", Null("M"), time=iv(1, INF))]))
