@@ -145,7 +145,7 @@ class EqClosure:
         return {v: root for v in self._parent if (root := self.find(v)) != v}
 
 
-_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_label_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 class _Head(NamedTuple):
@@ -175,7 +175,7 @@ def _values_getter(keys: list) -> Callable[[Binding], tuple]:
 def _compile_head(rule: SttTgd, index: int) -> _Head:
     body = sorted({t.name for atom in rule.lhs for t in atom.args if isinstance(t, Var)})
     existentials = tuple(sorted(rule.existentials))
-    prefixes = tuple(_encode([index, var])[:-1] + "," for var in existentials)
+    prefixes = tuple(_label_json([index, var])[:-1] + "," for var in existentials)
     fixed: dict[int, str] = {}
     atoms = []
     for atom in rule.rhs:
@@ -195,7 +195,7 @@ def _fire(head: _Head, binding: Binding, add: Callable[[Fact], None]) -> None:
     values = head.body(binding)
     nulls = head.labels.get(values)
     if nulls is None:  # the fragments of one source fact, or its time points, share their nulls
-        text = _encode(values)
+        text = _label_json(values)
         nulls = head.labels[values] = [_new(Null, (prefix + text + "]",)) for prefix in head.prefixes]
     binding.update(zip(head.existentials, nulls))
     binding.update(head.fixed)
@@ -447,7 +447,7 @@ def _close_and_replace(inst: Instance, equalities: Iterable[tuple[Value, Value, 
     return Success(_mark_checked(inst.replace_facts(inst.facts.difference(replaced) | rebuilt)))
 
 
-def _require(inst: Instance, kind: str, reader: str, what: str, *, complete: bool) -> None:
+def _precondition(inst: Instance, kind: str, reader: str, what: str, *, complete: bool) -> None:
     """The precondition of ``reader``, which its messages call the ``kind``
     ``what``: a well-formed ``kind`` instance (``model._check_kind``), and
     complete if asked."""
@@ -465,7 +465,7 @@ def _checked_st_round(inst: Instance, kind: str, rules: Sequence[SttTgd],
                       target: Iterable[RelationSchema]) -> Instance:
     """A public dependency round: its precondition, and the rules checked as
     the rules of a mapping from ``inst``'s schema to ``target``."""
-    _require(inst, kind, f"st_round_{kind}", "dependency round", complete=True)
+    _precondition(inst, kind, f"st_round_{kind}", "dependency round", complete=True)
     m = Mapping(inst.schema, _tuple(target), _tuple(rules), (), ())
     _check_mapping(m)
     return _st_round(inst, m.sttgds, m.target)
@@ -474,7 +474,7 @@ def _checked_st_round(inst: Instance, kind: str, rules: Sequence[SttTgd],
 def _checked_key_round(inst: Instance, kind: str, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     """A public key round: its precondition, and the keys checked as the
     keys of a mapping into ``inst``'s schema."""
-    _require(inst, kind, f"tkc_round_{kind}", "key round", complete=False)
+    _precondition(inst, kind, f"tkc_round_{kind}", "key round", complete=False)
     m = Mapping((), inst.schema, (), _tuple(tkcs), ())
     _check_mapping(m)
     return _key_round(inst, m.tkcs)
@@ -534,5 +534,5 @@ def chase(src: Instance, m: Mapping) -> ChaseOutcome:
     """
     _check_mapping(m)
     src = conform_instance(src, m.source)
-    _require(src, src.kind, "chase", "chase", complete=True)
+    _precondition(src, src.kind, "chase", "chase", complete=True)
     return _key_round(_st_round(src, m.sttgds, m.target), m.tkcs)

@@ -23,10 +23,7 @@ the walk unsorted (``_formula_homs``).  ``find_abstract_hom`` sorts each
 index list of the target and each shared-null component of the source into
 canonical order, because the hom it returns is the first binding in that
 order.  Canonical order is the values' own order (see ``model``), so each
-of these sorts is native.  The search compiles a join once per component
-shape (relations, and which position holds which null), with the
-component's constants and time point as parameters, not once per
-component.
+of these sorts is native.
 
 ``equivalent`` decides whether the abstract views of two instances, of
 either view, are homomorphically equivalent: whether ``find_abstract_hom``
@@ -303,12 +300,6 @@ def _check_pair(a: Instance, b: Instance) -> None:
         raise SchemaError("instances must share a schema")
 
 
-# A component compiled once per shape: the steps of its join, and the names of
-# its parameters, one per constant slot in order, which the start binding
-# binds with the component's constants (and "@" with its time point).  The
-# join binds the null numbered ``k`` by first occurrence as ``#k``.
-_Compiled = tuple[list[_Step], list[str]]
-
 # A component as its facts in canonical order, each as its relation, its
 # values (a constant as itself, a null as the number of its label in order of
 # first occurrence) and its time.  Two components with the same key are the
@@ -334,39 +325,14 @@ def _numbered(facts: list[Fact]) -> tuple[_Key, list[Null]]:
                   for f in facts]), list(ids)
 
 
-def _compile_shape(shape: tuple, b: Instance, indexes: dict, ordered: bool) -> _Compiled:
-    """Compile a shape (per fact, its relation and, per value, its null's number
-    or -1 for a constant) to a join over ``b``; names cannot collide, as none
-    is a null's label."""
-    params: list[str] = []
-    patterns = []
-    for relation, ids in shape:
-        slots = []
-        for k in ids:
-            if k < 0:
-                params.append(f"${len(params)}")
-                slots.append(_Var(params[-1]))
-            else:
-                slots.append(_Var(f"#{k}"))
-        patterns.append((relation, (*slots, _Var("@"))))
-    return _join_plan(patterns, b, {*params, "@"}, indexes, ordered), params
-
-
-def _component_binding(key: _Key, b: Instance, indexes: dict, compiled: dict[tuple, _Compiled],
-                       ordered: bool) -> Optional[Binding]:
+def _component_binding(key: _Key, b: Instance, indexes: dict, ordered: bool) -> Optional[Binding]:
     """The first binding of the join of a component at one time point over
-    ``b``, which binds each null's number ``k`` as ``#k``; None if there is
-    none.  The join is compiled once per shape into ``compiled``, on the
-    indexes of ``indexes``."""
-    shape = tuple([(relation, tuple([v if v.__class__ is int else -1 for v in values]))
-                   for relation, values, _ in key])
-    entry = compiled.get(shape)
-    if entry is None:
-        entry = compiled[shape] = _compile_shape(shape, b, indexes, ordered)
-    steps, params = entry
-    start = dict(zip(params, [v for _, values, _ in key for v in values if v.__class__ is not int]))
-    start["@"] = key[0][2]
-    return next(_walk(steps, start), None)
+    ``b``, on the indexes of ``indexes``, or None if there is none.  Each
+    fact of the key is a pattern with its constants and time point as fixed
+    slots and the null numbered ``k`` as the variable ``#k``."""
+    patterns = [(relation, (*[_Var(f"#{v}") if v.__class__ is int else v for v in values], t))
+                for relation, values, t in key]
+    return next(_walk(_join_plan(patterns, b, set(), indexes, ordered), {}), None)
 
 
 def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
@@ -383,12 +349,7 @@ def find_abstract_hom(a: Instance, b: Instance) -> Optional[AbstractHom]:
     Components are found in set order, but the hom does not depend on it.
     A component's facts are taken in canonical order and each index list of
     ``b`` is sorted into canonical order, so candidates are tried in that
-    order.  The query depends only on the component's *shape* (its
-    relations, and which position holds which null, nulls renamed by first
-    occurrence), once each constant slot and the time slot is a parameter
-    bound before the join starts: so it is planned and compiled once per
-    shape, and each component only binds its constants and time point.
-    Returns None when no homomorphism exists.
+    order.  Returns None when no homomorphism exists.
 
     Raises SchemaError if ``a`` or then ``b`` is ill formed or not abstract
     (``model._check_kind``), or if they do not share a schema, all before
@@ -408,13 +369,12 @@ def _hom(facts: Iterable[Fact], b: Instance, ordered: bool) -> Optional[Abstract
     if not b.facts.issuperset(ground):  # constants are fixed, so a ground fact's image is itself
         return None
     indexes: dict = {}
-    compiled: dict[tuple, _Compiled] = {}
     found: dict[_Key, Optional[Binding]] = {}
     hom: AbstractHom = {}
     for component in components:
         key, nulls = _numbered(component)
         if key not in found:
-            found[key] = _component_binding(key, b, indexes, compiled, ordered)
+            found[key] = _component_binding(key, b, indexes, ordered)
         binding = found[key]
         if binding is None:
             return None

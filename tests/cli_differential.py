@@ -25,15 +25,20 @@ runs of each tag on a line of its own.
 Per group of inputs (the fixtures, or one workload at one size) the battery
 runs ``normalize`` and ``sem`` on each concrete instance; ``chase`` with
 both mappings and ``query`` and ``certain`` with every query of both on
-each instance, and ``query`` with each query of a mapping on the
-instance's ``chase`` output with that mapping; ``equiv`` on every pair of the group's instances and the
-chase outputs with ``example1`` of its sources; and ``equiv`` of its first
-two instances (of a workload, the concrete and the abstract source), and of
+each instance, and, where the chase writes an instance, ``query`` with
+each query of a mapping on the instance's ``chase`` output with that
+mapping; ``equiv`` on every pair of the group's instances and those chase
+outputs with ``example1``; and ``equiv`` of its first two instances (of a
+workload, the concrete and the abstract source), and of
 their chase outputs, with ``--horizon`` 10 and 20 times one above the
 group's largest finite endpoint; and ``equiv`` of the group's first concrete
 instance with itself, and of its first abstract one with itself, with
 ``--horizon -1`` and with a horizon one below the instance's largest finite
-endpoint or time point.  Exit status: 0 when no run
+endpoint or time point.  The chase is taken to write an instance when the
+input's relations are the mapping's source relations and the input is not
+a workload's failing source (``fail`` or ``afail``); so the battery reads
+one failure witness, the chase of the fixture ``example3_source`` with
+``example3``, and no missing output.  Exit status: 0 when no run
 differs, 1 when some run differs, 2 on a usage error.  Not a tier-1 test:
 it takes about 5 s per tree (Python 3.11 on a 2-core x86-64 host).  CI
 runs it on every pull request against the base commit and writes the
@@ -77,7 +82,7 @@ def _battery(work: Path) -> list[dict]:
     """Write every input under ``work/in`` and return the runs, in order;
     outputs go to ``work/out``."""
     sys.path.insert(0, str(HERE.parent / "perfbench"))
-    from workloads import EXAMPLE1_SOURCE, WORKLOADS, abstract_doc, concrete_doc, dump
+    from workloads import EXAMPLE1_SOURCE, EXAMPLE3_SOURCE, WORKLOADS, abstract_doc, concrete_doc, dump
 
     inputs, outputs = work / "in", work / "out"
     inputs.mkdir()
@@ -106,6 +111,7 @@ def _battery(work: Path) -> list[dict]:
         runs.append({"id": f"{group}: tdx {' '.join(Path(a).name if '/' in a else a for a in argv)}",
                      "argv": argv, "output": output})
 
+    sources = {"example1": set(EXAMPLE1_SOURCE), "example3": set(EXAMPLE3_SOURCE)}
     for group, instances in groups.items():
         chased = []
         for path, doc in instances:
@@ -117,11 +123,15 @@ def _battery(work: Path) -> list[dict]:
             for mapping, queries in MAPPINGS.items():
                 target = str(outputs / f"{stem}-chase-{mapping}.json")
                 run(group, ["chase", "-m", mappings[mapping], "-i", path, "-o", target], target)
-                if mapping == "example1" and set(doc["relations"]) == set(EXAMPLE1_SOURCE):
+                # the chase writes an instance from its mapping's source relations, unless the source fails
+                writes = set(doc["relations"]) == sources[mapping] and not stem.endswith(("-fail", "-afail"))
+                if writes and mapping == "example1":
                     chased.append(target)
                 for q in queries:
-                    for command, inst, prefix in (("query", path, stem), ("certain", path, stem),
-                                                  ("query", target, Path(target).stem)):
+                    reads = [("query", path, stem), ("certain", path, stem)]
+                    if writes:
+                        reads.append(("query", target, Path(target).stem))
+                    for command, inst, prefix in reads:
                         out = str(outputs / f"{prefix}-{command}-{q}.json")
                         run(group, [command, "-m", mappings[mapping], "-q", q, "-i", inst, "-o", out], out)
         for a, b in itertools.combinations([path for path, _ in instances] + chased, 2):

@@ -16,8 +16,9 @@ Tests that run the package in a subprocess (the hash-seed probes, the
 command-line runs made with ``subprocess``) are not traced, so a statement
 that only they run is listed.  The tracer makes tier-1 several times
 slower: about 2-3 minutes (Python 3.11 on a 2-core x86-64 host).  Not a tier-1
-test; CI runs it on every pull request and writes the report to the job
-summary.
+test; CI runs it on every pull request, writes the report to the job
+summary, and fails when a listed statement is not a ``raise
+AssertionError(...)`` invariant.
 
 Exit status: 0 when tier-1 passed, 1 when some test failed (the report is
 written either way), 2 when the tool could not run.

@@ -22,9 +22,11 @@ coalesced by a sort and one sweep (``coalesced``), the coalesced view of an
 abstract instance from one fact per point (``pointwise_view``), the instance
 loader by reading each row through the general rules, and the canonical
 instance text by the json module's own encoder.  The abstract
-homomorphism search that compiles each component shape once is checked
-against the search that plans a join for every component, and the
-equivalence check that cuts concrete inputs at one point per grid cell
+homomorphism search is checked against one that finds the shared-null
+components by a union-find of its own, names each null's variable by its
+label and searches every component, also one whose key another has
+already matched (``per_component_abstract_hom``), and the equivalence
+check that cuts concrete inputs at one point per grid cell
 against the expansion of every time point up to the horizon, and the
 concrete key round that cuts only the key blocks in conflict against the
 round that cuts every key block (``every_block_key_round``).  Canonical order
@@ -598,9 +600,11 @@ def scan_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
 
 
 def per_component_abstract_hom(a: Instance, b: Instance) -> Optional[dict]:
-    """``find_abstract_hom`` with a join planned for each component: its
-    constants and time fixed in the patterns and each null's label its
-    variable, on the same planner, index cache and walker."""
+    """``find_abstract_hom`` with its own components: found by a union-find
+    over each null's label and time, and each searched, its facts sorted by
+    ``fact_sort_key``, its constants and time fixed in the patterns and each
+    null's label its variable, on the same planner, index cache and
+    walker."""
     _check_pair(a, b)
     parent: dict[tuple[str, int], tuple[str, int]] = {}
 

@@ -36,7 +36,7 @@ from tdx.homomorphism import _view
 
 from generators import CONSTANTS, careers_chase_pair, careers_like, random_case, random_overlapping_case
 from helpers import bench_workloads, c, fact, in_order, iv, rel
-from oracles import (apply_abstract_hom, brute_force_hom_exists, enumerate_formula_homs, fact_sort_key,
+from oracles import (apply_abstract_hom, brute_force_hom_exists, enumerate_formula_homs,
                      instantiate_atom, is_normalized, nested_loop_homs, per_component_abstract_hom,
                      pointwise_view, scan_abstract_hom, sem_equivalent, value_sort_key)
 
@@ -492,51 +492,24 @@ def test_an_abstract_view_is_coalesced_by_runs_as_point_by_point(rows, horizon):
     assert _view(inst, horizon) == pointwise_view(inst)
 
 
-def _component_shapes(inst):
-    """The shape of each shared-null component of ``inst``: its facts in
-    canonical order, each as its relation and, per value, the number of its
-    null in order of first occurrence (-1 for a constant).  A null is its
-    label at its fact's point."""
-    by_null = {}
-    for f in inst.facts:
-        for v in f.values:
-            if isinstance(v, Null):
-                by_null.setdefault((v, f.time), []).append(f)
-    seen, shapes = set(), set()
-    for f in inst.facts:
-        if f in seen or not any(isinstance(v, Null) for v in f.values):
-            continue
-        component, todo = [], [f]
-        seen.add(f)
-        while todo:
-            g = todo.pop()
-            component.append(g)
-            for h in (h for v in g.values if isinstance(v, Null) for h in by_null[v, g.time]):
-                if h not in seen:
-                    seen.add(h)
-                    todo.append(h)
-        ids = {}
-        shapes.add(tuple((g.relation, tuple(ids.setdefault(v, len(ids)) if isinstance(v, Null) else -1
-                                            for v in g.values))
-                         for g in sorted(component, key=fact_sort_key)))
-    return shapes
-
-
-def test_hom_equivalence_plans_once_per_component_shape(example1, monkeypatch):
+def test_hom_search_walks_one_join_per_component_key(example1, monkeypatch):
+    """The 4S careers pair, each side against the other grounded: no component
+    has a twin, so each is searched, and neither way holds.  The hom of the
+    pair is the one the oracle finds by searching every component, and two
+    components of one key walk one join between them."""
     jc, ja = careers_chase_pair(24, example1)
-    shapes = _component_shapes(jc) | _component_shapes(ja)
-    calls = 0
-    plan = tdx.homomorphism._most_bound_first
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return plan(*args)
-
-    monkeypatch.setattr(tdx.homomorphism, "_most_bound_first", counting)
-    # no component has a twin in the grounded side, so each is searched
-    assert not equivalent(jc, _grounded(ja)) and not equivalent(ja, _grounded(jc))
-    assert 0 < calls <= 2 * len(shapes), (calls, len(shapes))
+    with monkeypatch.context() as patched:
+        walks = _counting(patched, "_walk")
+        assert not equivalent(jc, _grounded(ja)) and not equivalent(ja, _grounded(jc))
+    assert walks[0] > 0
+    assert find_abstract_hom(jc, ja) == per_component_abstract_hom(jc, ja)
+    schema = [rel("R", "a", "b")]
+    source = Instance.abstract(schema, [Fact("R", ("a", Null("N")), 0), Fact("R", ("a", Null("M")), 0),
+                                        Fact("R", ("b", Null("N")), 1)])
+    target = Instance.abstract(schema, [Fact("R", ("a", "c"), 0), Fact("R", ("b", "d"), 1)])
+    walks = _counting(monkeypatch, "_walk")
+    assert find_abstract_hom(source, target) == {(Null("N"), 0): "c", (Null("M"), 0): "c", (Null("N"), 1): "d"}
+    assert walks == [2]
 
 
 def _random_abstract(rng):
