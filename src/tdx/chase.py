@@ -10,6 +10,16 @@ Infinite abstract views are never materialized here; they are reached
 through ``sem_instance`` with an explicit horizon, and the chase runs on the
 resulting finite instance.
 
+``chase`` reads an abstract source as its runs of consecutive points
+(``model._runs``, the coalescing of Böhlen, Snodgrass and Soo), runs the
+concrete rounds once over the runs, and writes the result at its points
+(``model._cut``, as ``sem_instance`` cuts): a rule fires once per run, not
+once per point.  The rounds over points, ``st_round_abstract`` and
+``tkc_round_abstract``, are the paper's abstract chase, and the outcome is
+theirs byte for byte: the labels make the concrete result's points the
+abstract result, a failure is dated at the first point of its piece, and a
+KeyNullViolation names its fact at the first point of its piece.
+
 A concrete chase cuts each fact only against the facts it can meet (the
 grouping-scoped alignment of Dignös, Böhlen and Gamper, SIGMOD 2012): a rule
 of one atom fires on the source facts as they are, a rule of several atoms
@@ -72,8 +82,11 @@ from .model import (
     _apart,
     _check_kind,
     _coalesce,
+    _cut,
+    _encode,
     _mark_checked,
     _new,
+    _runs,
     conform_instance,
     is_complete,
     is_null,
@@ -195,7 +208,7 @@ def _fire(head: _Head, binding: Binding, add: Callable[[Fact], None]) -> None:
     values = head.body(binding)
     nulls = head.labels.get(values)
     if nulls is None:  # the fragments of one source fact, or its time points, share their nulls
-        text = _label_json(values)
+        text = "[" + ",".join(map(_encode, values)) + "]"  # ``_label_json`` of the values, all ``str``
         nulls = head.labels[values] = [_new(Null, (prefix + text + "]",)) for prefix in head.prefixes]
     binding.update(zip(head.existentials, nulls))
     binding.update(head.fixed)
@@ -204,14 +217,14 @@ def _fire(head: _Head, binding: Binding, add: Callable[[Fact], None]) -> None:
 
 
 def _st_round(inst: Instance, rules: Sequence[SttTgd],
-              target: Iterable[RelationSchema]) -> Instance:
+              target: Iterable[RelationSchema], runs: bool = False) -> Instance:
     """Every rule fired at every binding of its body.  Over a concrete
-    instance each body reads its join blocks cut (``_join_inputs``): a rule
-    of one atom fires on the facts as they are.  The result is born checked:
-    a firing writes only the values and times of the checked ``inst``, the
-    checked rules' constants, and fresh nulls."""
+    instance each body reads its join blocks cut (``_join_inputs``, which
+    reads ``runs``): a rule of one atom fires on the facts as they are.  The
+    result is born checked: a firing writes only the values and times of the
+    checked ``inst``, the checked rules' constants, and fresh nulls."""
     facts: set[Fact] = set()
-    bodies = _join_inputs([rule.lhs for rule in rules], inst, "the rule bodies")
+    bodies = _join_inputs([rule.lhs for rule in rules], inst, "the rule bodies", runs)
     for i, (rule, body_inst) in enumerate(zip(rules, bodies)):
         head = _compile_head(rule, i)
         for binding in _formula_homs(rule.lhs, body_inst, None):  # each a fresh dict, extended in place
@@ -294,7 +307,7 @@ def _key_blocks(inst: Instance, groups: list[list[Fact]], hot: Iterable[Fact]) -
     return blocks
 
 
-def _key_round(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
+def _key_round(inst: Instance, tkcs: Sequence[Tkc], runs: bool = False) -> ChaseOutcome:
     """The key round over either view: close the equalities of every key
     group per time, then replace or fail (``_close_and_replace``).
 
@@ -314,7 +327,14 @@ def _key_round(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     is refused, before any fragment is made, if the blocks it cuts would
     hold more than ``MAX_NORMALIZE_FRAGMENTS`` facts beyond their own and
     those that coalescing merged away; a block that is not cut is not
-    counted."""
+    counted.
+
+    With ``runs``, ``inst`` is the dependency round's result over the runs
+    of an abstract source (``model._runs``).  Its coalesced facts stand for
+    their points, and the cut counts each point as a fact it was given, so
+    it refuses nothing that the key round over the points reads; and a
+    KeyNullViolation names its fact at the first point of its piece, as the
+    key round over the points names it."""
     if inst.kind != CONCRETE:
         return _close_and_replace(inst, _round_equalities(inst, tkcs))
     coalesced = _coalesce(inst)
@@ -325,15 +345,17 @@ def _key_round(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
     blocks = _key_blocks(coalesced, groups, hot)
     facts = frozenset([f for block in blocks for f in block])
     part = _mark_checked(Instance(CONCRETE, coalesced.schema, facts))
-    part = next(_aligned(part, [blocks], "the key round", len(inst.facts) - len(coalesced.facts)))
-    outcome = _close_and_replace(part, _round_equalities(part, tkcs))
+    given = sum([f.time.end - f.time.start for f in coalesced.facts]) if runs else len(inst.facts)
+    part = next(_aligned(part, [blocks], "the key round", given - len(coalesced.facts)))
+    outcome = _close_and_replace(part, _round_equalities(part, tkcs, runs))
     if isinstance(outcome, Failure):
         return outcome
     rest = coalesced.facts.difference(facts)
     return Success(_coalesce(_mark_checked(Instance(CONCRETE, coalesced.schema, outcome.instance.facts | rest))))
 
 
-def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, Value, TimeValue]]:
+def _round_equalities(inst: Instance, tkcs: Sequence[Tkc],
+                      runs: bool = False) -> list[tuple[Value, Value, TimeValue]]:
     """The equalities of every key group, the facts of one relation that agree
     on the time and the key values, each as ``(x, y, time)`` with the
     group's time.
@@ -343,7 +365,8 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
     pairs of the group, in k-1 pairs; the grouping guarantees what the key
     step checks of a pair.  Members of one group share their key values, so
     a null in a key position is in all of them: KeyNullViolation names the
-    first in the least such hub, whatever the set order.
+    first in the least such hub, whatever the set order, with ``runs`` at
+    the first point of the hub's piece.
     """
     equalities: list[tuple[Value, Value, TimeValue]] = []
     for tkc in tkcs:
@@ -367,6 +390,8 @@ def _round_equalities(inst: Instance, tkcs: Sequence[Tkc]) -> list[tuple[Value, 
                             equalities.append((hub.values[i], f.values[i], t))
         if null_keys:
             f = min(null_keys)
+            if runs:
+                f = _new(Fact, (f.relation, f.values, f.time.start))
             i = next(i for i in key_pos if is_null(f.values[i]))
             raise KeyNullViolation(f"{f}: null {f.values[i]}^{f.time} in key position "
                                    f"{inst.schema_by_name[tkc.relation].attributes[i]!r}")
@@ -495,8 +520,10 @@ def st_round_concrete(inst: Instance, rules: Sequence[SttTgd],
 
 def st_round_abstract(inst: Instance, rules: Sequence[SttTgd],
                       target: Iterable[RelationSchema]) -> Instance:
-    """The dependency round over a complete abstract instance: fresh nulls are
-    held at the bound time point."""
+    """The dependency round over a complete abstract instance, fired once
+    per binding at a time point: fresh nulls are held at the bound time
+    point.  ``chase`` fires once per run of points instead (see the
+    module), with the same result."""
     return _checked_st_round(inst, ABSTRACT, rules, target)
 
 
@@ -513,7 +540,8 @@ def tkc_round_concrete(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
 
 
 def tkc_round_abstract(inst: Instance, tkcs: Sequence[Tkc]) -> ChaseOutcome:
-    """The key round over an abstract instance.
+    """The key round over an abstract instance, grouped per time point
+    (``chase`` groups per piece of the runs; see the module).
 
     The three derivable cases: two distinct constants equated is a failure; a
     null equated with a constant is replaced by it at its time point; two
@@ -527,12 +555,23 @@ def chase(src: Instance, m: Mapping) -> ChaseOutcome:
 
     A concrete source is cut only where facts meet: each rule body per join
     block, and the dependency round's result per key block; a concrete
-    result is coalesced.  On success the result together with the source
-    satisfies every dependency, and the result satisfies every key
-    constraint.  A mapping built in code is refused first, with the first
-    problem ``validate_mapping`` lists.
+    result is coalesced.  An abstract source is read as its runs of
+    consecutive points and chased so, and the result is written at its
+    points, as the rounds over points would write it (see the module).  On
+    success the result together with the source satisfies every
+    dependency, and the result satisfies every key constraint.  A mapping
+    built in code is refused first, with the first problem
+    ``validate_mapping`` lists.
     """
     _check_mapping(m)
     src = conform_instance(src, m.source)
     _precondition(src, src.kind, "chase", "chase", complete=True)
-    return _key_round(_st_round(src, m.sttgds, m.target), m.tkcs)
+    if src.kind == CONCRETE:
+        return _key_round(_st_round(src, m.sttgds, m.target), m.tkcs)
+    runs = _mark_checked(Instance(CONCRETE, src.schema, _runs(src)))
+    outcome = _key_round(_st_round(runs, m.sttgds, m.target, runs=True), m.tkcs, runs=True)
+    if isinstance(outcome, Failure):
+        return Failure(outcome.constants, outcome.trace, outcome.time.start)
+    result = outcome.instance
+    points = {t: range(t.start, t.end) for t in {f.time for f in result.facts}}
+    return Success(_mark_checked(Instance(ABSTRACT, result.schema, _cut(result.facts, points))))

@@ -73,6 +73,7 @@ from .model import (
     _grid_cuts,
     _merged,
     _new,
+    _runs,
 )
 from .temporal import ClopenInterval, build_grid
 
@@ -261,7 +262,8 @@ def _join_tokens(atoms: Sequence[Atom]) -> Optional[dict[str, list[tuple[int, tu
     return tokens if len(reached) == len(atoms) else None
 
 
-def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -> Iterator[Instance]:
+def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str,
+                 runs: bool = False) -> Iterator[Instance]:
     """For each body, the instance its join reads, cut by ``_aligned``.
 
     A join binds one time value to every atom, so over a concrete instance
@@ -273,16 +275,25 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -
     Gamper, "Temporal Alignment", SIGMOD 2012).  A body of one atom, a block
     that lacks a fact of some relation of the body (it yields no binding),
     and an abstract instance need no cut.
+
+    With ``runs``, ``inst`` is the runs of an abstract instance
+    (``model._runs``), and each cut body counts the points of its
+    relations' facts as the facts it was given (``_aligned``'s ``merged``):
+    a cut makes at most one fragment per point it reads, so it refuses
+    nothing that a join over the points would read.
     """
     if inst.kind != CONCRETE:
         return iter([inst] * len(bodies))
     blockings = []
+    merged = 0
     for atoms in bodies:
         if len(atoms) < 2:
             blockings.append([])
             continue
         by_relation = _join_tokens(atoms)
         relations = {a.relation for a in atoms}
+        if runs:
+            merged += sum([f.time.end - f.time.start - 1 for r in relations for f in inst.facts_by_relation[r]])
         if by_relation is None:
             blocks = [[f for r in relations for f in inst.facts_by_relation[r]]]
         else:
@@ -291,7 +302,7 @@ def _join_inputs(bodies: Sequence[Sequence[Atom]], inst: Instance, stage: str) -
 
             blocks = _blocks([f for r in relations for f in inst.facts_by_relation[r]], tokens)
         blockings.append([b for b in blocks if relations <= {f.relation for f in b}])
-    return _aligned(inst, blockings, stage)
+    return _aligned(inst, blockings, stage, merged)
 
 
 def _check_pair(a: Instance, b: Instance) -> None:
@@ -388,35 +399,13 @@ def _view(inst: Instance, horizon: int) -> set[Fact]:
     """The abstract view of ``inst`` as concrete facts, coalesced as
     ``model._coalesce`` coalesces them: a concrete fact clipped at
     ``horizon`` (one that starts there has no point below it); an abstract
-    instance's points grouped by relation and values, as ``dumps_instance``
-    groups them, each group's run of consecutive points one fact over
-    ``[first, last + 1)``."""
-    if inst.kind == CONCRETE:
-        spans = {t: t if t.end <= horizon else _new(ClopenInterval, (t.start, horizon))
-                 for t in {f.time for f in inst.facts} if t.start < horizon}
-        facts = [_new(Fact, (f.relation, f.values, spans[f.time])) for f in inst.facts if f.time in spans]
-        return set(_coalesced_facts(facts) or facts)
-    groups: dict[tuple[str, tuple[Value, ...]], list[int]] = {}
-    for relation, values, t in inst.facts:
-        group = groups.get((relation, values))
-        if group is None:
-            groups[relation, values] = [t]
-        else:
-            group.append(t)
-    view = set()
-    for key, points in groups.items():
-        points.sort()
-        first = last = points[0]
-        if points[-1] - first >= len(points):  # distinct points that span more than their count leave a gap
-            for t in points:
-                if t > last + 1:
-                    view.add(_new(Fact, (*key, _new(ClopenInterval, (first, last + 1)))))
-                    first = t
-                last = t
-        else:
-            last = points[-1]
-        view.add(_new(Fact, (*key, _new(ClopenInterval, (first, last + 1)))))
-    return view
+    instance as its runs of consecutive points (``model._runs``)."""
+    if inst.kind == ABSTRACT:
+        return _runs(inst)
+    spans = {t: t if t.end <= horizon else _new(ClopenInterval, (t.start, horizon))
+             for t in {f.time for f in inst.facts} if t.start < horizon}
+    facts = [_new(Fact, (f.relation, f.values, spans[f.time])) for f in inst.facts if f.time in spans]
+    return set(_coalesced_facts(facts) or facts)
 
 
 def _untwinned(views: list[set[Fact]]) -> list[list[Fact]]:

@@ -25,7 +25,9 @@ are either equal or disjoint; it is the one-block case of the block cut
 (``_blocks``, ``_aligned``), which the chase and ``naive_eval`` apply only
 among facts that can meet.  ``_coalesce`` merges
 facts of equal relation and values whose intervals overlap or meet, the one
-form of an abstract view with maximal facts.
+form of an abstract view with maximal facts, and ``_runs`` writes an
+abstract instance in that form, its runs of consecutive points, for
+``chase`` and ``equivalent``.
 
 An instance is a set of facts; canonical order is a cost paid where order
 shows.  An instance's accessors, ``facts`` and ``facts_by_relation`` (each
@@ -57,6 +59,7 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode
 from functools import cache, cached_property
+from itertools import chain
 from operator import attrgetter, gt, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
@@ -379,8 +382,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
 
 def is_complete(inst: Instance) -> bool:
     """True iff no fact contains a null."""
-    _check_instance(inst)
-    return not any(is_null(v) for f in inst.facts for v in f.values)
+    _check_instance(inst)  # so each value is exactly a ``str`` or a ``Null``
+    return Null not in map(type, chain.from_iterable(map(itemgetter(1), inst.facts)))
 
 
 def max_finite_endpoint(inst: Instance) -> int | None:
@@ -540,6 +543,36 @@ def _coalesce(inst: Instance) -> Instance:
     if facts is None:
         return inst
     return _mark_checked(Instance(CONCRETE, inst.schema, frozenset(facts)))
+
+
+def _runs(inst: Instance) -> set[Fact]:
+    """The abstract ``inst`` coalesced into concrete facts: its points
+    grouped by relation and values, as ``dumps_instance`` groups them, and
+    each group's run of consecutive points one fact over ``[first, last +
+    1)``.  So ``sem_instance`` of the runs, at any horizon above their last
+    point, is ``inst``, and the runs are the one instance of maximal facts
+    with that view (``_coalesce``)."""
+    groups: dict[tuple[str, tuple[Value, ...]], list[int]] = {}
+    for relation, values, t in inst.facts:
+        group = groups.get((relation, values))
+        if group is None:
+            groups[relation, values] = [t]
+        else:
+            group.append(t)
+    runs = set()
+    for key, points in groups.items():
+        points.sort()
+        first = last = points[0]
+        if points[-1] - first >= len(points):  # distinct points that span more than their count leave a gap
+            for t in points:
+                if t > last + 1:
+                    runs.add(_new(Fact, (*key, _new(ClopenInterval, (first, last + 1)))))
+                    first = t
+                last = t
+        else:
+            last = points[-1]
+        runs.add(_new(Fact, (*key, _new(ClopenInterval, (first, last + 1)))))
+    return runs
 
 
 def _blocks(facts: Iterable[Fact], tokens: Callable[[Fact], list],

@@ -27,7 +27,10 @@ runs ``normalize`` and ``sem`` on each concrete instance; ``chase`` with
 both mappings and ``query`` and ``certain`` with every query of both on
 each instance, and, where the chase writes an instance, ``query`` with
 each query of a mapping on the instance's ``chase`` output with that
-mapping; ``equiv`` on every pair of the group's instances and those chase
+mapping; ``chase`` with the fixture ``keynull.tdx``, whose existential is
+in a key position, on each instance that ``example1``'s chase writes from
+(of a workload, the concrete source and its abstract view), so that each
+view's KeyNullViolation text is pinned; ``equiv`` on every pair of the group's instances and those chase
 outputs with ``example1``; and ``equiv`` of its first two instances (of a
 workload, the concrete and the abstract source), and of
 their chase outputs, with ``--horizon`` 10 and 20 times one above the
@@ -134,6 +137,9 @@ def _battery(work: Path) -> list[dict]:
                     for command, inst, prefix in reads:
                         out = str(outputs / f"{prefix}-{command}-{q}.json")
                         run(group, [command, "-m", mappings[mapping], "-q", q, "-i", inst, "-o", out], out)
+            if set(doc["relations"]) == sources["example1"] and not stem.endswith(("-fail", "-afail")):
+                out = str(outputs / f"{stem}-chase-keynull.json")
+                run(group, ["chase", "-m", str(FIXTURES / "keynull.tdx"), "-i", path, "-o", out], out)
         for a, b in itertools.combinations([path for path, _ in instances] + chased, 2):
             run(group, ["equiv", "-a", a, "-b", b])
         top = 1 + max(max(_endpoints(doc)) for _, doc in instances if doc["kind"] == "concrete")

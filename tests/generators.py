@@ -6,8 +6,10 @@ sources of ``random_case`` are complete and, by default, already normalized:
 fact intervals are drawn from one family of pairwise-disjoint cells over
 endpoints <= 8, the last of which may be unbounded; with ``overlapping`` each
 interval is drawn on its own.  ``random_overlapping_case`` draws complete
-sources of 50-300 facts that normalization must cut.  ``render_mapping``
-writes a mapping as ``.tdx`` text, for the parser's round trip and fuzz.
+sources of 50-300 facts that normalization must cut, and
+``random_pointwise_case`` abstract sources drawn point by point, whose runs
+of points split at gaps.  ``render_mapping`` writes a mapping as ``.tdx``
+text, for the parser's round trip and fuzz.
 """
 from __future__ import annotations
 
@@ -84,10 +86,14 @@ def _random_schemas(rng: random.Random, prefix: str, count: int, max_arity: int)
         for i in range(count))
 
 
-def _random_rule(rng: random.Random, source, target) -> SttTgd:
+def _random_rule(rng: random.Random, source, target, atoms: int | None = None) -> SttTgd:
+    """A rule whose body has one atom per source relation drawn, one or two
+    distinct ones; or, given ``atoms``, that many drawn with repetition."""
     universals = ["x0", "x1", "x2"]
     lhs = []
-    for schema in rng.sample(list(source), rng.randint(1, min(2, len(source)))):
+    body = rng.sample(list(source), rng.randint(1, min(2, len(source)))) if atoms is None \
+        else [rng.choice(source) for _ in range(atoms)]
+    for schema in body:
         args = tuple(Var(rng.choice(universals)) for _ in schema.attributes)
         lhs.append(Atom(schema.name, args, "t"))
     lhs_vars = sorted({t.name for a in lhs for t in a.args})
@@ -199,6 +205,28 @@ def random_case(rng: random.Random, with_queries: bool = True, overlapping: bool
     assert not validate_mapping(mapping)
     draw = _random_overlapping_source if overlapping else _random_source_instance
     return Case(mapping, draw(rng, source), MAX_ENDPOINT + 1)
+
+
+POINTWISE_HORIZON = 12
+
+
+def random_pointwise_case(rng: random.Random, joins: bool = False) -> Case:
+    """A random mapping and an abstract source drawn point by point: each
+    fact's values are drawn from three constants, and it holds at each point
+    below ``POINTWISE_HORIZON`` with probability 0.6, so its runs split at
+    gaps.  With ``joins`` every rule body has two or three atoms."""
+    source = _random_schemas(rng, "S", rng.randint(1, 2), 2)
+    target = _random_schemas(rng, "T", rng.randint(1, 2), 3)
+    rules = tuple(_random_rule(rng, source, target, rng.randint(2, 3) if joins else None)
+                  for _ in range(rng.randint(1, 3)))
+    mapping = Mapping(source, target, rules, _random_tkcs(rng, target), ())
+    assert not validate_mapping(mapping)
+    facts = set()
+    for _ in range(rng.randint(1, 6)):
+        schema = rng.choice(source)
+        values = tuple(rng.choice(CONSTANTS[:3]) for _ in schema.attributes)
+        facts.update(Fact(schema.name, values, t) for t in range(POINTWISE_HORIZON) if rng.random() < 0.6)
+    return Case(mapping, Instance.abstract(source, facts), POINTWISE_HORIZON)
 
 
 OVERLAP_MAX_ENDPOINT = 100

@@ -1,3 +1,7 @@
+import importlib
+import random
+from collections import Counter
+
 import pytest
 
 import tdx
@@ -11,7 +15,9 @@ from tdx import (
     Success,
     Tkc,
     chase,
+    dumps_instance,
     equivalent,
+    instance_from_json,
     sem_instance,
     st_round_abstract,
     st_round_concrete,
@@ -19,7 +25,8 @@ from tdx import (
     validate_instance,
 )
 
-from helpers import c, fact, iv, rel
+from generators import random_case, random_pointwise_case
+from helpers import bench_workloads, c, fact, iv, rel
 from oracles import tkc_step
 
 HORIZON = 13
@@ -229,3 +236,94 @@ def test_one_skolem_label_at_two_times_equals_two_constants(example1, later):
     assert sem_instance(concrete.instance, HORIZON) == abstract.instance
     assert {(f.values, f.time) for f in concrete.instance.facts_by_relation["Emp"]} == {
         (("Ada", "DBA", "IBM"), iv(0, 2)), (("Ada", "Manager", "IBM"), later)}
+
+
+def _shown(run):
+    """What a chase shows: a success's instance text, a failure, or a
+    KeyNullViolation's text."""
+    try:
+        outcome = run()
+    except KeyNullViolation as exc:
+        return KeyNullViolation, str(exc)
+    return (Success, dumps_instance(outcome.instance)) if isinstance(outcome, Success) else (Failure, outcome)
+
+
+def _chase_and_rounds(src, m):
+    """The chase of an abstract source, read over its runs, and the
+    dependency and key rounds over its points, as shown."""
+    return (_shown(lambda: chase(src, m)),
+            _shown(lambda: tkc_round_abstract(st_round_abstract(src, m.sttgds, m.target), m.tkcs)))
+
+
+def _abstract_sources(example1, example3):
+    """Seeded random sources under ``sem``, sources drawn point by point,
+    and the 4S seed-1 long-lived, crossview and failing crossview sources
+    of the benchmark."""
+    rng = random.Random(20261022)
+    for _ in range(400):
+        case = random_case(rng, with_queries=False)
+        yield case.mapping, sem_instance(case.source, case.horizon)
+        case = random_pointwise_case(rng, joins=rng.random() < 0.5)
+        yield case.mapping, case.source
+    bench = bench_workloads()
+    for name in ("long-lived", "crossview"):
+        workload = bench.WORKLOADS[name]
+        sc = workload.generate(workload.sizes[2], random.Random("1:2"))
+        yield example1, instance_from_json(bench.abstract_doc(bench.EXAMPLE1_SOURCE, sc.source, sc.horizon))
+        if name == "crossview":
+            m = example1 if sc.failing_schema is bench.EXAMPLE1_SOURCE else example3
+            yield m, instance_from_json(bench.abstract_doc(sc.failing_schema, sc.failing, sc.failing_horizon))
+
+
+def test_chase_over_runs_shows_what_the_rounds_over_points_show(example1, example3):
+    """A success is the same text, a failure has the same constants, trace
+    and time point, and a KeyNullViolation the same text, naming its fact
+    and null at a time point."""
+    shown = Counter()
+    for m, src in _abstract_sources(example1, example3):
+        over_runs, over_points = _chase_and_rounds(src, m)
+        assert over_runs == over_points, (m, src)
+        shown[over_runs[0]] += 1
+    assert min(shown[Success], shown[Failure], shown[KeyNullViolation]) >= 5, shown
+
+
+def test_dependency_round_fires_once_per_run(example1, monkeypatch):
+    """People employed over long spans, some with a gap: the dependency round
+    of the abstract chase fires once per run of points, bound to the run."""
+    facts = []
+    for i in range(12):
+        facts.append(fact("Employee1", f"p{i}", "acme", time=iv(0, 30 + i)))
+        if i % 3 == 0:
+            facts.append(fact("Employee2", f"p{i}", "dev", "eng", time=iv(4, 9)))
+            facts.append(fact("Employee2", f"p{i}", "dev", "eng", time=iv(11, 20)))
+    src = Instance.concrete(example1.source, facts)
+    fired = []
+    module = importlib.import_module("tdx.chase")  # ``tdx.chase`` is the function
+    fire = module._fire
+    monkeypatch.setattr(module, "_fire", lambda head, binding, add: (
+        fired.append(binding[head.time_var]), fire(head, binding, add)))
+    assert isinstance(chase(sem_instance(src, 42), example1), Success)
+    assert sorted(fired) == sorted(f.time for f in facts)
+
+
+def test_abstract_chase_refuses_no_source_for_its_cuts(monkeypatch):
+    """With no fragment allowed beyond the facts a cut is given, the chase
+    of random abstract sources whose rule bodies join several atoms cuts
+    its runs and refuses none of them, since each cut makes at most one
+    fragment per point it reads; the concrete chase of the same runs is
+    refused."""
+    monkeypatch.setattr(tdx.model, "MAX_NORMALIZE_FRAGMENTS", 0)
+    rng = random.Random(1022)
+    refused = 0
+    for _ in range(150):
+        case = random_pointwise_case(rng, joins=True)
+        m, src = case.mapping, case.source
+        over_runs, over_points = _chase_and_rounds(src, m)
+        assert over_runs == over_points, (m, src)
+        try:
+            chase(Instance.concrete(src.schema, tdx.model._runs(src)), m)
+        except KeyNullViolation:
+            pass
+        except PreconditionError:
+            refused += 1
+    assert refused >= 20
